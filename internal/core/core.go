@@ -185,7 +185,9 @@ type Options struct {
 	// logic.Eval tree walk). The modes are bit-identical for a fixed
 	// seed — estimates, checkpoints, and lane digests all match — so the
 	// mode is not part of the checkpoint fingerprint and snapshots
-	// interchange freely across it.
+	// interchange freely across it. The exact enumeration engines
+	// (quantifier-free, world enumeration) resolve it the same way for
+	// the worlds they enumerate, with the same exact H and R either way.
 	Eval string
 	// MaxEnumAtoms caps exact world enumeration (default 16).
 	MaxEnumAtoms int

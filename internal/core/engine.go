@@ -127,10 +127,9 @@ func ReliabilityWith(ctx context.Context, engine Engine, db *unreliable.DB, f lo
 	return res, nil
 }
 
-// worldEnumFor routes exact world enumeration to the partitioned
-// parallel engine when the caller asked for workers. The two paths are
-// bit-identical (exact rational partials commute), so the choice never
-// changes the result, only the wall clock.
+// worldEnumFor cuts exact world enumeration across workers when the
+// caller asked for them. The partial sums are integers, so the choice
+// never changes the result, only the wall clock.
 func worldEnumFor(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (Result, error) {
 	if opts.Workers > 1 {
 		return WorldEnumParallel(ctx, db, f, opts, opts.Workers)

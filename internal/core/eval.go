@@ -7,14 +7,16 @@ import (
 	"qrel/internal/vm"
 )
 
-// Evaluation modes of the sampling engines (Options.Eval,
-// Result.EvalMode). The compiled mode replaces the per-sample
-// logic.Eval tree walk with internal/vm bytecode evaluated 64 worlds
-// at a time; it is bit-identical to the interpreted mode — same
-// estimates, same checkpoints, same lane digests — so the mode is a
-// pure performance knob and is deliberately NOT part of the checkpoint
-// fingerprint: snapshots interchange freely across modes, and replicas
-// of one cluster run may disagree on it without breaking attestation.
+// Evaluation modes (Options.Eval, Result.EvalMode). The compiled mode
+// replaces the per-world logic.Eval tree walk with internal/vm bytecode
+// evaluated 64 worlds at a time — sampled worlds in the sampling
+// engines, enumerated ones in the exact enumeration engines. It is
+// bit-identical to the interpreted mode — same estimates, same
+// checkpoints, same lane digests, same exact rationals — so the mode is
+// a pure performance knob and is deliberately NOT part of the
+// checkpoint fingerprint: snapshots interchange freely across modes,
+// and replicas of one cluster run may disagree on it without breaking
+// attestation.
 const (
 	EvalAuto        = "auto"
 	EvalCompiled    = "compiled"
@@ -32,7 +34,7 @@ func KnownEvalMode(m string) bool {
 	return false
 }
 
-// evalPlan is the resolved evaluation mode of one sampling-engine run:
+// evalPlan is the resolved evaluation mode of one engine run:
 // the per-tuple compiled programs when compilation succeeded, or the
 // interpreter with the abandoned compile recorded for the trail.
 type evalPlan struct {

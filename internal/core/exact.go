@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"runtime"
 
 	"qrel/internal/faultinject"
 	"qrel/internal/logic"
@@ -18,49 +19,137 @@ import (
 //	H_psi(D) = Σ_B nu(B) · |psi^A Δ psi^B|.
 //
 // This is the deterministic simulation of the FP^#P algorithm of
-// Theorem 4.2 (see package sharpp for the oracle view); its running
-// time is 2^u query evaluations for u uncertain atoms, bounded by
-// opts.MaxEnumAtoms and opts.Budget.MaxWorlds. The enumeration polls
-// ctx between worlds.
+// Theorem 4.2 (see package sharpp for the oracle view), down to its
+// integer normaliser g: the sum is formed over nu(B)·g ∈ ℕ and divided
+// by g once. Its running time is 2^u query evaluations for u uncertain
+// atoms, bounded by opts.MaxEnumAtoms and opts.Budget.MaxWorlds;
+// first-order queries are compiled once per answer tuple and evaluated
+// 64 worlds per pass (see flipEnum), second-order ones — and any run
+// with opts.Eval = EvalInterpreted — materialise and interpret one
+// world at a time. The enumeration polls ctx between blocks of worlds.
 func WorldEnum(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (Result, error) {
+	return worldEnum(ctx, db, f, opts, 1, "world-enum")
+}
+
+// WorldEnumParallel is WorldEnum with the world space cut into
+// contiguous ranges of flip masks, one per worker (workers <= 0 means
+// GOMAXPROCS). The result is bit-identical to the sequential engine:
+// the partial sums are integers, and integer addition commutes.
+//
+// The first worker to fail cancels its siblings, and an external
+// cancellation (ctx or opts.Budget.Timeout) stops the whole pool
+// promptly instead of finishing the enumeration.
+func WorldEnumParallel(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options, workers int) (Result, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return worldEnum(ctx, db, f, opts, workers, "world-enum-parallel")
+}
+
+func worldEnum(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options, workers int, engine string) (Result, error) {
 	ctx = orBackground(ctx)
 	opts = opts.withDefaults()
 	if err := faultinject.Hit(faultinject.SiteWorldEnum); err != nil {
 		return Result{}, err
 	}
+	u := db.NumUncertain()
+	if u > opts.MaxEnumAtoms || u > unreliable.MaxEnumAtoms {
+		return Result{}, fmt.Errorf("%w: %d uncertain atoms exceed enumeration budget %d",
+			unreliable.ErrEnumBudget, u, opts.MaxEnumAtoms)
+	}
 	if !opts.Budget.allowsWorlds(db) {
 		return Result{}, fmt.Errorf("%w: world space %v exceeds budget of %d worlds",
 			ErrBudgetExceeded, db.WorldCount(), opts.Budget.MaxWorlds)
 	}
-	observed, err := answerSet(db.A, f)
-	if err != nil {
-		return Result{}, err
+	res := Result{Engine: engine, Class: logic.Classify(f)}
+	var total uint64
+	var part func(ctx context.Context, lo, hi uint64, acc *big.Int) error
+	// A second-order query has no compiled form: interpreting it is not
+	// a fallback, so it leaves no trail.
+	plan := evalPlan{mode: EvalInterpreted}
+	if logic.Compilable(f) {
+		plan = planEval(db, f, opts)
+		res.FallbackTrail = plan.trail
 	}
-	k := len(logic.FreeVars(f))
-	h := new(big.Rat)
-	var evalErr error
-	err = db.ForEachWorldCtx(ctx, opts.MaxEnumAtoms, func(b *rel.Structure, nu *big.Rat) bool {
-		actual, err := answerSet(b, f)
+	if plan.compiled() {
+		total, part = enumBlocks(u), compiledWorlds(db, plan)
+	} else {
+		observed, err := answerSet(db.A, f)
 		if err != nil {
-			evalErr = err
-			return false
+			return Result{}, err
 		}
-		diff := symmetricDiffSize(observed, actual)
-		if diff == 0 {
-			return true
-		}
-		h.Add(h, new(big.Rat).Mul(nu, big.NewRat(int64(diff), 1)))
-		return true
-	})
+		total, part = uint64(1)<<uint(u), interpretedWorlds(db, f, observed)
+	}
+	sum, err := sumRanges(ctx, total, workers, part)
 	if err != nil {
 		return Result{}, err
 	}
-	if evalErr != nil {
-		return Result{}, evalErr
-	}
-	res := Result{Engine: "world-enum", Class: logic.Classify(f)}
-	setExact(&res, h, db.A.N, k)
+	setExact(&res, new(big.Rat).SetFrac(sum, db.G()), db.A.N, len(logic.FreeVars(f)))
 	return res, nil
+}
+
+// compiledWorlds returns the range worker of the compiled enumeration:
+// it adds Σ_B nu(B)·g·|psi^A Δ psi^B| over the worlds of blocks lo..hi-1
+// to acc, one EvalBatch per answer tuple and block. Every block polls
+// ctx and passes the two evaluation fault sites once.
+func compiledWorlds(db *unreliable.DB, plan evalPlan) func(ctx context.Context, lo, hi uint64, acc *big.Int) error {
+	need := 1
+	for _, p := range plan.progs {
+		need = max(need, p.StackNeed())
+	}
+	return func(ctx context.Context, lo, hi uint64, acc *big.Int) error {
+		e := newFlipEnum(uint64(len(plan.progs)))
+		e.reset(db.Weights(), lo)
+		stack := make([]uint64, need)
+		for b := lo; b < hi; b++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := faultinject.Hit(faultinject.SiteWorldWorker); err != nil {
+				return err
+			}
+			if err := faultinject.Hit(faultinject.SiteAnswerSet); err != nil {
+				return err
+			}
+			for ti, p := range plan.progs {
+				v := p.EvalBatch(e.cols, e.full, stack)
+				if plan.base[ti] {
+					v ^= e.full
+				}
+				e.mark(v)
+			}
+			e.endBlock(acc)
+		}
+		return nil
+	}
+}
+
+// interpretedWorlds returns the range worker of the interpreted
+// enumeration — the only evaluator of second-order queries and the
+// reference the compiled one is tested against: one materialised world
+// and one logic.Answer per flip mask in lo..hi-1.
+func interpretedWorlds(db *unreliable.DB, f logic.Formula, observed map[uint64]struct{}) func(ctx context.Context, lo, hi uint64, acc *big.Int) error {
+	return func(ctx context.Context, lo, hi uint64, acc *big.Int) error {
+		walk := db.Weights().Walk(lo)
+		var term big.Int
+		for mask := lo; mask < hi; mask++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := faultinject.Hit(faultinject.SiteWorldWorker); err != nil {
+				return err
+			}
+			actual, err := answerSet(db.World(mask), f)
+			if err != nil {
+				return err
+			}
+			if diff := symmetricDiffSize(observed, actual); diff > 0 {
+				acc.Add(acc, term.Mul(walk.Weight(), term.SetInt64(int64(diff))))
+			}
+			walk.Next()
+		}
+		return nil
+	}
 }
 
 // answerSet computes psi^A as a set of tuple keys.

@@ -86,6 +86,11 @@ func MonteCarlo(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Op
 	stopped := false // ctx canceled or budget exhausted: midpoint-fill the rest
 	ev := func(env logic.Env) func(*rel.Structure) (bool, error) {
 		frozen := env.Clone()
+		if parallel {
+			// logic.Eval binds quantified variables in the environment it
+			// is handed, so lanes evaluating at once need one each.
+			return func(b *rel.Structure) (bool, error) { return logic.Eval(b, f, frozen.Clone()) }
+		}
 		return func(b *rel.Structure) (bool, error) { return logic.Eval(b, f, frozen) }
 	}
 	env := logic.Env{}

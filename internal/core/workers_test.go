@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"qrel/internal/logic"
@@ -117,5 +118,68 @@ func TestWorkersLaneFingerprintMismatch(t *testing.T) {
 	seq2.Checkpoint = &CheckpointConfig{Store: openStore(t, dir2, nil), Resume: true}
 	if _, err := MonteCarloDirect(bg, d, f, seq2); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("parallel snapshot into sequential run: err = %v, want ErrCheckpointMismatch", err)
+	}
+}
+
+// TestColdDatabaseWorkers runs every engine with Workers: 4 — in both
+// evaluation modes, which between them reach every Par entry point of
+// mc and karpluby — on a database nobody has read, and then all of
+// them at once on one more cold database the way a server's pool does.
+// Each answer must equal the one computed on a warmed copy; run under
+// -race, this is the regression test for lanes snapshotting the
+// database's atom lists while another lane was still building them.
+func TestColdDatabaseWorkers(t *testing.T) {
+	warm := randUDB(rand.New(rand.NewSource(53)), 3, 8)
+	warm.UncertainAtoms() // forces the atom lists
+	f := logic.MustParse("exists y . E(x,y) & S(y)", nil)
+	type run struct {
+		engine Engine
+		eval   string
+	}
+	var runs []run
+	for _, e := range []Engine{EngineWorldEnum, EngineLineageBDD, EngineLineageKL, EngineMonteCarlo, EngineMCDirect, EngineMCRare, EngineAuto} {
+		for _, eval := range []string{EvalCompiled, EvalInterpreted} {
+			runs = append(runs, run{e, eval})
+		}
+	}
+	opts := func(r run) Options {
+		return Options{Eps: 0.2, Delta: 0.1, Seed: 17, Workers: 4, Eval: r.eval}
+	}
+	same := func(r run, got, want Result) {
+		t.Helper()
+		if got.HFloat != want.HFloat || got.RFloat != want.RFloat || got.Samples != want.Samples {
+			t.Errorf("%s/%s: cold database gave H=%v R=%v samples=%d, warmed H=%v R=%v samples=%d",
+				r.engine, r.eval, got.HFloat, got.RFloat, got.Samples, want.HFloat, want.RFloat, want.Samples)
+		}
+	}
+	want := make([]Result, len(runs))
+	for i, r := range runs {
+		var err error
+		if want[i], err = ReliabilityWith(bg, r.engine, warm, f, opts(r)); err != nil {
+			t.Fatalf("%s/%s warm: %v", r.engine, r.eval, err)
+		}
+		got, err := ReliabilityWith(bg, r.engine, warm.Clone(), f, opts(r)) // a clone starts cold
+		if err != nil {
+			t.Fatalf("%s/%s cold: %v", r.engine, r.eval, err)
+		}
+		same(r, got, want[i])
+	}
+	shared := warm.Clone()
+	got := make([]Result, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = ReliabilityWith(bg, r.engine, shared, f, opts(r))
+		}()
+	}
+	wg.Wait()
+	for i, r := range runs {
+		if errs[i] != nil {
+			t.Fatalf("%s/%s on the shared cold database: %v", r.engine, r.eval, errs[i])
+		}
+		same(r, got[i], want[i])
 	}
 }

@@ -35,6 +35,53 @@ type CompiledMean struct {
 	NormF float64
 }
 
+// drawWorlds fills cols with m sampled worlds, sample s in bit s of
+// every column, consuming the lane's stream exactly as the scalar
+// samplers do: per sample one Float64 per uncertain atom in canonical
+// order (the atom flips when the draw is below its muF), then one
+// Float64 per entry of coins, whose bit s is set when that draw is
+// below xi.
+//
+// On a lane with a serializable Source the generator state is hoisted
+// into locals for the whole batch (HotRNG) and written back before
+// returning, so a checkpoint taken at the batch boundary sees the
+// advanced generator; other lanes draw through the Drawer. The draws
+// set their bits without branching: each is a coin flip the branch
+// predictor cannot learn.
+func drawWorlds(d Drawer, muF []float64, cols []uint64, m int, xi float64, coins []uint64) {
+	clear(cols)
+	if hot, ok := d.Hot(); ok {
+		for s := uint(0); s < uint(m); s++ {
+			for i, mu := range muF {
+				cols[i] |= below(hot.Float64(), mu) << s
+			}
+			for j := range coins {
+				coins[j] |= below(hot.Float64(), xi) << s
+			}
+		}
+		d.PutHot(hot)
+		return
+	}
+	for s := uint(0); s < uint(m); s++ {
+		for i, mu := range muF {
+			cols[i] |= below(d.Float64(), mu) << s
+		}
+		for j := range coins {
+			coins[j] |= below(d.Float64(), xi) << s
+		}
+	}
+}
+
+// below returns 1 when f < p and 0 otherwise, in a form the compiler
+// lowers to a flag-to-register move rather than a jump.
+func below(f, p float64) uint64 {
+	var b uint64
+	if f < p {
+		b = 1
+	}
+	return b
+}
+
 // step builds the batched per-lane step of the compiled mean
 // estimator.
 func (cm *CompiledMean) step(db *unreliable.DB) func(ln *Lane) func(m int) error {
@@ -51,17 +98,7 @@ func (cm *CompiledMean) step(db *unreliable.DB) func(ln *Lane) func(m int) error
 		stack := make([]uint64, need)
 		var counts [64]int
 		return func(m int) error {
-			for i := range cols {
-				cols[i] = 0
-			}
-			for s := 0; s < m; s++ {
-				bit := uint64(1) << uint(s)
-				for i, mu := range muF {
-					if d.Float64() < mu {
-						cols[i] |= bit
-					}
-				}
-			}
+			drawWorlds(d, muF, cols, m, 0, nil)
 			full := batchFull(m)
 			for s := 0; s < m; s++ {
 				counts[s] = 0
@@ -175,24 +212,9 @@ func paddedStepCompiled(db *unreliable.DB, prog *vm.Program, xi float64) func(ln
 		cols := make([]uint64, len(muF))
 		stack := prog.NewStack()
 		return func(m int) error {
-			for i := range cols {
-				cols[i] = 0
-			}
-			var rc, rd uint64
-			for s := 0; s < m; s++ {
-				bit := uint64(1) << uint(s)
-				for i, mu := range muF {
-					if d.Float64() < mu {
-						cols[i] |= bit
-					}
-				}
-				if d.Float64() < xi {
-					rc |= bit
-				}
-				if d.Float64() < xi {
-					rd |= bit
-				}
-			}
+			var coins [2]uint64
+			drawWorlds(d, muF, cols, m, xi, coins[:])
+			rc, rd := coins[0], coins[1]
 			v := prog.EvalBatch(cols, batchFull(m), stack)
 			ln.Hits += bits.OnesCount64((v | rc) & rd)
 			return nil

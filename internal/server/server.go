@@ -189,11 +189,8 @@ func New(cfg Config) *Server {
 }
 
 // Register adds a named database. Registered databases are shared by
-// concurrent requests and must not be mutated afterwards; Register
-// warms the lazily built uncertain-atom caches so later concurrent
-// reads are safe.
+// concurrent requests and must not be mutated afterwards.
 func (s *Server) Register(name string, db *unreliable.DB) {
-	db.NumUncertain() // force the lazy refresh now, single-threaded
 	s.dbMu.Lock()
 	defer s.dbMu.Unlock()
 	s.dbs[name] = db
@@ -283,7 +280,6 @@ func (s *Server) loadStore(name string) (*unreliable.DB, int, string, error) {
 		status, kind := statusFor(err)
 		return nil, status, kind, fmt.Errorf("loading store %q: %w", name, err)
 	}
-	db.NumUncertain() // warm the lazy caches single-threaded, as Register does
 	// Record the identity after Open: journal recovery may have
 	// rewritten the file, and the post-recovery (mtime, size) is what
 	// later requests' stats will see.

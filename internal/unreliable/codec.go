@@ -205,8 +205,8 @@ func WriteDB(w io.Writer, d *DB) error {
 		}
 	}
 	// Absent atoms with nonzero error.
-	d.refresh()
-	for _, e := range append(append([]entry{}, d.uncertain...), d.sure...) {
+	l := d.atoms()
+	for _, e := range append(append([]entry{}, l.uncertain...), l.sure...) {
 		if d.A.Holds(e.atom.Rel, e.atom.Args) {
 			continue
 		}

@@ -45,13 +45,10 @@ func (d *DB) Condition(atom rel.GroundAtom, value bool) (*DB, error) {
 // observed value when mu ≤ 1/2 and flips otherwise (ties broken toward
 // keeping). Deterministic flips (mu = 1) are applied.
 func (d *DB) MostLikelyWorld() (*rel.Structure, *big.Rat) {
-	d.refresh()
-	b := d.A.Clone()
+	l := d.atoms()
+	b := l.sureWorld(d.A)
 	p := new(big.Rat).Set(ratOne)
-	for _, e := range d.sure {
-		b.Rel(e.atom.Rel).Toggle(e.atom.Args)
-	}
-	for _, e := range d.uncertain {
+	for _, e := range l.uncertain {
 		keep := new(big.Rat).Sub(ratOne, e.mu)
 		if e.mu.Cmp(ratHalf) > 0 {
 			b.Rel(e.atom.Rel).Toggle(e.atom.Args)

@@ -14,6 +14,8 @@ import (
 	"math/big"
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"qrel/internal/rel"
 )
@@ -27,16 +29,63 @@ var (
 // DB is an unreliable database (A, mu). Atoms without an explicit error
 // probability are certain (mu = 0). Atoms with mu = 1 are certainly
 // wrong and flip deterministically in every possible world.
+//
+// Any number of goroutines may read a DB concurrently, cold or warm;
+// SetError must not run concurrently with anything else. A DB must not
+// be copied after first use.
 type DB struct {
 	// A is the observed database.
 	A *rel.Structure
 
 	mu map[rel.AtomKey]*big.Rat
+	// numUncertain counts the entries of mu below 1, kept by SetError so
+	// that a builder looping "until NumUncertain reaches u" does not
+	// rebuild the atom lists once per atom.
+	numUncertain int
 
-	// caches, rebuilt lazily after mutation
-	dirty     bool
+	// derived is everything computed from mu. SetError clears it; the
+	// first reader afterwards rebuilds it once under rebuild, and every
+	// other read is one atomic load of an immutable value — it sits on
+	// the per-sample path of every estimator lane.
+	rebuild sync.Mutex
+	derived atomic.Pointer[atomLists]
+}
+
+// atomLists is the snapshot of a DB's non-certain atoms. The lists are
+// complete when it is published; the tables the exact engines and the
+// compiler read are derived from them on first use, so a builder that
+// alternates SetError with reads pays only for the lists.
+type atomLists struct {
 	uncertain []entry // atoms with 0 < mu < 1, in canonical order
 	sure      []entry // atoms with mu = 1 (deterministic flips)
+
+	tablesOnce sync.Once
+	// flipIndex maps an uncertain atom to its position in uncertain
+	// and a sure flip to -1; certain atoms are absent.
+	flipIndex map[rel.AtomKey]int
+	weights   Weights
+
+	// The weights over their least common denominator: only the
+	// quantifier-free engine asks, and on a database with many coprime
+	// denominators they are large.
+	lcmOnce sync.Once
+	overLCM Weights
+	lcm     *big.Int
+}
+
+// tables returns l with flipIndex and weights built.
+func (l *atomLists) tables() *atomLists {
+	l.tablesOnce.Do(func() {
+		l.flipIndex = make(map[rel.AtomKey]int, len(l.uncertain)+len(l.sure))
+		for i, e := range l.uncertain {
+			l.flipIndex[e.atom.Key()] = i
+		}
+		for _, e := range l.sure {
+			l.flipIndex[e.atom.Key()] = -1
+		}
+		l.weights = newWeights(l.uncertain)
+	})
+	return l
 }
 
 type entry struct {
@@ -72,12 +121,18 @@ func (d *DB) SetError(atom rel.GroundAtom, p *big.Rat) error {
 		return fmt.Errorf("unreliable: error probability %v outside [0,1]", p)
 	}
 	k := atom.Key()
+	if old, ok := d.mu[k]; ok && old.Cmp(ratOne) < 0 {
+		d.numUncertain--
+	}
 	if p.Sign() == 0 {
 		delete(d.mu, k)
 	} else {
 		d.mu[k] = new(big.Rat).Set(p)
+		if p.Cmp(ratOne) < 0 {
+			d.numUncertain++
+		}
 	}
-	d.dirty = true
+	d.derived.Store(nil)
 	return nil
 }
 
@@ -106,14 +161,18 @@ func (d *DB) NuAtom(atom rel.GroundAtom) *big.Rat {
 	return mu
 }
 
-// refresh rebuilds the uncertain/sure caches in canonical order
-// (relation name, then tuple key).
-func (d *DB) refresh() {
-	if !d.dirty {
-		return
+// atoms returns the snapshot of the uncertain and sure atoms in
+// canonical order (relation name, then tuple key), building it if a
+// mutation invalidated the last one.
+func (d *DB) atoms() *atomLists {
+	if l := d.derived.Load(); l != nil {
+		return l
 	}
-	d.uncertain = d.uncertain[:0]
-	d.sure = d.sure[:0]
+	d.rebuild.Lock()
+	defer d.rebuild.Unlock()
+	if l := d.derived.Load(); l != nil {
+		return l
+	}
 	keys := make([]rel.AtomKey, 0, len(d.mu))
 	for k := range d.mu {
 		keys = append(keys, k)
@@ -124,26 +183,28 @@ func (d *DB) refresh() {
 		}
 		return keys[i].Tup < keys[j].Tup
 	})
+	l := new(atomLists)
 	for _, k := range keys {
 		p := d.mu[k]
 		e := entry{atom: k.Atom(), mu: p}
 		e.muF, _ = p.Float64()
 		if p.Cmp(ratOne) == 0 {
-			d.sure = append(d.sure, e)
+			l.sure = append(l.sure, e)
 		} else {
-			d.uncertain = append(d.uncertain, e)
+			l.uncertain = append(l.uncertain, e)
 		}
 	}
-	d.dirty = false
+	d.derived.Store(l)
+	return l
 }
 
 // UncertainAtoms returns the atoms with 0 < mu < 1 in canonical order.
 // The possible worlds of Omega(D) with nonzero probability are exactly
 // the 2^u flips of these atoms (after the deterministic mu = 1 flips).
 func (d *DB) UncertainAtoms() []rel.GroundAtom {
-	d.refresh()
-	out := make([]rel.GroundAtom, len(d.uncertain))
-	for i, e := range d.uncertain {
+	uncertain := d.atoms().uncertain
+	out := make([]rel.GroundAtom, len(uncertain))
+	for i, e := range uncertain {
 		out[i] = e.atom
 	}
 	return out
@@ -151,18 +212,27 @@ func (d *DB) UncertainAtoms() []rel.GroundAtom {
 
 // SureFlips returns the atoms with mu = 1.
 func (d *DB) SureFlips() []rel.GroundAtom {
-	d.refresh()
-	out := make([]rel.GroundAtom, len(d.sure))
-	for i, e := range d.sure {
+	sure := d.atoms().sure
+	out := make([]rel.GroundAtom, len(sure))
+	for i, e := range sure {
 		out[i] = e.atom
 	}
 	return out
 }
 
 // NumUncertain returns the number of atoms with 0 < mu < 1.
-func (d *DB) NumUncertain() int {
-	d.refresh()
-	return len(d.uncertain)
+func (d *DB) NumUncertain() int { return d.numUncertain }
+
+// FlipIndex classifies a ground atom by how it varies across the
+// possible worlds: (i, false) for the i-th uncertain atom in canonical
+// order, (-1, true) for a mu = 1 atom that flips in every world, and
+// (-1, false) for a certain atom.
+func (d *DB) FlipIndex(a rel.GroundAtom) (i int, sure bool) {
+	i, ok := d.atoms().tables().flipIndex[a.Key()]
+	if !ok {
+		return -1, false
+	}
+	return i, i < 0
 }
 
 // UncertainMuF returns the float64 flip probabilities of the
@@ -171,9 +241,9 @@ func (d *DB) NumUncertain() int {
 // against, so a batched sampler using them reproduces the world
 // stream bit-for-bit.
 func (d *DB) UncertainMuF() []float64 {
-	d.refresh()
-	out := make([]float64, len(d.uncertain))
-	for i, e := range d.uncertain {
+	uncertain := d.atoms().uncertain
+	out := make([]float64, len(uncertain))
+	for i, e := range uncertain {
 		out[i] = e.muF
 	}
 	return out
@@ -181,8 +251,7 @@ func (d *DB) UncertainMuF() []float64 {
 
 // WorldCount returns |{B : nu(B) > 0}| = 2^u.
 func (d *DB) WorldCount() *big.Int {
-	d.refresh()
-	return new(big.Int).Lsh(big.NewInt(1), uint(len(d.uncertain)))
+	return new(big.Int).Lsh(big.NewInt(1), uint(d.numUncertain))
 }
 
 // IsPositiveOnly reports whether the database fits de Rougemont's
@@ -206,7 +275,7 @@ func (d *DB) Clone() *DB {
 	for k, p := range d.mu {
 		c.mu[k] = new(big.Rat).Set(p)
 	}
-	c.dirty = true
+	c.numUncertain = d.numUncertain
 	return c
 }
 
@@ -214,12 +283,9 @@ func (d *DB) Clone() *DB {
 // mask flips uncertain atom i (in canonical order), and all mu = 1
 // atoms are flipped unconditionally.
 func (d *DB) World(mask uint64) *rel.Structure {
-	d.refresh()
-	b := d.A.Clone()
-	for _, e := range d.sure {
-		b.Rel(e.atom.Rel).Toggle(e.atom.Args)
-	}
-	for i, e := range d.uncertain {
+	l := d.atoms()
+	b := l.sureWorld(d.A)
+	for i, e := range l.uncertain {
 		if mask&(1<<uint(i)) != 0 {
 			b.Rel(e.atom.Rel).Toggle(e.atom.Args)
 		}
@@ -227,12 +293,21 @@ func (d *DB) World(mask uint64) *rel.Structure {
 	return b
 }
 
+// sureWorld clones the observed structure and applies the
+// deterministic mu = 1 flips: the world every flip mask starts from.
+func (l *atomLists) sureWorld(a *rel.Structure) *rel.Structure {
+	b := a.Clone()
+	for _, e := range l.sure {
+		b.Rel(e.atom.Rel).Toggle(e.atom.Args)
+	}
+	return b
+}
+
 // WorldProb returns the probability of the world identified by mask:
 // the product over uncertain atoms of mu (flipped) or 1 − mu (kept).
 func (d *DB) WorldProb(mask uint64) *big.Rat {
-	d.refresh()
 	p := new(big.Rat).Set(ratOne)
-	for i, e := range d.uncertain {
+	for i, e := range d.atoms().uncertain {
 		if mask&(1<<uint(i)) != 0 {
 			p.Mul(p, e.mu)
 		} else {
@@ -262,22 +337,29 @@ func (d *DB) ForEachWorld(budget int, fn func(b *rel.Structure, nu *big.Rat) boo
 
 // ForEachWorldCtx is ForEachWorld with cooperative cancellation: the
 // enumeration checks ctx between worlds and returns ctx's error when it
-// is canceled or its deadline passes. This is the inner loop behind
-// every exact enumeration engine, so a cancellation here propagates a
-// bounded-latency stop through the whole exact stack.
+// is canceled or its deadline passes. This is the reference enumerator
+// the interpreted exact paths share, so a cancellation here propagates
+// a bounded-latency stop through all of them.
+//
+// nu(B) is formed from the integer weights (see Weights): a Walk keeps
+// the numerator across the counting order and each world normalises it
+// once over g, instead of multiplying u rationals per world.
 func (d *DB) ForEachWorldCtx(ctx context.Context, budget int, fn func(b *rel.Structure, nu *big.Rat) bool) error {
-	d.refresh()
-	u := len(d.uncertain)
+	u := d.NumUncertain()
 	if u > budget || u > MaxEnumAtoms {
 		return fmt.Errorf("%w: %d uncertain atoms, budget %d", ErrEnumBudget, u, budget)
 	}
+	w := d.Weights()
+	g := w.G()
+	walk := w.Walk(0)
 	for mask := uint64(0); mask < uint64(1)<<uint(u); mask++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if !fn(d.World(mask), d.WorldProb(mask)) {
+		if !fn(d.World(mask), new(big.Rat).SetFrac(walk.Weight(), g)) {
 			return nil
 		}
+		walk.Next()
 	}
 	return nil
 }
@@ -321,12 +403,9 @@ func (d *DB) NuWorld(b *rel.Structure) (*big.Rat, error) {
 // SampleWorld draws a random world from Omega(D) using float64
 // approximations of the flip probabilities.
 func (d *DB) SampleWorld(rng *rand.Rand) *rel.Structure {
-	d.refresh()
-	b := d.A.Clone()
-	for _, e := range d.sure {
-		b.Rel(e.atom.Rel).Toggle(e.atom.Args)
-	}
-	for _, e := range d.uncertain {
+	l := d.atoms()
+	b := l.sureWorld(d.A)
+	for _, e := range l.uncertain {
 		if rng.Float64() < e.muF {
 			b.Rel(e.atom.Rel).Toggle(e.atom.Args)
 		}
@@ -340,28 +419,24 @@ func (d *DB) SampleWorld(rng *rand.Rand) *rel.Structure {
 // new ones. A buffer belongs to one sampling goroutine (a "lane") and
 // is invalidated by any mutation of the database it was created from.
 type WorldBuf struct {
-	d     *DB
+	l     *atomLists
 	b     *rel.Structure
-	flips []int // indices into d.uncertain currently toggled in b
+	flips []int // indices into l.uncertain currently toggled in b
 }
 
 // NewWorldBuf clones the observed structure once (with the mu = 1
 // flips applied) and returns a buffer that SampleWorldInto can reuse
 // for every draw of a sampling loop.
 func (d *DB) NewWorldBuf() *WorldBuf {
-	d.refresh()
-	b := d.A.Clone()
-	for _, e := range d.sure {
-		b.Rel(e.atom.Rel).Toggle(e.atom.Args)
-	}
-	return &WorldBuf{d: d, b: b, flips: make([]int, 0, len(d.uncertain))}
+	l := d.atoms()
+	return &WorldBuf{l: l, b: l.sureWorld(d.A), flips: make([]int, 0, len(l.uncertain))}
 }
 
 // Reset undoes the previous draw's flips, restoring the buffer to the
 // observed database with the deterministic mu = 1 flips applied.
 func (w *WorldBuf) Reset() {
 	for _, i := range w.flips {
-		e := &w.d.uncertain[i]
+		e := &w.l.uncertain[i]
 		w.b.Rel(e.atom.Rel).Toggle(e.atom.Args)
 	}
 	w.flips = w.flips[:0]
@@ -370,7 +445,7 @@ func (w *WorldBuf) Reset() {
 // ToggleUncertain flips uncertain atom i (canonical order) in the
 // buffer and records it for the next Reset.
 func (w *WorldBuf) ToggleUncertain(i int) {
-	e := &w.d.uncertain[i]
+	e := &w.l.uncertain[i]
 	w.b.Rel(e.atom.Rel).Toggle(e.atom.Args)
 	w.flips = append(w.flips, i)
 }
@@ -387,10 +462,10 @@ func (w *WorldBuf) World() *rel.Structure { return w.b }
 // produce the same worlds from the same stream. The returned structure
 // is only valid until the next draw into buf.
 func (d *DB) SampleWorldInto(rng *rand.Rand, buf *WorldBuf) *rel.Structure {
-	d.refresh()
+	uncertain := d.atoms().uncertain
 	buf.Reset()
-	for i := range d.uncertain {
-		if rng.Float64() < d.uncertain[i].muF {
+	for i := range uncertain {
+		if rng.Float64() < uncertain[i].muF {
 			buf.ToggleUncertain(i)
 		}
 	}
@@ -409,24 +484,16 @@ func (d *DB) SampleWorldInto(rng *rand.Rand, buf *WorldBuf) *rel.Structure {
 // atoms of probability 1/2, nu(B) = 1/4 but lcm = 2. GPaperLCM
 // implements the paper's literal algorithm for comparison; G implements
 // the corrected product. See EXPERIMENTS.md (E3).
-func (d *DB) G() *big.Int {
-	d.refresh()
-	g := big.NewInt(1)
-	for _, e := range d.uncertain {
-		g.Mul(g, e.mu.Denom())
-	}
-	return g
-}
+func (d *DB) G() *big.Int { return d.Weights().G() }
 
 // GPaperLCM runs the paper's literal gcd-loop over the denominators of
 // the nu(Rā), producing their least common multiple. Kept for the E3
 // experiment, which demonstrates that it can fail the defining property
 // of g. Use G for correct results.
 func (d *DB) GPaperLCM() *big.Int {
-	d.refresh()
 	g := big.NewInt(1)
 	tmp := new(big.Int)
-	for _, e := range d.uncertain {
+	for _, e := range d.atoms().uncertain {
 		den := e.mu.Denom()
 		b := new(big.Int).GCD(nil, nil, g, den)
 		if b.Cmp(den) == 0 {

@@ -3,6 +3,7 @@ package unreliable
 import (
 	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"qrel/internal/rel"
@@ -368,5 +369,116 @@ func TestSampleWorldIntoAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("SampleWorldInto allocates %v objects per draw, want 0", allocs)
+	}
+}
+
+// TestForEachWorldMatchesWorldProb pins the reference enumerator to the
+// definition: the nu handed to fn is WorldProb(mask), digit for digit,
+// stays valid after the enumeration moved on, and comes with World(mask).
+func TestForEachWorldMatchesWorldProb(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, u := range []int{0, 1, 5, 8} {
+		d := testDB(rng, 4, u)
+		// Coprime denominators on top of the tenths testDB draws.
+		for i, a := range d.UncertainAtoms() {
+			if i%2 == 0 {
+				d.MustSetError(a, big.NewRat(int64(1+i), int64(7+6*i)))
+			}
+		}
+		var nus []*big.Rat
+		var worlds []*rel.Structure
+		if err := d.ForEachWorld(u, func(b *rel.Structure, nu *big.Rat) bool {
+			worlds, nus = append(worlds, b), append(nus, nu)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(nus) != 1<<uint(u) {
+			t.Fatalf("u=%d: visited %d worlds", u, len(nus))
+		}
+		for mask, nu := range nus {
+			if want := d.WorldProb(uint64(mask)); nu.String() != want.String() {
+				t.Errorf("u=%d world %b: nu = %s, WorldProb = %s", u, mask, nu, want)
+			}
+			if !worlds[mask].Equal(d.World(uint64(mask))) {
+				t.Errorf("u=%d world %b: structure differs from World(mask)", u, mask)
+			}
+		}
+	}
+}
+
+// TestWalkFromAnyMask: a cursor started mid-range produces, over g, the
+// same probabilities as one that walked there.
+func TestWalkFromAnyMask(t *testing.T) {
+	d := testDB(rand.New(rand.NewSource(42)), 4, 7)
+	w := d.Weights()
+	g := w.G()
+	if g.Cmp(d.G()) != 0 {
+		t.Fatalf("Weights.G = %s, DB.G = %s", g, d.G())
+	}
+	for _, start := range []uint64{0, 1, 37, 127} {
+		walk := w.Walk(start)
+		for mask := start; mask < 128; mask++ {
+			got := new(big.Rat).SetFrac(walk.Weight(), g)
+			if want := d.WorldProb(mask); got.Cmp(want) != 0 {
+				t.Fatalf("walk from %d at %d: %s, want %s", start, mask, got, want)
+			}
+			walk.Next()
+		}
+	}
+	// The rescaled weights describe the same distribution.
+	scaled, lcm := d.WeightsOverLCM()
+	for i := 0; i < w.Len(); i++ {
+		keep := new(big.Rat).SetFrac(scaled.Keep[i], lcm)
+		flip := new(big.Rat).SetFrac(scaled.Flip[i], lcm)
+		if keep.Cmp(new(big.Rat).SetFrac(w.Keep[i], w.Den[i])) != 0 || flip.Cmp(new(big.Rat).SetFrac(w.Flip[i], w.Den[i])) != 0 {
+			t.Errorf("atom %d: rescaled weights %s, %s differ from %s/%s, %s/%s", i, keep, flip, w.Keep[i], w.Den[i], w.Flip[i], w.Den[i])
+		}
+	}
+}
+
+// TestColdConcurrentReads: the first readers of a database may arrive
+// together (lanes setting up, a server's workers); under -race they
+// must all see one complete snapshot, again after a mutation.
+func TestColdConcurrentReads(t *testing.T) {
+	d := testDB(rand.New(rand.NewSource(43)), 4, 9)
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				buf := d.NewWorldBuf()
+				d.SampleWorldInto(rng, buf)
+				if n := d.NumUncertain(); n != 9 || len(d.UncertainMuF()) != n || d.Weights().Len() != n {
+					t.Errorf("round %d goroutine %d saw %d uncertain atoms", round, g, n)
+				}
+				if _, sure := d.FlipIndex(atomS(0)); sure {
+					t.Errorf("round %d: S(0) reported as a sure flip", round)
+				}
+			}(g)
+		}
+		wg.Wait()
+		// Re-setting an uncertain atom keeps u at 9 and invalidates the snapshot.
+		d.MustSetError(d.UncertainAtoms()[0], big.NewRat(1, 3))
+	}
+}
+
+// TestNumUncertainTracksSetError: the count SetError maintains equals
+// the length of the derived list through inserts, overwrites across the
+// uncertain / sure / certain classes, and removals.
+func TestNumUncertainTracksSetError(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	d := testDB(rng, 3, 0)
+	values := []*big.Rat{new(big.Rat), big.NewRat(1, 1), big.NewRat(1, 3), big.NewRat(9, 10)}
+	for step := 0; step < 200; step++ {
+		d.MustSetError(atomE(rng.Intn(3), rng.Intn(3)), values[rng.Intn(len(values))])
+		if got, want := d.NumUncertain(), len(d.UncertainAtoms()); got != want {
+			t.Fatalf("step %d: NumUncertain = %d, %d uncertain atoms", step, got, want)
+		}
+		if c := d.Clone(); c.NumUncertain() != d.NumUncertain() {
+			t.Fatalf("step %d: clone counts %d, original %d", step, c.NumUncertain(), d.NumUncertain())
+		}
 	}
 }

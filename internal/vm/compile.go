@@ -11,27 +11,15 @@ import (
 )
 
 // Compiler lowers first-order formulas over one unreliable database
-// to bytecode programs over its uncertain-atom index space. The
-// atom-resolution maps are built once; engines that compile one
-// program per answer tuple reuse them across every tuple's Compile.
+// to bytecode programs over its uncertain-atom index space; engines
+// that compile one program per answer tuple share one Compiler.
 type Compiler struct {
-	db        *unreliable.DB
-	uncertain map[rel.AtomKey]int
-	sure      map[rel.AtomKey]bool
+	db *unreliable.DB
 }
 
 // NewCompiler builds a compiler for db. The database's mu assignment
 // must not change between NewCompiler and the last Compile.
-func NewCompiler(db *unreliable.DB) *Compiler {
-	c := &Compiler{db: db, uncertain: map[rel.AtomKey]int{}, sure: map[rel.AtomKey]bool{}}
-	for i, a := range db.UncertainAtoms() {
-		c.uncertain[a.Key()] = i
-	}
-	for _, a := range db.SureFlips() {
-		c.sure[a.Key()] = true
-	}
-	return c
-}
+func NewCompiler(db *unreliable.DB) *Compiler { return &Compiler{db: db} }
 
 // Compile lowers a first-order formula (under an environment binding
 // its free variables) to a bytecode program. Grounding resolves every
@@ -73,7 +61,8 @@ func Compile(db *unreliable.DB, f logic.Formula, env logic.Env) (*Program, error
 // constant otherwise.
 func (c *Compiler) atomFormula(a rel.GroundAtom) prop.Formula {
 	holds := c.db.A.Holds(a.Rel, a.Args)
-	if i, ok := c.uncertain[a.Key()]; ok {
+	i, sure := c.db.FlipIndex(a)
+	if i >= 0 {
 		// World value = observed value XOR flip bit: an atom the
 		// observed structure holds is true exactly when its flip bit is
 		// clear, and vice versa.
@@ -82,7 +71,7 @@ func (c *Compiler) atomFormula(a rel.GroundAtom) prop.Formula {
 		}
 		return prop.FVar(i)
 	}
-	if c.sure[a.Key()] {
+	if sure {
 		holds = !holds
 	}
 	if holds {

@@ -14,6 +14,10 @@ import (
 // and a random world, the compiled program — evaluated both through
 // the scalar path and through a 64-world batch carrying the world in
 // every lane — must agree with logic.Eval on the materialized world.
+// In enumeration mode it then lays all 2^u worlds out the way the exact
+// engines do — the low six flip bits index the lanes of a block, the
+// rest are broadcast per block — and every lane of every block must
+// agree with the interpreter on that lane's world.
 func FuzzCompiledEval(f *testing.F) {
 	f.Add(int64(1), "exists y . E(x,y) & S(y)", uint64(5))
 	f.Add(int64(2), "forall x . exists y . E(x,y)", uint64(0))
@@ -23,7 +27,7 @@ func FuzzCompiledEval(f *testing.F) {
 	f.Add(int64(6), "!(S(0) <-> S(1))", uint64(40))
 	f.Fuzz(func(t *testing.T, seed int64, src string, mask uint64) {
 		rng := rand.New(rand.NewSource(seed))
-		db := workload.RandomUDB(rng, 3, 6)
+		db := workload.RandomUDB(rng, 3, 6+rng.Intn(3))
 		q, err := logic.Parse(src, db.A.Voc)
 		if err != nil {
 			return
@@ -60,6 +64,26 @@ func FuzzCompiledEval(f *testing.F) {
 		got := p.EvalBatch(cols, full, stack)
 		if want && got != full || !want && got != 0 {
 			t.Fatalf("%q world %b: batch compiled %#x, interpreted %v", src, mask, got, want)
+		}
+		// Enumeration mode: lane l of block b is the world b<<6 | l.
+		for block := uint64(0); block < 1<<uint(u-6); block++ {
+			for v := 0; v < u; v++ {
+				cols[v] = 0
+				for lane := uint64(0); lane < 64; lane++ {
+					cols[v] |= (block<<6 | lane) >> uint(v) & 1 << lane
+				}
+			}
+			got := p.EvalBatch(cols, full, stack)
+			for lane := uint64(0); lane < 64; lane++ {
+				world := block<<6 | lane
+				want, err := logic.Eval(db.World(world), q, env)
+				if err != nil {
+					t.Fatalf("interpreter rejected %q on world %b: %v", src, world, err)
+				}
+				if got>>lane&1 == 1 != want {
+					t.Fatalf("%q: enumerated world %b: compiled %v, interpreted %v", src, world, !want, want)
+				}
+			}
 		}
 	})
 }
