@@ -230,6 +230,23 @@ func TestUniformReliabilityClosedForm(t *testing.T) {
 	if want := big.NewRat(3*12, 4); res.H.Cmp(want) != 0 {
 		t.Errorf("qfree: H = %s, closed form %s", res.H, want)
 	}
+	// Safe plan: the chain query holds in A and fails in B exactly when
+	// every node loses its label (1/2) or all its out-edges (2^-deg) —
+	// the complement of Amarilli–Kimelfeld's satisfying-subinstance count
+	// over 2^17.
+	noWitness := big.NewRat(1, 1)
+	for _, deg := range degrees {
+		witness := new(big.Rat).Sub(big.NewRat(1, 1), big.NewRat(1, 1<<uint(deg)))
+		witness.Mul(witness, half) // keeps its label and an out-edge
+		noWitness.Mul(noWitness, new(big.Rat).Sub(big.NewRat(1, 1), witness))
+	}
+	res, err = SafePlan(bg, d, logic.MustParse("exists x y . S(x) & E(x,y)", voc), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.H.Cmp(noWitness) != 0 {
+		t.Errorf("safe-plan: H = %s, closed form %s", res.H, noWitness)
+	}
 }
 
 // pollCountingCtx counts Err calls: the engines' only cancellation

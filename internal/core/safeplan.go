@@ -13,53 +13,40 @@ import (
 
 // SafePlan computes the exact reliability of a hierarchical conjunctive
 // query without self-joins in polynomial time via the Dalvi–Suciu
-// extensional plan (independent join / independent project). For k-ary
-// queries, each tuple's instantiation psi(ā) is evaluated by its own
-// plan. Queries outside the safe fragment get
-// safeplan.ErrNotHierarchical (or a validation error); the dispatcher
-// then falls back to the intensional engines. The per-tuple loop polls
-// ctx.
-func SafePlan(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (Result, error) {
+// extensional plan (independent join / independent project). The plan
+// is compiled once from the query; the free variables of a k-ary query
+// are its outermost levels, so only the tuples ā that the support rows
+// admit are visited — every other tuple has Pr[psi(ā)] = 0 and is false
+// in A, and adds nothing to H. Queries outside the safe fragment get
+// safeplan.ErrNotHierarchical (or a validation error) before any data
+// is read; the dispatcher then falls back to the intensional engines.
+// The evaluation polls ctx.
+func SafePlan(ctx context.Context, db *unreliable.DB, f logic.Formula, _ Options) (Result, error) {
 	ctx = orBackground(ctx)
-	opts = opts.withDefaults()
 	if err := faultinject.Hit(faultinject.SiteSafePlan); err != nil {
 		return Result{}, err
 	}
-	one := big.NewRat(1, 1)
+	q, err := safeplan.FromFormula(f)
+	if err != nil {
+		return Result{}, err
+	}
+	// H = Σ_ā Pr[psi(ā)^B ≠ psi(ā)^A]: the plan hands over Pr[psi(ā)^B]
+	// unreduced, so a Boolean query normalises exactly once.
 	h := new(big.Rat)
-	vars := logic.FreeVars(f)
-	k, err := forEachFreeTuple(ctx, db.A, f, func(env logic.Env, tuple rel.Tuple) error {
-		bound := f
-		if len(vars) > 0 {
-			subst := make(map[string]logic.Term, len(vars))
-			for i, v := range vars {
-				subst[v] = logic.Elem(tuple[i])
-			}
-			bound = logic.Substitute(f, subst)
+	var term big.Rat
+	var miss big.Int
+	err = q.Eval(ctx, db, func(_ rel.Tuple, num, den *big.Int, observed bool) {
+		if observed {
+			num = miss.Sub(den, num)
 		}
-		q, err := safeplan.FromFormula(bound)
-		if err != nil {
-			return err
+		if num.Sign() != 0 {
+			h.Add(h, term.SetFrac(num, den))
 		}
-		p, err := q.Prob(db)
-		if err != nil {
-			return err
-		}
-		obs, err := logic.Eval(db.A, f, env)
-		if err != nil {
-			return err
-		}
-		if obs {
-			h.Add(h, new(big.Rat).Sub(one, p))
-		} else {
-			h.Add(h, p)
-		}
-		return nil
 	})
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Engine: "safe-plan", Class: logic.Classify(f)}
-	setExact(&res, h, db.A.N, k)
+	setExact(&res, h, db.A.N, len(q.Free))
 	return res, nil
 }

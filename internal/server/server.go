@@ -173,15 +173,15 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		breakers:    NewBreakers(cfg.Breaker),
-		start:       time.Now(),
-		tasks:       make(chan *task, cfg.QueueDepth),
-		stopWorkers: make(chan struct{}),
-		dbs:         map[string]*unreliable.DB{},
+		cfg:          cfg,
+		breakers:     NewBreakers(cfg.Breaker),
+		start:        time.Now(),
+		tasks:        make(chan *task, cfg.QueueDepth),
+		stopWorkers:  make(chan struct{}),
+		dbs:          map[string]*unreliable.DB{},
 		storeEntries: map[string]*storeEntry{},
-		jobs:        map[string]*JobStatus{},
-		ships:       map[string]*shipState{},
+		jobs:         map[string]*JobStatus{},
+		ships:        map[string]*shipState{},
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.startWorkers()
