@@ -23,13 +23,18 @@ const (
 )
 
 type node struct {
-	v      int // variable index; numVars for terminals
+	v      int // level of the node's variable; numVars for terminals
 	lo, hi int
 }
 
 // BDD is a multi-rooted reduced ordered BDD over a fixed number of
-// variables with the natural variable order 0 < 1 < ... < numVars-1.
-// The zero value is not usable; construct with New.
+// variables. The variable order belongs to the manager: the first
+// FromDNF on a manager without internal nodes chooses it from that
+// DNF's term–variable incidence (see chooseOrder); a manager first used
+// any other way keeps the indexing order 0 < 1 < ... < numVars-1.
+// Callers pass and read their own variable indices either way; levels
+// never leave the package. The zero value is not usable; construct
+// with New.
 type BDD struct {
 	numVars int
 	nodes   []node
@@ -37,15 +42,20 @@ type BDD struct {
 	cache   map[uint64]int // packed (op, a, b) -> node, see applyKey
 	maxNode int
 
+	// level[v] is the level of variable v and varAt its inverse; both
+	// nil stand for the identity.
+	level, varAt []int
+
 	// ctx, when set via WithContext, is polled every ctxCheckEvery node
-	// allocations so runaway compilations stop soon after cancellation.
+	// allocations and every ctxCheckEvery nodes a count visits, so
+	// runaway work stops soon after cancellation.
 	ctx      context.Context
 	ctxCount int
 }
 
-// ctxCheckEvery is the allocation stride between context polls during
-// compilation: frequent enough that cancellation latency is microseconds,
-// rare enough to stay off the profile.
+// ctxCheckEvery is the stride between context polls: frequent enough
+// that cancellation latency is microseconds, rare enough to stay off
+// the profile.
 const ctxCheckEvery = 1024
 
 // Binary operation codes for the apply cache.
@@ -105,8 +115,8 @@ func New(numVars, maxNodes int) *BDD {
 }
 
 // WithContext attaches a cancellation context to the manager: node
-// allocation fails with the context's error once ctx is done. Returns
-// the manager for chaining.
+// allocation and Prob fail with the context's error, and Count returns
+// nil, once ctx is done. Returns the manager for chaining.
 func (b *BDD) WithContext(ctx context.Context) *BDD {
 	b.ctx = ctx
 	return b
@@ -132,13 +142,8 @@ func (b *BDD) mk(v, lo, hi int) (int, error) {
 	if len(b.nodes) >= b.maxNode {
 		return 0, fmt.Errorf("%w: %d nodes", ErrTooLarge, b.maxNode)
 	}
-	if b.ctx != nil {
-		if b.ctxCount++; b.ctxCount >= ctxCheckEvery {
-			b.ctxCount = 0
-			if err := b.ctx.Err(); err != nil {
-				return 0, fmt.Errorf("bdd: compilation canceled: %w", err)
-			}
-		}
+	if err := b.poll(); err != nil {
+		return 0, fmt.Errorf("bdd: compilation canceled: %w", err)
 	}
 	id := len(b.nodes)
 	b.nodes = append(b.nodes, n)
@@ -146,15 +151,49 @@ func (b *BDD) mk(v, lo, hi int) (int, error) {
 	return id, nil
 }
 
-// Lit returns the BDD of a single literal.
-func (b *BDD) Lit(l prop.Lit) (int, error) {
+// poll reports the attached context's error on every ctxCheckEvery-th
+// call.
+func (b *BDD) poll() error {
+	if b.ctx == nil {
+		return nil
+	}
+	if b.ctxCount++; b.ctxCount < ctxCheckEvery {
+		return nil
+	}
+	b.ctxCount = 0
+	return b.ctx.Err()
+}
+
+// levelOf returns the level of l's variable, or an error if l names no
+// variable of the manager.
+func (b *BDD) levelOf(l prop.Lit) (int, error) {
 	if l.Var < 0 || l.Var >= b.numVars {
 		return 0, fmt.Errorf("bdd: literal %v outside variable range [0,%d)", l, b.numVars)
 	}
-	if l.Neg {
-		return b.mk(l.Var, True, False)
+	if b.level == nil {
+		return l.Var, nil
 	}
-	return b.mk(l.Var, False, True)
+	return b.level[l.Var], nil
+}
+
+// varOf returns the variable at a level.
+func (b *BDD) varOf(level int) int {
+	if b.varAt == nil {
+		return level
+	}
+	return b.varAt[level]
+}
+
+// Lit returns the BDD of a single literal.
+func (b *BDD) Lit(l prop.Lit) (int, error) {
+	lv, err := b.levelOf(l)
+	if err != nil {
+		return 0, err
+	}
+	if l.Neg {
+		return b.mk(lv, True, False)
+	}
+	return b.mk(lv, False, True)
 }
 
 // Not returns the negation of the function rooted at a.
@@ -263,19 +302,24 @@ func (b *BDD) FromTerm(t prop.Term) (int, error) {
 	if !sat {
 		return False, nil
 	}
-	// Build bottom-up: literals sorted ascending, chain from the last.
+	// Build bottom-up: nt is a private copy, so each literal's Var is
+	// replaced by its level, the levels sorted ascending and the chain
+	// built from the deepest.
+	for i, l := range nt {
+		lv, err := b.levelOf(l)
+		if err != nil {
+			return 0, err
+		}
+		nt[i].Var = lv
+	}
 	sort.Slice(nt, func(i, j int) bool { return nt[i].Var < nt[j].Var })
 	root := True
 	for i := len(nt) - 1; i >= 0; i-- {
-		l := nt[i]
-		if l.Var < 0 || l.Var >= b.numVars {
-			return 0, fmt.Errorf("bdd: literal %v outside variable range [0,%d)", l, b.numVars)
-		}
 		var err error
-		if l.Neg {
-			root, err = b.mk(l.Var, root, False)
+		if nt[i].Neg {
+			root, err = b.mk(nt[i].Var, root, False)
 		} else {
-			root, err = b.mk(l.Var, False, root)
+			root, err = b.mk(nt[i].Var, False, root)
 		}
 		if err != nil {
 			return 0, err
@@ -284,23 +328,154 @@ func (b *BDD) FromTerm(t prop.Term) (int, error) {
 	return root, nil
 }
 
-// FromDNF compiles a DNF formula into a BDD by OR-ing its term chains.
+// FromDNF compiles a DNF formula into a BDD by OR-ing its term chains,
+// deepest top level first: every chain then lies above what is already
+// built, so its apply descends along the chain and only enters the
+// accumulated diagram at the levels the chain itself mentions, where
+// left-to-right accumulation re-traverses the diagram from the root for
+// every term. On a manager without internal nodes it first chooses the
+// variable order from d.
 func (b *BDD) FromDNF(d prop.DNF) (int, error) {
 	if d.NumVars > b.numVars {
 		return 0, fmt.Errorf("bdd: DNF has %d variables, manager %d", d.NumVars, b.numVars)
 	}
-	root := False
-	for _, t := range d.Terms {
+	if len(b.nodes) == 2 {
+		if err := b.chooseOrder(d); err != nil {
+			return 0, err
+		}
+	}
+	chains := make([]int, len(d.Terms))
+	for i, t := range d.Terms {
 		tn, err := b.FromTerm(t)
 		if err != nil {
 			return 0, err
 		}
-		root, err = b.Or(root, tn)
-		if err != nil {
+		chains[i] = tn
+	}
+	sort.SliceStable(chains, func(i, j int) bool { return b.nodes[chains[i]].v < b.nodes[chains[j]].v })
+	root := False
+	for i := len(chains) - 1; i >= 0; i-- {
+		var err error
+		if root, err = b.Or(root, chains[i]); err != nil {
 			return 0, err
 		}
 	}
 	return root, nil
+}
+
+// chooseOrder fixes the variable order from the term–variable incidence
+// of d, so that the variables of a term sit on neighbouring levels and
+// a lineage of bounded pathwidth compiles to a diagram of bounded
+// width. Terms are placed one at a time, always the one with the fewest
+// variables still unplaced — among equals the one that reached that
+// count first, and at the start the one whose variables occur least in
+// total — so a term is closed as soon as the terms before it have
+// placed most of it, and the walk follows shared variables without
+// fanning out through a variable that many terms share. A placed term
+// appends its unplaced variables, rarer ones first. Every remaining tie
+// goes to the smaller term or variable index and variables d does not
+// mention come last, so the order — and with it every node count — is
+// a function of d alone.
+func (b *BDD) chooseOrder(d prop.DNF) error {
+	n := b.numVars
+	// termsOf[start[v]:start[v+1]] lists the terms mentioning v, once per
+	// literal, in term order.
+	start := make([]int, n+1)
+	lits, width := 0, 0
+	for _, t := range d.Terms {
+		for _, l := range t {
+			if _, err := b.levelOf(l); err != nil {
+				return err
+			}
+			start[l.Var+1]++
+		}
+		lits += len(t)
+		if len(t) > width {
+			width = len(t)
+		}
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	occ := func(v int) int { return start[v+1] - start[v] }
+	termsOf := make([]int, lits)
+	fill := make([]int, n)
+	weight := make([]int, len(d.Terms))  // total occurrences of the term's variables
+	missing := make([]int, len(d.Terms)) // literals not yet placed; -1 once the term is
+	seeds := make([]int, len(d.Terms))
+	for i, t := range d.Terms {
+		seeds[i], missing[i] = i, len(t)
+		for _, l := range t {
+			termsOf[start[l.Var]+fill[l.Var]] = i
+			fill[l.Var]++
+			weight[i] += occ(l.Var)
+		}
+	}
+	sort.SliceStable(seeds, func(i, j int) bool { return weight[seeds[i]] < weight[seeds[j]] })
+	// queue[m] holds, first in first out from head[m], the terms that
+	// have had m literals missing; an entry is stale once its term has
+	// moved on to a lower queue or been placed. No live entry sits below
+	// queue[low].
+	queue := make([][]int, width+1)
+	head := make([]int, width+1)
+	for _, i := range seeds {
+		queue[missing[i]] = append(queue[missing[i]], i)
+	}
+	low := 0
+
+	level := fill // reused: every entry is overwritten
+	for v := range level {
+		level[v] = -1
+	}
+	varAt := make([]int, 0, n)
+	for range d.Terms {
+		next := -1
+		for next < 0 {
+			if head[low] == len(queue[low]) {
+				low++
+				continue
+			}
+			if c := queue[low][head[low]]; missing[c] == low {
+				next = c
+			}
+			head[low]++
+		}
+		missing[next] = -1
+		from := len(varAt)
+		for _, l := range d.Terms[next] {
+			if level[l.Var] < 0 {
+				level[l.Var] = from
+				varAt = append(varAt, l.Var)
+			}
+		}
+		fresh := varAt[from:]
+		sort.Slice(fresh, func(i, j int) bool {
+			if oi, oj := occ(fresh[i]), occ(fresh[j]); oi != oj {
+				return oi < oj
+			}
+			return fresh[i] < fresh[j]
+		})
+		for i, v := range fresh {
+			level[v] = from + i
+			for _, u := range termsOf[start[v]:start[v+1]] {
+				if missing[u] > 0 {
+					missing[u]--
+					queue[missing[u]] = append(queue[missing[u]], u)
+					if missing[u] < low {
+						low = missing[u]
+					}
+				}
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		if level[v] < 0 {
+			level[v] = len(varAt)
+			varAt = append(varAt, v)
+		}
+	}
+	b.level, b.varAt = level, varAt
+	return nil
 }
 
 // FromFormula compiles an arbitrary propositional formula.
@@ -353,7 +528,7 @@ func (b *BDD) FromFormula(f prop.Formula) (int, error) {
 func (b *BDD) Eval(n int, a []bool) bool {
 	for n > True {
 		nd := b.nodes[n]
-		if a[nd.v] {
+		if a[b.varOf(nd.v)] {
 			n = nd.hi
 		} else {
 			n = nd.lo
@@ -387,53 +562,111 @@ func (b *BDD) Size(n int) int {
 
 // Prob computes the exact probability that the function rooted at n is
 // true when variable v is independently true with probability p[v].
-// One bottom-up pass, linear in the BDD size.
+// One bottom-up pass, linear in the BDD size, in integers: with
+// p = num/den per level, a node at level l carries the numerator of its
+// probability over the product of the denominators of the levels from l
+// down, and only the root's fraction is reduced.
 func (b *BDD) Prob(n int, p prop.ProbAssignment) (*big.Rat, error) {
 	if err := p.Validate(b.numVars); err != nil {
 		return nil, err
 	}
-	one := big.NewRat(1, 1)
-	// Dense node ids make a slice the natural memo; nil marks unvisited.
-	memo := make([]*big.Rat, len(b.nodes))
-	memo[False] = new(big.Rat)
-	memo[True] = big.NewRat(1, 1)
-	var visit func(int) *big.Rat
-	visit = func(m int) *big.Rat {
-		if r := memo[m]; r != nil {
-			return r
+	if n <= True {
+		return big.NewRat(int64(n), 1), nil
+	}
+	at := func(l int) *big.Rat { return p[b.varOf(l)] }
+	// Levels from bottom down hold no node, so they sum out to 1 and
+	// their denominators never enter.
+	top, bottom := b.nodes[n].v, 0
+	for _, nd := range b.nodes[2:] {
+		if nd.v >= bottom {
+			bottom = nd.v + 1
+		}
+	}
+	// below[l] is the product of the denominators of levels l..bottom-1,
+	// which is True's numerator seen from level l. Levels with
+	// denominator 1 share the entry below them.
+	below := make([]*big.Int, bottom+1)
+	below[bottom] = big.NewInt(1)
+	for l := bottom - 1; l >= top; l-- {
+		below[l] = below[l+1]
+		if !at(l).IsInt() {
+			below[l] = new(big.Int).Mul(below[l+1], at(l).Denom())
+		}
+	}
+	// Dense node ids make slices the natural memo.
+	val := make([]big.Int, len(b.nodes))
+	done := make([]bool, len(b.nodes))
+	// lift sets dst to m's numerator over the denominators from level l
+	// down: the edge into m skips the levels between l and m's own.
+	lift := func(dst *big.Int, m, l int) *big.Int {
+		switch m {
+		case False:
+			return dst.SetInt64(0)
+		case True:
+			return dst.Set(below[l])
+		}
+		dst.Set(&val[m])
+		for ; l < b.nodes[m].v; l++ {
+			if below[l] != below[l+1] {
+				dst.Mul(dst, at(l).Denom())
+			}
+		}
+		return dst
+	}
+	var lo, hi, notNum big.Int
+	var visit func(int) error
+	visit = func(m int) error {
+		if m <= True || done[m] {
+			return nil
+		}
+		if err := b.poll(); err != nil {
+			return fmt.Errorf("bdd: count canceled: %w", err)
 		}
 		nd := b.nodes[m]
-		lo := visit(nd.lo)
-		hi := visit(nd.hi)
-		// P = (1 - p_v)·lo + p_v·hi. Variables skipped between levels
-		// contribute a factor (p + (1-p)) = 1 and need no correction.
-		r := new(big.Rat).Mul(new(big.Rat).Sub(one, p[nd.v]), lo)
-		r.Add(r, new(big.Rat).Mul(p[nd.v], hi))
-		memo[m] = r
-		return r
+		if err := visit(nd.lo); err != nil {
+			return err
+		}
+		if err := visit(nd.hi); err != nil {
+			return err
+		}
+		// P = (1 - p)·lo + p·hi over den·below[level+1].
+		pv := at(nd.v)
+		notNum.Sub(pv.Denom(), pv.Num())
+		lift(&lo, nd.lo, nd.v+1).Mul(&lo, &notNum)
+		lift(&hi, nd.hi, nd.v+1).Mul(&hi, pv.Num())
+		val[m].Add(&lo, &hi)
+		done[m] = true
+		return nil
 	}
-	return visit(n), nil
+	if err := visit(n); err != nil {
+		return nil, err
+	}
+	return new(big.Rat).SetFrac(lift(new(big.Int), n, top), below[top]), nil
 }
 
 // Count returns the number of satisfying assignments of the function
-// rooted at n over all numVars variables.
+// rooted at n over all numVars variables, or nil if the manager's
+// context ended before the count did.
 func (b *BDD) Count(n int) *big.Int {
-	// f(m) = #models over variables [var(m), numVars).
+	// f(m) = #models over the levels [level(m), numVars).
 	// Dense node ids make a slice the natural memo; nil marks unvisited.
 	memo := make([]*big.Int, len(b.nodes))
+	memo[False] = new(big.Int)
+	memo[True] = big.NewInt(1) // the empty assignment
 	var visit func(int) *big.Int
 	visit = func(m int) *big.Int {
 		if r := memo[m]; r != nil {
 			return r
 		}
-		nd := b.nodes[m]
-		if m <= True {
-			r := big.NewInt(int64(m)) // False: 0 models, True: 1 (empty assignment)
-			memo[m] = r
-			return r
+		if b.poll() != nil {
+			return nil
 		}
+		nd := b.nodes[m]
 		lo := visit(nd.lo)
 		hi := visit(nd.hi)
+		if lo == nil || hi == nil {
+			return nil
+		}
 		gapLo := uint(b.nodes[nd.lo].v - nd.v - 1)
 		gapHi := uint(b.nodes[nd.hi].v - nd.v - 1)
 		r := new(big.Int).Lsh(lo, gapLo)
@@ -442,6 +675,9 @@ func (b *BDD) Count(n int) *big.Int {
 		return r
 	}
 	root := visit(n)
-	// Variables above the root are free.
+	if root == nil {
+		return nil
+	}
+	// Levels above the root are free.
 	return new(big.Int).Lsh(root, uint(b.nodes[n].v))
 }

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"context"
 	"errors"
 	"math/big"
 	"math/rand"
@@ -223,6 +224,30 @@ func TestNodeBudget(t *testing.T) {
 	_, err := b.FromDNF(d)
 	if !errors.Is(err, ErrTooLarge) {
 		t.Errorf("want ErrTooLarge, got %v", err)
+	}
+}
+
+func TestProbAndCountPollContext(t *testing.T) {
+	// 1 599 internal nodes: more than one ctxCheckEvery stride.
+	d := hubLineage(8)
+	p := prop.UniformProb(d.NumVars)
+	b := New(d.NumVars, 0)
+	root, err := b.FromDNF(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	b.WithContext(ctx)
+	want, err := b.Prob(root, p)
+	if err != nil || b.Count(root) == nil {
+		t.Fatalf("live context: Prob = %v, %v; Count = %v", want, err, b.Count(root))
+	}
+	cancel()
+	if got, err := b.Prob(root, p); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled context: Prob = %v, %v; want context.Canceled", got, err)
+	}
+	if got := b.Count(root); got != nil {
+		t.Errorf("canceled context: Count = %v, want nil", got)
 	}
 }
 

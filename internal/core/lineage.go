@@ -62,13 +62,38 @@ func tupleLineage(ctx context.Context, db *unreliable.DB, f logic.Formula, env l
 	return d, nu, nil
 }
 
+// lineageProb returns Pr[B ⊨ psi(ā)] exactly for a formula prepared by
+// lineageForm: the tuple's lineage kDNF is compiled to an OBDD — the
+// manager picks its variable order from the DNF — under the node
+// budget and ctx, counted once, and complemented when lf stands for
+// the negation of a universal query.
+func lineageProb(ctx context.Context, db *unreliable.DB, lf logic.Formula, flipped bool, env logic.Env, opts Options) (*big.Rat, error) {
+	d, nu, err := tupleLineage(ctx, db, lf, env, opts.MaxLineageTerms)
+	if err != nil {
+		return nil, err
+	}
+	mgr := bdd.New(d.NumVars, opts.MaxBDDNodes).WithContext(ctx)
+	root, err := mgr.FromDNF(d)
+	if err != nil {
+		return nil, err
+	}
+	p, err := mgr.Prob(root, nu)
+	if err != nil {
+		return nil, err
+	}
+	if flipped {
+		p.Sub(big.NewRat(1, 1), p)
+	}
+	return p, nil
+}
+
 // LineageBDD computes the exact reliability of an existential or
 // universal query by compiling each tuple's Theorem 5.4 lineage to a
 // BDD and evaluating nu(psi”) exactly. Exponential in the worst case
 // (the problem is #P-hard, Proposition 3.2) but fast on many practical
 // lineages; bounded by opts.MaxBDDNodes (and opts.Budget.MaxBDDNodes,
-// whichever is smaller). The per-tuple loop and the BDD compilation
-// both poll ctx.
+// whichever is smaller). The per-tuple loop, the BDD compilation and
+// the count all poll ctx.
 func LineageBDD(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (Result, error) {
 	ctx = orBackground(ctx)
 	opts = opts.withDefaults()
@@ -82,21 +107,9 @@ func LineageBDD(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Op
 	one := big.NewRat(1, 1)
 	h := new(big.Rat)
 	k, err := forEachFreeTuple(ctx, db.A, f, func(env logic.Env, _ rel.Tuple) error {
-		d, nu, err := tupleLineage(ctx, db, lf, env, opts.MaxLineageTerms)
+		p, err := lineageProb(ctx, db, lf, flipped, env, opts)
 		if err != nil {
 			return err
-		}
-		mgr := bdd.New(d.NumVars, opts.MaxBDDNodes).WithContext(ctx)
-		root, err := mgr.FromDNF(d)
-		if err != nil {
-			return err
-		}
-		p, err := mgr.Prob(root, nu)
-		if err != nil {
-			return err
-		}
-		if flipped {
-			p.Sub(one, p)
 		}
 		// H(ā) = Pr[psi(ā)^B ≠ psi(ā)^A].
 		obs, err := logic.Eval(db.A, f, env)
@@ -333,21 +346,5 @@ func NuExistential(ctx context.Context, db *unreliable.DB, f logic.Formula, opts
 	if err != nil {
 		return nil, err
 	}
-	d, nu, err := tupleLineage(ctx, db, lf, logic.Env{}, opts.MaxLineageTerms)
-	if err != nil {
-		return nil, err
-	}
-	mgr := bdd.New(d.NumVars, opts.MaxBDDNodes).WithContext(ctx)
-	root, err := mgr.FromDNF(d)
-	if err != nil {
-		return nil, err
-	}
-	p, err := mgr.Prob(root, nu)
-	if err != nil {
-		return nil, err
-	}
-	if flipped {
-		p.Sub(big.NewRat(1, 1), p)
-	}
-	return p, nil
+	return lineageProb(ctx, db, lf, flipped, logic.Env{}, opts)
 }
