@@ -9,6 +9,7 @@ import (
 	"math/big"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"qrel/internal/bdd"
@@ -100,10 +101,11 @@ func BenchmarkE3Oracle(b *testing.B) {
 func BenchmarkE4KarpLuby(b *testing.B) {
 	rng := rand.New(rand.NewSource(benchSeed))
 	d := workload.RandomKDNF(rng, 30, 40, 3)
+	stream := mc.Stream{Src: mc.NewSource(benchSeed)}
 	for _, eps := range []float64{0.2, 0.1, 0.05} {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := karpluby.CountDNF(d, eps, 0.05, rng); err != nil {
+				if _, err := karpluby.CountDNF(context.Background(), d, eps, 0.05, karpluby.CountBatched, stream); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -126,15 +128,15 @@ func BenchmarkE4KarpLubyPar(b *testing.B) {
 	for _, eps := range []float64{0.2, 0.1, 0.05} {
 		for _, workers := range []int{1, 8} {
 			for _, eval := range []string{"interpreted", "compiled"} {
-				count := karpluby.CountDNFPar
+				kernel := karpluby.CountKernel(karpluby.CountScalar)
 				if eval == "compiled" {
-					count = karpluby.CountDNFParCompiled
+					kernel = karpluby.CountBatched
 				}
 				b.Run(fmt.Sprintf("eps=%g/workers=%d/eval=%s", eps, workers, eval), func(b *testing.B) {
 					b.ReportAllocs()
 					samples := 0
 					for i := 0; i < b.N; i++ {
-						res, err := count(context.Background(), d, eps, 0.05, benchSeed, mc.Par{Workers: workers}, nil)
+						res, err := karpluby.CountDNF(context.Background(), d, eps, 0.05, kernel, mc.Stream{Seed: benchSeed, Workers: workers})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -232,10 +234,11 @@ func BenchmarkE8MonteCarlo(b *testing.B) {
 	pred := func(s *rel.Structure) (bool, error) { return logic.EvalSentence(s, query) }
 	rng := rand.New(rand.NewSource(benchSeed))
 	db := workload.RandomUDB(rng, 4, 8)
+	stream := mc.Stream{Src: mc.NewSource(benchSeed)}
 	for _, eps := range []float64{0.2, 0.1} {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mc.EstimateNuPadded(context.Background(), db, pred, 0.25, eps, 0.1, 0, rng); err != nil {
+				if _, err := mc.EstimateNuPadded(context.Background(), mc.PaddedPred(db, pred), 0.25, eps, 0.1, 0, stream); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -260,17 +263,15 @@ func BenchmarkE8MonteCarloPar(b *testing.B) {
 	for _, eps := range []float64{0.2, 0.1} {
 		for _, workers := range []int{1, 8} {
 			for _, eval := range []string{"interpreted", "compiled"} {
+				kernel := mc.PaddedPred(db, pred)
+				if eval == "compiled" {
+					kernel = mc.PaddedProgram(db, prog)
+				}
 				b.Run(fmt.Sprintf("eps=%g/workers=%d/eval=%s", eps, workers, eval), func(b *testing.B) {
 					b.ReportAllocs()
 					samples := 0
 					for i := 0; i < b.N; i++ {
-						var est mc.Estimate
-						var err error
-						if eval == "compiled" {
-							est, err = mc.EstimateNuPaddedParCompiled(context.Background(), db, prog, 0.25, eps, 0.1, 0, benchSeed, mc.Par{Workers: workers}, nil)
-						} else {
-							est, err = mc.EstimateNuPaddedPar(context.Background(), db, pred, 0.25, eps, 0.1, 0, benchSeed, mc.Par{Workers: workers}, nil)
-						}
+						est, err := mc.EstimateNuPadded(context.Background(), kernel, 0.25, eps, 0.1, 0, mc.Stream{Seed: benchSeed, Workers: workers})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -334,16 +335,17 @@ func BenchmarkE10Ablations(b *testing.B) {
 	})
 	small := workload.RandomKDNF(rng, 6, 4, 2)
 	sp := workload.RandomProbs(rng, 6, 8)
+	stream := mc.Stream{Src: mc.NewSource(benchSeed)}
 	b.Run("prob-weighted-kl", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := karpluby.ProbDNF(small, sp, 0.1, 0.05, rng); err != nil {
+			if _, err := karpluby.ProbDNF(context.Background(), small, sp, 0.1, 0.05, karpluby.ProbBatched, stream); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("prob-thm53-route", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := karpluby.ProbViaReduction(small, sp, 0.1, 0.05, rng); err != nil {
+			if _, err := karpluby.ProbViaReduction(context.Background(), small, sp, 0.1, 0.05, karpluby.CountBatched, stream); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -492,7 +494,7 @@ func BenchmarkWorldEnumParallel(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.WorldEnumParallel(context.Background(), db, f, core.Options{}, 0); err != nil {
+			if _, err := core.WorldEnum(context.Background(), db, f, core.Options{Workers: runtime.GOMAXPROCS(0)}); err != nil {
 				b.Fatal(err)
 			}
 		}

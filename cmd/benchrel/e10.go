@@ -9,6 +9,7 @@ import (
 	"qrel/internal/core"
 	"qrel/internal/karpluby"
 	"qrel/internal/logic"
+	"qrel/internal/mc"
 	"qrel/internal/prop"
 	"qrel/internal/rel"
 	"qrel/internal/unreliable"
@@ -30,6 +31,7 @@ func ratInt(v int64) *big.Rat { return big.NewRat(v, 1) }
 //     lineage grows.
 func runE10(cfg config, out *report) error {
 	rng := rand.New(rand.NewSource(cfg.seed))
+	stream := mc.Stream{Src: mc.NewSource(cfg.seed)}
 
 	// Ablation 1: weighted KL vs Theorem 5.3 route.
 	out.row("ablation", "variant", "value", "exact", "rel err", "samples", "time")
@@ -43,7 +45,7 @@ func runE10(cfg config, out *report) error {
 	var direct, viaRed karpluby.CountResult
 	tDirect, err := timeIt(func() error {
 		var err error
-		direct, err = karpluby.ProbDNF(d, p, 0.1, 0.05, rng)
+		direct, err = karpluby.ProbDNF(cfg.ctx, d, p, 0.1, 0.05, karpluby.ProbBatched, stream)
 		return err
 	})
 	if err != nil {
@@ -51,7 +53,7 @@ func runE10(cfg config, out *report) error {
 	}
 	tRed, err := timeIt(func() error {
 		var err error
-		viaRed, err = karpluby.ProbViaReduction(d, p, 0.1, 0.05, rng)
+		viaRed, err = karpluby.ProbViaReduction(cfg.ctx, d, p, 0.1, 0.05, karpluby.CountBatched, stream)
 		return err
 	})
 	if err != nil {
@@ -160,7 +162,7 @@ func runE10Extra(cfg config, out *report) error {
 	}
 	exactCount := new(big.Rat).Mul(exact, new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), uint(nv))))
 	exactF, _ := exactCount.Float64()
-	static, err := karpluby.CountDNF(d, 0.1, 0.05, rng)
+	static, err := karpluby.CountDNF(cfg.ctx, d, 0.1, 0.05, karpluby.CountBatched, mc.Stream{Src: mc.NewSource(cfg.seed + 1)})
 	if err != nil {
 		return err
 	}

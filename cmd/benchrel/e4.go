@@ -7,6 +7,7 @@ import (
 
 	"qrel/internal/bdd"
 	"qrel/internal/karpluby"
+	"qrel/internal/mc"
 
 	"qrel/internal/workload"
 )
@@ -22,6 +23,7 @@ import (
 // within ε, which is exactly why the coverage construction exists.
 func runE4(cfg config, out *report) error {
 	rng := rand.New(rand.NewSource(cfg.seed))
+	stream := mc.Stream{Src: mc.NewSource(cfg.seed)}
 	instances := []struct {
 		vars, terms, k int
 	}{
@@ -50,7 +52,7 @@ func runE4(cfg config, out *report) error {
 			var res karpluby.CountResult
 			dt, err := timeIt(func() error {
 				var err error
-				res, err = karpluby.CountDNF(d, eps, delta, rng)
+				res, err = karpluby.CountDNF(cfg.ctx, d, eps, delta, karpluby.CountBatched, stream)
 				return err
 			})
 			if err != nil {
@@ -79,7 +81,7 @@ func runE4(cfg config, out *report) error {
 	}
 	exact := mgr.Count(root)
 	exactF, _ := new(big.Rat).SetInt(exact).Float64()
-	kl, err := karpluby.CountDNF(sparse, 0.1, 0.05, rng)
+	kl, err := karpluby.CountDNF(cfg.ctx, sparse, 0.1, 0.05, karpluby.CountBatched, stream)
 	if err != nil {
 		return err
 	}

@@ -58,8 +58,8 @@ func runE8(cfg config, out *report) error {
 		failures := 0
 		maxErr := 0.0
 		for trial := 0; trial < trials; trial++ {
-			est, err := mc.EstimateNuPadded(cfg.ctx, db, pred, xi, p.eps, p.delta, 0,
-				rand.New(rand.NewSource(cfg.seed+int64(trial)*101)))
+			est, err := mc.EstimateNuPadded(cfg.ctx, mc.PaddedPred(db, pred), xi, p.eps, p.delta, 0,
+				mc.Stream{Src: mc.NewSource(cfg.seed + int64(trial)*101)})
 			if err != nil {
 				return err
 			}
@@ -82,11 +82,11 @@ func runE8(cfg config, out *report) error {
 	out.check("padded estimator meets the absolute (eps, delta) guarantee", allOK)
 
 	// Structural vs algebraic padding: both estimate nu within eps.
-	est1, err := mc.EstimateNuPadded(cfg.ctx, db, pred, xi, 0.1, 0.05, 0, rand.New(rand.NewSource(cfg.seed)))
+	est1, err := mc.EstimateNuPadded(cfg.ctx, mc.PaddedPred(db, pred), xi, 0.1, 0.05, 0, mc.Stream{Src: mc.NewSource(cfg.seed)})
 	if err != nil {
 		return err
 	}
-	est2, err := mc.EstimateNuPaddedStructural(cfg.ctx, db, pred, xi, 0.1, 0.05, 0, rand.New(rand.NewSource(cfg.seed)))
+	est2, err := mc.EstimateNuPaddedStructural(cfg.ctx, db, pred, xi, 0.1, 0.05, 0, mc.Stream{Src: mc.NewSource(cfg.seed)})
 	if err != nil {
 		return err
 	}

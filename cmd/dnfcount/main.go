@@ -13,16 +13,17 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/big"
-	"math/rand"
 	"os"
 	"strings"
 
 	"qrel/internal/bdd"
 	"qrel/internal/cliutil"
 	"qrel/internal/karpluby"
+	"qrel/internal/mc"
 	"qrel/internal/prop"
 )
 
@@ -85,7 +86,8 @@ func run(in, method string, eps, delta float64, seed int64, probsCSV string) (er
 			p[i] = r
 		}
 	}
-	rng := rand.New(rand.NewSource(seed))
+	ctx := context.Background()
+	stream := mc.Stream{Src: mc.NewSource(seed)}
 
 	switch method {
 	case "brute":
@@ -135,9 +137,9 @@ func run(in, method string, eps, delta float64, seed int64, probsCSV string) (er
 	case "karpluby":
 		var res karpluby.CountResult
 		if p == nil {
-			res, err = karpluby.CountDNF(d, eps, delta, rng)
+			res, err = karpluby.CountDNF(ctx, d, eps, delta, karpluby.CountBatched, stream)
 		} else {
-			res, err = karpluby.ProbDNF(d, p, eps, delta, rng)
+			res, err = karpluby.ProbDNF(ctx, d, p, eps, delta, karpluby.ProbBatched, stream)
 		}
 		if err != nil {
 			return err
@@ -154,7 +156,7 @@ func run(in, method string, eps, delta float64, seed int64, probsCSV string) (er
 		}
 		fmt.Printf("Theorem 5.3 reduction: %d bits, %d terms in phi'', %v legal of 2^%d assignments\n",
 			red.Bits, len(red.PhiPP.Terms), red.Legal, red.Bits)
-		res, err := karpluby.CountDNF(red.PhiPP, eps, delta, rng)
+		res, err := karpluby.CountDNF(ctx, red.PhiPP, eps, delta, karpluby.CountBatched, stream)
 		if err != nil {
 			return err
 		}

@@ -234,9 +234,14 @@ func rangeWorkers(opts Options) int {
 	return 1
 }
 
-// parFor returns the lane-split configuration of a parallel run.
-func parFor(opts Options) mc.Par {
-	return mc.Par{Lanes: mc.DefaultLanes, Workers: opts.Workers}
+// streamFor names the draws of one estimator run under opts: the lane
+// split of seed when Workers > 0, else the continuation of the
+// engine's sequential source.
+func streamFor(opts Options, seed int64, src *mc.Source) mc.Stream {
+	if opts.Workers > 0 {
+		return mc.Stream{Seed: seed, Workers: opts.Workers}
+	}
+	return mc.Stream{Src: src}
 }
 
 // save persists one snapshot, stamping the fingerprint, and publishes

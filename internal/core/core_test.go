@@ -498,7 +498,7 @@ func TestWorldEnumParallelMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3, 8, 100} {
-				par, err := WorldEnumParallel(bg, d, f, Options{}, workers)
+				par, err := WorldEnum(bg, d, f, Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -511,7 +511,7 @@ func TestWorldEnumParallelMatchesSequential(t *testing.T) {
 	}
 	// Budget enforcement.
 	d := randUDB(rng, 3, 6)
-	if _, err := WorldEnumParallel(bg, d, logic.MustParse("exists x . S(x)", nil), Options{MaxEnumAtoms: -1}, 4); err == nil {
+	if _, err := WorldEnum(bg, d, logic.MustParse("exists x . S(x)", nil), Options{MaxEnumAtoms: -1, Workers: 4}); err == nil {
 		t.Error("budget not enforced")
 	}
 }

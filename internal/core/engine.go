@@ -96,7 +96,7 @@ func ReliabilityWith(ctx context.Context, engine Engine, db *unreliable.DB, f lo
 	case EngineQFree:
 		res, err = runEngine(string(engine), func() (Result, error) { return QuantifierFree(ctx, db, f, opts) })
 	case EngineWorldEnum:
-		res, err = runEngine(string(engine), func() (Result, error) { return worldEnumFor(ctx, db, f, opts) })
+		res, err = runEngine(string(engine), func() (Result, error) { return WorldEnum(ctx, db, f, opts) })
 	case EngineLineageBDD:
 		res, err = runEngine(string(engine), func() (Result, error) { return LineageBDD(ctx, db, f, opts) })
 	case EngineLineageKL:
@@ -125,16 +125,6 @@ func ReliabilityWith(ctx context.Context, engine Engine, db *unreliable.DB, f lo
 	res.Budget = opts.Budget
 	res.Seed = opts.Seed
 	return res, nil
-}
-
-// worldEnumFor cuts exact world enumeration across workers when the
-// caller asked for them. The partial sums are integers, so the choice
-// never changes the result, only the wall clock.
-func worldEnumFor(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (Result, error) {
-	if opts.Workers > 1 {
-		return WorldEnumParallel(ctx, db, f, opts, opts.Workers)
-	}
-	return WorldEnum(ctx, db, f, opts)
 }
 
 // dispatch walks the degradation ladder. Each rung runs behind the
@@ -209,7 +199,7 @@ func dispatch(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opti
 	// Small world space: exact enumeration is cheap and exact — but only
 	// when the budget admits the 2^u worlds.
 	if db.NumUncertain() <= opts.MaxEnumAtoms && opts.Budget.allowsWorlds(db) {
-		res, err := attempt(EngineWorldEnum, func() (Result, error) { return worldEnumFor(ctx, db, f, opts) })
+		res, err := attempt(EngineWorldEnum, func() (Result, error) { return WorldEnum(ctx, db, f, opts) })
 		if err == nil {
 			return res, nil
 		}

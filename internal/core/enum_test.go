@@ -132,7 +132,7 @@ func TestEnumKernelMatchesInterpreter(t *testing.T) {
 					t.Fatalf("%s %q interpreted: %v", label, src, err)
 				}
 				for _, workers := range []int{1, 2, 4, 7} {
-					got, err := WorldEnumParallel(bg, d, f, Options{}, workers)
+					got, err := WorldEnum(bg, d, f, Options{Workers: workers})
 					if err != nil {
 						t.Fatalf("%s %q workers=%d: %v", label, src, workers, err)
 					}
@@ -207,7 +207,7 @@ func TestUniformReliabilityClosedForm(t *testing.T) {
 	} {
 		f := logic.MustParse(tc.query, voc)
 		for _, workers := range []int{1, 3} {
-			res, err := WorldEnumParallel(bg, d, f, Options{}, workers)
+			res, err := WorldEnum(bg, d, f, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

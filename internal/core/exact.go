@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"runtime"
 
 	"qrel/internal/faultinject"
 	"qrel/internal/logic"
@@ -27,26 +26,15 @@ import (
 // 64 worlds per pass (see flipEnum), second-order ones — and any run
 // with opts.Eval = EvalInterpreted — materialise and interpret one
 // world at a time. The enumeration polls ctx between blocks of worlds.
-func WorldEnum(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (Result, error) {
-	return worldEnum(ctx, db, f, opts, 1, "world-enum")
-}
-
-// WorldEnumParallel is WorldEnum with the world space cut into
-// contiguous ranges of flip masks, one per worker (workers <= 0 means
-// GOMAXPROCS). The result is bit-identical to the sequential engine:
-// the partial sums are integers, and integer addition commutes.
 //
-// The first worker to fail cancels its siblings, and an external
-// cancellation (ctx or opts.Budget.Timeout) stops the whole pool
-// promptly instead of finishing the enumeration.
-func WorldEnumParallel(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options, workers int) (Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return worldEnum(ctx, db, f, opts, workers, "world-enum-parallel")
-}
-
-func worldEnum(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options, workers int, engine string) (Result, error) {
+// opts.Workers > 1 cuts the world space into contiguous ranges of flip
+// masks, one per worker, and reports the engine as world-enum-parallel.
+// The result is bit-identical either way: the partial sums are
+// integers, and integer addition commutes. The first worker to fail
+// cancels its siblings, and an external cancellation (ctx or
+// opts.Budget.Timeout) stops the whole pool promptly instead of
+// finishing the enumeration.
+func WorldEnum(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (Result, error) {
 	ctx = orBackground(ctx)
 	opts = opts.withDefaults()
 	if err := faultinject.Hit(faultinject.SiteWorldEnum); err != nil {
@@ -61,7 +49,11 @@ func worldEnum(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opt
 		return Result{}, fmt.Errorf("%w: world space %v exceeds budget of %d worlds",
 			ErrBudgetExceeded, db.WorldCount(), opts.Budget.MaxWorlds)
 	}
-	res := Result{Engine: engine, Class: logic.Classify(f)}
+	res := Result{Engine: "world-enum", Class: logic.Classify(f)}
+	workers := 1
+	if opts.Workers > 1 {
+		res.Engine, workers = "world-enum-parallel", opts.Workers
+	}
 	var total uint64
 	var part func(ctx context.Context, lo, hi uint64, acc *big.Int) error
 	// A second-order query has no compiled form: interpreting it is not

@@ -1,0 +1,425 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"qrel/internal/logic"
+	"qrel/internal/mc"
+	"qrel/internal/unreliable"
+)
+
+// Golden sample streams. Every other bit-identity test in the tree is
+// relative — mode A against mode B inside one build — so a change that
+// shifts the draw order of all modes at once passes them all while
+// breaking resume of checkpoints written by the previous build and
+// mixed-version clusters. The literals and testdata/ frames below were
+// recorded at commit a543416 and are the contract of the sampling
+// runtime: a (db, query, seed, options) names one estimate, bit for
+// bit, in every later build.
+//
+// -golden.print logs the observed rows in table syntax and
+// -golden.write rewrites the testdata/ frames; both exist for adding
+// cases, never for moving existing ones.
+var (
+	goldenPrint = flag.Bool("golden.print", false, "log observed golden rows instead of comparing")
+	goldenWrite = flag.Bool("golden.write", false, "rewrite testdata/golden_*.frame from this build")
+)
+
+// goldenInstances are the two fixed inputs: a Boolean query and one
+// with a free variable, both existential so every sampling engine
+// accepts them. S(2) errs with 1/3 so the Theorem 5.3 route has
+// illegal block assignments to discount.
+var goldenInstances = []struct {
+	name, db, query string
+}{
+	{"bool", `universe 4
+rel E/2
+rel S/1
+E 0 1 err 1/4
+E 1 2
+E 2 3 err 1/2
+E 3 0 err 1/8
+E 0 2 err 3/4
+S 0 err 1/4
+S 2 err 1/3
+S 3
+S 1 err 7/8
+`, "exists x y . E(x,y) & S(y)"},
+	{"free", `universe 3
+rel E/2
+rel S/1
+E 0 1 err 1/4
+E 1 2 err 1/2
+E 2 0
+E 0 0 err 1/8
+S 0 err 1/2
+S 1
+S 2 err 1/3
+`, "exists y . E(x,y) & S(y)"},
+}
+
+func goldenInstance(t *testing.T, i int) (*unreliable.DB, logic.Formula) {
+	t.Helper()
+	in := goldenInstances[i]
+	db, err := unreliable.ParseDB(strings.NewReader(in.db))
+	if err != nil {
+		t.Fatalf("instance %s: %v", in.name, err)
+	}
+	f, err := logic.Parse(in.query, db.A.Voc)
+	if err != nil {
+		t.Fatalf("instance %s: %v", in.name, err)
+	}
+	return db, f
+}
+
+// goldenEngines maps the engine strings to their entry points with the
+// accuracy each is pinned at.
+var goldenEngines = map[string]struct {
+	run        func(context.Context, *unreliable.DB, logic.Formula, Options) (Result, error)
+	eps, delta float64
+}{
+	"monte-carlo":        {MonteCarlo, 0.3, 0.1},
+	"monte-carlo-direct": {MonteCarloDirect, 0.03, 0.05},
+	"monte-carlo-rare":   {MonteCarloRare, 0.03, 0.05},
+	"lineage-karpluby": {func(ctx context.Context, db *unreliable.DB, f logic.Formula, o Options) (Result, error) {
+		return LineageKL(ctx, db, f, o, false)
+	}, 0.2, 0.1},
+	"lineage-karpluby-thm53": {func(ctx context.Context, db *unreliable.DB, f logic.Formula, o Options) (Result, error) {
+		return LineageKL(ctx, db, f, o, true)
+	}, 0.2, 0.1},
+}
+
+const goldenSeed = 1998
+
+func goldenOptions(engine string, workers int, eval string) Options {
+	e := goldenEngines[engine]
+	return Options{Eps: e.eps, Delta: e.delta, Seed: goldenSeed, Workers: workers, Eval: eval}
+}
+
+// goldenRow is one pinned outcome.
+type goldenRow struct {
+	r       uint64 // math.Float64bits(RFloat)
+	samples int
+	eps     uint64 // math.Float64bits(Eps)
+}
+
+func rowOf(res Result) goldenRow {
+	return goldenRow{math.Float64bits(res.RFloat), res.Samples, math.Float64bits(res.Eps)}
+}
+
+func (g goldenRow) String() string {
+	return fmt.Sprintf("{0x%016x, %d, 0x%016x}", g.r, g.samples, g.eps)
+}
+
+// checkRow compares an observed row to its literal, or logs it in
+// table syntax under -golden.print.
+func checkRow(t *testing.T, key string, got, want goldenRow) {
+	t.Helper()
+	if *goldenPrint {
+		t.Logf("GOLDEN %q: %v,", key, got)
+		return
+	}
+	if got != want {
+		t.Errorf("%s: got %v, pinned %v", key, got, want)
+	}
+}
+
+// goldenStreams pins every engine on both instances under the two
+// sample streams a request can name: the Workers: 0 sequential stream
+// and the DefaultLanes lane split (any Workers ≥ 1). Each row must
+// hold for both eval modes and, for the lane split, both worker counts.
+var goldenStreams = map[string]goldenRow{
+	"monte-carlo/bool/seq":              {0x3fee2bcd118c56dc, 1843, 0x3fd3333333333333},
+	"monte-carlo/bool/lanes":            {0x3fec98cb5afb6a8b, 1843, 0x3fd3333333333333},
+	"monte-carlo/free/seq":              {0x3fe1ecdfda461b62, 73467, 0x3fd3333333333333},
+	"monte-carlo/free/lanes":            {0x3fe1a87bf2b2c298, 73467, 0x3fd3333333333333},
+	"monte-carlo-direct/bool/seq":       {0x3fee3871e3871e38, 2050, 0x3f9eb851eb851eb8},
+	"monte-carlo-direct/bool/lanes":     {0x3fedf881df881df8, 2050, 0x3f9eb851eb851eb8},
+	"monte-carlo-direct/free/seq":       {0x3fe2237722377211, 2050, 0x3f9eb851eb851eb8},
+	"monte-carlo-direct/free/lanes":     {0x3fe2621226212264, 2050, 0x3f9eb851eb851eb8},
+	"monte-carlo-rare/bool/seq":         {0x3fee3e1f8ae9eb8f, 2029, 0x3f9eb851eb851eb8},
+	"monte-carlo-rare/bool/lanes":       {0x3fee4223d51a1e07, 2029, 0x3f9eb851eb851eb8},
+	"monte-carlo-rare/free/seq":         {0x3fe21e3a9179dc0a, 1626, 0x3f9eb851eb851eb8},
+	"monte-carlo-rare/free/lanes":       {0x3fe20dc6b0f6de50, 1626, 0x3f9eb851eb851eb8},
+	"lineage-karpluby/bool/seq":         {0x3fedf6422aa291df, 1349, 0x3fc999999999999a},
+	"lineage-karpluby/bool/lanes":       {0x3fef81fe1a30339e, 1349, 0x3fc999999999999a},
+	"lineage-karpluby/free/seq":         {0x3fe20cbd85157250, 16584, 0x3fc999999999999a},
+	"lineage-karpluby/free/lanes":       {0x3fe1ff0da01664b0, 16584, 0x3fc999999999999a},
+	"lineage-karpluby-thm53/bool/seq":   {0x3fee960bf787f66d, 3708, 0x3fc999999999999a},
+	"lineage-karpluby-thm53/bool/lanes": {0x3feeeabc57443621, 3708, 0x3fc999999999999a},
+	"lineage-karpluby-thm53/free/seq":   {0x3fe227ca4448c680, 41458, 0x3fc999999999999a},
+	"lineage-karpluby-thm53/free/lanes": {0x3fe20439316e9c24, 41458, 0x3fc999999999999a},
+}
+
+func TestGoldenStreams(t *testing.T) {
+	for engine, e := range goldenEngines {
+		for inst := range goldenInstances {
+			db, f := goldenInstance(t, inst)
+			for _, stream := range []struct {
+				name    string
+				workers []int
+			}{{"seq", []int{0}}, {"lanes", []int{1, 3}}} {
+				key := engine + "/" + goldenInstances[inst].name + "/" + stream.name
+				printed := false
+				for _, w := range stream.workers {
+					for _, eval := range []string{EvalCompiled, EvalInterpreted} {
+						res, err := e.run(bg, db, f, goldenOptions(engine, w, eval))
+						if err != nil {
+							t.Fatalf("%s workers=%d eval=%s: %v", key, w, eval, err)
+						}
+						if res.Degraded {
+							t.Fatalf("%s workers=%d eval=%s: unexpectedly degraded", key, w, eval)
+						}
+						if *goldenPrint && printed {
+							continue
+						}
+						printed = true
+						checkRow(t, key, rowOf(res), goldenStreams[key])
+					}
+				}
+			}
+		}
+	}
+}
+
+// goldenRanges pins the lane-range path of monte-carlo-direct: the two
+// ranges' attestation digests. The MergeMean of their aggregates is
+// pinned by the single-node lane-split row.
+var goldenRanges = map[string]string{
+	"bool/0-3/8": "bf361551beb85a55d6bfe3428cb066e1f57851daf84bf2ed1540db4cea682dee",
+	"bool/3-8/8": "557dfa969740fbe9c51e6b67b7a39ef4b3a7666e9c7cc0c45e67d9a558ad6728",
+	"free/0-3/8": "a71e28aa2549369ebc2c73eeba0e9f2476b35f9b8dd7aa6b5d71955e81edd0f8",
+	"free/3-8/8": "558d224bbc04bc840eb70e82a79b5aa10ca3898dfaa65c9d840754e8438df851",
+}
+
+func TestGoldenLaneRanges(t *testing.T) {
+	for inst := range goldenInstances {
+		db, f := goldenInstance(t, inst)
+		name := goldenInstances[inst].name
+		for _, eval := range []string{EvalCompiled, EvalInterpreted} {
+			var aggs []mc.LaneAgg
+			for _, r := range []mc.Range{{Lo: 0, Hi: 3, Total: 8}, {Lo: 3, Hi: 8, Total: 8}} {
+				o := goldenOptions("monte-carlo-direct", 2, eval)
+				o.LaneRange = &r
+				res, err := MonteCarloDirect(bg, db, f, o)
+				if err != nil {
+					t.Fatalf("%s range %v: %v", name, r, err)
+				}
+				key := name + "/" + r.String()
+				digest := mc.RangeDigest(res.LaneRange.Lanes)
+				if *goldenPrint {
+					if eval == EvalCompiled {
+						t.Logf("GOLDEN %q: %q,", key, digest)
+					}
+				} else if digest != goldenRanges[key] {
+					t.Errorf("%s eval=%s: digest %s, pinned %s", key, eval, digest, goldenRanges[key])
+				}
+				aggs = append(aggs, res.LaneRange.Lanes...)
+			}
+			e := goldenEngines["monte-carlo-direct"]
+			est, err := mc.MergeMean(aggs, 8, e.eps, e.delta, 0)
+			if err != nil {
+				t.Fatalf("%s merge: %v", name, err)
+			}
+			got := goldenRow{math.Float64bits(1 - est.Value), est.Samples, math.Float64bits(est.Eps)}
+			if want := goldenStreams["monte-carlo-direct/"+name+"/lanes"]; !*goldenPrint && got != want {
+				t.Errorf("%s eval=%s: merged %v, pinned single-node lanes row %v", name, eval, got, want)
+			}
+		}
+	}
+}
+
+// goldenPartial pins the anytime readings: a MaxSamples cut, and a
+// cancellation fired from the checkpoint hook at a fixed sample count
+// (Workers 0 and 1 only — they poll the context at deterministic
+// sample counts).
+var goldenPartial = map[string]goldenRow{
+	"budget/monte-carlo-direct/bool/workers=0": {0x3fee202ecfb9c869, 700, 0x3faa481c62c3bf1a},
+	"budget/monte-carlo-direct/bool/workers=2": {0x3fedf15f15f15f16, 700, 0x3faa481c62c3bf1a},
+	"budget/monte-carlo-direct/free/workers=0": {0x3fe1eb851eb851ef, 700, 0x3faa481c62c3bf1a},
+	"budget/monte-carlo-direct/free/workers=2": {0x3fe2be2be2be2be2, 700, 0x3faa481c62c3bf1a},
+	"budget/monte-carlo/bool/workers=0":        {0x3ff0000000000000, 700, 0x3fdf256d4323450f},
+	"budget/monte-carlo/bool/workers=2":        {0x3ff0000000000000, 700, 0x3fdf256d4323450f},
+	"budget/monte-carlo/free/workers=0":        {0x3fe38b9f20586bee, 700, 0x3fe0f9c6919818e9},
+	"budget/monte-carlo/free/workers=2":        {0x3fe4d880bb3ee722, 700, 0x3fe0f9c6919818e9},
+	"cancel/monte-carlo-direct/free/workers=0": {0x3fe204bda12f684a, 576, 0x3facf90b8a3ac075},
+	"cancel/monte-carlo-direct/free/workers=1": {0x3fe1de21de21de25, 514, 0x3faeaba4dde671f0},
+}
+
+func TestGoldenPartial(t *testing.T) {
+	for _, engine := range []string{"monte-carlo-direct", "monte-carlo"} {
+		for inst := range goldenInstances {
+			db, f := goldenInstance(t, inst)
+			for _, w := range []int{0, 2} {
+				for _, eval := range []string{EvalCompiled, EvalInterpreted} {
+					o := goldenOptions(engine, w, eval)
+					o.Budget.MaxSamples = 700
+					res, err := goldenEngines[engine].run(bg, db, f, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Degraded {
+						t.Fatalf("%s: budget cut not degraded", engine)
+					}
+					key := fmt.Sprintf("budget/%s/%s/workers=%d", engine, goldenInstances[inst].name, w)
+					if eval == EvalCompiled || !*goldenPrint {
+						checkRow(t, key, rowOf(res), goldenPartial[key])
+					}
+				}
+			}
+		}
+	}
+	db, f := goldenInstance(t, 1)
+	for _, w := range []int{0, 1} {
+		for _, eval := range []string{EvalCompiled, EvalInterpreted} {
+			ctx, cancel := context.WithCancel(bg)
+			o := goldenOptions("monte-carlo-direct", w, eval)
+			o.Checkpoint = &CheckpointConfig{Every: 512, Publish: func(seq int, _ []byte) {
+				if seq >= 512 {
+					cancel()
+				}
+			}}
+			res, err := MonteCarloDirect(ctx, db, f, o)
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Degraded {
+				t.Fatal("cancelled run not degraded")
+			}
+			key := fmt.Sprintf("cancel/monte-carlo-direct/free/workers=%d", w)
+			if eval == EvalCompiled || !*goldenPrint {
+				checkRow(t, key, rowOf(res), goldenPartial[key])
+			}
+		}
+	}
+}
+
+// TestGoldenKarpLubyCancelResumes: Karp–Luby has no partial reading —
+// a cancellation from the checkpoint hook is an error — but the
+// snapshot it leaves resumes to the pinned uninterrupted estimate.
+func TestGoldenKarpLubyCancelResumes(t *testing.T) {
+	db, f := goldenInstance(t, 1)
+	for _, w := range []int{0, 1} {
+		stream := "seq"
+		if w > 0 {
+			stream = "lanes"
+		}
+		for _, eval := range []string{EvalCompiled, EvalInterpreted} {
+			ctx, cancel := context.WithCancel(bg)
+			var last []byte
+			o := goldenOptions("lineage-karpluby", w, eval)
+			o.Checkpoint = &CheckpointConfig{Every: 1, Publish: func(seq int, frame []byte) {
+				last = frame
+				cancel()
+			}}
+			_, err := LineageKL(ctx, db, f, o, false)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d eval=%s: cancelled run returned %v", w, eval, err)
+			}
+			if last == nil {
+				t.Fatal("no snapshot published")
+			}
+			o.Checkpoint = &CheckpointConfig{ResumeFrame: last}
+			res, err := LineageKL(bg, db, f, o, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Resumed {
+				t.Fatal("not resumed")
+			}
+			if *goldenPrint {
+				continue
+			}
+			key := "lineage-karpluby/free/" + stream
+			if got := rowOf(res); got != goldenStreams[key] {
+				t.Errorf("%s workers=%d eval=%s: resumed %v, pinned %v", key, w, eval, got, goldenStreams[key])
+			}
+		}
+	}
+}
+
+// goldenFrames are checkpoint frames saved mid-run by the build at
+// a543416; each must resume, in either eval mode, to the pinned row of
+// its uninterrupted run. want names a goldenStreams key, or for the
+// lane-range frame a goldenRanges key.
+var goldenFrames = []struct {
+	file, engine string
+	workers      int
+	lanes        *mc.Range
+	every        int
+	want         string
+}{
+	{"golden_direct_seq.frame", "monte-carlo-direct", 0, nil, 256, "monte-carlo-direct/free/seq"},
+	{"golden_direct_lanes.frame", "monte-carlo-direct", 2, nil, 256, "monte-carlo-direct/free/lanes"},
+	{"golden_direct_range.frame", "monte-carlo-direct", 2, &mc.Range{Lo: 3, Hi: 8, Total: 8}, 256, "free/3-8/8"},
+	{"golden_padded_seq.frame", "monte-carlo", 0, nil, 2000, "monte-carlo/free/seq"},
+	{"golden_padded_lanes.frame", "monte-carlo", 2, nil, 2000, "monte-carlo/free/lanes"},
+	{"golden_kl_seq.frame", "lineage-karpluby", 0, nil, 1, "lineage-karpluby/free/seq"},
+	{"golden_kl_lanes.frame", "lineage-karpluby", 2, nil, 1, "lineage-karpluby/free/lanes"},
+}
+
+func TestGoldenFramesResume(t *testing.T) {
+	db, f := goldenInstance(t, 1)
+	for _, g := range goldenFrames {
+		path := filepath.Join("testdata", g.file)
+		run := goldenEngines[g.engine].run
+		base := goldenOptions(g.engine, g.workers, EvalCompiled)
+		base.LaneRange = g.lanes
+		if *goldenWrite {
+			// Keep the second published frame: mid-run for every case here.
+			var frames [][]byte
+			o := base
+			o.Checkpoint = &CheckpointConfig{Every: g.every, Publish: func(_ int, frame []byte) {
+				frames = append(frames, append([]byte(nil), frame...))
+			}}
+			if _, err := run(bg, db, f, o); err != nil {
+				t.Fatal(err)
+			}
+			if len(frames) < 3 {
+				t.Fatalf("%s: only %d frames published", g.file, len(frames))
+			}
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, frames[1], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frame, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eval := range []string{EvalCompiled, EvalInterpreted} {
+			o := base
+			o.Eval = eval
+			o.Checkpoint = &CheckpointConfig{ResumeFrame: frame}
+			res, err := run(bg, db, f, o)
+			if err != nil {
+				t.Fatalf("%s eval=%s: %v", g.file, eval, err)
+			}
+			if !res.Resumed {
+				t.Fatalf("%s: frame not resumed", g.file)
+			}
+			if *goldenPrint {
+				continue
+			}
+			if g.lanes != nil {
+				if d := mc.RangeDigest(res.LaneRange.Lanes); d != goldenRanges[g.want] {
+					t.Errorf("%s eval=%s: resumed digest %s, pinned %s", g.file, eval, d, goldenRanges[g.want])
+				}
+			} else if got := rowOf(res); got != goldenStreams[g.want] {
+				t.Errorf("%s eval=%s: resumed %v, pinned %v", g.file, eval, got, goldenStreams[g.want])
+			}
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"math/rand"
 
 	"qrel/internal/bdd"
 	"qrel/internal/checkpoint"
@@ -161,10 +160,11 @@ func LineageKL(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opt
 	if usePaperReduction {
 		engine = "lineage-karpluby-thm53"
 	}
-	// The direct weighted estimator has a bit-identical batched variant
-	// (karpluby.ProbDNF*Compiled); the Theorem 5.3 reduction route does
-	// not. The faultinject probe lets chaos campaigns force the
-	// interpreted path mid-run, exercising mixed-mode clusters.
+	// The direct weighted estimator runs its bit-identical batched
+	// kernel unless the interpreter was asked for; the Theorem 5.3
+	// reduction route stays on the scalar one. The faultinject probe lets
+	// chaos campaigns force the interpreted path mid-run, exercising
+	// mixed-mode clusters.
 	evalMode := EvalInterpreted
 	var evalTrail []FallbackStep
 	if opts.Eval != EvalInterpreted && !usePaperReduction {
@@ -176,7 +176,6 @@ func LineageKL(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opt
 	}
 	parallel := opts.Workers > 0
 	src := mc.NewSource(opts.Seed)
-	rng := rand.New(src)
 	// streamState mirrors MonteCarlo: the parallel mode re-derives every
 	// tuple's lanes from mc.TupleSeed(Seed, idx), so snapshots carry the
 	// zero PRNG state and resume skips restoring it.
@@ -197,6 +196,19 @@ func LineageKL(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opt
 	}
 	epsT := opts.Eps / normF
 	deltaT := opts.Delta / normF
+	// estimate is one tuple's FPTRAS on the route and kernel chosen above.
+	kernel := karpluby.ProbKernel(karpluby.ProbScalar)
+	if evalMode == EvalCompiled {
+		kernel = karpluby.ProbBatched
+	}
+	estimate := func(d prop.DNF, nu prop.ProbAssignment, s mc.Stream) (karpluby.CountResult, error) {
+		return karpluby.ProbDNF(ctx, d, nu, epsT, deltaT, kernel, s)
+	}
+	if usePaperReduction {
+		estimate = func(d prop.DNF, nu prop.ProbAssignment, s mc.Stream) (karpluby.CountResult, error) {
+			return karpluby.ProbViaReduction(ctx, d, nu, epsT, deltaT, karpluby.CountScalar, s)
+		}
+	}
 	hFloat := 0.0
 	samples := 0
 	startTuple := 0
@@ -249,26 +261,10 @@ func LineageKL(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opt
 					ErrBudgetExceeded, need, samples, opts.Budget.MaxSamples)
 			}
 		}
-		var res karpluby.CountResult
-		compiled := evalMode == EvalCompiled
-		switch {
-		case parallel && usePaperReduction:
-			res, err = karpluby.ProbViaReductionPar(ctx, d, nu, epsT, deltaT, mc.TupleSeed(opts.Seed, idx), parFor(opts), nil)
-		case parallel && compiled:
-			res, err = karpluby.ProbDNFParCompiled(ctx, d, nu, epsT, deltaT, mc.TupleSeed(opts.Seed, idx), parFor(opts), nil)
-		case parallel:
-			res, err = karpluby.ProbDNFPar(ctx, d, nu, epsT, deltaT, mc.TupleSeed(opts.Seed, idx), parFor(opts), nil)
-		case usePaperReduction:
-			res, err = karpluby.ProbViaReduction(d, nu, epsT, deltaT, rng)
-		case compiled:
-			res, err = karpluby.ProbDNFCompiled(d, nu, epsT, deltaT, rng)
-		default:
-			res, err = karpluby.ProbDNF(d, nu, epsT, deltaT, rng)
-		}
+		res, err := estimate(d, nu, streamFor(opts, mc.TupleSeed(opts.Seed, idx), src))
 		if err != nil {
-			// A mid-tuple cancellation in parallel mode surfaces here (the
-			// sequential estimator has no context); snapshot the tuple's own
-			// start so a restart replays it in full.
+			// A mid-tuple cancellation surfaces here; snapshot the tuple's
+			// own start so a restart replays it in full.
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				if serr := saveBoundary(idx, preTuple); serr != nil {
 					return serr

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"qrel/internal/checkpoint"
 	"qrel/internal/faultinject"
@@ -42,7 +41,6 @@ func MonteCarlo(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Op
 	}
 	parallel := opts.Workers > 0
 	src := mc.NewSource(opts.Seed)
-	rng := rand.New(src)
 	// streamState is the PRNG fingerprint of a snapshot boundary. The
 	// parallel mode has no single sequential stream — every tuple's lanes
 	// re-derive deterministically from mc.TupleSeed(Seed, idx) — so it
@@ -84,14 +82,21 @@ func MonteCarlo(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Op
 	}
 	degraded := false
 	stopped := false // ctx canceled or budget exhausted: midpoint-fill the rest
-	ev := func(env logic.Env) func(*rel.Structure) (bool, error) {
-		frozen := env.Clone()
-		if parallel {
-			// logic.Eval binds quantified variables in the environment it
-			// is handed, so lanes evaluating at once need one each.
-			return func(b *rel.Structure) (bool, error) { return logic.Eval(b, f, frozen.Clone()) }
+	// kernel is the tuple's query as the plan evaluates it. logic.Eval
+	// binds quantified variables in the environment it is handed, so
+	// each lane of the interpreted kernel evaluates in its own clone,
+	// made once when the lane starts.
+	kernel := func(idx int, env logic.Env) mc.PaddedKernel {
+		if plan.compiled() {
+			return mc.PaddedProgram(db, plan.progs[idx])
 		}
-		return func(b *rel.Structure) (bool, error) { return logic.Eval(b, f, frozen) }
+		return func(xi float64) mc.Kernel {
+			return func(ln *mc.Lane) func(int) error {
+				own := env.Clone()
+				pred := func(b *rel.Structure) (bool, error) { return logic.Eval(b, f, own) }
+				return mc.PaddedPred(db, pred)(xi)(ln)
+			}
+		}
 	}
 	env := logic.Env{}
 	tupleIdx := 0
@@ -146,19 +151,8 @@ func MonteCarlo(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Op
 			return false
 		}
 		preTuple := streamState()
-		var est mc.Estimate
-		switch {
-		case plan.compiled() && parallel:
-			est, err = mc.EstimateNuPaddedParCompiled(ctx, db, plan.progs[idx], opts.Xi, epsT, deltaT, budgetLeft,
-				mc.TupleSeed(opts.Seed, idx), parFor(opts), nil)
-		case plan.compiled():
-			est, err = mc.EstimateNuPaddedCompiled(ctx, db, plan.progs[idx], opts.Xi, epsT, deltaT, budgetLeft, rng)
-		case parallel:
-			est, err = mc.EstimateNuPaddedPar(ctx, db, ev(env), opts.Xi, epsT, deltaT, budgetLeft,
-				mc.TupleSeed(opts.Seed, idx), parFor(opts), nil)
-		default:
-			est, err = mc.EstimateNuPadded(ctx, db, ev(env), opts.Xi, epsT, deltaT, budgetLeft, rng)
-		}
+		est, err := mc.EstimateNuPadded(ctx, kernel(idx, env), opts.Xi, epsT, deltaT, budgetLeft,
+			streamFor(opts, mc.TupleSeed(opts.Seed, idx), src))
 		if errors.Is(err, mc.ErrNoSamples) {
 			// Canceled before this tuple could draw anything: snapshot its
 			// start, then fill it (and the rest) with the midpoint.
@@ -279,63 +273,23 @@ func MonteCarloDirect(ctx context.Context, db *unreliable.DB, f logic.Formula, o
 		return float64(symmetricDiffSize(observed, actual)) / normF, nil
 	}
 	plan := planEval(db, f, opts)
-	var cm *mc.CompiledMean
+	kernel := mc.MeanKernel(db, stat)
 	if plan.compiled() {
-		cm = &mc.CompiledMean{Progs: plan.progs, Base: plan.base, NormF: normF}
+		kernel = (&mc.CompiledMean{Progs: plan.progs, Base: plan.base, NormF: normF}).Kernel(db)
 	}
+	stream := streamFor(opts, opts.Seed, src)
 	if opts.LaneRange != nil {
 		// Lane-range mode: execute only the assigned subrange of the
 		// Total-lane split and return the raw per-lane aggregates for the
-		// coordinator to merge. HFloat/RFloat are partial-range values.
-		var rr mc.RangeResult
-		if cm != nil {
-			rr, err = mc.EstimateMeanRangeCompiled(ctx, db, cm, opts.Eps, opts.Delta, opts.Budget.MaxSamples,
-				opts.Seed, *opts.LaneRange, rangeWorkers(opts), run.loopCkpt(resumeSt))
-		} else {
-			rr, err = mc.EstimateMeanRange(ctx, db, stat, opts.Eps, opts.Delta, opts.Budget.MaxSamples,
-				opts.Seed, *opts.LaneRange, rangeWorkers(opts), run.loopCkpt(resumeSt))
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		drawn, sum := rr.Drawn(), 0.0
-		for _, a := range rr.Lanes {
-			sum += a.Sum
-		}
-		return Result{
-			HFloat:        sum * normF / float64(drawn),
-			RFloat:        1 - sum/float64(drawn),
-			Arity:         k,
-			Engine:        "monte-carlo-direct",
-			Guarantee:     AbsoluteError,
-			Eps:           opts.Eps,
-			Delta:         opts.Delta,
-			Samples:       drawn,
-			Class:         logic.Classify(f),
-			Seed:          opts.Seed,
-			Resumed:       run.wasResumed(),
-			EvalMode:      plan.mode,
-			FallbackTrail: plan.trail,
-			LaneRange:     &LaneRangeResult{Range: rr.Range, Method: rr.Method, Requested: rr.Requested, NormF: normF, Lanes: rr.Lanes},
-		}, nil
+		// coordinator to merge.
+		stream = mc.Stream{Seed: opts.Seed, Range: opts.LaneRange, Workers: rangeWorkers(opts)}
 	}
-	var est mc.Estimate
-	switch {
-	case cm != nil && opts.Workers > 0:
-		est, err = mc.EstimateMeanParCompiled(ctx, db, cm, opts.Eps, opts.Delta, opts.Budget.MaxSamples,
-			opts.Seed, parFor(opts), run.loopCkpt(resumeSt))
-	case cm != nil:
-		est, err = mc.EstimateMeanCkCompiled(ctx, db, cm, opts.Eps, opts.Delta, opts.Budget.MaxSamples, src, run.loopCkpt(resumeSt))
-	case opts.Workers > 0:
-		est, err = mc.EstimateMeanPar(ctx, db, stat, opts.Eps, opts.Delta, opts.Budget.MaxSamples,
-			opts.Seed, parFor(opts), run.loopCkpt(resumeSt))
-	default:
-		est, err = mc.EstimateMeanCk(ctx, db, stat, opts.Eps, opts.Delta, opts.Budget.MaxSamples, src, run.loopCkpt(resumeSt))
-	}
+	stream.Ckpt = run.loopCkpt(resumeSt)
+	est, aggs, err := mc.EstimateMean(ctx, kernel, opts.Eps, opts.Delta, opts.Budget.MaxSamples, stream)
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
+	res := Result{
 		HFloat:        est.Value * normF,
 		RFloat:        1 - est.Value,
 		Arity:         k,
@@ -350,7 +304,20 @@ func MonteCarloDirect(ctx context.Context, db *unreliable.DB, f logic.Formula, o
 		Resumed:       run.wasResumed(),
 		EvalMode:      plan.mode,
 		FallbackTrail: plan.trail,
-	}, nil
+	}
+	if opts.LaneRange != nil {
+		// HFloat/RFloat are partial-range values: a range always reads as
+		// cut short of the full run's sample size, which says nothing
+		// about the merged estimate, so the requested accuracy is echoed.
+		sum := 0.0
+		for _, a := range aggs {
+			sum += a.Sum
+		}
+		res.HFloat = sum * normF / float64(est.Samples)
+		res.Eps, res.Degraded = opts.Eps, false
+		res.LaneRange = &LaneRangeResult{Range: *opts.LaneRange, Method: est.Method, Requested: est.Requested, NormF: normF, Lanes: aggs}
+	}
+	return res, nil
 }
 
 // MonteCarloRare is MonteCarloDirect with rare-event conditioning: it
@@ -391,13 +358,9 @@ func MonteCarloRare(ctx context.Context, db *unreliable.DB, f logic.Formula, opt
 		}
 		return float64(symmetricDiffSize(observed, actual)) / normF, nil
 	}
-	var est mc.Estimate
-	if opts.Workers > 0 {
-		est, err = mc.EstimateMeanRarePar(ctx, db, stat, opts.Eps, opts.Delta, opts.Budget.MaxSamples,
-			opts.Seed, parFor(opts), run.loopCkpt(resumeSt))
-	} else {
-		est, err = mc.EstimateMeanRareCk(ctx, db, stat, opts.Eps, opts.Delta, opts.Budget.MaxSamples, src, run.loopCkpt(resumeSt))
-	}
+	stream := streamFor(opts, opts.Seed, src)
+	stream.Ckpt = run.loopCkpt(resumeSt)
+	est, err := mc.EstimateMeanRare(ctx, db, stat, opts.Eps, opts.Delta, opts.Budget.MaxSamples, stream)
 	if err != nil {
 		return Result{}, err
 	}

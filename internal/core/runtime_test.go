@@ -279,7 +279,7 @@ func TestWorldEnumParallelWorkerErrorCancelsSiblings(t *testing.T) {
 	f := logic.MustParse("exists x . S(x)", nil)
 	injected := fmt.Errorf("worker blew up")
 	faultinject.Enable(faultinject.SiteWorldWorker, faultinject.Fault{Err: injected, Times: 1})
-	_, err := WorldEnumParallel(bg, d, f, Options{}, 4)
+	_, err := WorldEnum(bg, d, f, Options{Workers: 4})
 	if !errors.Is(err, injected) {
 		t.Errorf("error %v, want the injected worker error (not a context error)", err)
 	}
@@ -287,7 +287,7 @@ func TestWorldEnumParallelWorkerErrorCancelsSiblings(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
-	if _, err := WorldEnumParallel(ctx, d, f, Options{}, 4); !errors.Is(err, context.Canceled) {
+	if _, err := WorldEnum(ctx, d, f, Options{Workers: 4}); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-canceled enumeration error %v, want context.Canceled", err)
 	}
 }

@@ -183,3 +183,27 @@ func TestColdDatabaseWorkers(t *testing.T) {
 		same(r, got[i], want[i])
 	}
 }
+
+// TestInterpretedPaddedAllocsIndependentOfSamples: the interpreted
+// kernel of a parallel padded run evaluates each lane in its own
+// environment, cloned once when the lane starts — not once per sampled
+// world — so quadrupling the samples leaves the allocation count where
+// it was. (The query quantifies one variable per block: the
+// interpreter's multi-variable blocks allocate a tuple per evaluation,
+// which is its business, not the kernel's.)
+func TestInterpretedPaddedAllocsIndependentOfSamples(t *testing.T) {
+	db, f := goldenInstance(t, 1)
+	allocs := func(samples int) float64 {
+		opts := Options{Eps: 0.01, Delta: 0.1, Seed: 3, Workers: 2, Eval: EvalInterpreted, Budget: Budget{MaxSamples: samples}}
+		return testing.AllocsPerRun(5, func() {
+			res, err := MonteCarlo(bg, db, f, opts)
+			if err != nil || res.Samples != samples {
+				t.Fatalf("run of %d samples: %d drawn, %v", samples, res.Samples, err)
+			}
+		})
+	}
+	small, large := allocs(2000), allocs(8000)
+	if large-small > 16 {
+		t.Errorf("allocations grow with the sample count: %.0f at 2000 samples, %.0f at 8000", small, large)
+	}
+}

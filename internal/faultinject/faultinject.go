@@ -37,7 +37,7 @@ const (
 	SiteAnswerSet   = "eval/answer-set"
 	SiteWorldWorker = "eval/world-worker"
 	// SiteLaneWorker fires once per lane claimed by a lane-pool worker
-	// (mc.RunLanes) before the lane starts sampling; the race tests arm
+	// (mc.Run) before the lane starts sampling; the race tests arm
 	// it to prove first-error cancellation of sibling lanes.
 	SiteLaneWorker = "mc/lane-worker"
 	// Serving-layer sites (internal/server): SiteServerAdmit fires in

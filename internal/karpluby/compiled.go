@@ -1,90 +1,21 @@
 package karpluby
 
 import (
-	"context"
-	"errors"
 	"math/big"
 	"math/bits"
-	"math/rand"
 
 	"qrel/internal/mc"
-	"qrel/internal/prop"
 	"qrel/internal/vm"
 )
 
-// Compiled Karp–Luby estimators: the same coverage iteration as
-// karpluby.go with the per-iteration assignment materialization and
-// first-satisfied term scan replaced by bit-parallel evaluation over
-// batches of up to 64 iterations (vm.FirstSatisfiedHits). The RNG draw
-// sequence is preserved per iteration — term pick, then the full
-// variable assignment, in the scalar order — so a compiled run is
-// byte-identical (estimate, snapshots, lane aggregates) to the
-// interpreted run for the same seed and worker count.
-
-// ErrUnbatchable reports a DNF whose total term weight does not fit
-// the uint64 fast path of the batched term pick; callers fall back to
-// the interpreted estimator.
-var ErrUnbatchable = errors.New("karpluby: term-weight total exceeds 63 bits; use the interpreted estimator")
-
-// klBatchSize mirrors the mc package's batch clamping: at most 64
-// iterations, never crossing the remaining quota, the next
-// context-poll boundary, or the next periodic-checkpoint boundary.
-func klBatchSize(drawn, quota, every, lastSave int) int {
-	m := quota - drawn
-	if m > 64 {
-		m = 64
-	}
-	if r := ctxPollStride - drawn%ctxPollStride; m > r {
-		m = r
-	}
-	if every > 0 {
-		if r := every - (drawn - lastSave); m > r {
-			m = r
-		}
-	}
-	return m
-}
-
-// klBatchFull returns the live-iterations mask of an m-iteration batch.
-func klBatchFull(m int) uint64 { return ^uint64(0) >> uint(64-m) }
-
-// runKLLanesBatch is runKLLanes with a batched step: setup builds a
-// per-lane step drawing exactly m iterations' worth of RNG values in
-// the scalar per-iteration order. Context polls and periodic snapshots
-// happen at exactly the same Drawn values as the scalar loop.
-func runKLLanesBatch(ctx context.Context, lanes []*mc.Lane, workers, total int, ck *mc.Ckpt, setup func(ln *mc.Lane) func(m int) error) error {
-	mc.AssignQuotas(lanes, total)
-	if err := mc.RestoreLanes(klMethod, lanes, ck); err != nil {
-		return err
-	}
-	lc := mc.NewLaneCkpt(klMethod, lanes, ck)
-	every := lc.PerLaneEvery(len(lanes))
-	err := mc.RunLanes(ctx, lanes, workers, func(ctx context.Context, ln *mc.Lane) error {
-		step := setup(ln)
-		lastSave := ln.Drawn
-		for ln.Drawn < ln.Quota {
-			if ln.Drawn%ctxPollStride == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if every > 0 && ln.Drawn-lastSave >= every {
-				lastSave = ln.Drawn
-				if err := lc.Publish(ln, true); err != nil {
-					return err
-				}
-			}
-			m := klBatchSize(ln.Drawn, ln.Quota, every, lastSave)
-			if err := step(m); err != nil {
-				return err
-			}
-			ln.Drawn += m
-		}
-		return lc.Publish(ln, false)
-	})
-	if err != nil {
-		return err
-	}
-	return lc.FinalSave()
-}
+// Batched Karp–Luby kernels: the same coverage iteration as the scalar
+// kernels of karpluby.go with the per-iteration assignment
+// materialization and first-satisfied term scan replaced by
+// bit-parallel evaluation over batches of up to 64 iterations
+// (vm.FirstSatisfiedHits). The RNG draw sequence is preserved per
+// iteration — term pick, then the full variable assignment, in the
+// scalar order — so a batched run is byte-identical (estimate,
+// snapshots, lane aggregates) to the scalar run over the same stream.
 
 // pick64 holds the precomputed uint64 fast path of the weighted term
 // pick: the cumulative weights and the byte-rejection parameters of
@@ -103,11 +34,9 @@ type pick64 struct {
 	shift uint
 }
 
-func newPick64(cum []*big.Int, total *big.Int) (*pick64, error) {
+// newPick64 requires total.BitLen() ≤ 63.
+func newPick64(cum []*big.Int, total *big.Int) *pick64 {
 	nbits := total.BitLen()
-	if nbits > 63 {
-		return nil, ErrUnbatchable
-	}
 	p := &pick64{
 		cum:   make([]uint64, len(cum)),
 		total: total.Uint64(),
@@ -129,30 +58,15 @@ func newPick64(cum []*big.Int, total *big.Int) (*pick64, error) {
 		}
 		p.lut[j] = i
 	}
-	return p, nil
+	return p
 }
 
-// draw replicates pickCumulativeScratch over the Drawer: the same
-// big-endian byte draws (most significant byte masked), the same
-// rejection loop, the same binary search over the cumulative sums.
-func (p *pick64) draw(d mc.Drawer) int {
-	var v uint64
-	for {
-		v = uint64(d.Byte()) & uint64(p.mask)
-		for k := 1; k < p.nb; k++ {
-			v = v<<8 | uint64(d.Byte())
-		}
-		if v < p.total {
-			break
-		}
-	}
-	return p.search(v)
-}
-
-// drawHot is draw over a hoisted generator. It takes and returns the
-// HotRNG by value so the caller's copy never has its address taken —
-// that keeps the state words eligible for registers across the rest of
-// the batch loop.
+// drawHot replicates pickCumulativeScratch over a hoisted generator:
+// the same big-endian byte draws (most significant byte masked), the
+// same rejection loop, the same index. It takes and returns the HotRNG
+// by value so the caller's copy never has its address taken — that
+// keeps the state words eligible for registers across the rest of the
+// batch loop.
 func (p *pick64) drawHot(h mc.HotRNG) (int, mc.HotRNG) {
 	var v uint64
 	for {
@@ -179,40 +93,16 @@ func (p *pick64) search(v uint64) int {
 	return i
 }
 
-// CountDNFCompiled is CountDNF on the bit-parallel batched path.
-func CountDNFCompiled(d prop.DNF, eps, delta float64, rng *rand.Rand) (CountResult, error) {
-	return countDNFLanesCompiled(context.Background(), d, eps, delta, []*mc.Lane{{Rng: rng}}, 1, nil)
-}
-
-// CountDNFCkCompiled is CountDNFCk on the bit-parallel batched path;
-// its snapshots interchange with the interpreted estimator's.
-func CountDNFCkCompiled(d prop.DNF, eps, delta float64, src *mc.Source, ck *mc.Ckpt) (CountResult, error) {
-	return countDNFLanesCompiled(context.Background(), d, eps, delta, []*mc.Lane{{Src: src, Rng: rand.New(src)}}, 1, ck)
-}
-
-// CountDNFParCompiled is CountDNFPar on the bit-parallel batched path.
-func CountDNFParCompiled(ctx context.Context, d prop.DNF, eps, delta float64, seed int64, par mc.Par, ck *mc.Ckpt) (CountResult, error) {
-	lanes, workers := mc.LanesFor(seed, par)
-	return countDNFLanesCompiled(ctx, d, eps, delta, lanes, workers, ck)
-}
-
-func countDNFLanesCompiled(ctx context.Context, d prop.DNF, eps, delta float64, lanes []*mc.Lane, workers int, ck *mc.Ckpt) (CountResult, error) {
-	norm := normalizedTerms(d)
-	if len(norm) == 0 {
-		return CountResult{Estimate: new(big.Rat)}, nil
+// CountBatched is the bit-parallel kernel of CountDNF. The term pick
+// runs on machine words, so a term-weight total past 63 bits — a
+// property of the input, visible here — gets CountScalar's big-integer
+// pick instead.
+func CountBatched(tb *countTable) mc.Kernel {
+	if tb.total.BitLen() > 63 {
+		return CountScalar(tb)
 	}
-	t, err := SampleSize(eps, delta, len(norm))
-	if err != nil {
-		return CountResult{}, err
-	}
-	cum, total := termWeights(norm, d.NumVars)
-	if total.Sign() == 0 {
-		return CountResult{Estimate: new(big.Rat)}, nil
-	}
-	pk, err := newPick64(cum, total)
-	if err != nil {
-		return CountResult{}, err
-	}
+	norm := tb.norm
+	pk := newPick64(tb.cum, tb.total)
 	// Flattened literal-forcing tables for the hot loop: term i forces
 	// literals litVar[litStart[i]:litStart[i+1]], with litNeg all-ones
 	// for a negated literal. One flat walk replaces the per-sample
@@ -232,65 +122,64 @@ func countDNFLanesCompiled(ctx context.Context, d prop.DNF, eps, delta float64, 
 		}
 	}
 	litStart[len(norm)] = int32(len(litVar))
-	err = runKLLanesBatch(ctx, lanes, workers, t, ck, func(ln *mc.Lane) func(m int) error {
-		dr := mc.NewDrawer(ln)
-		cols := make([]uint64, d.NumVars)
+	return func(ln *mc.Lane) func(m int) error {
+		cols := make([]uint64, tb.numVars)
 		picked := make([]uint64, len(norm))
-		if _, fast := dr.Hot(); fast {
-			// Hoisted-generator batch loop: the draw stream is identical to
-			// the Drawer loop below, but every Intn2/Byte inlines the
-			// xoshiro step over locals instead of calling into the Source.
-			// State is written back before the step returns, so checkpoint
-			// snapshots at batch boundaries see the advanced generator.
-			return func(m int) error {
-				for i := range cols {
-					cols[i] = 0
-				}
-				for i := range picked {
-					picked[i] = 0
-				}
-				hot, _ := dr.Hot()
-				bit := uint64(1)
-				nv := len(cols)
-				for s := 0; s < m; s++ {
-					var i int
-					i, hot = pk.drawHot(hot)
-					// Branchless assignment fill: draw==0 sets the bit. A
-					// conditional here is a coin-flip branch the predictor can
-					// never learn; the mispredict penalty dominated the draw
-					// itself. Unrolled two wide to thin the loop-control
-					// overhead around the serial generator chain.
-					v := 0
-					for ; v+1 < nv; v += 2 {
-						cols[v] |= bit & (uint64(hot.Intn2()) - 1)
-						cols[v+1] |= bit & (uint64(hot.Intn2()) - 1)
-					}
-					if v < nv {
-						cols[v] |= bit & (uint64(hot.Intn2()) - 1)
-					}
-					for k := litStart[i]; k < litStart[i+1]; k++ {
-						cols[litVar[k]] = (cols[litVar[k]] | bit) &^ (bit & litNeg[k])
-					}
-					picked[i] |= bit
-					bit <<= 1
-				}
-				dr.PutHot(hot)
-				ln.Hits += bits.OnesCount64(vm.FirstSatisfiedHits(norm, cols, picked, klBatchFull(m)))
-				return nil
-			}
-		}
+		// Every Intn2/Byte inlines the xoshiro step over locals instead of
+		// calling into the Source. State is written back before the step
+		// returns, so checkpoint snapshots at batch boundaries see the
+		// advanced generator.
 		return func(m int) error {
-			for i := range cols {
-				cols[i] = 0
+			clear(cols)
+			clear(picked)
+			hot := ln.Src.Hot()
+			bit := uint64(1)
+			nv := len(cols)
+			for s := 0; s < m; s++ {
+				var i int
+				i, hot = pk.drawHot(hot)
+				// Branchless assignment fill: draw==0 sets the bit. A
+				// conditional here is a coin-flip branch the predictor can
+				// never learn; the mispredict penalty dominated the draw
+				// itself. Unrolled two wide to thin the loop-control
+				// overhead around the serial generator chain.
+				v := 0
+				for ; v+1 < nv; v += 2 {
+					cols[v] |= bit & (uint64(hot.Intn2()) - 1)
+					cols[v+1] |= bit & (uint64(hot.Intn2()) - 1)
+				}
+				if v < nv {
+					cols[v] |= bit & (uint64(hot.Intn2()) - 1)
+				}
+				for k := litStart[i]; k < litStart[i+1]; k++ {
+					cols[litVar[k]] = (cols[litVar[k]] | bit) &^ (bit & litNeg[k])
+				}
+				picked[i] |= bit
+				bit <<= 1
 			}
-			for i := range picked {
-				picked[i] = 0
-			}
+			ln.Src.PutHot(hot)
+			ln.Hits += bits.OnesCount64(vm.FirstSatisfiedHits(norm, cols, picked, mc.BatchFull(m)))
+			return nil
+		}
+	}
+}
+
+// ProbBatched is the bit-parallel kernel of ProbDNF, with the same
+// hoisted-generator structure as CountBatched.
+func ProbBatched(tb *probTable) mc.Kernel {
+	norm := tb.norm
+	return func(ln *mc.Lane) func(m int) error {
+		cols := make([]uint64, len(tb.pf))
+		picked := make([]uint64, len(norm))
+		return func(m int) error {
+			clear(cols)
+			clear(picked)
+			hot := ln.Src.Hot()
 			for s := 0; s < m; s++ {
 				bit := uint64(1) << uint(s)
-				i := pk.draw(dr)
-				for v := 0; v < d.NumVars; v++ {
-					if dr.Intn2() == 0 {
+				i := tb.pick(hot.Float64())
+				for v := range cols {
+					if hot.Float64() < tb.pf[v] {
 						cols[v] |= bit
 					}
 				}
@@ -303,149 +192,9 @@ func countDNFLanesCompiled(ctx context.Context, d prop.DNF, eps, delta float64, 
 				}
 				picked[i] |= bit
 			}
-			ln.Hits += bits.OnesCount64(vm.FirstSatisfiedHits(norm, cols, picked, klBatchFull(m)))
+			ln.Src.PutHot(hot)
+			ln.Hits += bits.OnesCount64(vm.FirstSatisfiedHits(norm, cols, picked, mc.BatchFull(m)))
 			return nil
 		}
-	})
-	if err != nil {
-		return CountResult{}, err
 	}
-	hits := 0
-	for _, ln := range lanes {
-		hits += ln.Hits
-	}
-	est := new(big.Rat).SetInt(total)
-	est.Mul(est, big.NewRat(int64(hits), int64(t)))
-	return CountResult{Estimate: est, Samples: t, Hits: hits}, nil
-}
-
-// ProbDNFCompiled is ProbDNF on the bit-parallel batched path.
-func ProbDNFCompiled(d prop.DNF, p prop.ProbAssignment, eps, delta float64, rng *rand.Rand) (CountResult, error) {
-	return probDNFLanesCompiled(context.Background(), d, p, eps, delta, []*mc.Lane{{Rng: rng}}, 1, nil)
-}
-
-// ProbDNFCkCompiled is ProbDNFCk on the bit-parallel batched path; its
-// snapshots interchange with the interpreted estimator's.
-func ProbDNFCkCompiled(d prop.DNF, p prop.ProbAssignment, eps, delta float64, src *mc.Source, ck *mc.Ckpt) (CountResult, error) {
-	return probDNFLanesCompiled(context.Background(), d, p, eps, delta, []*mc.Lane{{Src: src, Rng: rand.New(src)}}, 1, ck)
-}
-
-// ProbDNFParCompiled is ProbDNFPar on the bit-parallel batched path.
-func ProbDNFParCompiled(ctx context.Context, d prop.DNF, p prop.ProbAssignment, eps, delta float64, seed int64, par mc.Par, ck *mc.Ckpt) (CountResult, error) {
-	lanes, workers := mc.LanesFor(seed, par)
-	return probDNFLanesCompiled(ctx, d, p, eps, delta, lanes, workers, ck)
-}
-
-func probDNFLanesCompiled(ctx context.Context, d prop.DNF, p prop.ProbAssignment, eps, delta float64, lanes []*mc.Lane, workers int, ck *mc.Ckpt) (CountResult, error) {
-	if err := p.Validate(d.NumVars); err != nil {
-		return CountResult{}, err
-	}
-	norm := normalizedTerms(d)
-	if len(norm) == 0 {
-		return CountResult{Estimate: new(big.Rat)}, nil
-	}
-	t, err := SampleSize(eps, delta, len(norm))
-	if err != nil {
-		return CountResult{}, err
-	}
-	pf := make([]float64, d.NumVars)
-	for i := range pf {
-		pf[i], _ = p[i].Float64()
-	}
-	weightsExact := new(big.Rat)
-	cum := make([]float64, len(norm))
-	sum := 0.0
-	for i, tm := range norm {
-		w := p.TermProb(tm)
-		weightsExact.Add(weightsExact, w)
-		wf, _ := w.Float64()
-		sum += wf
-		cum[i] = sum
-	}
-	if weightsExact.Sign() == 0 {
-		return CountResult{Estimate: new(big.Rat)}, nil
-	}
-	err = runKLLanesBatch(ctx, lanes, workers, t, ck, func(ln *mc.Lane) func(m int) error {
-		dr := mc.NewDrawer(ln)
-		cols := make([]uint64, d.NumVars)
-		picked := make([]uint64, len(norm))
-		if _, fast := dr.Hot(); fast {
-			// Same hoisted-generator structure as the counting estimator;
-			// see countDNFLanesCompiled.
-			return func(m int) error {
-				for i := range cols {
-					cols[i] = 0
-				}
-				for i := range picked {
-					picked[i] = 0
-				}
-				hot, _ := dr.Hot()
-				for s := 0; s < m; s++ {
-					bit := uint64(1) << uint(s)
-					r := hot.Float64() * sum
-					i := 0
-					for i < len(cum)-1 && cum[i] <= r {
-						i++
-					}
-					for v := range cols {
-						if hot.Float64() < pf[v] {
-							cols[v] |= bit
-						}
-					}
-					for _, l := range norm[i] {
-						if l.Neg {
-							cols[l.Var] &^= bit
-						} else {
-							cols[l.Var] |= bit
-						}
-					}
-					picked[i] |= bit
-				}
-				dr.PutHot(hot)
-				ln.Hits += bits.OnesCount64(vm.FirstSatisfiedHits(norm, cols, picked, klBatchFull(m)))
-				return nil
-			}
-		}
-		return func(m int) error {
-			for i := range cols {
-				cols[i] = 0
-			}
-			for i := range picked {
-				picked[i] = 0
-			}
-			for s := 0; s < m; s++ {
-				bit := uint64(1) << uint(s)
-				r := dr.Float64() * sum
-				i := 0
-				for i < len(cum)-1 && cum[i] <= r {
-					i++
-				}
-				for v := 0; v < d.NumVars; v++ {
-					if dr.Float64() < pf[v] {
-						cols[v] |= bit
-					}
-				}
-				for _, l := range norm[i] {
-					if l.Neg {
-						cols[l.Var] &^= bit
-					} else {
-						cols[l.Var] |= bit
-					}
-				}
-				picked[i] |= bit
-			}
-			ln.Hits += bits.OnesCount64(vm.FirstSatisfiedHits(norm, cols, picked, klBatchFull(m)))
-			return nil
-		}
-	})
-	if err != nil {
-		return CountResult{}, err
-	}
-	hits := 0
-	for _, ln := range lanes {
-		hits += ln.Hits
-	}
-	est := new(big.Rat).Set(weightsExact)
-	est.Mul(est, big.NewRat(int64(hits), int64(t)))
-	return CountResult{Estimate: est, Samples: t, Hits: hits}, nil
 }

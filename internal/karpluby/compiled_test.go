@@ -11,9 +11,9 @@ import (
 	"qrel/internal/prop"
 )
 
-// Bit-identity of the compiled (bit-parallel batched) Karp–Luby
-// estimators against the interpreted loops: same seed, same lanes —
-// the same hit counts, estimates, and published snapshots.
+// Bit-identity of the batched (bit-parallel) Karp–Luby kernels against
+// the scalar ones: same stream — the same hit counts, estimates, and
+// published snapshots.
 
 func randProbs(rng *rand.Rand, n int) prop.ProbAssignment {
 	p := make(prop.ProbAssignment, n)
@@ -27,11 +27,11 @@ func TestCountDNFCompiledBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		d := randDNF(rng, 3+rng.Intn(10), 1+rng.Intn(6), 3)
-		want, err := CountDNF(d, 0.3, 0.2, rand.New(rand.NewSource(99)))
+		want, err := CountDNF(bg, d, 0.3, 0.2, CountScalar, seq(99))
 		if err != nil {
 			t.Fatalf("interpreted: %v", err)
 		}
-		got, err := CountDNFCompiled(d, 0.3, 0.2, rand.New(rand.NewSource(99)))
+		got, err := CountDNF(bg, d, 0.3, 0.2, CountBatched, seq(99))
 		if err != nil {
 			t.Fatalf("compiled: %v", err)
 		}
@@ -54,11 +54,11 @@ func TestCountDNFParCompiledBitIdentical(t *testing.T) {
 				return nil
 			}}
 		}
-		want, err := CountDNFPar(ctx, d, 0.3, 0.2, 1998, mc.Par{Workers: w}, collect(&intSaves))
+		want, err := CountDNF(ctx, d, 0.3, 0.2, CountScalar, mc.Stream{Seed: 1998, Workers: w, Ckpt: collect(&intSaves)})
 		if err != nil {
 			t.Fatalf("workers=%d interpreted: %v", w, err)
 		}
-		got, err := CountDNFParCompiled(ctx, d, 0.3, 0.2, 1998, mc.Par{Workers: w}, collect(&compSaves))
+		got, err := CountDNF(ctx, d, 0.3, 0.2, CountBatched, mc.Stream{Seed: 1998, Workers: w, Ckpt: collect(&compSaves)})
 		if err != nil {
 			t.Fatalf("workers=%d compiled: %v", w, err)
 		}
@@ -86,10 +86,10 @@ func TestCountDNFCompiledResumesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	d := randDNF(rng, 10, 5, 3)
 	var saves []mc.LoopState
-	want, err := CountDNFCk(d, 0.3, 0.2, mc.NewSource(7), &mc.Ckpt{Every: 53, Save: func(st mc.LoopState) error {
+	want, err := CountDNF(bg, d, 0.3, 0.2, CountScalar, mc.Stream{Src: mc.NewSource(7), Ckpt: &mc.Ckpt{Every: 53, Save: func(st mc.LoopState) error {
 		saves = append(saves, st)
 		return nil
-	}})
+	}}})
 	if err != nil {
 		t.Fatalf("interpreted full run: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestCountDNFCompiledResumesInterpreted(t *testing.T) {
 		t.Fatalf("want several periodic snapshots, got %d", len(saves))
 	}
 	mid := saves[1]
-	got, err := CountDNFCkCompiled(d, 0.3, 0.2, mc.NewSource(7), &mc.Ckpt{Resume: &mid})
+	got, err := CountDNF(bg, d, 0.3, 0.2, CountBatched, mc.Stream{Src: mc.NewSource(7), Ckpt: &mc.Ckpt{Resume: &mid}})
 	if err != nil {
 		t.Fatalf("compiled resume: %v", err)
 	}
@@ -105,14 +105,14 @@ func TestCountDNFCompiledResumesInterpreted(t *testing.T) {
 		t.Fatalf("compiled resume of interpreted snapshot: %v/%d != %v/%d", got.Estimate, got.Hits, want.Estimate, want.Hits)
 	}
 	var compSaves []mc.LoopState
-	if _, err := CountDNFCkCompiled(d, 0.3, 0.2, mc.NewSource(7), &mc.Ckpt{Every: 53, Save: func(st mc.LoopState) error {
+	if _, err := CountDNF(bg, d, 0.3, 0.2, CountBatched, mc.Stream{Src: mc.NewSource(7), Ckpt: &mc.Ckpt{Every: 53, Save: func(st mc.LoopState) error {
 		compSaves = append(compSaves, st)
 		return nil
-	}}); err != nil {
+	}}}); err != nil {
 		t.Fatalf("compiled full run: %v", err)
 	}
 	mid2 := compSaves[1]
-	got2, err := CountDNFCk(d, 0.3, 0.2, mc.NewSource(7), &mc.Ckpt{Resume: &mid2})
+	got2, err := CountDNF(bg, d, 0.3, 0.2, CountScalar, mc.Stream{Src: mc.NewSource(7), Ckpt: &mc.Ckpt{Resume: &mid2}})
 	if err != nil {
 		t.Fatalf("interpreted resume: %v", err)
 	}
@@ -126,11 +126,11 @@ func TestProbDNFCompiledBitIdentical(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		d := randDNF(rng, 3+rng.Intn(10), 1+rng.Intn(6), 3)
 		p := randProbs(rng, d.NumVars)
-		want, err := ProbDNF(d, p, 0.3, 0.2, rand.New(rand.NewSource(42)))
+		want, err := ProbDNF(bg, d, p, 0.3, 0.2, ProbScalar, seq(42))
 		if err != nil {
 			t.Fatalf("interpreted: %v", err)
 		}
-		got, err := ProbDNFCompiled(d, p, 0.3, 0.2, rand.New(rand.NewSource(42)))
+		got, err := ProbDNF(bg, d, p, 0.3, 0.2, ProbBatched, seq(42))
 		if err != nil {
 			t.Fatalf("compiled: %v", err)
 		}
@@ -146,11 +146,11 @@ func TestProbDNFParCompiledBitIdentical(t *testing.T) {
 	p := randProbs(rng, d.NumVars)
 	ctx := context.Background()
 	for _, w := range []int{1, 2, 4, 7} {
-		want, err := ProbDNFPar(ctx, d, p, 0.3, 0.2, 1998, mc.Par{Workers: w}, nil)
+		want, err := ProbDNF(ctx, d, p, 0.3, 0.2, ProbScalar, mc.Stream{Seed: 1998, Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d interpreted: %v", w, err)
 		}
-		got, err := ProbDNFParCompiled(ctx, d, p, 0.3, 0.2, 1998, mc.Par{Workers: w}, nil)
+		got, err := ProbDNF(ctx, d, p, 0.3, 0.2, ProbBatched, mc.Stream{Seed: 1998, Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d compiled: %v", w, err)
 		}
@@ -160,14 +160,22 @@ func TestProbDNFParCompiledBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCountDNFCompiledRejectsWideTotals pins the uint64 fast-path
-// boundary: a term-weight total above 63 bits reports ErrUnbatchable
-// instead of silently degrading.
-func TestCountDNFCompiledRejectsWideTotals(t *testing.T) {
+// TestCountDNFBatchedWideTotals pins the uint64 fast-path boundary: a
+// term-weight total above 63 bits silently gets the big-integer pick —
+// the same stream, so the same count as the scalar kernel.
+func TestCountDNFBatchedWideTotals(t *testing.T) {
 	// A term with a single literal over 70 variables has 2^69
 	// satisfying assignments — BitLen 70, past the uint64 fast path.
-	d := prop.DNF{NumVars: 70, Terms: []prop.Term{{prop.Lit{Var: 0}}}}
-	if _, err := CountDNFCompiled(d, 0.3, 0.2, rand.New(rand.NewSource(1))); err != ErrUnbatchable {
-		t.Fatalf("want ErrUnbatchable, got %v", err)
+	d := prop.DNF{NumVars: 70, Terms: []prop.Term{{prop.Lit{Var: 0}}, {prop.Lit{Var: 1, Neg: true}, prop.Lit{Var: 2}}}}
+	want, err := CountDNF(bg, d, 0.3, 0.2, CountScalar, seq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CountDNF(bg, d, 0.3, 0.2, CountBatched, seq(1))
+	if err != nil {
+		t.Fatalf("batched kernel on a wide total: %v", err)
+	}
+	if !sameCount(got, want) {
+		t.Fatalf("batched %v/%d != scalar %v/%d", got.Estimate, got.Hits, want.Estimate, want.Hits)
 	}
 }

@@ -35,16 +35,6 @@ func SampleSize(eps, delta float64, m int) (int, error) {
 	return int(math.Ceil(t)), nil
 }
 
-// Lemma511Bound returns the right-hand side of Lemma 5.11:
-// 2·exp(−2ε²tp / 9(1−p)), the failure probability of a t-sample mean of
-// [0,1] variables with expectation p < 0.5 exceeding relative error ε.
-func Lemma511Bound(eps float64, t int, p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return 1
-	}
-	return 2 * math.Exp(-2*eps*eps*float64(t)*p/(9*(1-p)))
-}
-
 // bigScratch holds the reusable buffers of randBigBelowScratch so the
 // per-iteration term draw of the counting loop allocates nothing.
 type bigScratch struct {
@@ -106,6 +96,46 @@ func (r CountResult) Float() float64 {
 	return f
 }
 
+// klMethod tags Karp–Luby snapshots; restoring a snapshot taken by a
+// different estimator is rejected.
+const klMethod = "karp-luby"
+
+// run drives t Karp–Luby iterations of kernel k over stream s on the
+// shared sampling driver (mc.Run) and scales the hit rate: the
+// estimate is scale · hits/t.
+//
+// Unlike the mc estimators, Karp–Luby is not anytime — a partial hit
+// count has no widened-eps interpretation under the relative-error
+// guarantee — so cancellation aborts with ctx.Err() rather than
+// returning a partial estimate. Periodic snapshots still make the run
+// resumable.
+func run(ctx context.Context, t int, scale *big.Rat, s mc.Stream, k mc.Kernel) (CountResult, error) {
+	lanes, err := mc.Run(ctx, klMethod, t, false, s, k)
+	if err != nil {
+		return CountResult{}, err
+	}
+	hits := 0
+	for _, ln := range lanes {
+		hits += ln.Hits
+	}
+	return CountResult{Estimate: scale.Mul(scale, big.NewRat(int64(hits), int64(t))), Samples: t, Hits: hits}, nil
+}
+
+// countTable is a #DNF instance prepared for sampling: the satisfiable
+// normalized terms and their satisfying-assignment counts as
+// cumulative sums.
+type countTable struct {
+	norm    []prop.Term
+	numVars int
+	cum     []*big.Int
+	total   *big.Int
+}
+
+// A CountKernel builds the per-lane iteration of CountDNF over a
+// prepared instance: CountScalar or CountBatched. The two draw the
+// same stream and count the same hits; the choice is throughput only.
+type CountKernel func(*countTable) mc.Kernel
+
 // CountDNF estimates #DNF — the number of satisfying assignments of d —
 // with relative error eps and confidence 1−delta, implementing the
 // Karp–Luby coverage algorithm (Theorem 5.2):
@@ -118,35 +148,7 @@ func (r CountResult) Float() float64 {
 //
 // The estimator is unbiased with expectation #DNF/U ≥ 1/m, so Lemma
 // 5.11 gives the (ε, δ) guarantee for t = SampleSize(eps, delta, m).
-func CountDNF(d prop.DNF, eps, delta float64, rng *rand.Rand) (CountResult, error) {
-	return countDNFLoop(d, eps, delta, rng, nil, nil)
-}
-
-// CountDNFCk is CountDNF over a serializable source with
-// checkpoint/resume plumbing (see mc.Ckpt): the loop state — iteration
-// count, hit count, PRNG state — is snapshotted every ck.Every
-// iterations and at completion, and a run resumed from a snapshot is
-// bit-identical to an uninterrupted one.
-func CountDNFCk(d prop.DNF, eps, delta float64, src *mc.Source, ck *mc.Ckpt) (CountResult, error) {
-	return countDNFLoop(d, eps, delta, rand.New(src), src, ck)
-}
-
-// CountDNFPar is CountDNF over the lane-split parallel runtime: the
-// sample stream derived from seed is split into par.Lanes fixed RNG
-// lanes scheduled on par.Workers goroutines, and the estimate is
-// bit-identical for any worker count (see mc.Par).
-func CountDNFPar(ctx context.Context, d prop.DNF, eps, delta float64, seed int64, par mc.Par, ck *mc.Ckpt) (CountResult, error) {
-	lanes, workers := mc.LanesFor(seed, par)
-	return countDNFLanes(ctx, d, eps, delta, lanes, workers, ck)
-}
-
-// countDNFLoop is the sequential single-lane path behind CountDNF and
-// CountDNFCk; src and ck are nil for uncheckpointed runs.
-func countDNFLoop(d prop.DNF, eps, delta float64, rng *rand.Rand, src *mc.Source, ck *mc.Ckpt) (CountResult, error) {
-	return countDNFLanes(context.Background(), d, eps, delta, []*mc.Lane{{Src: src, Rng: rng}}, 1, ck)
-}
-
-func countDNFLanes(ctx context.Context, d prop.DNF, eps, delta float64, lanes []*mc.Lane, workers int, ck *mc.Ckpt) (CountResult, error) {
+func CountDNF(ctx context.Context, d prop.DNF, eps, delta float64, k CountKernel, s mc.Stream) (CountResult, error) {
 	norm := normalizedTerms(d)
 	if len(norm) == 0 {
 		return CountResult{Estimate: new(big.Rat)}, nil
@@ -155,33 +157,57 @@ func countDNFLanes(ctx context.Context, d prop.DNF, eps, delta float64, lanes []
 	if err != nil {
 		return CountResult{}, err
 	}
-	// Per-term satisfying-assignment counts as cumulative sums.
 	cum, total := termWeights(norm, d.NumVars)
 	if total.Sign() == 0 {
 		return CountResult{Estimate: new(big.Rat)}, nil
 	}
-	err = runKLLanes(ctx, lanes, workers, t, ck, func(ln *mc.Lane) func() {
-		a := make([]bool, d.NumVars)
-		sc := &bigScratch{}
-		return func() {
-			i := pickCumulativeScratch(ln.Rng, cum, total, sc)
-			sampleTermAssignment(ln.Rng, norm[i], a, nil)
-			if firstSatisfied(norm, a) == i {
-				ln.Hits++
-			}
-		}
-	})
-	if err != nil {
-		return CountResult{}, err
-	}
-	hits := 0
-	for _, ln := range lanes {
-		hits += ln.Hits
-	}
-	est := new(big.Rat).SetInt(total)
-	est.Mul(est, big.NewRat(int64(hits), int64(t)))
-	return CountResult{Estimate: est, Samples: t, Hits: hits}, nil
+	return run(ctx, t, new(big.Rat).SetInt(total), s, k(&countTable{norm, d.NumVars, cum, total}))
 }
+
+// CountScalar is the interpreted kernel of CountDNF: one big-integer
+// term pick, one materialized assignment and one first-satisfied scan
+// per iteration. It is the reference CountBatched is tested against,
+// and the kernel for totals past CountBatched's 63 bits.
+func CountScalar(tb *countTable) mc.Kernel {
+	return func(ln *mc.Lane) func(m int) error {
+		a := make([]bool, tb.numVars)
+		sc := &bigScratch{}
+		return func(m int) error {
+			for ; m > 0; m-- {
+				i := pickCumulativeScratch(ln.Rng, tb.cum, tb.total, sc)
+				sampleTermAssignment(ln.Rng, tb.norm[i], a, nil)
+				if firstSatisfied(tb.norm, a) == i {
+					ln.Hits++
+				}
+			}
+			return nil
+		}
+	}
+}
+
+// probTable is a Prob-DNF instance prepared for sampling: float
+// probabilities for the draws (exact rationals only scale the result).
+type probTable struct {
+	norm []prop.Term
+	pf   []float64 // Pr[variable v is true]
+	cum  []float64 // cumulative term probabilities
+	sum  float64
+}
+
+// pick draws a term index proportionally to the term probabilities
+// from one uniform draw u ∈ [0,1).
+func (tb *probTable) pick(u float64) int {
+	r := u * tb.sum
+	i := 0
+	for i < len(tb.cum)-1 && tb.cum[i] <= r {
+		i++
+	}
+	return i
+}
+
+// A ProbKernel builds the per-lane iteration of ProbDNF: ProbScalar or
+// ProbBatched, interchangeable as the CountKernels are.
+type ProbKernel func(*probTable) mc.Kernel
 
 // ProbDNF estimates Prob-DNF — the probability that d holds when
 // variable v is independently true with probability p[v] — with relative
@@ -192,31 +218,7 @@ func countDNFLanes(ctx context.Context, d prop.DNF, eps, delta float64, lanes []
 // direct engine; the paper's own route via binary encoding is
 // implemented by Reduce (Theorem 5.3). Both are compared in experiment
 // E10.
-func ProbDNF(d prop.DNF, p prop.ProbAssignment, eps, delta float64, rng *rand.Rand) (CountResult, error) {
-	return probDNFLoop(d, p, eps, delta, rng, nil, nil)
-}
-
-// ProbDNFCk is ProbDNF over a serializable source with
-// checkpoint/resume plumbing (see mc.Ckpt); a run resumed from a
-// snapshot is bit-identical to an uninterrupted one.
-func ProbDNFCk(d prop.DNF, p prop.ProbAssignment, eps, delta float64, src *mc.Source, ck *mc.Ckpt) (CountResult, error) {
-	return probDNFLoop(d, p, eps, delta, rand.New(src), src, ck)
-}
-
-// ProbDNFPar is ProbDNF over the lane-split parallel runtime; see
-// CountDNFPar for the determinism contract.
-func ProbDNFPar(ctx context.Context, d prop.DNF, p prop.ProbAssignment, eps, delta float64, seed int64, par mc.Par, ck *mc.Ckpt) (CountResult, error) {
-	lanes, workers := mc.LanesFor(seed, par)
-	return probDNFLanes(ctx, d, p, eps, delta, lanes, workers, ck)
-}
-
-// probDNFLoop is the sequential single-lane path behind ProbDNF and
-// ProbDNFCk; src and ck are nil for uncheckpointed runs.
-func probDNFLoop(d prop.DNF, p prop.ProbAssignment, eps, delta float64, rng *rand.Rand, src *mc.Source, ck *mc.Ckpt) (CountResult, error) {
-	return probDNFLanes(context.Background(), d, p, eps, delta, []*mc.Lane{{Src: src, Rng: rng}}, 1, ck)
-}
-
-func probDNFLanes(ctx context.Context, d prop.DNF, p prop.ProbAssignment, eps, delta float64, lanes []*mc.Lane, workers int, ck *mc.Ckpt) (CountResult, error) {
+func ProbDNF(ctx context.Context, d prop.DNF, p prop.ProbAssignment, eps, delta float64, k ProbKernel, s mc.Stream) (CountResult, error) {
 	if err := p.Validate(d.NumVars); err != nil {
 		return CountResult{}, err
 	}
@@ -228,49 +230,40 @@ func probDNFLanes(ctx context.Context, d prop.DNF, p prop.ProbAssignment, eps, d
 	if err != nil {
 		return CountResult{}, err
 	}
-	// Float probabilities for sampling; exact rationals for the final
-	// scaling.
-	pf := make([]float64, d.NumVars)
-	for i := range pf {
-		pf[i], _ = p[i].Float64()
+	tb := &probTable{norm: norm, pf: make([]float64, d.NumVars), cum: make([]float64, len(norm))}
+	for i := range tb.pf {
+		tb.pf[i], _ = p[i].Float64()
 	}
 	weightsExact := new(big.Rat)
-	cum := make([]float64, len(norm))
-	sum := 0.0
 	for i, tm := range norm {
 		w := p.TermProb(tm)
 		weightsExact.Add(weightsExact, w)
 		wf, _ := w.Float64()
-		sum += wf
-		cum[i] = sum
+		tb.sum += wf
+		tb.cum[i] = tb.sum
 	}
 	if weightsExact.Sign() == 0 {
 		return CountResult{Estimate: new(big.Rat)}, nil
 	}
-	err = runKLLanes(ctx, lanes, workers, t, ck, func(ln *mc.Lane) func() {
-		a := make([]bool, d.NumVars)
-		return func() {
-			r := ln.Rng.Float64() * sum
-			i := 0
-			for i < len(cum)-1 && cum[i] <= r {
-				i++
+	return run(ctx, t, weightsExact, s, k(tb))
+}
+
+// ProbScalar is the interpreted kernel of ProbDNF, the reference for
+// ProbBatched.
+func ProbScalar(tb *probTable) mc.Kernel {
+	return func(ln *mc.Lane) func(m int) error {
+		a := make([]bool, len(tb.pf))
+		return func(m int) error {
+			for ; m > 0; m-- {
+				i := tb.pick(ln.Rng.Float64())
+				sampleTermAssignment(ln.Rng, tb.norm[i], a, tb.pf)
+				if firstSatisfied(tb.norm, a) == i {
+					ln.Hits++
+				}
 			}
-			sampleTermAssignment(ln.Rng, norm[i], a, pf)
-			if firstSatisfied(norm, a) == i {
-				ln.Hits++
-			}
+			return nil
 		}
-	})
-	if err != nil {
-		return CountResult{}, err
 	}
-	hits := 0
-	for _, ln := range lanes {
-		hits += ln.Hits
-	}
-	est := new(big.Rat).Set(weightsExact)
-	est.Mul(est, big.NewRat(int64(hits), int64(t)))
-	return CountResult{Estimate: est, Samples: t, Hits: hits}, nil
 }
 
 // normalizedTerms returns the satisfiable normalized terms of d.

@@ -1,13 +1,20 @@
 package karpluby
 
 import (
+	"context"
 	"math"
 	"math/big"
 	"math/rand"
 	"testing"
 
+	"qrel/internal/mc"
 	"qrel/internal/prop"
 )
+
+var bg = context.Background()
+
+// seq is a sequential stream over a fresh source.
+func seq(seed int64) mc.Stream { return mc.Stream{Src: mc.NewSource(seed)} }
 
 func randDNF(rng *rand.Rand, numVars, numTerms, width int) prop.DNF {
 	d := prop.DNF{NumVars: numVars}
@@ -44,20 +51,31 @@ func TestSampleSize(t *testing.T) {
 	}
 }
 
+// lemma511Bound is the right-hand side of Lemma 5.11:
+// 2·exp(−2ε²tp / 9(1−p)), the failure probability of a t-sample mean of
+// [0,1] variables with expectation p < 0.5 exceeding relative error ε —
+// the bound SampleSize and mc.PaperSampleSize are solved from.
+func lemma511Bound(eps float64, t int, p float64) float64 {
+	if p <= 0 || p >= 1 {
+		return 1
+	}
+	return 2 * math.Exp(-2*eps*eps*float64(t)*p/(9*(1-p)))
+}
+
 func TestLemma511Bound(t *testing.T) {
 	// Bound decreases in t and is ≤ 2.
-	b1 := Lemma511Bound(0.1, 100, 0.3)
-	b2 := Lemma511Bound(0.1, 1000, 0.3)
+	b1 := lemma511Bound(0.1, 100, 0.3)
+	b2 := lemma511Bound(0.1, 1000, 0.3)
 	if b2 >= b1 {
 		t.Error("bound not decreasing in t")
 	}
-	if Lemma511Bound(0.1, 10, 0) != 1 || Lemma511Bound(0.1, 10, 1) != 1 {
+	if lemma511Bound(0.1, 10, 0) != 1 || lemma511Bound(0.1, 10, 1) != 1 {
 		t.Error("degenerate p should clamp to 1")
 	}
 	// For the paper's t(ε,δ) with ξ = p, the bound is below δ.
 	xi, eps, delta := 0.25, 0.1, 0.05
 	tt := int(math.Ceil(9 / (2 * xi * eps * eps) * math.Log(1/delta)))
-	if got := Lemma511Bound(eps, tt, xi); got >= 2*delta {
+	if got := lemma511Bound(eps, tt, xi); got >= 2*delta {
 		t.Errorf("bound %v at paper sample size, want < 2δ = %v", got, 2*delta)
 	}
 }
@@ -85,6 +103,7 @@ func TestRandBigBelow(t *testing.T) {
 
 func TestCountDNFAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	s := seq(2)
 	const eps, delta = 0.1, 0.02
 	failures := 0
 	const instances = 30
@@ -95,7 +114,7 @@ func TestCountDNFAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := CountDNF(d, eps, delta, rng)
+		got, err := CountDNF(bg, d, eps, delta, CountBatched, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,21 +137,21 @@ func TestCountDNFAccuracy(t *testing.T) {
 }
 
 func TestCountDNFEdgeCases(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	s := seq(3)
 	// Empty DNF: count 0.
-	res, err := CountDNF(prop.DNF{NumVars: 5}, 0.1, 0.1, rng)
+	res, err := CountDNF(bg, prop.DNF{NumVars: 5}, 0.1, 0.1, CountScalar, s)
 	if err != nil || res.Estimate.Sign() != 0 {
 		t.Errorf("empty DNF: %v, %v", res.Estimate, err)
 	}
 	// All terms contradictory.
 	d := prop.MustDNF(3, prop.Term{prop.Pos(0), prop.Negd(0)})
-	res, err = CountDNF(d, 0.1, 0.1, rng)
+	res, err = CountDNF(bg, d, 0.1, 0.1, CountScalar, s)
 	if err != nil || res.Estimate.Sign() != 0 {
 		t.Errorf("contradictory DNF: %v, %v", res.Estimate, err)
 	}
 	// Tautology: exactly 2^n, zero variance (every sample hits term 0).
 	d = prop.MustDNF(4, prop.Term{})
-	res, err = CountDNF(d, 0.5, 0.1, rng)
+	res, err = CountDNF(bg, d, 0.5, 0.1, CountScalar, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +162,7 @@ func TestCountDNFEdgeCases(t *testing.T) {
 
 func TestProbDNFAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	s := seq(4)
 	const eps, delta = 0.1, 0.02
 	failures := 0
 	const instances = 30
@@ -157,7 +177,7 @@ func TestProbDNFAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ProbDNF(d, p, eps, delta, rng)
+		got, err := ProbDNF(bg, d, p, eps, delta, ProbBatched, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +197,7 @@ func TestProbDNFAccuracy(t *testing.T) {
 
 func TestProbDNFValidation(t *testing.T) {
 	d := prop.MustDNF(2, prop.Term{prop.Pos(0)})
-	if _, err := ProbDNF(d, prop.ProbAssignment{big.NewRat(1, 2)}, 0.1, 0.1, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := ProbDNF(bg, d, prop.ProbAssignment{big.NewRat(1, 2)}, 0.1, 0.1, ProbScalar, seq(1)); err == nil {
 		t.Error("short probability assignment accepted")
 	}
 }
@@ -231,7 +251,7 @@ func TestCountDNFAdaptiveSavesWhenCoverageHigh(t *testing.T) {
 	for i := 0; i < m; i++ {
 		d.Terms = append(d.Terms, prop.Term{prop.Pos(2 * i), prop.Pos(2*i + 1)})
 	}
-	static, err := CountDNF(d, 0.1, 0.05, rng)
+	static, err := CountDNF(bg, d, 0.1, 0.05, CountBatched, seq(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestCountDNFParDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	d := randDNF(rng, 20, 25, 3)
 	ctx := context.Background()
-	base, err := CountDNFPar(ctx, d, 0.2, 0.1, 23, mc.Par{Workers: 1}, nil)
+	base, err := CountDNF(ctx, d, 0.2, 0.1, CountScalar, mc.Stream{Seed: 23, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestCountDNFParDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal("baseline drew no samples")
 	}
 	for _, w := range []int{2, 4, 7} {
-		got, err := CountDNFPar(ctx, d, 0.2, 0.1, 23, mc.Par{Workers: w}, nil)
+		got, err := CountDNF(ctx, d, 0.2, 0.1, CountScalar, mc.Stream{Seed: 23, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,12 +49,12 @@ func TestProbDNFParDeterministicAcrossWorkers(t *testing.T) {
 		p[i] = big.NewRat(int64(1+rng.Intn(8)), 9)
 	}
 	ctx := context.Background()
-	base, err := ProbDNFPar(ctx, d, p, 0.2, 0.1, 29, mc.Par{Workers: 1}, nil)
+	base, err := ProbDNF(ctx, d, p, 0.2, 0.1, ProbScalar, mc.Stream{Seed: 29, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 7} {
-		got, err := ProbDNFPar(ctx, d, p, 0.2, 0.1, 29, mc.Par{Workers: w}, nil)
+		got, err := ProbDNF(ctx, d, p, 0.2, 0.1, ProbScalar, mc.Stream{Seed: 29, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,14 +71,14 @@ func TestCountDNFParResume(t *testing.T) {
 	d := randDNF(rng, 20, 25, 3)
 	ctx := context.Background()
 
-	uninterrupted, err := CountDNFPar(ctx, d, 0.2, 0.1, 31, mc.Par{Workers: 2}, nil)
+	uninterrupted, err := CountDNF(ctx, d, 0.2, 0.1, CountScalar, mc.Stream{Seed: 31, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var snap *mc.LoopState
 	killCtx, cancel := context.WithCancel(ctx)
-	_, err = CountDNFPar(killCtx, d, 0.2, 0.1, 31, mc.Par{Workers: 2}, &mc.Ckpt{
+	_, err = CountDNF(killCtx, d, 0.2, 0.1, CountScalar, mc.Stream{Seed: 31, Workers: 2, Ckpt: &mc.Ckpt{
 		Every: 128,
 		Save: func(st mc.LoopState) error {
 			if snap == nil && st.Drawn > 0 && st.Drawn < uninterrupted.Samples {
@@ -87,7 +87,7 @@ func TestCountDNFParResume(t *testing.T) {
 			}
 			return nil
 		},
-	})
+	}})
 	if err == nil {
 		t.Fatal("killed run returned no error (Karp–Luby lanes are not anytime)")
 	}
@@ -95,7 +95,7 @@ func TestCountDNFParResume(t *testing.T) {
 		t.Fatal("no mid-flight checkpoint was captured")
 	}
 
-	resumed, err := CountDNFPar(ctx, d, 0.2, 0.1, 31, mc.Par{Workers: 2}, &mc.Ckpt{Resume: snap})
+	resumed, err := CountDNF(ctx, d, 0.2, 0.1, CountScalar, mc.Stream{Seed: 31, Workers: 2, Ckpt: &mc.Ckpt{Resume: snap}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"math/rand"
 
 	"qrel/internal/mc"
 	"qrel/internal/prop"
@@ -132,48 +131,18 @@ func Reduce(d prop.DNF, p prop.ProbAssignment) (*Reduction, error) {
 }
 
 // ProbViaReduction runs the full Theorem 5.3 pipeline: Reduce, estimate
-// #φ” with the Karp–Luby #DNF FPTRAS, and recover ν(φ). This is the
-// paper's own FPTRAS for Prob-kDNF.
-func ProbViaReduction(d prop.DNF, p prop.ProbAssignment, eps, delta float64, rng *rand.Rand) (CountResult, error) {
+// #φ” with the Karp–Luby #DNF FPTRAS (kernel k over stream s, see
+// CountDNF), and recover ν(φ). This is the paper's own FPTRAS for
+// Prob-kDNF.
+func ProbViaReduction(ctx context.Context, d prop.DNF, p prop.ProbAssignment, eps, delta float64, k CountKernel, s mc.Stream) (CountResult, error) {
 	red, err := Reduce(d, p)
 	if err != nil {
 		return CountResult{}, err
 	}
-	res, err := CountDNF(red.PhiPP, eps, delta, rng)
+	res, err := CountDNF(ctx, red.PhiPP, eps, delta, k, s)
 	if err != nil {
 		return CountResult{}, err
 	}
 	res.Estimate = red.Recover(res.Estimate)
 	return res, nil
-}
-
-// ProbViaReductionPar is ProbViaReduction with the #DNF estimation step
-// run on the lane-split parallel runtime; see CountDNFPar for the
-// determinism contract.
-func ProbViaReductionPar(ctx context.Context, d prop.DNF, p prop.ProbAssignment, eps, delta float64, seed int64, par mc.Par, ck *mc.Ckpt) (CountResult, error) {
-	red, err := Reduce(d, p)
-	if err != nil {
-		return CountResult{}, err
-	}
-	res, err := CountDNFPar(ctx, red.PhiPP, eps, delta, seed, par, ck)
-	if err != nil {
-		return CountResult{}, err
-	}
-	res.Estimate = red.Recover(res.Estimate)
-	return res, nil
-}
-
-// ProbExactViaReduction runs the Theorem 5.3 reduction and counts φ”
-// exactly by brute force — usable only for small instances; it exists
-// to validate the reduction itself in tests and experiment E5.
-func ProbExactViaReduction(d prop.DNF, p prop.ProbAssignment, maxVars int) (*big.Rat, error) {
-	red, err := Reduce(d, p)
-	if err != nil {
-		return nil, err
-	}
-	count, err := red.PhiPP.CountBruteForce(maxVars)
-	if err != nil {
-		return nil, err
-	}
-	return red.Recover(new(big.Rat).SetInt(count)), nil
 }

@@ -45,7 +45,7 @@ func TestReduceNonDyadicExact(t *testing.T) {
 			q := denoms[rng.Intn(len(denoms))]
 			p[i] = big.NewRat(rng.Int63n(q+1), q)
 		}
-		got, err := ProbExactViaReduction(d, p, 24)
+		got, err := probExactViaReduction(d, p, 24)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -72,7 +72,7 @@ func TestReduceExtremeProbabilities(t *testing.T) {
 		{prop.ProbAssignment{big.NewRat(0, 1), big.NewRat(1, 3)}, big.NewRat(1, 3)},
 	}
 	for i, c := range cases {
-		got, err := ProbExactViaReduction(d, c.p, 24)
+		got, err := probExactViaReduction(d, c.p, 24)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -129,6 +129,7 @@ func TestReducePolynomialBlowup(t *testing.T) {
 
 func TestProbViaReductionAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
+	s := seq(6)
 	const eps, delta = 0.15, 0.05
 	failures, instances := 0, 20
 	for iter := 0; iter < instances; iter++ {
@@ -142,7 +143,7 @@ func TestProbViaReductionAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ProbViaReduction(d, p, eps, delta, rng)
+		got, err := ProbViaReduction(bg, d, p, eps, delta, CountBatched, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,4 +172,18 @@ func TestReduceValidation(t *testing.T) {
 	if _, err := Reduce(d, prop.ProbAssignment{big.NewRat(5, 4)}); err == nil {
 		t.Error("probability > 1 accepted")
 	}
+}
+
+// probExactViaReduction runs the Theorem 5.3 reduction and counts φ”
+// exactly by brute force, validating the reduction itself.
+func probExactViaReduction(d prop.DNF, p prop.ProbAssignment, maxVars int) (*big.Rat, error) {
+	red, err := Reduce(d, p)
+	if err != nil {
+		return nil, err
+	}
+	count, err := red.PhiPP.CountBruteForce(maxVars)
+	if err != nil {
+		return nil, err
+	}
+	return red.Recover(new(big.Rat).SetInt(count)), nil
 }

@@ -1,14 +1,6 @@
 package mc
 
-import (
-	"context"
-	"math/rand"
-
-	"qrel/internal/rel"
-	"qrel/internal/unreliable"
-)
-
-// Checkpoint plumbing for the sampling loops. Every estimator in this
+// Checkpoint plumbing for the sampling driver. Every estimator in this
 // package is a loop drawing i.i.d. samples from a PRNG stream; its
 // complete state at a sample boundary is the number of samples drawn,
 // the running aggregate (sum or hit count), and the PRNG state. A
@@ -74,24 +66,4 @@ type Ckpt struct {
 	Save func(LoopState) error
 	// Resume, when non-nil, is the state to continue from.
 	Resume *LoopState
-}
-
-// EstimateMeanCk is EstimateMean over a serializable source with
-// checkpoint/resume plumbing. With ck == nil it is EstimateMean.
-func EstimateMeanCk(ctx context.Context, db *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, src *Source, ck *Ckpt) (Estimate, error) {
-	return estimateMeanLoop(ctx, db, f, eps, delta, maxSamples, rand.New(src), src, ck)
-}
-
-// EstimateNuPaddedCk is EstimateNuPadded over a serializable source
-// with checkpoint/resume plumbing. With ck == nil it is
-// EstimateNuPadded.
-func EstimateNuPaddedCk(ctx context.Context, db *unreliable.DB, pred func(*rel.Structure) (bool, error), xi, eps, delta float64, maxSamples int, src *Source, ck *Ckpt) (Estimate, error) {
-	return estimateNuPaddedLoop(ctx, db, pred, xi, eps, delta, maxSamples, rand.New(src), src, ck)
-}
-
-// EstimateMeanRareCk is EstimateMeanRare over a serializable source
-// with checkpoint/resume plumbing. With ck == nil it is
-// EstimateMeanRare.
-func EstimateMeanRareCk(ctx context.Context, db *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, src *Source, ck *Ckpt) (Estimate, error) {
-	return estimateMeanRareLoop(ctx, db, f, eps, delta, maxSamples, rand.New(src), src, ck)
 }

@@ -2,7 +2,6 @@ package mc_test
 
 import (
 	"context"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -12,10 +11,10 @@ import (
 	"qrel/internal/unreliable"
 )
 
-// TestColdDatabaseEntryPoints runs every estimator entry point that
-// takes a database — parallel, ranged, compiled — on a database nobody
-// has read before, with four workers, and requires the answer of the
-// same call on a warmed copy. A database builds its uncertain-atom
+// TestColdDatabaseEntryPoints runs every estimator and kernel that
+// takes a database — on lanes, a lane range, a sequential source — on
+// a database nobody has read before, with four workers, and requires
+// the answer of the same call on a warmed copy. A database builds its uncertain-atom
 // lists on first read; when that first read is four lanes setting up
 // at once they must all see the finished lists (they once raced to
 // build them, and lanes sampled half a list). Run under -race.
@@ -30,42 +29,26 @@ func TestColdDatabaseEntryPoints(t *testing.T) {
 	stat, cm := meanFixture(t, warm, "forall x . exists y . E(x,y)")
 	ctx := context.Background()
 	const seed, eps, delta = 7, 0.1, 0.1
-	par := mc.Par{Workers: 4}
-	rng := mc.Range{Lo: 1, Hi: 6, Total: mc.DefaultLanes}
+	lanes := mc.Stream{Seed: seed, Workers: 4}
+	rng := mc.Stream{Seed: seed, Range: &mc.Range{Lo: 1, Hi: 6, Total: mc.DefaultLanes}, Workers: 4}
+	seq := func() mc.Stream { return mc.Stream{Src: mc.NewSource(seed)} }
+	mean := func(k mc.Kernel, s mc.Stream) (any, error) {
+		est, aggs, err := mc.EstimateMean(ctx, k, eps, delta, 0, s)
+		return []any{est, aggs}, err
+	}
+	padded := func(k mc.PaddedKernel, s mc.Stream) (any, error) {
+		return mc.EstimateNuPadded(ctx, k, 0, 0.2, delta, 0, s)
+	}
 	calls := map[string]func(db *unreliable.DB) (any, error){
-		"EstimateMeanPar": func(db *unreliable.DB) (any, error) {
-			return mc.EstimateMeanPar(ctx, db, stat, eps, delta, 0, seed, par, nil)
-		},
-		"EstimateMeanParCompiled": func(db *unreliable.DB) (any, error) {
-			return mc.EstimateMeanParCompiled(ctx, db, cm, eps, delta, 0, seed, par, nil)
-		},
-		"EstimateMeanRange": func(db *unreliable.DB) (any, error) {
-			return mc.EstimateMeanRange(ctx, db, stat, eps, delta, 0, seed, rng, 4, nil)
-		},
-		"EstimateMeanRangeCompiled": func(db *unreliable.DB) (any, error) {
-			return mc.EstimateMeanRangeCompiled(ctx, db, cm, eps, delta, 0, seed, rng, 4, nil)
-		},
-		"EstimateMeanRarePar": func(db *unreliable.DB) (any, error) {
-			return mc.EstimateMeanRarePar(ctx, db, stat, eps, delta, 0, seed, par, nil)
-		},
-		"EstimateNuPaddedPar": func(db *unreliable.DB) (any, error) {
-			return mc.EstimateNuPaddedPar(ctx, db, pred, 0, 0.2, delta, 0, seed, par, nil)
-		},
-		"EstimateNuPaddedParCompiled": func(db *unreliable.DB) (any, error) {
-			return mc.EstimateNuPaddedParCompiled(ctx, db, prog, 0, 0.2, delta, 0, seed, par, nil)
-		},
-		"EstimateMeanCompiled": func(db *unreliable.DB) (any, error) {
-			return mc.EstimateMeanCompiled(ctx, db, cm, eps, delta, 0, rand.New(rand.NewSource(seed)))
-		},
-		"EstimateMeanCkCompiled": func(db *unreliable.DB) (any, error) {
-			return mc.EstimateMeanCkCompiled(ctx, db, cm, eps, delta, 0, mc.NewSource(seed), nil)
-		},
-		"EstimateNuPaddedCompiled": func(db *unreliable.DB) (any, error) {
-			return mc.EstimateNuPaddedCompiled(ctx, db, prog, 0, 0.2, delta, 0, rand.New(rand.NewSource(seed)))
-		},
-		"EstimateNuPaddedCkCompiled": func(db *unreliable.DB) (any, error) {
-			return mc.EstimateNuPaddedCkCompiled(ctx, db, prog, 0, 0.2, delta, 0, mc.NewSource(seed), nil)
-		},
+		"mean/interpreted/lanes":   func(db *unreliable.DB) (any, error) { return mean(mc.MeanKernel(db, stat), lanes) },
+		"mean/compiled/lanes":      func(db *unreliable.DB) (any, error) { return mean(cm.Kernel(db), lanes) },
+		"mean/interpreted/range":   func(db *unreliable.DB) (any, error) { return mean(mc.MeanKernel(db, stat), rng) },
+		"mean/compiled/range":      func(db *unreliable.DB) (any, error) { return mean(cm.Kernel(db), rng) },
+		"mean/compiled/seq":        func(db *unreliable.DB) (any, error) { return mean(cm.Kernel(db), seq()) },
+		"rare/lanes":               func(db *unreliable.DB) (any, error) { return mc.EstimateMeanRare(ctx, db, stat, eps, delta, 0, lanes) },
+		"padded/interpreted/lanes": func(db *unreliable.DB) (any, error) { return padded(mc.PaddedPred(db, pred), lanes) },
+		"padded/compiled/lanes":    func(db *unreliable.DB) (any, error) { return padded(mc.PaddedProgram(db, prog), lanes) },
+		"padded/compiled/seq":      func(db *unreliable.DB) (any, error) { return padded(mc.PaddedProgram(db, prog), seq()) },
 	}
 	for name, call := range calls {
 		want, err := call(warm)

@@ -59,11 +59,11 @@ func TestCompiledPaddedBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, w := range []int{1, 2, 4, 7} {
 		var intSaves, compSaves []mc.LoopState
-		want, err := mc.EstimateNuPaddedPar(ctx, db, pred, 0, 0.2, 0.1, 0, 1998, mc.Par{Workers: w}, collectCkpt(101, &intSaves))
+		want, err := mc.EstimateNuPadded(ctx, mc.PaddedPred(db, pred), 0, 0.2, 0.1, 0, mc.Stream{Seed: 1998, Workers: w, Ckpt: collectCkpt(101, &intSaves)})
 		if err != nil {
 			t.Fatalf("workers=%d interpreted: %v", w, err)
 		}
-		got, err := mc.EstimateNuPaddedParCompiled(ctx, db, prog, 0, 0.2, 0.1, 0, 1998, mc.Par{Workers: w}, collectCkpt(101, &compSaves))
+		got, err := mc.EstimateNuPadded(ctx, mc.PaddedProgram(db, prog), 0, 0.2, 0.1, 0, mc.Stream{Seed: 1998, Workers: w, Ckpt: collectCkpt(101, &compSaves)})
 		if err != nil {
 			t.Fatalf("workers=%d compiled: %v", w, err)
 		}
@@ -110,11 +110,11 @@ func TestCompiledMeanBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, w := range []int{1, 2, 4, 7} {
 		var intSaves, compSaves []mc.LoopState
-		want, err := mc.EstimateMeanPar(ctx, db, stat, 0.1, 0.1, 0, 1998, mc.Par{Workers: w}, collectCkpt(53, &intSaves))
+		want, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.1, 0.1, 0, mc.Stream{Seed: 1998, Workers: w, Ckpt: collectCkpt(53, &intSaves)})
 		if err != nil {
 			t.Fatalf("workers=%d interpreted: %v", w, err)
 		}
-		got, err := mc.EstimateMeanParCompiled(ctx, db, cm, 0.1, 0.1, 0, 1998, mc.Par{Workers: w}, collectCkpt(53, &compSaves))
+		got, _, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.1, 0.1, 0, mc.Stream{Seed: 1998, Workers: w, Ckpt: collectCkpt(53, &compSaves)})
 		if err != nil {
 			t.Fatalf("workers=%d compiled: %v", w, err)
 		}
@@ -135,18 +135,19 @@ func TestCompiledMeanRangeBitIdentical(t *testing.T) {
 	stat, cm := meanFixture(t, db, "forall x . exists y . E(x,y)")
 	ctx := context.Background()
 	for _, r := range []mc.Range{{Lo: 0, Hi: 3, Total: 8}, {Lo: 3, Hi: 8, Total: 8}, {Lo: 0, Hi: 8, Total: 8}} {
-		want, err := mc.EstimateMeanRange(ctx, db, stat, 0.1, 0.1, 0, 1998, r, 3, nil)
+		s := mc.Stream{Seed: 1998, Range: &r, Workers: 3}
+		wantEst, want, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.1, 0.1, 0, s)
 		if err != nil {
 			t.Fatalf("range %v interpreted: %v", r, err)
 		}
-		got, err := mc.EstimateMeanRangeCompiled(ctx, db, cm, 0.1, 0.1, 0, 1998, r, 3, nil)
+		gotEst, got, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.1, 0.1, 0, s)
 		if err != nil {
 			t.Fatalf("range %v compiled: %v", r, err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if gotEst != wantEst || !reflect.DeepEqual(got, want) {
 			t.Fatalf("range %v: compiled result differs:\n%+v\n%+v", r, got, want)
 		}
-		if dg, dw := mc.RangeDigest(got.Lanes), mc.RangeDigest(want.Lanes); dg != dw {
+		if dg, dw := mc.RangeDigest(got), mc.RangeDigest(want); dg != dw {
 			t.Fatalf("range %v: digest %s != %s", r, dg, dw)
 		}
 	}
@@ -162,7 +163,7 @@ func TestCompiledResumesInterpretedCheckpoint(t *testing.T) {
 	stat, cm := meanFixture(t, db, "exists y . E(0,y) & S(y)")
 	ctx := context.Background()
 	var saves []mc.LoopState
-	want, err := mc.EstimateMeanCk(ctx, db, stat, 0.1, 0.1, 0, mc.NewSource(1998), collectCkpt(37, &saves))
+	want, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.1, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: collectCkpt(37, &saves)})
 	if err != nil {
 		t.Fatalf("interpreted full run: %v", err)
 	}
@@ -170,7 +171,7 @@ func TestCompiledResumesInterpretedCheckpoint(t *testing.T) {
 		t.Fatalf("want several periodic snapshots, got %d", len(saves))
 	}
 	mid := saves[1]
-	got, err := mc.EstimateMeanCkCompiled(ctx, db, cm, 0.1, 0.1, 0, mc.NewSource(1998), &mc.Ckpt{Resume: &mid})
+	got, _, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.1, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: &mc.Ckpt{Resume: &mid}})
 	if err != nil {
 		t.Fatalf("compiled resume: %v", err)
 	}
@@ -179,11 +180,11 @@ func TestCompiledResumesInterpretedCheckpoint(t *testing.T) {
 	}
 	// And the reverse direction: compiled writes, interpreted resumes.
 	var compSaves []mc.LoopState
-	if _, err := mc.EstimateMeanCkCompiled(ctx, db, cm, 0.1, 0.1, 0, mc.NewSource(1998), collectCkpt(37, &compSaves)); err != nil {
+	if _, _, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.1, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: collectCkpt(37, &compSaves)}); err != nil {
 		t.Fatalf("compiled full run: %v", err)
 	}
 	mid2 := compSaves[1]
-	got2, err := mc.EstimateMeanCk(ctx, db, stat, 0.1, 0.1, 0, mc.NewSource(1998), &mc.Ckpt{Resume: &mid2})
+	got2, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.1, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: &mc.Ckpt{Resume: &mid2}})
 	if err != nil {
 		t.Fatalf("interpreted resume: %v", err)
 	}
@@ -192,19 +193,19 @@ func TestCompiledResumesInterpretedCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCompiledSequentialMatchesInterpreted covers the Source-less
-// sequential entry points (Drawer's rand.Rand fallback).
+// TestCompiledSequentialMatchesInterpreted covers the padded kernels on
+// a caller-owned sequential source.
 func TestCompiledSequentialMatchesInterpreted(t *testing.T) {
 	db := compiledTestDB(t, 23)
 	q := mustParse(t, db, "forall x . S(x) -> exists y . E(x,y)")
 	prog := mustCompile(t, db, q)
 	pred := func(b *rel.Structure) (bool, error) { return logic.EvalSentence(b, q) }
 	ctx := context.Background()
-	want, err := mc.EstimateNuPadded(ctx, db, pred, 0, 0.25, 0.1, 0, mc.NewRand(77))
+	want, err := mc.EstimateNuPadded(ctx, mc.PaddedPred(db, pred), 0, 0.25, 0.1, 0, mc.Stream{Src: mc.NewSource(77)})
 	if err != nil {
 		t.Fatalf("interpreted: %v", err)
 	}
-	got, err := mc.EstimateNuPaddedCompiled(ctx, db, prog, 0, 0.25, 0.1, 0, mc.NewRand(77))
+	got, err := mc.EstimateNuPadded(ctx, mc.PaddedProgram(db, prog), 0, 0.25, 0.1, 0, mc.Stream{Src: mc.NewSource(77)})
 	if err != nil {
 		t.Fatalf("compiled: %v", err)
 	}

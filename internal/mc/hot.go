@@ -12,30 +12,27 @@ import "math/bits"
 // compiled into the loop body with the state words held in registers.
 //
 // The value stream is exactly (*Source).Uint64's, and the derived draws
-// replicate Drawer's (hence math/rand's) derivations bit for bit. Usage
-// contract: obtain the state with Drawer.Hot at the start of a batch and
-// write it back with Drawer.PutHot before the batch ends — in
-// particular before any checkpoint captures Source.State — so snapshots
-// and lane digests never observe a stale generator.
+// replicate, bit for bit, the value derivations math/rand performs over
+// a rand.Source64 — the ones the interpreted kernels get by calling
+// ln.Rng: Float64 with rand's retry-on-1.0 derivation from Int63, and
+// the power-of-two Intn cases (Intn(2), Intn(256)) via the Int31
+// masking path. Equivalence is locked down by TestHotRNGMatchesRand; if
+// a Go release ever changed math/rand's derivations (it has not since
+// Go 1), that test fails loudly. Usage contract: obtain the state with
+// Source.Hot at the start of a batch and write it back with
+// Source.PutHot before the batch ends — in particular before any
+// checkpoint captures Source.State — so snapshots and lane digests
+// never observe a stale generator.
 type HotRNG struct {
 	s0, s1, s2, s3 uint64
 }
 
-// Hot returns the drawer's generator state as a HotRNG. ok is false
-// when the lane has no serializable Source (a plain *rand.Rand lane);
-// callers must then stay on the Drawer methods.
-func (d Drawer) Hot() (h HotRNG, ok bool) {
-	if d.src == nil {
-		return HotRNG{}, false
-	}
-	return HotRNG{d.src.s[0], d.src.s[1], d.src.s[2], d.src.s[3]}, true
-}
+// Hot returns the source's generator state as a HotRNG.
+func (s *Source) Hot() HotRNG { return HotRNG{s.s[0], s.s[1], s.s[2], s.s[3]} }
 
-// PutHot writes a HotRNG's state back into the drawer's Source,
-// resuming the shared stream where the batch left off.
-func (d Drawer) PutHot(h HotRNG) {
-	d.src.s = [4]uint64{h.s0, h.s1, h.s2, h.s3}
-}
+// PutHot writes a HotRNG's state back into the source, resuming the
+// shared stream where the batch left off.
+func (s *Source) PutHot(h HotRNG) { s.s = [4]uint64{h.s0, h.s1, h.s2, h.s3} }
 
 // Uint64 advances the generator: the xoshiro256** step of
 // (*Source).Uint64 over the hoisted state words.
@@ -51,15 +48,16 @@ func (h *HotRNG) Uint64() uint64 {
 	return r
 }
 
-// Intn2 replicates Drawer.Intn2 (rand.Rand.Intn(2)).
+// Intn2 replicates rand.Rand.Intn(2): the power-of-two Int31n path,
+// Int31() & 1 with Int31 = int32(Int63() >> 32).
 func (h *HotRNG) Intn2() int { return int(int32(int64(h.Uint64()>>1)>>32) & 1) }
 
-// Byte replicates Drawer.Byte (rand.Rand.Intn(256)).
+// Byte replicates rand.Rand.Intn(256) the same way.
 func (h *HotRNG) Byte() byte { return byte(int32(int64(h.Uint64()>>1)>>32) & 255) }
 
-// Float64 replicates Drawer.Float64 (rand.Rand.Float64), with the
-// astronomically rare retry-on-1.0 outlined so the fast path stays
-// inlinable.
+// Float64 replicates rand.Rand.Float64: float64(Int63())/2^63, with
+// the astronomically rare retry when the division rounds to 1.0
+// outlined so the fast path stays inlinable.
 func (h *HotRNG) Float64() float64 {
 	f := float64(int64(h.Uint64()>>1)) / (1 << 63)
 	if f == 1 {

@@ -3,8 +3,10 @@ package mc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -38,6 +40,20 @@ func statS(b *rel.Structure) (float64, error) {
 	return float64(n) / 8, nil
 }
 
+// The three interpreted estimators on the lane split of a seed.
+func meanPar(ctx context.Context, d *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, seed int64, workers int, ck *Ckpt) (Estimate, error) {
+	est, _, err := EstimateMean(ctx, MeanKernel(d, f), eps, delta, maxSamples, Stream{Seed: seed, Workers: workers, Ckpt: ck})
+	return est, err
+}
+
+func paddedPar(ctx context.Context, d *unreliable.DB, pred func(*rel.Structure) (bool, error), xi, eps, delta float64, maxSamples int, seed int64, workers int, ck *Ckpt) (Estimate, error) {
+	return EstimateNuPadded(ctx, PaddedPred(d, pred), xi, eps, delta, maxSamples, Stream{Seed: seed, Workers: workers, Ckpt: ck})
+}
+
+func rarePar(ctx context.Context, d *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, seed int64, workers int, ck *Ckpt) (Estimate, error) {
+	return EstimateMeanRare(ctx, d, f, eps, delta, maxSamples, Stream{Seed: seed, Workers: workers, Ckpt: ck})
+}
+
 func predAnyS(b *rel.Structure) (bool, error) {
 	for i := 0; i < 8; i++ {
 		if !b.Holds("S", rel.Tuple{i}) {
@@ -56,15 +72,15 @@ func TestLaneDeterminismAcrossWorkers(t *testing.T) {
 	d := manyAtomDB()
 	const seed = 42
 
-	baseMean, err := EstimateMeanPar(bg, d, statS, 0.05, 0.1, 0, seed, Par{Workers: 1}, nil)
+	baseMean, err := meanPar(bg, d, statS, 0.05, 0.1, 0, seed, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	basePadded, err := EstimateNuPaddedPar(bg, d, predAnyS, 0.25, 0.1, 0.1, 0, seed, Par{Workers: 1}, nil)
+	basePadded, err := paddedPar(bg, d, predAnyS, 0.25, 0.1, 0.1, 0, seed, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRare, err := EstimateMeanRarePar(bg, d, statS, 0.05, 0.1, 0, seed, Par{Workers: 1}, nil)
+	baseRare, err := rarePar(bg, d, statS, 0.05, 0.1, 0, seed, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,26 +89,26 @@ func TestLaneDeterminismAcrossWorkers(t *testing.T) {
 	}
 
 	for _, w := range []int{2, 4, 7} {
-		mean, err := EstimateMeanPar(bg, d, statS, 0.05, 0.1, 0, seed, Par{Workers: w}, nil)
+		mean, err := meanPar(bg, d, statS, 0.05, 0.1, 0, seed, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if mean != baseMean {
-			t.Errorf("EstimateMeanPar workers=%d: %+v != workers=1 %+v", w, mean, baseMean)
+			t.Errorf("mean workers=%d: %+v != workers=1 %+v", w, mean, baseMean)
 		}
-		padded, err := EstimateNuPaddedPar(bg, d, predAnyS, 0.25, 0.1, 0.1, 0, seed, Par{Workers: w}, nil)
+		padded, err := paddedPar(bg, d, predAnyS, 0.25, 0.1, 0.1, 0, seed, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if padded != basePadded {
-			t.Errorf("EstimateNuPaddedPar workers=%d: %+v != workers=1 %+v", w, padded, basePadded)
+			t.Errorf("padded workers=%d: %+v != workers=1 %+v", w, padded, basePadded)
 		}
-		rare, err := EstimateMeanRarePar(bg, d, statS, 0.05, 0.1, 0, seed, Par{Workers: w}, nil)
+		rare, err := rarePar(bg, d, statS, 0.05, 0.1, 0, seed, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rare != baseRare {
-			t.Errorf("EstimateMeanRarePar workers=%d: %+v != workers=1 %+v", w, rare, baseRare)
+			t.Errorf("rare workers=%d: %+v != workers=1 %+v", w, rare, baseRare)
 		}
 	}
 }
@@ -113,7 +129,7 @@ func TestLaneCancelWidensEps(t *testing.T) {
 		return statS(b)
 	}
 	const delta = 0.1
-	est, err := EstimateMeanPar(ctx, d, f, 0.01, delta, 0, 7, Par{Workers: 4}, nil)
+	est, err := meanPar(ctx, d, f, 0.01, delta, 0, 7, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +139,9 @@ func TestLaneCancelWidensEps(t *testing.T) {
 	if est.Samples < 2000 || est.Samples >= est.Requested {
 		t.Fatalf("Samples = %d, want cross-lane total in [2000, %d)", est.Samples, est.Requested)
 	}
-	want := WidenedHoeffdingEps(delta, est.Samples)
+	want := widenedHoeffdingEps(delta, est.Samples)
 	if math.Abs(est.Eps-want) > 1e-15 {
-		t.Errorf("widened eps %v, want WidenedHoeffdingEps(delta, %d) = %v", est.Eps, est.Samples, want)
+		t.Errorf("widened eps %v, want widenedHoeffdingEps(delta, %d) = %v", est.Eps, est.Samples, want)
 	}
 }
 
@@ -137,7 +153,7 @@ func TestLaneKillResume(t *testing.T) {
 	d := manyAtomDB()
 	const seed, eps, delta = 9, 0.02, 0.1
 
-	uninterrupted, err := EstimateMeanPar(bg, d, statS, eps, delta, 0, seed, Par{Workers: 3}, nil)
+	uninterrupted, err := meanPar(bg, d, statS, eps, delta, 0, seed, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +171,7 @@ func TestLaneKillResume(t *testing.T) {
 		}
 		return statS(b)
 	}
-	first, err := EstimateMeanPar(ctx, d, killer, eps, delta, 0, seed, Par{Workers: 3}, &Ckpt{Every: 256, Save: save})
+	first, err := meanPar(ctx, d, killer, eps, delta, 0, seed, 3, &Ckpt{Every: 256, Save: save})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +185,7 @@ func TestLaneKillResume(t *testing.T) {
 		t.Fatalf("snapshot has LaneCount=%d, %d lane states; want %d", snap.LaneCount, len(snap.Lanes), DefaultLanes)
 	}
 
-	resumed, err := EstimateMeanPar(bg, d, statS, eps, delta, 0, seed, Par{Workers: 3}, &Ckpt{Resume: snap})
+	resumed, err := meanPar(bg, d, statS, eps, delta, 0, seed, 3, &Ckpt{Resume: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +199,8 @@ func TestLaneKillResume(t *testing.T) {
 // run, and lane counts must match exactly.
 func TestRestoreLanesRejectsMismatch(t *testing.T) {
 	single := &LoopState{Method: "hoeffding", Drawn: 10, Sum: 5, RNG: NewSource(1).State()}
-	lanes := SplitLanes(1, DefaultLanes)
-	if err := RestoreLanes("hoeffding", lanes, &Ckpt{Resume: single}); err == nil {
+	lanes := splitLanes(1, DefaultLanes)
+	if err := restoreLanes("hoeffding", lanes, &Ckpt{Resume: single}); err == nil {
 		t.Error("single-lane snapshot restored into multi-lane run")
 	}
 
@@ -192,10 +208,10 @@ func TestRestoreLanesRejectsMismatch(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		multi.Lanes = append(multi.Lanes, LaneState{RNG: NewSource(int64(i + 1)).State()})
 	}
-	if err := RestoreLanes("hoeffding", lanes, &Ckpt{Resume: multi}); err == nil {
+	if err := restoreLanes("hoeffding", lanes, &Ckpt{Resume: multi}); err == nil {
 		t.Errorf("%d-lane snapshot restored into %d-lane run", 4, DefaultLanes)
 	}
-	if err := RestoreLanes("padded", SplitLanes(1, 4), &Ckpt{Resume: multi}); err == nil {
+	if err := restoreLanes("padded", splitLanes(1, 4), &Ckpt{Resume: multi}); err == nil {
 		t.Error("snapshot restored into a different estimator")
 	}
 }
@@ -211,20 +227,20 @@ func TestLaneWorkerFaultInjection(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		faultinject.Reset()
 		faultinject.Enable(faultinject.SiteLaneWorker, faultinject.Fault{Err: boom, Times: 1})
-		_, err := EstimateMeanPar(bg, d, statS, 0.05, 0.1, 0, 3, Par{Workers: workers}, nil)
+		_, err := meanPar(bg, d, statS, 0.05, 0.1, 0, 3, workers, nil)
 		if !errors.Is(err, boom) {
 			t.Errorf("workers=%d: error %v, want injected fault", workers, err)
 		}
 	}
 }
 
-// TestRunLanesPrefersRealError makes RunLanes report the causal failure
+// TestRunLanesPrefersRealError makes runLanes report the causal failure
 // when sibling lanes die of the cancellation it triggered.
 func TestRunLanesPrefersRealError(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	lanes := SplitLanes(5, 4)
+	lanes := splitLanes(5, 4)
 	boom := errors.New("lane 2 failed")
-	err := RunLanes(bg, lanes, 4, func(ctx context.Context, ln *Lane) error {
+	err := runLanes(bg, lanes, 4, func(ctx context.Context, ln *Lane) error {
 		if ln.Idx == 2 {
 			return boom
 		}
@@ -232,15 +248,15 @@ func TestRunLanesPrefersRealError(t *testing.T) {
 		return ctx.Err()
 	})
 	if !errors.Is(err, boom) {
-		t.Errorf("RunLanes error %v, want the non-context lane error", err)
+		t.Errorf("runLanes error %v, want the non-context lane error", err)
 	}
 }
 
 // TestAssignQuotas checks the fixed-quota split: totals are preserved
 // and remainders go to the lowest-index lanes.
 func TestAssignQuotas(t *testing.T) {
-	lanes := SplitLanes(1, 8)
-	AssignQuotas(lanes, 19)
+	lanes := splitLanes(1, 8)
+	assignQuotas(lanes, 19)
 	sum := 0
 	for i, ln := range lanes {
 		sum += ln.Quota
@@ -254,5 +270,250 @@ func TestAssignQuotas(t *testing.T) {
 	}
 	if sum != 19 {
 		t.Errorf("quotas sum to %d, want 19", sum)
+	}
+}
+
+// pollCtx records every poll of the context. The single-worker driver
+// polls the context it was given, so the hook sees each one.
+type pollCtx struct {
+	context.Context
+	polled func()
+}
+
+func (p pollCtx) Err() error {
+	p.polled()
+	return p.Context.Err()
+}
+
+// driverTrace is what a run lets the outside observe: where each lane
+// stood at every context poll and at every persisted snapshot (as the
+// snapshot's cross-lane total), and where the lanes ended.
+type driverTrace struct {
+	polls [][2]int // (lane index, Drawn)
+	saves []int
+	final []int
+}
+
+// scalarTrace is the reference: the one-sample-at-a-time lane loop the
+// driver's batches must be indistinguishable from. start and quota are
+// per lane; the cancellation fires once lane cancelLane has drawn its
+// sample number cancelAt (cancelLane < 0: never), and is noticed at
+// the next poll, if there is one: stopped reports that a lane was cut
+// short.
+func scalarTrace(idx, start, quota []int, every int, saving bool, cancelLane, cancelAt int, anytime bool) (tr driverTrace, stopped bool) {
+	published := append([]int(nil), start...)
+	total := func() int {
+		n := 0
+		for _, d := range published {
+			n += d
+		}
+		return n
+	}
+	saved := total()
+	save := func() {
+		if t := total(); saving && t != saved {
+			saved = t
+			tr.saves = append(tr.saves, t)
+		}
+	}
+	perLane := 0
+	if saving && every > 0 {
+		perLane = max(1, every/len(idx))
+	}
+	tr.final = append([]int(nil), start...)
+	canceled := false
+	for i := range idx {
+		drawn, lastSave := start[i], start[i]
+		for drawn < quota[i] {
+			if drawn%ctxPollStride == 0 {
+				tr.polls = append(tr.polls, [2]int{idx[i], drawn})
+				if canceled {
+					stopped = true
+					break
+				}
+			}
+			if perLane > 0 && drawn-lastSave >= perLane {
+				lastSave = drawn
+				published[i] = drawn
+				save()
+			}
+			drawn++
+			if i == cancelLane && drawn == cancelAt {
+				canceled = true
+			}
+		}
+		tr.final[i] = drawn
+		if stopped && !anytime {
+			return tr, true // the error path persists nothing more
+		}
+		published[i] = drawn
+	}
+	save()
+	return tr, stopped
+}
+
+// TestDriverMatchesScalarLoop is the driver's property test. Over
+// seeded random streams, quotas, checkpoint intervals, resume offsets
+// and cancellation points, a kernel that counts its batch one sample
+// at a time and one that counts it in one step must both leave exactly
+// the trace of the scalar reference loop — the same Drawn at every
+// context poll and every persisted snapshot, the same final lanes — so
+// no batch can have crossed a poll, checkpoint or quota boundary; the
+// batch sizes add up to what each lane owed; a cancelled anytime run
+// returns its partial aggregates, a cancelled non-anytime run returns
+// the context's error and leaves a snapshot that resumes to the
+// complete run.
+func TestDriverMatchesScalarLoop(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	rng := NewRand(20241003)
+	for iter := 0; iter < 400; iter++ {
+		total := rng.Intn(1500)
+		every := 0
+		if rng.Intn(3) > 0 {
+			every = 1 + rng.Intn(400)
+		}
+		saving := rng.Intn(4) > 0
+		anytime := rng.Intn(2) == 0
+		seed := rng.Int63()
+		// The stream: a caller's sequential source, or a random subrange
+		// of a random lane split.
+		newStream := func() Stream { return Stream{Src: NewSource(seed)} }
+		if rng.Intn(4) > 0 {
+			r := Range{Total: 1 + rng.Intn(6)}
+			r.Lo = rng.Intn(r.Total)
+			r.Hi = r.Lo + 1 + rng.Intn(r.Total-r.Lo)
+			newStream = func() Stream { return Stream{Seed: seed, Range: &r} }
+		}
+		probe, _, method, err := newStream().lanes("count", total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(probe)
+		idx, start, quota := make([]int, n), make([]int, n), make([]int, n)
+		var resume *LoopState
+		if rng.Intn(2) == 0 {
+			resume = &LoopState{Method: method, RNG: probe[0].Src.State()}
+		}
+		for i, ln := range probe {
+			idx[i], quota[i] = ln.Idx, ln.Quota
+			if resume != nil {
+				start[i] = rng.Intn(ln.Quota + 1)
+				resume.Drawn += start[i]
+				resume.Hits += start[i]
+				resume.Sum += float64(start[i])
+				resume.Lanes = append(resume.Lanes, LaneState{Drawn: start[i], Hits: start[i], Sum: float64(start[i]), RNG: ln.Src.State()})
+			}
+		}
+		if resume != nil && n > 1 {
+			resume.LaneCount = n
+		} else if resume != nil {
+			resume.Lanes = nil
+		}
+		cancelLane, cancelAt := -1, 0
+		if i := rng.Intn(n); rng.Intn(2) == 0 && start[i] < quota[i] {
+			cancelLane, cancelAt = i, start[i]+1+rng.Intn(quota[i]-start[i])
+		}
+		want, wantStopped := scalarTrace(idx, start, quota, every, saving, cancelLane, cancelAt, anytime)
+
+		// run drives one kernel over the stream and records its trace and,
+		// per lane, the batches it was handed.
+		run := func(workers int, wide bool, cancelLane int, resume *LoopState) (driverTrace, [][]int, *LoopState, []*Lane, error) {
+			ctx, cancel := context.WithCancel(bg)
+			defer cancel()
+			var tr driverTrace
+			var cur *Lane
+			var last *LoopState
+			batches := make([][]int, n)
+			s := newStream()
+			s.Workers = workers
+			s.Ckpt = &Ckpt{Every: every, Resume: resume}
+			if saving {
+				s.Ckpt.Save = func(st LoopState) error {
+					tr.saves = append(tr.saves, st.Drawn)
+					last = &st
+					return nil
+				}
+			}
+			lanes, err := Run(pollCtx{ctx, func() {
+				if workers == 1 {
+					tr.polls = append(tr.polls, [2]int{cur.Idx, cur.Drawn})
+				}
+			}}, "count", total, anytime, s, func(ln *Lane) func(int) error {
+				if workers == 1 {
+					cur = ln
+				}
+				pos := ln.Idx - idx[0]
+				return func(m int) error {
+					batches[pos] = append(batches[pos], m)
+					if pos == cancelLane && ln.Drawn < cancelAt && cancelAt <= ln.Drawn+m {
+						cancel()
+					}
+					if wide {
+						ln.Hits += m
+						ln.Sum += float64(m)
+						return nil
+					}
+					for ; m > 0; m-- {
+						ln.Hits++
+						ln.Sum++
+					}
+					return nil
+				}
+			})
+			for _, ln := range lanes {
+				tr.final = append(tr.final, ln.Drawn)
+			}
+			return tr, batches, last, lanes, err
+		}
+
+		for _, wide := range []bool{false, true} {
+			got, batches, last, lanes, err := run(1, wide, cancelLane, resume)
+			label := fmt.Sprintf("iter %d (total=%d every=%d saving=%v anytime=%v lanes=%v start=%v cancel=%d@%d wide=%v)",
+				iter, total, every, saving, anytime, idx, start, cancelLane, cancelAt, wide)
+			if wantStopped && !anytime {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: error %v, want context.Canceled", label, err)
+				}
+				got.final = want.final // the error path returns no lanes
+			} else if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s:\n got  %+v\n want %+v", label, got, want)
+			}
+			for i, ln := range lanes {
+				if ln.Hits != ln.Drawn || ln.Sum != float64(ln.Drawn) {
+					t.Fatalf("%s: lane %d folded %d hits, sum %v over %d samples", label, ln.Idx, ln.Hits, ln.Sum, ln.Drawn)
+				}
+				if !wantStopped && ln.Drawn != quota[i] {
+					t.Fatalf("%s: lane %d drew %d of %d", label, ln.Idx, ln.Drawn, quota[i])
+				}
+			}
+			for i, bs := range batches {
+				d := start[i]
+				for _, m := range bs {
+					if m < 1 || m > 64 || d%ctxPollStride+m > ctxPollStride || d+m > quota[i] {
+						t.Fatalf("%s: lane %d batch of %d at Drawn=%d (quota %d)", label, idx[i], m, d, quota[i])
+					}
+					d += m
+				}
+				if d != want.final[i] {
+					t.Fatalf("%s: lane %d batches sum to Drawn=%d, want %d", label, idx[i], d, want.final[i])
+				}
+			}
+			// Whatever snapshot a cut-short run left resumes to the complete
+			// run, under any worker count.
+			if wantStopped && last != nil {
+				_, _, _, lanes, err := run(1+rng.Intn(4), wide, -1, last)
+				if err != nil {
+					t.Fatalf("%s: resume: %v", label, err)
+				}
+				for i, ln := range lanes {
+					if ln.Drawn != quota[i] || ln.Hits != quota[i] || ln.Sum != float64(quota[i]) {
+						t.Fatalf("%s: resumed lane %d: drawn=%d hits=%d sum=%v, want %d", label, ln.Idx, ln.Drawn, ln.Hits, ln.Sum, quota[i])
+					}
+				}
+			}
+		}
 	}
 }

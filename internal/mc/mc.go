@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/rand"
 
 	"qrel/internal/rel"
 	"qrel/internal/unreliable"
@@ -43,32 +42,28 @@ type Estimate struct {
 	Method string
 }
 
-// anytime tracks the cooperative-stopping state shared by the sampling
-// loops: a context polled every stride samples and an optional hard cap
-// on the number of samples.
-//
-// The contract implemented by every estimator in this package: when the
-// run is cut short after ≥ 1 samples, the estimator returns the partial
-// mean with Partial = true and a widened Eps valid at the same Delta;
-// when it is cut short before the first sample, it returns an error
-// wrapping ErrNoSamples and the context's error.
-const ctxPollStride = 64
+// The anytime contract of every estimator in this package: when the
+// run is cut short — the context polled every ctxPollStride samples, or
+// the sample budget — after ≥ 1 samples, the estimator returns the
+// partial mean with Partial = true and a widened Eps valid at the same
+// Delta; when it is cut short before the first sample, it returns an
+// error wrapping ErrNoSamples and the context's error.
 
-// clampSamples applies the budget cap to the requested sample size,
-// reporting whether the cap bit (partial from the start) was taken.
-func clampSamples(t, maxSamples int) (int, bool) {
+// clampSamples applies the budget cap (0 = none) to the requested
+// sample size.
+func clampSamples(t, maxSamples int) int {
 	if maxSamples > 0 && t > maxSamples {
-		return maxSamples, true
+		return maxSamples
 	}
-	return t, false
+	return t
 }
 
-// WidenedHoeffdingEps returns the absolute error achievable by a
+// widenedHoeffdingEps returns the absolute error achievable by a
 // t-sample mean of [0,1] variables at confidence 1 − delta:
 // ε(t) = sqrt(ln(2/δ) / 2t) — the inverse of HoeffdingSampleSize,
 // capped at 1 (an absolute error of 1 on a [0,1] quantity is vacuous
 // but honest).
-func WidenedHoeffdingEps(delta float64, t int) float64 {
+func widenedHoeffdingEps(delta float64, t int) float64 {
 	if t <= 0 {
 		return 1
 	}
@@ -116,110 +111,128 @@ func PaperSampleSize(xi, eps, delta float64) (int, error) {
 	return int(math.Ceil(t)), nil
 }
 
-// EstimateMean estimates E[f(B)] for a [0,1]-valued polynomial-time
-// computable f over random worlds B ∈ Omega(D), with absolute error eps
-// and confidence 1−delta (Hoeffding).
-//
-// The estimator is *anytime*: when ctx is canceled or maxSamples
-// (0 = unlimited) stops the loop early, the partial mean is returned
-// with Partial = true and Eps widened to the accuracy the realized
-// sample count supports. Only a stop before the very first sample is an
-// error (wrapping ErrNoSamples).
-func EstimateMean(ctx context.Context, db *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, rng *rand.Rand) (Estimate, error) {
-	return estimateMeanLoop(ctx, db, f, eps, delta, maxSamples, rng, nil, nil)
-}
-
-// estimateMeanLoop is the sequential single-lane path behind
-// EstimateMean and EstimateMeanCk; src and ck are nil for
-// uncheckpointed runs. It consumes the same RNG stream the seed
-// implementation did, so existing seeds and snapshots stay
-// bit-identical.
-func estimateMeanLoop(ctx context.Context, db *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, rng *rand.Rand, src *Source, ck *Ckpt) (Estimate, error) {
-	return estimateMeanLanes(ctx, db, f, eps, delta, maxSamples, []*Lane{{Src: src, Rng: rng}}, 1, ck)
-}
-
-// EstimateMeanPar is EstimateMean over a lane-split parallel runtime:
-// the seed derives par.Lanes non-overlapping RNG lanes, driven by up
-// to par.Workers goroutines. The estimate depends on (seed, lane
-// count) only — any worker count yields the bit-identical value — and
-// multi-lane checkpoints resume under any worker count too.
-func EstimateMeanPar(ctx context.Context, db *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, seed int64, par Par, ck *Ckpt) (Estimate, error) {
-	lanes, workers := LanesFor(seed, par)
-	return estimateMeanLanes(ctx, db, f, eps, delta, maxSamples, lanes, workers, ck)
-}
-
-// estimateMeanLanes is the shared lane-pool estimator behind
-// EstimateMean(Ck) and EstimateMeanPar.
-func estimateMeanLanes(ctx context.Context, db *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, lanes []*Lane, workers int, ck *Ckpt) (Estimate, error) {
-	requested, err := HoeffdingSampleSize(eps, delta)
+// hoeffdingPlan is the prologue shared by EstimateMean and MergeMean:
+// the sample size the accuracy implies and the number the budget lets
+// the run draw. An unaffordable accuracy is an error only without a
+// sample budget; with one the run is an anytime pass whose every
+// realized count reads as partial.
+func hoeffdingPlan(eps, delta float64, maxSamples int) (requested, t int, err error) {
+	requested, err = HoeffdingSampleSize(eps, delta)
 	if err != nil {
-		// The requested accuracy is unaffordable; with a sample budget we
-		// can still run an anytime pass, otherwise surface the error.
 		if maxSamples <= 0 {
-			return Estimate{}, err
+			return 0, 0, err
 		}
-		requested = maxSamples + 1 // any realized count reads as partial
+		requested = maxSamples + 1
 	}
-	t, _ := clampSamples(requested, maxSamples)
-	err = sampleLanes(ctx, "hoeffding", lanes, workers, t, ck, meanStep(db, f))
-	if err != nil {
-		return Estimate{}, err
-	}
-	// Drawn is the true total across lanes; a cancelled parallel run
-	// widens eps from this total, never from a single lane's count.
-	drawn, _, sum := laneTotals(lanes)
-	if drawn == 0 {
-		return Estimate{}, fmt.Errorf("%w: %v", ErrNoSamples, ctx.Err())
+	return requested, clampSamples(requested, maxSamples), nil
+}
+
+// hoeffdingEstimate is the matching epilogue: fold the per-lane
+// aggregates in lane-index order — float addition is not associative,
+// and this order is the estimate's definition — and widen eps from the
+// true cross-lane total when the run was cut short. The caller turns
+// Samples == 0 into its ErrNoSamples.
+func hoeffdingEstimate(aggs []LaneAgg, requested int, eps, delta float64) Estimate {
+	drawn, sum := 0, 0.0
+	for _, a := range aggs {
+		drawn += a.Drawn
+		sum += a.Sum
 	}
 	est := Estimate{Value: sum / float64(drawn), Samples: drawn, Requested: requested, Eps: eps, Delta: delta, Method: "hoeffding"}
 	if drawn < requested {
 		est.Partial = true
-		est.Eps = WidenedHoeffdingEps(delta, drawn)
+		est.Eps = widenedHoeffdingEps(delta, drawn)
 	}
-	return est, nil
+	return est
 }
 
-// meanStep builds the per-lane draw step of the Hoeffding mean
-// estimator. It is shared by estimateMeanLanes and EstimateMeanRange so
-// a lane draws the bit-identical sample sequence no matter which node
-// (or which run shape) executes it.
-func meanStep(db *unreliable.DB, f func(*rel.Structure) (float64, error)) func(ln *Lane) func() error {
-	return func(ln *Lane) func() error {
+// EstimateMean estimates the expectation of a [0,1]-valued
+// polynomial-time computable statistic over random worlds
+// B ∈ Omega(D), with absolute error eps and confidence 1−delta
+// (Hoeffding). The statistic is the kernel k — MeanKernel for a Go
+// function, CompiledMean.Kernel for compiled programs — and the stream
+// s names the draws; alongside the Estimate it returns the raw
+// per-lane aggregates, which for a lane-range stream are what the
+// coordinator merges (MergeMean) and attests (RangeDigest), the
+// Estimate then being the range's own partial reading.
+//
+// The estimator is *anytime*: when ctx is canceled or maxSamples
+// (0 = unlimited) stops the run early, the partial mean is returned
+// with Partial = true and Eps widened to the accuracy the realized
+// sample count supports. Only a stop before the very first sample is an
+// error (wrapping ErrNoSamples).
+func EstimateMean(ctx context.Context, k Kernel, eps, delta float64, maxSamples int, s Stream) (Estimate, []LaneAgg, error) {
+	requested, t, err := hoeffdingPlan(eps, delta, maxSamples)
+	if err != nil {
+		return Estimate{}, nil, err
+	}
+	lanes, err := Run(ctx, "hoeffding", t, true, s, k)
+	if err != nil {
+		return Estimate{}, nil, err
+	}
+	aggs := make([]LaneAgg, len(lanes))
+	for i, ln := range lanes {
+		aggs[i] = LaneAgg{Idx: ln.Idx, Quota: ln.Quota, Drawn: ln.Drawn, Hits: ln.Hits, Sum: ln.Sum}
+	}
+	est := hoeffdingEstimate(aggs, requested, eps, delta)
+	if est.Samples == 0 {
+		return Estimate{}, nil, fmt.Errorf("%w: %v", ErrNoSamples, ctx.Err())
+	}
+	return est, aggs, nil
+}
+
+// MeanKernel is the interpreted kernel of a mean estimator: each
+// sample materializes a world and hands it to f. It is the reference
+// the compiled kernel is tested against, and the only kernel for
+// statistics internal/vm cannot compile.
+func MeanKernel(db *unreliable.DB, f func(*rel.Structure) (float64, error)) Kernel {
+	return meanKernel(f, func(ln *Lane) func() *rel.Structure {
 		buf := db.NewWorldBuf()
-		return func() error {
-			b := db.SampleWorldInto(ln.Rng, buf)
-			v, err := f(b)
-			if err != nil {
-				return fmt.Errorf("mc: evaluating sample %d: %w", ln.Drawn, err)
+		return func() *rel.Structure { return db.SampleWorldInto(ln.Rng, buf) }
+	})
+}
+
+// meanKernel folds f over the worlds a per-lane sampler draws from the
+// lane's stream, one per call.
+func meanKernel(f func(*rel.Structure) (float64, error), sampler func(ln *Lane) func() *rel.Structure) Kernel {
+	return func(ln *Lane) func(m int) error {
+		next := sampler(ln)
+		return func(m int) error {
+			for i := 0; i < m; i++ {
+				v, err := f(next())
+				if err != nil {
+					return fmt.Errorf("mc: evaluating sample %d: %w", ln.Drawn+i, err)
+				}
+				if v < 0 || v > 1 {
+					return fmt.Errorf("mc: sample value %v outside [0,1]", v)
+				}
+				ln.Sum += v
 			}
-			if v < 0 || v > 1 {
-				return fmt.Errorf("mc: sample value %v outside [0,1]", v)
-			}
-			ln.Sum += v
 			return nil
 		}
 	}
 }
 
-// EstimateNu estimates nu(psi) = Pr[B ⊨ psi] by plain Monte Carlo with
-// the Hoeffding sample size.
-func EstimateNu(ctx context.Context, db *unreliable.DB, pred func(*rel.Structure) (bool, error), eps, delta float64, maxSamples int, rng *rand.Rand) (Estimate, error) {
-	return EstimateMean(ctx, db, func(b *rel.Structure) (float64, error) {
-		v, err := pred(b)
-		if err != nil {
-			return 0, err
-		}
-		if v {
-			return 1, nil
-		}
-		return 0, nil
-	}, eps, delta, maxSamples, rng)
+// laneTotals merges the per-lane aggregates in lane-index order.
+func laneTotals(lanes []*Lane) (drawn, hits int, sum float64) {
+	for _, ln := range lanes {
+		drawn += ln.Drawn
+		hits += ln.Hits
+		sum += ln.Sum
+	}
+	return drawn, hits, sum
 }
 
 // DefaultXi is the ξ used by EstimateNuPadded when the caller passes 0.
 // The paper fixes ξ ∈ (0, 1/2) before seeing the database or the
 // accuracy parameters.
 const DefaultXi = 0.25
+
+// A PaddedKernel is a query awaiting its padding parameter: the
+// estimator resolves ξ (DefaultXi for 0) and instantiates the kernel
+// with it, so the coins a kernel flips and the ξ the estimate is
+// recovered with cannot disagree.
+type PaddedKernel func(xi float64) Kernel
 
 // EstimateNuPadded estimates nu(psi) with the construction from the
 // proof of Theorem 5.12: the query is padded to
@@ -231,62 +244,33 @@ const DefaultXi = 0.25
 //
 // The padding is realized algebraically by two independent Bernoulli(ξ)
 // coins per sample, which has exactly the distribution of the paper's
-// database modification D' (see PadDB for the literal structural
-// construction, equivalence verified in tests and E8).
+// database modification D' (EstimateNuPaddedStructural is the literal
+// construction, equivalence verified in tests and E8). The query is
+// the kernel k: PaddedPred for a Go predicate, PaddedProgram for a
+// compiled one.
 //
 // Anytime semantics match EstimateMean: an early stop (ctx canceled or
 // maxSamples reached, 0 = unlimited) yields the partial estimate with
 // Partial = true and Eps widened by inverting the Theorem 5.12 sample
 // bound at the realized count.
-func EstimateNuPadded(ctx context.Context, db *unreliable.DB, pred func(*rel.Structure) (bool, error), xi, eps, delta float64, maxSamples int, rng *rand.Rand) (Estimate, error) {
-	return estimateNuPaddedLoop(ctx, db, pred, xi, eps, delta, maxSamples, rng, nil, nil)
-}
-
-// estimateNuPaddedLoop is the sequential single-lane path behind
-// EstimateNuPadded and EstimateNuPaddedCk; src and ck are nil for
-// uncheckpointed runs.
-func estimateNuPaddedLoop(ctx context.Context, db *unreliable.DB, pred func(*rel.Structure) (bool, error), xi, eps, delta float64, maxSamples int, rng *rand.Rand, src *Source, ck *Ckpt) (Estimate, error) {
-	return estimateNuPaddedLanes(ctx, db, pred, xi, eps, delta, maxSamples, []*Lane{{Src: src, Rng: rng}}, 1, ck)
-}
-
-// EstimateNuPaddedPar is EstimateNuPadded over the lane-split parallel
-// runtime; see EstimateMeanPar for the determinism contract.
-func EstimateNuPaddedPar(ctx context.Context, db *unreliable.DB, pred func(*rel.Structure) (bool, error), xi, eps, delta float64, maxSamples int, seed int64, par Par, ck *Ckpt) (Estimate, error) {
-	lanes, workers := LanesFor(seed, par)
-	return estimateNuPaddedLanes(ctx, db, pred, xi, eps, delta, maxSamples, lanes, workers, ck)
-}
-
-// estimateNuPaddedLanes is the shared lane-pool estimator behind
-// EstimateNuPadded(Ck) and EstimateNuPaddedPar.
-func estimateNuPaddedLanes(ctx context.Context, db *unreliable.DB, pred func(*rel.Structure) (bool, error), xi, eps, delta float64, maxSamples int, lanes []*Lane, workers int, ck *Ckpt) (Estimate, error) {
+func EstimateNuPadded(ctx context.Context, k PaddedKernel, xi, eps, delta float64, maxSamples int, s Stream) (Estimate, error) {
 	if xi == 0 {
 		xi = DefaultXi
 	}
-	half := eps / 2
-	requested, err := PaperSampleSize(xi, half, delta)
+	return estimatePadded(ctx, "padded", k(xi), xi, eps, delta, maxSamples, s)
+}
+
+// estimatePadded sizes, runs and recovers a padded estimation whose
+// kernel counts psi' hits.
+func estimatePadded(ctx context.Context, method string, k Kernel, xi, eps, delta float64, maxSamples int, s Stream) (Estimate, error) {
+	requested, err := PaperSampleSize(xi, eps/2, delta)
 	if err != nil {
 		if maxSamples <= 0 {
 			return Estimate{}, err
 		}
 		requested = maxSamples + 1
 	}
-	t, _ := clampSamples(requested, maxSamples)
-	err = sampleLanes(ctx, "padded", lanes, workers, t, ck, func(ln *Lane) func() error {
-		buf := db.NewWorldBuf()
-		return func() error {
-			b := db.SampleWorldInto(ln.Rng, buf)
-			v, err := pred(b)
-			if err != nil {
-				return fmt.Errorf("mc: evaluating sample %d: %w", ln.Drawn, err)
-			}
-			rc := ln.Rng.Float64() < xi
-			rd := ln.Rng.Float64() < xi
-			if (v || rc) && rd {
-				ln.Hits++
-			}
-			return nil
-		}
-	})
+	lanes, err := Run(ctx, method, clampSamples(requested, maxSamples), true, s, k)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -298,7 +282,7 @@ func estimateNuPaddedLanes(ctx context.Context, db *unreliable.DB, pred func(*re
 	alpha := (xTilde - xi*xi) / (xi - xi*xi)
 	// The algebra can leave [0,1] by sampling noise; probabilities can't.
 	alpha = math.Max(0, math.Min(1, alpha))
-	est := Estimate{Value: alpha, Samples: drawn, Requested: requested, Eps: eps, Delta: delta, Method: "padded"}
+	est := Estimate{Value: alpha, Samples: drawn, Requested: requested, Eps: eps, Delta: delta, Method: method}
 	if drawn < requested {
 		est.Partial = true
 		est.Eps = widenedPaddedEps(xi, delta, drawn)
@@ -306,17 +290,42 @@ func estimateNuPaddedLanes(ctx context.Context, db *unreliable.DB, pred func(*re
 	return est, nil
 }
 
-// PadRel is the name of the fresh unary relation added by PadDB.
+// PaddedPred is the interpreted kernel of the padded estimator: per
+// sample, a materialized world handed to pred, then the two
+// Bernoulli(ξ) padding coins.
+func PaddedPred(db *unreliable.DB, pred func(*rel.Structure) (bool, error)) PaddedKernel {
+	return func(xi float64) Kernel {
+		return func(ln *Lane) func(m int) error {
+			buf := db.NewWorldBuf()
+			return func(m int) error {
+				for i := 0; i < m; i++ {
+					v, err := pred(db.SampleWorldInto(ln.Rng, buf))
+					if err != nil {
+						return fmt.Errorf("mc: evaluating sample %d: %w", ln.Drawn+i, err)
+					}
+					rc := ln.Rng.Float64() < xi
+					rd := ln.Rng.Float64() < xi
+					if (v || rc) && rd {
+						ln.Hits++
+					}
+				}
+				return nil
+			}
+		}
+	}
+}
+
+// PadRel is the name of the fresh unary relation added by padDB.
 const PadRel = "R_pad"
 
-// PadDB performs the literal database modification from the proof of
+// padDB performs the literal database modification from the proof of
 // Theorem 5.12: it extends the vocabulary with a fresh empty unary
 // relation R and two constants c ≠ d, and gives the atoms Rc and Rd
 // error probability ξ. The universe must have at least two elements to
 // interpret c and d distinctly. The returned atoms are Rc and Rd; a
 // query psi over the original vocabulary evaluates identically on the
 // padded worlds, so psi' = (psi ∨ Rc) ∧ Rd realizes the padded variable.
-func PadDB(db *unreliable.DB, xi *big.Rat) (*unreliable.DB, rel.GroundAtom, rel.GroundAtom, error) {
+func padDB(db *unreliable.DB, xi *big.Rat) (*unreliable.DB, rel.GroundAtom, rel.GroundAtom, error) {
 	var zero rel.GroundAtom
 	if db.A.N < 2 {
 		return nil, zero, zero, fmt.Errorf("mc: universe of size %d cannot interpret two distinct constants", db.A.N)
@@ -377,56 +386,33 @@ func PadDB(db *unreliable.DB, xi *big.Rat) (*unreliable.DB, rel.GroundAtom, rel.
 
 // EstimateNuPaddedStructural is EstimateNuPadded implemented with the
 // paper's literal database modification: the padded database D' is
-// materialized with PadDB and the samples evaluate
+// materialized with padDB and the samples evaluate
 // psi' = (psi ∨ Rc) ∧ Rd on its worlds. It exists to validate the
 // algebraic shortcut; the two estimators have identical sample
 // distributions.
-func EstimateNuPaddedStructural(ctx context.Context, db *unreliable.DB, pred func(*rel.Structure) (bool, error), xi, eps, delta float64, maxSamples int, rng *rand.Rand) (Estimate, error) {
+func EstimateNuPaddedStructural(ctx context.Context, db *unreliable.DB, pred func(*rel.Structure) (bool, error), xi, eps, delta float64, maxSamples int, s Stream) (Estimate, error) {
 	if xi == 0 {
 		xi = DefaultXi
 	}
-	xiRat := new(big.Rat).SetFloat64(xi)
-	padded, rc, rd, err := PadDB(db, xiRat)
+	padded, rc, rd, err := padDB(db, new(big.Rat).SetFloat64(xi))
 	if err != nil {
 		return Estimate{}, err
 	}
-	xiF, _ := xiRat.Float64()
-	half := eps / 2
-	requested, err := PaperSampleSize(xiF, half, delta)
-	if err != nil {
-		if maxSamples <= 0 {
-			return Estimate{}, err
+	k := func(ln *Lane) func(m int) error {
+		buf := padded.NewWorldBuf()
+		return func(m int) error {
+			for i := 0; i < m; i++ {
+				b := padded.SampleWorldInto(ln.Rng, buf)
+				v, err := pred(b)
+				if err != nil {
+					return fmt.Errorf("mc: evaluating sample %d: %w", ln.Drawn+i, err)
+				}
+				if (v || b.Holds(rc.Rel, rc.Args)) && b.Holds(rd.Rel, rd.Args) {
+					ln.Hits++
+				}
+			}
+			return nil
 		}
-		requested = maxSamples + 1
 	}
-	t, _ := clampSamples(requested, maxSamples)
-	hits := 0
-	drawn := 0
-	buf := padded.NewWorldBuf()
-	for i := 0; i < t; i++ {
-		if i%ctxPollStride == 0 && ctx.Err() != nil {
-			break
-		}
-		b := padded.SampleWorldInto(rng, buf)
-		v, err := pred(b)
-		if err != nil {
-			return Estimate{}, fmt.Errorf("mc: evaluating sample %d: %w", i, err)
-		}
-		if (v || b.Holds(rc.Rel, rc.Args)) && b.Holds(rd.Rel, rd.Args) {
-			hits++
-		}
-		drawn++
-	}
-	if drawn == 0 {
-		return Estimate{}, fmt.Errorf("%w: %v", ErrNoSamples, ctx.Err())
-	}
-	xTilde := float64(hits) / float64(drawn)
-	alpha := (xTilde - xiF*xiF) / (xiF - xiF*xiF)
-	alpha = math.Max(0, math.Min(1, alpha))
-	est := Estimate{Value: alpha, Samples: drawn, Requested: requested, Eps: eps, Delta: delta, Method: "padded-structural"}
-	if drawn < requested {
-		est.Partial = true
-		est.Eps = widenedPaddedEps(xiF, delta, drawn)
-	}
-	return est, nil
+	return estimatePadded(ctx, "padded-structural", k, xi, eps, delta, maxSamples, s)
 }

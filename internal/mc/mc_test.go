@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/big"
-	"math/rand"
 	"testing"
 
 	"qrel/internal/rel"
@@ -27,6 +26,28 @@ func oneAtomDB() *unreliable.DB {
 }
 
 func predS0(b *rel.Structure) (bool, error) { return b.Holds("S", rel.Tuple{0}), nil }
+
+// The interpreted estimators continuing a caller's sequential source;
+// nuSeq is the mean of a predicate's indicator, i.e. plain Monte Carlo
+// for nu(psi) = Pr[B ⊨ psi].
+func meanSeq(ctx context.Context, d *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, src *Source) (Estimate, error) {
+	est, _, err := EstimateMean(ctx, MeanKernel(d, f), eps, delta, maxSamples, Stream{Src: src})
+	return est, err
+}
+
+func nuSeq(ctx context.Context, d *unreliable.DB, pred func(*rel.Structure) (bool, error), eps, delta float64, maxSamples int, src *Source) (Estimate, error) {
+	return meanSeq(ctx, d, func(b *rel.Structure) (float64, error) {
+		v, err := pred(b)
+		if err != nil || !v {
+			return 0, err
+		}
+		return 1, nil
+	}, eps, delta, maxSamples, src)
+}
+
+func paddedSeq(ctx context.Context, d *unreliable.DB, pred func(*rel.Structure) (bool, error), xi, eps, delta float64, maxSamples int, src *Source) (Estimate, error) {
+	return EstimateNuPadded(ctx, PaddedPred(d, pred), xi, eps, delta, maxSamples, Stream{Src: src})
+}
 
 func TestHoeffdingSampleSize(t *testing.T) {
 	n, err := HoeffdingSampleSize(0.05, 0.05)
@@ -65,8 +86,8 @@ func TestPaperSampleSize(t *testing.T) {
 
 func TestEstimateNuConverges(t *testing.T) {
 	d := oneAtomDB()
-	rng := rand.New(rand.NewSource(1))
-	est, err := EstimateNu(bg, d, predS0, 0.02, 0.01, 0, rng)
+	rng := NewSource(1)
+	est, err := nuSeq(bg, d, predS0, 0.02, 0.01, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +104,8 @@ func TestEstimateNuConverges(t *testing.T) {
 
 func TestEstimateNuPaddedConverges(t *testing.T) {
 	d := oneAtomDB()
-	rng := rand.New(rand.NewSource(2))
-	est, err := EstimateNuPadded(bg, d, predS0, 0.25, 0.05, 0.02, 0, rng)
+	rng := NewSource(2)
+	est, err := paddedSeq(bg, d, predS0, 0.25, 0.05, 0.02, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +113,7 @@ func TestEstimateNuPaddedConverges(t *testing.T) {
 		t.Errorf("padded estimate %v, want 0.75 ± 0.05", est.Value)
 	}
 	// Default xi kicks in on 0.
-	est2, err := EstimateNuPadded(bg, d, predS0, 0, 0.05, 0.02, 0, rng)
+	est2, err := paddedSeq(bg, d, predS0, 0, 0.05, 0.02, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +124,8 @@ func TestEstimateNuPaddedConverges(t *testing.T) {
 
 func TestEstimateNuPaddedStructuralMatches(t *testing.T) {
 	d := oneAtomDB()
-	rng := rand.New(rand.NewSource(3))
-	est, err := EstimateNuPaddedStructural(bg, d, predS0, 0.25, 0.05, 0.02, 0, rng)
+	rng := NewSource(3)
+	est, err := EstimateNuPaddedStructural(bg, d, predS0, 0.25, 0.05, 0.02, 0, Stream{Src: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +140,15 @@ func TestEstimateExtremeProbabilities(t *testing.T) {
 	s := rel.MustStructure(2, voc)
 	s.MustAdd("S", 0)
 	d := unreliable.New(s) // no uncertainty at all
-	rng := rand.New(rand.NewSource(4))
-	est, err := EstimateNuPadded(bg, d, predS0, 0.25, 0.05, 0.02, 0, rng)
+	rng := NewSource(4)
+	est, err := paddedSeq(bg, d, predS0, 0.25, 0.05, 0.02, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(est.Value-1) > 0.05 {
 		t.Errorf("certain-true estimate %v", est.Value)
 	}
-	est, err = EstimateNuPadded(bg, d, func(b *rel.Structure) (bool, error) {
+	est, err = paddedSeq(bg, d, func(b *rel.Structure) (bool, error) {
 		return b.Holds("S", rel.Tuple{1}), nil
 	}, 0.25, 0.05, 0.02, 0, rng)
 	if err != nil {
@@ -140,10 +161,10 @@ func TestEstimateExtremeProbabilities(t *testing.T) {
 
 func TestEstimateAnytimePartial(t *testing.T) {
 	d := oneAtomDB()
-	rng := rand.New(rand.NewSource(6))
+	rng := NewSource(6)
 	// eps=0.01 needs ~18k Hoeffding samples; a 200-sample budget forces a
 	// partial result with an honestly widened interval.
-	est, err := EstimateNu(bg, d, predS0, 0.01, 0.05, 200, rng)
+	est, err := nuSeq(bg, d, predS0, 0.01, 0.05, 200, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,22 +188,22 @@ func TestEstimateCanceledBeforeFirstSample(t *testing.T) {
 	d := oneAtomDB()
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
-	rng := rand.New(rand.NewSource(7))
-	if _, err := EstimateNu(ctx, d, predS0, 0.1, 0.1, 0, rng); !errors.Is(err, ErrNoSamples) {
+	rng := NewSource(7)
+	if _, err := nuSeq(ctx, d, predS0, 0.1, 0.1, 0, rng); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("EstimateNu error %v, want ErrNoSamples", err)
 	}
-	if _, err := EstimateNuPadded(ctx, d, predS0, 0.25, 0.1, 0.1, 0, rng); !errors.Is(err, ErrNoSamples) {
+	if _, err := paddedSeq(ctx, d, predS0, 0.25, 0.1, 0.1, 0, rng); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("EstimateNuPadded error %v, want ErrNoSamples", err)
 	}
 }
 
 func TestEstimateMeanValidation(t *testing.T) {
 	d := oneAtomDB()
-	rng := rand.New(rand.NewSource(5))
-	if _, err := EstimateMean(bg, d, func(*rel.Structure) (float64, error) { return 2, nil }, 0.1, 0.1, 0, rng); err == nil {
+	rng := NewSource(5)
+	if _, err := meanSeq(bg, d, func(*rel.Structure) (float64, error) { return 2, nil }, 0.1, 0.1, 0, rng); err == nil {
 		t.Error("out-of-range sample value accepted")
 	}
-	if _, err := EstimateMean(bg, d, func(*rel.Structure) (float64, error) {
+	if _, err := meanSeq(bg, d, func(*rel.Structure) (float64, error) {
 		return 0, errTest
 	}, 0.1, 0.1, 0, rng); err == nil {
 		t.Error("predicate error swallowed")
@@ -198,7 +219,7 @@ func (*testError) Error() string { return "test error" }
 func TestPadDB(t *testing.T) {
 	d := oneAtomDB()
 	xi := big.NewRat(1, 4)
-	padded, rc, rd, err := PadDB(d, xi)
+	padded, rc, rd, err := padDB(d, xi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,10 +257,10 @@ func TestPadDB(t *testing.T) {
 	}
 	// Errors: universe too small; name collision.
 	tiny := unreliable.New(rel.MustStructure(1, rel.MustVocabulary(rel.RelSym{Name: "S", Arity: 1})))
-	if _, _, _, err := PadDB(tiny, xi); err == nil {
+	if _, _, _, err := padDB(tiny, xi); err == nil {
 		t.Error("1-element universe accepted")
 	}
-	if _, _, _, err := PadDB(padded, xi); err == nil {
+	if _, _, _, err := padDB(padded, xi); err == nil {
 		t.Error("double padding accepted")
 	}
 }
@@ -253,7 +274,7 @@ func TestPaddedCoverageBounds(t *testing.T) {
 	d := unreliable.New(s)
 	d.MustSetError(rel.GroundAtom{Rel: "S", Args: rel.Tuple{1}}, big.NewRat(1, 2))
 	xi := big.NewRat(1, 4)
-	padded, rc, rd, err := PadDB(d, xi)
+	padded, rc, rd, err := padDB(d, xi)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,18 @@
 package mc
 
 import (
-	"context"
 	"fmt"
 	"sort"
-
-	"qrel/internal/rel"
-	"qrel/internal/unreliable"
 )
 
 // Lane-range runs: the distribution primitive behind the qrelcoord
-// cluster. A lane-split estimation (see lanes.go) is a pure function of
+// cluster. A lane-split estimation (see driver.go) is a pure function of
 // (seed, lane count): lane i's RNG stream and sample quota are derived
 // from the seed and the *total* lane count alone, never from where the
 // lane runs. A Range therefore names a contiguous subset [Lo,Hi) of the
-// Total-lane split, and EstimateMeanRange executes exactly those lanes
-// — same streams, same quotas, same per-sample code as the single-node
-// run. MergeMean reassembles the full-run estimate from per-lane
+// Total-lane split, and a run whose Stream carries it executes exactly
+// those lanes — same streams, same quotas, same kernel as the
+// single-node run. MergeMean reassembles the full-run estimate from per-lane
 // aggregates in lane-index order, reproducing the single-node float
 // operation sequence bit for bit, for any partition of the lanes across
 // nodes.
@@ -44,22 +40,19 @@ func (r Range) Full() bool { return r.Lo == 0 && r.Hi == r.Total }
 
 func (r Range) String() string { return fmt.Sprintf("%d-%d/%d", r.Lo, r.Hi, r.Total) }
 
-// rangeMethod scopes an estimator's checkpoint method string to a lane
+// RangeMethod scopes an estimator's checkpoint method string to a lane
 // range. A full range keeps the base name, so full-range checkpoints
 // interchange with plain lane-split runs; a proper subrange embeds the
-// range, so RestoreLanes rejects resuming one range's snapshot into
-// another (their lane streams differ).
-func rangeMethod(base string, r Range) string {
+// range, so a snapshot of one range is refused by another (their lane
+// streams differ) — by the driver on resume, and by the coordinator
+// validating a shipped snapshot against the range it is about to
+// re-plant.
+func RangeMethod(base string, r Range) string {
 	if r.Full() {
 		return base
 	}
 	return fmt.Sprintf("%s@%s", base, r)
 }
-
-// RangeMethod is the exported form of the range-scoped method string —
-// the coordinator uses it to validate that a shipped snapshot belongs
-// to the lane range it is about to resume.
-func RangeMethod(base string, r Range) string { return rangeMethod(base, r) }
 
 // SplitRanges partitions a total-lane split into parts contiguous
 // near-equal ranges, in order: range i gets ⌊total/parts⌋ lanes plus
@@ -98,72 +91,14 @@ type LaneAgg struct {
 	Sum   float64 `json:"sum"`
 }
 
-// RangeResult is the output of a lane-range run: the per-lane raw
-// aggregates plus the full-run sample size the accuracy parameters
-// imply (identical on every node, carried for cross-checking).
-type RangeResult struct {
-	Range     Range     `json:"range"`
-	Method    string    `json:"method"`
-	Requested int       `json:"requested"`
-	Lanes     []LaneAgg `json:"lanes"`
-}
-
-// Drawn is the total number of samples the range actually drew.
-func (rr RangeResult) Drawn() int {
-	n := 0
-	for _, a := range rr.Lanes {
-		n += a.Drawn
-	}
-	return n
-}
-
-// EstimateMeanRange runs the lanes [rng.Lo,rng.Hi) of the rng.Total-lane
-// Hoeffding mean estimation for (seed, eps, delta, maxSamples). The
-// split and the quota assignment are computed over all rng.Total lanes
-// exactly as EstimateMeanPar would, then only the subrange is executed;
-// the returned per-lane aggregates are bit-identical to what those
-// lanes produce in a single-node run. Checkpoints (ck) are scoped to
-// the range via the method string, so a subrange snapshot resumes only
-// the same subrange.
-func EstimateMeanRange(ctx context.Context, db *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, seed int64, rng Range, workers int, ck *Ckpt) (RangeResult, error) {
-	if err := rng.Validate(); err != nil {
-		return RangeResult{}, err
-	}
-	requested, err := HoeffdingSampleSize(eps, delta)
-	if err != nil {
-		if maxSamples <= 0 {
-			return RangeResult{}, err
-		}
-		requested = maxSamples + 1 // any realized count reads as partial
-	}
-	t, _ := clampSamples(requested, maxSamples)
-	all := SplitLanes(seed, rng.Total)
-	AssignQuotas(all, t)
-	sub := all[rng.Lo:rng.Hi]
-	workers = Par{Lanes: rng.Len(), Workers: workers}.withDefaults().Workers
-	if err := sampleAssignedLanes(ctx, rangeMethod("hoeffding", rng), sub, workers, ck, meanStep(db, f)); err != nil {
-		return RangeResult{}, err
-	}
-	drawn, _, _ := laneTotals(sub)
-	if drawn == 0 {
-		return RangeResult{}, fmt.Errorf("%w: %v", ErrNoSamples, ctx.Err())
-	}
-	res := RangeResult{Range: rng, Method: "hoeffding", Requested: requested, Lanes: make([]LaneAgg, 0, len(sub))}
-	for _, ln := range sub {
-		res.Lanes = append(res.Lanes, LaneAgg{Idx: ln.Idx, Quota: ln.Quota, Drawn: ln.Drawn, Hits: ln.Hits, Sum: ln.Sum})
-	}
-	return res, nil
-}
-
 // MergeMean reassembles the full-run Hoeffding Estimate from per-lane
 // aggregates collected across range runs. It demands exact coverage of
 // the total-lane split — every lane present exactly once, with exactly
-// the quota AssignQuotas would have given it (lane-quota conservation:
+// the quota the driver would have given it (lane-quota conservation:
 // reassignment may move a lane between nodes but never change what it
-// owes) — and then accumulates Drawn/Sum in lane-index order, which is
-// the same float operation sequence as the single-node laneTotals, so
-// the merged Value is bit-identical to EstimateMeanPar's for the same
-// (seed, eps, delta, maxSamples).
+// owes) — and then folds them exactly as EstimateMean folds its own
+// lanes, so the merged Value is bit-identical to the single-node
+// estimate for the same (seed, eps, delta, maxSamples).
 func MergeMean(aggs []LaneAgg, total int, eps, delta float64, maxSamples int) (Estimate, error) {
 	if total <= 0 {
 		return Estimate{}, fmt.Errorf("mc: merge over %d lanes", total)
@@ -171,19 +106,13 @@ func MergeMean(aggs []LaneAgg, total int, eps, delta float64, maxSamples int) (E
 	if len(aggs) != total {
 		return Estimate{}, fmt.Errorf("mc: lane coverage: %d aggregates for a %d-lane split", len(aggs), total)
 	}
-	requested, err := HoeffdingSampleSize(eps, delta)
+	requested, t, err := hoeffdingPlan(eps, delta, maxSamples)
 	if err != nil {
-		if maxSamples <= 0 {
-			return Estimate{}, err
-		}
-		requested = maxSamples + 1
+		return Estimate{}, err
 	}
-	t, _ := clampSamples(requested, maxSamples)
 	q, rem := t/total, t%total
 	sorted := append([]LaneAgg(nil), aggs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Idx < sorted[j].Idx })
-	var drawn, hits int
-	var sum float64
 	for i, a := range sorted {
 		if a.Idx != i {
 			return Estimate{}, fmt.Errorf("mc: lane coverage: lane %d missing or duplicated (got idx %d)", i, a.Idx)
@@ -198,18 +127,10 @@ func MergeMean(aggs []LaneAgg, total int, eps, delta float64, maxSamples int) (E
 		if a.Drawn < 0 || a.Drawn > a.Quota || a.Hits < 0 || a.Hits > a.Drawn {
 			return Estimate{}, fmt.Errorf("mc: implausible aggregate for lane %d: drawn=%d hits=%d quota=%d", i, a.Drawn, a.Hits, a.Quota)
 		}
-		drawn += a.Drawn
-		hits += a.Hits
-		sum += a.Sum
 	}
-	_ = hits // the mean estimator carries hits only for diagnostics
-	if drawn == 0 {
+	est := hoeffdingEstimate(sorted, requested, eps, delta)
+	if est.Samples == 0 {
 		return Estimate{}, fmt.Errorf("%w: no lane drew a sample", ErrNoSamples)
-	}
-	est := Estimate{Value: sum / float64(drawn), Samples: drawn, Requested: requested, Eps: eps, Delta: delta, Method: "hoeffding"}
-	if drawn < requested {
-		est.Partial = true
-		est.Eps = WidenedHoeffdingEps(delta, drawn)
 	}
 	return est, nil
 }

@@ -8,7 +8,24 @@ import (
 
 	"qrel/internal/rel"
 	"qrel/internal/testutil"
+	"qrel/internal/unreliable"
 )
+
+// meanRange runs the lanes r of the seed's split and returns their raw
+// aggregates.
+func meanRange(ctx context.Context, d *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, seed int64, r Range, workers int, ck *Ckpt) ([]LaneAgg, error) {
+	_, aggs, err := EstimateMean(ctx, MeanKernel(d, f), eps, delta, maxSamples, Stream{Seed: seed, Range: &r, Workers: workers, Ckpt: ck})
+	return aggs, err
+}
+
+// drawnOf totals the samples a set of lanes drew.
+func drawnOf(aggs []LaneAgg) int {
+	n := 0
+	for _, a := range aggs {
+		n += a.Drawn
+	}
+	return n
+}
 
 // rangeAggs runs every range of the partition and pools the per-lane
 // aggregates, as the cluster coordinator does.
@@ -17,11 +34,11 @@ func rangeAggs(t *testing.T, ranges []Range, seed int64, eps, delta float64, max
 	d := manyAtomDB()
 	var aggs []LaneAgg
 	for _, r := range ranges {
-		rr, err := EstimateMeanRange(bg, d, statS, eps, delta, maxSamples, seed, r, workers, nil)
+		lanes, err := meanRange(bg, d, statS, eps, delta, maxSamples, seed, r, workers, nil)
 		if err != nil {
 			t.Fatalf("range %v: %v", r, err)
 		}
-		aggs = append(aggs, rr.Lanes...)
+		aggs = append(aggs, lanes...)
 	}
 	return aggs
 }
@@ -34,7 +51,7 @@ func TestRangeMergeBitIdentical(t *testing.T) {
 	d := manyAtomDB()
 	const seed, eps, delta = 42, 0.05, 0.1
 
-	base, err := EstimateMeanPar(bg, d, statS, eps, delta, 0, seed, Par{Workers: 4}, nil)
+	base, err := meanPar(bg, d, statS, eps, delta, 0, seed, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +75,7 @@ func TestRangeMergePartialBudget(t *testing.T) {
 	d := manyAtomDB()
 	const seed, eps, delta, budget = 7, 0.01, 0.1, 900
 
-	base, err := EstimateMeanPar(bg, d, statS, eps, delta, budget, seed, Par{Workers: 4}, nil)
+	base, err := meanPar(bg, d, statS, eps, delta, budget, seed, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,21 +98,21 @@ func TestRangeWorkerInvariance(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	d := manyAtomDB()
 	r := Range{Lo: 2, Hi: 6, Total: DefaultLanes}
-	base, err := EstimateMeanRange(bg, d, statS, 0.05, 0.1, 0, 11, r, 1, nil)
+	base, err := meanRange(bg, d, statS, 0.05, 0.1, 0, 11, r, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4} {
-		got, err := EstimateMeanRange(bg, d, statS, 0.05, 0.1, 0, 11, r, w, nil)
+		got, err := meanRange(bg, d, statS, 0.05, 0.1, 0, 11, r, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Lanes) != len(base.Lanes) {
-			t.Fatalf("workers=%d: %d lanes, want %d", w, len(got.Lanes), len(base.Lanes))
+		if len(got) != len(base) {
+			t.Fatalf("workers=%d: %d lanes, want %d", w, len(got), len(base))
 		}
-		for i := range got.Lanes {
-			if got.Lanes[i] != base.Lanes[i] {
-				t.Errorf("workers=%d lane %d: %+v != %+v", w, i, got.Lanes[i], base.Lanes[i])
+		for i := range got {
+			if got[i] != base[i] {
+				t.Errorf("workers=%d lane %d: %+v != %+v", w, i, got[i], base[i])
 			}
 		}
 	}
@@ -166,7 +183,7 @@ func TestRangeCheckpointScoping(t *testing.T) {
 	left := Range{Lo: 0, Hi: 4, Total: DefaultLanes}
 	right := Range{Lo: 4, Hi: 8, Total: DefaultLanes}
 
-	base, err := EstimateMeanPar(bg, d, statS, eps, delta, 0, seed, Par{Workers: 3}, nil)
+	base, err := meanPar(bg, d, statS, eps, delta, 0, seed, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,36 +200,36 @@ func TestRangeCheckpointScoping(t *testing.T) {
 		}
 		return statS(b)
 	}
-	killed, err := EstimateMeanRange(ctx, d, killer, eps, delta, 0, seed, left, 3, &Ckpt{Every: 128, Save: save})
+	killed, err := meanRange(ctx, d, killer, eps, delta, 0, seed, left, 3, &Ckpt{Every: 128, Save: save})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap == nil {
 		t.Fatal("no checkpoint was saved")
 	}
-	if killed.Drawn() >= quotaOf(t, left, eps, delta) {
-		t.Fatalf("killed range completed (%d samples); cancel fired too late", killed.Drawn())
+	if drawnOf(killed) >= quotaOf(t, left, eps, delta) {
+		t.Fatalf("killed range completed (%d samples); cancel fired too late", drawnOf(killed))
 	}
 	if !strings.Contains(snap.Method, left.String()) {
 		t.Fatalf("snapshot method %q does not embed the range %v", snap.Method, left)
 	}
 
 	// Another range must refuse the snapshot.
-	if _, err := EstimateMeanRange(bg, d, statS, eps, delta, 0, seed, right, 3, &Ckpt{Resume: snap}); err == nil {
+	if _, err := meanRange(bg, d, statS, eps, delta, 0, seed, right, 3, &Ckpt{Resume: snap}); err == nil {
 		t.Error("right range resumed from the left range's snapshot")
 	}
 
 	// The same range resumes to completion, and the merge with a fresh
 	// right-range run equals the uninterrupted single-node estimate.
-	resumed, err := EstimateMeanRange(bg, d, statS, eps, delta, 0, seed, left, 3, &Ckpt{Resume: snap})
+	resumed, err := meanRange(bg, d, statS, eps, delta, 0, seed, left, 3, &Ckpt{Resume: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rightRun, err := EstimateMeanRange(bg, d, statS, eps, delta, 0, seed, right, 3, nil)
+	rightRun, err := meanRange(bg, d, statS, eps, delta, 0, seed, right, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := MergeMean(append(append([]LaneAgg(nil), resumed.Lanes...), rightRun.Lanes...), DefaultLanes, eps, delta, 0)
+	merged, err := MergeMean(append(append([]LaneAgg(nil), resumed...), rightRun...), DefaultLanes, eps, delta, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +320,11 @@ func TestRangeResumeWorkerMatrix(t *testing.T) {
 	left := Range{Lo: 0, Hi: 4, Total: DefaultLanes}
 	right := Range{Lo: 4, Hi: 8, Total: DefaultLanes}
 
-	base, err := EstimateMeanPar(bg, d, statS, eps, delta, 0, seed, Par{Workers: 4}, nil)
+	base, err := meanPar(bg, d, statS, eps, delta, 0, seed, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rightRun, err := EstimateMeanRange(bg, d, statS, eps, delta, 0, seed, right, 2, nil)
+	rightRun, err := meanRange(bg, d, statS, eps, delta, 0, seed, right, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +341,7 @@ func TestRangeResumeWorkerMatrix(t *testing.T) {
 		}
 		return statS(b)
 	}
-	if _, err := EstimateMeanRange(ctx, d, killer, eps, delta, 0, seed, left, 2, &Ckpt{Every: 128, Save: save}); err != nil {
+	if _, err := meanRange(ctx, d, killer, eps, delta, 0, seed, left, 2, &Ckpt{Every: 128, Save: save}); err != nil {
 		t.Fatal(err)
 	}
 	if snap == nil {
@@ -332,11 +349,11 @@ func TestRangeResumeWorkerMatrix(t *testing.T) {
 	}
 
 	for _, w := range []int{1, 2, 4, 7} {
-		resumed, err := EstimateMeanRange(bg, d, statS, eps, delta, 0, seed, left, w, &Ckpt{Resume: snap})
+		resumed, err := meanRange(bg, d, statS, eps, delta, 0, seed, left, w, &Ckpt{Resume: snap})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		merged, err := MergeMean(append(append([]LaneAgg(nil), resumed.Lanes...), rightRun.Lanes...), DefaultLanes, eps, delta, 0)
+		merged, err := MergeMean(append(append([]LaneAgg(nil), resumed...), rightRun...), DefaultLanes, eps, delta, 0)
 		if err != nil {
 			t.Fatalf("workers=%d: merge: %v", w, err)
 		}

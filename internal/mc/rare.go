@@ -21,9 +21,9 @@ import (
 // the conditional mean needs a factor Z² fewer samples for the same
 // absolute error: E[f] = Z · E[f | ≥1 flip].
 
-// FlipEventProb returns Z = 1 − Π (1 − mu_i), the probability that at
+// flipEventProb returns Z = 1 − Π (1 − mu_i), the probability that at
 // least one uncertain atom flips (mu = 1 atoms make it 1).
-func FlipEventProb(db *unreliable.DB) *big.Rat {
+func flipEventProb(db *unreliable.DB) *big.Rat {
 	one := big.NewRat(1, 1)
 	none := new(big.Rat).Set(one)
 	if len(db.SureFlips()) > 0 {
@@ -35,91 +35,13 @@ func FlipEventProb(db *unreliable.DB) *big.Rat {
 	return none.Sub(one, none)
 }
 
-// SampleWorldConditional draws a world conditioned on at least one
-// uncertain atom flipping, with exactly the conditional distribution:
-// the index of the first flipped atom i is drawn with probability
-// mu_i·Π_{j<i}(1−mu_j)/Z, atoms before i are kept, atom i flipped, and
-// atoms after i flip independently. Returns an error when the flip
-// event has probability zero.
-func SampleWorldConditional(db *unreliable.DB, rng *rand.Rand) (*rel.Structure, error) {
-	atoms := db.UncertainAtoms()
-	if len(db.SureFlips()) > 0 {
-		// A deterministic flip exists: every world is in the event.
-		return db.SampleWorld(rng), nil
-	}
-	if len(atoms) == 0 {
-		return nil, fmt.Errorf("mc: no uncertain atoms; the flip event has probability 0")
-	}
-	mus := make([]float64, len(atoms))
-	for i, a := range atoms {
-		mu, _ := db.ErrorProb(a).Float64()
-		mus[i] = mu
-	}
-	// Draw the first flipped index from its exact distribution.
-	zf, _ := FlipEventProb(db).Float64()
-	if zf <= 0 {
-		return nil, fmt.Errorf("mc: flip event has probability 0")
-	}
-	r := rng.Float64() * zf
-	first := len(atoms) - 1
-	prefixKeep := 1.0
-	for i, mu := range mus {
-		p := prefixKeep * mu
-		if r < p {
-			first = i
-			break
-		}
-		r -= p
-		prefixKeep *= 1 - mu
-	}
-	b := db.A.Clone()
-	// Atoms before first: kept; atom first: flipped; after: Bernoulli.
-	a := atoms[first]
-	b.Rel(a.Rel).Toggle(a.Args)
-	for i := first + 1; i < len(atoms); i++ {
-		if rng.Float64() < mus[i] {
-			ai := atoms[i]
-			b.Rel(ai.Rel).Toggle(ai.Args)
-		}
-	}
-	return b, nil
-}
-
-// EstimateMeanRare estimates E[f(B)] for a [0,1]-valued statistic with
-// f(A) = 0 whenever no atom flips (true for the normalized Hamming
-// distance), with absolute error eps and confidence 1−delta, by
-// conditioning on the flip event: the estimate is Z·mean of t samples
-// of f on conditional worlds, with t = ⌈Z²·ln(2/δ)/(2ε²)⌉ — a factor Z²
-// below the unconditional Hoeffding size. Falls back to EstimateMean
-// when Z ≥ 1 (a sure flip exists).
-//
-// Anytime semantics match EstimateMean: an early stop (ctx canceled or
-// maxSamples reached, 0 = unlimited) yields the partial estimate with
-// Partial = true and Eps = Z·ε_Hoeffding(t') widened to the realized
-// sample count.
-func EstimateMeanRare(ctx context.Context, db *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, rng *rand.Rand) (Estimate, error) {
-	return estimateMeanRareLoop(ctx, db, f, eps, delta, maxSamples, rng, nil, nil)
-}
-
-// estimateMeanRareLoop is the sequential single-lane path behind
-// EstimateMeanRare and EstimateMeanRareCk; src and ck are nil for
-// uncheckpointed runs.
-func estimateMeanRareLoop(ctx context.Context, db *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, rng *rand.Rand, src *Source, ck *Ckpt) (Estimate, error) {
-	return estimateMeanRareLanes(ctx, db, f, eps, delta, maxSamples, []*Lane{{Src: src, Rng: rng}}, 1, ck)
-}
-
-// EstimateMeanRarePar is EstimateMeanRare over the lane-split parallel
-// runtime; see EstimateMeanPar for the determinism contract.
-func EstimateMeanRarePar(ctx context.Context, db *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, seed int64, par Par, ck *Ckpt) (Estimate, error) {
-	lanes, workers := LanesFor(seed, par)
-	return estimateMeanRareLanes(ctx, db, f, eps, delta, maxSamples, lanes, workers, ck)
-}
-
-// condSampler draws conditional worlds without per-sample allocation,
-// consuming the RNG exactly like SampleWorldConditional: one Float64
-// for the first-flip index, then one per later atom. The flip-event
-// data (mus, zf) is shared read-only across lanes; the world buffer is
-// per-lane.
+// condSampler draws a world conditioned on at least one uncertain atom
+// flipping, with exactly the conditional distribution: the index of
+// the first flipped atom i is drawn with probability
+// mu_i·Π_{j<i}(1−mu_j)/Z (one Float64), atoms before i are kept, atom i
+// flipped, and atoms after i flip independently (one Float64 each).
+// The flip-event data (mus, zf) is shared read-only across lanes; the
+// world buffer is per-lane, so sampling allocates nothing.
 type condSampler struct {
 	mus []float64
 	zf  float64
@@ -149,14 +71,25 @@ func (cs *condSampler) sample(rng *rand.Rand) *rel.Structure {
 	return cs.buf.World()
 }
 
-// estimateMeanRareLanes is the shared lane-pool estimator behind
-// EstimateMeanRare(Ck) and EstimateMeanRarePar.
-func estimateMeanRareLanes(ctx context.Context, db *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, lanes []*Lane, workers int, ck *Ckpt) (Estimate, error) {
+// EstimateMeanRare estimates E[f(B)] for a [0,1]-valued statistic with
+// f(A) = 0 whenever no atom flips (true for the normalized Hamming
+// distance), with absolute error eps and confidence 1−delta, by
+// conditioning on the flip event: the estimate is Z·mean of t samples
+// of f on conditional worlds, with t = ⌈Z²·ln(2/δ)/(2ε²)⌉ — a factor Z²
+// below the unconditional Hoeffding size. Falls back to EstimateMean
+// when Z ≥ 1 (a sure flip exists). Conditional worlds are a stream the
+// bit-parallel batch layout does not cover, so the statistic is a Go
+// function and the kernel interpreted.
+//
+// Anytime semantics match EstimateMean: an early stop (ctx canceled or
+// maxSamples reached, 0 = unlimited) yields the partial estimate with
+// Partial = true and Eps = Z·ε_Hoeffding(t') widened to the realized
+// sample count.
+func EstimateMeanRare(ctx context.Context, db *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, s Stream) (Estimate, error) {
 	if eps <= 0 || delta <= 0 || delta >= 1 {
 		return Estimate{}, fmt.Errorf("mc: need eps > 0 and 0 < delta < 1, got eps=%v delta=%v", eps, delta)
 	}
-	z := FlipEventProb(db)
-	zf, _ := z.Float64()
+	zf, _ := flipEventProb(db).Float64()
 	if zf <= 0 {
 		// Nothing can flip: the statistic is identically 0.
 		return Estimate{Value: 0, Samples: 0, Eps: eps, Delta: delta, Method: "rare-event"}, nil
@@ -164,7 +97,8 @@ func estimateMeanRareLanes(ctx context.Context, db *unreliable.DB, f func(*rel.S
 	if zf >= 1 {
 		// Z is a function of the database alone, so a job that fell back
 		// here on its first run falls back identically on resume.
-		return estimateMeanLanes(ctx, db, f, eps, delta, maxSamples, lanes, workers, ck)
+		est, _, err := EstimateMean(ctx, MeanKernel(db, f), eps, delta, maxSamples, s)
+		return est, err
 	}
 	// Conditional mean must be estimated to eps/Z absolute error.
 	requested := int(math.Ceil(zf * zf * math.Log(2/delta) / (2 * eps * eps)))
@@ -177,29 +111,13 @@ func estimateMeanRareLanes(ctx context.Context, db *unreliable.DB, f func(*rel.S
 		}
 		requested = maxSamples + 1
 	}
-	t, _ := clampSamples(requested, maxSamples)
 	// zf < 1 here, so there are no sure flips and at least one uncertain
 	// atom: the conditional sampler's preconditions hold.
-	atoms := db.UncertainAtoms()
-	mus := make([]float64, len(atoms))
-	for i, a := range atoms {
-		mus[i], _ = db.ErrorProb(a).Float64()
-	}
-	err := sampleLanes(ctx, "rare-event", lanes, workers, t, ck, func(ln *Lane) func() error {
+	mus := db.UncertainMuF()
+	lanes, err := Run(ctx, "rare-event", clampSamples(requested, maxSamples), true, s, meanKernel(f, func(ln *Lane) func() *rel.Structure {
 		cs := &condSampler{mus: mus, zf: zf, buf: db.NewWorldBuf()}
-		return func() error {
-			b := cs.sample(ln.Rng)
-			v, err := f(b)
-			if err != nil {
-				return fmt.Errorf("mc: evaluating sample %d: %w", ln.Drawn, err)
-			}
-			if v < 0 || v > 1 {
-				return fmt.Errorf("mc: sample value %v outside [0,1]", v)
-			}
-			ln.Sum += v
-			return nil
-		}
-	})
+		return func() *rel.Structure { return cs.sample(ln.Rng) }
+	}))
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -207,19 +125,12 @@ func estimateMeanRareLanes(ctx context.Context, db *unreliable.DB, f func(*rel.S
 	if drawn == 0 {
 		return Estimate{}, fmt.Errorf("%w: %v", ErrNoSamples, ctx.Err())
 	}
-	est := Estimate{
-		Value:     zf * sum / float64(drawn),
-		Samples:   drawn,
-		Requested: requested,
-		Eps:       eps,
-		Delta:     delta,
-		Method:    "rare-event",
-	}
+	est := Estimate{Value: zf * sum / float64(drawn), Samples: drawn, Requested: requested, Eps: eps, Delta: delta, Method: "rare-event"}
 	if drawn < requested {
 		est.Partial = true
 		// The conditional mean is known to ε_H(t') absolute error; scaling
 		// by Z scales the error bound by Z as well.
-		est.Eps = math.Min(1, zf*WidenedHoeffdingEps(delta, drawn))
+		est.Eps = math.Min(1, zf*widenedHoeffdingEps(delta, drawn))
 	}
 	return est, nil
 }

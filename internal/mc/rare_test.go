@@ -3,7 +3,6 @@ package mc
 import (
 	"math"
 	"math/big"
-	"math/rand"
 	"testing"
 
 	"qrel/internal/rel"
@@ -41,13 +40,13 @@ func TestFlipEventProb(t *testing.T) {
 	want := big.NewRat(1, 1)
 	want.Sub(want, new(big.Rat).Mul(big.NewRat(99, 100),
 		new(big.Rat).Mul(big.NewRat(49, 50), big.NewRat(199, 200))))
-	if got := FlipEventProb(d); got.Cmp(want) != 0 {
+	if got := flipEventProb(d); got.Cmp(want) != 0 {
 		t.Errorf("Z = %v, want %v", got, want)
 	}
 	// A mu = 1 atom forces Z = 1.
 	d2 := rareDB()
 	d2.MustSetError(rel.GroundAtom{Rel: "S", Args: rel.Tuple{0}}, big.NewRat(1, 1))
-	if FlipEventProb(d2).Cmp(big.NewRat(1, 1)) != 0 {
+	if flipEventProb(d2).Cmp(big.NewRat(1, 1)) != 0 {
 		t.Error("sure flip should force Z = 1")
 	}
 }
@@ -56,7 +55,7 @@ func TestConditionalSamplerDistribution(t *testing.T) {
 	// Compare conditional sample frequencies against exact conditional
 	// world probabilities by enumeration.
 	d := rareDB()
-	z := FlipEventProb(d)
+	z := flipEventProb(d)
 	// Exact conditional distribution over worlds with ≥1 flip.
 	type worldKey string
 	exact := map[worldKey]float64{}
@@ -75,15 +74,13 @@ func TestConditionalSamplerDistribution(t *testing.T) {
 		exact[worldKey(b.String())] = f
 		return true
 	})
-	rng := rand.New(rand.NewSource(1))
+	zf, _ := z.Float64()
+	cs := &condSampler{mus: d.UncertainMuF(), zf: zf, buf: d.NewWorldBuf()}
+	rng := NewRand(1)
 	counts := map[worldKey]int{}
 	const trials = 60000
 	for i := 0; i < trials; i++ {
-		b, err := SampleWorldConditional(d, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[worldKey(b.String())]++
+		counts[worldKey(cs.sample(rng).String())]++
 	}
 	for k, p := range exact {
 		got := float64(counts[k]) / trials
@@ -105,8 +102,7 @@ func TestEstimateMeanRareMatchesExact(t *testing.T) {
 	d := rareDB()
 	// Exact E[flippedFrac] = (1/100 + 1/50 + 1/200)/3 by linearity.
 	exact := (1.0/100 + 1.0/50 + 1.0/200) / 3
-	rng := rand.New(rand.NewSource(2))
-	est, err := EstimateMeanRare(bg, d, flippedFrac, 0.001, 0.02, 0, rng)
+	est, err := EstimateMeanRare(bg, d, flippedFrac, 0.001, 0.02, 0, Stream{Src: NewSource(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,20 +125,17 @@ func TestEstimateMeanRareEdgeCases(t *testing.T) {
 	voc := rel.MustVocabulary(rel.RelSym{Name: "S", Arity: 1})
 	s := rel.MustStructure(2, voc)
 	d := unreliable.New(s)
-	est, err := EstimateMeanRare(bg, d, func(*rel.Structure) (float64, error) { return 0, nil }, 0.01, 0.05, 0, rand.New(rand.NewSource(1)))
+	est, err := EstimateMeanRare(bg, d, func(*rel.Structure) (float64, error) { return 0, nil }, 0.01, 0.05, 0, Stream{Src: NewSource(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.Value != 0 || est.Samples != 0 {
 		t.Errorf("certain database: %+v", est)
 	}
-	if _, err := SampleWorldConditional(d, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("conditional sampling from a certain database accepted")
-	}
 	// mu = 1 atom: falls back to the plain estimator (Z = 1).
 	d2 := rareDB()
 	d2.MustSetError(rel.GroundAtom{Rel: "S", Args: rel.Tuple{0}}, big.NewRat(1, 1))
-	est2, err := EstimateMeanRare(bg, d2, flippedFrac, 0.05, 0.05, 0, rand.New(rand.NewSource(3)))
+	est2, err := EstimateMeanRare(bg, d2, flippedFrac, 0.05, 0.05, 0, Stream{Src: NewSource(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +143,7 @@ func TestEstimateMeanRareEdgeCases(t *testing.T) {
 		t.Errorf("method %q, want plain fallback", est2.Method)
 	}
 	// Parameter validation.
-	if _, err := EstimateMeanRare(bg, rareDB(), flippedFrac, 0, 0.5, 0, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := EstimateMeanRare(bg, rareDB(), flippedFrac, 0, 0.5, 0, Stream{Src: NewSource(1)}); err == nil {
 		t.Error("bad eps accepted")
 	}
 }

@@ -12,9 +12,9 @@ import (
 // stream; Source is a xoshiro256** generator (Blackman & Vigna) whose
 // 256-bit state can be captured at any sample boundary and restored
 // later, making a resumed run bit-identical to an uninterrupted run
-// with the same seed. All engines construct their generator through
-// NewRand, so the checkpoint/resume guarantee holds whether or not a
-// particular run checkpoints.
+// with the same seed. Every sampling run draws from a Source — the
+// driver's lanes carry one each — so the checkpoint/resume guarantee
+// holds whether or not a particular run checkpoints.
 
 // RNGState is the serializable 256-bit state of a Source. The zero
 // value is invalid (xoshiro's state must never be all-zero); states
@@ -38,8 +38,8 @@ func NewSource(seed int64) *Source {
 	return s
 }
 
-// NewRand returns a *rand.Rand over a fresh Source. This is how every
-// engine turns Options.Seed into its generator.
+// NewRand returns a *rand.Rand over a fresh Source, for callers that
+// want math/rand's methods over the serializable stream.
 func NewRand(seed int64) *rand.Rand { return rand.New(NewSource(seed)) }
 
 // Seed resets the source to the deterministic state derived from seed
@@ -125,5 +125,5 @@ func (s *Source) Jump() { s.applyJump(jumpPoly) }
 // LongJump advances the stream by 2^192 draws, partitioning the period
 // into 2^64 starting points each 2^192 apart — one per sampling lane.
 // Lane i of a lane-split run uses the seed's base state advanced by i
-// LongJumps (see SplitLanes).
+// LongJumps (see splitLanes).
 func (s *Source) LongJump() { s.applyJump(longJumpPoly) }

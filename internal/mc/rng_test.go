@@ -141,7 +141,7 @@ func TestLongJumpDiffersFromJump(t *testing.T) {
 }
 
 func TestSplitLanesDeterministic(t *testing.T) {
-	la, lb := SplitLanes(99, DefaultLanes), SplitLanes(99, DefaultLanes)
+	la, lb := splitLanes(99, DefaultLanes), splitLanes(99, DefaultLanes)
 	for i := range la {
 		if la[i].Src.State() != lb[i].Src.State() {
 			t.Fatalf("lane %d state differs between identical splits", i)
