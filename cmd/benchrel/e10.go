@@ -144,12 +144,11 @@ func probViaBDD(d prop.DNF, p prop.ProbAssignment) (*big.Rat, error) {
 	return mgr.Prob(root, p)
 }
 
-// runE10Extra holds the ablations added with the adaptive estimator and
-// the BDD variable order; called from runE10.
+// runE10Extra holds the ablations added with the planned Karp–Luby
+// sample size and the BDD variable order; called from runE10.
 func runE10Extra(cfg config, out *report) error {
-	rng := rand.New(rand.NewSource(cfg.seed + 1))
-
-	// Ablation 4: adaptive (DKLR) vs static Karp–Luby sample counts on a
+	// Ablation 4: Lemma 5.11's worst case p = 1/m vs the planned t, from
+	// a coverage lower bound proved before the first draw, on a
 	// high-coverage (near-disjoint) formula.
 	nv := 24
 	d := prop.DNF{NumVars: nv}
@@ -162,19 +161,27 @@ func runE10Extra(cfg config, out *report) error {
 	}
 	exactCount := new(big.Rat).Mul(exact, new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), uint(nv))))
 	exactF, _ := exactCount.Float64()
-	static, err := karpluby.CountDNF(cfg.ctx, d, 0.1, 0.05, karpluby.CountBatched, mc.Stream{Src: mc.NewSource(cfg.seed + 1)})
+	planned, err := karpluby.PlanCount(d, 0.1, 0.05, karpluby.CountBatched)
 	if err != nil {
 		return err
 	}
-	adaptive, err := karpluby.CountDNFAdaptive(d, 0.1, 0.05, rng)
+	worstCase := planned
+	if worstCase.Samples, err = karpluby.SampleSize(0.1, 0.05, len(d.Terms)); err != nil {
+		return err
+	}
+	worst, err := worstCase.Run(cfg.ctx, mc.Stream{Src: mc.NewSource(cfg.seed + 1)})
 	if err != nil {
 		return err
 	}
-	out.row("adaptive-kl", "static", static.Float(), exactF, relErr(static.Float(), exactF), static.Samples, "-")
-	out.row("adaptive-kl", "adaptive(DKLR)", adaptive.Float(), exactF, relErr(adaptive.Float(), exactF), adaptive.Samples, "-")
-	out.check("adaptive stopping needs far fewer samples on high-coverage input",
-		adaptive.Samples*2 < static.Samples &&
-			relErr(adaptive.Float(), exactF) <= 0.1)
+	plan, err := planned.Run(cfg.ctx, mc.Stream{Src: mc.NewSource(cfg.seed + 1)})
+	if err != nil {
+		return err
+	}
+	out.row("kl-sample-size", "lemma5.11(1/m)", worst.Float(), exactF, relErr(worst.Float(), exactF), worst.Samples, "-")
+	out.row("kl-sample-size", "planned", plan.Float(), exactF, relErr(plan.Float(), exactF), plan.Samples, "-")
+	out.check("the planned t is a fraction of the worst case on high-coverage input, both within eps",
+		plan.Samples*2 < worst.Samples &&
+			relErr(worst.Float(), exactF) <= 0.1 && relErr(plan.Float(), exactF) <= 0.1)
 
 	// Ablation 4b: rare-event conditioning for small error probabilities.
 	// All mus at 1/100: the flip event has Z ≈ 0.1, so the conditional

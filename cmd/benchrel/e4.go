@@ -37,7 +37,7 @@ func runE4(cfg config, out *report) error {
 		epss = []float64{0.2, 0.1}
 	}
 	const delta = 0.05
-	out.row("vars", "terms", "eps", "exact", "estimate", "rel err", "samples", "time")
+	out.row("vars", "terms", "eps", "exact", "estimate", "rel err", "samples", "t(1/m)", "time")
 	failures, rows := 0, 0
 	for _, inst := range instances {
 		d := workload.RandomKDNF(rng, inst.vars, inst.terms, inst.k)
@@ -58,12 +58,17 @@ func runE4(cfg config, out *report) error {
 			if err != nil {
 				return err
 			}
+			// Lemma 5.11's worst case, which the planned sample count replaces.
+			worst, err := karpluby.SampleSize(eps, delta, len(d.Terms))
+			if err != nil {
+				return err
+			}
 			relErr := math.Abs(res.Float()-exactF) / exactF
 			rows++
 			if relErr > eps {
 				failures++
 			}
-			out.row(inst.vars, inst.terms, eps, exactF, res.Float(), relErr, res.Samples, dt)
+			out.row(inst.vars, inst.terms, eps, exactF, res.Float(), relErr, res.Samples, worst, dt)
 		}
 	}
 	// With delta = 5% per row, more than ~30% failures means the
@@ -99,8 +104,8 @@ func runE4(cfg config, out *report) error {
 	naive := float64(hits) / float64(kl.Samples) * math.Pow(2, float64(sparse.NumVars))
 	klErr := math.Abs(kl.Float()-exactF) / exactF
 	naiveErr := math.Abs(naive-exactF) / exactF
-	out.row("sparse", len(sparse.Terms), "0.1", exactF, kl.Float(), klErr, kl.Samples, "-")
-	out.row("sparse(naive)", len(sparse.Terms), "-", exactF, naive, naiveErr, kl.Samples, "-")
+	out.row("sparse", len(sparse.Terms), "0.1", exactF, kl.Float(), klErr, kl.Samples, "-", "-")
+	out.row("sparse(naive)", len(sparse.Terms), "-", exactF, naive, naiveErr, kl.Samples, "-", "-")
 	out.check("Karp–Luby beats naive MC on the low-density instance", klErr <= 0.1 && naiveErr > klErr)
 	return nil
 }

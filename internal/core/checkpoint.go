@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 
 	"qrel/internal/checkpoint"
+	"qrel/internal/karpluby"
 	"qrel/internal/logic"
 	"qrel/internal/mc"
 )
@@ -79,6 +81,10 @@ type engineState struct {
 	Delta  float64 `json:"delta"`
 	Query  string  `json:"query"`
 	Lanes  int     `json:"lanes,omitempty"`
+	// Planner names the Karp–Luby sample-size rule (karpluby.Planner) of
+	// the lineage-karpluby engines: their tuples' sample counts are its
+	// output, so a run sized by another rule is not continued.
+	Planner string `json:"planner,omitempty"`
 
 	// Per-tuple engines (monte-carlo, lineage-karpluby): the index of
 	// the next unprocessed answer tuple, the accumulators over completed
@@ -109,14 +115,7 @@ func newCkptRun(cfg *CheckpointConfig, engine string, f logic.Formula, opts Opti
 	if cfg == nil || (cfg.Store == nil && cfg.Publish == nil && len(cfg.ResumeFrame) == 0) {
 		return nil, nil, nil
 	}
-	run := &ckptRun{cfg: cfg, head: engineState{
-		Engine: engine,
-		Seed:   opts.Seed,
-		Eps:    opts.Eps,
-		Delta:  opts.Delta,
-		Query:  fmt.Sprint(f),
-		Lanes:  laneCountFor(opts),
-	}}
+	run := &ckptRun{cfg: cfg, head: fingerprint(engine, f, opts)}
 	var best *engineState
 	if cfg.Resume && cfg.Store != nil {
 		payload, err := cfg.Store.LoadLatest()
@@ -166,20 +165,30 @@ func ValidateResumeFrame(frame []byte, engine Engine, f logic.Formula, opts Opti
 	// The engine fingerprints the normalized options (zero eps/delta
 	// replaced by the defaults), so the admission check must too.
 	opts = opts.withDefaults()
-	run := &ckptRun{head: engineState{
-		Engine: string(engine),
-		Seed:   opts.Seed,
-		Eps:    opts.Eps,
-		Delta:  opts.Delta,
-		Query:  fmt.Sprint(f),
-		Lanes:  laneCountFor(opts),
-	}}
+	run := &ckptRun{head: fingerprint(string(engine), f, opts)}
 	payload, err := checkpoint.DecodeFrame(frame)
 	if err != nil {
 		return err
 	}
 	_, err = run.validateSnapshot(payload)
 	return err
+}
+
+// fingerprint is the identity of an engine run that its snapshots
+// carry and a resume must match.
+func fingerprint(engine string, f logic.Formula, opts Options) engineState {
+	st := engineState{
+		Engine: engine,
+		Seed:   opts.Seed,
+		Eps:    opts.Eps,
+		Delta:  opts.Delta,
+		Query:  fmt.Sprint(f),
+		Lanes:  laneCountFor(opts),
+	}
+	if strings.HasPrefix(engine, "lineage-karpluby") {
+		st.Planner = karpluby.Planner
+	}
+	return st
 }
 
 // validateSnapshot decodes one snapshot payload and holds it to the
@@ -189,11 +198,11 @@ func (r *ckptRun) validateSnapshot(payload []byte) (*engineState, error) {
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return nil, fmt.Errorf("%w: undecodable snapshot payload: %v", checkpoint.ErrCorruptCheckpoint, err)
 	}
-	if st.Engine != r.head.Engine || st.Seed != r.head.Seed ||
+	if st.Engine != r.head.Engine || st.Planner != r.head.Planner || st.Seed != r.head.Seed ||
 		st.Eps != r.head.Eps || st.Delta != r.head.Delta || st.Query != r.head.Query {
-		return nil, fmt.Errorf("%w: snapshot is for engine=%s seed=%d eps=%v delta=%v query=%q; this run is engine=%s seed=%d eps=%v delta=%v query=%q",
-			ErrCheckpointMismatch, st.Engine, st.Seed, st.Eps, st.Delta, st.Query,
-			r.head.Engine, r.head.Seed, r.head.Eps, r.head.Delta, r.head.Query)
+		return nil, fmt.Errorf("%w: snapshot is for engine=%s planner=%q seed=%d eps=%v delta=%v query=%q; this run is engine=%s planner=%q seed=%d eps=%v delta=%v query=%q",
+			ErrCheckpointMismatch, st.Engine, st.Planner, st.Seed, st.Eps, st.Delta, st.Query,
+			r.head.Engine, r.head.Planner, r.head.Seed, r.head.Eps, r.head.Delta, r.head.Query)
 	}
 	if st.Lanes != r.head.Lanes {
 		return nil, fmt.Errorf("%w: snapshot was taken with %d RNG lanes, this run uses %d (the estimate depends on the lane count; rerun with the original Workers setting or start fresh)",
@@ -247,8 +256,8 @@ func streamFor(opts Options, seed int64, src *mc.Source) mc.Stream {
 // save persists one snapshot, stamping the fingerprint, and publishes
 // its framed form to the shipping hook when one is set.
 func (r *ckptRun) save(st engineState) error {
-	st.Engine, st.Seed, st.Eps, st.Delta, st.Query, st.Lanes =
-		r.head.Engine, r.head.Seed, r.head.Eps, r.head.Delta, r.head.Query, r.head.Lanes
+	st.Engine, st.Seed, st.Eps, st.Delta, st.Query, st.Lanes, st.Planner =
+		r.head.Engine, r.head.Seed, r.head.Eps, r.head.Delta, r.head.Query, r.head.Lanes, r.head.Planner
 	payload, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("core: marshaling snapshot: %w", err)

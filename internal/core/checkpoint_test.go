@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -138,41 +139,61 @@ func TestMonteCarloTupleResumeBitIdentical(t *testing.T) {
 // exhaustion (its relative guarantee admits no partial result), but it
 // snapshots first — so a rerun with a larger budget and Resume set
 // picks up at the failed tuple instead of starting over, and finishes
-// bit-identical to an uninterrupted run.
+// bit-identical to an uninterrupted run. The budget is held to the t
+// the route draws — φ's plan on the direct route, that of φ” on the
+// Theorem 5.3 route: a budget of the full run's samples suffices, any
+// smaller one fails, and no run draws past its budget.
 func TestLineageKLBudgetResume(t *testing.T) {
 	d := randUDB(rand.New(rand.NewSource(44)), 3, 4)
-	f := logic.MustParse("exists y . (E(x,y) & S(y))", nil)
 	base := Options{Eps: 0.4, Delta: 0.2, Seed: 13}
+	for _, q := range []string{"exists y . (E(x,y) & S(y))", "exists x y . (E(x,y) & S(y))"} {
+		f := logic.MustParse(q, nil)
+		for _, thm53 := range []bool{false, true} {
+			name := fmt.Sprintf("%s thm53=%v", q, thm53)
+			full, err := LineageKL(bg, d, f, base, thm53)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Samples < 10 {
+				t.Fatalf("%s: test needs a sampling run, got %d samples", name, full.Samples)
+			}
+			for _, budget := range []int{full.Samples / 4, full.Samples / 2, full.Samples * 3 / 4, full.Samples - 1, full.Samples} {
+				o := base
+				o.Budget = Budget{MaxSamples: budget}
+				drawn := 0
+				o.Checkpoint = &CheckpointConfig{Publish: func(seq int, _ []byte) { drawn = max(drawn, seq) }}
+				res, err := LineageKL(bg, d, f, o, thm53)
+				switch {
+				case budget == full.Samples && (err != nil || res.HFloat != full.HFloat):
+					t.Fatalf("%s: budget = full run: H=%v, %v; want H=%v", name, res.HFloat, err, full.HFloat)
+				case budget < full.Samples && !errors.Is(err, ErrBudgetExceeded):
+					t.Fatalf("%s: budget %d of %d: err = %v, want ErrBudgetExceeded", name, budget, full.Samples, err)
+				case drawn > budget:
+					t.Fatalf("%s: drew %d samples on a budget of %d", name, drawn, budget)
+				}
+			}
 
-	full, err := LineageKL(bg, d, f, base, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Samples < 10 {
-		t.Fatalf("test needs a sampling run, got %d samples", full.Samples)
-	}
-
-	dir := t.TempDir()
-	interrupted := base
-	interrupted.Budget = Budget{MaxSamples: full.Samples - 1}
-	interrupted.Checkpoint = &CheckpointConfig{Store: openStore(t, dir, nil)}
-	_, err = LineageKL(bg, d, f, interrupted, false)
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("interrupted run: err = %v, want ErrBudgetExceeded", err)
-	}
-
-	resumed := base
-	resumed.Checkpoint = &CheckpointConfig{Store: openStore(t, dir, nil), Resume: true}
-	res2, err := LineageKL(bg, d, f, resumed, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.Resumed {
-		t.Fatal("resumed run did not report Resumed")
-	}
-	if res2.HFloat != full.HFloat || res2.Samples != full.Samples {
-		t.Fatalf("resumed (H=%v samples=%d) != uninterrupted (H=%v samples=%d)",
-			res2.HFloat, res2.Samples, full.HFloat, full.Samples)
+			dir := t.TempDir()
+			interrupted := base
+			interrupted.Budget = Budget{MaxSamples: full.Samples - 1}
+			interrupted.Checkpoint = &CheckpointConfig{Store: openStore(t, dir, nil)}
+			if _, err := LineageKL(bg, d, f, interrupted, thm53); !errors.Is(err, ErrBudgetExceeded) {
+				t.Fatalf("%s: interrupted run: err = %v, want ErrBudgetExceeded", name, err)
+			}
+			resumed := base
+			resumed.Checkpoint = &CheckpointConfig{Store: openStore(t, dir, nil), Resume: true}
+			res2, err := LineageKL(bg, d, f, resumed, thm53)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res2.Resumed {
+				t.Fatalf("%s: resumed run did not report Resumed", name)
+			}
+			if res2.HFloat != full.HFloat || res2.Samples != full.Samples {
+				t.Fatalf("%s: resumed (H=%v samples=%d) != uninterrupted (H=%v samples=%d)",
+					name, res2.HFloat, res2.Samples, full.HFloat, full.Samples)
+			}
+		}
 	}
 }
 

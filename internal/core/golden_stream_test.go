@@ -136,6 +136,9 @@ func checkRow(t *testing.T, key string, got, want goldenRow) {
 // sample streams a request can name: the Workers: 0 sequential stream
 // and the DefaultLanes lane split (any Workers ≥ 1). Each row must
 // hold for both eval modes and, for the lane split, both worker counts.
+// The lineage-karpluby* rows were re-pinned once, on purpose, when the
+// Karp–Luby sample size moved from Lemma 5.11's worst case to the
+// coverage-bound planner (karpluby.Planner).
 var goldenStreams = map[string]goldenRow{
 	"monte-carlo/bool/seq":              {0x3fee2bcd118c56dc, 1843, 0x3fd3333333333333},
 	"monte-carlo/bool/lanes":            {0x3fec98cb5afb6a8b, 1843, 0x3fd3333333333333},
@@ -149,14 +152,14 @@ var goldenStreams = map[string]goldenRow{
 	"monte-carlo-rare/bool/lanes":       {0x3fee4223d51a1e07, 2029, 0x3f9eb851eb851eb8},
 	"monte-carlo-rare/free/seq":         {0x3fe21e3a9179dc0a, 1626, 0x3f9eb851eb851eb8},
 	"monte-carlo-rare/free/lanes":       {0x3fe20dc6b0f6de50, 1626, 0x3f9eb851eb851eb8},
-	"lineage-karpluby/bool/seq":         {0x3fedf6422aa291df, 1349, 0x3fc999999999999a},
-	"lineage-karpluby/bool/lanes":       {0x3fef81fe1a30339e, 1349, 0x3fc999999999999a},
-	"lineage-karpluby/free/seq":         {0x3fe20cbd85157250, 16584, 0x3fc999999999999a},
-	"lineage-karpluby/free/lanes":       {0x3fe1ff0da01664b0, 16584, 0x3fc999999999999a},
-	"lineage-karpluby-thm53/bool/seq":   {0x3fee960bf787f66d, 3708, 0x3fc999999999999a},
-	"lineage-karpluby-thm53/bool/lanes": {0x3feeeabc57443621, 3708, 0x3fc999999999999a},
-	"lineage-karpluby-thm53/free/seq":   {0x3fe227ca4448c680, 41458, 0x3fc999999999999a},
-	"lineage-karpluby-thm53/free/lanes": {0x3fe20439316e9c24, 41458, 0x3fc999999999999a},
+	"lineage-karpluby/bool/seq":         {0x3fedf5f5f5f5f5f6, 782, 0x3fc999999999999a},
+	"lineage-karpluby/bool/lanes":       {0x3fee969696969697, 782, 0x3fc999999999999a},
+	"lineage-karpluby/free/seq":         {0x3fe2110f4986cdf6, 14021, 0x3fc999999999999a},
+	"lineage-karpluby/free/lanes":       {0x3fe1f03b2ec67366, 14021, 0x3fc999999999999a},
+	"lineage-karpluby-thm53/bool/seq":   {0x3fee9b683501ce9b, 1275, 0x3fc999999999999a},
+	"lineage-karpluby-thm53/bool/lanes": {0x3fed29f6c3905d2a, 1275, 0x3fc999999999999a},
+	"lineage-karpluby-thm53/free/seq":   {0x3fe226ace47bad96, 20610, 0x3fc999999999999a},
+	"lineage-karpluby-thm53/free/lanes": {0x3fe1eb461e420540, 20610, 0x3fc999999999999a},
 }
 
 func TestGoldenStreams(t *testing.T) {
@@ -349,7 +352,8 @@ func TestGoldenKarpLubyCancelResumes(t *testing.T) {
 }
 
 // goldenFrames are checkpoint frames saved mid-run by the build at
-// a543416; each must resume, in either eval mode, to the pinned row of
+// a543416 (the two golden_kl frames: rewritten with the lineage-karpluby
+// rows); each must resume, in either eval mode, to the pinned row of
 // its uninterrupted run. want names a goldenStreams key, or for the
 // lane-range frame a goldenRanges key.
 var goldenFrames = []struct {
@@ -420,6 +424,31 @@ func TestGoldenFramesResume(t *testing.T) {
 			} else if got := rowOf(res); got != goldenStreams[g.want] {
 				t.Errorf("%s eval=%s: resumed %v, pinned %v", g.file, eval, got, goldenStreams[g.want])
 			}
+		}
+	}
+}
+
+// TestGoldenFramesRefuseOtherPlanner: the golden_kl frames written
+// while Karp–Luby ran Lemma 5.11's worst-case t carry no planner tag.
+// Resuming one would splice tuples sized under two rules, so the engine
+// refuses it, and so does admission (ValidateResumeFrame).
+func TestGoldenFramesRefuseOtherPlanner(t *testing.T) {
+	db, f := goldenInstance(t, 1)
+	for _, g := range []struct {
+		file    string
+		workers int
+	}{{"golden_kl_seq_worstcase.frame", 0}, {"golden_kl_lanes_worstcase.frame", 2}} {
+		frame, err := os.ReadFile(filepath.Join("testdata", g.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := goldenOptions("lineage-karpluby", g.workers, EvalCompiled)
+		if err := ValidateResumeFrame(frame, "lineage-karpluby", f, o); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Errorf("%s: admission returned %v, want ErrCheckpointMismatch", g.file, err)
+		}
+		o.Checkpoint = &CheckpointConfig{ResumeFrame: frame}
+		if _, err := LineageKL(bg, db, f, o, false); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Errorf("%s: resume returned %v, want ErrCheckpointMismatch", g.file, err)
 		}
 	}
 }

@@ -196,17 +196,17 @@ func LineageKL(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opt
 	}
 	epsT := opts.Eps / normF
 	deltaT := opts.Delta / normF
-	// estimate is one tuple's FPTRAS on the route and kernel chosen above.
+	// plan sizes one tuple's FPTRAS on the route and kernel chosen above.
 	kernel := karpluby.ProbKernel(karpluby.ProbScalar)
 	if evalMode == EvalCompiled {
 		kernel = karpluby.ProbBatched
 	}
-	estimate := func(d prop.DNF, nu prop.ProbAssignment, s mc.Stream) (karpluby.CountResult, error) {
-		return karpluby.ProbDNF(ctx, d, nu, epsT, deltaT, kernel, s)
+	plan := func(d prop.DNF, nu prop.ProbAssignment) (karpluby.Plan, error) {
+		return karpluby.PlanProb(d, nu, epsT, deltaT, kernel)
 	}
 	if usePaperReduction {
-		estimate = func(d prop.DNF, nu prop.ProbAssignment, s mc.Stream) (karpluby.CountResult, error) {
-			return karpluby.ProbViaReduction(ctx, d, nu, epsT, deltaT, karpluby.CountScalar, s)
+		plan = func(d prop.DNF, nu prop.ProbAssignment) (karpluby.Plan, error) {
+			return karpluby.PlanViaReduction(d, nu, epsT, deltaT, karpluby.CountScalar)
 		}
 	}
 	hFloat := 0.0
@@ -246,22 +246,21 @@ func LineageKL(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opt
 		if err != nil {
 			return err
 		}
-		if opts.Budget.MaxSamples > 0 && len(d.Terms) > 0 {
-			need, err := karpluby.SampleSize(epsT, deltaT, len(d.Terms))
-			if err != nil {
-				return err
-			}
-			if samples+need > opts.Budget.MaxSamples {
-				// Snapshot before failing: rerun with a larger budget (and
-				// Resume set) continues here instead of starting over.
-				if serr := saveBoundary(idx, preTuple); serr != nil {
-					return serr
-				}
-				return fmt.Errorf("%w: Karp–Luby needs %d more samples with %d of %d already drawn",
-					ErrBudgetExceeded, need, samples, opts.Budget.MaxSamples)
-			}
+		pl, err := plan(d, nu)
+		if err != nil {
+			return err
 		}
-		res, err := estimate(d, nu, streamFor(opts, mc.TupleSeed(opts.Seed, idx), src))
+		// The budget is held to the t this route will draw, before any draw.
+		if opts.Budget.MaxSamples > 0 && samples+pl.Samples > opts.Budget.MaxSamples {
+			// Snapshot before failing: rerun with a larger budget (and
+			// Resume set) continues here instead of starting over.
+			if serr := saveBoundary(idx, preTuple); serr != nil {
+				return serr
+			}
+			return fmt.Errorf("%w: Karp–Luby needs %d more samples with %d of %d already drawn",
+				ErrBudgetExceeded, pl.Samples, samples, opts.Budget.MaxSamples)
+		}
+		res, err := pl.Run(ctx, streamFor(opts, mc.TupleSeed(opts.Seed, idx), src))
 		if err != nil {
 			// A mid-tuple cancellation surfaces here; snapshot the tuple's
 			// own start so a restart replays it in full.

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"qrel/internal/bdd"
+	"qrel/internal/karpluby"
 	"qrel/internal/logic"
+	"qrel/internal/prop"
 	"qrel/internal/rel"
 	"qrel/internal/unreliable"
 	"qrel/internal/workload"
@@ -242,5 +244,67 @@ func TestLineageBDDCancelsDuringCount(t *testing.T) {
 	}
 	if inCount == 0 {
 		t.Errorf("none of the run's %d polls is in Prob", polls.polls.Load())
+	}
+}
+
+// TestKarpLubyPlanCounts pins the Karp–Luby planner on lineages and
+// DNFs of the experiments: m terms, Lemma 5.11's worst-case t at
+// p = 1/m, and the t planned from the proved coverage bound. Like the
+// node counts above these are a pure function of the input, so a
+// weaker bound (or one that stops being tried) fails here exactly.
+func TestKarpLubyPlanCounts(t *testing.T) {
+	star := make([][2]int, 0, 24)
+	for leaf := 1; leaf <= 12; leaf++ {
+		star = append(star, [2]int{0, leaf}, [2]int{leaf, 0})
+	}
+	lineage := func(db *unreliable.DB) (prop.DNF, prop.ProbAssignment) {
+		d, nu, err := tupleLineage(bg, db, existQuery, logic.Env{}, Options{}.withDefaults().MaxLineageTerms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, nu
+	}
+	// E10's near-disjoint pairs and E4's first instance, as #DNF.
+	pairs := prop.DNF{NumVars: 24}
+	for i := 0; i < 24; i += 2 {
+		pairs.Terms = append(pairs.Terms, prop.Term{prop.Pos(i), prop.Pos(i + 1)})
+	}
+	e4 := workload.RandomKDNF(rand.New(rand.NewSource(1998)), 20, 20, 3)
+	hub, hubNu := lineage(hubDB(rand.New(rand.NewSource(31)), 8))
+	path, pathNu := lineage(labelledGraphDB(rand.New(rand.NewSource(23)), 33, pathEdges(32), identity))
+	starD, starNu := lineage(labelledGraphDB(rand.New(rand.NewSource(23)), 13, star, identity))
+	cases := []struct {
+		name              string
+		d                 prop.DNF
+		nu                prop.ProbAssignment // nil: #DNF
+		eps, delta        float64
+		m, worst, planned int
+	}{
+		// The bench's lineage-kl request has this shape and accuracy.
+		{"hub h=8", hub, hubNu, 0.05, 0.05, 56, 371840, 9397},
+		{"path u=64", path, pathNu, 0.05, 0.05, 31, 205840, 104654},
+		{"star 12 leaves", starD, starNu, 0.05, 0.05, 24, 159360, 96360},
+		{"E10 disjoint pairs", pairs, nil, 0.1, 0.05, 12, 19920, 6225},
+		{"E4 20v/20t", e4, nil, 0.05, 0.05, 20, 132800, 22921},
+	}
+	for _, c := range cases {
+		var pl karpluby.Plan
+		var err error
+		if c.nu == nil {
+			pl, err = karpluby.PlanCount(c.d, c.eps, c.delta, karpluby.CountScalar)
+		} else {
+			pl, err = karpluby.PlanProb(c.d, c.nu, c.eps, c.delta, karpluby.ProbScalar)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst, err := karpluby.SampleSize(c.eps, c.delta, len(c.d.Terms))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.d.Terms) != c.m || worst != c.worst || pl.Samples != c.planned {
+			t.Errorf("%s: %d terms, worst-case t %d, planned t %d; want %d, %d, %d",
+				c.name, len(c.d.Terms), worst, pl.Samples, c.m, c.worst, c.planned)
+		}
 	}
 }

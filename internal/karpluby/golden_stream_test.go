@@ -35,11 +35,14 @@ type goldenCount struct {
 	samples, hits int
 }
 
+// Re-pinned once, on purpose, when the sample size moved from Lemma
+// 5.11's worst case to the coverage-bound planner (Planner): t fell from
+// 691 and 346 to 216 and 154, the draw order is unchanged.
 var goldenCounts = map[string]goldenCount{
-	"small/seq":   {"2354176/691", 691, 418},
-	"small/lanes": {"2416128/691", 691, 429},
-	"wide/seq":    {"140490402865371945107456/173", 346, 272},
-	"wide/lanes":  {"133775788022541668319232/173", 346, 259},
+	"small/seq":   {"96448/27", 216, 137},
+	"small/lanes": {"33088/9", 216, 141},
+	"wide/seq":    {"8485502273906393743360/11", 154, 115},
+	"wide/lanes":  {"811656739243220271104/1", 154, 121},
 }
 
 // goldenCountDNF runs CountDNF at the pinned accuracy and seed on the

@@ -2,7 +2,8 @@
 // paper builds on: the FPTRAS for #DNF (Theorem 5.2, from Karp & Luby,
 // FOCS 1983), its weighted variant for Prob-DNF, and the paper's own
 // reduction from Prob-kDNF to #DNF via binary-encoded probabilities
-// (Theorem 5.3). Sample sizes follow Lemma 5.11.
+// (Theorem 5.3). Sample sizes follow Lemma 5.11 at a coverage lower
+// bound proved from the DNF before the first draw (plan.go).
 package karpluby
 
 import (
@@ -20,7 +21,8 @@ import (
 // zero-one estimator achieves relative error ε with confidence 1 − δ,
 // given the coverage lower bound p ≥ 1/m for a DNF with m terms: by
 // Lemma 5.11, 2·exp(−2ε²tp / 9(1−p)) < δ as soon as
-// t ≥ (9/2)·(1/p)·ln(2/δ)/ε². We use the worst case p = 1/m.
+// t ≥ (9/2)·(1/p)·ln(2/δ)/ε². This is the worst case p = 1/m — the
+// paper's bound, and the cap on every planned t (planSamples).
 func SampleSize(eps, delta float64, m int) (int, error) {
 	if eps <= 0 || delta <= 0 || delta >= 1 {
 		return 0, fmt.Errorf("karpluby: need eps > 0 and 0 < delta < 1, got eps=%v delta=%v", eps, delta)
@@ -73,12 +75,6 @@ func randBigBelowScratch(rng *rand.Rand, n *big.Int, sc *bigScratch) *big.Int {
 	}
 }
 
-// randBigBelow draws a uniform big.Int in [0, n).
-func randBigBelow(rng *rand.Rand, n *big.Int) *big.Int {
-	var sc bigScratch
-	return randBigBelowScratch(rng, n, &sc)
-}
-
 // CountResult reports a Karp–Luby estimate.
 type CountResult struct {
 	// Estimate is the estimated count (for CountDNF) or probability (for
@@ -99,27 +95,6 @@ func (r CountResult) Float() float64 {
 // klMethod tags Karp–Luby snapshots; restoring a snapshot taken by a
 // different estimator is rejected.
 const klMethod = "karp-luby"
-
-// run drives t Karp–Luby iterations of kernel k over stream s on the
-// shared sampling driver (mc.Run) and scales the hit rate: the
-// estimate is scale · hits/t.
-//
-// Unlike the mc estimators, Karp–Luby is not anytime — a partial hit
-// count has no widened-eps interpretation under the relative-error
-// guarantee — so cancellation aborts with ctx.Err() rather than
-// returning a partial estimate. Periodic snapshots still make the run
-// resumable.
-func run(ctx context.Context, t int, scale *big.Rat, s mc.Stream, k mc.Kernel) (CountResult, error) {
-	lanes, err := mc.Run(ctx, klMethod, t, false, s, k)
-	if err != nil {
-		return CountResult{}, err
-	}
-	hits := 0
-	for _, ln := range lanes {
-		hits += ln.Hits
-	}
-	return CountResult{Estimate: scale.Mul(scale, big.NewRat(int64(hits), int64(t))), Samples: t, Hits: hits}, nil
-}
 
 // countTable is a #DNF instance prepared for sampling: the satisfiable
 // normalized terms and their satisfying-assignment counts as
@@ -146,22 +121,26 @@ type CountKernel func(*countTable) mc.Kernel
 //	satisfied by a;
 //	output U · hits/t.
 //
-// The estimator is unbiased with expectation #DNF/U ≥ 1/m, so Lemma
-// 5.11 gives the (ε, δ) guarantee for t = SampleSize(eps, delta, m).
+// The estimator is unbiased with expectation μ = #DNF/U ≥ 1/m, and t is
+// Lemma 5.11's size at a proved lower bound on μ (PlanCount).
 func CountDNF(ctx context.Context, d prop.DNF, eps, delta float64, k CountKernel, s mc.Stream) (CountResult, error) {
-	norm := normalizedTerms(d)
-	if len(norm) == 0 {
-		return CountResult{Estimate: new(big.Rat)}, nil
-	}
-	t, err := SampleSize(eps, delta, len(norm))
+	pl, err := PlanCount(d, eps, delta, k)
 	if err != nil {
 		return CountResult{}, err
 	}
-	cum, total := termWeights(norm, d.NumVars)
-	if total.Sign() == 0 {
-		return CountResult{Estimate: new(big.Rat)}, nil
+	return pl.Run(ctx, s)
+}
+
+// termWeights returns the cumulative satisfying-assignment counts of
+// the (normalized) terms and their grand total.
+func termWeights(norm []prop.Term, numVars int) (cum []*big.Int, total *big.Int) {
+	cum = make([]*big.Int, len(norm))
+	total = new(big.Int)
+	for i, tm := range norm {
+		total.Add(total, prop.TermSatCount(tm, numVars))
+		cum[i] = new(big.Int).Set(total)
 	}
-	return run(ctx, t, new(big.Rat).SetInt(total), s, k(&countTable{norm, d.NumVars, cum, total}))
+	return cum, total
 }
 
 // CountScalar is the interpreted kernel of CountDNF: one big-integer
@@ -214,38 +193,16 @@ type ProbKernel func(*probTable) mc.Kernel
 // error eps and confidence 1−delta, using the weighted Karp–Luby
 // estimator: terms are drawn proportionally to Pr[T_i], the free
 // variables are completed by independent ν-biased coin flips, and a hit
-// is counted iff the drawn term is the first satisfied one. This is the
-// direct engine; the paper's own route via binary encoding is
-// implemented by Reduce (Theorem 5.3). Both are compared in experiment
-// E10.
+// is counted iff the drawn term is the first satisfied one; t as in
+// CountDNF (PlanProb). This is the direct engine; the paper's own route
+// via binary encoding is implemented by Reduce (Theorem 5.3). Both are
+// compared in experiment E10.
 func ProbDNF(ctx context.Context, d prop.DNF, p prop.ProbAssignment, eps, delta float64, k ProbKernel, s mc.Stream) (CountResult, error) {
-	if err := p.Validate(d.NumVars); err != nil {
-		return CountResult{}, err
-	}
-	norm := normalizedTerms(d)
-	if len(norm) == 0 {
-		return CountResult{Estimate: new(big.Rat)}, nil
-	}
-	t, err := SampleSize(eps, delta, len(norm))
+	pl, err := PlanProb(d, p, eps, delta, k)
 	if err != nil {
 		return CountResult{}, err
 	}
-	tb := &probTable{norm: norm, pf: make([]float64, d.NumVars), cum: make([]float64, len(norm))}
-	for i := range tb.pf {
-		tb.pf[i], _ = p[i].Float64()
-	}
-	weightsExact := new(big.Rat)
-	for i, tm := range norm {
-		w := p.TermProb(tm)
-		weightsExact.Add(weightsExact, w)
-		wf, _ := w.Float64()
-		tb.sum += wf
-		tb.cum[i] = tb.sum
-	}
-	if weightsExact.Sign() == 0 {
-		return CountResult{Estimate: new(big.Rat)}, nil
-	}
-	return run(ctx, t, weightsExact, s, k(tb))
+	return pl.Run(ctx, s)
 }
 
 // ProbScalar is the interpreted kernel of ProbDNF, the reference for
@@ -277,15 +234,10 @@ func normalizedTerms(d prop.DNF) []prop.Term {
 	return out
 }
 
-// pickCumulative draws an index proportional to the big.Int weights
-// described by the cumulative sums cum (with grand total).
-func pickCumulative(rng *rand.Rand, cum []*big.Int, total *big.Int) int {
-	var sc bigScratch
-	return pickCumulativeScratch(rng, cum, total, &sc)
-}
-
-// pickCumulativeScratch is pickCumulative with caller-owned scratch
-// buffers, for allocation-free draws in the hot sampling loops.
+// pickCumulativeScratch draws an index proportional to the big.Int
+// weights described by the cumulative sums cum (with grand total),
+// reusing caller-owned scratch buffers so the hot sampling loops
+// allocate nothing.
 func pickCumulativeScratch(rng *rand.Rand, cum []*big.Int, total *big.Int, sc *bigScratch) int {
 	r := randBigBelowScratch(rng, total, sc)
 	lo, hi := 0, len(cum)-1

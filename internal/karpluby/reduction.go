@@ -135,14 +135,9 @@ func Reduce(d prop.DNF, p prop.ProbAssignment) (*Reduction, error) {
 // CountDNF), and recover ν(φ). This is the paper's own FPTRAS for
 // Prob-kDNF.
 func ProbViaReduction(ctx context.Context, d prop.DNF, p prop.ProbAssignment, eps, delta float64, k CountKernel, s mc.Stream) (CountResult, error) {
-	red, err := Reduce(d, p)
+	pl, err := PlanViaReduction(d, p, eps, delta, k)
 	if err != nil {
 		return CountResult{}, err
 	}
-	res, err := CountDNF(ctx, red.PhiPP, eps, delta, k, s)
-	if err != nil {
-		return CountResult{}, err
-	}
-	res.Estimate = red.Recover(res.Estimate)
-	return res, nil
+	return pl.Run(ctx, s)
 }
