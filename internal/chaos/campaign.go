@@ -462,6 +462,10 @@ func openRungs(br *server.Breakers) []string {
 // bit-for-bit no matter which snapshots the faults destroyed, and the
 // store directory must hold no temp files afterwards.
 func (c *campaign) resumePhase(ctx context.Context, st *Step, db *unreliable.DB, f logic.Formula, opts core.Options) {
+	// Snapshots hold lanes at 64-sample block boundaries only, so the
+	// interrupted half-run must span whole blocks in each of its eight
+	// lanes: at half the oracle eps it draws four times the samples.
+	opts.Eps = oracleEps / 2
 	full, err := core.ReliabilityWith(ctx, core.EngineMCDirect, db, f, opts)
 	if err != nil {
 		c.check(InvResume, false, "step %d: uninterrupted mc-direct run failed: %v", st.Index, err)

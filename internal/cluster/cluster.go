@@ -504,6 +504,11 @@ func (c *Coordinator) merge(req server.Request, ranges []mc.Range, subs []*serve
 		if lr.Lo != ranges[i].Lo || lr.Hi != ranges[i].Hi || lr.Total != total {
 			return nil, fmt.Errorf("cluster: range %s replica answered for %d-%d/%d", ranges[i], lr.Lo, lr.Hi, lr.Total)
 		}
+		if lr.Method != mc.MeanMethod {
+			// A replica drawing its worlds in another order (another build)
+			// sampled other streams: its lanes do not splice with these.
+			return nil, fmt.Errorf("cluster: range %s replica sampled with estimator %q, this coordinator merges %q", ranges[i], lr.Method, mc.MeanMethod)
+		}
 		if requested == -1 {
 			requested, normF = lr.Requested, lr.NormF
 		} else if lr.Requested != requested || lr.NormF != normF {

@@ -6,12 +6,14 @@ package cluster
 // recovery through the fan-out journal.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,7 +76,7 @@ func validFrame(seed int64, rg mc.Range, samples int) []byte {
 		Lanes:   rg.Total,
 		Samples: samples,
 		Loop: &mc.LoopState{
-			Method:    mc.RangeMethod("hoeffding", rg),
+			Method:    mc.RangeMethod(mc.MeanMethod, rg),
 			Drawn:     samples,
 			LaneCount: n,
 			Lanes:     make([]mc.LaneState, n),
@@ -101,7 +103,7 @@ func TestCheckShipped(t *testing.T) {
 	legacy := func() []byte {
 		st := shippedSnapshot{
 			Engine: string(core.EngineMCDirect), Seed: 42, Lanes: 8, Samples: 7,
-			Loop: &mc.LoopState{Method: mc.RangeMethod("hoeffding", one), Drawn: 7},
+			Loop: &mc.LoopState{Method: mc.RangeMethod(mc.MeanMethod, one), Drawn: 7},
 		}
 		payload, _ := json.Marshal(st)
 		return checkpoint.EncodeFrame(payload)
@@ -113,6 +115,11 @@ func TestCheckShipped(t *testing.T) {
 	badCRC := append([]byte(nil), good...)
 	badCRC[len(badCRC)/2] ^= 0xff
 	otherRange := mc.Range{Lo: 0, Hi: 4, Total: 8}
+	// A frame from a build that drew one Float64 per atom per sample.
+	scalar := func() []byte {
+		payload, _ := checkpoint.DecodeFrame(good)
+		return checkpoint.EncodeFrame(bytes.Replace(payload, []byte(mc.MeanMethod), []byte("hoeffding"), 1))
+	}()
 	cases := []struct {
 		name  string
 		frame []byte
@@ -127,6 +134,7 @@ func TestCheckShipped(t *testing.T) {
 		{"wrong-range", good, 42, otherRange},
 		{"wrong-total", good, 42, mc.Range{Lo: 4, Hi: 8, Total: 16}},
 		{"legacy-multi-lane", legacy, 42, rg},
+		{"other-world-stream", scalar, 42, rg},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,6 +142,23 @@ func TestCheckShipped(t *testing.T) {
 				t.Errorf("checkShipped accepted a %s frame (seq %d)", tc.name, seq)
 			}
 		})
+	}
+}
+
+// TestMergeRefusesOtherWorldStream: a replica of a build that draws
+// its worlds in another order reports another estimator method with
+// its lane aggregates; the coordinator refuses the fan-out rather than
+// splice its lanes with this build's.
+func TestMergeRefusesOtherWorldStream(t *testing.T) {
+	ranges := []mc.Range{{Lo: 0, Hi: 4, Total: mc.DefaultLanes}, {Lo: 4, Hi: 8, Total: mc.DefaultLanes}}
+	subs := make([]*server.Response, len(ranges))
+	for i, rg := range ranges {
+		subs[i] = &server.Response{LaneRange: &server.LaneRangeReport{Lo: rg.Lo, Hi: rg.Hi, Total: rg.Total, Method: mc.MeanMethod}}
+	}
+	subs[1].LaneRange.Method = "hoeffding"
+	_, err := (&Coordinator{}).merge(mcReq(), ranges, subs, nil, time.Now())
+	if err == nil || !strings.Contains(err.Error(), "hoeffding") {
+		t.Fatalf("merge of a foreign-stream range: err = %v, want a refusal naming its method", err)
 	}
 }
 

@@ -66,7 +66,7 @@ func checkShipped(frame []byte, seed int64, rg mc.Range) (int, error) {
 	if st.Loop == nil {
 		return 0, fmt.Errorf("cluster: shipped snapshot carries no estimator loop state")
 	}
-	if want := mc.RangeMethod("hoeffding", rg); st.Loop.Method != want {
+	if want := mc.RangeMethod(mc.MeanMethod, rg); st.Loop.Method != want {
 		return 0, fmt.Errorf("cluster: shipped snapshot is from estimator %q, range %s needs %q", st.Loop.Method, rg, want)
 	}
 	n := rg.Hi - rg.Lo

@@ -85,6 +85,10 @@ type engineState struct {
 	// the lineage-karpluby engines: their tuples' sample counts are its
 	// output, so a run sized by another rule is not continued.
 	Planner string `json:"planner,omitempty"`
+	// Stream names the world draw order (mc.WorldStream) of the
+	// world-sampling engines: a snapshot's generator states only continue
+	// the order that wrote them.
+	Stream string `json:"stream,omitempty"`
 
 	// Per-tuple engines (monte-carlo, lineage-karpluby): the index of
 	// the next unprocessed answer tuple, the accumulators over completed
@@ -185,8 +189,11 @@ func fingerprint(engine string, f logic.Formula, opts Options) engineState {
 		Query:  fmt.Sprint(f),
 		Lanes:  laneCountFor(opts),
 	}
-	if strings.HasPrefix(engine, "lineage-karpluby") {
+	switch {
+	case strings.HasPrefix(engine, "lineage-karpluby"):
 		st.Planner = karpluby.Planner
+	case strings.HasPrefix(engine, "monte-carlo"):
+		st.Stream = mc.WorldStream
 	}
 	return st
 }
@@ -198,11 +205,11 @@ func (r *ckptRun) validateSnapshot(payload []byte) (*engineState, error) {
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return nil, fmt.Errorf("%w: undecodable snapshot payload: %v", checkpoint.ErrCorruptCheckpoint, err)
 	}
-	if st.Engine != r.head.Engine || st.Planner != r.head.Planner || st.Seed != r.head.Seed ||
+	if st.Engine != r.head.Engine || st.Planner != r.head.Planner || st.Stream != r.head.Stream || st.Seed != r.head.Seed ||
 		st.Eps != r.head.Eps || st.Delta != r.head.Delta || st.Query != r.head.Query {
-		return nil, fmt.Errorf("%w: snapshot is for engine=%s planner=%q seed=%d eps=%v delta=%v query=%q; this run is engine=%s planner=%q seed=%d eps=%v delta=%v query=%q",
-			ErrCheckpointMismatch, st.Engine, st.Planner, st.Seed, st.Eps, st.Delta, st.Query,
-			r.head.Engine, r.head.Planner, r.head.Seed, r.head.Eps, r.head.Delta, r.head.Query)
+		return nil, fmt.Errorf("%w: snapshot is for engine=%s planner=%q stream=%q seed=%d eps=%v delta=%v query=%q; this run is engine=%s planner=%q stream=%q seed=%d eps=%v delta=%v query=%q",
+			ErrCheckpointMismatch, st.Engine, st.Planner, st.Stream, st.Seed, st.Eps, st.Delta, st.Query,
+			r.head.Engine, r.head.Planner, r.head.Stream, r.head.Seed, r.head.Eps, r.head.Delta, r.head.Query)
 	}
 	if st.Lanes != r.head.Lanes {
 		return nil, fmt.Errorf("%w: snapshot was taken with %d RNG lanes, this run uses %d (the estimate depends on the lane count; rerun with the original Workers setting or start fresh)",
@@ -256,8 +263,8 @@ func streamFor(opts Options, seed int64, src *mc.Source) mc.Stream {
 // save persists one snapshot, stamping the fingerprint, and publishes
 // its framed form to the shipping hook when one is set.
 func (r *ckptRun) save(st engineState) error {
-	st.Engine, st.Seed, st.Eps, st.Delta, st.Query, st.Lanes, st.Planner =
-		r.head.Engine, r.head.Seed, r.head.Eps, r.head.Delta, r.head.Query, r.head.Lanes, r.head.Planner
+	st.Engine, st.Seed, st.Eps, st.Delta, st.Query, st.Lanes, st.Planner, st.Stream =
+		r.head.Engine, r.head.Seed, r.head.Eps, r.head.Delta, r.head.Query, r.head.Lanes, r.head.Planner, r.head.Stream
 	payload, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("core: marshaling snapshot: %w", err)

@@ -204,7 +204,7 @@ func TestLineageKLBudgetResume(t *testing.T) {
 func TestResumeFingerprintMismatch(t *testing.T) {
 	d := randUDB(rand.New(rand.NewSource(45)), 3, 4)
 	f := logic.MustParse("S(x)", nil)
-	base := Options{Eps: 0.2, Delta: 0.2, Seed: 1}
+	base := Options{Eps: 0.1, Delta: 0.2, Seed: 1}
 	dir := t.TempDir()
 	first := base
 	first.Checkpoint = &CheckpointConfig{Store: openStore(t, dir, nil)}
@@ -313,7 +313,7 @@ func TestResumeCorruptNewestFallsBack(t *testing.T) {
 func TestResumeAllCorruptSurfacesTypedError(t *testing.T) {
 	d := randUDB(rand.New(rand.NewSource(47)), 3, 4)
 	f := logic.MustParse("S(x)", nil)
-	base := Options{Eps: 0.2, Delta: 0.2, Seed: 3}
+	base := Options{Eps: 0.1, Delta: 0.2, Seed: 3}
 	dir := t.TempDir()
 	first := base
 	first.Checkpoint = &CheckpointConfig{Store: openStore(t, dir, nil)}

@@ -138,20 +138,23 @@ func checkRow(t *testing.T, key string, got, want goldenRow) {
 // hold for both eval modes and, for the lane split, both worker counts.
 // The lineage-karpluby* rows were re-pinned once, on purpose, when the
 // Karp–Luby sample size moved from Lemma 5.11's worst case to the
-// coverage-bound planner (karpluby.Planner).
+// coverage-bound planner (karpluby.Planner); the monte-carlo* rows, with
+// goldenRanges, goldenPartial and the golden_direct / golden_padded
+// frames, once when the world draw moved from one Float64 per atom per
+// sample to the bit-sliced block draw (mc.WorldStream).
 var goldenStreams = map[string]goldenRow{
-	"monte-carlo/bool/seq":              {0x3fee2bcd118c56dc, 1843, 0x3fd3333333333333},
-	"monte-carlo/bool/lanes":            {0x3fec98cb5afb6a8b, 1843, 0x3fd3333333333333},
-	"monte-carlo/free/seq":              {0x3fe1ecdfda461b62, 73467, 0x3fd3333333333333},
-	"monte-carlo/free/lanes":            {0x3fe1a87bf2b2c298, 73467, 0x3fd3333333333333},
-	"monte-carlo-direct/bool/seq":       {0x3fee3871e3871e38, 2050, 0x3f9eb851eb851eb8},
-	"monte-carlo-direct/bool/lanes":     {0x3fedf881df881df8, 2050, 0x3f9eb851eb851eb8},
-	"monte-carlo-direct/free/seq":       {0x3fe2237722377211, 2050, 0x3f9eb851eb851eb8},
-	"monte-carlo-direct/free/lanes":     {0x3fe2621226212264, 2050, 0x3f9eb851eb851eb8},
-	"monte-carlo-rare/bool/seq":         {0x3fee3e1f8ae9eb8f, 2029, 0x3f9eb851eb851eb8},
-	"monte-carlo-rare/bool/lanes":       {0x3fee4223d51a1e07, 2029, 0x3f9eb851eb851eb8},
-	"monte-carlo-rare/free/seq":         {0x3fe21e3a9179dc0a, 1626, 0x3f9eb851eb851eb8},
-	"monte-carlo-rare/free/lanes":       {0x3fe20dc6b0f6de50, 1626, 0x3f9eb851eb851eb8},
+	"monte-carlo/bool/seq":              {0x3fedccf9d7885b7d, 1843, 0x3fd3333333333333},
+	"monte-carlo/bool/lanes":            {0x3fec6961bdf96cdb, 1843, 0x3fd3333333333333},
+	"monte-carlo/free/seq":              {0x3fe195742eebb504, 73467, 0x3fd3333333333333},
+	"monte-carlo/free/lanes":            {0x3fe20a03be0ee82e, 73467, 0x3fd3333333333333},
+	"monte-carlo-direct/bool/seq":       {0x3fee6c64e6c64e6c, 2050, 0x3f9eb851eb851eb8},
+	"monte-carlo-direct/bool/lanes":     {0x3fee6067e6067e60, 2050, 0x3f9eb851eb851eb8},
+	"monte-carlo-direct/free/seq":       {0x3fe24b6d24b6d23b, 2050, 0x3f9eb851eb851eb8},
+	"monte-carlo-direct/free/lanes":     {0x3fe1fe2b1fe2b200, 2050, 0x3f9eb851eb851eb8},
+	"monte-carlo-rare/bool/seq":         {0x3fee664a70cbe43e, 2029, 0x3f9eb851eb851eb8},
+	"monte-carlo-rare/bool/lanes":       {0x3fee5234fddae7e7, 2029, 0x3f9eb851eb851eb8},
+	"monte-carlo-rare/free/seq":         {0x3fe21b3cc5bf224a, 1626, 0x3f9eb851eb851eb8},
+	"monte-carlo-rare/free/lanes":       {0x3fe2034e67e95414, 1626, 0x3f9eb851eb851eb8},
 	"lineage-karpluby/bool/seq":         {0x3fedf5f5f5f5f5f6, 782, 0x3fc999999999999a},
 	"lineage-karpluby/bool/lanes":       {0x3fee969696969697, 782, 0x3fc999999999999a},
 	"lineage-karpluby/free/seq":         {0x3fe2110f4986cdf6, 14021, 0x3fc999999999999a},
@@ -197,10 +200,10 @@ func TestGoldenStreams(t *testing.T) {
 // ranges' attestation digests. The MergeMean of their aggregates is
 // pinned by the single-node lane-split row.
 var goldenRanges = map[string]string{
-	"bool/0-3/8": "bf361551beb85a55d6bfe3428cb066e1f57851daf84bf2ed1540db4cea682dee",
-	"bool/3-8/8": "557dfa969740fbe9c51e6b67b7a39ef4b3a7666e9c7cc0c45e67d9a558ad6728",
-	"free/0-3/8": "a71e28aa2549369ebc2c73eeba0e9f2476b35f9b8dd7aa6b5d71955e81edd0f8",
-	"free/3-8/8": "558d224bbc04bc840eb70e82a79b5aa10ca3898dfaa65c9d840754e8438df851",
+	"bool/0-3/8": "240ca115e32d992baa18b9044a10a1483e211e125aaa290feaa3ee9a0822c4b7",
+	"bool/3-8/8": "de7872eb7e6197f931b89a4d8f96e626fc7f465fbb3e6f094b5d72d3f8376810",
+	"free/0-3/8": "c488bd042d044853be821b873e333b4b609c74c1c33c3931e94b63ebcebcb535",
+	"free/3-8/8": "390b7ab8804db54ade5c6e3b197c9995c6cabadd089f8eef13cb80ad409c4b62",
 }
 
 func TestGoldenLaneRanges(t *testing.T) {
@@ -245,16 +248,16 @@ func TestGoldenLaneRanges(t *testing.T) {
 // (Workers 0 and 1 only — they poll the context at deterministic
 // sample counts).
 var goldenPartial = map[string]goldenRow{
-	"budget/monte-carlo-direct/bool/workers=0": {0x3fee202ecfb9c869, 700, 0x3faa481c62c3bf1a},
-	"budget/monte-carlo-direct/bool/workers=2": {0x3fedf15f15f15f16, 700, 0x3faa481c62c3bf1a},
-	"budget/monte-carlo-direct/free/workers=0": {0x3fe1eb851eb851ef, 700, 0x3faa481c62c3bf1a},
-	"budget/monte-carlo-direct/free/workers=2": {0x3fe2be2be2be2be2, 700, 0x3faa481c62c3bf1a},
-	"budget/monte-carlo/bool/workers=0":        {0x3ff0000000000000, 700, 0x3fdf256d4323450f},
-	"budget/monte-carlo/bool/workers=2":        {0x3ff0000000000000, 700, 0x3fdf256d4323450f},
-	"budget/monte-carlo/free/workers=0":        {0x3fe38b9f20586bee, 700, 0x3fe0f9c6919818e9},
-	"budget/monte-carlo/free/workers=2":        {0x3fe4d880bb3ee722, 700, 0x3fe0f9c6919818e9},
-	"cancel/monte-carlo-direct/free/workers=0": {0x3fe204bda12f684a, 576, 0x3facf90b8a3ac075},
-	"cancel/monte-carlo-direct/free/workers=1": {0x3fe1de21de21de25, 514, 0x3faeaba4dde671f0},
+	"budget/monte-carlo-direct/bool/workers=0": {0x3fee5ab277f44c12, 700, 0x3faa481c62c3bf1a},
+	"budget/monte-carlo-direct/bool/workers=2": {0x3feecfb9c8695362, 700, 0x3faa481c62c3bf1a},
+	"budget/monte-carlo-direct/free/workers=0": {0x3fe2878edf545ba8, 700, 0x3faa481c62c3bf1a},
+	"budget/monte-carlo-direct/free/workers=2": {0x3fe258bf258bf258, 700, 0x3faa481c62c3bf1a},
+	"budget/monte-carlo/bool/workers=0":        {0x3fedce434a9b1018, 700, 0x3fdf256d4323450f},
+	"budget/monte-carlo/bool/workers=2":        {0x3fee0cad97a64731, 700, 0x3fdf256d4323450f},
+	"budget/monte-carlo/free/workers=0":        {0x3fe40873ba6eda22, 700, 0x3fe0f9c6919818e9},
+	"budget/monte-carlo/free/workers=2":        {0x3fe4707a3ad6e0a2, 700, 0x3fe0f9c6919818e9},
+	"cancel/monte-carlo-direct/free/workers=0": {0x3fe2a5ed097b4257, 576, 0x3facf90b8a3ac075},
+	"cancel/monte-carlo-direct/free/workers=1": {0x3fe282d282d282d4, 514, 0x3faeaba4dde671f0},
 }
 
 func TestGoldenPartial(t *testing.T) {
@@ -352,8 +355,9 @@ func TestGoldenKarpLubyCancelResumes(t *testing.T) {
 }
 
 // goldenFrames are checkpoint frames saved mid-run by the build at
-// a543416 (the two golden_kl frames: rewritten with the lineage-karpluby
-// rows); each must resume, in either eval mode, to the pinned row of
+// a543416 (the golden_kl frames: rewritten with the lineage-karpluby
+// rows; the golden_direct and golden_padded frames: with the block
+// draw); each must resume, in either eval mode, to the pinned row of
 // its uninterrupted run. want names a goldenStreams key, or for the
 // lane-range frame a goldenRanges key.
 var goldenFrames = []struct {
@@ -449,6 +453,30 @@ func TestGoldenFramesRefuseOtherPlanner(t *testing.T) {
 		o.Checkpoint = &CheckpointConfig{ResumeFrame: frame}
 		if _, err := LineageKL(bg, db, f, o, false); !errors.Is(err, ErrCheckpointMismatch) {
 			t.Errorf("%s: resume returned %v, want ErrCheckpointMismatch", g.file, err)
+		}
+	}
+}
+
+// TestGoldenFramesRefuseOtherStream: the *_scalar frames were written
+// while the world-sampling engines drew one Float64 per atom per sample.
+// Their generator states continue no block stream, so the engines
+// refuse them, and so does admission (ValidateResumeFrame).
+func TestGoldenFramesRefuseOtherStream(t *testing.T) {
+	db, f := goldenInstance(t, 1)
+	for _, g := range goldenFrames[:5] {
+		file := strings.TrimSuffix(g.file, ".frame") + "_scalar.frame"
+		frame, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := goldenOptions(g.engine, g.workers, EvalCompiled)
+		o.LaneRange = g.lanes
+		if err := ValidateResumeFrame(frame, Engine(g.engine), f, o); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Errorf("%s: admission returned %v, want ErrCheckpointMismatch", file, err)
+		}
+		o.Checkpoint = &CheckpointConfig{ResumeFrame: frame}
+		if _, err := goldenEngines[g.engine].run(bg, db, f, o); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Errorf("%s: resume returned %v, want ErrCheckpointMismatch", file, err)
 		}
 	}
 }

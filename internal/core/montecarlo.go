@@ -256,26 +256,9 @@ func MonteCarloDirect(ctx context.Context, db *unreliable.DB, f logic.Formula, o
 	if err != nil {
 		return Result{}, err
 	}
-	observed, err := answerSet(db.A, f)
+	kernel, k, normF, plan, err := hammingStat(db, f, opts)
 	if err != nil {
 		return Result{}, err
-	}
-	k := len(logic.FreeVars(f))
-	normF := float64(1)
-	for i := 0; i < k; i++ {
-		normF *= float64(db.A.N)
-	}
-	stat := func(b *rel.Structure) (float64, error) {
-		actual, err := answerSet(b, f)
-		if err != nil {
-			return 0, err
-		}
-		return float64(symmetricDiffSize(observed, actual)) / normF, nil
-	}
-	plan := planEval(db, f, opts)
-	kernel := mc.MeanKernel(db, stat)
-	if plan.compiled() {
-		kernel = (&mc.CompiledMean{Progs: plan.progs, Base: plan.base, NormF: normF}).Kernel(db)
 	}
 	stream := streamFor(opts, opts.Seed, src)
 	if opts.LaneRange != nil {
@@ -342,43 +325,58 @@ func MonteCarloRare(ctx context.Context, db *unreliable.DB, f logic.Formula, opt
 	if err != nil {
 		return Result{}, err
 	}
-	observed, err := answerSet(db.A, f)
+	kernel, k, normF, plan, err := hammingStat(db, f, opts)
 	if err != nil {
 		return Result{}, err
+	}
+	stream := streamFor(opts, opts.Seed, src)
+	stream.Ckpt = run.loopCkpt(resumeSt)
+	est, err := mc.EstimateMeanRare(ctx, db, kernel, opts.Eps, opts.Delta, opts.Budget.MaxSamples, stream)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		HFloat:        est.Value * normF,
+		RFloat:        1 - est.Value,
+		Arity:         k,
+		Engine:        "monte-carlo-rare",
+		Guarantee:     AbsoluteError,
+		Eps:           est.Eps,
+		Delta:         opts.Delta,
+		Samples:       est.Samples,
+		Class:         logic.Classify(f),
+		Degraded:      est.Partial,
+		Seed:          opts.Seed,
+		Resumed:       run.wasResumed(),
+		EvalMode:      plan.mode,
+		FallbackTrail: plan.trail,
+	}, nil
+}
+
+// hammingStat is the statistic of the mean engines, the normalized
+// Hamming distance |ψ^A Δ ψ^B| / n^k between the observed answer set
+// and a sampled world's, as the plan evaluates it: compiled, one
+// program per answer tuple, or interpreted. It returns the arity k and
+// the normalizer n^k with it.
+func hammingStat(db *unreliable.DB, f logic.Formula, opts Options) (mc.MeanStat, int, float64, evalPlan, error) {
+	observed, err := answerSet(db.A, f)
+	if err != nil {
+		return nil, 0, 0, evalPlan{}, err
 	}
 	k := len(logic.FreeVars(f))
 	normF := float64(1)
 	for i := 0; i < k; i++ {
 		normF *= float64(db.A.N)
 	}
-	stat := func(b *rel.Structure) (float64, error) {
+	plan := planEval(db, f, opts)
+	if plan.compiled() {
+		return (&mc.CompiledMean{Progs: plan.progs, Base: plan.base, NormF: normF}).Kernel(db), k, normF, plan, nil
+	}
+	return mc.MeanKernel(db, func(b *rel.Structure) (float64, error) {
 		actual, err := answerSet(b, f)
 		if err != nil {
 			return 0, err
 		}
 		return float64(symmetricDiffSize(observed, actual)) / normF, nil
-	}
-	stream := streamFor(opts, opts.Seed, src)
-	stream.Ckpt = run.loopCkpt(resumeSt)
-	est, err := mc.EstimateMeanRare(ctx, db, stat, opts.Eps, opts.Delta, opts.Budget.MaxSamples, stream)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		HFloat:    est.Value * normF,
-		RFloat:    1 - est.Value,
-		Arity:     k,
-		Engine:    "monte-carlo-rare",
-		Guarantee: AbsoluteError,
-		Eps:       est.Eps,
-		Delta:     opts.Delta,
-		Samples:   est.Samples,
-		Class:     logic.Classify(f),
-		Degraded:  est.Partial,
-		Seed:      opts.Seed,
-		Resumed:   run.wasResumed(),
-		// Rare-event conditioning samples worlds conditioned on the flip
-		// event, a stream the batch layout doesn't cover yet.
-		EvalMode: EvalInterpreted,
-	}, nil
+	}), k, normF, plan, nil
 }

@@ -60,7 +60,7 @@ func TestWorkersParallelResumeBitIdentical(t *testing.T) {
 
 	dir := t.TempDir()
 	interrupted := base
-	interrupted.Budget = Budget{MaxSamples: 300}
+	interrupted.Budget = Budget{MaxSamples: 600}
 	interrupted.Checkpoint = &CheckpointConfig{Store: openStore(t, dir, nil), Every: 64}
 	if _, err := MonteCarloDirect(bg, d, f, interrupted); err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestWorkersLaneFingerprintMismatch(t *testing.T) {
 	dir2 := t.TempDir()
 	par2 := base
 	par2.Workers = 4
-	par2.Budget = Budget{MaxSamples: 200}
+	par2.Budget = Budget{MaxSamples: 600}
 	par2.Checkpoint = &CheckpointConfig{Store: openStore(t, dir2, nil), Every: 64}
 	if _, err := MonteCarloDirect(bg, d, f, par2); err != nil {
 		t.Fatal(err)

@@ -54,11 +54,11 @@ func TestCountDNFParCompiledBitIdentical(t *testing.T) {
 				return nil
 			}}
 		}
-		want, err := CountDNF(ctx, d, 0.3, 0.2, CountScalar, mc.Stream{Seed: 1998, Workers: w, Ckpt: collect(&intSaves)})
+		want, err := CountDNF(ctx, d, 0.1, 0.2, CountScalar, mc.Stream{Seed: 1998, Workers: w, Ckpt: collect(&intSaves)})
 		if err != nil {
 			t.Fatalf("workers=%d interpreted: %v", w, err)
 		}
-		got, err := CountDNF(ctx, d, 0.3, 0.2, CountBatched, mc.Stream{Seed: 1998, Workers: w, Ckpt: collect(&compSaves)})
+		got, err := CountDNF(ctx, d, 0.1, 0.2, CountBatched, mc.Stream{Seed: 1998, Workers: w, Ckpt: collect(&compSaves)})
 		if err != nil {
 			t.Fatalf("workers=%d compiled: %v", w, err)
 		}

@@ -49,25 +49,33 @@ func (ix *AtomIndex) Len() int { return len(ix.atoms) }
 // shared; callers must not mutate it.
 func (ix *AtomIndex) Atoms() []rel.GroundAtom { return ix.atoms }
 
+// AtomNamer numbers the ground atoms a grounding meets: the variables
+// of the propositional formula Ground returns. AtomIndex allocates dense
+// ids in order of first sight; a caller that only needs each atom's
+// meaning can number atoms by it and keep no index.
+type AtomNamer interface {
+	ID(a rel.GroundAtom) int
+}
+
 // MaxGroundTerms bounds the number of propositional nodes the grounding
 // expansion may produce.
 const MaxGroundTerms = 1 << 22
 
 // Ground expands f over the structure's universe into a propositional
-// formula whose variables are ground atoms (allocated in ix): first-order
+// formula whose variables are ground atoms (numbered by ix): first-order
 // quantifiers become disjunctions/conjunctions over elements and
 // equalities are replaced by their truth values — exactly the
 // ψ ↦ ψ” construction in the proof of Theorem 5.4, generalized to
 // arbitrary first-order formulas. env supplies values for free
 // variables. Second-order quantifiers are rejected.
-func Ground(s *rel.Structure, f Formula, env Env, ix *AtomIndex) (prop.Formula, error) {
+func Ground(s *rel.Structure, f Formula, env Env, ix AtomNamer) (prop.Formula, error) {
 	g := &grounder{s: s, ix: ix, budget: MaxGroundTerms}
 	return g.ground(f, env)
 }
 
 type grounder struct {
 	s      *rel.Structure
-	ix     *AtomIndex
+	ix     AtomNamer
 	budget int
 }
 

@@ -52,15 +52,16 @@ type LaneState struct {
 }
 
 // Ckpt wires periodic checkpointing into a sampling loop. The loop
-// calls Save at sample boundaries: every Every samples, on context
-// cancellation (so a drained or deadline-hit run remains resumable),
-// and once more at completion. A Save error aborts the run — silent
+// calls Save at block boundaries (see Run): every Every samples, on
+// context cancellation (so a drained or deadline-hit run remains
+// resumable), and once more at completion. A Save error aborts the run — silent
 // loss of durability is not an option in the robustness line. Resume,
 // when non-nil, restores the loop to a previously saved state before
 // the first draw.
 type Ckpt struct {
-	// Every is the number of samples between periodic snapshots
-	// (<= 0 disables periodic saves; boundary saves still fire).
+	// Every is the number of samples between periodic snapshots, spread
+	// over the lanes and rounded up to whole blocks per lane (<= 0
+	// disables periodic saves; boundary saves still fire).
 	Every int
 	// Save persists one snapshot; an error aborts the estimator.
 	Save func(LoopState) error

@@ -32,7 +32,7 @@ func TestColdDatabaseEntryPoints(t *testing.T) {
 	lanes := mc.Stream{Seed: seed, Workers: 4}
 	rng := mc.Stream{Seed: seed, Range: &mc.Range{Lo: 1, Hi: 6, Total: mc.DefaultLanes}, Workers: 4}
 	seq := func() mc.Stream { return mc.Stream{Src: mc.NewSource(seed)} }
-	mean := func(k mc.Kernel, s mc.Stream) (any, error) {
+	mean := func(k mc.MeanStat, s mc.Stream) (any, error) {
 		est, aggs, err := mc.EstimateMean(ctx, k, eps, delta, 0, s)
 		return []any{est, aggs}, err
 	}
@@ -40,12 +40,17 @@ func TestColdDatabaseEntryPoints(t *testing.T) {
 		return mc.EstimateNuPadded(ctx, k, 0, 0.2, delta, 0, s)
 	}
 	calls := map[string]func(db *unreliable.DB) (any, error){
-		"mean/interpreted/lanes":   func(db *unreliable.DB) (any, error) { return mean(mc.MeanKernel(db, stat), lanes) },
-		"mean/compiled/lanes":      func(db *unreliable.DB) (any, error) { return mean(cm.Kernel(db), lanes) },
-		"mean/interpreted/range":   func(db *unreliable.DB) (any, error) { return mean(mc.MeanKernel(db, stat), rng) },
-		"mean/compiled/range":      func(db *unreliable.DB) (any, error) { return mean(cm.Kernel(db), rng) },
-		"mean/compiled/seq":        func(db *unreliable.DB) (any, error) { return mean(cm.Kernel(db), seq()) },
-		"rare/lanes":               func(db *unreliable.DB) (any, error) { return mc.EstimateMeanRare(ctx, db, stat, eps, delta, 0, lanes) },
+		"mean/interpreted/lanes": func(db *unreliable.DB) (any, error) { return mean(mc.MeanKernel(db, stat), lanes) },
+		"mean/compiled/lanes":    func(db *unreliable.DB) (any, error) { return mean(cm.Kernel(db), lanes) },
+		"mean/interpreted/range": func(db *unreliable.DB) (any, error) { return mean(mc.MeanKernel(db, stat), rng) },
+		"mean/compiled/range":    func(db *unreliable.DB) (any, error) { return mean(cm.Kernel(db), rng) },
+		"mean/compiled/seq":      func(db *unreliable.DB) (any, error) { return mean(cm.Kernel(db), seq()) },
+		"rare/interpreted/lanes": func(db *unreliable.DB) (any, error) {
+			return mc.EstimateMeanRare(ctx, db, mc.MeanKernel(db, stat), eps, delta, 0, lanes)
+		},
+		"rare/compiled/lanes": func(db *unreliable.DB) (any, error) {
+			return mc.EstimateMeanRare(ctx, db, cm.Kernel(db), eps, delta, 0, lanes)
+		},
 		"padded/interpreted/lanes": func(db *unreliable.DB) (any, error) { return padded(mc.PaddedPred(db, pred), lanes) },
 		"padded/compiled/lanes":    func(db *unreliable.DB) (any, error) { return padded(mc.PaddedProgram(db, prog), lanes) },
 		"padded/compiled/seq":      func(db *unreliable.DB) (any, error) { return padded(mc.PaddedProgram(db, prog), seq()) },

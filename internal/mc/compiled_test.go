@@ -2,6 +2,7 @@ package mc_test
 
 import (
 	"context"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -110,11 +111,11 @@ func TestCompiledMeanBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, w := range []int{1, 2, 4, 7} {
 		var intSaves, compSaves []mc.LoopState
-		want, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.1, 0.1, 0, mc.Stream{Seed: 1998, Workers: w, Ckpt: collectCkpt(53, &intSaves)})
+		want, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.05, 0.1, 0, mc.Stream{Seed: 1998, Workers: w, Ckpt: collectCkpt(53, &intSaves)})
 		if err != nil {
 			t.Fatalf("workers=%d interpreted: %v", w, err)
 		}
-		got, _, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.1, 0.1, 0, mc.Stream{Seed: 1998, Workers: w, Ckpt: collectCkpt(53, &compSaves)})
+		got, _, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.05, 0.1, 0, mc.Stream{Seed: 1998, Workers: w, Ckpt: collectCkpt(53, &compSaves)})
 		if err != nil {
 			t.Fatalf("workers=%d compiled: %v", w, err)
 		}
@@ -163,7 +164,7 @@ func TestCompiledResumesInterpretedCheckpoint(t *testing.T) {
 	stat, cm := meanFixture(t, db, "exists y . E(0,y) & S(y)")
 	ctx := context.Background()
 	var saves []mc.LoopState
-	want, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.1, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: collectCkpt(37, &saves)})
+	want, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.05, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: collectCkpt(37, &saves)})
 	if err != nil {
 		t.Fatalf("interpreted full run: %v", err)
 	}
@@ -171,7 +172,7 @@ func TestCompiledResumesInterpretedCheckpoint(t *testing.T) {
 		t.Fatalf("want several periodic snapshots, got %d", len(saves))
 	}
 	mid := saves[1]
-	got, _, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.1, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: &mc.Ckpt{Resume: &mid}})
+	got, _, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.05, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: &mc.Ckpt{Resume: &mid}})
 	if err != nil {
 		t.Fatalf("compiled resume: %v", err)
 	}
@@ -180,11 +181,11 @@ func TestCompiledResumesInterpretedCheckpoint(t *testing.T) {
 	}
 	// And the reverse direction: compiled writes, interpreted resumes.
 	var compSaves []mc.LoopState
-	if _, _, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.1, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: collectCkpt(37, &compSaves)}); err != nil {
+	if _, _, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.05, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: collectCkpt(37, &compSaves)}); err != nil {
 		t.Fatalf("compiled full run: %v", err)
 	}
 	mid2 := compSaves[1]
-	got2, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.1, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: &mc.Ckpt{Resume: &mid2}})
+	got2, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.05, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: &mc.Ckpt{Resume: &mid2}})
 	if err != nil {
 		t.Fatalf("interpreted resume: %v", err)
 	}
@@ -212,4 +213,102 @@ func TestCompiledSequentialMatchesInterpreted(t *testing.T) {
 	if got != want {
 		t.Fatalf("sequential compiled %+v != interpreted %+v", got, want)
 	}
+}
+
+// fuzzQueries are the sentences FuzzBlockDraw samples under.
+var fuzzQueries = []string{
+	"exists x y . E(x,y) & E(y,x)",
+	"forall x . exists y . E(x,y)",
+	"exists x . S(x) & !E(x,x)",
+	"forall x . S(x) -> exists y . E(x,y) & S(y)",
+}
+
+// hostileMu draws a flip probability at the edges of the 64-bit
+// threshold: a power of two down to 2⁻⁷⁰, one part in 2ᵏ short of 1, a
+// ratio over a 61-bit denominator, or an ordinary tenth.
+func hostileMu(rng *rand.Rand) *big.Rat {
+	one := big.NewInt(1)
+	switch rng.Intn(4) {
+	case 0:
+		return new(big.Rat).SetFrac(one, new(big.Int).Lsh(one, uint(1+rng.Intn(70))))
+	case 1:
+		den := new(big.Int).Lsh(one, uint(1+rng.Intn(62)))
+		return new(big.Rat).SetFrac(new(big.Int).Sub(den, one), den)
+	case 2:
+		den := new(big.Int).SetUint64(1<<61 - 1 - uint64(rng.Intn(1000)))
+		return new(big.Rat).SetFrac(big.NewInt(1+rng.Int63n(den.Int64()-1)), den)
+	default:
+		return big.NewRat(int64(1+rng.Intn(9)), 10)
+	}
+}
+
+// FuzzBlockDraw is the differential of the block streams: on a random
+// database with hostile flip probabilities, the compiled kernel and the
+// interpreted one must give the byte-identical estimate — and, for the
+// mean, the identical lane aggregates — for the mean, padded and
+// rare-event estimators, under a random sample budget (so short last
+// blocks) on the sequential stream or the lane split.
+func FuzzBlockDraw(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(6), uint8(0), uint16(700), false)
+	f.Add(int64(2), uint8(4), uint8(12), uint8(1), uint16(65), true)
+	f.Add(int64(3), uint8(2), uint8(1), uint8(2), uint16(1), true)
+	f.Add(int64(4), uint8(3), uint8(9), uint8(3), uint16(1999), false)
+	f.Fuzz(func(t *testing.T, seed int64, n, u, query uint8, budget uint16, lanes bool) {
+		rng := rand.New(rand.NewSource(seed))
+		db := workload.RandomUDB(rng, 2+int(n%3), int(u%16))
+		for _, a := range db.UncertainAtoms() {
+			if rng.Intn(2) == 0 {
+				db.MustSetError(a, hostileMu(rng))
+			}
+		}
+		src := fuzzQueries[int(query)%len(fuzzQueries)]
+		stat, cm := meanFixture(t, db, src)
+		q := mustParse(t, db, src)
+		prog := mustCompile(t, db, q)
+		pred := func(b *rel.Structure) (bool, error) { return logic.EvalSentence(b, q) }
+		stream := func() mc.Stream {
+			if lanes {
+				return mc.Stream{Seed: seed, Workers: 2}
+			}
+			return mc.Stream{Src: mc.NewSource(seed)}
+		}
+		ctx := context.Background()
+		maxSamples := 1 + int(budget)%2000
+
+		want, wantAggs, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.05, 0.1, maxSamples, stream())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotAggs, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.05, 0.1, maxSamples, stream())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || !reflect.DeepEqual(gotAggs, wantAggs) {
+			t.Fatalf("mean: compiled %+v %+v, interpreted %+v %+v", got, gotAggs, want, wantAggs)
+		}
+
+		wantP, err := mc.EstimateNuPadded(ctx, mc.PaddedPred(db, pred), 0, 0.2, 0.1, maxSamples, stream())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotP, err := mc.EstimateNuPadded(ctx, mc.PaddedProgram(db, prog), 0, 0.2, 0.1, maxSamples, stream())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotP != wantP {
+			t.Fatalf("padded: compiled %+v, interpreted %+v", gotP, wantP)
+		}
+
+		wantR, err := mc.EstimateMeanRare(ctx, db, mc.MeanKernel(db, stat), 0.01, 0.1, maxSamples, stream())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotR, err := mc.EstimateMeanRare(ctx, db, cm.Kernel(db), 0.01, 0.1, maxSamples, stream())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotR != wantR {
+			t.Fatalf("rare: compiled %+v, interpreted %+v", gotR, wantR)
+		}
+	})
 }

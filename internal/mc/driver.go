@@ -36,10 +36,6 @@ import (
 // the machine: worker counts only schedule the lanes.
 const DefaultLanes = 8
 
-// ctxPollStride is how many samples a lane draws between polls of its
-// context.
-const ctxPollStride = 64
-
 // Lane is one deterministic RNG lane of a run: a private substream, a
 // fixed sample quota, and the partial aggregates accumulated in sample
 // order. Lanes are merged in index order.
@@ -61,15 +57,17 @@ type Lane struct {
 
 // Kernel is an estimator's per-lane sampling step. The driver calls it
 // once per lane, on the goroutine that will run the lane — per-lane
-// scratch lives in the closure — and then calls the returned step with
-// batch sizes m ≥ 1. step(m) must draw exactly m samples from the
-// lane's stream in the scalar per-sample order (sample j's draws all
-// precede sample j+1's) and fold them into ln.Sum / ln.Hits, and must
-// have written any hoisted generator state back to ln.Src before it
-// returns: the driver snapshots the lane between steps, and advances
-// ln.Drawn after each. A kernel that evaluates its m samples one by
-// one and one that evaluates them 64 to a machine word are then
-// indistinguishable in every checkpoint, lane aggregate and estimate.
+// scratch lives in the closure — and then calls the returned step once
+// per block: m = blockSize samples starting at a multiple of blockSize
+// of the lane's samples, or the m < blockSize samples left of the
+// lane's quota. step(m) must draw exactly those m samples from the
+// lane's stream as a function of the block alone, fold them into
+// ln.Sum / ln.Hits, and have written any hoisted generator state back
+// to ln.Src before it returns: the driver snapshots the lane between
+// steps, and advances ln.Drawn after each. Kernels that share a draw
+// order — one evaluating its samples one by one, one 64 to a machine
+// word — are then indistinguishable in every checkpoint, lane
+// aggregate and estimate.
 type Kernel func(ln *Lane) (step func(m int) error)
 
 // Stream says which draws a run owns, and how they are scheduled and
@@ -162,14 +160,17 @@ func TupleSeed(seed int64, idx int) int64 {
 //
 // anytime is a property of the estimator, not a caller's choice: an
 // anytime estimator has a reading for a partial run (a widened ε), so
-// cancellation stops its lanes cleanly at a sample boundary and Run
+// cancellation stops its lanes cleanly at a block boundary and Run
 // returns the partial aggregates with a nil error; one that has none —
 // Karp–Luby's relative-error guarantee — gets ctx.Err(), with the last
 // published snapshot left behind to resume from.
 //
-// Batches never cross a ctxPollStride boundary, a periodic-checkpoint
-// boundary or the quota, so the context is polled and snapshots are
-// published at the same Drawn values whatever the kernel's width.
+// Every step is one block: it starts at a multiple of blockSize of the
+// lane's samples (only a lane's last block may be short), the context
+// is polled before each, and snapshots hold lanes at block boundaries
+// only — the per-lane cadence is rounded up to whole blocks, and a
+// short last block is left out — so a block-drawing kernel's stream
+// does not depend on where a run was cut, resumed or checkpointed.
 func Run(ctx context.Context, method string, total int, anytime bool, s Stream, k Kernel) ([]*Lane, error) {
 	lanes, workers, method, err := s.lanes(method, total)
 	if err != nil {
@@ -183,45 +184,38 @@ func Run(ctx context.Context, method string, total int, anytime bool, s Stream, 
 	err = runLanes(ctx, lanes, workers, func(ctx context.Context, ln *Lane) error {
 		step := k(ln)
 		lastSave := ln.Drawn
+		at := laneState(ln) // the lane at its last block boundary
 		for ln.Drawn < ln.Quota {
-			if ln.Drawn%ctxPollStride == 0 {
-				if err := ctx.Err(); err != nil {
-					if anytime {
-						break
-					}
-					return err
+			if err := ctx.Err(); err != nil {
+				if anytime {
+					break
 				}
+				return err
 			}
 			if every > 0 && ln.Drawn-lastSave >= every {
 				lastSave = ln.Drawn
-				if err := lc.publish(ln, true); err != nil {
+				if err := lc.publish(ln.Idx, at, true); err != nil {
 					return err
 				}
 			}
-			m := batchSize(ln.Drawn, ln.Quota, every, lastSave)
+			m := min(ln.Quota-ln.Drawn, blockSize)
 			if err := step(m); err != nil {
 				return err
 			}
 			ln.Drawn += m
+			if m == blockSize {
+				at = laneState(ln)
+			}
 		}
-		return lc.publish(ln, false)
+		// A short last block is left out of the snapshot: its draw depends
+		// on its length, so a run with a larger quota — the same job
+		// resumed without its sample budget — redraws it in full.
+		return lc.publish(ln.Idx, at, false)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return lanes, lc.finalSave()
-}
-
-// batchSize returns how many samples the next batch may draw: at most
-// 64, clamped to the remaining quota, to the next context-poll
-// boundary, and to the next periodic-checkpoint boundary (every = 0
-// disables the latter). Always ≥ 1 when drawn < quota.
-func batchSize(drawn, quota, every, lastSave int) int {
-	m := min(quota-drawn, 64, ctxPollStride-drawn%ctxPollStride)
-	if every > 0 {
-		m = min(m, every-(drawn-lastSave))
-	}
-	return m
 }
 
 // BatchFull returns the live-samples mask of an m-sample batch: bit s
@@ -292,7 +286,7 @@ func runLanes(ctx context.Context, lanes []*Lane, workers int, fn func(ctx conte
 }
 
 // laneCkpt serializes concurrent per-lane snapshot publication into
-// Ckpt.Save calls. Each lane publishes its state at sample boundaries;
+// Ckpt.Save calls. Each lane publishes its state at block boundaries;
 // a persisted snapshot assembles the last published state of every
 // lane. Lanes are independent streams, so the assembled states need
 // not be from the same instant — any combination of per-lane
@@ -335,24 +329,25 @@ func newLaneCkpt(method string, lanes []*Lane, ck *Ckpt) *laneCkpt {
 }
 
 // perLaneEvery translates the run-total snapshot interval ck.Every
-// into a per-lane interval (0 disables periodic saves).
+// into a per-lane interval, rounded up to whole blocks (0 disables
+// periodic saves).
 func (lc *laneCkpt) perLaneEvery(nLanes int) int {
 	if lc.inert || lc.ck.Every <= 0 {
 		return 0
 	}
-	return max(1, lc.ck.Every/nLanes)
+	return (max(1, lc.ck.Every/nLanes) + blockSize - 1) / blockSize * blockSize
 }
 
-// publish records ln's current state at a sample boundary; with save
+// publish records lane idx's state st at a block boundary; with save
 // set it also persists the assembled multi-lane snapshot (skipped when
 // nothing was drawn since the last persisted one).
-func (lc *laneCkpt) publish(ln *Lane, save bool) error {
+func (lc *laneCkpt) publish(idx int, st LaneState, save bool) error {
 	if lc.inert {
 		return nil
 	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	lc.lanes[ln.Idx-lc.base] = laneState(ln)
+	lc.lanes[idx-lc.base] = st
 	if !save {
 		return nil
 	}
@@ -361,7 +356,8 @@ func (lc *laneCkpt) publish(ln *Lane, save bool) error {
 
 // finalSave persists the boundary snapshot after the lanes joined:
 // after a cancellation it is the state a restart resumes from; after
-// completion it makes a re-run an instant replay.
+// completion it makes a re-run a replay of at most each lane's short
+// last block.
 func (lc *laneCkpt) finalSave() error {
 	if lc.inert {
 		return nil
@@ -391,9 +387,9 @@ func (lc *laneCkpt) saveLocked() error {
 }
 
 // ErrResumeMismatch reports a snapshot that cannot resume the run at
-// hand: wrong estimator method (including a different lane range), a
-// lane-count mismatch, an implausible state, or an undecodable RNG
-// state. It separates "this snapshot belongs to a different
+// hand: wrong estimator method (including a different lane range or
+// world stream), a lane-count mismatch, an implausible state — among
+// them a lane stopped inside a block —, or an undecodable RNG state. It separates "this snapshot belongs to a different
 // computation" from disk corruption — a caller holding a shipped
 // snapshot falls back to a clean restart on it rather than failing.
 var ErrResumeMismatch = errors.New("mc: snapshot does not match this run")
@@ -402,8 +398,10 @@ var ErrResumeMismatch = errors.New("mc: snapshot does not match this run")
 // (v2) snapshot restores per-lane counters and RNG states; a legacy
 // single-lane snapshot restores only into a single-lane run. Lane
 // count mismatches are rejected — the estimate is a function of the
-// lane count, so resuming across counts would silently change it.
-// Every rejection wraps ErrResumeMismatch.
+// lane count, so resuming across counts would silently change it. A
+// lane must stand at a block boundary: a block's draw depends on the
+// whole block, so a lane stopped inside one has no continuation. Every
+// rejection wraps ErrResumeMismatch.
 func restoreLanes(method string, lanes []*Lane, ck *Ckpt) error {
 	if ck == nil || ck.Resume == nil {
 		return nil
@@ -426,6 +424,9 @@ func restoreLanes(method string, lanes []*Lane, ck *Ckpt) error {
 		ls := states[i]
 		if ls.Drawn < 0 || ls.Hits < 0 || ls.Hits > ls.Drawn {
 			return fmt.Errorf("%w: implausible snapshot state for lane %d: drawn=%d hits=%d", ErrResumeMismatch, i, ls.Drawn, ls.Hits)
+		}
+		if ls.Drawn%blockSize != 0 {
+			return fmt.Errorf("%w: lane %d stopped at sample %d, inside a %d-sample block", ErrResumeMismatch, i, ls.Drawn, blockSize)
 		}
 		if err := ln.Src.SetState(ls.RNG); err != nil {
 			return fmt.Errorf("%w: lane %d: %v", ErrResumeMismatch, i, err)

@@ -51,7 +51,7 @@ func paddedPar(ctx context.Context, d *unreliable.DB, pred func(*rel.Structure) 
 }
 
 func rarePar(ctx context.Context, d *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, seed int64, workers int, ck *Ckpt) (Estimate, error) {
-	return EstimateMeanRare(ctx, d, f, eps, delta, maxSamples, Stream{Seed: seed, Workers: workers, Ckpt: ck})
+	return EstimateMeanRare(ctx, d, MeanKernel(d, f), eps, delta, maxSamples, Stream{Seed: seed, Workers: workers, Ckpt: ck})
 }
 
 func predAnyS(b *rel.Structure) (bool, error) {
@@ -147,7 +147,9 @@ func TestLaneCancelWidensEps(t *testing.T) {
 
 // TestLaneKillResume kills a multi-lane run mid-flight, checkpoints it,
 // resumes from the snapshot, and requires the final estimate to be
-// bit-identical to an uninterrupted run of the same seed.
+// bit-identical to an uninterrupted run of the same seed — for
+// checkpoint intervals that are not whole blocks per lane, which the
+// driver rounds up to block boundaries.
 func TestLaneKillResume(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	d := manyAtomDB()
@@ -158,39 +160,42 @@ func TestLaneKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var snap *LoopState
-	save := func(st LoopState) error {
-		snap = &st
-		return nil
-	}
-	ctx, cancel := context.WithCancel(bg)
-	var calls atomic.Int64
-	killer := func(b *rel.Structure) (float64, error) {
-		if calls.Add(1) == 1500 {
-			cancel()
+	for _, every := range []int{100, 256, 1000} {
+		var snap *LoopState
+		save := func(st LoopState) error {
+			snap = &st
+			return nil
 		}
-		return statS(b)
-	}
-	first, err := meanPar(ctx, d, killer, eps, delta, 0, seed, 3, &Ckpt{Every: 256, Save: save})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !first.Partial {
-		t.Fatal("killed run not marked Partial")
-	}
-	if snap == nil {
-		t.Fatal("no checkpoint was saved")
-	}
-	if snap.LaneCount != DefaultLanes || len(snap.Lanes) != DefaultLanes {
-		t.Fatalf("snapshot has LaneCount=%d, %d lane states; want %d", snap.LaneCount, len(snap.Lanes), DefaultLanes)
-	}
+		ctx, cancel := context.WithCancel(bg)
+		var calls atomic.Int64
+		killer := func(b *rel.Structure) (float64, error) {
+			if calls.Add(1) == 1500 {
+				cancel()
+			}
+			return statS(b)
+		}
+		first, err := meanPar(ctx, d, killer, eps, delta, 0, seed, 3, &Ckpt{Every: every, Save: save})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !first.Partial {
+			t.Fatalf("every=%d: killed run not marked Partial", every)
+		}
+		if snap == nil {
+			t.Fatalf("every=%d: no checkpoint was saved", every)
+		}
+		if snap.LaneCount != DefaultLanes || len(snap.Lanes) != DefaultLanes {
+			t.Fatalf("every=%d: snapshot has LaneCount=%d, %d lane states; want %d", every, snap.LaneCount, len(snap.Lanes), DefaultLanes)
+		}
 
-	resumed, err := meanPar(bg, d, statS, eps, delta, 0, seed, 3, &Ckpt{Resume: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed != uninterrupted {
-		t.Errorf("resumed estimate %+v != uninterrupted %+v", resumed, uninterrupted)
+		resumed, err := meanPar(bg, d, statS, eps, delta, 0, seed, 3, &Ckpt{Resume: snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed != uninterrupted {
+			t.Errorf("every=%d: resumed estimate %+v != uninterrupted %+v", every, resumed, uninterrupted)
+		}
 	}
 }
 
@@ -198,7 +203,7 @@ func TestLaneKillResume(t *testing.T) {
 // compatibility rules: a single-lane snapshot cannot seed a multi-lane
 // run, and lane counts must match exactly.
 func TestRestoreLanesRejectsMismatch(t *testing.T) {
-	single := &LoopState{Method: "hoeffding", Drawn: 10, Sum: 5, RNG: NewSource(1).State()}
+	single := &LoopState{Method: "hoeffding", Drawn: 64, Sum: 5, RNG: NewSource(1).State()}
 	lanes := splitLanes(1, DefaultLanes)
 	if err := restoreLanes("hoeffding", lanes, &Ckpt{Resume: single}); err == nil {
 		t.Error("single-lane snapshot restored into multi-lane run")
@@ -318,14 +323,14 @@ func scalarTrace(idx, start, quota []int, every int, saving bool, cancelLane, ca
 	}
 	perLane := 0
 	if saving && every > 0 {
-		perLane = max(1, every/len(idx))
+		perLane = (max(1, every/len(idx)) + blockSize - 1) / blockSize * blockSize
 	}
 	tr.final = append([]int(nil), start...)
 	canceled := false
 	for i := range idx {
 		drawn, lastSave := start[i], start[i]
 		for drawn < quota[i] {
-			if drawn%ctxPollStride == 0 {
+			if drawn%blockSize == 0 {
 				tr.polls = append(tr.polls, [2]int{idx[i], drawn})
 				if canceled {
 					stopped = true
@@ -346,23 +351,26 @@ func scalarTrace(idx, start, quota []int, every int, saving bool, cancelLane, ca
 		if stopped && !anytime {
 			return tr, true // the error path persists nothing more
 		}
-		published[i] = drawn
+		published[i] = drawn - drawn%blockSize // a short last block is not published
 	}
 	save()
 	return tr, stopped
 }
 
-// TestDriverMatchesScalarLoop is the driver's property test. Over
-// seeded random streams, quotas, checkpoint intervals, resume offsets
-// and cancellation points, a kernel that counts its batch one sample
-// at a time and one that counts it in one step must both leave exactly
-// the trace of the scalar reference loop — the same Drawn at every
-// context poll and every persisted snapshot, the same final lanes — so
-// no batch can have crossed a poll, checkpoint or quota boundary; the
-// batch sizes add up to what each lane owed; a cancelled anytime run
-// returns its partial aggregates, a cancelled non-anytime run returns
-// the context's error and leaves a snapshot that resumes to the
-// complete run.
+// TestDriverMatchesScalarLoop is the driver's block-alignment property
+// test. Over seeded random streams, quotas, checkpoint intervals (most
+// of them not whole blocks per lane), resume offsets and cancellation
+// points, a kernel that counts its batch one sample at a time and one
+// that counts it in one step must both leave exactly the trace of the
+// scalar reference loop — polled at every block boundary, saving at
+// the per-lane cadence rounded up to whole blocks — and every batch
+// must be one block: starting at a multiple of blockSize, of
+// blockSize samples or the lane's remainder — and every snapshot must
+// hold its lanes at block boundaries, a short last block left out. A
+// cancelled anytime run returns its partial aggregates, a cancelled
+// non-anytime run returns the context's error and leaves a snapshot
+// that resumes to the complete run under any worker count; a snapshot
+// whose lane stopped inside a block is refused.
 func TestDriverMatchesScalarLoop(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	rng := NewRand(20241003)
@@ -397,7 +405,8 @@ func TestDriverMatchesScalarLoop(t *testing.T) {
 		for i, ln := range probe {
 			idx[i], quota[i] = ln.Idx, ln.Quota
 			if resume != nil {
-				start[i] = rng.Intn(ln.Quota + 1)
+				// A snapshot lane stands at a block boundary.
+				start[i] = rng.Intn(ln.Quota/blockSize+1) * blockSize
 				resume.Drawn += start[i]
 				resume.Hits += start[i]
 				resume.Sum += float64(start[i])
@@ -492,8 +501,8 @@ func TestDriverMatchesScalarLoop(t *testing.T) {
 			for i, bs := range batches {
 				d := start[i]
 				for _, m := range bs {
-					if m < 1 || m > 64 || d%ctxPollStride+m > ctxPollStride || d+m > quota[i] {
-						t.Fatalf("%s: lane %d batch of %d at Drawn=%d (quota %d)", label, idx[i], m, d, quota[i])
+					if d%blockSize != 0 || m != min(blockSize, quota[i]-d) {
+						t.Fatalf("%s: lane %d batch of %d at Drawn=%d (quota %d) is not a block", label, idx[i], m, d, quota[i])
 					}
 					d += m
 				}
@@ -504,7 +513,7 @@ func TestDriverMatchesScalarLoop(t *testing.T) {
 			// Whatever snapshot a cut-short run left resumes to the complete
 			// run, under any worker count.
 			if wantStopped && last != nil {
-				_, _, _, lanes, err := run(1+rng.Intn(4), wide, -1, last)
+				_, batches, _, lanes, err := run(1+rng.Intn(4), wide, -1, last)
 				if err != nil {
 					t.Fatalf("%s: resume: %v", label, err)
 				}
@@ -513,6 +522,41 @@ func TestDriverMatchesScalarLoop(t *testing.T) {
 						t.Fatalf("%s: resumed lane %d: drawn=%d hits=%d sum=%v, want %d", label, ln.Idx, ln.Drawn, ln.Hits, ln.Sum, quota[i])
 					}
 				}
+				for i, bs := range batches {
+					d := last.Drawn
+					if last.LaneCount > 0 {
+						d = last.Lanes[i].Drawn
+					}
+					for _, m := range bs {
+						if d%blockSize != 0 || m != min(blockSize, quota[i]-d) {
+							t.Fatalf("%s: resumed lane %d batch of %d at Drawn=%d is not a block", label, idx[i], m, d)
+						}
+						d += m
+					}
+				}
+			}
+		}
+		// A lane stopped inside a block has no continuation: refused.
+		if i := rng.Intn(n); quota[i] >= 1 {
+			bad := &LoopState{Method: method, RNG: probe[0].Src.State()}
+			states := make([]LaneState, n)
+			for j, ln := range probe {
+				states[j] = LaneState{RNG: ln.Src.State()}
+			}
+			for states[i].Drawn = 1 + rng.Intn(quota[i]); states[i].Drawn%blockSize == 0; {
+				states[i].Drawn = 1 + rng.Intn(quota[i])
+			}
+			if n > 1 {
+				bad.LaneCount, bad.Lanes = n, states
+			}
+			bad.Drawn = states[i].Drawn
+			s := newStream()
+			s.Ckpt = &Ckpt{Resume: bad}
+			_, err := Run(bg, "count", total, anytime, s, func(ln *Lane) func(int) error {
+				return func(int) error { return nil }
+			})
+			if !errors.Is(err, ErrResumeMismatch) {
+				t.Fatalf("iter %d: lane %d resumed at Drawn=%d of %d: error %v, want ErrResumeMismatch", iter, idx[i], states[i].Drawn, quota[i], err)
 			}
 		}
 	}

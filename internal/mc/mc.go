@@ -38,12 +38,31 @@ type Estimate struct {
 	// cancellation or a sample budget, and Eps was recomputed from the
 	// realized sample count.
 	Partial bool
-	// Method names the estimator ("hoeffding", "padded", "rare-event").
+	// Method names the estimator and the order its draws consume the
+	// stream (MeanMethod, "padded/…", "rare-event/…"; see WorldStream).
 	Method string
 }
 
+// WorldStream names the order in which the world-sampling estimators
+// consume a lane's generator: 64-sample blocks, atom by atom, each
+// decided bit-sliced against its 64-bit threshold (block.go). The
+// method strings of those estimators — in checkpoints, lane-range
+// results and Estimate.Method — carry it, so a build that draws its
+// worlds in another order refuses their checkpoints and lane aggregates
+// instead of splicing two streams.
+const WorldStream = "block64"
+
+// The method strings of the world-sampling estimators.
+const (
+	// MeanMethod is EstimateMean's, the one a lane-range run reports.
+	MeanMethod       = "hoeffding/" + WorldStream
+	paddedMethod     = "padded/" + WorldStream
+	structuralMethod = "padded-structural/" + WorldStream
+	rareMethod       = "rare-event/" + WorldStream
+)
+
 // The anytime contract of every estimator in this package: when the
-// run is cut short — the context polled every ctxPollStride samples, or
+// run is cut short — the context polled before every block, or
 // the sample budget — after ≥ 1 samples, the estimator returns the
 // partial mean with Partial = true and a widened Eps valid at the same
 // Delta; when it is cut short before the first sample, it returns an
@@ -138,7 +157,7 @@ func hoeffdingEstimate(aggs []LaneAgg, requested int, eps, delta float64) Estima
 		drawn += a.Drawn
 		sum += a.Sum
 	}
-	est := Estimate{Value: sum / float64(drawn), Samples: drawn, Requested: requested, Eps: eps, Delta: delta, Method: "hoeffding"}
+	est := Estimate{Value: sum / float64(drawn), Samples: drawn, Requested: requested, Eps: eps, Delta: delta, Method: MeanMethod}
 	if drawn < requested {
 		est.Partial = true
 		est.Eps = widenedHoeffdingEps(delta, drawn)
@@ -149,24 +168,24 @@ func hoeffdingEstimate(aggs []LaneAgg, requested int, eps, delta float64) Estima
 // EstimateMean estimates the expectation of a [0,1]-valued
 // polynomial-time computable statistic over random worlds
 // B ∈ Omega(D), with absolute error eps and confidence 1−delta
-// (Hoeffding). The statistic is the kernel k — MeanKernel for a Go
-// function, CompiledMean.Kernel for compiled programs — and the stream
-// s names the draws; alongside the Estimate it returns the raw
-// per-lane aggregates, which for a lane-range stream are what the
-// coordinator merges (MergeMean) and attests (RangeDigest), the
-// Estimate then being the range's own partial reading.
+// (Hoeffding). The statistic is k — MeanKernel for a Go function,
+// CompiledMean.Kernel for compiled programs — and the stream s names
+// the draws; alongside the Estimate it returns the raw per-lane
+// aggregates, which for a lane-range stream are what the coordinator
+// merges (MergeMean) and attests (RangeDigest), the Estimate then being
+// the range's own partial reading.
 //
 // The estimator is *anytime*: when ctx is canceled or maxSamples
 // (0 = unlimited) stops the run early, the partial mean is returned
 // with Partial = true and Eps widened to the accuracy the realized
 // sample count supports. Only a stop before the very first sample is an
 // error (wrapping ErrNoSamples).
-func EstimateMean(ctx context.Context, k Kernel, eps, delta float64, maxSamples int, s Stream) (Estimate, []LaneAgg, error) {
+func EstimateMean(ctx context.Context, k MeanStat, eps, delta float64, maxSamples int, s Stream) (Estimate, []LaneAgg, error) {
 	requested, t, err := hoeffdingPlan(eps, delta, maxSamples)
 	if err != nil {
 		return Estimate{}, nil, err
 	}
-	lanes, err := Run(ctx, "hoeffding", t, true, s, k)
+	lanes, err := Run(ctx, MeanMethod, t, true, s, k(false))
 	if err != nil {
 		return Estimate{}, nil, err
 	}
@@ -181,34 +200,37 @@ func EstimateMean(ctx context.Context, k Kernel, eps, delta float64, maxSamples 
 	return est, aggs, nil
 }
 
-// MeanKernel is the interpreted kernel of a mean estimator: each
-// sample materializes a world and hands it to f. It is the reference
-// the compiled kernel is tested against, and the only kernel for
-// statistics internal/vm cannot compile.
-func MeanKernel(db *unreliable.DB, f func(*rel.Structure) (float64, error)) Kernel {
-	return meanKernel(f, func(ln *Lane) func() *rel.Structure {
-		buf := db.NewWorldBuf()
-		return func() *rel.Structure { return db.SampleWorldInto(ln.Rng, buf) }
-	})
-}
+// A MeanStat is a [0,1]-valued statistic of a sampled world awaiting
+// the law its worlds are drawn from: Omega(D) (rare = false, the
+// law EstimateMean uses) or Omega(D) conditioned on at least one
+// uncertain atom flipping (rare = true, EstimateMeanRare's). The
+// estimator picks the law, so the statistic is written once for both.
+type MeanStat func(rare bool) Kernel
 
-// meanKernel folds f over the worlds a per-lane sampler draws from the
-// lane's stream, one per call.
-func meanKernel(f func(*rel.Structure) (float64, error), sampler func(ln *Lane) func() *rel.Structure) Kernel {
-	return func(ln *Lane) func(m int) error {
-		next := sampler(ln)
-		return func(m int) error {
-			for i := 0; i < m; i++ {
-				v, err := f(next())
-				if err != nil {
-					return fmt.Errorf("mc: evaluating sample %d: %w", ln.Drawn+i, err)
+// MeanKernel is the interpreted mean statistic: each sample of a block
+// is materialized as a world and handed to f. It is the reference the
+// compiled kernel is tested against, and the only kernel for
+// statistics internal/vm cannot compile.
+func MeanKernel(db *unreliable.DB, f func(*rel.Structure) (float64, error)) MeanStat {
+	return func(rare bool) Kernel {
+		w := newWorlds(db, rare)
+		return func(ln *Lane) func(m int) error {
+			cols := make([]uint64, len(w.t))
+			buf := db.NewWorldBuf()
+			return func(m int) error {
+				w.block(ln.Src, cols, m, 0, nil)
+				for s := 0; s < m; s++ {
+					v, err := f(buf.Load(cols, uint(s)))
+					if err != nil {
+						return fmt.Errorf("mc: evaluating sample %d: %w", ln.Drawn+s, err)
+					}
+					if v < 0 || v > 1 {
+						return fmt.Errorf("mc: sample value %v outside [0,1]", v)
+					}
+					ln.Sum += v
 				}
-				if v < 0 || v > 1 {
-					return fmt.Errorf("mc: sample value %v outside [0,1]", v)
-				}
-				ln.Sum += v
+				return nil
 			}
-			return nil
 		}
 	}
 }
@@ -257,7 +279,7 @@ func EstimateNuPadded(ctx context.Context, k PaddedKernel, xi, eps, delta float6
 	if xi == 0 {
 		xi = DefaultXi
 	}
-	return estimatePadded(ctx, "padded", k(xi), xi, eps, delta, maxSamples, s)
+	return estimatePadded(ctx, paddedMethod, k(xi), xi, eps, delta, maxSamples, s)
 }
 
 // estimatePadded sizes, runs and recovers a padded estimation whose
@@ -291,21 +313,24 @@ func estimatePadded(ctx context.Context, method string, k Kernel, xi, eps, delta
 }
 
 // PaddedPred is the interpreted kernel of the padded estimator: per
-// sample, a materialized world handed to pred, then the two
-// Bernoulli(ξ) padding coins.
+// block, the world columns then the two Bernoulli(ξ) padding coins Rc
+// and Rd; per sample, pred on the materialized world and a hit when
+// ψ' = (ψ ∨ Rc) ∧ Rd holds.
 func PaddedPred(db *unreliable.DB, pred func(*rel.Structure) (bool, error)) PaddedKernel {
 	return func(xi float64) Kernel {
+		w, coin := newWorlds(db, false), coinThreshold(xi)
 		return func(ln *Lane) func(m int) error {
+			cols := make([]uint64, len(w.t))
 			buf := db.NewWorldBuf()
 			return func(m int) error {
-				for i := 0; i < m; i++ {
-					v, err := pred(db.SampleWorldInto(ln.Rng, buf))
+				var coins [2]uint64
+				w.block(ln.Src, cols, m, coin, coins[:])
+				for s := uint(0); s < uint(m); s++ {
+					v, err := pred(buf.Load(cols, s))
 					if err != nil {
-						return fmt.Errorf("mc: evaluating sample %d: %w", ln.Drawn+i, err)
+						return fmt.Errorf("mc: evaluating sample %d: %w", ln.Drawn+int(s), err)
 					}
-					rc := ln.Rng.Float64() < xi
-					rd := ln.Rng.Float64() < xi
-					if (v || rc) && rd {
+					if (v || coins[0]>>s&1 == 1) && coins[1]>>s&1 == 1 {
 						ln.Hits++
 					}
 				}
@@ -398,14 +423,17 @@ func EstimateNuPaddedStructural(ctx context.Context, db *unreliable.DB, pred fun
 	if err != nil {
 		return Estimate{}, err
 	}
+	w := newWorlds(padded, false)
 	k := func(ln *Lane) func(m int) error {
+		cols := make([]uint64, len(w.t))
 		buf := padded.NewWorldBuf()
 		return func(m int) error {
-			for i := 0; i < m; i++ {
-				b := padded.SampleWorldInto(ln.Rng, buf)
+			w.block(ln.Src, cols, m, 0, nil)
+			for s := 0; s < m; s++ {
+				b := buf.Load(cols, uint(s))
 				v, err := pred(b)
 				if err != nil {
-					return fmt.Errorf("mc: evaluating sample %d: %w", ln.Drawn+i, err)
+					return fmt.Errorf("mc: evaluating sample %d: %w", ln.Drawn+s, err)
 				}
 				if (v || b.Holds(rc.Rel, rc.Args)) && b.Holds(rd.Rel, rd.Args) {
 					ln.Hits++
@@ -414,5 +442,5 @@ func EstimateNuPaddedStructural(ctx context.Context, db *unreliable.DB, pred fun
 			return nil
 		}
 	}
-	return estimatePadded(ctx, "padded-structural", k, xi, eps, delta, maxSamples, s)
+	return estimatePadded(ctx, structuralMethod, k, xi, eps, delta, maxSamples, s)
 }

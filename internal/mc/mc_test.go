@@ -94,7 +94,7 @@ func TestEstimateNuConverges(t *testing.T) {
 	if math.Abs(est.Value-0.75) > 0.02 {
 		t.Errorf("estimate %v, want 0.75 ± 0.02", est.Value)
 	}
-	if est.Method != "hoeffding" {
+	if est.Method != MeanMethod {
 		t.Errorf("method %q", est.Method)
 	}
 	if est.Samples < 1000 {

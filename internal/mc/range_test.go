@@ -329,36 +329,40 @@ func TestRangeResumeWorkerMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One mid-run snapshot of the left range, taken by a 2-worker run.
-	var snap *LoopState
-	save := func(st LoopState) error { snap = &st; return nil }
-	ctx, cancel := context.WithCancel(bg)
-	defer cancel()
-	var calls atomic.Int64
-	killer := func(b *rel.Structure) (float64, error) {
-		if calls.Add(1) == 1500 {
-			cancel()
+	// One mid-run snapshot of the left range per checkpoint interval
+	// (none of them whole blocks per lane), taken by a 2-worker run.
+	for _, every := range []int{128, 300} {
+		var snap *LoopState
+		save := func(st LoopState) error { snap = &st; return nil }
+		ctx, cancel := context.WithCancel(bg)
+		var calls atomic.Int64
+		killer := func(b *rel.Structure) (float64, error) {
+			if calls.Add(1) == 1500 {
+				cancel()
+			}
+			return statS(b)
 		}
-		return statS(b)
-	}
-	if _, err := meanRange(ctx, d, killer, eps, delta, 0, seed, left, 2, &Ckpt{Every: 128, Save: save}); err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil {
-		t.Fatal("no checkpoint was saved")
-	}
+		_, err := meanRange(ctx, d, killer, eps, delta, 0, seed, left, 2, &Ckpt{Every: every, Save: save})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap == nil {
+			t.Fatalf("every=%d: no checkpoint was saved", every)
+		}
 
-	for _, w := range []int{1, 2, 4, 7} {
-		resumed, err := meanRange(bg, d, statS, eps, delta, 0, seed, left, w, &Ckpt{Resume: snap})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		merged, err := MergeMean(append(append([]LaneAgg(nil), resumed...), rightRun...), DefaultLanes, eps, delta, 0)
-		if err != nil {
-			t.Fatalf("workers=%d: merge: %v", w, err)
-		}
-		if merged != base {
-			t.Errorf("workers=%d: resume-then-merge %+v != uninterrupted %+v", w, merged, base)
+		for _, w := range []int{1, 2, 4, 7} {
+			resumed, err := meanRange(bg, d, statS, eps, delta, 0, seed, left, w, &Ckpt{Resume: snap})
+			if err != nil {
+				t.Fatalf("every=%d workers=%d: %v", every, w, err)
+			}
+			merged, err := MergeMean(append(append([]LaneAgg(nil), resumed...), rightRun...), DefaultLanes, eps, delta, 0)
+			if err != nil {
+				t.Fatalf("every=%d workers=%d: merge: %v", every, w, err)
+			}
+			if merged != base {
+				t.Errorf("every=%d workers=%d: resume-then-merge %+v != uninterrupted %+v", every, w, merged, base)
+			}
 		}
 	}
 }

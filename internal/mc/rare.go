@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/rand"
 
-	"qrel/internal/rel"
 	"qrel/internal/unreliable"
 )
 
@@ -35,69 +33,33 @@ func flipEventProb(db *unreliable.DB) *big.Rat {
 	return none.Sub(one, none)
 }
 
-// condSampler draws a world conditioned on at least one uncertain atom
-// flipping, with exactly the conditional distribution: the index of
-// the first flipped atom i is drawn with probability
-// mu_i·Π_{j<i}(1−mu_j)/Z (one Float64), atoms before i are kept, atom i
-// flipped, and atoms after i flip independently (one Float64 each).
-// The flip-event data (mus, zf) is shared read-only across lanes; the
-// world buffer is per-lane, so sampling allocates nothing.
-type condSampler struct {
-	mus []float64
-	zf  float64
-	buf *unreliable.WorldBuf
-}
-
-func (cs *condSampler) sample(rng *rand.Rand) *rel.Structure {
-	r := rng.Float64() * cs.zf
-	first := len(cs.mus) - 1
-	prefixKeep := 1.0
-	for i, mu := range cs.mus {
-		p := prefixKeep * mu
-		if r < p {
-			first = i
-			break
-		}
-		r -= p
-		prefixKeep *= 1 - mu
-	}
-	cs.buf.Reset()
-	cs.buf.ToggleUncertain(first)
-	for i := first + 1; i < len(cs.mus); i++ {
-		if rng.Float64() < cs.mus[i] {
-			cs.buf.ToggleUncertain(i)
-		}
-	}
-	return cs.buf.World()
-}
-
 // EstimateMeanRare estimates E[f(B)] for a [0,1]-valued statistic with
 // f(A) = 0 whenever no atom flips (true for the normalized Hamming
 // distance), with absolute error eps and confidence 1−delta, by
 // conditioning on the flip event: the estimate is Z·mean of t samples
-// of f on conditional worlds, with t = ⌈Z²·ln(2/δ)/(2ε²)⌉ — a factor Z²
-// below the unconditional Hoeffding size. Falls back to EstimateMean
-// when Z ≥ 1 (a sure flip exists). Conditional worlds are a stream the
-// bit-parallel batch layout does not cover, so the statistic is a Go
-// function and the kernel interpreted.
+// of the statistic k on conditional worlds, with t = ⌈Z²·ln(2/δ)/(2ε²)⌉
+// — a factor Z² below the unconditional Hoeffding size. Falls back to
+// EstimateMean when Z ≥ 1 (a sure flip exists). The conditional worlds
+// are drawn in blocks like every other law (block.go), so k is
+// MeanKernel or CompiledMean.Kernel, bit-identical to each other.
 //
 // Anytime semantics match EstimateMean: an early stop (ctx canceled or
 // maxSamples reached, 0 = unlimited) yields the partial estimate with
 // Partial = true and Eps = Z·ε_Hoeffding(t') widened to the realized
 // sample count.
-func EstimateMeanRare(ctx context.Context, db *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, s Stream) (Estimate, error) {
+func EstimateMeanRare(ctx context.Context, db *unreliable.DB, k MeanStat, eps, delta float64, maxSamples int, s Stream) (Estimate, error) {
 	if eps <= 0 || delta <= 0 || delta >= 1 {
 		return Estimate{}, fmt.Errorf("mc: need eps > 0 and 0 < delta < 1, got eps=%v delta=%v", eps, delta)
 	}
 	zf, _ := flipEventProb(db).Float64()
 	if zf <= 0 {
 		// Nothing can flip: the statistic is identically 0.
-		return Estimate{Value: 0, Samples: 0, Eps: eps, Delta: delta, Method: "rare-event"}, nil
+		return Estimate{Value: 0, Samples: 0, Eps: eps, Delta: delta, Method: rareMethod}, nil
 	}
 	if zf >= 1 {
 		// Z is a function of the database alone, so a job that fell back
 		// here on its first run falls back identically on resume.
-		est, _, err := EstimateMean(ctx, MeanKernel(db, f), eps, delta, maxSamples, s)
+		est, _, err := EstimateMean(ctx, k, eps, delta, maxSamples, s)
 		return est, err
 	}
 	// Conditional mean must be estimated to eps/Z absolute error.
@@ -112,12 +74,8 @@ func EstimateMeanRare(ctx context.Context, db *unreliable.DB, f func(*rel.Struct
 		requested = maxSamples + 1
 	}
 	// zf < 1 here, so there are no sure flips and at least one uncertain
-	// atom: the conditional sampler's preconditions hold.
-	mus := db.UncertainMuF()
-	lanes, err := Run(ctx, "rare-event", clampSamples(requested, maxSamples), true, s, meanKernel(f, func(ln *Lane) func() *rel.Structure {
-		cs := &condSampler{mus: mus, zf: zf, buf: db.NewWorldBuf()}
-		return func() *rel.Structure { return cs.sample(ln.Rng) }
-	}))
+	// atom: the conditional law's preconditions hold.
+	lanes, err := Run(ctx, rareMethod, clampSamples(requested, maxSamples), true, s, k(true))
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -125,7 +83,7 @@ func EstimateMeanRare(ctx context.Context, db *unreliable.DB, f func(*rel.Struct
 	if drawn == 0 {
 		return Estimate{}, fmt.Errorf("%w: %v", ErrNoSamples, ctx.Err())
 	}
-	est := Estimate{Value: zf * sum / float64(drawn), Samples: drawn, Requested: requested, Eps: eps, Delta: delta, Method: "rare-event"}
+	est := Estimate{Value: zf * sum / float64(drawn), Samples: drawn, Requested: requested, Eps: eps, Delta: delta, Method: rareMethod}
 	if drawn < requested {
 		est.Partial = true
 		// The conditional mean is known to ε_H(t') absolute error; scaling

@@ -58,6 +58,11 @@ type DB struct {
 type atomLists struct {
 	uncertain []entry // atoms with 0 < mu < 1, in canonical order
 	sure      []entry // atoms with mu = 1 (deterministic flips)
+	// The fixed-point thresholds of FlipThresholds and
+	// CondFlipThresholds: only the samplers ask, the rare-event one for
+	// the second.
+	flipOnce, condOnce sync.Once
+	flip, cond         []uint64
 
 	tablesOnce sync.Once
 	// flipIndex maps an uncertain atom to its position in uncertain
@@ -91,7 +96,7 @@ func (l *atomLists) tables() *atomLists {
 type entry struct {
 	atom rel.GroundAtom
 	mu   *big.Rat
-	muF  float64 // float approximation, for sampling
+	muF  float64 // float approximation, for the scalar samplers
 }
 
 // New wraps an observed structure as an unreliable database with all
@@ -233,20 +238,6 @@ func (d *DB) FlipIndex(a rel.GroundAtom) (i int, sure bool) {
 		return -1, false
 	}
 	return i, i < 0
-}
-
-// UncertainMuF returns the float64 flip probabilities of the
-// uncertain atoms in the same canonical order as UncertainAtoms —
-// exactly the values SampleWorldInto compares its Float64 draws
-// against, so a batched sampler using them reproduces the world
-// stream bit-for-bit.
-func (d *DB) UncertainMuF() []float64 {
-	uncertain := d.atoms().uncertain
-	out := make([]float64, len(uncertain))
-	for i, e := range uncertain {
-		out[i] = e.muF
-	}
-	return out
 }
 
 // WorldCount returns |{B : nu(B) > 0}| = 2^u.
@@ -425,16 +416,16 @@ type WorldBuf struct {
 }
 
 // NewWorldBuf clones the observed structure once (with the mu = 1
-// flips applied) and returns a buffer that SampleWorldInto can reuse
-// for every draw of a sampling loop.
+// flips applied) and returns a buffer that SampleWorldInto and Load
+// can reuse for every world of a sampling loop.
 func (d *DB) NewWorldBuf() *WorldBuf {
 	l := d.atoms()
 	return &WorldBuf{l: l, b: l.sureWorld(d.A), flips: make([]int, 0, len(l.uncertain))}
 }
 
-// Reset undoes the previous draw's flips, restoring the buffer to the
+// reset undoes the previous draw's flips, restoring the buffer to the
 // observed database with the deterministic mu = 1 flips applied.
-func (w *WorldBuf) Reset() {
+func (w *WorldBuf) reset() {
 	for _, i := range w.flips {
 		e := &w.l.uncertain[i]
 		w.b.Rel(e.atom.Rel).Toggle(e.atom.Args)
@@ -442,18 +433,29 @@ func (w *WorldBuf) Reset() {
 	w.flips = w.flips[:0]
 }
 
-// ToggleUncertain flips uncertain atom i (canonical order) in the
-// buffer and records it for the next Reset.
-func (w *WorldBuf) ToggleUncertain(i int) {
+// toggle flips uncertain atom i (canonical order) in the buffer and
+// records it for the next reset.
+func (w *WorldBuf) toggle(i int) {
 	e := &w.l.uncertain[i]
 	w.b.Rel(e.atom.Rel).Toggle(e.atom.Args)
 	w.flips = append(w.flips, i)
 }
 
-// World returns the buffered structure. It is valid until the next
-// Reset/SampleWorldInto on the buffer and must not be retained or
-// mutated by the caller.
-func (w *WorldBuf) World() *rel.Structure { return w.b }
+// Load materializes world s of a block in column layout — bit s of
+// cols[i] set when uncertain atom i (canonical order) flips, the layout
+// the block samplers draw and compiled programs read — into the buffer
+// and returns the buffered structure. It is valid until the next Load
+// or SampleWorldInto on the buffer and must not be retained or mutated
+// by the caller.
+func (w *WorldBuf) Load(cols []uint64, s uint) *rel.Structure {
+	w.reset()
+	for i, c := range cols {
+		if c>>s&1 != 0 {
+			w.toggle(i)
+		}
+	}
+	return w.b
+}
 
 // SampleWorldInto is SampleWorld without the per-draw clone: it draws a
 // random world from Omega(D) into buf and returns the buffered
@@ -463,10 +465,10 @@ func (w *WorldBuf) World() *rel.Structure { return w.b }
 // is only valid until the next draw into buf.
 func (d *DB) SampleWorldInto(rng *rand.Rand, buf *WorldBuf) *rel.Structure {
 	uncertain := d.atoms().uncertain
-	buf.Reset()
+	buf.reset()
 	for i := range uncertain {
 		if rng.Float64() < uncertain[i].muF {
-			buf.ToggleUncertain(i)
+			buf.toggle(i)
 		}
 	}
 	return buf.b

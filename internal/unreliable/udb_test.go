@@ -451,7 +451,7 @@ func TestColdConcurrentReads(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(g)))
 				buf := d.NewWorldBuf()
 				d.SampleWorldInto(rng, buf)
-				if n := d.NumUncertain(); n != 9 || len(d.UncertainMuF()) != n || d.Weights().Len() != n {
+				if n := d.NumUncertain(); n != 9 || len(d.FlipThresholds()) != n || d.Weights().Len() != n {
 					t.Errorf("round %d goroutine %d saw %d uncertain atoms", round, g, n)
 				}
 				if _, sure := d.FlipIndex(atomS(0)); sure {

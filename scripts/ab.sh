@@ -3,7 +3,10 @@
 # (extracted with git archive, so no worktree is left registered if the
 # run is killed) and once from the work tree, run interleaved pairs of
 # full runs — alternating which side goes first — appending to one
-# result file per side, then print `go run ./bench -compare`.
+# result file per side, then print `go run ./bench -compare` and, per
+# (metric, workload), the pairs the work tree won of the pairs not tied
+# (scripts/signtest; each metric's direction is read from
+# BENCHMARK.json).
 #
 #   scripts/ab.sh <git-ref> [workload] [pairs]
 #
@@ -52,5 +55,8 @@ done
 
 status=0
 "$tmp/cand/bench.bin" -compare "$tmp/base.json" "$tmp/cand.json" || status=$?
+echo
+echo "sign test, pairs won by the work tree / pairs not tied:"
+(cd "$root" && go run ./scripts/signtest BENCHMARK.json "$tmp/base.json" "$tmp/cand.json")
 echo "result files: $tmp/base.json (baseline $ref) $tmp/cand.json (work tree); logs beside them" >&2
 exit "$status"
