@@ -81,8 +81,8 @@ func BenchmarkE2ConjunctiveExact(b *testing.B) {
 // BenchmarkE3Oracle measures the Theorem 4.2 #P-oracle simulation as
 // the number of uncertain atoms grows (2^u leaves).
 func BenchmarkE3Oracle(b *testing.B) {
-	query := logic.MustParse("forall x . exists y . E(x,y) | S(x)", nil)
-	pred := func(s *rel.Structure) (bool, error) { return logic.EvalSentence(s, query) }
+	query := logic.Prepare(logic.MustParse("forall x . exists y . E(x,y) | S(x)", nil))
+	pred := func(s *rel.Structure) (bool, error) { return query.Holds(s, nil) }
 	for _, u := range []int{4, 8, 12} {
 		rng := rand.New(rand.NewSource(benchSeed + int64(u)))
 		db := workload.RandomUDB(rng, 4, u)
@@ -231,7 +231,8 @@ func BenchmarkE7Absolute(b *testing.B) {
 // across ε (cost ∝ 1/ε²).
 func BenchmarkE8MonteCarlo(b *testing.B) {
 	query := logic.MustParse("forall x . exists y . E(x,y)", nil)
-	pred := func(s *rel.Structure) (bool, error) { return logic.EvalSentence(s, query) }
+	prep := logic.Prepare(query)
+	pred := func(s *rel.Structure) (bool, error) { return prep.Holds(s, nil) }
 	rng := rand.New(rand.NewSource(benchSeed))
 	db := workload.RandomUDB(rng, 4, 8)
 	stream := mc.Stream{Src: mc.NewSource(benchSeed)}
@@ -253,7 +254,8 @@ func BenchmarkE8MonteCarlo(b *testing.B) {
 // versus the compiled bytecode evaluated 64 worlds per machine word.
 func BenchmarkE8MonteCarloPar(b *testing.B) {
 	query := logic.MustParse("forall x . exists y . E(x,y)", nil)
-	pred := func(s *rel.Structure) (bool, error) { return logic.EvalSentence(s, query) }
+	prep := logic.Prepare(query)
+	pred := func(s *rel.Structure) (bool, error) { return prep.Holds(s, nil) }
 	rng := rand.New(rand.NewSource(benchSeed))
 	db := workload.RandomUDB(rng, 4, 8)
 	prog, err := vm.NewCompiler(db).Compile(query, logic.Env{})

@@ -26,8 +26,8 @@ func runE3(cfg config, out *report) error {
 	if cfg.quick {
 		sizes = []int{2, 4, 6, 8}
 	}
-	query := logic.MustParse("forall x . exists y . E(x,y) | S(x)", nil)
-	pred := func(b *rel.Structure) (bool, error) { return logic.EvalSentence(b, query) }
+	query := logic.Prepare(logic.MustParse("forall x . exists y . E(x,y) | S(x)", nil))
+	pred := func(b *rel.Structure) (bool, error) { return query.Holds(b, nil) }
 
 	out.row("u", "worlds", "g bits", "Pr (oracle)", "oracle=direct", "padded=direct", "lcm ok")
 	allOracle, allPadded := true, true

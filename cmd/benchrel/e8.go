@@ -29,9 +29,10 @@ func runE8(cfg config, out *report) error {
 	if err != nil {
 		return err
 	}
-	pred := func(b *rel.Structure) (bool, error) { return logic.EvalSentence(b, query) }
+	prep := logic.Prepare(query)
+	pred := func(b *rel.Structure) (bool, error) { return prep.Holds(b, nil) }
 	nuExact := exact.HFloat // Boolean query: H = nu or 1-nu
-	obs, err := logic.EvalSentence(db.A, query)
+	obs, err := prep.Holds(db.A, nil)
 	if err != nil {
 		return err
 	}

@@ -41,19 +41,20 @@ func AbsoluteQF(db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResul
 // opts.MaxEnumAtoms.
 func AbsoluteWitness(db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResult, error) {
 	opts = opts.withDefaults()
-	observed, err := answerSet(db.A, f)
+	prep := logic.Prepare(f)
+	observed, err := truths(db.A, prep)
 	if err != nil {
 		return AbsoluteResult{}, err
 	}
 	var witness *rel.Structure
 	var evalErr error
 	err = db.ForEachWorld(opts.MaxEnumAtoms, func(b *rel.Structure, _ *big.Rat) bool {
-		actual, err := answerSet(b, f)
+		diff, err := mismatches(b, prep, observed)
 		if err != nil {
 			evalErr = err
 			return false
 		}
-		if symmetricDiffSize(observed, actual) > 0 {
+		if diff > 0 {
 			witness = b
 			return false
 		}

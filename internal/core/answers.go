@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/big"
-	"sort"
 
 	"qrel/internal/logic"
 	"qrel/internal/rel"
@@ -31,37 +30,28 @@ type AnswerModality struct {
 // Certain ⊆ Possible is the only guaranteed one (verified in tests).
 func PossibleCertainAnswers(db *unreliable.DB, f logic.Formula, opts Options) (AnswerModality, error) {
 	opts = opts.withDefaults()
+	prep := logic.Prepare(f)
+	// certain and possible are indexed like rel.ForEachTuple walks A^k;
+	// seen reports whether a world has set them yet.
 	var (
-		certain  map[uint64]rel.Tuple
-		possible = map[uint64]rel.Tuple{}
-		evalErr  error
+		certain, possible []bool
+		seen              bool
+		evalErr           error
 	)
 	err := db.ForEachWorld(opts.MaxEnumAtoms, func(b *rel.Structure, nu *big.Rat) bool {
 		if nu.Sign() == 0 {
 			return true
 		}
-		ans, err := logic.Answer(b, f)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		thisWorld := make(map[uint64]rel.Tuple, len(ans))
-		for _, t := range ans {
-			thisWorld[t.Key()] = t
-			if _, seen := possible[t.Key()]; !seen {
-				possible[t.Key()] = t
+		evalErr = prep.Truths(b, func(i int, v bool) {
+			if !seen {
+				certain, possible = append(certain, v), append(possible, v)
+				return
 			}
-		}
-		if certain == nil {
-			certain = thisWorld
-			return true
-		}
-		for k := range certain {
-			if _, ok := thisWorld[k]; !ok {
-				delete(certain, k)
-			}
-		}
-		return true
+			certain[i] = certain[i] && v
+			possible[i] = possible[i] || v
+		})
+		seen = true
+		return evalErr == nil
 	})
 	if err != nil {
 		return AnswerModality{}, err
@@ -69,21 +59,20 @@ func PossibleCertainAnswers(db *unreliable.DB, f logic.Formula, opts Options) (A
 	if evalErr != nil {
 		return AnswerModality{}, evalErr
 	}
-	return AnswerModality{
-		Certain:  sortedTuples(certain),
-		Possible: sortedTuples(possible),
-	}, nil
-}
-
-func sortedTuples(m map[uint64]rel.Tuple) []rel.Tuple {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	am := AnswerModality{Certain: []rel.Tuple{}, Possible: []rel.Tuple{}}
+	if !seen {
+		return am, nil
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]rel.Tuple, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
+	i := 0
+	rel.ForEachTuple(db.A.N, len(logic.FreeVars(f)), func(t rel.Tuple) bool {
+		if certain[i] {
+			am.Certain = append(am.Certain, t.Clone())
+		}
+		if possible[i] {
+			am.Possible = append(am.Possible, t.Clone())
+		}
+		i++
+		return true
+	})
+	return am, nil
 }

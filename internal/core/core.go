@@ -102,7 +102,7 @@ type Result struct {
 	Resumed bool
 	// EvalMode reports how the sampling engines evaluated the query per
 	// world: EvalCompiled (internal/vm bytecode, 64 worlds per pass) or
-	// EvalInterpreted (the logic.Eval tree walk). The two are
+	// EvalInterpreted (the logic.Prepared tree walk). The two are
 	// bit-identical for a fixed seed; the mode only affects throughput.
 	// Empty for exact engines, which never sample worlds.
 	EvalMode string
@@ -182,7 +182,7 @@ type Options struct {
 	// and evaluate 64 worlds bit-parallel, falling back to the
 	// interpreter for shapes that don't compile), EvalCompiled (same
 	// resolution, stated explicitly), or EvalInterpreted (force the
-	// logic.Eval tree walk). The modes are bit-identical for a fixed
+	// logic.Prepared tree walk). The modes are bit-identical for a fixed
 	// seed — estimates, checkpoints, and lane digests all match — so the
 	// mode is not part of the checkpoint fingerprint and snapshots
 	// interchange freely across it. The exact enumeration engines

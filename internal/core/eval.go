@@ -8,7 +8,7 @@ import (
 )
 
 // Evaluation modes (Options.Eval, Result.EvalMode). The compiled mode
-// replaces the per-world logic.Eval tree walk with internal/vm bytecode
+// replaces the per-world logic.Prepared walk with internal/vm bytecode
 // evaluated 64 worlds at a time — sampled worlds in the sampling
 // engines, enumerated ones in the exact enumeration engines. It is
 // bit-identical to the interpreted mode — same estimates, same
@@ -72,6 +72,7 @@ func planEval(db *unreliable.DB, f logic.Formula, opts Options) evalPlan {
 // along with the observed truth values.
 func compilePrograms(db *unreliable.DB, f logic.Formula) ([]*vm.Program, []bool, error) {
 	comp := vm.NewCompiler(db)
+	prep := logic.Prepare(f)
 	vars := logic.FreeVars(f)
 	env := logic.Env{}
 	var (
@@ -88,7 +89,7 @@ func compilePrograms(db *unreliable.DB, f logic.Formula) ([]*vm.Program, []bool,
 			innerErr = err
 			return false
 		}
-		obs, err := logic.Eval(db.A, f, env)
+		obs, err := prep.Holds(db.A, t)
 		if err != nil {
 			innerErr = err
 			return false

@@ -24,8 +24,9 @@ import (
 // atoms, bounded by opts.MaxEnumAtoms and opts.Budget.MaxWorlds;
 // first-order queries are compiled once per answer tuple and evaluated
 // 64 worlds per pass (see flipEnum), second-order ones — and any run
-// with opts.Eval = EvalInterpreted — materialise and interpret one
-// world at a time. The enumeration polls ctx between blocks of worlds.
+// with opts.Eval = EvalInterpreted — load one world at a time into a
+// reused buffer and interpret the query, prepared once. The
+// enumeration polls ctx between blocks of worlds.
 //
 // opts.Workers > 1 cuts the world space into contiguous ranges of flip
 // masks, one per worker, and reports the engine as world-enum-parallel.
@@ -66,11 +67,12 @@ func WorldEnum(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opt
 	if plan.compiled() {
 		total, part = enumBlocks(u), compiledWorlds(db, plan)
 	} else {
-		observed, err := answerSet(db.A, f)
+		prep := logic.Prepare(f)
+		observed, err := truths(db.A, prep)
 		if err != nil {
 			return Result{}, err
 		}
-		total, part = uint64(1)<<uint(u), interpretedWorlds(db, f, observed)
+		total, part = uint64(1)<<uint(u), interpretedWorlds(db, prep, observed)
 	}
 	sum, err := sumRanges(ctx, total, workers, part)
 	if err != nil {
@@ -118,11 +120,14 @@ func compiledWorlds(db *unreliable.DB, plan evalPlan) func(ctx context.Context, 
 
 // interpretedWorlds returns the range worker of the interpreted
 // enumeration — the only evaluator of second-order queries and the
-// reference the compiled one is tested against: one materialised world
-// and one logic.Answer per flip mask in lo..hi-1.
-func interpretedWorlds(db *unreliable.DB, f logic.Formula, observed map[uint64]struct{}) func(ctx context.Context, lo, hi uint64, acc *big.Int) error {
+// reference the compiled one is tested against: each flip mask in
+// lo..hi-1 is loaded into one reusable world and its answer compared
+// with the observed one, tuple by tuple.
+func interpretedWorlds(db *unreliable.DB, p *logic.Prepared, observed []bool) func(ctx context.Context, lo, hi uint64, acc *big.Int) error {
 	return func(ctx context.Context, lo, hi uint64, acc *big.Int) error {
 		walk := db.Weights().Walk(lo)
+		buf := db.NewWorldBuf()
+		cols := make([]uint64, db.NumUncertain())
 		var term big.Int
 		for mask := lo; mask < hi; mask++ {
 			if err := ctx.Err(); err != nil {
@@ -131,11 +136,14 @@ func interpretedWorlds(db *unreliable.DB, f logic.Formula, observed map[uint64]s
 			if err := faultinject.Hit(faultinject.SiteWorldWorker); err != nil {
 				return err
 			}
-			actual, err := answerSet(db.World(mask), f)
+			for i := range cols {
+				cols[i] = mask >> uint(i) & 1
+			}
+			diff, err := mismatches(buf.Load(cols, 0), p, observed)
 			if err != nil {
 				return err
 			}
-			if diff := symmetricDiffSize(observed, actual); diff > 0 {
+			if diff > 0 {
 				acc.Add(acc, term.Mul(walk.Weight(), term.SetInt64(int64(diff))))
 			}
 			walk.Next()
@@ -144,36 +152,33 @@ func interpretedWorlds(db *unreliable.DB, f logic.Formula, observed map[uint64]s
 	}
 }
 
-// answerSet computes psi^A as a set of tuple keys.
-func answerSet(s *rel.Structure, f logic.Formula) (map[uint64]struct{}, error) {
+// truths is ψ^s as the engines compare answers: ψ(ā) on s for every
+// ā ∈ A^k, in rel.ForEachTuple order. Like mismatches, it passes the
+// answer-set fault site once.
+func truths(s *rel.Structure, p *logic.Prepared) ([]bool, error) {
 	if err := faultinject.Hit(faultinject.SiteAnswerSet); err != nil {
 		return nil, err
 	}
-	ans, err := logic.Answer(s, f)
-	if err != nil {
+	var out []bool
+	if err := p.Truths(s, func(_ int, v bool) { out = append(out, v) }); err != nil {
 		return nil, err
-	}
-	out := make(map[uint64]struct{}, len(ans))
-	for _, t := range ans {
-		out[t.Key()] = struct{}{}
 	}
 	return out, nil
 }
 
-// symmetricDiffSize returns |a Δ b|.
-func symmetricDiffSize(a, b map[uint64]struct{}) int {
+// mismatches returns |ψ^s Δ ψ^A| for observed = truths(A), without
+// materializing ψ^s.
+func mismatches(s *rel.Structure, p *logic.Prepared, observed []bool) (int, error) {
+	if err := faultinject.Hit(faultinject.SiteAnswerSet); err != nil {
+		return 0, err
+	}
 	diff := 0
-	for k := range a {
-		if _, ok := b[k]; !ok {
+	err := p.Truths(s, func(i int, v bool) {
+		if v != observed[i] {
 			diff++
 		}
-	}
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			diff++
-		}
-	}
-	return diff
+	})
+	return diff, err
 }
 
 // ExpectedErrorPerTuple computes, for every tuple ā ∈ A^k, the exact
@@ -182,34 +187,27 @@ func symmetricDiffSize(a, b map[uint64]struct{}) int {
 // per-tuple values tell the user which answer tuples are unreliable.
 func ExpectedErrorPerTuple(db *unreliable.DB, f logic.Formula, opts Options) ([]TupleError, error) {
 	opts = opts.withDefaults()
-	observed, err := answerSet(db.A, f)
+	prep := logic.Prepare(f)
+	observed, err := truths(db.A, prep)
 	if err != nil {
 		return nil, err
 	}
-	vars := logic.FreeVars(f)
-	count := rel.TupleCount(db.A.N, len(vars))
-	out := make([]TupleError, 0, count)
-	idx := map[uint64]int{}
-	rel.ForEachTuple(db.A.N, len(vars), func(t rel.Tuple) bool {
-		idx[t.Key()] = len(out)
-		_, inObs := observed[t.Key()]
-		out = append(out, TupleError{Tuple: t.Clone(), Observed: inObs, H: new(big.Rat)})
+	out := make([]TupleError, 0, len(observed))
+	rel.ForEachTuple(db.A.N, len(logic.FreeVars(f)), func(t rel.Tuple) bool {
+		out = append(out, TupleError{Tuple: t.Clone(), Observed: observed[len(out)], H: new(big.Rat)})
 		return true
 	})
 	var evalErr error
 	err = db.ForEachWorld(opts.MaxEnumAtoms, func(b *rel.Structure, nu *big.Rat) bool {
-		actual, err := answerSet(b, f)
-		if err != nil {
-			evalErr = err
+		if evalErr = faultinject.Hit(faultinject.SiteAnswerSet); evalErr != nil {
 			return false
 		}
-		for key, i := range idx {
-			_, inActual := actual[key]
-			if inActual != out[i].Observed {
+		evalErr = prep.Truths(b, func(i int, v bool) {
+			if v != out[i].Observed {
 				out[i].H.Add(out[i].H, nu)
 			}
-		}
-		return true
+		})
+		return evalErr == nil
 	})
 	if err != nil {
 		return nil, err

@@ -105,13 +105,14 @@ func LineageBDD(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Op
 	}
 	one := big.NewRat(1, 1)
 	h := new(big.Rat)
-	k, err := forEachFreeTuple(ctx, db.A, f, func(env logic.Env, _ rel.Tuple) error {
+	prep := logic.Prepare(f)
+	k, err := forEachFreeTuple(ctx, db.A, f, func(env logic.Env, t rel.Tuple) error {
 		p, err := lineageProb(ctx, db, lf, flipped, env, opts)
 		if err != nil {
 			return err
 		}
 		// H(ā) = Pr[psi(ā)^B ≠ psi(ā)^A].
-		obs, err := logic.Eval(db.A, f, env)
+		obs, err := prep.Holds(db.A, t)
 		if err != nil {
 			return err
 		}
@@ -234,7 +235,8 @@ func LineageKL(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opt
 		lastSaved = samples
 		return run.save(engineState{Tuple: nextTuple, HFloat: hFloat, Samples: samples, RNG: st})
 	}
-	_, err = forEachFreeTuple(ctx, db.A, f, func(env logic.Env, _ rel.Tuple) error {
+	prep := logic.Prepare(f)
+	_, err = forEachFreeTuple(ctx, db.A, f, func(env logic.Env, t rel.Tuple) error {
 		idx := tupleIdx
 		tupleIdx++
 		if idx < startTuple {
@@ -276,7 +278,7 @@ func LineageKL(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opt
 		if flipped {
 			p = 1 - p
 		}
-		obs, err := logic.Eval(db.A, f, env)
+		obs, err := prep.Holds(db.A, t)
 		if err != nil {
 			return err
 		}

@@ -57,8 +57,7 @@ func MonteCarlo(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Op
 		return Result{}, err
 	}
 	plan := planEval(db, f, opts)
-	vars := logic.FreeVars(f)
-	k := len(vars)
+	k := len(logic.FreeVars(f))
 	normF := float64(1)
 	for i := 0; i < k; i++ {
 		normF *= float64(db.A.N)
@@ -82,23 +81,16 @@ func MonteCarlo(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Op
 	}
 	degraded := false
 	stopped := false // ctx canceled or budget exhausted: midpoint-fill the rest
-	// kernel is the tuple's query as the plan evaluates it. logic.Eval
-	// binds quantified variables in the environment it is handed, so
-	// each lane of the interpreted kernel evaluates in its own clone,
-	// made once when the lane starts.
-	kernel := func(idx int, env logic.Env) mc.PaddedKernel {
+	// kernel is the tuple's query as the plan evaluates it. The
+	// prepared query is immutable, so every lane shares it; the tuple
+	// is only read while EstimateNuPadded runs.
+	prep := logic.Prepare(f)
+	kernel := func(idx int, t rel.Tuple) mc.PaddedKernel {
 		if plan.compiled() {
 			return mc.PaddedProgram(db, plan.progs[idx])
 		}
-		return func(xi float64) mc.Kernel {
-			return func(ln *mc.Lane) func(int) error {
-				own := env.Clone()
-				pred := func(b *rel.Structure) (bool, error) { return logic.Eval(b, f, own) }
-				return mc.PaddedPred(db, pred)(xi)(ln)
-			}
-		}
+		return mc.PaddedPred(db, func(b *rel.Structure) (bool, error) { return prep.Holds(b, t) })
 	}
-	env := logic.Env{}
 	tupleIdx := 0
 	lastSaved := samples
 	var ckErr error
@@ -142,16 +134,13 @@ func MonteCarlo(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Op
 			epsSum += 0.5
 			return true
 		}
-		for i, v := range vars {
-			env[v] = t[i]
-		}
-		obs, err := logic.Eval(db.A, f, env)
+		obs, err := prep.Holds(db.A, t)
 		if err != nil {
 			innerErr = err
 			return false
 		}
 		preTuple := streamState()
-		est, err := mc.EstimateNuPadded(ctx, kernel(idx, env), opts.Xi, epsT, deltaT, budgetLeft,
+		est, err := mc.EstimateNuPadded(ctx, kernel(idx, t), opts.Xi, epsT, deltaT, budgetLeft,
 			streamFor(opts, mc.TupleSeed(opts.Seed, idx), src))
 		if errors.Is(err, mc.ErrNoSamples) {
 			// Canceled before this tuple could draw anything: snapshot its
@@ -356,10 +345,12 @@ func MonteCarloRare(ctx context.Context, db *unreliable.DB, f logic.Formula, opt
 // hammingStat is the statistic of the mean engines, the normalized
 // Hamming distance |ψ^A Δ ψ^B| / n^k between the observed answer set
 // and a sampled world's, as the plan evaluates it: compiled, one
-// program per answer tuple, or interpreted. It returns the arity k and
-// the normalizer n^k with it.
+// program per answer tuple, or interpreted, the query prepared once and
+// compared with the observed truths tuple by tuple. It returns the
+// arity k and the normalizer n^k with it.
 func hammingStat(db *unreliable.DB, f logic.Formula, opts Options) (mc.MeanStat, int, float64, evalPlan, error) {
-	observed, err := answerSet(db.A, f)
+	prep := logic.Prepare(f)
+	observed, err := truths(db.A, prep)
 	if err != nil {
 		return nil, 0, 0, evalPlan{}, err
 	}
@@ -373,10 +364,10 @@ func hammingStat(db *unreliable.DB, f logic.Formula, opts Options) (mc.MeanStat,
 		return (&mc.CompiledMean{Progs: plan.progs, Base: plan.base, NormF: normF}).Kernel(db), k, normF, plan, nil
 	}
 	return mc.MeanKernel(db, func(b *rel.Structure) (float64, error) {
-		actual, err := answerSet(b, f)
+		diff, err := mismatches(b, prep, observed)
 		if err != nil {
 			return 0, err
 		}
-		return float64(symmetricDiffSize(observed, actual)) / normF, nil
+		return float64(diff) / normF, nil
 	}), k, normF, plan, nil
 }

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"qrel/internal/logic"
+	"qrel/internal/unreliable"
 )
 
 // TestWorkersDeterministicAcrossCounts pins the engine-level lane
@@ -185,25 +189,76 @@ func TestColdDatabaseWorkers(t *testing.T) {
 }
 
 // TestInterpretedPaddedAllocsIndependentOfSamples: the interpreted
-// kernel of a parallel padded run evaluates each lane in its own
-// environment, cloned once when the lane starts — not once per sampled
-// world — so quadrupling the samples leaves the allocation count where
-// it was. (The query quantifies one variable per block: the
-// interpreter's multi-variable blocks allocate a tuple per evaluation,
-// which is its business, not the kernel's.)
+// kernels prepare the query once per request and evaluate every world
+// in a stack frame against a reused world buffer, so a run's allocation
+// count grows neither with the worlds it evaluates — sampled by the
+// padded, direct and rare estimators, or enumerated for a second-order
+// query — nor with the answer tuples of a k = 1 query.
 func TestInterpretedPaddedAllocsIndependentOfSamples(t *testing.T) {
-	db, f := goldenInstance(t, 1)
-	allocs := func(samples int) float64 {
-		opts := Options{Eps: 0.01, Delta: 0.1, Seed: 3, Workers: 2, Eval: EvalInterpreted, Budget: Budget{MaxSamples: samples}}
+	flat := func(t *testing.T, what string, small, large float64) {
+		t.Helper()
+		if large-small > 16 {
+			t.Errorf("allocations grow with %s: %.0f against %.0f", what, small, large)
+		}
+	}
+	run := func(t *testing.T, engine func(context.Context, *unreliable.DB, logic.Formula, Options) (Result, error),
+		db *unreliable.DB, f logic.Formula, opts Options) float64 {
+		t.Helper()
 		return testing.AllocsPerRun(5, func() {
-			res, err := MonteCarlo(bg, db, f, opts)
-			if err != nil || res.Samples != samples {
-				t.Fatalf("run of %d samples: %d drawn, %v", samples, res.Samples, err)
+			res, err := engine(bg, db, f, opts)
+			if err != nil || (opts.Budget.MaxSamples > 0 && res.Samples != opts.Budget.MaxSamples) {
+				t.Fatalf("run of %d samples: %d drawn, %v", opts.Budget.MaxSamples, res.Samples, err)
 			}
 		})
 	}
-	small, large := allocs(2000), allocs(8000)
-	if large-small > 16 {
-		t.Errorf("allocations grow with the sample count: %.0f at 2000 samples, %.0f at 8000", small, large)
+	db, f := goldenInstance(t, 1)
+	for _, c := range []struct {
+		name   string
+		engine func(context.Context, *unreliable.DB, logic.Formula, Options) (Result, error)
+	}{{"padded", MonteCarlo}, {"direct", MonteCarloDirect}, {"rare", MonteCarloRare}} {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := func(samples int) float64 {
+				opts := Options{Eps: 0.001, Delta: 0.1, Seed: 3, Workers: 2, Eval: EvalInterpreted, Budget: Budget{MaxSamples: samples}}
+				return run(t, c.engine, db, f, opts)
+			}
+			flat(t, "the sample count (2000 against 8000)", allocs(2000), allocs(8000))
+		})
 	}
+	t.Run("world-enum-so", func(t *testing.T) {
+		allocs := func(uncertain int) float64 {
+			var src strings.Builder
+			src.WriteString("universe 4\nrel E/2\n")
+			for i := 0; i < uncertain; i++ {
+				fmt.Fprintf(&src, "E %d %d err 1/3\n", i/4, i%4)
+			}
+			db, err := unreliable.ParseDB(strings.NewReader(src.String()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := logic.MustParse("existsrel C/1 . forall x y . E(x,y) -> (C(x) <-> !C(y))", db.A.Voc)
+			return run(t, WorldEnum, db, f, Options{Eval: EvalInterpreted})
+		}
+		flat(t, "the world count (2^8 against 2^10)", allocs(8), allocs(10))
+	})
+	t.Run("answer-tuples", func(t *testing.T) {
+		allocs := func(n int) float64 {
+			var src strings.Builder
+			// The facts stay put as the universe grows, so every world
+			// buffer clones the same structure.
+			fmt.Fprintf(&src, "universe %d\nrel E/2\nrel S/1\n", n)
+			for i := 0; i+1 < 8; i++ {
+				fmt.Fprintf(&src, "E %d %d\n", i, i+1)
+			}
+			src.WriteString("S 1 err 1/2\nS 2 err 1/3\nS 3 err 1/4\nE 0 2 err 1/5\n")
+			db, err := unreliable.ParseDB(strings.NewReader(src.String()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Almost every element answers, so ψ^B grows with n.
+			f := logic.MustParse("!(exists y . E(x,y) & S(y))", db.A.Voc)
+			opts := Options{Eps: 0.001, Delta: 0.1, Seed: 3, Workers: 2, Eval: EvalInterpreted, Budget: Budget{MaxSamples: 1000}}
+			return run(t, MonteCarloDirect, db, f, opts)
+		}
+		flat(t, "the answer tuples (8 against 32)", allocs(8), allocs(32))
+	})
 }

@@ -183,35 +183,35 @@ func paren(f Formula) string {
 	}
 }
 
-// Walk calls fn on f and all its subformulas in preorder; if fn returns
+// walk calls fn on f and all its subformulas in preorder; if fn returns
 // false the subtree below that node is skipped.
-func Walk(f Formula, fn func(Formula) bool) {
+func walk(f Formula, fn func(Formula) bool) {
 	if !fn(f) {
 		return
 	}
 	switch g := f.(type) {
 	case Not:
-		Walk(g.F, fn)
+		walk(g.F, fn)
 	case And:
 		for _, h := range g {
-			Walk(h, fn)
+			walk(h, fn)
 		}
 	case Or:
 		for _, h := range g {
-			Walk(h, fn)
+			walk(h, fn)
 		}
 	case Implies:
-		Walk(g.L, fn)
-		Walk(g.R, fn)
+		walk(g.L, fn)
+		walk(g.R, fn)
 	case Iff:
-		Walk(g.L, fn)
-		Walk(g.R, fn)
+		walk(g.L, fn)
+		walk(g.R, fn)
 	case Exists:
-		Walk(g.Body, fn)
+		walk(g.Body, fn)
 	case Forall:
-		Walk(g.Body, fn)
+		walk(g.Body, fn)
 	case SOQuant:
-		Walk(g.Body, fn)
+		walk(g.Body, fn)
 	}
 }
 
@@ -280,17 +280,4 @@ func freeVars(f Formula, bound map[string]int, emit func(string)) {
 	case SOQuant:
 		freeVars(g.Body, bound, emit)
 	}
-}
-
-// SORelNames returns the names of second-order relation variables bound
-// anywhere in f.
-func SORelNames(f Formula) []string {
-	var out []string
-	Walk(f, func(g Formula) bool {
-		if q, ok := g.(SOQuant); ok {
-			out = append(out, q.Rel)
-		}
-		return true
-	})
-	return out
 }

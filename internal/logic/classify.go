@@ -59,7 +59,7 @@ func Classify(f Formula) Class {
 	if IsQuantifierFree(f) {
 		return ClassQuantifierFree
 	}
-	if IsConjunctive(f) {
+	if isConjunctive(f) {
 		return ClassConjunctive
 	}
 	n := NNF(f)
@@ -87,7 +87,7 @@ func Compilable(f Formula) bool {
 // hasSO reports whether f contains a second-order quantifier.
 func hasSO(f Formula) bool {
 	found := false
-	Walk(f, func(g Formula) bool {
+	walk(f, func(g Formula) bool {
 		if _, ok := g.(SOQuant); ok {
 			found = true
 			return false
@@ -101,7 +101,7 @@ func hasSO(f Formula) bool {
 // order.
 func IsQuantifierFree(f Formula) bool {
 	qf := true
-	Walk(f, func(g Formula) bool {
+	walk(f, func(g Formula) bool {
 		switch g.(type) {
 		case Exists, Forall, SOQuant:
 			qf = false
@@ -112,11 +112,11 @@ func IsQuantifierFree(f Formula) bool {
 	return qf
 }
 
-// IsConjunctive reports whether f has the shape ∃x1...∃xk (φ1 ∧ ... ∧ φℓ)
+// isConjunctive reports whether f has the shape ∃x1...∃xk (φ1 ∧ ... ∧ φℓ)
 // with every φi a relational or equality atom. Nested Exists blocks and
 // nested conjunctions are flattened; a single atom counts as a
 // one-conjunct query.
-func IsConjunctive(f Formula) bool {
+func isConjunctive(f Formula) bool {
 	body := f
 	for {
 		e, ok := body.(Exists)
@@ -147,7 +147,7 @@ func isAtomConjunction(f Formula) bool {
 // quantifierKinds reports which first-order quantifier kinds occur in an
 // NNF formula.
 func quantifierKinds(f Formula) (hasExists, hasForall bool) {
-	Walk(f, func(g Formula) bool {
+	walk(f, func(g Formula) bool {
 		switch g.(type) {
 		case Exists:
 			hasExists = true
@@ -226,19 +226,4 @@ func nnf(f Formula, neg bool) Formula {
 	default:
 		panic(fmt.Sprintf("logic: NNF of unknown node %T", f))
 	}
-}
-
-// AtomCount returns the number of atom occurrences (relational and
-// equality) in f. The paper's n(ψ) — the fixed number of propositional
-// variables of a quantifier-free query — is bounded by this count.
-func AtomCount(f Formula) int {
-	count := 0
-	Walk(f, func(g Formula) bool {
-		switch g.(type) {
-		case Atom, Eq:
-			count++
-		}
-		return true
-	})
-	return count
 }

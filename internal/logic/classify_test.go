@@ -47,12 +47,12 @@ func TestIsConjunctive(t *testing.T) {
 		"exists x . S(x) -> S(x)",
 	}
 	for _, src := range yes {
-		if !IsConjunctive(MustParse(src, nil)) {
+		if !isConjunctive(MustParse(src, nil)) {
 			t.Errorf("IsConjunctive(%q) = false", src)
 		}
 	}
 	for _, src := range no {
-		if IsConjunctive(MustParse(src, nil)) {
+		if isConjunctive(MustParse(src, nil)) {
 			t.Errorf("IsConjunctive(%q) = true", src)
 		}
 	}
@@ -82,7 +82,7 @@ func TestNNFShape(t *testing.T) {
 	for iter := 0; iter < 100; iter++ {
 		f := randSentence(rng, 4, nil)
 		n := NNF(f)
-		Walk(n, func(g Formula) bool {
+		walk(n, func(g Formula) bool {
 			switch h := g.(type) {
 			case Implies, Iff:
 				t.Fatalf("NNF contains %T: %v", g, n)
@@ -112,7 +112,7 @@ func TestNNFSecondOrder(t *testing.T) {
 
 func TestAtomCount(t *testing.T) {
 	f := MustParse("exists x . E(x,x) & (S(x) | x = 0)", nil)
-	if got := AtomCount(f); got != 3 {
+	if got := atomCount(f); got != 3 {
 		t.Errorf("AtomCount = %d, want 3", got)
 	}
 }
@@ -132,4 +132,19 @@ func TestClassString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(c), c.String(), want)
 		}
 	}
+}
+
+// atomCount returns the number of atom occurrences (relational and
+// equality) in f. The paper's n(ψ) — the fixed number of propositional
+// variables of a quantifier-free query — is bounded by this count.
+func atomCount(f Formula) int {
+	count := 0
+	walk(f, func(g Formula) bool {
+		switch g.(type) {
+		case Atom, Eq:
+			count++
+		}
+		return true
+	})
+	return count
 }

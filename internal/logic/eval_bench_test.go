@@ -2,35 +2,49 @@ package logic
 
 import "testing"
 
-// BenchmarkEvalSentenceEmptyEnv is the per-world shape of the Monte
-// Carlo interpreted hot path: a closed quantified sentence evaluated
-// with an empty environment, once per sampled world. It pins the
-// empty-env fast path in evalFOQuant — nothing is shadowed, so the
-// quantifier block must not pay per-variable save lookups.
-func BenchmarkEvalSentenceEmptyEnv(b *testing.B) {
+// BenchmarkPreparedHoldsSentence is the per-world shape of the Monte
+// Carlo interpreted hot path: a closed quantified sentence prepared
+// once and evaluated once per sampled world. It allocates nothing.
+func BenchmarkPreparedHoldsSentence(b *testing.B) {
 	s := pathGraph(8)
-	f := MustParse("forall x . exists y . E(x,y) | S(x)", s.Voc)
-	env := Env{}
+	p := Prepare(MustParse("forall x . exists y . E(x,y) | S(x)", s.Voc))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Eval(s, f, env); err != nil {
+		if _, err := p.Holds(s, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkEvalSentenceBoundEnv is the contrast case: the same shape
-// under a pre-populated environment (an answer-tuple query), which must
-// keep the save/restore semantics intact.
-func BenchmarkEvalSentenceBoundEnv(b *testing.B) {
+// BenchmarkPreparedTruths is the per-world shape of an answer-tuple
+// query: ψ(ā) for every ā ∈ A^k on one structure, the relation table
+// bound once for the whole walk.
+func BenchmarkPreparedTruths(b *testing.B) {
 	s := pathGraph(8)
-	f := MustParse("exists y . E(x,y) | S(x)", s.Voc)
-	env := Env{"x": 0}
+	p := Prepare(MustParse("exists y . E(x,y) | S(x)", s.Voc))
+	hits := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Eval(s, f, env); err != nil {
+		if err := p.Truths(s, func(_ int, v bool) {
+			if v {
+				hits++
+			}
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEvalSentence is the one-shot wrapper: Prepare, then run.
+func BenchmarkEvalSentence(b *testing.B) {
+	s := pathGraph(8)
+	f := MustParse("forall x . exists y . E(x,y) | S(x)", s.Voc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EvalSentence(s, f); err != nil {
 			b.Fatal(err)
 		}
 	}

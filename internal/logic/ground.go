@@ -223,17 +223,3 @@ func resolveTerm(s *rel.Structure, t Term, env Env) (int, error) {
 		return 0, fmt.Errorf("logic: unknown term %T", t)
 	}
 }
-
-// LineageDNF grounds f (under env) and converts the result to a
-// simplified DNF over the atom index. For an existential query ψ in the
-// sense of Theorem 5.4 the result is the kDNF ψ” of the proof: its
-// width is bounded by the number of atoms in the matrix, independent of
-// the database size. maxTerms bounds the DNF distribution.
-func LineageDNF(s *rel.Structure, f Formula, env Env, ix *AtomIndex, maxTerms int) (prop.DNF, error) {
-	pf, err := Ground(s, f, env, ix)
-	if err != nil {
-		return prop.DNF{}, err
-	}
-	numVars := ix.Len()
-	return prop.ToDNF(pf, numVars, maxTerms)
-}

@@ -99,7 +99,7 @@ func TestLineageDNFWidthBound(t *testing.T) {
 			s.MustAdd("S", rng.Intn(n))
 		}
 		ix := NewAtomIndex()
-		d, err := LineageDNF(s, f, Env{}, ix, 1<<20)
+		d, err := lineageDNF(s, f, Env{}, ix, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,4 +192,18 @@ func TestAtomIndex(t *testing.T) {
 	if _, ok := ix.Lookup(rel.GroundAtom{Rel: "S", Args: rel.Tuple{0}}); ok {
 		t.Error("Lookup found unallocated atom")
 	}
+}
+
+// lineageDNF grounds f (under env) and converts the result to a
+// simplified DNF over the atom index. For an existential query ψ in the
+// sense of Theorem 5.4 the result is the kDNF ψ” of the proof: its
+// width is bounded by the number of atoms in the matrix, independent of
+// the database size. maxTerms bounds the DNF distribution.
+func lineageDNF(s *rel.Structure, f Formula, env Env, ix *AtomIndex, maxTerms int) (prop.DNF, error) {
+	pf, err := Ground(s, f, env, ix)
+	if err != nil {
+		return prop.DNF{}, err
+	}
+	numVars := ix.Len()
+	return prop.ToDNF(pf, numVars, maxTerms)
 }

@@ -294,17 +294,17 @@ func TestParsePrecedence(t *testing.T) {
 func TestWalkAndSORelNames(t *testing.T) {
 	f := MustParse("existsrel C/1 . exists x . C(x) & E(x,x)", nil)
 	count := 0
-	Walk(f, func(Formula) bool { count++; return true })
+	walk(f, func(Formula) bool { count++; return true })
 	if count != 5 { // SOQuant, Exists, And, Atom, Atom
 		t.Errorf("Walk visited %d nodes, want 5", count)
 	}
-	names := SORelNames(f)
+	names := soRelNames(f)
 	if len(names) != 1 || names[0] != "C" {
 		t.Errorf("SORelNames = %v", names)
 	}
 	// Early pruning.
 	count = 0
-	Walk(f, func(Formula) bool { count++; return false })
+	walk(f, func(Formula) bool { count++; return false })
 	if count != 1 {
 		t.Errorf("pruned Walk visited %d", count)
 	}
@@ -443,4 +443,17 @@ func TestNonFOQueryStrings(t *testing.T) {
 	if !strings.Contains(MustParse(fourCol, nil).String(), "<->") {
 		t.Error("printer lost <->")
 	}
+}
+
+// soRelNames returns the names of second-order relation variables bound
+// anywhere in f.
+func soRelNames(f Formula) []string {
+	var out []string
+	walk(f, func(g Formula) bool {
+		if q, ok := g.(SOQuant); ok {
+			out = append(out, q.Rel)
+		}
+		return true
+	})
+	return out
 }

@@ -77,7 +77,7 @@ func TestSubstitutePreservesEvalOnFreshTerm(t *testing.T) {
 
 func TestPrenexShape(t *testing.T) {
 	f := MustParse("(exists x . S(x)) & (forall y . E(y,y) | exists z . S(z))", nil)
-	p, err := Prenex(f)
+	p, err := prenex(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPrenexPreservesEvaluation(t *testing.T) {
 	for iter := 0; iter < 120; iter++ {
 		s := randStructure(rng, 2+rng.Intn(3))
 		f := randSentence(rng, 3, nil)
-		p, err := Prenex(f)
+		p, err := prenex(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestPrenexPreservesEvaluation(t *testing.T) {
 
 func TestPrenexPreservesFreeVariables(t *testing.T) {
 	f := MustParse("S(w) & exists y . E(w,y)", nil)
-	p, err := Prenex(f)
+	p, err := prenex(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestPrenexPreservesFreeVariables(t *testing.T) {
 
 func TestPrenexRejectsSecondOrder(t *testing.T) {
 	f := MustParse("existsrel C/1 . exists x . C(x)", nil)
-	if _, err := Prenex(f); err == nil {
+	if _, err := prenex(f); err == nil {
 		t.Error("second-order accepted")
 	}
 }
@@ -151,7 +151,7 @@ func TestPrenexStandardizesApart(t *testing.T) {
 	// The same bound name in sibling scopes must not collide after
 	// pulling.
 	f := MustParse("(exists x . S(x)) & (exists x . E(x,x))", nil)
-	p, err := Prenex(f)
+	p, err := prenex(f)
 	if err != nil {
 		t.Fatal(err)
 	}

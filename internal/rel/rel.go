@@ -201,6 +201,13 @@ func (r *Relation) Contains(t Tuple) bool {
 	return ok
 }
 
+// ContainsKey reports whether the relation holds on the tuple whose
+// Tuple.Key is k. The caller vouches for the key's arity.
+func (r *Relation) ContainsKey(k uint64) bool {
+	_, ok := r.set[k]
+	return ok
+}
+
 // Add inserts t into the relation. Adding an existing tuple is a no-op.
 func (r *Relation) Add(t Tuple) {
 	if len(t) != r.Arity {
