@@ -1,8 +1,9 @@
 package main
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
-	"strconv"
 	"time"
 
 	"qrel/internal/core"
@@ -39,10 +40,10 @@ func runE1(cfg config, out *report) error {
 			rng := rand.New(rand.NewSource(cfg.seed + int64(n)))
 			db := workload.AddUncertainty(rng, workload.RandomStructure(rng, n, 0.2, 0.5), n/2, 10)
 			var res core.Result
-			dt, err := timeIt(func() error {
+			dt, err := out.timed(fmt.Sprintf("%s/n=%d", q.name, n), func() (int, error) {
 				var err error
 				res, err = core.QuantifierFree(cfg.ctx, db, f, core.Options{})
-				return err
+				return 0, err
 			})
 			if err != nil {
 				return err
@@ -56,33 +57,15 @@ func runE1(cfg config, out *report) error {
 				if err != nil {
 					return err
 				}
-				out.check(q.name+" agrees with world enumeration at n="+itoa(n), res.H.Cmp(exact.H) == 0)
+				out.check(fmt.Sprintf("%s agrees with world enumeration at n=%d", q.name, n), res.H.Cmp(exact.H) == 0)
 			}
 		}
 		// Polynomial shape: time per tuple must not explode. Compare the
 		// last/first time ratio against the tuple-count ratio with slack.
 		nRatio := float64(sizes[len(sizes)-1]) / float64(sizes[0])
-		tupleGrowth := pow(nRatio, float64(q.k)) * nRatio // n^k tuples × per-tuple O(n^0..1) slack
-		timeGrowth := float64(times[len(times)-1]) / float64(maxDuration(times[0], time.Microsecond))
+		tupleGrowth := math.Pow(nRatio, float64(q.k)) * nRatio // n^k tuples × per-tuple O(n^0..1) slack
+		timeGrowth := float64(times[len(times)-1]) / float64(max(times[0], time.Microsecond))
 		out.check(q.name+" scales polynomially", timeGrowth < 64*tupleGrowth)
 	}
 	return nil
-}
-
-func itoa(n int) string { return strconv.Itoa(n) }
-
-func pow(base, exp float64) float64 {
-	out := 1.0
-	for exp >= 1 {
-		out *= base
-		exp--
-	}
-	return out
-}
-
-func maxDuration(d, floor time.Duration) time.Duration {
-	if d < floor {
-		return floor
-	}
-	return d
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -15,9 +16,6 @@ import (
 	"qrel/internal/unreliable"
 	"qrel/internal/workload"
 )
-
-// ratInt builds a rational from an integer (shared helper).
-func ratInt(v int64) *big.Rat { return big.NewRat(v, 1) }
 
 // runE10 runs the design-choice ablations called out in DESIGN.md:
 //
@@ -43,18 +41,22 @@ func runE10(cfg config, out *report) error {
 	}
 	exactF, _ := exact.Float64()
 	var direct, viaRed karpluby.CountResult
-	tDirect, err := timeIt(func() error {
+	from := *stream.Src
+	tDirect, err := out.timed("prob-weighted-kl", func() (int, error) {
+		*stream.Src = from // each call draws what the first one drew
 		var err error
 		direct, err = karpluby.ProbDNF(cfg.ctx, d, p, 0.1, 0.05, karpluby.ProbBatched, stream)
-		return err
+		return direct.Samples, err
 	})
 	if err != nil {
 		return err
 	}
-	tRed, err := timeIt(func() error {
+	from = *stream.Src
+	tRed, err := out.timed("prob-thm53-route", func() (int, error) {
+		*stream.Src = from
 		var err error
 		viaRed, err = karpluby.ProbViaReduction(cfg.ctx, d, p, 0.1, 0.05, karpluby.CountBatched, stream)
-		return err
+		return viaRed.Samples, err
 	})
 	if err != nil {
 		return err
@@ -97,20 +99,19 @@ func runE10(cfg config, out *report) error {
 	for _, nv := range sizes {
 		dl := workload.RandomKDNF(rng, nv, nv, 3)
 		pl := workload.RandomProbs(rng, nv, 10)
-		var viaBDD *big.Rat
-		tBDD, err := timeIt(func() error {
-			r, err := probViaBDD(dl, pl)
-			viaBDD = r
-			return err
+		var viaBDD, viaBF *big.Rat
+		tBDD, err := out.timed(fmt.Sprintf("exact-bdd/vars=%d", nv), func() (int, error) {
+			var err error
+			viaBDD, err = probViaBDD(dl, pl)
+			return 0, err
 		})
 		if err != nil {
 			return err
 		}
-		var viaBF *big.Rat
-		tBF, err := timeIt(func() error {
-			r, err := dl.ProbBruteForce(pl, 24)
-			viaBF = r
-			return err
+		tBF, err := out.timed(fmt.Sprintf("exact-bruteforce/vars=%d", nv), func() (int, error) {
+			var err error
+			viaBF, err = dl.ProbBruteForce(pl, 24)
+			return 0, err
 		})
 		if err != nil {
 			return err
@@ -118,7 +119,7 @@ func runE10(cfg config, out *report) error {
 		same := viaBDD.Cmp(viaBF) == 0
 		bddAlwaysRight = bddAlwaysRight && same
 		f, _ := viaBDD.Float64()
-		out.row("exact-prob", itoa(nv)+"vars", f, "-", same, tBDD, tBF)
+		out.row("exact-prob", fmt.Sprint(nv, "vars"), f, "-", same, tBDD, tBF)
 	}
 	out.check("BDD and brute-force exact probabilities identical", bddAlwaysRight)
 	return runE10Extra(cfg, out)

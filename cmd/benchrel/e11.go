@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -31,16 +32,17 @@ Reach(x,z) :- Reach(x,y), Link(y,z).
 	oneMinusF := new(big.Rat).Sub(big.NewRat(1, 1), f)
 	allAgree := true
 	for _, k := range []int{2, 4, 8} {
-		db, err := chainDB(k, f)
-		if err != nil {
-			return err
+		var chain [][2]int
+		for i := 0; i < k; i++ {
+			chain = append(chain, [2]int{i, i + 1})
 		}
+		db := linksDB(k+1, chain, f)
 		q := datalog.Atom{Pred: "Reach", Args: []datalog.Term{datalog.E(0), datalog.E(k)}}
 		var res datalog.Result
-		dt, err := timeIt(func() error {
+		dt, err := out.timed(fmt.Sprintf("exact/series-%d", k), func() (int, error) {
 			var err error
 			res, err = datalog.Reliability(db, prog, q, 16)
-			return err
+			return 0, err
 		})
 		if err != nil {
 			return err
@@ -52,14 +54,11 @@ Reach(x,z) :- Reach(x,y), Link(y,z).
 		agree := res.R.Cmp(want) == 0
 		allAgree = allAgree && agree
 		wf, _ := want.Float64()
-		out.row("series-"+itoa(k), k, db.NumUncertain(), res.RFloat, wf, agree, dt)
+		out.row(fmt.Sprint("series-", k), k, db.NumUncertain(), res.RFloat, wf, agree, dt)
 	}
 	// Parallel: two disjoint 2-hop routes 0→a→3; Pr[connected] =
 	// 1 − (1 − (1-f)²)².
-	db, err := parallelDB(f)
-	if err != nil {
-		return err
-	}
+	db := linksDB(4, [][2]int{{0, 1}, {1, 3}, {0, 2}, {2, 3}}, f)
 	q := datalog.Atom{Pred: "Reach", Args: []datalog.Term{datalog.E(0), datalog.E(3)}}
 	res, err := datalog.Reliability(db, prog, q, 16)
 	if err != nil {
@@ -77,10 +76,7 @@ Reach(x,z) :- Reach(x,y), Link(y,z).
 
 	// Monte Carlo on a random mesh against the exact engine.
 	rng := rand.New(rand.NewSource(cfg.seed))
-	mesh, err := meshDB(rng, 6, 7, f)
-	if err != nil {
-		return err
-	}
+	mesh := meshDB(rng, 6, 7, f)
 	qMesh := datalog.Atom{Pred: "Reach", Args: []datalog.Term{datalog.V("x"), datalog.E(0)}}
 	exact, err := datalog.Reliability(mesh, prog, qMesh, 16)
 	if err != nil {
@@ -100,46 +96,22 @@ func linkVoc() *rel.Vocabulary {
 	return rel.MustVocabulary(rel.RelSym{Name: "Link", Arity: 2})
 }
 
-// chainDB builds the series chain 0→1→...→k with failure probability f
-// per (directed) link.
-func chainDB(k int, f *big.Rat) (*unreliable.DB, error) {
-	s, err := rel.NewStructure(k+1, linkVoc())
-	if err != nil {
-		return nil, err
-	}
+// linksDB builds the network over n nodes with the given directed
+// links, each failing with probability f.
+func linksDB(n int, links [][2]int, f *big.Rat) *unreliable.DB {
+	s := rel.MustStructure(n, linkVoc())
 	db := unreliable.New(s)
-	for i := 0; i < k; i++ {
-		s.MustAdd("Link", i, i+1)
-		if err := db.SetError(rel.GroundAtom{Rel: "Link", Args: rel.Tuple{i, i + 1}}, f); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
-}
-
-// parallelDB builds two disjoint 2-hop routes 0→1→3 and 0→2→3.
-func parallelDB(f *big.Rat) (*unreliable.DB, error) {
-	s, err := rel.NewStructure(4, linkVoc())
-	if err != nil {
-		return nil, err
-	}
-	db := unreliable.New(s)
-	for _, l := range [][2]int{{0, 1}, {1, 3}, {0, 2}, {2, 3}} {
+	for _, l := range links {
 		s.MustAdd("Link", l[0], l[1])
-		if err := db.SetError(rel.GroundAtom{Rel: "Link", Args: rel.Tuple{l[0], l[1]}}, f); err != nil {
-			return nil, err
-		}
+		db.MustSetError(rel.GroundAtom{Rel: "Link", Args: rel.Tuple{l[0], l[1]}}, f)
 	}
-	return db, nil
+	return db
 }
 
 // meshDB builds a random connected-ish mesh with `links` uncertain
 // directed links.
-func meshDB(rng *rand.Rand, n, links int, f *big.Rat) (*unreliable.DB, error) {
-	s, err := rel.NewStructure(n, linkVoc())
-	if err != nil {
-		return nil, err
-	}
+func meshDB(rng *rand.Rand, n, links int, f *big.Rat) *unreliable.DB {
+	s := rel.MustStructure(n, linkVoc())
 	db := unreliable.New(s)
 	for db.NumUncertain() < links {
 		u, v := rng.Intn(n), rng.Intn(n)
@@ -152,9 +124,7 @@ func meshDB(rng *rand.Rand, n, links int, f *big.Rat) (*unreliable.DB, error) {
 		if db.NumUncertain()%3 != 2 {
 			s.MustAdd("Link", u, v)
 		}
-		if err := db.SetError(rel.GroundAtom{Rel: "Link", Args: rel.Tuple{u, v}}, f); err != nil {
-			return nil, err
-		}
+		db.MustSetError(rel.GroundAtom{Rel: "Link", Args: rel.Tuple{u, v}}, f)
 	}
-	return db, nil
+	return db
 }

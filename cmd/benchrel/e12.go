@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 
@@ -29,68 +30,70 @@ func runE12(cfg config, out *report) error {
 		sizes = []int{8, 32}
 	}
 	allAgree := true
-	for _, src := range queries {
+	for qi, src := range queries {
 		f := logic.MustParse(src, nil)
 		for _, n := range sizes {
 			rng := rand.New(rand.NewSource(cfg.seed + int64(n)))
 			db := e12DB(rng, n)
 			var sp core.Result
-			dt, err := timeIt(func() error {
+			dt, err := out.timed(fmt.Sprintf("safe-plan/q%d/n=%d", qi+1, n), func() (int, error) {
 				var err error
 				sp, err = core.SafePlan(cfg.ctx, db, f, core.Options{})
-				return err
+				return 0, err
 			})
 			if err != nil {
 				return err
 			}
-			agree := "-"
-			if db.NumUncertain() <= 14 {
-				we, err := core.WorldEnum(cfg.ctx, db, f, core.Options{})
-				if err != nil {
-					return err
-				}
-				ok := sp.H.Cmp(we.H) == 0
-				allAgree = allAgree && ok
-				agree = boolStr(ok)
-			} else {
-				// Cross-check against the exact BDD at scale.
-				bddRes, err := core.LineageBDD(cfg.ctx, db, f, core.Options{})
-				if err != nil {
-					return err
-				}
-				ok := sp.H.Cmp(bddRes.H) == 0
-				allAgree = allAgree && ok
-				agree = boolStr(ok)
+			// e12DB has at most 12 uncertain atoms: enumerate its worlds.
+			ref, err := core.WorldEnum(cfg.ctx, db, f, core.Options{})
+			if err != nil {
+				return err
 			}
+			agree := sp.H.Cmp(ref.H) == 0
+			allAgree = allAgree && agree
 			out.row(src, n, db.NumUncertain(), sp.Engine, sp.RFloat, agree, dt)
 		}
 	}
-	out.check("safe plan agrees exactly with the intensional engines", allAgree)
-
-	// Scale demonstration: n = 500, ~1000 uncertain atoms, still exact.
-	n := 500
-	if cfg.quick {
-		n = 200
-	}
-	s := rel.MustStructure(n, workload.GraphVoc())
-	db := unreliable.New(s)
-	for i := 0; i < n; i++ {
-		s.MustAdd("S", i)
-		db.MustSetError(rel.GroundAtom{Rel: "S", Args: rel.Tuple{i}}, big.NewRat(1, 3))
-		s.MustAdd("E", i, (i+1)%n)
-		db.MustSetError(rel.GroundAtom{Rel: "E", Args: rel.Tuple{i, (i + 1) % n}}, big.NewRat(1, 4))
-	}
+	// Scale: a cycle of n labelled nodes, 2n uncertain atoms, still
+	// exact; the lineage BDD beside it while it stays small.
 	f := logic.MustParse("exists x y . S(x) & E(x,y)", nil)
-	var sp core.Result
-	dt, err := timeIt(func() error {
-		var err error
-		sp, err = core.SafePlan(cfg.ctx, db, f, core.Options{})
-		return err
-	})
-	if err != nil {
-		return err
+	cycles := []int{32, 128, 512}
+	if cfg.quick {
+		cycles = cycles[:2]
 	}
-	out.row("scale", n, db.NumUncertain(), sp.Engine, sp.RFloat, "-", dt)
+	var sp, ref core.Result
+	for _, n := range cycles {
+		s := rel.MustStructure(n, workload.GraphVoc())
+		db := unreliable.New(s)
+		for i := 0; i < n; i++ {
+			s.MustAdd("S", i)
+			db.MustSetError(rel.GroundAtom{Rel: "S", Args: rel.Tuple{i}}, big.NewRat(1, 3))
+			s.MustAdd("E", i, (i+1)%n)
+			db.MustSetError(rel.GroundAtom{Rel: "E", Args: rel.Tuple{i, (i + 1) % n}}, big.NewRat(1, 4))
+		}
+		dt, err := out.timed(fmt.Sprintf("safe-plan/cycle/n=%d", n), func() (int, error) {
+			var err error
+			sp, err = core.SafePlan(cfg.ctx, db, f, core.Options{})
+			return 0, err
+		})
+		if err != nil {
+			return err
+		}
+		out.row("cycle", n, db.NumUncertain(), sp.Engine, sp.RFloat, "-", dt)
+		if n > 128 {
+			continue
+		}
+		if dt, err = out.timed(fmt.Sprintf("lineage-bdd/cycle/n=%d", n), func() (int, error) {
+			var err error
+			ref, err = core.LineageBDD(cfg.ctx, db, f, core.Options{})
+			return 0, err
+		}); err != nil {
+			return err
+		}
+		allAgree = allAgree && sp.H.Cmp(ref.H) == 0
+		out.row("cycle", n, db.NumUncertain(), ref.Engine, ref.RFloat, sp.H.Cmp(ref.H) == 0, dt)
+	}
+	out.check("safe plan agrees exactly with the intensional engines", allAgree)
 	out.check("safe plan handles thousands of uncertain atoms exactly", sp.H != nil)
 
 	// Boundary: H0 is rejected with ErrNotHierarchical.
@@ -98,19 +101,8 @@ func runE12(cfg config, out *report) error {
 	if err != nil {
 		return err
 	}
-	if !h0.IsHierarchical() {
-		out.check("H0 detected as non-hierarchical (the hardness boundary)", true)
-	} else {
-		out.check("H0 detected as non-hierarchical (the hardness boundary)", false)
-	}
+	out.check("H0 detected as non-hierarchical (the hardness boundary)", !h0.IsHierarchical())
 	return nil
-}
-
-func boolStr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
 }
 
 // e12DB builds a database that is uncertain where it matters: no

@@ -59,9 +59,9 @@ func runE13(cfg config, out *report) error {
 		// too noisy for ratio checks.
 		var dt time.Duration
 		for rep := 0; rep < 3; rep++ {
-			d, err := timeIt(func() error {
+			d, err := out.timed(fmt.Sprintf("query-atoms/m=%d", m), func() (int, error) {
 				_, err := core.QuantifierFree(cfg.ctx, db, f, core.Options{})
-				return err
+				return 0, err
 			})
 			if err != nil {
 				return err
@@ -72,7 +72,7 @@ func runE13(cfg config, out *report) error {
 		}
 		ratio := "-"
 		if prev > 0 {
-			ratio = fmt.Sprintf("%.1f", float64(dt)/float64(maxDuration(prev, time.Microsecond)))
+			ratio = fmt.Sprintf("%.1f", float64(dt)/float64(max(prev, time.Microsecond)))
 		}
 		out.row("query-atoms", m, dt, ratio)
 		prev = dt
@@ -84,7 +84,7 @@ func runE13(cfg config, out *report) error {
 	// Theory: 2^(m_last − m_first) = 256x (64x in quick mode) over the
 	// sweep; individual +2 steps are noisy at the millisecond scale, so
 	// check total growth with generous slack.
-	totalGrowth := float64(last) / float64(maxDuration(first, time.Microsecond))
+	totalGrowth := float64(last) / float64(max(first, time.Microsecond))
 	wantGrowth := 64.0
 	if cfg.quick {
 		wantGrowth = 16
@@ -101,9 +101,9 @@ func runE13(cfg config, out *report) error {
 	for _, n := range ns {
 		rngN := rand.New(rand.NewSource(cfg.seed + int64(n)))
 		dbN := workload.AddUncertainty(rngN, workload.RandomStructure(rngN, n, 0.2, 0.5), n/2, 10)
-		dt, err := timeIt(func() error {
+		dt, err := out.timed(fmt.Sprintf("data/n=%d", n), func() (int, error) {
 			_, err := core.QuantifierFree(cfg.ctx, dbN, f, core.Options{})
-			return err
+			return 0, err
 		})
 		if err != nil {
 			return err
@@ -112,7 +112,7 @@ func runE13(cfg config, out *report) error {
 		out.row("data", n, dt, "-")
 	}
 	nRatio := float64(ns[len(ns)-1]) / float64(ns[0])
-	growth := float64(times[len(times)-1]) / float64(maxDuration(times[0], time.Microsecond))
+	growth := float64(times[len(times)-1]) / float64(max(times[0], time.Microsecond))
 	out.check("data complexity stays polynomial while expression complexity is exponential",
 		growth < 64*nRatio*nRatio)
 	return nil

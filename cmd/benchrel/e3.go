@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 
@@ -29,14 +30,19 @@ func runE3(cfg config, out *report) error {
 	query := logic.Prepare(logic.MustParse("forall x . exists y . E(x,y) | S(x)", nil))
 	pred := func(b *rel.Structure) (bool, error) { return query.Holds(b, nil) }
 
-	out.row("u", "worlds", "g bits", "Pr (oracle)", "oracle=direct", "padded=direct", "lcm ok")
+	out.row("u", "worlds", "g bits", "Pr (oracle)", "oracle=direct", "padded=direct", "lcm ok", "t_oracle")
 	allOracle, allPadded := true, true
 	lcmFailures := 0
 	for _, u := range sizes {
 		rng := rand.New(rand.NewSource(cfg.seed + int64(u)))
 		db := workload.RandomUDB(rng, 4, u)
 
-		o, err := sharpp.CountAcceptingPaths(db, pred, 20)
+		var o sharpp.Oracle
+		dt, err := out.timed(fmt.Sprintf("oracle/u=%d", u), func() (int, error) {
+			var err error
+			o, err = sharpp.CountAcceptingPaths(db, pred, 20)
+			return 0, err
+		})
 		if err != nil {
 			return err
 		}
@@ -80,7 +86,7 @@ func runE3(cfg config, out *report) error {
 			lcmFailures++
 		}
 		pf, _ := o.Prob().Float64()
-		out.row(u, o.Worlds, o.G.BitLen(), pf, oracleOK, paddedOK, lcmOK)
+		out.row(u, o.Worlds, o.G.BitLen(), pf, oracleOK, paddedOK, lcmOK, dt)
 	}
 	out.check("oracle count / g equals direct probability on every instance", allOracle)
 	out.check("padded extraction is junk-proof on every instance", allPadded)

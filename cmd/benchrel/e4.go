@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -50,10 +51,12 @@ func runE4(cfg config, out *report) error {
 		exactF, _ := new(big.Rat).SetInt(exact).Float64()
 		for _, eps := range epss {
 			var res karpluby.CountResult
-			dt, err := timeIt(func() error {
+			from := *stream.Src
+			dt, err := out.timed(fmt.Sprintf("count/vars=%d/eps=%g", inst.vars, eps), func() (int, error) {
+				*stream.Src = from // each call draws what the first one drew
 				var err error
 				res, err = karpluby.CountDNF(cfg.ctx, d, eps, delta, karpluby.CountBatched, stream)
-				return err
+				return res.Samples, err
 			})
 			if err != nil {
 				return err
@@ -107,5 +110,46 @@ func runE4(cfg config, out *report) error {
 	out.row("sparse", len(sparse.Terms), "0.1", exactF, kl.Float(), klErr, kl.Samples, "-", "-")
 	out.row("sparse(naive)", len(sparse.Terms), "-", exactF, naive, naiveErr, kl.Samples, "-", "-")
 	out.check("Karp–Luby beats naive MC on the low-density instance", klErr <= 0.1 && naiveErr > klErr)
+
+	// Rate: the lane-split run on 1 and 8 workers, interpreted and
+	// compiled, over one fixed-lane stream.
+	par := workload.RandomKDNF(rand.New(rand.NewSource(cfg.seed)), 30, 40, 3)
+	return rateSweep(out, epss, func(eps float64, workers int, compiled bool) (float64, int, error) {
+		kernel := karpluby.CountKernel(karpluby.CountScalar)
+		if compiled {
+			kernel = karpluby.CountBatched
+		}
+		res, err := karpluby.CountDNF(cfg.ctx, par, eps, delta, kernel, mc.Stream{Seed: cfg.seed, Workers: workers})
+		return res.Float(), res.Samples, err
+	})
+}
+
+// rateSweep times run for each eps on 1 and 8 workers in both eval
+// modes, one row each, and checks that every row of an eps carries the
+// same estimate.
+func rateSweep(out *report, epss []float64, run func(eps float64, workers int, compiled bool) (float64, int, error)) error {
+	out.row("workers", "eval", "eps", "estimate", "samples", "samples/s", "time")
+	identical := true
+	for _, eps := range epss {
+		estimates := map[float64]bool{}
+		for _, workers := range []int{1, 8} {
+			for _, eval := range []string{"interpreted", "compiled"} {
+				var est float64
+				var samples int
+				dt, err := out.timed(fmt.Sprintf("par/eps=%g/workers=%d/eval=%s", eps, workers, eval), func() (int, error) {
+					var err error
+					est, samples, err = run(eps, workers, eval == "compiled")
+					return samples, err
+				})
+				if err != nil {
+					return err
+				}
+				estimates[est] = true
+				out.row(workers, eval, eps, est, samples, float64(samples)/dt.Seconds(), dt)
+			}
+		}
+		identical = identical && len(estimates) == 1
+	}
+	out.check("every worker count and eval mode gives the identical estimate", identical)
 	return nil
 }

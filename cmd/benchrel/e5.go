@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 
@@ -21,7 +22,7 @@ func runE5(cfg config, out *report) error {
 	if cfg.quick {
 		denoms = []int64{2, 3, 7, 16}
 	}
-	out.row("q", "bits", "terms(phi'')", "legal", "illegal", "nu exact", "nu via reduction", "agree")
+	out.row("q", "bits", "terms(phi'')", "legal", "illegal", "nu exact", "nu via reduction", "agree", "time")
 	allAgree := true
 	for _, q := range denoms {
 		d := workload.RandomKDNF(rng, 4, 3, 2)
@@ -46,7 +47,7 @@ func runE5(cfg config, out *report) error {
 		allAgree = allAgree && agree
 		exactF, _ := exact.Float64()
 		viaF, _ := via.Float64()
-		out.row(q, red.Bits, len(red.PhiPP.Terms), red.Legal, red.Illegal(), exactF, viaF, agree)
+		out.row(q, red.Bits, len(red.PhiPP.Terms), red.Legal, red.Illegal(), exactF, viaF, agree, "-")
 	}
 	out.check("reduction recovers nu(phi) exactly for dyadic and non-dyadic probabilities", allAgree)
 
@@ -56,7 +57,12 @@ func runE5(cfg config, out *report) error {
 	poly := true
 	for _, q := range []int64{3, 61, 1021, 65521} {
 		p := []*big.Rat{big.NewRat(1, q), big.NewRat(2, q), big.NewRat(q/2, q)}
-		red, err := karpluby.Reduce(d, p)
+		var red *karpluby.Reduction
+		dt, err := out.timed(fmt.Sprintf("reduce/q=%d", q), func() (int, error) {
+			var err error
+			red, err = karpluby.Reduce(d, p)
+			return 0, err
+		})
 		if err != nil {
 			return err
 		}
@@ -66,7 +72,7 @@ func runE5(cfg config, out *report) error {
 		if terms > 3*ell*ell+6*ell {
 			poly = false
 		}
-		out.row("blowup q="+itoa(int(q)), red.Bits, terms, "-", "-", "-", "-", terms >= prev)
+		out.row(fmt.Sprint("blowup q=", q), red.Bits, terms, "-", "-", "-", "-", terms >= prev, dt)
 		prev = terms
 	}
 	out.check("phi'' size grows polynomially in the probability bit-length", poly)

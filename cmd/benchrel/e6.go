@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -42,10 +43,10 @@ func runE6(cfg config, out *report) error {
 			rng := rand.New(rand.NewSource(cfg.seed + int64(n)))
 			db := e6DB(rng, n)
 			var exact core.Result
-			tBDD, err := timeIt(func() error {
+			tBDD, err := out.timed(fmt.Sprintf("lineage-bdd/%s/n=%d", q.name, n), func() (int, error) {
 				var err error
 				exact, err = core.LineageBDD(cfg.ctx, db, f, core.Options{})
-				return err
+				return 0, err
 			})
 			if err != nil {
 				return err
@@ -58,10 +59,10 @@ func runE6(cfg config, out *report) error {
 				agreeEnum = agreeEnum && exact.H.Cmp(enum.H) == 0
 			}
 			var approx core.Result
-			tKL, err := timeIt(func() error {
+			tKL, err := out.timed(fmt.Sprintf("lineage-kl/%s/n=%d", q.name, n), func() (int, error) {
 				var err error
 				approx, err = core.LineageKL(cfg.ctx, db, f, core.Options{Eps: eps, Delta: delta, Seed: cfg.seed}, false)
-				return err
+				return approx.Samples, err
 			})
 			if err != nil {
 				return err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -47,10 +48,10 @@ func runE7(cfg config, out *report) error {
 			return err
 		}
 		var res core.AbsoluteResult
-		dt, err := timeIt(func() error {
+		dt, err := out.timed(fmt.Sprintf("fourcol/G%d", i), func() (int, error) {
 			var err error
 			res, err = core.AbsoluteReliability(inst.DB, inst.Query, core.Options{MaxEnumAtoms: 12})
-			return err
+			return 0, err
 		})
 		if err != nil {
 			return err
@@ -65,7 +66,7 @@ func runE7(cfg config, out *report) error {
 			sawUncolorable = true
 		}
 		allAgree = allAgree && agree
-		out.row("G"+itoa(i), n, g.NumEdges(), colorable, res.Reliable, agree, dt)
+		out.row(fmt.Sprint("G", i), n, g.NumEdges(), colorable, res.Reliable, agree, dt)
 	}
 	out.check("Lemma 5.9: not-AR iff 4-colourable, witness decodes to a proper colouring", allAgree)
 	out.check("both 4-colourable and non-colourable instances exercised", sawColorable && sawUncolorable)
@@ -80,9 +81,9 @@ func runE7(cfg config, out *report) error {
 	for _, n := range qfSizes {
 		rngN := rand.New(rand.NewSource(cfg.seed + int64(n)))
 		db := workload.AddUncertainty(rngN, workload.RandomStructure(rngN, n, 0.2, 0.5), n, 10)
-		dt, err := timeIt(func() error {
+		dt, err := out.timed(fmt.Sprintf("qfree/n=%d", n), func() (int, error) {
 			_, err := core.AbsoluteReliability(db, qf, core.Options{})
-			return err
+			return 0, err
 		})
 		if err != nil {
 			return err
@@ -91,7 +92,7 @@ func runE7(cfg config, out *report) error {
 		out.row("qfree-AR", n, "-", "-", "-", "-", dt)
 	}
 	nRatio := float64(qfSizes[len(qfSizes)-1]) / float64(qfSizes[0])
-	growth := float64(times[len(times)-1]) / float64(maxDuration(times[0], time.Microsecond))
+	growth := float64(times[len(times)-1]) / float64(max(times[0], time.Microsecond))
 	out.check("Lemma 5.7: quantifier-free AR decided in polynomial time", growth < 64*nRatio*nRatio)
 	return nil
 }

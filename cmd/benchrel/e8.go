@@ -9,6 +9,7 @@ import (
 	"qrel/internal/logic"
 	"qrel/internal/mc"
 	"qrel/internal/rel"
+	"qrel/internal/vm"
 	"qrel/internal/workload"
 )
 
@@ -65,7 +66,7 @@ func runE8(cfg config, out *report) error {
 				return err
 			}
 			if est.Samples != tWant {
-				return errf("sample size %d, formula gives %d", est.Samples, tWant)
+				return fmt.Errorf("sample size %d, formula gives %d", est.Samples, tWant)
 			}
 			e := math.Abs(est.Value - nuExact)
 			if e > maxErr {
@@ -95,7 +96,24 @@ func runE8(cfg config, out *report) error {
 	out.row("padding", "structural", "-", "-", math.Abs(est2.Value-nuExact), "-", "-")
 	out.check("structural (paper-literal) and algebraic padding agree within eps",
 		math.Abs(est1.Value-nuExact) <= 0.1 && math.Abs(est2.Value-nuExact) <= 0.1)
-	return nil
-}
 
-func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }
+	// Rate: the lane-split padded estimator on 1 and 8 workers, the
+	// interpreted walk against the compiled program, over one
+	// fixed-lane stream.
+	prog, err := vm.NewCompiler(db).Compile(query, logic.Env{})
+	if err != nil {
+		return err
+	}
+	epss := []float64{0.2, 0.1}
+	if cfg.quick {
+		epss = epss[:1]
+	}
+	return rateSweep(out, epss, func(eps float64, workers int, compiled bool) (float64, int, error) {
+		kernel := mc.PaddedPred(db, pred)
+		if compiled {
+			kernel = mc.PaddedProgram(db, prog)
+		}
+		est, err := mc.EstimateNuPadded(cfg.ctx, kernel, xi, eps, 0.1, 0, mc.Stream{Seed: cfg.seed, Workers: workers})
+		return est.Value, est.Samples, err
+	})
+}

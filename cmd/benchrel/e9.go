@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -19,7 +20,7 @@ func runE9(cfg config, out *report) error {
 	salary := func(v string) metafinite.Term {
 		return metafinite.FApp{Fn: "salary", Args: []metafinite.FOTerm{metafinite.V(v)}}
 	}
-	qfTerm := metafinite.Add{L: salary("x"), R: metafinite.Num{V: ratInt(100)}}
+	qfTerm := metafinite.Add{L: salary("x"), R: metafinite.NumInt(100)}
 	sizes := []int{8, 16, 32, 64, 128}
 	if cfg.quick {
 		sizes = []int{8, 16, 32}
@@ -36,10 +37,10 @@ func runE9(cfg config, out *report) error {
 			return err
 		}
 		var res metafinite.Result
-		dt, err := timeIt(func() error {
+		dt, err := out.timed(fmt.Sprintf("qfree/n=%d", n), func() (int, error) {
 			var err error
 			res, err = metafinite.QuantifierFree(u, qfTerm, 0)
-			return err
+			return 0, err
 		})
 		if err != nil {
 			return err
@@ -56,7 +57,7 @@ func runE9(cfg config, out *report) error {
 	}
 	out.check("metafinite qfree engine agrees with world enumeration", agree)
 	nRatio := float64(sizes[len(sizes)-1]) / float64(sizes[0])
-	growth := float64(times[len(times)-1]) / float64(maxDuration(times[0], time.Microsecond))
+	growth := float64(times[len(times)-1]) / float64(max(times[0], time.Microsecond))
 	out.check("metafinite qfree reliability scales polynomially", growth < 64*nRatio*nRatio)
 
 	// Aggregates: exact via enumeration, MC within bound.
@@ -72,7 +73,7 @@ func runE9(cfg config, out *report) error {
 		{"sum", metafinite.SumAgg{Var: "x", Body: salary("x")}},
 		{"max", metafinite.MaxAgg{Var: "x", Body: salary("x")}},
 		{"avg", metafinite.AvgAgg{Var: "x", Body: salary("x")}},
-		{"count>500", metafinite.CountAgg{Var: "x", Body: metafinite.CharLess{L: metafinite.Num{V: ratInt(500)}, R: salary("x")}}},
+		{"count>500", metafinite.CountAgg{Var: "x", Body: metafinite.CharLess{L: metafinite.NumInt(500), R: salary("x")}}},
 	}
 	mcOK := true
 	for _, a := range aggs {

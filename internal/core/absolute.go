@@ -22,10 +22,10 @@ type AbsoluteResult struct {
 	Engine string
 }
 
-// AbsoluteQF decides the absolute reliability of a quantifier-free
+// absoluteQF decides the absolute reliability of a quantifier-free
 // query in polynomial time (Lemma 5.7): it computes H exactly with the
 // Proposition 3.1 engine and tests H = 0.
-func AbsoluteQF(db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResult, error) {
+func absoluteQF(db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResult, error) {
 	res, err := QuantifierFree(context.Background(), db, f, opts)
 	if err != nil {
 		return AbsoluteResult{}, err
@@ -33,13 +33,13 @@ func AbsoluteQF(db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResul
 	return AbsoluteResult{Reliable: res.H.Sign() == 0, Engine: "qfree-exact"}, nil
 }
 
-// AbsoluteWitness decides absolute reliability for an arbitrary
+// absoluteWitness decides absolute reliability for an arbitrary
 // polynomial-time evaluable query by searching the world space for a
 // counterexample — the deterministic simulation of the co-NP procedure
 // of Lemma 5.8 ("guess a database B and check whether the truth values
 // differ"). Exponential in the number of uncertain atoms, bounded by
 // opts.MaxEnumAtoms.
-func AbsoluteWitness(db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResult, error) {
+func absoluteWitness(db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResult, error) {
 	opts = opts.withDefaults()
 	prep := logic.Prepare(f)
 	observed, err := truths(db.A, prep)
@@ -74,7 +74,7 @@ func AbsoluteWitness(db *unreliable.DB, f logic.Formula, opts Options) (Absolute
 // otherwise the Lemma 5.8 witness search.
 func AbsoluteReliability(db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResult, error) {
 	if logic.IsQuantifierFree(f) {
-		return AbsoluteQF(db, f, opts)
+		return absoluteQF(db, f, opts)
 	}
-	return AbsoluteWitness(db, f, opts)
+	return absoluteWitness(db, f, opts)
 }

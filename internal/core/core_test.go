@@ -413,7 +413,7 @@ func TestBooleanQueryReliabilityIdentity(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
 		d := randUDB(rng, 2, 3)
 		f := logic.MustParse("exists x y . E(x,y) & S(x)", nil)
-		nu, err := NuExistential(bg, d, f, Options{})
+		nu, err := nuExistential(bg, d, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +439,7 @@ func TestBooleanQueryReliabilityIdentity(t *testing.T) {
 
 func TestNuExistentialRequiresSentence(t *testing.T) {
 	d := randUDB(rand.New(rand.NewSource(24)), 2, 1)
-	if _, err := NuExistential(bg, d, logic.MustParse("S(x)", nil), Options{}); err == nil {
+	if _, err := nuExistential(bg, d, logic.MustParse("S(x)", nil), Options{}); err == nil {
 		t.Error("free variables accepted")
 	}
 }

@@ -329,15 +329,14 @@ func LineageKL(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opt
 	}, nil
 }
 
-// NuExistential computes Pr[B ⊨ psi] for an existential (or universal,
+// nuExistential computes Pr[B ⊨ psi] for an existential (or universal,
 // via complement) Boolean query, exactly with the BDD engine. It is the
-// quantity for which Theorem 5.4 provides an FPTRAS; exposed for the
-// experiment harness.
-func NuExistential(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (*big.Rat, error) {
+// quantity for which Theorem 5.4 provides an FPTRAS.
+func nuExistential(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (*big.Rat, error) {
 	ctx = orBackground(ctx)
 	opts = opts.withDefaults()
 	if len(logic.FreeVars(f)) != 0 {
-		return nil, fmt.Errorf("core: NuExistential requires a Boolean query")
+		return nil, fmt.Errorf("core: nuExistential requires a Boolean query")
 	}
 	lf, flipped, err := lineageForm(f)
 	if err != nil {

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"qrel/internal/logic"
 	"qrel/internal/unreliable"
+	"qrel/internal/workload"
 )
 
 // TestWorkersDeterministicAcrossCounts pins the engine-level lane
@@ -261,4 +263,24 @@ func TestInterpretedPaddedAllocsIndependentOfSamples(t *testing.T) {
 		}
 		flat(t, "the answer tuples (8 against 32)", allocs(8), allocs(32))
 	})
+}
+
+// BenchmarkWorldEnumParallel measures the parallel exact engine against
+// the sequential one on a 2^14-world instance.
+func BenchmarkWorldEnumParallel(b *testing.B) {
+	db := workload.RandomUDB(rand.New(rand.NewSource(1998)), 4, 14)
+	f := logic.MustParse("forall x . exists y . E(x,y)", nil)
+	for _, workers := range []int{0, runtime.GOMAXPROCS(0)} {
+		name := "sequential"
+		if workers > 0 {
+			name = "parallel"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := WorldEnum(context.Background(), db, f, Options{Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -154,16 +154,16 @@ func TestEvalOnMatchesEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", q, err)
 		}
-		b, err := EvalOn(StructureSource(db), q)
+		b, err := evalOn(StructureSource(db), q)
 		if err != nil {
 			t.Fatalf("%v: %v", q, err)
 		}
 		if a.Len() != b.Len() {
-			t.Errorf("%v: Eval %d rows, EvalOn %d rows", q, a.Len(), b.Len())
+			t.Errorf("%v: Eval %d rows, evalOn %d rows", q, a.Len(), b.Len())
 		}
 		for _, row := range a.Rows() {
 			if !b.Contains(row) {
-				t.Errorf("%v: row %v missing from EvalOn result", q, row)
+				t.Errorf("%v: row %v missing from evalOn result", q, row)
 			}
 		}
 	}

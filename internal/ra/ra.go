@@ -292,12 +292,12 @@ func (r *Result) add(t rel.Tuple) { r.rows[t.Key()] = t.Clone() }
 // by Build drains into a Result, so the in-memory path and the paged
 // store run the identical operator code.
 func Eval(db *rel.Structure, e Expr) (*Result, error) {
-	return EvalOn(StructureSource(db), e)
+	return evalOn(StructureSource(db), e)
 }
 
-// EvalOn evaluates the expression against any Source, materializing
+// evalOn evaluates the expression against any Source, materializing
 // the streamed rows into a Result.
-func EvalOn(src Source, e Expr) (*Result, error) {
+func evalOn(src Source, e Expr) (*Result, error) {
 	it, schema, err := Build(src, e)
 	if err != nil {
 		return nil, err

@@ -164,12 +164,12 @@ func (g *Graph) IsProperColoring(colors []int) bool {
 // representation).
 const MaxISVertices = 62
 
-// CountIndependentSets counts the independent sets of g (including the
+// countIndependentSets counts the independent sets of g (including the
 // empty set) with the classic branching recursion
 // IS(G) = IS(G − v) + IS(G − N[v]) on a maximum-degree vertex v.
 // Vertices with self-loops can never be selected. Exponential in the
 // worst case — the problem is #P-complete — but fast on sparse graphs.
-func CountIndependentSets(g *Graph) (*big.Int, error) {
+func countIndependentSets(g *Graph) (*big.Int, error) {
 	if g.N > MaxISVertices {
 		return nil, fmt.Errorf("reductions: %d vertices exceeds independent-set counter limit %d", g.N, MaxISVertices)
 	}
@@ -231,10 +231,10 @@ func popcount(x uint64) int {
 	return n
 }
 
-// PathIndependentSets returns the number of independent sets of the
+// pathIndependentSets returns the number of independent sets of the
 // path graph on n vertices: the Fibonacci number F(n+2). Used as a
 // closed-form cross-check for the counter.
-func PathIndependentSets(n int) *big.Int {
+func pathIndependentSets(n int) *big.Int {
 	a, b := big.NewInt(1), big.NewInt(1) // F(1), F(2)
 	for i := 0; i < n; i++ {
 		a, b = b, new(big.Int).Add(a, b)

@@ -86,7 +86,7 @@ func (c Monotone2CNF) CountSat() (*big.Int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return CountIndependentSets(g)
+	return countIndependentSets(g)
 }
 
 // RandomMonotone2CNF draws a random instance with the given number of

@@ -94,11 +94,11 @@ func TestCountIndependentSetsPath(t *testing.T) {
 		for i := 0; i+1 < n; i++ {
 			g.MustAddEdge(i, i+1)
 		}
-		got, err := CountIndependentSets(g)
+		got, err := countIndependentSets(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := PathIndependentSets(n)
+		want := pathIndependentSets(n)
 		if got.Cmp(want) != 0 {
 			t.Errorf("n=%d: IS count %v, want %v", n, got, want)
 		}
@@ -110,7 +110,7 @@ func TestCountIndependentSetsBruteForce(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		n := 2 + rng.Intn(8)
 		g := RandomGraph(rng, n, 0.4)
-		got, err := CountIndependentSets(g)
+		got, err := countIndependentSets(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestCountIndependentSetsSelfLoop(t *testing.T) {
 	g.MustAddEdge(0, 0)
 	g.MustAddEdge(0, 1)
 	// Vertex 0 can never be chosen: sets {} and {1}.
-	got, err := CountIndependentSets(g)
+	got, err := countIndependentSets(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCountIndependentSetsSelfLoop(t *testing.T) {
 		t.Errorf("IS with self-loop = %v, want 2", got)
 	}
 	big := NewGraph(MaxISVertices + 1)
-	if _, err := CountIndependentSets(big); err == nil {
+	if _, err := countIndependentSets(big); err == nil {
 		t.Error("oversized graph accepted")
 	}
 }

@@ -180,10 +180,10 @@ func CountViaPadding(db *unreliable.DB, accept func(*rel.Structure) (bool, error
 	}, nil
 }
 
-// ExpectedError computes H_psi(D) for a Boolean query from the oracle
+// expectedError computes H_psi(D) for a Boolean query from the oracle
 // count: Pr[psi^B ≠ psi^A], i.e. 1 − Pr[psi] when A ⊨ psi and Pr[psi]
 // otherwise (the FP part of the FP^#P algorithm).
-func ExpectedError(o Oracle, observed bool) *big.Rat {
+func expectedError(o Oracle, observed bool) *big.Rat {
 	p := o.Prob()
 	if observed {
 		return p.Sub(big.NewRat(1, 1), p)

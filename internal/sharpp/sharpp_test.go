@@ -167,13 +167,13 @@ func TestExpectedError(t *testing.T) {
 	}
 	p := o.Prob()
 	// Observed database satisfies ∃x S(x), so H = 1 − p.
-	h := ExpectedError(o, true)
+	h := expectedError(o, true)
 	sum := new(big.Rat).Add(h, p)
 	if sum.Cmp(big.NewRat(1, 1)) != 0 {
 		t.Errorf("H + p = %v, want 1", sum)
 	}
 	// If the query were false on A, H = p.
-	if ExpectedError(o, false).Cmp(p) != 0 {
+	if expectedError(o, false).Cmp(p) != 0 {
 		t.Error("H for unobserved query should equal p")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"qrel/internal/rel"
 )
 
-// FromProbabilities builds an unreliable database from the alternative
+// fromProbabilities builds an unreliable database from the alternative
 // presentation discussed in the Remark of Section 2: instead of an
 // observed database and error probabilities, each ground atom directly
 // carries the probability nu(Rā) that it holds in the actual database.
@@ -16,7 +16,7 @@ import (
 // present iff nu ≥ 1/2 — and sets mu = 1 − nu for present atoms and
 // mu = nu for absent ones, which induces exactly the given distribution.
 // Atoms not listed are taken as certainly absent (nu = 0).
-func FromProbabilities(n int, voc *rel.Vocabulary, nu map[rel.AtomKey]*big.Rat) (*DB, error) {
+func fromProbabilities(n int, voc *rel.Vocabulary, nu map[rel.AtomKey]*big.Rat) (*DB, error) {
 	a, err := rel.NewStructure(n, voc)
 	if err != nil {
 		return nil, err

@@ -300,7 +300,7 @@ func TestFromProbabilitiesMarginals(t *testing.T) {
 		atomS(1).Key(): big.NewRat(1, 5),
 		atomS(2).Key(): big.NewRat(1, 2),
 	}
-	d, err := FromProbabilities(4, voc, nu)
+	d, err := fromProbabilities(4, voc, nu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestFromProbabilitiesMarginals(t *testing.T) {
 	}
 	// Validation of inputs.
 	bad := map[rel.AtomKey]*big.Rat{atomS(0).Key(): big.NewRat(7, 4)}
-	if _, err := FromProbabilities(4, voc, bad); err == nil {
+	if _, err := fromProbabilities(4, voc, bad); err == nil {
 		t.Error("out-of-range nu accepted")
 	}
 }

@@ -170,10 +170,6 @@ func (p *Program) EvalWorld(world []uint64, stack []uint64) bool {
 	return stack[0] != 0
 }
 
-// WorldWords returns the []uint64 length of a world bitset over n
-// variables.
-func WorldWords(n int) int { return (n + 63) / 64 }
-
 // compiler accumulates code and tracks the worst-case operand stack.
 type compiler struct {
 	code     []instr

@@ -61,7 +61,7 @@ func assignCols(worlds [][]bool, numVars int) []uint64 {
 
 // worldBits packs one assignment into the scalar world-bitset layout.
 func worldBits(a []bool) []uint64 {
-	w := make([]uint64, vm.WorldWords(len(a)))
+	w := make([]uint64, (len(a)+63)/64)
 	for v, b := range a {
 		if b {
 			w[v>>6] |= 1 << (uint(v) & 63)
