@@ -140,9 +140,19 @@ type Store struct {
 
 	mu  sync.Mutex
 	seq uint64 // highest sequence number in use
+	// seqs lists the committed snapshots, ascending: scanned once by
+	// Open and kept by Save, so a commit reads no directory.
+	seqs []uint64
+	// orphans are the temp files failed commits left behind; the next
+	// successful Save removes them.
+	orphans []string
 }
 
-// Open creates (if needed) and scans a snapshot directory.
+// Open creates (if needed) and scans a snapshot directory, removing
+// the temp files of commits a crash cut short: those numbered at or
+// below the newest committed snapshot. A higher-numbered temp file may
+// be a commit in flight — a reader opens the directory while its
+// writer saves — so it stays; the writer's next Save reuses its name.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.KeepLast <= 0 {
 		opts.KeepLast = DefaultKeepLast
@@ -151,12 +161,18 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("checkpoint: creating %s: %w", dir, err)
 	}
 	s := &Store{dir: dir, keep: opts.KeepLast, metrics: opts.Metrics}
-	seqs, err := s.sequences()
+	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("checkpoint: reading %s: %w", s.dir, err)
 	}
-	if len(seqs) > 0 {
-		s.seq = seqs[len(seqs)-1]
+	s.seqs = committed(entries)
+	if len(s.seqs) > 0 {
+		s.seq = s.seqs[len(s.seqs)-1]
+	}
+	for _, e := range entries {
+		if seq, ok := parseName(e.Name(), snapExt+tmpExt); ok && seq <= s.seq {
+			_ = os.Remove(filepath.Join(s.dir, e.Name()))
+		}
 	}
 	return s, nil
 }
@@ -169,30 +185,43 @@ func (s *Store) name(seq uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("ckpt-%016d%s", seq, snapExt))
 }
 
-// sequences lists the committed snapshot sequence numbers, ascending.
-// Files that do not match the naming scheme (orphaned .tmp files
-// included) are ignored.
+// parseName returns the sequence number of a file named
+// ckpt-NNNNNNNNNNNNNNNN followed by ext.
+func parseName(name, ext string) (uint64, bool) {
+	// Sscanf matches a prefix, so an orphaned "ckpt-N.qckpt.tmp" left
+	// by a crashed commit would otherwise parse as committed snapshot
+	// N — and a later load would try to open a file that was never
+	// renamed into place.
+	if !strings.HasSuffix(name, ext) {
+		return 0, false
+	}
+	var seq uint64
+	n, err := fmt.Sscanf(strings.TrimSuffix(name, ext), "ckpt-%016d", &seq)
+	return seq, n == 1 && err == nil
+}
+
+// sequences lists the committed snapshot sequence numbers on disk,
+// ascending.
 func (s *Store) sequences() ([]uint64, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: reading %s: %w", s.dir, err)
 	}
+	return committed(entries), nil
+}
+
+// committed lists the committed snapshot sequence numbers among a
+// directory's entries, ascending. Files that do not match the naming
+// scheme (orphaned .tmp files included) are ignored.
+func committed(entries []os.DirEntry) []uint64 {
 	var seqs []uint64
 	for _, e := range entries {
-		// Sscanf matches a prefix, so an orphaned "ckpt-N.qckpt.tmp" left
-		// by a crashed commit would otherwise parse as committed snapshot
-		// N — and a later load would try to open a file that was never
-		// renamed into place.
-		if !strings.HasSuffix(e.Name(), snapExt) {
-			continue
-		}
-		var seq uint64
-		if n, err := fmt.Sscanf(e.Name(), "ckpt-%016d"+snapExt, &seq); n == 1 && err == nil {
+		if seq, ok := parseName(e.Name(), snapExt); ok {
 			seqs = append(seqs, seq)
 		}
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
+	return seqs
 }
 
 // encode frames a payload: magic | version | length | CRC-32C | payload.
@@ -268,18 +297,21 @@ func (s *Store) Save(payload []byte) error {
 		frame = frame[:len(frame)/2]
 	}
 	if err := writeFileSync(tmp, frame); err != nil {
+		s.orphans = append(s.orphans, tmp)
 		return fmt.Errorf("checkpoint: writing %s: %w", tmp, err)
 	}
 	if err := faultinject.Hit(faultinject.SiteCkptBitFlip); err != nil {
 		// Simulated media corruption: flip one payload byte in place.
 		frame[len(frame)-1] ^= 0x40
 		if werr := writeFileSync(tmp, frame); werr != nil {
+			s.orphans = append(s.orphans, tmp)
 			return fmt.Errorf("checkpoint: writing %s: %w", tmp, werr)
 		}
 	}
 	if err := faultinject.Hit(faultinject.SiteCkptCrash); err != nil {
 		// Simulated crash between write and rename: the temp file stays,
 		// the snapshot is never committed.
+		s.orphans = append(s.orphans, tmp)
 		return fmt.Errorf("checkpoint: crashed before rename of %s: %w", tmp, err)
 	}
 	if err := faultinject.Hit(faultinject.SiteCkptRename); err != nil {
@@ -292,6 +324,7 @@ func (s *Store) Save(payload []byte) error {
 	}
 	syncDir(s.dir)
 	s.metrics.addWritten(int64(len(frame)))
+	s.seqs = append(s.seqs, s.seq)
 	s.pruneLocked()
 	return nil
 }
@@ -330,29 +363,18 @@ func (s *Store) LoadLatest() ([]byte, error) {
 	return nil, ErrNoCheckpoint
 }
 
-// pruneLocked removes snapshots beyond the retention depth and any
-// orphaned temp files older than the newest snapshot's window.
+// pruneLocked removes the snapshots beyond the retention depth and the
+// temp files of failed commits. It works from the in-memory sequence
+// list alone.
 func (s *Store) pruneLocked() {
-	seqs, err := s.sequences()
-	if err != nil {
-		return
+	for len(s.seqs) > s.keep {
+		_ = os.Remove(s.name(s.seqs[0]))
+		s.seqs = s.seqs[1:]
 	}
-	for len(seqs) > s.keep {
-		_ = os.Remove(s.name(seqs[0]))
-		seqs = seqs[1:]
+	for _, tmp := range s.orphans {
+		_ = os.Remove(tmp)
 	}
-	// Orphaned .tmp files are leftovers of crashed commits; any whose
-	// sequence is at or below the committed head is dead.
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		var seq uint64
-		if n, err := fmt.Sscanf(e.Name(), "ckpt-%016d"+snapExt+tmpExt, &seq); n == 1 && err == nil && seq <= s.seq {
-			_ = os.Remove(filepath.Join(s.dir, e.Name()))
-		}
-	}
+	s.orphans = nil
 }
 
 // WriteFileAtomic writes data to path with the same write-temp + fsync

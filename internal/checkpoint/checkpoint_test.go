@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"qrel/internal/faultinject"
 )
@@ -296,6 +297,94 @@ func TestInjectedCrashWindowLeavesTmpAndRecovers(t *testing.T) {
 	// The successful save garbage-collects the orphan.
 	if n := countFiles(t, dir, tmpExt); n != 0 {
 		t.Fatalf("%d orphaned temp files survived a successful save", n)
+	}
+}
+
+// TestSaveAfterCrashWindowKeepsRetention: a store that lives on after
+// a crash-window failure cleans up by itself — the next successful Save
+// removes the orphaned temp file, and retention, kept from the
+// in-memory sequence list, leaves exactly KeepLast snapshots on disk.
+func TestSaveAfterCrashWindowKeepsRetention(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	s, err := Open(dir, Options{KeepLast: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Save([]byte(fmt.Sprintf("s%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faultinject.Enable(faultinject.SiteCkptCrash, faultinject.Fault{Err: errors.New("SIGKILL"), Times: 1})
+	if err := s.Save([]byte("in-the-window")); err == nil {
+		t.Fatal("Save in the crash window returned nil")
+	}
+	if n := countFiles(t, dir, tmpExt); n != 1 {
+		t.Fatalf("crash window left %d temp files, want 1", n)
+	}
+	if err := s.Save([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if n := countFiles(t, dir, tmpExt); n != 0 {
+		t.Fatalf("%d temp files survived the next successful save", n)
+	}
+	if n := countFiles(t, dir, snapExt); n != 2 {
+		t.Fatalf("%d snapshots on disk, want KeepLast = 2", n)
+	}
+	if got, err := s.LoadLatest(); err != nil || string(got) != "after" {
+		t.Fatalf("LoadLatest = %q, %v, want after", got, err)
+	}
+}
+
+// TestOpenLeavesInFlightCommit: a reader may open the directory while
+// its writer is between writing a temp file and renaming it. Open
+// sweeps only the temp files at or below the newest committed
+// snapshot, so the writer's commit survives the reader and lands.
+func TestOpenLeavesInFlightCommit(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	w, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := w.Save([]byte(fmt.Sprintf("s%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := w.name(1) + tmpExt // an orphan below the head
+	if err := os.WriteFile(stale, []byte("x"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	// Hold the writer in its crash window: temp file written, not renamed.
+	faultinject.Enable(faultinject.SiteCkptCrash, faultinject.Fault{Delay: 300 * time.Millisecond, Times: 1})
+	done := make(chan error, 1)
+	go func() { done <- w.Save([]byte("in-flight")) }()
+	inFlight := w.name(3) + tmpExt
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(inFlight); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the writer's temp file never appeared")
+		}
+	}
+	if _, err := Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("Open left the orphan below the head: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("the writer's Save failed after a reader opened the store: %v", err)
+	}
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.LoadLatest(); err != nil || string(got) != "in-flight" {
+		t.Fatalf("LoadLatest = %q, %v, want in-flight", got, err)
 	}
 }
 

@@ -32,9 +32,10 @@ const MaxSOTuples = 22
 // vocabulary symbol an atom names is an index into a relation table
 // filled from the structure once per evaluation; a second-order relation
 // variable is one more slot, holding the enumerated relation as a bit
-// mask over the tuples of A^arity. Evaluating an atom is then a key
-// packed from slots and one probe of the relation: no name lookup, no
-// tuple, no allocation.
+// mask over the tuples of A^arity. Evaluating an atom is then a rank
+// computed from slots and one bit test of a dense relation (a key packed
+// from slots and one probe of a sparse one): no name lookup, no tuple,
+// no allocation.
 //
 // A Prepared is immutable: one may serve any number of goroutines and
 // structures at once. Errors — an unbound variable, an unknown constant
@@ -385,13 +386,16 @@ func (fr *frame) eval(n *node) (bool, error) {
 	case opBool:
 		return n.b, nil
 	case opAtom:
-		var key uint64
+		// The tuple's bit in a dense relation; only a constant set
+		// outside the universe makes it invalid.
+		rank, inside := 0, true
 		for _, sl := range n.slots {
 			e := fr.slots[sl]
 			if e < 0 {
 				return false, fr.termErr(sl)
 			}
-			key = key<<16 | uint64(e)
+			inside = inside && e < fr.n
+			rank = rel.FoldRank(rank, fr.n, e)
 		}
 		r := fr.rels[n.ref]
 		if r == nil {
@@ -399,6 +403,13 @@ func (fr *frame) eval(n *node) (bool, error) {
 		}
 		if r.Arity != len(n.slots) {
 			return false, fmt.Errorf("logic: relation %s has arity %d, used with %d args", n.name, r.Arity, len(n.slots))
+		}
+		if r.Universe() == fr.n {
+			return inside && r.ContainsRank(rank), nil
+		}
+		var key uint64
+		for _, sl := range n.slots {
+			key = key<<16 | uint64(fr.slots[sl])
 		}
 		return r.ContainsKey(key), nil
 	case opSOAtom:

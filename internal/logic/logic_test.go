@@ -120,6 +120,27 @@ func TestEvalConstants(t *testing.T) {
 	}
 }
 
+// TestEvalConstantOutsideUniverse: a constant written into Consts
+// directly, past SetConst's range check, holds in no relation — on a
+// dense relation its rank must not alias a stored tuple, just as its
+// key matches none in a hash set.
+func TestEvalConstantOutsideUniverse(t *testing.T) {
+	voc := rel.MustVocabulary(rel.RelSym{Name: "E", Arity: 2})
+	voc.AddConst("c")
+	s := rel.MustStructure(4, voc)
+	s.MustAdd("E", 1, 0) // rank 4, the rank (0, c) computes
+	s.Consts["c"] = 4
+	if got, err := EvalSentence(s, MustParse("E(0,c)", voc)); err != nil || got {
+		t.Errorf("E(0,c) with c = 4 over n = 4 = %v, %v; want false", got, err)
+	}
+	sparse := rel.NewRelation(2)
+	sparse.Add(rel.Tuple{1, 0})
+	s.Rels["E"] = sparse
+	if got, err := EvalSentence(s, MustParse("E(1,0) & !E(0,c)", voc)); err != nil || !got {
+		t.Errorf("on a hash set: E(1,0) & !E(0,c) = %v, %v; want true", got, err)
+	}
+}
+
 func TestAnswer(t *testing.T) {
 	s := pathGraph(4)
 	f := MustParse("exists y . E(x,y)", nil)

@@ -10,6 +10,9 @@ package rel
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -173,29 +176,185 @@ func (t Tuple) Key() uint64 {
 // KeyToTuple unpacks a key produced by Tuple.Key back into a tuple of the
 // given arity.
 func KeyToTuple(k uint64, arity int) Tuple {
-	t := make(Tuple, arity)
-	for i := arity - 1; i >= 0; i-- {
+	return unpackKey(k, make(Tuple, arity))
+}
+
+// unpackKey fills t with the components of key k, the last component
+// from the low 16 bits.
+func unpackKey(k uint64, t Tuple) Tuple {
+	for i := len(t) - 1; i >= 0; i-- {
 		t[i] = int(k & 0xffff)
 		k >>= 16
 	}
 	return t
 }
 
+// maxDenseTuples caps the tuple space A^arity a relation may be laid
+// out densely over at 2^22 tuples: a dense relation's bitset is at most
+// 512 KiB, and turning a hash set into one copies at most that much.
+// Larger tuple spaces always keep the hash set.
+const maxDenseTuples = 1 << 22
+
+// smallDenseWords is the largest bitset, in 64-bit words, that a
+// relation takes while still empty: 64 bytes (512 tuples), about what
+// an empty hash set costs. A larger bitset is taken only once it costs
+// no more than the keys the hash set holds (see grew).
+const smallDenseWords = 8
+
 // Relation is a finite relation of fixed arity over the universe.
+//
+// A relation built by NewStructure knows its universe {0..n-1} and can
+// be dense: a bitset over A^Arity in which tuple ā is bit rank(ā), its
+// mixed-radix value in base n with the first component most significant
+// (see FoldRank) — so rank order is Tuple.Key order. It is dense from
+// the start when its bitset fits smallDenseWords, and otherwise turns
+// dense once it holds as many tuples as the bitset has words — when
+// the bitset costs at most 8 bytes per tuple held, no more than the
+// hash set's keys — provided n^Arity is at most maxDenseTuples. So a
+// relation's memory follows the tuples it has held, never its tuple
+// space alone, and a walk of a dense relation reads at most eight
+// words or one per tuple it held at its fullest. A dense relation stays
+// dense. Any
+// other relation (NewRelation, which knows no universe, or a sparse
+// one) is a hash set of keys. Both behave identically; a relation that
+// knows its universe holds no tuple outside it.
 type Relation struct {
 	Arity int
-	set   map[uint64]struct{}
+	// set holds a sparse relation's keys; nil for a dense relation.
+	set map[uint64]struct{}
+	// words is a dense relation's bitset over n^Arity = size tuples,
+	// count of them set.
+	words []uint64
+	count int
+	// n is the universe size (-1 when unknown); size is n^Arity, or -1
+	// when the relation can never be dense.
+	n, size int
 }
 
 // NewRelation creates an empty relation of the given arity.
 func NewRelation(arity int) *Relation {
-	return &Relation{Arity: arity, set: make(map[uint64]struct{})}
+	return &Relation{Arity: arity, set: make(map[uint64]struct{}), n: -1, size: -1}
+}
+
+// newRelationOver creates an empty relation of the given arity over
+// the universe {0..n-1}.
+func newRelationOver(arity, n int) *Relation {
+	r := &Relation{Arity: arity, n: n, size: TupleCount(n, arity)}
+	if r.size > maxDenseTuples {
+		r.size = -1
+	}
+	if r.size >= 0 && denseWords(r.size) <= smallDenseWords {
+		r.words = make([]uint64, denseWords(r.size))
+	} else {
+		r.set = make(map[uint64]struct{})
+	}
+	return r
+}
+
+// denseWords is the length of a bitset over size tuples.
+func denseWords(size int) int { return (size + 63) / 64 }
+
+// grew turns a sparse relation that has just gained a tuple dense once
+// it holds as many tuples as its bitset would have words.
+func (r *Relation) grew() {
+	if r.size >= 0 && len(r.set) >= denseWords(r.size) {
+		r.densify()
+	}
+}
+
+// densify lays a sparse relation out as a bitset; the caller vouches
+// that its tuple space is at most maxDenseTuples (size ≥ 0).
+func (r *Relation) densify() {
+	r.words = make([]uint64, denseWords(r.size))
+	for k := range r.set {
+		i := r.keyRank(k)
+		r.words[i>>6] |= 1 << (i & 63)
+	}
+	r.count, r.set = len(r.set), nil
+}
+
+// Universe returns the universe size a dense relation is laid out
+// over, or -1 for a sparse relation.
+func (r *Relation) Universe() int {
+	if r.set != nil {
+		return -1
+	}
+	return r.n
+}
+
+// FoldRank appends element e to the rank of a tuple prefix over a
+// universe of n elements: a tuple's rank is its mixed-radix value in
+// base n, first component most significant, so folding ā's components
+// into 0 in order gives ā's bit in a dense relation.
+func FoldRank(rank, n, e int) int { return rank*n + e }
+
+// Rank returns t's bit in a dense relation — its index in ForEachTuple
+// order — or -1 when the relation is sparse or t is not a tuple of its
+// A^Arity.
+func (r *Relation) Rank(t Tuple) int {
+	if r.set != nil || len(t) != r.Arity {
+		return -1
+	}
+	i := 0
+	for _, e := range t {
+		if e < 0 || e >= r.n {
+			return -1
+		}
+		i = FoldRank(i, r.n, e)
+	}
+	return i
+}
+
+// keyRank is Rank for a packed key of the relation's arity and known
+// universe, whether or not the relation is dense yet.
+func (r *Relation) keyRank(k uint64) int {
+	i := 0
+	for sh := 16 * (r.Arity - 1); sh >= 0; sh -= 16 {
+		e := int(k >> uint(sh) & 0xffff)
+		if e >= r.n {
+			return -1
+		}
+		i = FoldRank(i, r.n, e)
+	}
+	return i
+}
+
+// unrank fills t with the tuple of rank i in a dense relation.
+func (r *Relation) unrank(i int, t Tuple) Tuple {
+	for j := len(t) - 1; j >= 0; j-- {
+		t[j], i = i%r.n, i/r.n
+	}
+	return t
+}
+
+// ContainsRank reports whether a dense relation holds on the tuple of
+// rank i; ranks outside [0, n^Arity) hold nowhere. The caller vouches
+// that the relation is dense.
+func (r *Relation) ContainsRank(i int) bool {
+	return uint(i) < uint(r.size) && r.words[i>>6]>>(i&63)&1 != 0
+}
+
+// ToggleRank flips membership of the tuple of rank i in a dense
+// relation and reports the new membership value. The caller vouches
+// that the relation is dense and i a rank of it.
+func (r *Relation) ToggleRank(i int) bool {
+	w := &r.words[i>>6]
+	*w ^= 1 << (i & 63)
+	if *w>>(i&63)&1 != 0 {
+		r.count++
+		return true
+	}
+	r.count--
+	return false
 }
 
 // Contains reports whether the relation holds on t.
 func (r *Relation) Contains(t Tuple) bool {
 	if len(t) != r.Arity {
 		return false
+	}
+	if r.set == nil {
+		return r.ContainsRank(r.Rank(t))
 	}
 	_, ok := r.set[t.Key()]
 	return ok
@@ -204,8 +363,39 @@ func (r *Relation) Contains(t Tuple) bool {
 // ContainsKey reports whether the relation holds on the tuple whose
 // Tuple.Key is k. The caller vouches for the key's arity.
 func (r *Relation) ContainsKey(k uint64) bool {
+	if r.set == nil {
+		return r.ContainsRank(r.keyRank(k))
+	}
 	_, ok := r.set[k]
 	return ok
+}
+
+// denseRank is Rank for a tuple that must be stored: it panics when t
+// lies outside a dense relation's universe.
+func (r *Relation) denseRank(t Tuple) int {
+	i := r.Rank(t)
+	if i < 0 {
+		r.outside(t)
+	}
+	return i
+}
+
+// sparseKey is Key for a tuple that must be stored in a sparse
+// relation: it panics when the relation knows its universe and t lies
+// outside it, as denseRank does.
+func (r *Relation) sparseKey(t Tuple) uint64 {
+	for _, e := range t {
+		if r.n >= 0 && (e < 0 || e >= r.n) {
+			r.outside(t)
+		}
+	}
+	return t.Key()
+}
+
+// outside panics on storing t outside the relation's universe; only
+// tuples Structure.Add has validated reach a relation's store.
+func (r *Relation) outside(t Tuple) {
+	panic(fmt.Sprintf("rel: tuple %v outside universe [0,%d)", t, r.n))
 }
 
 // Add inserts t into the relation. Adding an existing tuple is a no-op.
@@ -213,7 +403,14 @@ func (r *Relation) Add(t Tuple) {
 	if len(t) != r.Arity {
 		panic(fmt.Sprintf("rel: adding tuple of arity %d to relation of arity %d", len(t), r.Arity))
 	}
-	r.set[t.Key()] = struct{}{}
+	if r.set == nil {
+		if i := r.denseRank(t); !r.ContainsRank(i) {
+			r.ToggleRank(i)
+		}
+		return
+	}
+	r.set[r.sparseKey(t)] = struct{}{}
+	r.grew()
 }
 
 // Remove deletes t from the relation. Removing a missing tuple is a no-op.
@@ -221,28 +418,59 @@ func (r *Relation) Remove(t Tuple) {
 	if len(t) != r.Arity {
 		return
 	}
+	if r.set == nil {
+		if i := r.Rank(t); r.ContainsRank(i) {
+			r.ToggleRank(i)
+		}
+		return
+	}
 	delete(r.set, t.Key())
 }
 
 // Toggle flips membership of t and reports the new membership value.
 func (r *Relation) Toggle(t Tuple) bool {
-	k := t.Key()
+	if r.set == nil {
+		return r.ToggleRank(r.denseRank(t))
+	}
+	k := r.sparseKey(t)
 	if _, ok := r.set[k]; ok {
 		delete(r.set, k)
 		return false
 	}
 	r.set[k] = struct{}{}
+	r.grew()
 	return true
 }
 
 // Len returns the number of tuples in the relation.
-func (r *Relation) Len() int { return len(r.set) }
+func (r *Relation) Len() int {
+	if r.set == nil {
+		return r.count
+	}
+	return len(r.set)
+}
+
+// forEachRank calls fn with the rank of every tuple of a dense
+// relation, ascending, stopping early if fn returns false.
+func (r *Relation) forEachRank(fn func(int) bool) {
+	for w, word := range r.words {
+		for ; word != 0; word &= word - 1 {
+			if !fn(w<<6 | bits.TrailingZeros64(word)) {
+				return
+			}
+		}
+	}
+}
 
 // ForEach calls fn for every tuple in the relation, in unspecified
 // order, stopping early if fn returns false. The tuple passed to fn is
 // freshly decoded and may be retained. Prefer this over Tuples in inner
-// loops: it avoids the sort.
+// loops: it builds no slice, and sorts nothing on a sparse relation.
 func (r *Relation) ForEach(fn func(Tuple) bool) {
+	if r.set == nil {
+		r.forEachRank(func(i int) bool { return fn(r.unrank(i, make(Tuple, r.Arity))) })
+		return
+	}
 	for k := range r.set {
 		if !fn(KeyToTuple(k, r.Arity)) {
 			return
@@ -250,40 +478,63 @@ func (r *Relation) ForEach(fn func(Tuple) bool) {
 	}
 }
 
-// Tuples returns all tuples in the relation in sorted (key) order.
+// Tuples returns all tuples in the relation in sorted (key) order. A
+// dense relation walks its bitset, already in key order; a sparse one
+// sorts its keys.
 func (r *Relation) Tuples() []Tuple {
+	out := make([]Tuple, 0, r.Len())
+	// One backing array for every tuple; each is capped so an append to
+	// one cannot overwrite the next.
+	slab := make([]int, r.Len()*r.Arity)
+	next := func() Tuple {
+		t := Tuple(slab[:r.Arity:r.Arity])
+		slab = slab[r.Arity:]
+		return t
+	}
+	if r.set == nil {
+		r.forEachRank(func(i int) bool {
+			out = append(out, r.unrank(i, next()))
+			return true
+		})
+		return out
+	}
 	keys := make([]uint64, 0, len(r.set))
 	for k := range r.set {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Tuple, len(keys))
-	for i, k := range keys {
-		out[i] = KeyToTuple(k, r.Arity)
+	slices.Sort(keys)
+	for _, k := range keys {
+		out = append(out, unpackKey(k, next()))
 	}
 	return out
 }
 
-// Clone returns a deep copy of the relation.
+// Clone returns a deep copy of the relation, in the same representation.
 func (r *Relation) Clone() *Relation {
-	c := NewRelation(r.Arity)
-	for k := range r.set {
-		c.set[k] = struct{}{}
+	c := *r
+	if r.set == nil {
+		c.words = slices.Clone(r.words)
+	} else {
+		c.set = maps.Clone(r.set)
 	}
-	return c
+	return &c
 }
 
-// Equal reports whether two relations contain exactly the same tuples.
+// Equal reports whether two relations contain exactly the same tuples,
+// whatever their representations.
 func (r *Relation) Equal(o *Relation) bool {
-	if r.Arity != o.Arity || len(r.set) != len(o.set) {
+	if r.Arity != o.Arity || r.Len() != o.Len() {
 		return false
 	}
-	for k := range r.set {
-		if _, ok := o.set[k]; !ok {
-			return false
-		}
+	if r.set == nil && o.set == nil && r.n == o.n {
+		return slices.Equal(r.words, o.words)
 	}
-	return true
+	eq := true
+	r.ForEach(func(t Tuple) bool {
+		eq = o.Contains(t)
+		return eq
+	})
+	return eq
 }
 
 // Structure is a finite relational structure: a universe {0..N-1}, a
@@ -297,7 +548,9 @@ type Structure struct {
 }
 
 // NewStructure creates a structure with universe size n over voc, with
-// all relations empty and all constants interpreted as element 0.
+// all relations empty and all constants interpreted as element 0. Its
+// relations know the universe, so each turns dense when that is cheap
+// (see Relation).
 func NewStructure(n int, voc *Vocabulary) (*Structure, error) {
 	if n < 0 || n > MaxUniverse {
 		return nil, fmt.Errorf("rel: universe size %d out of range [0,%d]", n, MaxUniverse)
@@ -309,7 +562,7 @@ func NewStructure(n int, voc *Vocabulary) (*Structure, error) {
 		Consts: make(map[string]int, len(voc.Consts)),
 	}
 	for _, r := range voc.Rels {
-		s.Rels[r.Name] = NewRelation(r.Arity)
+		s.Rels[r.Name] = newRelationOver(r.Arity, n)
 	}
 	for _, c := range voc.Consts {
 		s.Consts[c] = 0

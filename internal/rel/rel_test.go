@@ -335,3 +335,96 @@ func TestRelationForEach(t *testing.T) {
 		t.Errorf("early stop visited %d", count)
 	}
 }
+
+// TestDenseProbesAllocFree: on a dense relation a membership probe is a
+// bit test and a toggle a bit flip — neither allocates.
+func TestDenseProbesAllocFree(t *testing.T) {
+	s := MustStructure(16, MustVocabulary(RelSym{"E", 2}))
+	r := s.Rel("E")
+	if r.Universe() != 16 {
+		t.Fatal("E over 16 elements is not dense")
+	}
+	tp := Tuple{3, 9}
+	k := tp.Key()
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.Toggle(tp)
+		_ = r.ContainsKey(k)
+	}); allocs > 0 {
+		t.Errorf("Toggle + ContainsKey allocate %v objects, want 0", allocs)
+	}
+}
+
+// TestDenseRankOrderIsKeyOrder: a dense relation's bit order is the
+// Tuple.Key order, so its Tuples come out sorted without a sort.
+func TestDenseRankOrderIsKeyOrder(t *testing.T) {
+	r := MustStructure(5, MustVocabulary(RelSym{"T", 3})).Rel("T")
+	prev := -1
+	var last uint64
+	ForEachTuple(5, 3, func(tp Tuple) bool {
+		i := r.Rank(tp)
+		if i != prev+1 || (i > 0 && tp.Key() <= last) {
+			t.Fatalf("tuple %v: rank %d after %d, key %#x after %#x", tp, i, prev, tp.Key(), last)
+		}
+		prev, last = i, tp.Key()
+		return true
+	})
+	for _, tp := range []Tuple{{5, 0, 0}, {0, -1, 0}, {0, 0}} {
+		if r.Rank(tp) != -1 || r.Contains(tp) {
+			t.Errorf("Rank(%v) = %d, want -1 outside the universe", tp, r.Rank(tp))
+		}
+	}
+	if NewRelation(3).Rank(Tuple{0, 0, 0}) != -1 {
+		t.Error("a sparse relation reports a rank")
+	}
+}
+
+// TestRelationTurnsDenseWhenFull: over a large tuple space a relation
+// starts as a hash set and turns dense once it holds one tuple per
+// bitset word, when the bitset costs no more than its keys; it keeps
+// its tuples across the change and stays dense when emptied. A small
+// tuple space is dense from the start, and one past the cap never.
+func TestRelationTurnsDenseWhenFull(t *testing.T) {
+	voc := MustVocabulary(RelSym{"E", 2}, RelSym{"S", 1}, RelSym{"Q", 3})
+	s := MustStructure(2048, voc)
+	e := s.Rel("E") // 2048² = 2^22 tuples: 65 536 words
+	if e.Universe() != -1 || s.Rel("Q").Universe() != -1 || s.Rel("S").Universe() != -1 {
+		t.Fatal("a relation over a large tuple space is dense while empty")
+	}
+	if r := MustStructure(22, voc).Rel("S"); r.Universe() != 22 {
+		t.Error("a unary relation over 22 elements is not dense from the start")
+	}
+	words := 1 << 16
+	for i := 0; i < words-1; i++ {
+		e.Add(Tuple{i % 2048, i / 2048 * 7})
+	}
+	want := e.Tuples()
+	if e.Universe() != -1 {
+		t.Fatalf("dense at %d tuples, below one per word", e.Len())
+	}
+	e.Add(Tuple{2047, 2047})
+	if e.Universe() != 2048 || e.Len() != words {
+		t.Fatalf("at %d tuples: Universe() = %d, want dense", e.Len(), e.Universe())
+	}
+	got := e.Tuples()
+	if !got[len(got)-1].Equal(Tuple{2047, 2047}) || len(got) != len(want)+1 {
+		t.Fatal("the last tuple did not survive the change")
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("tuple %d: %v after the change, %v before", i, got[i], want[i])
+		}
+	}
+	for _, tp := range got {
+		e.Remove(tp)
+	}
+	if e.Universe() != 2048 || e.Len() != 0 {
+		t.Fatalf("emptied: Universe() = %d, Len() = %d", e.Universe(), e.Len())
+	}
+	q := MustStructure(2048, voc).Rel("Q") // 2^33 tuples: past the cap
+	for i := 0; i < 100; i++ {
+		q.Add(Tuple{i, i, i})
+	}
+	if q.Universe() != -1 {
+		t.Error("a relation past the cap turned dense")
+	}
+}

@@ -8,8 +8,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"qrel/internal/faultinject"
 )
 
 // postJob submits a durable job and decodes the status or error body.
@@ -175,10 +178,10 @@ func TestJobDrainMidJobAndResume(t *testing.T) {
 		DB:     "g",
 		Query:  "E(x,y) & S(x)",
 		Engine: "monte-carlo-direct",
-		// Interpreted keeps the ~460k-sample job slow enough to still be
-		// mid-flight when the drain lands; the compiled evaluator finishes
-		// it inside the sleep below.
-		Eval:           "interpreted",
+		Eval:   "interpreted",
+		// One worker over the eight RNG lanes: the lanes run one after
+		// another, each claimed through the mc/lane-worker fault site.
+		Workers:        1,
 		Eps:            0.004,
 		Delta:          0.05,
 		Seed:           99,
@@ -194,7 +197,11 @@ func TestJobDrainMidJobAndResume(t *testing.T) {
 		t.Fatalf("reference job: %+v", ref)
 	}
 
-	// First server: submit, let it run briefly, then drain hard.
+	// First server: a delay before every lane keeps the job mid-flight —
+	// seven lanes, and at least seven delays, are still ahead of it when
+	// the first lane's first snapshot is on disk — and then drain hard.
+	defer faultinject.Reset()
+	faultinject.Enable(faultinject.SiteLaneWorker, faultinject.Fault{Delay: 150 * time.Millisecond})
 	dir := t.TempDir()
 	s1 := New(Config{CheckpointDir: dir, CheckpointEvery: 10000})
 	s1.Register("g", testDB(t, 4, 3))
@@ -203,11 +210,12 @@ func TestJobDrainMidJobAndResume(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
-	time.Sleep(150 * time.Millisecond) // let it draw some samples
+	waitSnapshot(t, filepath.Join(dir, st.ID, "ckpt"), 60*time.Second)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	_ = s1.Drain(canceled) // deadline already hit: cancels in-flight work
 	ts1.Close()
+	faultinject.Reset()
 	if got := s1.Statz().Jobs.Suspended; got != 1 {
 		t.Fatalf("Jobs.Suspended = %d after drain, want 1", got)
 	}
@@ -256,6 +264,24 @@ func TestJobDrainMidJobAndResume(t *testing.T) {
 	}
 	if got := s2.Statz().Jobs.Recovered; got != 1 {
 		t.Fatalf("Jobs.Recovered = %d, want 1", got)
+	}
+}
+
+// waitSnapshot waits until a committed checkpoint file is in dir.
+func waitSnapshot(t *testing.T, dir string, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		entries, _ := os.ReadDir(dir) // absent until the job opens its store
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), ".qckpt") {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no snapshot in %s after %v", dir, timeout)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -2,8 +2,10 @@ package unreliable
 
 import (
 	"bytes"
+	"fmt"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -123,5 +125,35 @@ func TestCodecSureFlipRoundTrip(t *testing.T) {
 	}
 	if got := back.ErrorProb(atomS(1)); got.Cmp(big.NewRat(1, 1)) != 0 {
 		t.Errorf("mu=1 atom lost: %v", got)
+	}
+}
+
+// TestParseDBMemoryFollowsText: declarations alone cannot make a
+// database large. A text declaring a thousand binary relations over
+// 2 048 elements — a 512 KiB bitset each, were they laid out densely
+// from the start — parses, and it and its world buffer allocate a
+// small multiple of the text's own size.
+func TestParseDBMemoryFollowsText(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("universe 2048\n")
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&b, "rel R%d/2\n", i)
+	}
+	b.WriteString("R0 1 2 err 1/2\nR999 2047 0 absent err 1/3\n")
+	text := b.String()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d, err := ParseDB(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := d.NewWorldBuf()
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(128*len(text)); got > bound {
+		t.Errorf("parsing %d bytes and one world buffer allocated %d bytes, want at most %d", len(text), got, bound)
+	}
+	if d.NumUncertain() != 2 || !buf.Load([]uint64{1, 1}, 0).Holds("R999", rel.Tuple{2047, 0}) {
+		t.Error("the parsed database lost its facts")
 	}
 }

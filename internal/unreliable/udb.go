@@ -410,25 +410,49 @@ func (d *DB) SampleWorld(rng *rand.Rand) *rel.Structure {
 // new ones. A buffer belongs to one sampling goroutine (a "lane") and
 // is invalidated by any mutation of the database it was created from.
 type WorldBuf struct {
-	l     *atomLists
-	b     *rel.Structure
-	flips []int // indices into l.uncertain currently toggled in b
+	b *rel.Structure
+	// atoms are the uncertain atoms (canonical order) resolved against b.
+	atoms []bufAtom
+	flips []int // indices into atoms currently toggled in b
+}
+
+// bufAtom is an uncertain atom bound to its relation in a WorldBuf's
+// structure: its bit when the relation is dense, else its tuple.
+type bufAtom struct {
+	r    *rel.Relation
+	rank int // -1 for a sparse relation
+	args rel.Tuple
 }
 
 // NewWorldBuf clones the observed structure once (with the mu = 1
-// flips applied) and returns a buffer that SampleWorldInto and Load
-// can reuse for every world of a sampling loop.
+// flips applied), resolves every uncertain atom to its relation and
+// bit there, and returns a buffer that SampleWorldInto and Load can
+// reuse for every world of a sampling loop.
 func (d *DB) NewWorldBuf() *WorldBuf {
 	l := d.atoms()
-	return &WorldBuf{l: l, b: l.sureWorld(d.A), flips: make([]int, 0, len(l.uncertain))}
+	w := &WorldBuf{b: l.sureWorld(d.A), atoms: make([]bufAtom, len(l.uncertain)), flips: make([]int, 0, len(l.uncertain))}
+	for i, e := range l.uncertain {
+		r := w.b.Rel(e.atom.Rel)
+		w.atoms[i] = bufAtom{r: r, rank: r.Rank(e.atom.Args), args: e.atom.Args}
+	}
+	return w
+}
+
+// flip toggles atom i in the buffered structure.
+func (w *WorldBuf) flip(i int) {
+	a := &w.atoms[i]
+	if a.rank >= 0 {
+		a.r.ToggleRank(a.rank)
+	} else {
+		a.r.Toggle(a.args)
+	}
 }
 
 // reset undoes the previous draw's flips, restoring the buffer to the
 // observed database with the deterministic mu = 1 flips applied.
 func (w *WorldBuf) reset() {
 	for _, i := range w.flips {
-		e := &w.l.uncertain[i]
-		w.b.Rel(e.atom.Rel).Toggle(e.atom.Args)
+		w.flip(i)
 	}
 	w.flips = w.flips[:0]
 }
@@ -436,8 +460,7 @@ func (w *WorldBuf) reset() {
 // toggle flips uncertain atom i (canonical order) in the buffer and
 // records it for the next reset.
 func (w *WorldBuf) toggle(i int) {
-	e := &w.l.uncertain[i]
-	w.b.Rel(e.atom.Rel).Toggle(e.atom.Args)
+	w.flip(i)
 	w.flips = append(w.flips, i)
 }
 
