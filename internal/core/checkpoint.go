@@ -90,9 +90,9 @@ type engineState struct {
 	// the order that wrote them.
 	Stream string `json:"stream,omitempty"`
 
-	// Per-tuple engines (monte-carlo, lineage-karpluby): the index of
-	// the next unprocessed answer tuple, the accumulators over completed
-	// tuples, and the PRNG state at the boundary.
+	// Per-tuple engines (monte-carlo, lineage-karpluby): the number of
+	// answer tuples already in HFloat, the accumulators over them, and
+	// the sequential stream from before the first tuple not in HFloat.
 	Tuple   int         `json:"tuple,omitempty"`
 	HFloat  float64     `json:"h_float,omitempty"`
 	EpsSum  float64     `json:"eps_sum,omitempty"`
@@ -238,26 +238,6 @@ func laneCountFor(opts Options) int {
 		return mc.DefaultLanes
 	}
 	return 0
-}
-
-// rangeWorkers is the worker count of a lane-range run: at least one
-// goroutine even when the caller left Workers at the sequential
-// default, since a range run is always lane-split.
-func rangeWorkers(opts Options) int {
-	if opts.Workers > 0 {
-		return opts.Workers
-	}
-	return 1
-}
-
-// streamFor names the draws of one estimator run under opts: the lane
-// split of seed when Workers > 0, else the continuation of the
-// engine's sequential source.
-func streamFor(opts Options, seed int64, src *mc.Source) mc.Stream {
-	if opts.Workers > 0 {
-		return mc.Stream{Seed: seed, Workers: opts.Workers}
-	}
-	return mc.Stream{Src: src}
 }
 
 // save persists one snapshot, stamping the fingerprint, and publishes

@@ -413,7 +413,11 @@ func TestBooleanQueryReliabilityIdentity(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
 		d := randUDB(rng, 2, 3)
 		f := logic.MustParse("exists x y . E(x,y) & S(x)", nil)
-		nu, err := nuExistential(bg, d, f, Options{})
+		lf, flipped, err := lineageForm(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nu, err := lineageProb(bg, d, lf, flipped, logic.Env{}, Options{}.withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,13 +438,6 @@ func TestBooleanQueryReliabilityIdentity(t *testing.T) {
 		if we.H.Cmp(want) != 0 {
 			t.Fatalf("iter %d: H %v, want %v (nu %v, obs %v)", iter, we.H, want, nu, obs)
 		}
-	}
-}
-
-func TestNuExistentialRequiresSentence(t *testing.T) {
-	d := randUDB(rand.New(rand.NewSource(24)), 2, 1)
-	if _, err := nuExistential(bg, d, logic.MustParse("S(x)", nil), Options{}); err == nil {
-		t.Error("free variables accepted")
 	}
 }
 

@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/big"
 
 	"qrel/internal/bdd"
-	"qrel/internal/checkpoint"
 	"qrel/internal/faultinject"
 	"qrel/internal/karpluby"
 	"qrel/internal/logic"
@@ -148,199 +146,64 @@ func LineageBDD(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Op
 // encoding + #DNF route instead of the direct weighted estimator (the
 // E10 ablation compares the two).
 func LineageKL(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options, usePaperReduction bool) (Result, error) {
-	ctx = orBackground(ctx)
-	opts = opts.withDefaults()
-	if err := faultinject.Hit(faultinject.SiteLineageKL); err != nil {
-		return Result{}, err
-	}
-	lf, flipped, err := lineageForm(f)
-	if err != nil {
-		return Result{}, err
-	}
 	engine := "lineage-karpluby"
 	if usePaperReduction {
 		engine = "lineage-karpluby-thm53"
 	}
+	var lf logic.Formula
+	var flipped bool
+	ctx, s, err := startSampling(ctx, faultinject.SiteLineageKL, engine, f, opts, func(f logic.Formula) (err error) {
+		lf, flipped, err = lineageForm(f)
+		return err
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	opts = s.opts
 	// The direct weighted estimator runs its bit-identical batched
 	// kernel unless the interpreter was asked for; the Theorem 5.3
 	// reduction route stays on the scalar one. The faultinject probe lets
 	// chaos campaigns force the interpreted path mid-run, exercising
 	// mixed-mode clusters.
-	evalMode := EvalInterpreted
-	var evalTrail []FallbackStep
+	eval := evalPlan{mode: EvalInterpreted}
 	if opts.Eval != EvalInterpreted && !usePaperReduction {
 		if err := faultinject.Hit(faultinject.SiteVMCompile); err != nil {
-			evalTrail = []FallbackStep{{Engine: "vm", Err: err.Error()}}
+			eval.trail = []FallbackStep{{Engine: "vm", Err: err.Error()}}
 		} else {
-			evalMode = EvalCompiled
+			eval.mode = EvalCompiled
 		}
 	}
-	parallel := opts.Workers > 0
-	src := mc.NewSource(opts.Seed)
-	// streamState mirrors MonteCarlo: the parallel mode re-derives every
-	// tuple's lanes from mc.TupleSeed(Seed, idx), so snapshots carry the
-	// zero PRNG state and resume skips restoring it.
-	streamState := func() mc.RNGState {
-		if parallel {
-			return mc.RNGState{}
-		}
-		return src.State()
-	}
-	run, resumeSt, err := newCkptRun(opts.Checkpoint, engine, f, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	k := len(logic.FreeVars(f))
-	normF := float64(1)
-	for i := 0; i < k; i++ {
-		normF *= float64(db.A.N)
-	}
-	epsT := opts.Eps / normF
-	deltaT := opts.Delta / normF
-	// plan sizes one tuple's FPTRAS on the route and kernel chosen above.
 	kernel := karpluby.ProbKernel(karpluby.ProbScalar)
-	if evalMode == EvalCompiled {
+	if eval.compiled() {
 		kernel = karpluby.ProbBatched
 	}
-	plan := func(d prop.DNF, nu prop.ProbAssignment) (karpluby.Plan, error) {
-		return karpluby.PlanProb(d, nu, epsT, deltaT, kernel)
-	}
-	if usePaperReduction {
-		plan = func(d prop.DNF, nu prop.ProbAssignment) (karpluby.Plan, error) {
-			return karpluby.PlanViaReduction(d, nu, epsT, deltaT, karpluby.CountScalar)
-		}
-	}
-	hFloat := 0.0
-	samples := 0
-	startTuple := 0
-	if resumeSt != nil {
-		if !parallel {
-			if err := src.SetState(resumeSt.RNG); err != nil {
-				return Result{}, fmt.Errorf("%w: %v", checkpoint.ErrCorruptCheckpoint, err)
-			}
-		}
-		startTuple = resumeSt.Tuple
-		hFloat = resumeSt.HFloat
-		samples = resumeSt.Samples
-	}
-	tupleIdx := 0
-	lastSaved := samples
-	// saveBoundary snapshots "tuples before nextTuple are fully
-	// accumulated; the PRNG stream is at st", making a resumed run
-	// bit-identical to an uninterrupted one.
-	saveBoundary := func(nextTuple int, st mc.RNGState) error {
-		if run == nil {
-			return nil
-		}
-		lastSaved = samples
-		return run.save(engineState{Tuple: nextTuple, HFloat: hFloat, Samples: samples, RNG: st})
-	}
-	prep := logic.Prepare(f)
-	_, err = forEachFreeTuple(ctx, db.A, f, func(env logic.Env, t rel.Tuple) error {
-		idx := tupleIdx
-		tupleIdx++
-		if idx < startTuple {
-			// Already accumulated by the restored snapshot.
-			return nil
-		}
-		preTuple := streamState()
-		d, nu, err := tupleLineage(ctx, db, lf, env, opts.MaxLineageTerms)
+	return s.perTuple(ctx, db, f, false, eval, func(ctx context.Context, tc tupleCall) (mc.Estimate, error) {
+		d, nu, err := tupleLineage(ctx, db, lf, tc.env, opts.MaxLineageTerms)
 		if err != nil {
-			return err
+			return mc.Estimate{}, err
 		}
-		pl, err := plan(d, nu)
+		var pl karpluby.Plan
+		if usePaperReduction {
+			pl, err = karpluby.PlanViaReduction(d, nu, tc.eps, tc.delta, karpluby.CountScalar)
+		} else {
+			pl, err = karpluby.PlanProb(d, nu, tc.eps, tc.delta, kernel)
+		}
 		if err != nil {
-			return err
+			return mc.Estimate{}, err
 		}
 		// The budget is held to the t this route will draw, before any draw.
-		if opts.Budget.MaxSamples > 0 && samples+pl.Samples > opts.Budget.MaxSamples {
-			// Snapshot before failing: rerun with a larger budget (and
-			// Resume set) continues here instead of starting over.
-			if serr := saveBoundary(idx, preTuple); serr != nil {
-				return serr
-			}
-			return fmt.Errorf("%w: Karp–Luby needs %d more samples with %d of %d already drawn",
-				ErrBudgetExceeded, pl.Samples, samples, opts.Budget.MaxSamples)
+		if opts.Budget.MaxSamples > 0 && pl.Samples > tc.left {
+			return mc.Estimate{}, fmt.Errorf("%w: Karp–Luby needs %d more samples with %d of %d already drawn",
+				ErrBudgetExceeded, pl.Samples, opts.Budget.MaxSamples-tc.left, opts.Budget.MaxSamples)
 		}
-		res, err := pl.Run(ctx, streamFor(opts, mc.TupleSeed(opts.Seed, idx), src))
+		res, err := pl.Run(ctx, tc.stream)
 		if err != nil {
-			// A mid-tuple cancellation surfaces here; snapshot the tuple's
-			// own start so a restart replays it in full.
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				if serr := saveBoundary(idx, preTuple); serr != nil {
-					return serr
-				}
-			}
-			return err
+			return mc.Estimate{}, err
 		}
 		p := res.Float()
-		samples += res.Samples
 		if flipped {
 			p = 1 - p
 		}
-		obs, err := prep.Holds(db.A, t)
-		if err != nil {
-			return err
-		}
-		if obs {
-			hFloat += 1 - p
-		} else {
-			hFloat += p
-		}
-		if run != nil && samples-lastSaved >= run.every() {
-			return saveBoundary(idx+1, streamState())
-		}
-		return nil
+		return mc.Estimate{Value: p, Samples: res.Samples}, nil
 	})
-	if err != nil {
-		if run != nil && samples != lastSaved &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			// Final checkpoint on cancellation (graceful drain): the next
-			// unprocessed tuple is tupleIdx and the stream is at src.State(),
-			// so a restarted run resumes here at full accuracy. The original
-			// cancellation error still propagates.
-			if serr := saveBoundary(tupleIdx, streamState()); serr != nil {
-				return Result{}, serr
-			}
-		}
-		return Result{}, err
-	}
-	if run != nil && samples != lastSaved {
-		// Completion snapshot: resuming a finished run is an instant replay.
-		if serr := saveBoundary(tupleIdx, streamState()); serr != nil {
-			return Result{}, serr
-		}
-	}
-	rFloat := 1 - hFloat/normF
-	return Result{
-		HFloat:        hFloat,
-		RFloat:        rFloat,
-		Arity:         k,
-		Engine:        engine,
-		Guarantee:     AbsoluteError,
-		Eps:           opts.Eps,
-		Delta:         opts.Delta,
-		Samples:       samples,
-		Class:         logic.Classify(f),
-		Seed:          opts.Seed,
-		Resumed:       run.wasResumed(),
-		EvalMode:      evalMode,
-		FallbackTrail: evalTrail,
-	}, nil
-}
-
-// nuExistential computes Pr[B ⊨ psi] for an existential (or universal,
-// via complement) Boolean query, exactly with the BDD engine. It is the
-// quantity for which Theorem 5.4 provides an FPTRAS.
-func nuExistential(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (*big.Rat, error) {
-	ctx = orBackground(ctx)
-	opts = opts.withDefaults()
-	if len(logic.FreeVars(f)) != 0 {
-		return nil, fmt.Errorf("core: nuExistential requires a Boolean query")
-	}
-	lf, flipped, err := lineageForm(f)
-	if err != nil {
-		return nil, err
-	}
-	return lineageProb(ctx, db, lf, flipped, logic.Env{}, opts)
 }

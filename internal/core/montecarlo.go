@@ -2,11 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"math"
 
-	"qrel/internal/checkpoint"
 	"qrel/internal/faultinject"
 	"qrel/internal/logic"
 	"qrel/internal/mc"
@@ -21,203 +17,28 @@ import (
 // estimator at accuracy (ε/n^k, δ/n^k) and sums, exactly as in the
 // k-ary case of the proof.
 //
-// Anytime semantics: when ctx is canceled or opts.Budget.MaxSamples
-// runs out mid-computation, tuples already estimated keep their
-// (possibly widened) per-tuple accuracy, each unestimated tuple
-// contributes the midpoint 1/2 with worst-case error 1/2, and the
-// result carries Degraded = true with Eps honestly re-summed from the
-// realized per-tuple errors. Only a cancellation that arrives before
-// any sample at all is an error.
+// Anytime semantics: a run cut short by ctx or opts.Budget.MaxSamples
+// is Degraded — estimated tuples keep their (possibly widened)
+// accuracy, the rest contribute the midpoint 1/2 at error 1/2, and Eps
+// is re-summed; only a stop before any sample is an error.
 func MonteCarlo(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (Result, error) {
-	ctx = orBackground(ctx)
-	opts = opts.withDefaults()
-	if err := faultinject.Hit(faultinject.SiteMonteCarlo); err != nil {
-		return Result{}, err
-	}
-	if cls := logic.Classify(f); cls == logic.ClassSecondOrder {
-		// Second-order evaluation is not polynomial-time; Theorem 5.12
-		// does not apply. (WorldEnum still handles small instances.)
-		return Result{}, fmt.Errorf("core: MonteCarlo requires a polynomial-time evaluable query, got %v", cls)
-	}
-	parallel := opts.Workers > 0
-	src := mc.NewSource(opts.Seed)
-	// streamState is the PRNG fingerprint of a snapshot boundary. The
-	// parallel mode has no single sequential stream — every tuple's lanes
-	// re-derive deterministically from mc.TupleSeed(Seed, idx) — so it
-	// saves the zero state and resume skips restoring it; the Lanes
-	// fingerprint field keeps the two modes from resuming each other.
-	streamState := func() mc.RNGState {
-		if parallel {
-			return mc.RNGState{}
-		}
-		return src.State()
-	}
-	run, resumeSt, err := newCkptRun(opts.Checkpoint, "monte-carlo", f, opts)
+	ctx, s, err := startSampling(ctx, faultinject.SiteMonteCarlo, "monte-carlo", f, opts, polyTime("MonteCarlo"))
 	if err != nil {
 		return Result{}, err
 	}
-	plan := planEval(db, f, opts)
-	k := len(logic.FreeVars(f))
-	normF := float64(1)
-	for i := 0; i < k; i++ {
-		normF *= float64(db.A.N)
-	}
-	epsT := opts.Eps / normF
-	deltaT := opts.Delta / normF
-	hFloat := 0.0
-	epsSum := 0.0
-	samples := 0
-	startTuple := 0
-	if resumeSt != nil {
-		if !parallel {
-			if err := src.SetState(resumeSt.RNG); err != nil {
-				return Result{}, fmt.Errorf("%w: %v", checkpoint.ErrCorruptCheckpoint, err)
-			}
-		}
-		startTuple = resumeSt.Tuple
-		hFloat = resumeSt.HFloat
-		epsSum = resumeSt.EpsSum
-		samples = resumeSt.Samples
-	}
-	degraded := false
-	stopped := false // ctx canceled or budget exhausted: midpoint-fill the rest
-	// kernel is the tuple's query as the plan evaluates it. The
-	// prepared query is immutable, so every lane shares it; the tuple
+	plan := planEval(db, f, s.opts)
+	// The prepared query is immutable, so every lane shares it; the tuple
 	// is only read while EstimateNuPadded runs.
 	prep := logic.Prepare(f)
-	kernel := func(idx int, t rel.Tuple) mc.PaddedKernel {
+	return s.perTuple(ctx, db, f, true, plan, func(ctx context.Context, tc tupleCall) (mc.Estimate, error) {
+		var kernel mc.PaddedKernel
 		if plan.compiled() {
-			return mc.PaddedProgram(db, plan.progs[idx])
-		}
-		return mc.PaddedPred(db, func(b *rel.Structure) (bool, error) { return prep.Holds(b, t) })
-	}
-	tupleIdx := 0
-	lastSaved := samples
-	var ckErr error
-	// saveBoundary snapshots "tuples before nextTuple are fully
-	// accumulated; the PRNG stream is at st". A run resumed from such a
-	// snapshot replays exactly the stream an uninterrupted run consumes,
-	// so the final estimate is bit-identical.
-	saveBoundary := func(nextTuple int, st mc.RNGState) bool {
-		if run == nil {
-			return true
-		}
-		lastSaved = samples
-		if err := run.save(engineState{Tuple: nextTuple, HFloat: hFloat, EpsSum: epsSum, Samples: samples, RNG: st}); err != nil {
-			ckErr = err
-			return false
-		}
-		return true
-	}
-	var innerErr error
-	rel.ForEachTuple(db.A.N, k, func(t rel.Tuple) bool {
-		idx := tupleIdx
-		tupleIdx++
-		if idx < startTuple {
-			// Already accumulated by the restored snapshot.
-			return true
-		}
-		budgetLeft := 0 // unlimited
-		if opts.Budget.MaxSamples > 0 {
-			budgetLeft = opts.Budget.MaxSamples - samples
-		}
-		if !stopped && (ctx.Err() != nil || (opts.Budget.MaxSamples > 0 && budgetLeft <= 0)) {
-			stopped, degraded = true, true
-			// The boundary snapshot that makes a drained run resumable: a
-			// restart replays from tuple idx at full accuracy.
-			if !saveBoundary(idx, streamState()) {
-				return false
-			}
-		}
-		if stopped {
-			hFloat += 0.5
-			epsSum += 0.5
-			return true
-		}
-		obs, err := prep.Holds(db.A, t)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		preTuple := streamState()
-		est, err := mc.EstimateNuPadded(ctx, kernel(idx, t), opts.Xi, epsT, deltaT, budgetLeft,
-			streamFor(opts, mc.TupleSeed(opts.Seed, idx), src))
-		if errors.Is(err, mc.ErrNoSamples) {
-			// Canceled before this tuple could draw anything: snapshot its
-			// start, then fill it (and the rest) with the midpoint.
-			stopped, degraded = true, true
-			if !saveBoundary(idx, preTuple) {
-				return false
-			}
-			hFloat += 0.5
-			epsSum += 0.5
-			return true
-		}
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		if est.Partial {
-			// The tuple was cut short mid-estimation. Snapshot the state at
-			// its start — excluding the partial draws — so a resumed run
-			// replays it in full; keep its widened contribution only for
-			// this run's degraded result.
-			stopped, degraded = true, true
-			if !saveBoundary(idx, preTuple) {
-				return false
-			}
-		}
-		samples += est.Samples
-		epsSum += est.Eps
-		if obs {
-			hFloat += 1 - est.Value
+			kernel = mc.PaddedProgram(db, plan.progs[tc.idx])
 		} else {
-			hFloat += est.Value
+			kernel = mc.PaddedPred(db, func(b *rel.Structure) (bool, error) { return prep.Holds(b, tc.t) })
 		}
-		if run != nil && !stopped && samples-lastSaved >= run.every() {
-			if !saveBoundary(idx+1, streamState()) {
-				return false
-			}
-		}
-		return true
+		return mc.EstimateNuPadded(ctx, kernel, s.opts.Xi, tc.eps, tc.delta, tc.left, tc.stream)
 	})
-	if ckErr != nil {
-		return Result{}, ckErr
-	}
-	if innerErr != nil {
-		return Result{}, innerErr
-	}
-	if run != nil && !stopped && samples != lastSaved {
-		// Completion snapshot: resuming a finished run is an instant replay.
-		if !saveBoundary(tupleIdx, streamState()) {
-			return Result{}, ckErr
-		}
-	}
-	if degraded && samples == 0 {
-		// Nothing was estimated at all; there is no partial result to
-		// report honestly.
-		return Result{}, fmt.Errorf("%w: canceled or out of budget before any sample", mc.ErrNoSamples)
-	}
-	eps := opts.Eps
-	if degraded {
-		eps = math.Min(1, epsSum/normF)
-	}
-	return Result{
-		HFloat:        hFloat,
-		RFloat:        1 - hFloat/normF,
-		Arity:         k,
-		Engine:        "monte-carlo",
-		Guarantee:     AbsoluteError,
-		Eps:           eps,
-		Delta:         opts.Delta,
-		Samples:       samples,
-		Class:         logic.Classify(f),
-		Degraded:      degraded,
-		Seed:          opts.Seed,
-		Resumed:       run.wasResumed(),
-		EvalMode:      plan.mode,
-		FallbackTrail: plan.trail,
-	}, nil
 }
 
 // MonteCarloDirect approximates the reliability by sampling worlds and
@@ -232,51 +53,29 @@ func MonteCarlo(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Op
 // true and the honestly widened Hoeffding Eps for the realized sample
 // count.
 func MonteCarloDirect(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (Result, error) {
-	ctx = orBackground(ctx)
-	opts = opts.withDefaults()
-	if err := faultinject.Hit(faultinject.SiteMCDirect); err != nil {
-		return Result{}, err
-	}
-	if cls := logic.Classify(f); cls == logic.ClassSecondOrder {
-		return Result{}, fmt.Errorf("core: MonteCarloDirect requires a polynomial-time evaluable query, got %v", cls)
-	}
-	src := mc.NewSource(opts.Seed)
-	run, resumeSt, err := newCkptRun(opts.Checkpoint, "monte-carlo-direct", f, opts)
+	ctx, s, err := startSampling(ctx, faultinject.SiteMCDirect, "monte-carlo-direct", f, opts, polyTime("MonteCarloDirect"))
 	if err != nil {
 		return Result{}, err
 	}
+	opts = s.opts
 	kernel, k, normF, plan, err := hammingStat(db, f, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	stream := streamFor(opts, opts.Seed, src)
+	stream := s.stream(opts.Seed)
 	if opts.LaneRange != nil {
 		// Lane-range mode: execute only the assigned subrange of the
-		// Total-lane split and return the raw per-lane aggregates for the
+		// Total-lane split — lane-split even at the sequential default
+		// Workers 0 — and return the raw per-lane aggregates for the
 		// coordinator to merge.
-		stream = mc.Stream{Seed: opts.Seed, Range: opts.LaneRange, Workers: rangeWorkers(opts)}
+		stream = mc.Stream{Seed: opts.Seed, Range: opts.LaneRange, Workers: max(opts.Workers, 1)}
 	}
-	stream.Ckpt = run.loopCkpt(resumeSt)
+	stream.Ckpt = s.run.loopCkpt(s.resume)
 	est, aggs, err := mc.EstimateMean(ctx, kernel, opts.Eps, opts.Delta, opts.Budget.MaxSamples, stream)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{
-		HFloat:        est.Value * normF,
-		RFloat:        1 - est.Value,
-		Arity:         k,
-		Engine:        "monte-carlo-direct",
-		Guarantee:     AbsoluteError,
-		Eps:           est.Eps,
-		Delta:         opts.Delta,
-		Samples:       est.Samples,
-		Class:         logic.Classify(f),
-		Degraded:      est.Partial,
-		Seed:          opts.Seed,
-		Resumed:       run.wasResumed(),
-		EvalMode:      plan.mode,
-		FallbackTrail: plan.trail,
-	}
+	res := s.result(est, est.Value*normF, k, plan)
 	if opts.LaneRange != nil {
 		// HFloat/RFloat are partial-range values: a range always reads as
 		// cut short of the full run's sample size, which says nothing
@@ -301,45 +100,22 @@ func MonteCarloDirect(ctx context.Context, db *unreliable.DB, f logic.Formula, o
 // atomic statements are small..."). Anytime semantics match
 // MonteCarloDirect.
 func MonteCarloRare(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (Result, error) {
-	ctx = orBackground(ctx)
-	opts = opts.withDefaults()
-	if err := faultinject.Hit(faultinject.SiteMCRare); err != nil {
-		return Result{}, err
-	}
-	if cls := logic.Classify(f); cls == logic.ClassSecondOrder {
-		return Result{}, fmt.Errorf("core: MonteCarloRare requires a polynomial-time evaluable query, got %v", cls)
-	}
-	src := mc.NewSource(opts.Seed)
-	run, resumeSt, err := newCkptRun(opts.Checkpoint, "monte-carlo-rare", f, opts)
+	ctx, s, err := startSampling(ctx, faultinject.SiteMCRare, "monte-carlo-rare", f, opts, polyTime("MonteCarloRare"))
 	if err != nil {
 		return Result{}, err
 	}
+	opts = s.opts
 	kernel, k, normF, plan, err := hammingStat(db, f, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	stream := streamFor(opts, opts.Seed, src)
-	stream.Ckpt = run.loopCkpt(resumeSt)
+	stream := s.stream(opts.Seed)
+	stream.Ckpt = s.run.loopCkpt(s.resume)
 	est, err := mc.EstimateMeanRare(ctx, db, kernel, opts.Eps, opts.Delta, opts.Budget.MaxSamples, stream)
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
-		HFloat:        est.Value * normF,
-		RFloat:        1 - est.Value,
-		Arity:         k,
-		Engine:        "monte-carlo-rare",
-		Guarantee:     AbsoluteError,
-		Eps:           est.Eps,
-		Delta:         opts.Delta,
-		Samples:       est.Samples,
-		Class:         logic.Classify(f),
-		Degraded:      est.Partial,
-		Seed:          opts.Seed,
-		Resumed:       run.wasResumed(),
-		EvalMode:      plan.mode,
-		FallbackTrail: plan.trail,
-	}, nil
+	return s.result(est, est.Value*normF, k, plan), nil
 }
 
 // hammingStat is the statistic of the mean engines, the normalized
@@ -355,10 +131,7 @@ func hammingStat(db *unreliable.DB, f logic.Formula, opts Options) (mc.MeanStat,
 		return nil, 0, 0, evalPlan{}, err
 	}
 	k := len(logic.FreeVars(f))
-	normF := float64(1)
-	for i := 0; i < k; i++ {
-		normF *= float64(db.A.N)
-	}
+	normF := tupleCount(db.A.N, k)
 	plan := planEval(db, f, opts)
 	if plan.compiled() {
 		return (&mc.CompiledMean{Progs: plan.progs, Base: plan.base, NormF: normF}).Kernel(db), k, normF, plan, nil

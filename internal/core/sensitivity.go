@@ -12,29 +12,22 @@ import (
 )
 
 // Sensitivity reports how much one uncertain atom drives a query's
-// risk: the reliability conditioned on the atom being true and false,
-// and the resulting resolution value — how much the expected error
-// would shrink if the atom's truth were verified (the expected value of
-// perfect information about this atom).
+// risk: the expected error H with the atom's truth fixed either way,
+// both measured against the observed answer ψ^A, which the user still
+// holds.
 type Sensitivity struct {
 	// Atom is the analyzed ground atom.
 	Atom rel.GroundAtom
 	// Nu is Pr[atom holds in the actual database].
 	Nu *big.Rat
-	// HGiven true/false are the conditional expected errors.
+	// HTrue and HFalse are the expected errors on the database
+	// conditioned on the atom holding and on it failing.
 	HTrue, HFalse *big.Rat
-	// Resolution = H − (nu·HTrue + (1−nu)·HFalse): zero by the law of
-	// total probability when H itself is measured against the same
-	// observed answer, so it is reported for the *verified* variants —
-	// see HResolved.
-	//
-	// HResolved is the expected error remaining after the atom is
-	// verified: nu·HTrue + (1−nu)·HFalse. Verification helps when
-	// HResolved < H... for answer-flip risk the two coincide; the useful
-	// signal is the spread |HTrue − HFalse|.
+	// HResolved = ν·HTrue + (1−ν)·HFalse, which by total probability
+	// equals the query's unconditioned H.
 	HResolved *big.Rat
-	// Spread is |HTrue − HFalse|: atoms with a large spread dominate
-	// the query's uncertainty.
+	// Spread = |HTrue − HFalse| is how far the atom's truth moves H;
+	// RankSensitivities orders atoms by it.
 	Spread *big.Rat
 }
 

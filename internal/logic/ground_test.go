@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -126,7 +127,7 @@ func TestLineageDNFEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := prop.ToDNF(pf, ix.Len(), 1<<16)
+		d, err := prop.ToDNFCtx(context.Background(), pf, ix.Len(), 1<<16)
 		if err != nil {
 			continue // blowup is acceptable for adversarial random formulas
 		}
@@ -205,5 +206,5 @@ func lineageDNF(s *rel.Structure, f Formula, env Env, ix *AtomIndex, maxTerms in
 		return prop.DNF{}, err
 	}
 	numVars := ix.Len()
-	return prop.ToDNF(pf, numVars, maxTerms)
+	return prop.ToDNFCtx(context.Background(), pf, numVars, maxTerms)
 }

@@ -92,47 +92,12 @@ func joinFormulas(fs []Formula, sep, empty string) string {
 	return strings.Join(parts, sep)
 }
 
-// MaxVar returns the largest variable index occurring in f, or -1 when
-// none occurs.
-func MaxVar(f Formula) int {
-	switch g := f.(type) {
-	case FVar:
-		return int(g)
-	case FNot:
-		return MaxVar(g.F)
-	case FAnd:
-		m := -1
-		for _, h := range g {
-			if v := MaxVar(h); v > m {
-				m = v
-			}
-		}
-		return m
-	case FOr:
-		m := -1
-		for _, h := range g {
-			if v := MaxVar(h); v > m {
-				m = v
-			}
-		}
-		return m
-	default:
-		return -1
-	}
-}
-
-// ToDNF converts the formula into an equivalent simplified DNF over
+// ToDNFCtx converts the formula into an equivalent simplified DNF over
 // numVars variables by pushing negations to the literals and
 // distributing. maxTerms bounds the intermediate term count; ErrBudget
-// is returned (wrapped) when exceeded.
-func ToDNF(f Formula, numVars, maxTerms int) (DNF, error) {
-	return ToDNFCtx(context.Background(), f, numVars, maxTerms)
-}
-
-// ToDNFCtx is ToDNF with cooperative cancellation: the distribution —
-// the one potentially exponential loop of the grounding pipeline —
-// polls ctx as terms accumulate and stops with ctx's error once it is
-// done.
+// is returned (wrapped) when exceeded. The distribution — the one
+// potentially exponential loop of the grounding pipeline — polls ctx as
+// terms accumulate and stops with ctx's error once it is done.
 func ToDNFCtx(ctx context.Context, f Formula, numVars, maxTerms int) (DNF, error) {
 	c := &dnfConv{ctx: ctx, maxTerms: maxTerms}
 	terms, err := c.terms(f, false)

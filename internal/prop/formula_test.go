@@ -1,6 +1,7 @@
 package prop
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -58,12 +59,6 @@ func TestFormulaEval(t *testing.T) {
 			t.Errorf("Eval(%v) = %v, want %v", c.a, got, c.want)
 		}
 	}
-	if MaxVar(f) != 2 {
-		t.Errorf("MaxVar = %d", MaxVar(f))
-	}
-	if MaxVar(FTrue{}) != -1 {
-		t.Error("MaxVar of constant should be -1")
-	}
 }
 
 func TestToDNFEquivalence(t *testing.T) {
@@ -71,9 +66,9 @@ func TestToDNFEquivalence(t *testing.T) {
 	const numVars = 5
 	for iter := 0; iter < 200; iter++ {
 		f := randFormula(rng, numVars, 3)
-		d, err := ToDNF(f, numVars, 10000)
+		d, err := ToDNFCtx(context.Background(), f, numVars, 10000)
 		if err != nil {
-			t.Fatalf("iter %d: ToDNF(%v): %v", iter, f, err)
+			t.Fatalf("iter %d: ToDNFCtx(%v): %v", iter, f, err)
 		}
 		for m := 0; m < 1<<numVars; m++ {
 			a := make([]bool, numVars)
@@ -93,29 +88,29 @@ func TestToDNFBudget(t *testing.T) {
 	for i := 0; i < 20; i += 2 {
 		f = append(f, FOr{FVar(i), FVar(i + 1)})
 	}
-	_, err := ToDNF(f, 20, 100)
+	_, err := ToDNFCtx(context.Background(), f, 20, 100)
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("want ErrBudget, got %v", err)
 	}
-	if _, err := ToDNF(f, 20, 1<<20); err != nil {
+	if _, err := ToDNFCtx(context.Background(), f, 20, 1<<20); err != nil {
 		t.Errorf("large budget should succeed: %v", err)
 	}
 }
 
 func TestToDNFConstants(t *testing.T) {
-	d, err := ToDNF(FTrue{}, 2, 10)
+	d, err := ToDNFCtx(context.Background(), FTrue{}, 2, 10)
 	if err != nil || len(d.Terms) != 1 || len(d.Terms[0]) != 0 {
 		t.Errorf("ToDNF(true) = %v, %v", d, err)
 	}
-	d, err = ToDNF(FFalse{}, 2, 10)
+	d, err = ToDNFCtx(context.Background(), FFalse{}, 2, 10)
 	if err != nil || len(d.Terms) != 0 {
 		t.Errorf("ToDNF(false) = %v, %v", d, err)
 	}
-	d, err = ToDNF(FNot{FFalse{}}, 2, 10)
+	d, err = ToDNFCtx(context.Background(), FNot{FFalse{}}, 2, 10)
 	if err != nil || !d.Eval([]bool{false, false}) {
 		t.Errorf("ToDNF(!false) wrong: %v, %v", d, err)
 	}
-	if _, err := ToDNF(FVar(5), 2, 10); err == nil {
+	if _, err := ToDNFCtx(context.Background(), FVar(5), 2, 10); err == nil {
 		t.Error("variable outside declared range accepted")
 	}
 }

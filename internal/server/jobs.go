@@ -65,11 +65,6 @@ func jobID(key string) string {
 	return hex.EncodeToString(sum[:])[:16]
 }
 
-// JobID is the exported form of the key→ID derivation, for callers
-// (coordinators, tests) that need to locate a job's on-disk state from
-// the idempotency key they submitted.
-func JobID(key string) string { return jobID(key) }
-
 // jobsEnabled reports whether durable jobs are configured.
 func (s *Server) jobsEnabled() bool { return s.cfg.CheckpointDir != "" }
 
