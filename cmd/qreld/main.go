@@ -56,7 +56,7 @@ func main() {
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive engine crashes that trip a rung's circuit breaker")
 		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open time before a tripped breaker half-open probes")
 		ckptDir      = flag.String("checkpoint-dir", "", "enable durable jobs (POST /v1/jobs): per-job crash-safe checkpoints live here, and jobs interrupted by a crash or drain are resumed on startup")
-		ckptEvery    = flag.Int("checkpoint-every", 0, "snapshot a job's estimator state every n samples (0 = engine default)")
+		ckptEvery    = flag.Int("checkpoint-every", 0, "snapshot a job's estimator state every n samples of the run, over all its lanes (0 = engine default)")
 		storeDir     = flag.String("store-dir", "", "root directory for paged store files requests may name with \"store\" (empty = disabled)")
 		corrupt      = flag.Bool("chaos-compute-corrupt", false, "CHAOS ONLY: silently perturb one lane aggregate of every lane-range result, making this a Byzantine replica a coordinator audit must catch")
 		selftest     = flag.Bool("selftest", false, "start an in-process server, exercise shed/breaker/drain/job-resume through the retrying client, and exit")

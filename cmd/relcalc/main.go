@@ -51,7 +51,7 @@ func main() {
 		absolute  = flag.Bool("absolute", false, "decide absolute reliability (R = 1) instead of computing R")
 		sens      = flag.Bool("sensitivity", false, "rank uncertain atoms by how strongly they drive the query's risk")
 		ckptDir   = flag.String("checkpoint", "", "directory for crash-safe estimator snapshots (Monte Carlo engines)")
-		ckptEvery = flag.Int("checkpoint-every", 0, "snapshot every n samples (0 = engine default)")
+		ckptEvery = flag.Int("checkpoint-every", 0, "snapshot every n samples of the run, over all its lanes (0 = engine default)")
 		resume    = flag.Bool("resume", false, "resume from the newest intact snapshot in -checkpoint")
 	)
 	flag.Parse()

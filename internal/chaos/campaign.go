@@ -480,7 +480,8 @@ func (c *campaign) resumePhase(ctx context.Context, st *Step, db *unreliable.DB,
 		every = 1
 	}
 
-	store1, err := checkpoint.Open(dir, checkpoint.Options{})
+	var written checkpoint.Metrics
+	store1, err := checkpoint.Open(dir, checkpoint.Options{Metrics: &written})
 	if err != nil {
 		c.check(InvResume, false, "step %d: opening snapshot store: %v", st.Index, err)
 		return
@@ -494,6 +495,13 @@ func (c *campaign) resumePhase(ctx context.Context, st *Step, db *unreliable.DB,
 		// legitimate interruption — but it must stay typed/injected.
 		c.check(InvTypedErrors, acceptableErr(err),
 			"step %d: interrupted run under disk fault: error outside the taxonomy: %v", st.Index, err)
+	} else {
+		// Half a run at every = full/8 commits at least two snapshots,
+		// so one torn or flipped write still leaves one to resume from:
+		// the bit-identity check below never passes on a fresh start.
+		n := written.Snapshot().Written
+		c.check(InvResume, n >= 2,
+			"step %d: interrupted run committed %d snapshot(s), want at least 2", st.Index, n)
 	}
 	faultinject.Reset()
 

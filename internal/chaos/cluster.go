@@ -427,13 +427,16 @@ func (c *campaign) clusterKillScenario(ctx context.Context, st *Step, db *unreli
 
 // shipFleet starts a jobs-enabled two-replica fleet with a dense
 // checkpoint cadence under dir, and a work-conserving coordinator over
-// it (jobs mode, fast checkpoint polling, mutate applied last).
+// it (jobs mode, fast checkpoint polling, mutate applied last). Each
+// replica's four-lane range commits once per 256 of its samples: the
+// frames then land densely enough, and the commits stretch the run
+// long enough, for a kill to fall between shipped frames mid-run.
 func (c *campaign) shipFleet(db *unreliable.DB, dir string, mutate func(*cluster.Config)) (*chaosFleet, *cluster.Coordinator, error) {
 	f := startChaosFleet(db, 2, func(i int) server.Config {
 		return server.Config{
 			Workers: 2, QueueDepth: 16,
 			DefaultTimeout: 60 * time.Second, MaxTimeout: 120 * time.Second,
-			CheckpointDir: filepath.Join(dir, strconv.Itoa(i)), CheckpointEvery: 1000,
+			CheckpointDir: filepath.Join(dir, strconv.Itoa(i)), CheckpointEvery: 256,
 		}
 	})
 	coord, err := c.clusterCoord(f.urls, func(cfg *cluster.Config) {

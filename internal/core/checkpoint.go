@@ -40,10 +40,14 @@ type CheckpointConfig struct {
 	// Store is the snapshot store (optional when Publish or ResumeFrame
 	// provide the wire-level plumbing instead).
 	Store *checkpoint.Store
-	// Every is the number of samples between periodic snapshots
-	// (default DefaultCheckpointEvery). Engines additionally snapshot
-	// when a cancellation stops them — the final checkpoint that makes a
-	// drained run resumable — and at completion.
+	// Every is the number of run samples between periodic snapshots
+	// (default DefaultCheckpointEvery), however many lanes and workers
+	// the run has: a lane-split run checks each lane every Every/lanes
+	// of its samples, rounded up to whole blocks, and commits once the
+	// checks since its last commit stand for Every samples, so a crash
+	// loses O(Every + workers × that interval) samples. Engines
+	// additionally snapshot when a cancellation stops them — the final
+	// checkpoint that makes a drained run resumable — and at completion.
 	Every int
 	// Resume makes the engine load the newest good snapshot and continue
 	// from it; with no snapshot present the run starts fresh.

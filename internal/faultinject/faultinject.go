@@ -194,7 +194,7 @@ type Fault struct {
 	// delay — exercising the engine-boundary recovery.
 	Panic string
 	// Times bounds how often the fault fires; 0 means every firing Hit
-	// until Disable/Reset. A fault with Times = 1 fires exactly once.
+	// until Reset. A fault with Times = 1 fires exactly once.
 	// With Prob set, only Hits whose probability draw succeeds count.
 	Times int
 	// Prob, when in (0, 1), makes the fault fire probabilistically: each
@@ -249,16 +249,6 @@ func Enable(site string, f Fault) {
 	}
 	af := &armedFault{Fault: f, rng: uint64(f.Seed)}
 	faults[site] = af
-}
-
-// Disable removes the fault at a site, if any.
-func Disable(site string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := faults[site]; ok {
-		delete(faults, site)
-		armed.Add(-1)
-	}
 }
 
 // Reset removes every armed fault. Tests should defer this. Counters

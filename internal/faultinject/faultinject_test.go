@@ -26,9 +26,9 @@ func TestErrorInjection(t *testing.T) {
 	if err := Hit(SiteLineageKL); err != nil {
 		t.Fatalf("unarmed site returned %v", err)
 	}
-	Disable(SiteLineageBDD)
+	Reset()
 	if err := Hit(SiteLineageBDD); err != nil {
-		t.Fatalf("disabled site returned %v", err)
+		t.Fatalf("reset site returned %v", err)
 	}
 }
 

@@ -87,7 +87,7 @@ func TestProbFaultDeterministic(t *testing.T) {
 	const n = 2000
 	run := func(seed int64) []bool {
 		Enable(SiteQFree, Fault{Err: want, Prob: 0.3, Seed: seed})
-		defer Disable(SiteQFree)
+		defer Reset()
 		out := make([]bool, n)
 		for i := range out {
 			out[i] = Hit(SiteQFree) != nil

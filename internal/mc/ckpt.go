@@ -59,9 +59,12 @@ type LaneState struct {
 // when non-nil, restores the loop to a previously saved state before
 // the first draw.
 type Ckpt struct {
-	// Every is the number of samples between periodic snapshots, spread
-	// over the lanes and rounded up to whole blocks per lane (<= 0
-	// disables periodic saves; boundary saves still fire).
+	// Every is the number of run samples between periodic snapshots
+	// (<= 0 disables them; boundary saves still fire). A lane checks
+	// every Every/lanes of its samples, rounded up to whole blocks, and
+	// a check commits once the checks since the last commit stand for
+	// Every samples, so a crash loses O(Every + workers × that interval)
+	// samples.
 	Every int
 	// Save persists one snapshot; an error aborts the estimator.
 	Save func(LoopState) error

@@ -180,10 +180,9 @@ func Run(ctx context.Context, method string, total int, anytime bool, s Stream, 
 		return nil, err
 	}
 	lc := newLaneCkpt(method, lanes, s.Ckpt)
-	every := lc.perLaneEvery(len(lanes))
 	err = runLanes(ctx, lanes, workers, func(ctx context.Context, ln *Lane) error {
 		step := k(ln)
-		lastSave := ln.Drawn
+		lastCheck := ln.Drawn
 		at := laneState(ln) // the lane at its last block boundary
 		for ln.Drawn < ln.Quota {
 			if err := ctx.Err(); err != nil {
@@ -192,8 +191,8 @@ func Run(ctx context.Context, method string, total int, anytime bool, s Stream, 
 				}
 				return err
 			}
-			if every > 0 && ln.Drawn-lastSave >= every {
-				lastSave = ln.Drawn
+			if lc.every > 0 && ln.Drawn-lastCheck >= lc.every {
+				lastCheck = ln.Drawn
 				if err := lc.publish(ln.Idx, at, true); err != nil {
 					return err
 				}
@@ -302,9 +301,16 @@ type laneCkpt struct {
 	// positionally.
 	base int
 
+	// every is a lane's check interval: Ckpt.Every spread over the
+	// lanes, rounded up to whole blocks (0 disables periodic checks).
+	every int
+
 	mu         sync.Mutex
 	lanes      []LaneState
 	savedDrawn int // total Drawn at the last persisted (or restored) snapshot
+	// progress is the run samples the checks since the last periodic
+	// commit stand for: every per check, over all lanes.
+	progress int
 }
 
 func laneState(ln *Lane) LaneState {
@@ -320,6 +326,9 @@ func newLaneCkpt(method string, lanes []*Lane, ck *Ckpt) *laneCkpt {
 		return lc
 	}
 	lc.base = lanes[0].Idx
+	if ck.Every > 0 {
+		lc.every = (max(1, ck.Every/len(lanes)) + blockSize - 1) / blockSize * blockSize
+	}
 	lc.lanes = make([]LaneState, len(lanes))
 	for i, ln := range lanes {
 		lc.lanes[i] = laneState(ln)
@@ -328,29 +337,27 @@ func newLaneCkpt(method string, lanes []*Lane, ck *Ckpt) *laneCkpt {
 	return lc
 }
 
-// perLaneEvery translates the run-total snapshot interval ck.Every
-// into a per-lane interval, rounded up to whole blocks (0 disables
-// periodic saves).
-func (lc *laneCkpt) perLaneEvery(nLanes int) int {
-	if lc.inert || lc.ck.Every <= 0 {
-		return 0
-	}
-	return (max(1, lc.ck.Every/nLanes) + blockSize - 1) / blockSize * blockSize
-}
-
-// publish records lane idx's state st at a block boundary; with save
-// set it also persists the assembled multi-lane snapshot (skipped when
-// nothing was drawn since the last persisted one).
-func (lc *laneCkpt) publish(idx int, st LaneState, save bool) error {
+// publish records lane idx's state st at a block boundary. With check
+// set it counts one periodic check, which stands for every samples of
+// the run, and persists the assembled multi-lane snapshot once the
+// checks since the last commit stand for Ckpt.Every samples (skipped
+// when nothing was drawn since the last persisted one). A run then
+// commits once per Every of its samples, and how often is a function
+// of the quotas, the lane count and Every, never of the scheduling.
+func (lc *laneCkpt) publish(idx int, st LaneState, check bool) error {
 	if lc.inert {
 		return nil
 	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	lc.lanes[idx-lc.base] = st
-	if !save {
+	if !check {
 		return nil
 	}
+	if lc.progress += lc.every; lc.progress < lc.ck.Every {
+		return nil
+	}
+	lc.progress = 0
 	return lc.saveLocked()
 }
 

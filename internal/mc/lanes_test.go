@@ -321,14 +321,17 @@ func scalarTrace(idx, start, quota []int, every int, saving bool, cancelLane, ca
 			tr.saves = append(tr.saves, t)
 		}
 	}
-	perLane := 0
+	// A lane checks every perLane of its samples, and every per-th check
+	// of the run commits: the fewest checks that stand for every samples.
+	perLane, per, checks := 0, 0, 0
 	if saving && every > 0 {
 		perLane = (max(1, every/len(idx)) + blockSize - 1) / blockSize * blockSize
+		per = (every + perLane - 1) / perLane
 	}
 	tr.final = append([]int(nil), start...)
 	canceled := false
 	for i := range idx {
-		drawn, lastSave := start[i], start[i]
+		drawn, lastCheck := start[i], start[i]
 		for drawn < quota[i] {
 			if drawn%blockSize == 0 {
 				tr.polls = append(tr.polls, [2]int{idx[i], drawn})
@@ -337,10 +340,12 @@ func scalarTrace(idx, start, quota []int, every int, saving bool, cancelLane, ca
 					break
 				}
 			}
-			if perLane > 0 && drawn-lastSave >= perLane {
-				lastSave = drawn
+			if perLane > 0 && drawn-lastCheck >= perLane {
+				lastCheck = drawn
 				published[i] = drawn
-				save()
+				if checks++; checks%per == 0 {
+					save()
+				}
 			}
 			drawn++
 			if i == cancelLane && drawn == cancelAt {
@@ -362,8 +367,10 @@ func scalarTrace(idx, start, quota []int, every int, saving bool, cancelLane, ca
 // of them not whole blocks per lane), resume offsets and cancellation
 // points, a kernel that counts its batch one sample at a time and one
 // that counts it in one step must both leave exactly the trace of the
-// scalar reference loop — polled at every block boundary, saving at
-// the per-lane cadence rounded up to whole blocks — and every batch
+// scalar reference loop — polled at every block boundary, checking at
+// the per-lane cadence rounded up to whole blocks and committing at
+// every check that completes Every samples of check progress — and
+// every batch
 // must be one block: starting at a multiple of blockSize, of
 // blockSize samples or the lane's remainder — and every snapshot must
 // hold its lanes at block boundaries, a short last block left out. A
@@ -557,6 +564,116 @@ func TestDriverMatchesScalarLoop(t *testing.T) {
 			})
 			if !errors.Is(err, ErrResumeMismatch) {
 				t.Fatalf("iter %d: lane %d resumed at Drawn=%d of %d: error %v, want ErrResumeMismatch", iter, idx[i], states[i].Drawn, quota[i], err)
+			}
+		}
+	}
+}
+
+// commitForm is the closed form of a run's commits: lanes of the given
+// quotas check every p samples (Every/lanes rounded up to whole
+// blocks), at p, 2p, … below their quota, and every per-th check of the
+// run commits, per = ⌈Every/p⌉. The final boundary save commits too
+// when it finds a lane past the last periodic commit. ok is false when
+// that depends on whether a lane publishes its last block before or
+// after the run's last check.
+func commitForm(quota []int, every int) (periodic, commits, p int, ok bool) {
+	p = (max(1, every/len(quota)) + blockSize - 1) / blockSize * blockSize
+	per := (every + p - 1) / p
+	checks, checkers, adders, checkersAdding := 0, 0, 0, 0
+	for _, q := range quota {
+		c := max(0, q-1) / p
+		adds := q-c*p >= blockSize // a whole block follows the lane's last check
+		checks += c
+		if adds {
+			adders++
+		}
+		if c > 0 {
+			checkers++
+			if adds {
+				checkersAdding++
+			}
+		}
+	}
+	periodic = checks / per
+	switch {
+	case checks%per != 0, checks == 0 && adders > 0, checkers > 0 && checkersAdding == checkers:
+		return periodic, periodic + 1, p, true
+	case adders == 0:
+		return periodic, periodic, p, true
+	}
+	return periodic, 0, p, false
+}
+
+// TestCheckpointCadence holds the lane driver to one commit per Every
+// samples of the run. For each (total, lane range, Every) the number of
+// Save calls is the same under 1, 2 and 8 workers and equals
+// commitForm, and consecutive periodic commits stand at least Every
+// samples of check progress apart — a lane at Drawn d has made
+// min(⌊d/p⌋, its checks) checks. The sampling-mix shape (73 778
+// samples, Every 2^14, 8 lanes) commits exactly 5.
+func TestCheckpointCadence(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	for _, c := range []struct {
+		total, every int
+		r            Range
+		want         int // commits, 0: commitForm's alone
+	}{
+		{total: 73778, every: 1 << 14, r: Range{0, 8, 8}, want: 5},
+		{total: 1008, every: 252, r: Range{0, 8, 8}}, // the chaos resume phase's interrupted run
+		{total: 5000, every: 1000, r: Range{0, 8, 8}},
+		{total: 40000, every: 1 << 12, r: Range{2, 6, 8}},
+		{total: 9000, every: 700, r: Range{0, 1, 1}},
+		{total: 3000, every: 100, r: Range{0, 3, 3}},
+		{total: 12345, every: 1 << 20, r: Range{0, 8, 8}},
+		{total: 30, every: 10, r: Range{0, 8, 8}},
+	} {
+		probe, _, _, err := Stream{Seed: 1, Range: &c.r}.lanes("count", c.total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quota := make([]int, len(probe))
+		for i, ln := range probe {
+			quota[i] = ln.Quota
+		}
+		periodic, want, p, ok := commitForm(quota, c.every)
+		if !ok {
+			t.Fatalf("%+v: whether the final save commits depends on scheduling; pick another case", c)
+		}
+		if c.want != 0 && want != c.want {
+			t.Fatalf("%+v: closed form gives %d commits, want %d", c, want, c.want)
+		}
+		checkProgress := func(st LoopState) int {
+			lanes := st.Lanes
+			if st.LaneCount == 0 {
+				lanes = []LaneState{{Drawn: st.Drawn}}
+			}
+			n := 0
+			for i, l := range lanes {
+				n += min(l.Drawn/p, max(0, quota[i]-1)/p)
+			}
+			return n * p
+		}
+		for _, workers := range []int{1, 2, 8} {
+			var progress []int
+			_, err := Run(bg, "count", c.total, true, Stream{
+				Seed: 1, Range: &c.r, Workers: workers,
+				Ckpt: &Ckpt{Every: c.every, Save: func(st LoopState) error {
+					progress = append(progress, checkProgress(st))
+					return nil
+				}},
+			}, func(*Lane) func(int) error { return func(int) error { return nil } })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(progress) != want {
+				t.Fatalf("%+v, %d workers: %d commits, want %d", c, workers, len(progress), want)
+			}
+			last := 0
+			for _, at := range progress[:periodic] {
+				if at-last < c.every {
+					t.Fatalf("%+v, %d workers: periodic commits at check progress %v, not %d apart", c, workers, progress[:periodic], c.every)
+				}
+				last = at
 			}
 		}
 	}

@@ -65,8 +65,9 @@ type Config struct {
 	// scans it to resume interrupted jobs (see RecoverJobs). Empty
 	// disables the /v1/jobs API.
 	CheckpointDir string
-	// CheckpointEvery is the number of samples between job snapshots
-	// (zero uses core.DefaultCheckpointEvery).
+	// CheckpointEvery is the number of run samples between a job's
+	// periodic snapshots, over all of its lanes (zero uses
+	// core.DefaultCheckpointEvery; see core.CheckpointConfig.Every).
 	CheckpointEvery int
 	// StoreDir is the root directory for paged store files that
 	// requests may name with the "store" field. The path in the request
