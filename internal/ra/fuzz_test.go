@@ -74,7 +74,9 @@ func renameTarget(b int) string {
 // FuzzEvalMatchesFormula decodes random algebra expressions and checks
 // the package's central contract: Eval never panics, and whenever it
 // succeeds, the first-order compilation (ToFormula + logic.Eval over
-// all candidate tuples) computes exactly the same relation.
+// all candidate tuples) computes exactly the same relation. The same
+// plan over every Source of testSources — poisoned scans included —
+// must refuse or compute that relation too.
 func FuzzEvalMatchesFormula(f *testing.F) {
 	seeds := [][]byte{
 		{0},
@@ -91,22 +93,39 @@ func FuzzEvalMatchesFormula(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	db := companyDB()
+	srcs := testSources(f, db)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db := companyDB()
 		pos := 0
 		e := decodeExpr(db, data, &pos, 3)
 		res, err := Eval(db, e)
 		if err != nil {
-			return // invalid expressions must error, never panic
+			// Invalid expressions must error, never panic, on every source.
+			for _, s := range srcs {
+				if _, err := evalOn(s.src, e); err == nil {
+					t.Fatalf("%v: Eval refuses it, %s accepts it", e, s.name)
+				}
+			}
+			return
 		}
 		want := evalViaFormula(t, db, e)
-		if res.Len() != len(want) {
-			t.Fatalf("%v: Eval has %d rows, formula compilation %d", e, res.Len(), len(want))
-		}
-		for _, row := range res.Rows() {
-			if !want[row.Key()] {
-				t.Fatalf("%v: Eval row %v absent from the formula's relation", e, row)
+		check := func(name string, res *Result) {
+			if res.Len() != len(want) {
+				t.Fatalf("%v: %s has %d rows, formula compilation %d", e, name, res.Len(), len(want))
 			}
+			for _, row := range res.Rows() {
+				if !want[row.Key()] {
+					t.Fatalf("%v: %s row %v absent from the formula's relation", e, name, row)
+				}
+			}
+		}
+		check("Eval", res)
+		for _, s := range srcs {
+			got, err := evalOn(s.src, e)
+			if err != nil {
+				t.Fatalf("%v: %s: %v", e, s.name, err)
+			}
+			check(s.name, got)
 		}
 	})
 }

@@ -7,6 +7,12 @@ package ra
 // as it streams, so million-tuple relations flow through
 // scan→filter→join under a fixed buffer-pool budget without ever
 // being materialized whole.
+//
+// Rows are borrowed: every scan and operator hands out a tuple and a
+// lineage that stay valid only until its next Next or Close, as with
+// bufio.Scanner.Bytes, and reuses their memory after that. An operator
+// that keeps a row — a join's build side — copies it, so a pass
+// allocates per kept and per output row, not per scanned tuple.
 
 import (
 	"fmt"
@@ -16,8 +22,10 @@ import (
 	"qrel/internal/rel"
 )
 
-// TupleIter streams the tuples of one relation. Implementations are
-// not safe for concurrent use; Close must be idempotent.
+// TupleIter streams the tuples of one relation. The tuple Next returns
+// is borrowed: it stays valid only until the next Next or Close, which
+// may overwrite it; a caller that keeps it clones it. Implementations
+// are not safe for concurrent use; Close must be idempotent.
 type TupleIter interface {
 	Next() (rel.Tuple, bool, error)
 	Close() error
@@ -67,19 +75,33 @@ func (l Lineage) Formula() logic.Formula {
 	return fs
 }
 
+// Clone returns a deep copy of the lineage, atoms' tuples included, so
+// it outlives the Next call that produced it.
+func (l Lineage) Clone() Lineage {
+	out := make(Lineage, len(l))
+	for i, a := range l {
+		out[i] = rel.GroundAtom{Rel: a.Rel, Args: a.Args.Clone()}
+	}
+	return out
+}
+
 // Iterator is a streaming operator: Next yields the next output tuple
-// with its lineage, then (nil, nil, false, nil) at the end. Close
-// releases underlying scans (and, for a store source, page pins) and
-// is idempotent.
+// with its lineage, then (nil, nil, false, nil) at the end. Both are
+// borrowed: they stay valid only until the next Next or Close, which
+// may overwrite them — the lineage's atoms included; a caller that
+// keeps a row copies it (Tuple.Clone, Lineage.Clone). Close releases
+// underlying scans (and, for a store source, page pins) and is
+// idempotent.
 type Iterator interface {
 	Next() (rel.Tuple, Lineage, bool, error)
 	Close() error
 }
 
 // StructureSource adapts a memory-resident structure as a Source.
-// Scans stream each relation in sorted tuple order, matching the
-// ingest order store.BuildFromDB uses, so the two sources drive
-// identical pipelines — including witness choice under projection.
+// Scans walk each relation with a rel.Cursor, in sorted tuple order,
+// matching the ingest order store.BuildFromDB uses, so the two sources
+// drive identical pipelines — including witness choice under
+// projection.
 func StructureSource(db *rel.Structure) Source { return memSource{db} }
 
 type memSource struct{ db *rel.Structure }
@@ -91,24 +113,21 @@ func (m memSource) Scan(name string) (TupleIter, error) {
 	if r == nil {
 		return nil, fmt.Errorf("ra: unknown relation %q", name)
 	}
-	return &sliceIter{tuples: r.Tuples()}, nil
+	return &memScan{r.Cursor()}, nil
 }
 
-type sliceIter struct {
-	tuples []rel.Tuple
-	pos    int
-}
+// memScan streams one relation through its cursor; Close drops it.
+type memScan struct{ c *rel.Cursor }
 
-func (it *sliceIter) Next() (rel.Tuple, bool, error) {
-	if it.pos >= len(it.tuples) {
+func (it *memScan) Next() (rel.Tuple, bool, error) {
+	if it.c == nil {
 		return nil, false, nil
 	}
-	t := it.tuples[it.pos]
-	it.pos++
-	return t, true, nil
+	t, ok := it.c.Next()
+	return t, ok, nil
 }
 
-func (it *sliceIter) Close() error { it.pos = len(it.tuples); return nil }
+func (it *memScan) Close() error { it.c = nil; return nil }
 
 // skeleton returns a structure carrying only the source's shape
 // (universe size and relation arities) so the Expr.Schema methods —
@@ -174,7 +193,7 @@ func build(src Source, skel *rel.Structure, e Expr) (Iterator, []string, error) 
 		for i, a := range x.Attrs {
 			idx[i] = index(inSchema, a)
 		}
-		return &projectIter{in: in, idx: idx, seen: map[uint64]struct{}{}}, schema, nil
+		return &projectIter{in: in, idx: idx, out: make(rel.Tuple, len(idx)), seen: map[uint64]struct{}{}}, schema, nil
 	case Rename:
 		// Rename changes attribute names only; the tuple stream is the
 		// child's, untouched.
@@ -233,10 +252,11 @@ func build(src Source, skel *rel.Structure, e Expr) (Iterator, []string, error) 
 }
 
 // scanIter streams a base relation; each tuple's lineage is its own
-// ground atom.
+// ground atom, held in one array the scan reuses.
 type scanIter struct {
 	rel string
 	in  TupleIter
+	lin [1]rel.GroundAtom
 }
 
 func (it *scanIter) Next() (rel.Tuple, Lineage, bool, error) {
@@ -244,7 +264,8 @@ func (it *scanIter) Next() (rel.Tuple, Lineage, bool, error) {
 	if err != nil || !ok {
 		return nil, nil, false, err
 	}
-	return t, Lineage{{Rel: it.rel, Args: t}}, true, nil
+	it.lin[0] = rel.GroundAtom{Rel: it.rel, Args: t}
+	return t, it.lin[:], true, nil
 }
 
 func (it *scanIter) Close() error { return it.in.Close() }
@@ -274,12 +295,13 @@ func (it *selectIter) Next() (rel.Tuple, Lineage, bool, error) {
 
 func (it *selectIter) Close() error { return it.in.Close() }
 
-// projectIter narrows tuples and deduplicates; the lineage of an
-// output row is the first witness seen in stream order (deterministic
-// for a deterministic source).
+// projectIter narrows tuples into one reused output tuple and
+// deduplicates; the lineage of an output row is the first witness seen
+// in stream order (deterministic for a deterministic source).
 type projectIter struct {
 	in   Iterator
 	idx  []int
+	out  rel.Tuple
 	seen map[uint64]struct{}
 }
 
@@ -289,24 +311,25 @@ func (it *projectIter) Next() (rel.Tuple, Lineage, bool, error) {
 		if err != nil || !ok {
 			return nil, nil, false, err
 		}
-		p := make(rel.Tuple, len(it.idx))
 		for i, j := range it.idx {
-			p[i] = t[j]
+			it.out[i] = t[j]
 		}
-		k := p.Key()
+		k := it.out.Key()
 		if _, dup := it.seen[k]; dup {
 			continue
 		}
 		it.seen[k] = struct{}{}
-		return p, lin, true, nil
+		return it.out, lin, true, nil
 	}
 }
 
 func (it *projectIter) Close() error { return it.in.Close() }
 
 // joinIter hash-joins: the right input is drained into an in-memory
-// table on first Next (build side — put the smaller input on the
-// right), then the left input streams through it one tuple at a time.
+// table of copied rows on first Next (build side — put the smaller
+// input on the right), then the left input streams through it one
+// borrowed tuple at a time, each match written into reused output
+// buffers.
 type joinIter struct {
 	l, r   Iterator
 	lKey   []int
@@ -318,6 +341,8 @@ type joinIter struct {
 	pending []joinRow
 	curT    rel.Tuple
 	curLin  Lineage
+	outT    rel.Tuple
+	outLin  Lineage
 }
 
 type joinRow struct {
@@ -345,7 +370,7 @@ func (it *joinIter) Next() (rel.Tuple, Lineage, bool, error) {
 				break
 			}
 			k := packKey(t, it.rKey)
-			it.table[k] = append(it.table[k], joinRow{t: t, lin: lin})
+			it.table[k] = append(it.table[k], joinRow{t: t.Clone(), lin: lin.Clone()})
 		}
 		if err := it.r.Close(); err != nil {
 			return nil, nil, false, err
@@ -356,15 +381,12 @@ func (it *joinIter) Next() (rel.Tuple, Lineage, bool, error) {
 		if len(it.pending) > 0 {
 			m := it.pending[0]
 			it.pending = it.pending[1:]
-			joined := make(rel.Tuple, 0, len(it.curT)+len(it.rExtra))
-			joined = append(joined, it.curT...)
+			it.outT = append(it.outT[:0], it.curT...)
 			for _, i := range it.rExtra {
-				joined = append(joined, m.t[i])
+				it.outT = append(it.outT, m.t[i])
 			}
-			lin := make(Lineage, 0, len(it.curLin)+len(m.lin))
-			lin = append(lin, it.curLin...)
-			lin = append(lin, m.lin...)
-			return joined, lin, true, nil
+			it.outLin = append(append(it.outLin[:0], it.curLin...), m.lin...)
+			return it.outT, it.outLin, true, nil
 		}
 		t, lin, ok, err := it.l.Next()
 		if err != nil || !ok {

@@ -10,8 +10,8 @@ import (
 	"qrel/internal/testutil"
 )
 
-// drain pulls an iterator dry, returning tuples and lineages in
-// stream order.
+// drain pulls an iterator dry, returning copies of its borrowed tuples
+// and lineages in stream order.
 func drain(t *testing.T, it Iterator) ([]rel.Tuple, []Lineage) {
 	t.Helper()
 	var ts []rel.Tuple
@@ -24,8 +24,8 @@ func drain(t *testing.T, it Iterator) ([]rel.Tuple, []Lineage) {
 		if !ok {
 			return ts, ls
 		}
-		ts = append(ts, tp)
-		ls = append(ls, lin)
+		ts = append(ts, tp.Clone())
+		ls = append(ls, lin.Clone())
 	}
 }
 
@@ -38,78 +38,90 @@ func lineageKey(l Lineage) string {
 	return fmt.Sprint(parts)
 }
 
+// forEachSource runs fn on db as every Source of testSources, each in
+// its own subtest.
+func forEachSource(t *testing.T, db *rel.Structure, fn func(t *testing.T, src Source)) {
+	t.Helper()
+	for _, s := range testSources(t, db) {
+		t.Run(s.name, func(t *testing.T) { fn(t, s.src) })
+	}
+}
+
 func TestScanLineageIsOwnAtom(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	db := companyDB()
-	it, _, err := Build(StructureSource(db), emp())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	ts, ls := drain(t, it)
-	if len(ts) != 3 {
-		t.Fatalf("scan yielded %d tuples", len(ts))
-	}
-	for i, tp := range ts {
-		want := Lineage{{Rel: "Emp", Args: tp}}
-		if lineageKey(ls[i]) != lineageKey(want) {
-			t.Errorf("tuple %v: lineage %v, want %v", tp, ls[i], want)
+	forEachSource(t, companyDB(), func(t *testing.T, src Source) {
+		it, _, err := Build(src, emp())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		defer it.Close()
+		ts, ls := drain(t, it)
+		if len(ts) != 3 {
+			t.Fatalf("scan yielded %d tuples", len(ts))
+		}
+		for i, tp := range ts {
+			want := Lineage{{Rel: "Emp", Args: tp}}
+			if lineageKey(ls[i]) != lineageKey(want) {
+				t.Errorf("tuple %v: lineage %v, want %v", tp, ls[i], want)
+			}
+		}
+	})
 }
 
 func TestJoinLineageConcatenates(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	db := companyDB()
-	it, schema, err := Build(StructureSource(db), Join{L: emp(), R: mgr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	if len(schema) != 3 {
-		t.Fatalf("join schema %v", schema)
-	}
-	ts, ls := drain(t, it)
-	found := false
-	for i, tp := range ts {
-		if tp.Equal(rel.Tuple{0, 4, 3}) {
-			found = true
-			want := Lineage{
-				{Rel: "Emp", Args: rel.Tuple{0, 4}},
-				{Rel: "Mgr", Args: rel.Tuple{4, 3}},
-			}
-			if lineageKey(ls[i]) != lineageKey(want) {
-				t.Errorf("lineage %v, want %v", ls[i], want)
+	forEachSource(t, companyDB(), func(t *testing.T, src Source) {
+		it, schema, err := Build(src, Join{L: emp(), R: mgr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		if len(schema) != 3 {
+			t.Fatalf("join schema %v", schema)
+		}
+		ts, ls := drain(t, it)
+		found := false
+		for i, tp := range ts {
+			if tp.Equal(rel.Tuple{0, 4, 3}) {
+				found = true
+				want := Lineage{
+					{Rel: "Emp", Args: rel.Tuple{0, 4}},
+					{Rel: "Mgr", Args: rel.Tuple{4, 3}},
+				}
+				if lineageKey(ls[i]) != lineageKey(want) {
+					t.Errorf("lineage %v, want %v", ls[i], want)
+				}
 			}
 		}
-	}
-	if !found {
-		t.Fatal("join missing (0,4,3)")
-	}
+		if !found {
+			t.Fatal("join missing (0,4,3)")
+		}
+	})
 }
 
 func TestProjectLineageIsFirstWitness(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	db := companyDB()
 	// Project Emp onto d: 4 appears for employees 0 and 1; the witness
 	// must be the first in scan (= sorted) order, deterministically.
-	it, _, err := Build(StructureSource(db), Project{From: emp(), Attrs: []string{"d"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	ts, ls := drain(t, it)
-	if len(ts) != 2 {
-		t.Fatalf("project yielded %v", ts)
-	}
-	for i, tp := range ts {
-		if tp.Equal(rel.Tuple{4}) {
-			want := Lineage{{Rel: "Emp", Args: rel.Tuple{0, 4}}} // (0,4) sorts before (1,4)
-			if lineageKey(ls[i]) != lineageKey(want) {
-				t.Errorf("witness for d=4: %v, want %v", ls[i], want)
+	forEachSource(t, companyDB(), func(t *testing.T, src Source) {
+		it, _, err := Build(src, Project{From: emp(), Attrs: []string{"d"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		ts, ls := drain(t, it)
+		if len(ts) != 2 {
+			t.Fatalf("project yielded %v", ts)
+		}
+		for i, tp := range ts {
+			if tp.Equal(rel.Tuple{4}) {
+				want := Lineage{{Rel: "Emp", Args: rel.Tuple{0, 4}}} // (0,4) sorts before (1,4)
+				if lineageKey(ls[i]) != lineageKey(want) {
+					t.Errorf("witness for d=4: %v, want %v", ls[i], want)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestLineageFormula(t *testing.T) {
@@ -149,24 +161,26 @@ func TestEvalOnMatchesEval(t *testing.T) {
 		Union{L: star(), R: Project{From: Select{From: emp(), Attr: "d", Elem: 5}, Attrs: []string{"e"}}},
 		Diff{L: star(), R: Project{From: Select{From: emp(), Attr: "d", Elem: 5}, Attrs: []string{"e"}}},
 	}
-	for _, q := range queries {
-		a, err := Eval(db, q)
-		if err != nil {
-			t.Fatalf("%v: %v", q, err)
-		}
-		b, err := evalOn(StructureSource(db), q)
-		if err != nil {
-			t.Fatalf("%v: %v", q, err)
-		}
-		if a.Len() != b.Len() {
-			t.Errorf("%v: Eval %d rows, evalOn %d rows", q, a.Len(), b.Len())
-		}
-		for _, row := range a.Rows() {
-			if !b.Contains(row) {
-				t.Errorf("%v: row %v missing from evalOn result", q, row)
+	forEachSource(t, db, func(t *testing.T, src Source) {
+		for _, q := range queries {
+			a, err := Eval(db, q)
+			if err != nil {
+				t.Fatalf("%v: %v", q, err)
+			}
+			b, err := evalOn(src, q)
+			if err != nil {
+				t.Fatalf("%v: %v", q, err)
+			}
+			if a.Len() != b.Len() {
+				t.Errorf("%v: Eval %d rows, evalOn %d rows", q, a.Len(), b.Len())
+			}
+			for _, row := range a.Rows() {
+				if !b.Contains(row) {
+					t.Errorf("%v: row %v missing from evalOn result", q, row)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestOutputsAreSets(t *testing.T) {
@@ -177,22 +191,24 @@ func TestOutputsAreSets(t *testing.T) {
 		Union{L: star(), R: star()},
 		Join{L: emp(), R: mgr()},
 	}
-	for _, q := range queries {
-		it, _, err := Build(StructureSource(db), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts, _ := drain(t, it)
-		it.Close()
-		seen := make(map[uint64]bool)
-		for _, tp := range ts {
-			k := tp.Key()
-			if seen[k] {
-				t.Errorf("%v: duplicate output tuple %v", q, tp)
+	forEachSource(t, db, func(t *testing.T, src Source) {
+		for _, q := range queries {
+			it, _, err := Build(src, q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen[k] = true
+			ts, _ := drain(t, it)
+			it.Close()
+			seen := make(map[uint64]bool)
+			for _, tp := range ts {
+				k := tp.Key()
+				if seen[k] {
+					t.Errorf("%v: duplicate output tuple %v", q, tp)
+				}
+				seen[k] = true
+			}
 		}
-	}
+	})
 }
 
 func TestCloseIsIdempotentAndEarly(t *testing.T) {

@@ -450,26 +450,18 @@ func (r *Relation) Len() int {
 	return len(r.set)
 }
 
-// forEachRank calls fn with the rank of every tuple of a dense
-// relation, ascending, stopping early if fn returns false.
-func (r *Relation) forEachRank(fn func(int) bool) {
-	for w, word := range r.words {
-		for ; word != 0; word &= word - 1 {
-			if !fn(w<<6 | bits.TrailingZeros64(word)) {
-				return
-			}
-		}
-	}
-}
-
 // ForEach calls fn for every tuple in the relation, in unspecified
 // order, stopping early if fn returns false. The tuple passed to fn is
 // freshly decoded and may be retained. Prefer this over Tuples in inner
 // loops: it builds no slice, and sorts nothing on a sparse relation.
 func (r *Relation) ForEach(fn func(Tuple) bool) {
 	if r.set == nil {
-		r.forEachRank(func(i int) bool { return fn(r.unrank(i, make(Tuple, r.Arity))) })
-		return
+		for c := r.Cursor(); ; {
+			t, ok := c.Next()
+			if !ok || !fn(t.Clone()) {
+				return
+			}
+		}
 	}
 	for k := range r.set {
 		if !fn(KeyToTuple(k, r.Arity)) {
@@ -478,35 +470,76 @@ func (r *Relation) ForEach(fn func(Tuple) bool) {
 	}
 }
 
-// Tuples returns all tuples in the relation in sorted (key) order. A
-// dense relation walks its bitset, already in key order; a sparse one
-// sorts its keys.
+// Tuples returns all tuples in the relation in sorted (key) order: a
+// Cursor's walk, copied out.
 func (r *Relation) Tuples() []Tuple {
 	out := make([]Tuple, 0, r.Len())
 	// One backing array for every tuple; each is capped so an append to
 	// one cannot overwrite the next.
 	slab := make([]int, r.Len()*r.Arity)
-	next := func() Tuple {
-		t := Tuple(slab[:r.Arity:r.Arity])
+	for c := r.Cursor(); ; {
+		t, ok := c.Next()
+		if !ok {
+			return out
+		}
+		u := Tuple(slab[:r.Arity:r.Arity])
+		copy(u, t)
+		out = append(out, u)
 		slab = slab[r.Arity:]
-		return t
 	}
-	if r.set == nil {
-		r.forEachRank(func(i int) bool {
-			out = append(out, r.unrank(i, next()))
-			return true
-		})
-		return out
+}
+
+// Cursor walks a relation's tuples in key order, the order of Tuples,
+// decoding each into one tuple it reuses. A dense relation walks its
+// bitset words; a sparse one sorts its keys once, when the cursor is
+// made. Mutating the relation during a walk is unsupported: the walk
+// may then skip, repeat or invent tuples.
+type Cursor struct {
+	r *Relation
+	t Tuple
+	// A dense walk is at bitset word w, with word its bits not yet
+	// visited; a sparse walk has keys left to visit, ascending.
+	dense bool
+	w     int
+	word  uint64
+	keys  []uint64
+}
+
+// Cursor returns a cursor before the relation's first tuple.
+func (r *Relation) Cursor() *Cursor {
+	c := &Cursor{r: r, t: make(Tuple, r.Arity), dense: r.set == nil, w: -1}
+	if !c.dense {
+		c.keys = make([]uint64, 0, len(r.set))
+		for k := range r.set {
+			c.keys = append(c.keys, k)
+		}
+		slices.Sort(c.keys)
 	}
-	keys := make([]uint64, 0, len(r.set))
-	for k := range r.set {
-		keys = append(keys, k)
+	return c
+}
+
+// Next returns the next tuple, or false once the walk is done. The
+// tuple is the cursor's own and is overwritten by the following call;
+// clone it to keep it. Next does not allocate.
+func (c *Cursor) Next() (Tuple, bool) {
+	if !c.dense {
+		if len(c.keys) == 0 {
+			return nil, false
+		}
+		k := c.keys[0]
+		c.keys = c.keys[1:]
+		return unpackKey(k, c.t), true
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		out = append(out, unpackKey(k, next()))
+	for c.word == 0 {
+		if c.w+1 >= len(c.r.words) {
+			return nil, false
+		}
+		c.w++
+		c.word = c.r.words[c.w]
 	}
-	return out
+	i := c.w<<6 | bits.TrailingZeros64(c.word)
+	c.word &= c.word - 1
+	return c.r.unrank(i, c.t), true
 }
 
 // Clone returns a deep copy of the relation, in the same representation.

@@ -1,7 +1,9 @@
 package rel
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -426,5 +428,89 @@ func TestRelationTurnsDenseWhenFull(t *testing.T) {
 	}
 	if q.Universe() != -1 {
 		t.Error("a relation past the cap turned dense")
+	}
+}
+
+// TestCursorWalksInKeyOrder: a cursor visits exactly the relation's
+// tuples in Tuple.Key order — the order of Tuples — whatever the
+// layout, including one that turned dense while it filled.
+func TestCursorWalksInKeyOrder(t *testing.T) {
+	voc := MustVocabulary(RelSym{"E", 2}, RelSym{"Z", 0})
+	dense := MustStructure(6, voc).Rel("E")
+	for _, tp := range []Tuple{{5, 0}, {0, 4}, {2, 5}, {1, 4}, {0, 0}} {
+		dense.Add(tp)
+	}
+	sparse := NewRelation(2)
+	overUniverse := MustStructure(2048, voc).Rel("E")
+	for _, tp := range []Tuple{{7, 1}, {300, 2}, {0, 2047}, {7, 0}} {
+		sparse.Add(tp)
+		overUniverse.Add(tp)
+	}
+	// 128² tuples take 256 bitset words: sparse until 256 tuples held.
+	densified := MustStructure(128, voc).Rel("E")
+	rng := rand.New(rand.NewSource(7))
+	for densified.Universe() == -1 {
+		densified.Add(Tuple{rng.Intn(128), rng.Intn(128)})
+	}
+	nullary := MustStructure(3, voc).Rel("Z")
+	nullary.Add(Tuple{})
+	cases := []struct {
+		name      string
+		r         *Relation
+		wantDense bool
+	}{
+		{"dense", dense, true},
+		{"sparse", sparse, false},
+		{"sparse over a universe", overUniverse, false},
+		{"densified after filling", densified, true},
+		{"empty dense", MustStructure(6, voc).Rel("E"), true},
+		{"empty sparse", NewRelation(3), false},
+		{"nullary", nullary, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if (tc.r.Universe() >= 0) != tc.wantDense {
+				t.Fatalf("Universe() = %d: layout is not the one the case names", tc.r.Universe())
+			}
+			// The oracle: ForEach's tuples, sorted by key.
+			var want []Tuple
+			tc.r.ForEach(func(tp Tuple) bool { want = append(want, tp); return true })
+			slices.SortFunc(want, func(a, b Tuple) int { return cmp.Compare(a.Key(), b.Key()) })
+			var got []Tuple
+			for c := tc.r.Cursor(); ; {
+				tp, ok := c.Next()
+				if !ok {
+					if _, again := c.Next(); again {
+						t.Fatal("Next after the end yielded a tuple")
+					}
+					break
+				}
+				got = append(got, tp.Clone())
+			}
+			tuples := tc.r.Tuples()
+			if len(got) != len(want) || len(tuples) != len(want) {
+				t.Fatalf("cursor %d tuples, Tuples %d, relation holds %d", len(got), len(tuples), len(want))
+			}
+			for i := range want {
+				if !got[i].Equal(want[i]) || !tuples[i].Equal(want[i]) {
+					t.Fatalf("tuple %d: cursor %v, Tuples %v, want %v", i, got[i], tuples[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestCursorNextAllocFree: walking a dense relation decodes into the
+// cursor's one tuple; Next allocates nothing.
+func TestCursorNextAllocFree(t *testing.T) {
+	r := MustStructure(16, MustVocabulary(RelSym{"E", 2})).Rel("E")
+	ForEachTuple(16, 2, func(tp Tuple) bool { r.Add(tp); return true })
+	c := r.Cursor()
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, ok := c.Next(); !ok {
+			t.Fatal("walk ended early")
+		}
+	}); allocs > 0 {
+		t.Errorf("Cursor.Next allocates %v objects per call on a dense relation, want 0", allocs)
 	}
 }

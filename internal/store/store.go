@@ -691,11 +691,12 @@ func (s *Store) writeCatalogLocked() error {
 	return nil
 }
 
-// scan streams one page chain in insertion order.
+// scan streams one page chain in insertion order, decoding a heap
+// chain's records into its one tuple t.
 type scan struct {
 	s      *Store
 	relIdx int // -1 for the mu chain
-	arity  int
+	t      rel.Tuple
 	next   uint32
 	fr     *frame
 	slot   int
@@ -705,6 +706,9 @@ type scan struct {
 // Scan returns a streaming iterator over the named relation in
 // insertion order. It satisfies ra.TupleIter, so relational plans
 // pull straight from the pages; at most one page is pinned at a time.
+// The tuple Next returns is borrowed, as ra.TupleIter states: the scan
+// decodes every record into the same tuple, so it stays valid only
+// until the next Next or Close, and a caller that keeps it clones it.
 func (s *Store) Scan(name string) (ra.TupleIter, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -712,7 +716,7 @@ func (s *Store) Scan(name string) (ra.TupleIter, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: unknown relation %q", name)
 	}
-	return &scan{s: s, relIdx: i, arity: s.cat.Rels[i].Arity, next: s.cat.Rels[i].Head}, nil
+	return &scan{s: s, relIdx: i, t: make(rel.Tuple, s.cat.Rels[i].Arity), next: s.cat.Rels[i].Head}, nil
 }
 
 func (sc *scan) Next() (rel.Tuple, bool, error) {
@@ -742,20 +746,19 @@ func (sc *scan) Next() (rel.Tuple, bool, error) {
 		if sc.slot < pageNSlots(sc.fr.buf) {
 			rec := pageRecord(sc.fr.buf, sc.slot)
 			sc.slot++
-			t := make(rel.Tuple, sc.arity)
-			if err := decodeTuple(rec, t); err != nil {
+			if err := decodeTuple(rec, sc.t); err != nil {
 				id := sc.fr.id
 				sc.Close()
 				return nil, false, fmt.Errorf("%w: page %d: %v", ErrCorruptPage, id, err)
 			}
-			for _, e := range t {
+			for _, e := range sc.t {
 				if e < 0 || e >= sc.s.cat.N {
 					id := sc.fr.id
 					sc.Close()
 					return nil, false, fmt.Errorf("%w: page %d: element %d outside universe", ErrCorruptPage, id, e)
 				}
 			}
-			return t, true, nil
+			return sc.t, true, nil
 		}
 		next := pageNext(sc.fr.buf)
 		sc.s.pool.unpin(sc.fr)
@@ -974,12 +977,12 @@ func (s *Store) Verify() (VerifyStats, error) {
 }
 
 // BuildFromDB ingests an unreliable database into a new store file at
-// path: tuples in vocabulary order (sorted within each relation, so a
-// later LoadDB streams them in the same order a memory-resident
-// Source would), then mu entries in canonical atom order, committing
-// every batch tuples (0 means one final commit). onBatch, if non-nil,
-// runs after each intermediate commit — the ingest smoke test uses it
-// to widen the SIGKILL window.
+// path: tuples in vocabulary order (each relation walked by its
+// rel.Cursor in key order, so a later LoadDB streams them in the same
+// order a memory-resident Source would), then mu entries in canonical
+// atom order, committing every batch tuples (0 means one final commit).
+// onBatch, if non-nil, runs after each intermediate commit — the ingest
+// smoke test uses it to widen the SIGKILL window.
 func BuildFromDB(path string, db *unreliable.DB, opts Options, batch int, onBatch func()) error {
 	s, err := Create(path, db.A, opts)
 	if err != nil {
@@ -988,7 +991,11 @@ func BuildFromDB(path string, db *unreliable.DB, opts Options, batch int, onBatc
 	defer s.Close()
 	count := 0
 	for _, rs := range db.A.Voc.Rels {
-		for _, t := range db.A.Rel(rs.Name).Tuples() {
+		for c := db.A.Rel(rs.Name).Cursor(); ; {
+			t, ok := c.Next()
+			if !ok {
+				break
+			}
 			if err := s.AddTuple(rs.Name, t); err != nil {
 				return err
 			}

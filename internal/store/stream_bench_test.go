@@ -51,6 +51,7 @@ func BenchmarkStoreStream(b *testing.B) {
 	}
 
 	b.Run("source=memory", func(b *testing.B) {
+		b.ReportAllocs()
 		src := ra.StructureSource(a)
 		for i := 0; i < b.N; i++ {
 			drain(b, src)
@@ -63,6 +64,7 @@ func BenchmarkStoreStream(b *testing.B) {
 	}
 	for _, pool := range []int64{64 << 10, 256 << 10, 1 << 20} {
 		b.Run(fmt.Sprintf("source=paged/pool=%dKiB", pool>>10), func(b *testing.B) {
+			b.ReportAllocs()
 			s, err := store.Open(path, store.Options{PoolBytes: pool})
 			if err != nil {
 				b.Fatal(err)
