@@ -17,6 +17,12 @@ import (
 // grow with output rows and pages, but a scanned tuple must cost none:
 // the larger E may add at most one allocation per 100 extra scanned
 // tuples. A scan that hands out fresh rows costs about two per tuple.
+//
+// The same pass and Verify also run on a 128-byte-page copy of the
+// file through a four-frame pool, under a tenth of the file, so nearly
+// every page fetch misses and evicts. There an extra page may add at
+// most 0.05 allocations: a miss reuses an evicted frame. A pool that
+// allocates a frame per miss costs two per page in Verify alone.
 func TestPassAllocationsDoNotGrowWithScannedTuples(t *testing.T) {
 	const (
 		n           = 256
@@ -24,6 +30,9 @@ func TestPassAllocationsDoNotGrowWithScannedTuples(t *testing.T) {
 		smallEdges  = 4000
 		largeEdges  = 16000
 		maxPerTuple = 0.01
+		maxPerPage  = 0.05
+		smallPage   = 128
+		smallPool   = 4 * smallPage
 	)
 	q := ra.Join{
 		L: ra.Select{From: ra.Base{Rel: "E", Attrs: []string{"x", "y"}}, Attr: "x", Other: "y", Elem: -1, Negate: true},
@@ -34,6 +43,7 @@ func TestPassAllocationsDoNotGrowWithScannedTuples(t *testing.T) {
 		edges int
 		mem   *rel.Structure
 		fit   *Store
+		small *Store // 128-byte pages, a four-frame pool
 	}
 	sizes := []*sized{{edges: smallEdges}, {edges: largeEdges}}
 	for _, sz := range sizes {
@@ -57,6 +67,17 @@ func TestPassAllocationsDoNotGrowWithScannedTuples(t *testing.T) {
 		if int64(s.PageCount()*s.PageSize()) > 1<<20 {
 			t.Fatalf("E of %d tuples: file of %d pages does not fit the pool", sz.edges, s.PageCount())
 		}
+		small := filepath.Join(t.TempDir(), "small.qstore")
+		if err := BuildFromDB(small, unreliable.New(a), Options{PageSize: smallPage}, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if sz.small, err = Open(small, Options{PoolBytes: smallPool}); err != nil {
+			t.Fatal(err)
+		}
+		defer sz.small.Close()
+		if int64(sz.small.PageCount()*smallPage) < 10*smallPool {
+			t.Fatalf("E of %d tuples: file of %d small pages is under ten pools", sz.edges, sz.small.PageCount())
+		}
 		sz.mem, sz.fit = a, s
 	}
 	pass := func(t *testing.T, src ra.Source) {
@@ -75,17 +96,21 @@ func TestPassAllocationsDoNotGrowWithScannedTuples(t *testing.T) {
 			}
 		}
 	}
+	verify := func(t *testing.T, s *Store) {
+		if _, err := s.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	runs := []struct {
-		name string
-		run  func(t *testing.T, sz *sized)
+		name    string
+		run     func(t *testing.T, sz *sized)
+		perPage bool // gate per extra page of the small-page file, not per extra tuple
 	}{
-		{"pipeline/memory", func(t *testing.T, sz *sized) { pass(t, ra.StructureSource(sz.mem)) }},
-		{"pipeline/paged-fit", func(t *testing.T, sz *sized) { pass(t, sz.fit) }},
-		{"verify", func(t *testing.T, sz *sized) {
-			if _, err := sz.fit.Verify(); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"pipeline/memory", func(t *testing.T, sz *sized) { pass(t, ra.StructureSource(sz.mem)) }, false},
+		{"pipeline/paged-fit", func(t *testing.T, sz *sized) { pass(t, sz.fit) }, false},
+		{"verify", func(t *testing.T, sz *sized) { verify(t, sz.fit) }, false},
+		{"pipeline/paged-small", func(t *testing.T, sz *sized) { pass(t, sz.small) }, true},
+		{"verify/small", func(t *testing.T, sz *sized) { verify(t, sz.small) }, true},
 	}
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
@@ -94,11 +119,15 @@ func TestPassAllocationsDoNotGrowWithScannedTuples(t *testing.T) {
 				r.run(t, sz) // warm the pool
 				allocs[i] = testing.AllocsPerRun(5, func() { r.run(t, sz) })
 			}
-			perTuple := (allocs[1] - allocs[0]) / float64(largeEdges-smallEdges)
-			t.Logf("%v allocations at |E| = %d, %v at %d: %.4f per extra scanned tuple",
-				allocs[0], smallEdges, allocs[1], largeEdges, perTuple)
-			if perTuple > maxPerTuple {
-				t.Errorf("%.4f allocations per extra scanned tuple, want at most %v", perTuple, maxPerTuple)
+			unit, extra, limit := "scanned tuple", float64(largeEdges-smallEdges), maxPerTuple
+			if r.perPage {
+				unit, extra, limit = "page", float64(sizes[1].small.PageCount()-sizes[0].small.PageCount()), maxPerPage
+			}
+			per := (allocs[1] - allocs[0]) / extra
+			t.Logf("%v allocations at |E| = %d, %v at %d: %.4f per extra %s",
+				allocs[0], smallEdges, allocs[1], largeEdges, per, unit)
+			if per > limit {
+				t.Errorf("%.4f allocations per extra %s, want at most %v", per, unit, limit)
 			}
 		})
 	}

@@ -50,7 +50,7 @@ func FuzzJournal(f *testing.F) {
 	img := make([]byte, MinPageSize)
 	initPage(img, pageTypeHeap, 0)
 	sealPage(img)
-	rec := encodeJournalRecord(1, MinPageSize, []pageImage{{id: 3, data: img}})
+	rec := encodeJournalRecord(nil, 1, MinPageSize, []pageImage{{id: 3, data: img}})
 	f.Add(rec, MinPageSize)
 	f.Add(append(rec, rec...), MinPageSize)
 	f.Add(rec[:len(rec)-5], MinPageSize)

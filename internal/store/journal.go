@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 
 	"qrel/internal/faultinject"
 )
@@ -27,22 +28,25 @@ type pageImage struct {
 	data []byte
 }
 
-// encodeJournalRecord frames a commit: header then npages images of
-// (pageID u32, page bytes). The CRC covers the payload only; the
-// fixed-width header fields are validated structurally.
-func encodeJournalRecord(seq uint64, pageSize int, images []pageImage) []byte {
-	payload := make([]byte, 0, len(images)*(4+pageSize))
+// encodeJournalRecord appends to dst the record framing a commit:
+// header then npages images of (pageID u32, page bytes). The CRC
+// covers the payload only; the fixed-width header fields are validated
+// structurally.
+func encodeJournalRecord(dst []byte, seq uint64, pageSize int, images []pageImage) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, journalHeaderSize+len(images)*(4+pageSize))
+	dst = append(dst, journalMagic...)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(images)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(pageSize))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // payload crc, stamped below
 	for _, im := range images {
-		payload = binary.LittleEndian.AppendUint32(payload, im.id)
-		payload = append(payload, im.data...)
+		dst = binary.LittleEndian.AppendUint32(dst, im.id)
+		dst = append(dst, im.data...)
 	}
-	rec := make([]byte, 0, journalHeaderSize+len(payload))
-	rec = append(rec, journalMagic...)
-	rec = binary.LittleEndian.AppendUint64(rec, seq)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(images)))
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(pageSize))
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(payload, castagnoli))
-	return append(rec, payload...)
+	rec := dst[start:]
+	binary.LittleEndian.PutUint32(rec[24:], crc32.Checksum(rec[journalHeaderSize:], castagnoli))
+	return dst
 }
 
 // decodeJournal walks the journal bytes and returns every complete,

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"qrel/internal/faultinject"
@@ -34,17 +36,24 @@ type frame struct {
 // frames are never evicted (the store commits the dirty set before
 // it can grow past the budget). Pages that fail validation are
 // quarantined: every later fetch returns the same ErrCorruptPage
-// without touching the disk again.
+// without touching the disk again. An evicted frame goes on a free
+// list, and a miss or a new page takes its frame from there before it
+// allocates one, so a pool that churns allocates nothing per page.
 type pool struct {
 	f        *os.File
 	pageSize int
 	budget   int64
 
+	// nDirty counts dirty frames. Only the store's writer changes the
+	// dirty set, and always under Store.mu, so that lock guards nDirty
+	// and the per-insert budget check reads it without taking mu.
+	nDirty int
+
 	mu          sync.Mutex
 	frames      map[uint32]*frame
 	ring        []uint32 // clock order; may contain stale ids
 	hand        int
-	nDirty      int
+	free        []*frame // evicted frames, buffers ready for reuse
 	stats       PoolStats
 	quarantined map[uint32]error
 }
@@ -77,8 +86,10 @@ func (p *pool) get(id uint32) (*frame, error) {
 		return fr, nil
 	}
 	p.stats.Misses++
-	buf := make([]byte, p.pageSize)
+	fr := p.takeFrame()
+	buf := fr.buf
 	if _, err := p.f.ReadAt(buf, int64(id)*int64(p.pageSize)); err != nil {
+		p.free = append(p.free, fr)
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			// A chain pointer past the end of the file is corruption,
 			// not an I/O failure.
@@ -93,11 +104,12 @@ func (p *pool) get(id uint32) (*frame, error) {
 		buf[p.pageSize/2] ^= 0x40 // a single flipped bit, as a failing disk would
 	}
 	if err := validatePage(buf, id); err != nil {
+		p.free = append(p.free, fr)
 		p.quarantined[id] = err
 		p.stats.Quarantined = len(p.quarantined)
 		return nil, err
 	}
-	fr := &frame{id: id, buf: buf, pins: 1, ref: true}
+	*fr = frame{id: id, buf: buf, pins: 1, ref: true}
 	p.admit(fr)
 	return fr, nil
 }
@@ -107,12 +119,24 @@ func (p *pool) get(id uint32) (*frame, error) {
 func (p *pool) newFrame(id uint32, typ byte, relID uint32) *frame {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	buf := make([]byte, p.pageSize)
-	initPage(buf, typ, relID)
-	fr := &frame{id: id, buf: buf, pins: 1, dirty: true, ref: true}
+	fr := p.takeFrame()
+	initPage(fr.buf, typ, relID)
+	*fr = frame{id: id, buf: fr.buf, pins: 1, dirty: true, ref: true}
 	p.nDirty++
 	p.admit(fr)
 	return fr
+}
+
+// takeFrame returns a frame off the free list, or a new one when the
+// list is empty. Its buffer holds stale bytes the caller overwrites.
+// Caller holds p.mu.
+func (p *pool) takeFrame() *frame {
+	if n := len(p.free); n > 0 {
+		fr := p.free[n-1]
+		p.free = p.free[:n-1]
+		return fr
+	}
+	return &frame{buf: make([]byte, p.pageSize)}
 }
 
 // admit evicts clean unpinned frames until fr fits, then inserts it.
@@ -145,6 +169,13 @@ func (p *pool) admit(fr *frame) {
 			delete(p.frames, id)
 			p.ring = append(p.ring[:p.hand], p.ring[p.hand+1:]...)
 			p.stats.Evictions++
+			// Keep the frame for reuse while resident and free frames,
+			// this one included, fit the budget. With the frame being
+			// admitted, a churning pool then holds one frame over its
+			// budget, as it did when a miss allocated before evicting.
+			if int64(len(p.frames)+len(p.free)+1)*int64(p.pageSize) <= p.budget {
+				p.free = append(p.free, cand)
+			}
 			evicted = true
 			break
 		}
@@ -182,25 +213,18 @@ func (p *pool) markDirty(fr *frame) {
 func (p *pool) dirtyFrames() []*frame {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var out []*frame
+	out := make([]*frame, 0, p.nDirty)
 	for _, fr := range p.frames {
 		if fr.dirty {
 			out = append(out, fr)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].id > out[j].id; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.SortFunc(out, func(a, b *frame) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
 
-func (p *pool) dirtyBytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return int64(p.nDirty) * int64(p.pageSize)
-}
+// dirtyBytes is the dirty set's size. Caller holds Store.mu.
+func (p *pool) dirtyBytes() int64 { return int64(p.nDirty) * int64(p.pageSize) }
 
 func (p *pool) markClean(frames []*frame) {
 	p.mu.Lock()
@@ -211,19 +235,6 @@ func (p *pool) markClean(frames []*frame) {
 			p.nDirty--
 		}
 	}
-}
-
-// invalidate drops every frame and quarantine entry — used after
-// recovery rewrites the data file underneath the pool.
-func (p *pool) invalidate() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.frames = make(map[uint32]*frame)
-	p.ring = nil
-	p.hand = 0
-	p.nDirty = 0
-	p.quarantined = make(map[uint32]error)
-	p.stats.BytesInUse = 0
 }
 
 func (p *pool) snapshotStats() PoolStats {

@@ -411,9 +411,7 @@ func TestAppendRecordOversizeLeavesNoOrphan(t *testing.T) {
 	prePages := s.PageCount()
 	rec := make([]byte, s.PageSize()) // cannot fit any page
 	s.mu.Lock()
-	i := s.relIdx["E"]
-	cr := &s.cat.Rels[i]
-	err = s.appendRecord(rec, pageTypeHeap, uint32(i), &cr.Head, &cr.Tail, &cr.Pages, func() { cr.Tuples++ })
+	_, err = s.appendLocked(s.heapChain(s.relIdx["E"]), 1, func([]byte) ([]byte, bool, error) { return rec, true, nil })
 	s.mu.Unlock()
 	if err == nil {
 		t.Fatal("oversize record accepted")

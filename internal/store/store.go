@@ -93,6 +93,14 @@ type Store struct {
 	// record is never thrown away while torn data pages depend on it,
 	// and a torn leftover can never shadow the fresh record.
 	journalDirty bool
+	// tails holds each chain's tail frame between inserts, pinned and
+	// dirty: relation i's heap chain at i, the mu chain last. A nil slot
+	// is a chain whose tail is not held; commitLocked, Close and a failed
+	// append release them all.
+	tails []*frame
+	// rec is the buffer the append loop encodes records into, and jbuf
+	// the one each commit encodes its journal record into.
+	rec, jbuf []byte
 }
 
 // Create writes a new empty store for the vocabulary and universe of
@@ -265,9 +273,9 @@ func openFile(f *os.File, path string, opts Options) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		if pageType(fr.buf) != pageTypeMeta {
+		if typ := pageType(fr.buf); typ != pageTypeMeta {
 			s.pool.unpin(fr)
-			return nil, fmt.Errorf("%w: %s: meta chain reaches page %d of type %d", ErrCorruptPage, path, id, pageType(fr.buf))
+			return nil, fmt.Errorf("%w: %s: meta chain reaches page %d of type %d", ErrCorruptPage, path, id, typ)
 		}
 		body := fr.buf[pageHeaderSize:]
 		if id == 0 {
@@ -298,6 +306,7 @@ func openFile(f *os.File, path string, opts Options) (*Store, error) {
 		}
 		s.relIdx[r.Name] = i
 	}
+	s.tails = make([]*frame, len(s.cat.Rels)+1)
 	return s, nil
 }
 
@@ -387,7 +396,12 @@ func dataFilePageSize(path string) (int, bool) {
 
 // Close releases the file without committing: uncommitted mutations
 // are discarded, exactly as a crash would discard them.
-func (s *Store) Close() error { return s.f.Close() }
+func (s *Store) Close() error {
+	s.mu.Lock()
+	s.releaseTails()
+	s.mu.Unlock()
+	return s.f.Close()
+}
 
 // Path returns the data file path.
 func (s *Store) Path() string { return s.path }
@@ -459,18 +473,26 @@ func (s *Store) AddTuple(name string, t rel.Tuple) error {
 	if !ok {
 		return fmt.Errorf("store: unknown relation %q", name)
 	}
+	_, err := s.appendLocked(s.heapChain(i), 1, func(dst []byte) ([]byte, bool, error) {
+		rec, err := s.tupleRecord(dst, i, t)
+		return rec, true, err
+	})
+	return err
+}
+
+// tupleRecord checks t against relation i's arity and the universe,
+// then appends its heap record to dst. Caller holds s.mu.
+func (s *Store) tupleRecord(dst []byte, i int, t rel.Tuple) ([]byte, error) {
 	cr := &s.cat.Rels[i]
 	if len(t) != cr.Arity {
-		return fmt.Errorf("store: relation %s/%d: tuple has arity %d", cr.Name, cr.Arity, len(t))
+		return nil, fmt.Errorf("store: relation %s/%d: tuple has arity %d", cr.Name, cr.Arity, len(t))
 	}
 	for _, e := range t {
 		if e < 0 || e >= s.cat.N {
-			return fmt.Errorf("store: relation %s: element %d outside universe [0,%d)", cr.Name, e, s.cat.N)
+			return nil, fmt.Errorf("store: relation %s: element %d outside universe [0,%d)", cr.Name, e, s.cat.N)
 		}
 	}
-	var scratch [2 * rel.MaxArity]byte
-	rec := encodeTuple(scratch[:0], t)
-	return s.appendRecord(rec, pageTypeHeap, uint32(i), &cr.Head, &cr.Tail, &cr.Pages, func() { cr.Tuples++ })
+	return encodeTuple(dst, t), nil
 }
 
 // SetError records mu(atom) = p for the unreliable database stored in
@@ -495,67 +517,113 @@ func (s *Store) SetError(name string, t rel.Tuple, p *big.Rat) error {
 	if p == nil || p.Sign() <= 0 || p.Cmp(big.NewRat(1, 1)) > 0 {
 		return fmt.Errorf("store: mu(%s%v) = %v outside (0,1]", name, t, p)
 	}
-	rec := encodeMu(nil, i, t, p.RatString())
-	if len(rec) > s.pageSize-pageHeaderSize-slotSize {
-		return fmt.Errorf("store: mu record (%d bytes) does not fit a %d-byte page", len(rec), s.pageSize)
-	}
-	return s.appendRecord(rec, pageTypeMu, nilPage, &s.cat.MuHead, &s.cat.MuTail, &s.cat.MuPages, func() { s.cat.MuCount++ })
+	_, err := s.appendLocked(s.muChain(), 1, func(dst []byte) ([]byte, bool, error) {
+		return encodeMu(dst, i, t, p.RatString()), true, nil
+	})
+	return err
 }
 
-// appendRecord inserts rec at the tail of a page chain, allocating
-// and linking a new page when the tail is full. Caller holds s.mu.
-func (s *Store) appendRecord(rec []byte, typ byte, relID uint32, head, tail, pages *uint32, onInsert func()) error {
-	// Refuse a record that cannot fit even an empty page before any
-	// allocation: past this point a fresh page admitted to the dirty
-	// set would be journaled at the next commit as an unreferenced
-	// orphan that inflates the file.
-	if len(rec) > s.pageSize-pageHeaderSize-slotSize {
-		return fmt.Errorf("store: record of %d bytes does not fit an empty %d-byte page", len(rec), s.pageSize)
-	}
-	// Keep the budget hard: committing dirties the meta chain too, so
-	// flush while that chain plus a fresh page and its link still fit.
-	if s.pool.dirtyBytes()+int64(len(s.metaPages)+2)*int64(s.pageSize) > s.pool.budget {
-		if err := s.commitLocked(); err != nil {
-			return err
-		}
-	}
-	if *tail != nilPage {
-		fr, err := s.pool.get(*tail)
+// chain is the catalog's view of one page chain — a relation's heap
+// chain or the mu chain — and its slot in Store.tails.
+type chain struct {
+	slot              int
+	typ               byte
+	relID             uint32
+	head, tail, pages *uint32
+	count             *uint64
+}
+
+func (s *Store) heapChain(i int) chain {
+	cr := &s.cat.Rels[i]
+	return chain{slot: i, typ: pageTypeHeap, relID: uint32(i), head: &cr.Head, tail: &cr.Tail, pages: &cr.Pages, count: &cr.Tuples}
+}
+
+func (s *Store) muChain() chain {
+	return chain{slot: len(s.cat.Rels), typ: pageTypeMu, relID: nilPage,
+		head: &s.cat.MuHead, tail: &s.cat.MuTail, pages: &s.cat.MuPages, count: &s.cat.MuCount}
+}
+
+// appendLocked is the store's one append path: AddTuple, SetError and
+// BuildFromDB all write through it. It appends up to max records (max
+// < 0: no limit) at the tail of chain c, each one appended to an empty
+// dst by next, which reports false once it has no more, and returns how
+// many it appended. The chain's tail frame stays pinned and dirty in
+// s.tails between records and between calls, so a record that fits the
+// tail page costs a pageInsert and no pool call: the pool is visited
+// once per page, to allocate the next one, and once per chain after a
+// commit released its tail. The budget check runs before every record,
+// as it always has, so the auto-commits fall on the same records.
+// Caller holds s.mu.
+func (s *Store) appendLocked(c chain, max int, next func(dst []byte) ([]byte, bool, error)) (n int, err error) {
+	defer func() {
 		if err != nil {
-			return err
+			s.releaseTails()
 		}
-		if pageInsert(fr.buf, rec) {
-			s.pool.markDirty(fr)
+	}()
+	var rec []byte
+	var ok bool
+	for ; n != max; n++ {
+		if rec, ok, err = next(s.rec[:0]); err != nil || !ok {
+			return n, err
+		}
+		s.rec = rec
+		// Refuse a record that cannot fit even an empty page before any
+		// allocation: past this point a fresh page admitted to the dirty
+		// set would be journaled at the next commit as an unreferenced
+		// orphan that inflates the file.
+		if len(rec) > s.pageSize-pageHeaderSize-slotSize {
+			return n, fmt.Errorf("store: record of %d bytes does not fit an empty %d-byte page", len(rec), s.pageSize)
+		}
+		// Keep the budget hard: committing dirties the meta chain too, so
+		// flush while that chain plus a fresh page and its link still fit.
+		if s.pool.dirtyBytes()+int64(len(s.metaPages)+2)*int64(s.pageSize) > s.pool.budget {
+			if err := s.commitLocked(); err != nil {
+				return n, err
+			}
+		}
+		tail := s.tails[c.slot]
+		if tail == nil && *c.tail != nilPage {
+			if tail, err = s.pool.get(*c.tail); err != nil {
+				return n, err
+			}
+			// A fetched tail is written either way: by this record, or by
+			// the link to the page that takes it.
+			s.pool.markDirty(tail)
+			s.tails[c.slot] = tail
+		}
+		if tail != nil && pageInsert(tail.buf, rec) {
+			*c.count++
+			continue
+		}
+		// Allocate a fresh page (the record fits it: checked above) and
+		// link it at the tail.
+		id := s.cat.PageCount
+		s.cat.PageCount++
+		fr := s.pool.newFrame(id, c.typ, c.relID)
+		pageInsert(fr.buf, rec)
+		if tail != nil {
+			setPageNext(tail.buf, id)
+			s.pool.unpin(tail)
+		} else {
+			*c.head = id
+		}
+		s.tails[c.slot] = fr
+		*c.tail = id
+		*c.pages++
+		*c.count++
+	}
+	return n, nil
+}
+
+// releaseTails unpins every chain's held tail frame. The frames stay
+// dirty until a commit cleans them. Caller holds s.mu.
+func (s *Store) releaseTails() {
+	for i, fr := range s.tails {
+		if fr != nil {
 			s.pool.unpin(fr)
-			onInsert()
-			return nil
+			s.tails[i] = nil
 		}
-		s.pool.unpin(fr)
 	}
-	// Allocate a fresh page and link it at the tail.
-	id := s.cat.PageCount
-	s.cat.PageCount++
-	fr := s.pool.newFrame(id, typ, relID)
-	if !pageInsert(fr.buf, rec) {
-		s.pool.unpin(fr)
-		return fmt.Errorf("store: record of %d bytes does not fit an empty %d-byte page", len(rec), s.pageSize)
-	}
-	s.pool.unpin(fr)
-	if *tail != nilPage {
-		prev, err := s.pool.get(*tail)
-		if err != nil {
-			return err
-		}
-		setPageNext(prev.buf, id)
-		s.pool.markDirty(prev)
-		s.pool.unpin(prev)
-	} else {
-		*head = id
-	}
-	*tail = id
-	*pages++
-	onInsert()
-	return nil
 }
 
 // Commit makes every buffered mutation durable: catalog meta pages
@@ -570,6 +638,7 @@ func (s *Store) Commit() error {
 }
 
 func (s *Store) commitLocked() error {
+	s.releaseTails() // a held tail must be dirty, and the commit cleans it
 	if s.pool.dirtyBytes() == 0 {
 		// Catalog counters only change alongside page mutations, so a
 		// clean pool means nothing to write.
@@ -599,9 +668,9 @@ func (s *Store) commitLocked() error {
 		sealPage(fr.buf)
 		images = append(images, pageImage{id: fr.id, data: fr.buf})
 	}
-	rec := encodeJournalRecord(s.seq, s.pageSize, images)
+	s.jbuf = encodeJournalRecord(s.jbuf[:0], s.seq, s.pageSize, images)
 	s.journalDirty = true
-	if err := appendJournal(s.journalPath, rec); err != nil {
+	if err := appendJournal(s.journalPath, s.jbuf); err != nil {
 		return err
 	}
 	if ferr := faultinject.Hit(faultinject.SiteStoreCrash); ferr != nil {
@@ -734,11 +803,11 @@ func (sc *scan) Next() (rel.Tuple, bool, error) {
 			if sc.relIdx < 0 {
 				wantType, wantRel = pageTypeMu, nilPage
 			}
-			if pageType(fr.buf) != wantType || pageRelID(fr.buf) != wantRel {
+			if typ, relID := pageType(fr.buf), pageRelID(fr.buf); typ != wantType || relID != wantRel {
 				id := fr.id
-				sc.s.pool.unpin(fr)
+				sc.s.pool.unpin(fr) // an unpinned frame may be reused at once: read it first
 				sc.closed = true
-				return nil, false, fmt.Errorf("%w: page %d: chain reaches page of type %d rel %d", ErrCorruptPage, id, pageType(fr.buf), pageRelID(fr.buf))
+				return nil, false, fmt.Errorf("%w: page %d: chain reaches page of type %d rel %d", ErrCorruptPage, id, typ, relID)
 			}
 			sc.fr = fr
 			sc.slot = 0
@@ -792,10 +861,10 @@ func (s *Store) forEachMu(fn func(relIdx int, t rel.Tuple, p *big.Rat) error) er
 			if err != nil {
 				return err
 			}
-			if pageType(fr.buf) != pageTypeMu {
+			if typ := pageType(fr.buf); typ != pageTypeMu {
 				id := fr.id
 				s.pool.unpin(fr)
-				return fmt.Errorf("%w: page %d: mu chain reaches page of type %d", ErrCorruptPage, id, pageType(fr.buf))
+				return fmt.Errorf("%w: page %d: mu chain reaches page of type %d", ErrCorruptPage, id, typ)
 			}
 			sc.fr = fr
 			sc.slot = 0
@@ -989,24 +1058,47 @@ func BuildFromDB(path string, db *unreliable.DB, opts Options, batch int, onBatc
 		return err
 	}
 	defer s.Close()
+	return s.ingest(db, batch, onBatch)
+}
+
+// ingest is BuildFromDB on an open store. Each batch of a relation's
+// tuples goes through the append loop under one hold of s.mu.
+func (s *Store) ingest(db *unreliable.DB, batch int, onBatch func()) error {
 	count := 0
 	for _, rs := range db.A.Voc.Rels {
-		for c := db.A.Rel(rs.Name).Cursor(); ; {
-			t, ok := c.Next()
-			if !ok {
-				break
+		cur := db.A.Rel(rs.Name).Cursor()
+		for {
+			max := -1
+			if batch > 0 {
+				max = batch - count%batch
 			}
-			if err := s.AddTuple(rs.Name, t); err != nil {
+			s.mu.Lock()
+			i, ok := s.relIdx[rs.Name]
+			if !ok {
+				s.mu.Unlock()
+				return fmt.Errorf("store: unknown relation %q", rs.Name)
+			}
+			n, err := s.appendLocked(s.heapChain(i), max, func(dst []byte) ([]byte, bool, error) {
+				t, ok := cur.Next()
+				if !ok {
+					return nil, false, nil
+				}
+				rec, err := s.tupleRecord(dst, i, t)
+				return rec, true, err
+			})
+			s.mu.Unlock()
+			count += n
+			if err != nil {
 				return err
 			}
-			count++
-			if batch > 0 && count%batch == 0 {
-				if err := s.Commit(); err != nil {
-					return err
-				}
-				if onBatch != nil {
-					onBatch()
-				}
+			if n != max {
+				break // the relation is done
+			}
+			if err := s.Commit(); err != nil {
+				return err
+			}
+			if onBatch != nil {
+				onBatch()
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-package store_test
+package store
 
 import (
 	"fmt"
@@ -8,9 +8,48 @@ import (
 
 	"qrel/internal/ra"
 	"qrel/internal/rel"
-	"qrel/internal/store"
 	"qrel/internal/unreliable"
 )
+
+// BenchmarkStoreBuild measures the ingest BuildFromDB runs: 60 000
+// edges and 16 labels into a fresh 4 KiB-page file under the default
+// pool, committing every 20 000 tuples. Beside time and allocations it
+// reports buffer-pool fetches per build, which stay near one per page
+// (plus the meta chain per commit) because an insert that fits the held
+// tail page fetches nothing.
+func BenchmarkStoreBuild(b *testing.B) {
+	const n = 256
+	voc := rel.MustVocabulary(rel.RelSym{Name: "E", Arity: 2}, rel.RelSym{Name: "S", Arity: 1})
+	a := rel.MustStructure(n, voc)
+	rng := rand.New(rand.NewSource(1998))
+	for a.Rel("E").Len() < 60000 {
+		a.MustAdd("E", rng.Intn(n), rng.Intn(n))
+	}
+	for i := 0; i < 16; i++ {
+		a.MustAdd("S", i)
+	}
+	db := unreliable.New(a)
+	path := filepath.Join(b.TempDir(), "build.qstore")
+	b.ReportAllocs()
+	b.ResetTimer()
+	var fetches uint64
+	for i := 0; i < b.N; i++ {
+		s, err := Create(path, a, Options{PageSize: 4096})
+		if err != nil {
+			b.Fatal(err)
+		}
+		err = s.ingest(db, 20000, nil)
+		st := s.Stats()
+		fetches += st.Hits + st.Misses
+		if cerr := s.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(fetches)/float64(b.N), "fetches/op")
+}
 
 // BenchmarkStoreStream measures the streaming scan→filter→join
 // pipeline over the two Source implementations: the memory-resident
@@ -59,13 +98,13 @@ func BenchmarkStoreStream(b *testing.B) {
 	})
 
 	path := filepath.Join(b.TempDir(), "bench.qstore")
-	if err := store.BuildFromDB(path, unreliable.New(a), store.Options{PageSize: 4096}, 0, nil); err != nil {
+	if err := BuildFromDB(path, unreliable.New(a), Options{PageSize: 4096}, 0, nil); err != nil {
 		b.Fatal(err)
 	}
 	for _, pool := range []int64{64 << 10, 256 << 10, 1 << 20} {
 		b.Run(fmt.Sprintf("source=paged/pool=%dKiB", pool>>10), func(b *testing.B) {
 			b.ReportAllocs()
-			s, err := store.Open(path, store.Options{PoolBytes: pool})
+			s, err := Open(path, Options{PoolBytes: pool})
 			if err != nil {
 				b.Fatal(err)
 			}
