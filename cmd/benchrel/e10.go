@@ -29,7 +29,7 @@ import (
 //     lineage grows.
 func runE10(cfg config, out *report) error {
 	rng := rand.New(rand.NewSource(cfg.seed))
-	stream := mc.Stream{Src: mc.NewSource(cfg.seed)}
+	stream := mc.Stream{Seed: cfg.seed} // every call re-runs it
 
 	// Ablation 1: weighted KL vs Theorem 5.3 route.
 	out.row("ablation", "variant", "value", "exact", "rel err", "samples", "time")
@@ -41,9 +41,7 @@ func runE10(cfg config, out *report) error {
 	}
 	exactF, _ := exact.Float64()
 	var direct, viaRed karpluby.CountResult
-	from := *stream.Src
 	tDirect, err := out.timed("prob-weighted-kl", func() (int, error) {
-		*stream.Src = from // each call draws what the first one drew
 		var err error
 		direct, err = karpluby.ProbDNF(cfg.ctx, d, p, 0.1, 0.05, karpluby.ProbBatched, stream)
 		return direct.Samples, err
@@ -51,9 +49,7 @@ func runE10(cfg config, out *report) error {
 	if err != nil {
 		return err
 	}
-	from = *stream.Src
 	tRed, err := out.timed("prob-thm53-route", func() (int, error) {
-		*stream.Src = from
 		var err error
 		viaRed, err = karpluby.ProbViaReduction(cfg.ctx, d, p, 0.1, 0.05, karpluby.CountBatched, stream)
 		return viaRed.Samples, err
@@ -170,11 +166,11 @@ func runE10Extra(cfg config, out *report) error {
 	if worstCase.Samples, err = karpluby.SampleSize(0.1, 0.05, len(d.Terms)); err != nil {
 		return err
 	}
-	worst, err := worstCase.Run(cfg.ctx, mc.Stream{Src: mc.NewSource(cfg.seed + 1)})
+	worst, err := worstCase.Run(cfg.ctx, mc.Stream{Seed: cfg.seed + 1})
 	if err != nil {
 		return err
 	}
-	plan, err := planned.Run(cfg.ctx, mc.Stream{Src: mc.NewSource(cfg.seed + 1)})
+	plan, err := planned.Run(cfg.ctx, mc.Stream{Seed: cfg.seed + 1})
 	if err != nil {
 		return err
 	}

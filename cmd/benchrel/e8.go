@@ -61,7 +61,7 @@ func runE8(cfg config, out *report) error {
 		maxErr := 0.0
 		for trial := 0; trial < trials; trial++ {
 			est, err := mc.EstimateNuPadded(cfg.ctx, mc.PaddedPred(db, pred), xi, p.eps, p.delta, 0,
-				mc.Stream{Src: mc.NewSource(cfg.seed + int64(trial)*101)})
+				mc.Stream{Seed: cfg.seed + int64(trial)*101})
 			if err != nil {
 				return err
 			}
@@ -84,11 +84,11 @@ func runE8(cfg config, out *report) error {
 	out.check("padded estimator meets the absolute (eps, delta) guarantee", allOK)
 
 	// Structural vs algebraic padding: both estimate nu within eps.
-	est1, err := mc.EstimateNuPadded(cfg.ctx, mc.PaddedPred(db, pred), xi, 0.1, 0.05, 0, mc.Stream{Src: mc.NewSource(cfg.seed)})
+	est1, err := mc.EstimateNuPadded(cfg.ctx, mc.PaddedPred(db, pred), xi, 0.1, 0.05, 0, mc.Stream{Seed: cfg.seed})
 	if err != nil {
 		return err
 	}
-	est2, err := mc.EstimateNuPaddedStructural(cfg.ctx, db, pred, xi, 0.1, 0.05, 0, mc.Stream{Src: mc.NewSource(cfg.seed)})
+	est2, err := mc.EstimateNuPaddedStructural(cfg.ctx, db, pred, xi, 0.1, 0.05, 0, mc.Stream{Seed: cfg.seed})
 	if err != nil {
 		return err
 	}

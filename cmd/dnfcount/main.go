@@ -87,7 +87,7 @@ func run(in, method string, eps, delta float64, seed int64, probsCSV string) (er
 		}
 	}
 	ctx := context.Background()
-	stream := mc.Stream{Src: mc.NewSource(seed)}
+	stream := mc.Stream{Seed: seed}
 
 	switch method {
 	case "brute":

@@ -40,7 +40,7 @@ func main() {
 		eps       = flag.Float64("eps", 0.05, "accuracy parameter of randomized engines")
 		delta     = flag.Float64("delta", 0.05, "confidence parameter of randomized engines")
 		seed      = flag.Int64("seed", 1, "random seed for randomized engines")
-		workers   = flag.Int("workers", 0, "goroutines for lane-split parallel sampling (0 = sequential legacy stream; any value >= 1 yields the same bit-reproducible estimate)")
+		workers   = flag.Int("workers", 0, "goroutines driving the fixed lane split of a sampling run (0 = one goroutine; every value yields the same bit-reproducible estimate)")
 		eval      = flag.String("eval", "auto", "sampling evaluator: auto|compiled|interpreted (bit-identical; compiled is faster)")
 		maxEnum   = flag.Int("max-enum", 16, "uncertain-atom budget for exact world enumeration")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the computation (0 = none)")

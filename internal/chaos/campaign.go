@@ -116,7 +116,7 @@ func Run(cfg Config) (*Report, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o777); err != nil {
 		return nil, fmt.Errorf("chaos: creating scratch dir: %w", err)
 	}
-	plan, err := PlanCampaign(cfg)
+	plan, err := planCampaign(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func Run(cfg Config) (*Report, error) {
 		ScheduleHash: plan.Hash(),
 		Invariants:   map[string]*InvariantStat{},
 	}
-	for _, name := range InvariantNames() {
+	for _, name := range invariantNames() {
 		rep.Invariants[name] = &InvariantStat{}
 	}
 	c := &campaign{cfg: cfg, plan: plan, rep: rep}

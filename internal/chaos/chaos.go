@@ -148,9 +148,9 @@ const (
 	InvCoverage = "site-coverage"
 )
 
-// InvariantNames lists every invariant the campaign checks, in report
+// invariantNames lists every invariant the campaign checks, in report
 // order.
-func InvariantNames() []string {
+func invariantNames() []string {
 	return []string{
 		InvExactAgree, InvEpsBound, InvTypedErrors, InvResume,
 		InvJobs, InvBreaker, InvCluster, InvClusterResume, InvClusterWork,

@@ -11,11 +11,11 @@ import (
 // config.
 func TestPlanDeterministic(t *testing.T) {
 	cfg := Config{Seed: 17, Steps: 6, Dir: t.TempDir()}
-	a, err := PlanCampaign(cfg)
+	a, err := planCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PlanCampaign(cfg)
+	b, err := planCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestPlanDeterministic(t *testing.T) {
 	if a.Hash() != b.Hash() {
 		t.Fatalf("schedule hashes differ: %s vs %s", a.Hash(), b.Hash())
 	}
-	c, err := PlanCampaign(Config{Seed: 18, Steps: 6, Dir: cfg.Dir})
+	c, err := planCampaign(Config{Seed: 18, Steps: 6, Dir: cfg.Dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestPlanDeterministic(t *testing.T) {
 // TestPlanCoversEverySite: with no site filter, every registered site
 // appears in the schedule.
 func TestPlanCoversEverySite(t *testing.T) {
-	p, err := PlanCampaign(Config{Seed: 5, Steps: 4})
+	p, err := planCampaign(Config{Seed: 5, Steps: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPlanCoversEverySite(t *testing.T) {
 // TestPlanRejectsUnknownSite: a typo'd site filter is a setup error,
 // not a silently empty campaign.
 func TestPlanRejectsUnknownSite(t *testing.T) {
-	if _, err := PlanCampaign(Config{Seed: 1, Sites: []string{"engine/no-such"}}); err == nil {
+	if _, err := planCampaign(Config{Seed: 1, Sites: []string{"engine/no-such"}}); err == nil {
 		t.Fatal("unknown site accepted")
 	}
 }
@@ -64,7 +64,7 @@ func TestPlanRejectsUnknownSite(t *testing.T) {
 // abort Store.Save before later protocol sites are reached, so the
 // planner must never co-locate them in one step.
 func TestPlanSeparatesAbortingCkptFaults(t *testing.T) {
-	p, err := PlanCampaign(Config{Seed: 3, Steps: 2, Sites: []string{
+	p, err := planCampaign(Config{Seed: 3, Steps: 2, Sites: []string{
 		faultinject.SiteCkptCrash, faultinject.SiteCkptRename,
 	}})
 	if err != nil {
@@ -76,7 +76,7 @@ func TestPlanSeparatesAbortingCkptFaults(t *testing.T) {
 			t.Fatalf("step %d schedules both aborting ckpt faults", st.Index)
 		}
 	}
-	if _, err := PlanCampaign(Config{Seed: 3, Steps: 1, Sites: []string{
+	if _, err := planCampaign(Config{Seed: 3, Steps: 1, Sites: []string{
 		faultinject.SiteCkptCrash, faultinject.SiteCkptRename,
 	}}); err == nil {
 		t.Fatal("1-step plan with both aborting ckpt faults accepted")
@@ -102,7 +102,7 @@ func TestCampaignAllSitesPasses(t *testing.T) {
 			t.Errorf("scheduled site %s never fired", site)
 		}
 	}
-	for _, name := range InvariantNames() {
+	for _, name := range invariantNames() {
 		if rep.Invariants[name] == nil {
 			t.Errorf("invariant %s missing from the report", name)
 		}
@@ -187,7 +187,7 @@ func TestCampaignStoreSites(t *testing.T) {
 
 func failureSummary(rep *Report) string {
 	out := ""
-	for _, name := range InvariantNames() {
+	for _, name := range invariantNames() {
 		s := rep.Invariants[name]
 		if s == nil || s.Failures == 0 {
 			continue

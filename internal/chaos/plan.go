@@ -54,8 +54,8 @@ type Step struct {
 	N         int    `json:"n"`
 	Uncertain int    `json:"uncertain"`
 	Query     string `json:"query"`
-	// Workers selects the lane-split parallel runtime (and the parallel
-	// world-enum path) when > 0.
+	// Workers only schedules the sampling engines' lanes (0: one
+	// goroutine); above 1 it also selects the parallel world-enum path.
 	Workers int `json:"workers,omitempty"`
 	// Seed drives the step's instance generation and engine runs.
 	Seed int64 `json:"seed"`
@@ -172,10 +172,10 @@ func selectSites(sites []string) ([]string, error) {
 	return out, nil
 }
 
-// PlanCampaign materializes the full fault schedule from cfg. It is
+// planCampaign materializes the full fault schedule from cfg. It is
 // deterministic: every draw comes from one xoshiro stream seeded by
 // cfg.Seed, consumed in a fixed order.
-func PlanCampaign(cfg Config) (*Plan, error) {
+func planCampaign(cfg Config) (*Plan, error) {
 	steps := cfg.Steps
 	if steps <= 0 {
 		steps = DefaultSteps

@@ -352,15 +352,15 @@ func (c *Coordinator) ready(ctx context.Context, r *replica) error {
 }
 
 // Do serves one reliability request against the cluster. Explicitly
-// parallel monte-carlo-direct requests fan out as lane ranges across
-// the live replicas; everything else (other engines, auto dispatch,
-// sequential runs, and lane-range sub-requests arriving from an outer
-// coordinator) proxies whole to the hash-ring replica, with failover.
+// parallel monte-carlo-direct requests (Workers > 0) fan out as lane
+// ranges across the live replicas; everything else (other engines, auto
+// dispatch, Workers == 0 runs, and lane-range sub-requests arriving from
+// an outer coordinator) proxies whole to the hash-ring replica, with
+// failover.
 //
-// A sequential run (Workers == 0) is deliberately ineligible for
-// fan-out: its single-stream estimate differs from the lane-split one,
-// and the coordinator must answer exactly what the replica the client
-// hashed to would have answered.
+// Workers only schedules the lane split, so a Workers == 0 run answers
+// what its fan-out would, bit for bit; it is proxied whole because it
+// asks for one goroutine, not because its stream differs.
 func (c *Coordinator) Do(ctx context.Context, req server.Request) (*server.Response, error) {
 	if req.Engine == string(core.EngineMCDirect) && req.Workers > 0 && req.Lanes == nil {
 		// A keyed fan-out the journal already saw to completion (e.g. by

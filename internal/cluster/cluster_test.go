@@ -258,6 +258,37 @@ func TestClusterMixedEvalModes(t *testing.T) {
 	}
 }
 
+// TestClusterWorkersZeroMatchesFanout: Workers only schedules the lane
+// split, so a Workers 0 monte-carlo-direct request, proxied whole to
+// one replica, answers bit for bit what the same seed's Workers 2
+// request answers when it fans out as lane ranges over two replicas.
+func TestClusterWorkersZeroMatchesFanout(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	f := startFleet(t, 2, nil)
+	c := fastCoord(t, f.urls, nil)
+	seq := mcReq()
+	seq.Workers = 0
+	proxied, err := c.Do(context.Background(), seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Statz(); st.Proxied != 1 || st.Fanouts != 0 {
+		t.Fatalf("workers 0: statz proxied=%d fanouts=%d, want 1/0", st.Proxied, st.Fanouts)
+	}
+	par := mcReq()
+	par.Workers = 2
+	fanned, err := c.Do(context.Background(), par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Statz(); st.Fanouts != 1 {
+		t.Fatalf("workers 2: statz fanouts=%d, want 1", st.Fanouts)
+	}
+	if got, want := estOf(proxied), estOf(fanned); got != want {
+		t.Errorf("workers 0 proxied %+v,\nworkers 2 fan-out %+v", got, want)
+	}
+}
+
 // TestClusterProxiesNonParallel checks that anything not eligible for
 // lane fan-out — here an auto-dispatched exact query — proxies whole to
 // one replica, answer unchanged.

@@ -89,9 +89,11 @@ func validFrame(seed int64, rg mc.Range, samples int) []byte {
 	return checkpoint.EncodeFrame(payload)
 }
 
-// TestCheckShipped pins the coordinator-side frame validation: the one
-// accepting case, and every malformed shape rejecting with an error
-// (never a panic).
+// TestCheckShipped pins the coordinator-side frame validation: the
+// accepting cases (a multi-lane range, and a one-lane range, whose
+// frame carries LaneCount 1), and every malformed shape rejecting with
+// an error (never a panic) — among them the LaneCount-0 schema of the
+// retired sequential stream, whatever the range.
 func TestCheckShipped(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	rg := mc.Range{Lo: 4, Hi: 8, Total: 8}
@@ -100,6 +102,9 @@ func TestCheckShipped(t *testing.T) {
 		t.Fatalf("checkShipped(valid) = (%d, %v), want (1000, nil)", seq, err)
 	}
 	one := mc.Range{Lo: 0, Hi: 1, Total: 8}
+	if seq, err := checkShipped(validFrame(42, one, 7), 42, one); err != nil || seq != 7 {
+		t.Fatalf("checkShipped(one-lane range) = (%d, %v), want (7, nil)", seq, err)
+	}
 	legacy := func() []byte {
 		st := shippedSnapshot{
 			Engine: string(core.EngineMCDirect), Seed: 42, Lanes: 8, Samples: 7,
@@ -108,9 +113,6 @@ func TestCheckShipped(t *testing.T) {
 		payload, _ := json.Marshal(st)
 		return checkpoint.EncodeFrame(payload)
 	}()
-	if seq, err := checkShipped(legacy, 42, one); err != nil || seq != 7 {
-		t.Fatalf("checkShipped(legacy single-lane) = (%d, %v), want (7, nil)", seq, err)
-	}
 
 	badCRC := append([]byte(nil), good...)
 	badCRC[len(badCRC)/2] ^= 0xff
@@ -134,6 +136,7 @@ func TestCheckShipped(t *testing.T) {
 		{"wrong-range", good, 42, otherRange},
 		{"wrong-total", good, 42, mc.Range{Lo: 4, Hi: 8, Total: 16}},
 		{"legacy-multi-lane", legacy, 42, rg},
+		{"legacy-single-lane", legacy, 42, one},
 		{"other-world-stream", scalar, 42, rg},
 	}
 	for _, tc := range cases {

@@ -69,14 +69,7 @@ func checkShipped(frame []byte, seed int64, rg mc.Range) (int, error) {
 	if want := mc.RangeMethod(mc.MeanMethod, rg); st.Loop.Method != want {
 		return 0, fmt.Errorf("cluster: shipped snapshot is from estimator %q, range %s needs %q", st.Loop.Method, rg, want)
 	}
-	n := rg.Hi - rg.Lo
-	switch {
-	case st.Loop.LaneCount == 0:
-		// Legacy single-lane schema: only a one-lane range writes it.
-		if n != 1 {
-			return 0, fmt.Errorf("cluster: single-lane snapshot cannot resume a %d-lane range %s", n, rg)
-		}
-	case st.Loop.LaneCount != n:
+	if n := rg.Hi - rg.Lo; st.Loop.LaneCount != n {
 		return 0, fmt.Errorf("cluster: shipped snapshot holds %d lane states, range %s needs %d", st.Loop.LaneCount, rg, n)
 	}
 	if len(st.Loop.Lanes) != st.Loop.LaneCount {

@@ -74,11 +74,11 @@ type CheckpointConfig struct {
 // the computation plus the loop state at a boundary.
 type engineState struct {
 	// Fingerprint: a snapshot resumes only into the identical
-	// computation. Lanes is the RNG lane count of the run (0 for the
-	// sequential single-stream path): the estimate is a function of the
-	// lane count, so resuming across lane counts would silently change
-	// it. The worker count is deliberately NOT part of the fingerprint —
-	// it only schedules the lanes.
+	// computation. Lanes is the RNG lane count of the run: the estimate
+	// is a function of the lane count, so resuming across lane counts
+	// would silently change it. Frames of the retired sequential stream
+	// say 0, which no run has. The worker count is deliberately NOT part
+	// of the fingerprint — it only schedules the lanes.
 	Engine string  `json:"engine"`
 	Seed   int64   `json:"seed"`
 	Eps    float64 `json:"eps"`
@@ -95,8 +95,8 @@ type engineState struct {
 	Stream string `json:"stream,omitempty"`
 
 	// Per-tuple engines (monte-carlo, lineage-karpluby): the number of
-	// answer tuples already in HFloat, the accumulators over them, and
-	// the sequential stream from before the first tuple not in HFloat.
+	// answer tuples already in HFloat and the accumulators over them.
+	// RNG is always the zero state: each tuple re-derives its lanes.
 	Tuple   int         `json:"tuple,omitempty"`
 	HFloat  float64     `json:"h_float,omitempty"`
 	EpsSum  float64     `json:"eps_sum,omitempty"`
@@ -216,7 +216,7 @@ func (r *ckptRun) validateSnapshot(payload []byte) (*engineState, error) {
 			r.head.Engine, r.head.Planner, r.head.Stream, r.head.Seed, r.head.Eps, r.head.Delta, r.head.Query)
 	}
 	if st.Lanes != r.head.Lanes {
-		return nil, fmt.Errorf("%w: snapshot was taken with %d RNG lanes, this run uses %d (the estimate depends on the lane count; rerun with the original Workers setting or start fresh)",
+		return nil, fmt.Errorf("%w: snapshot was taken with %d RNG lanes, this run uses %d (the estimate depends on the lane count; start fresh)",
 			ErrCheckpointMismatch, st.Lanes, r.head.Lanes)
 	}
 	return &st, nil
@@ -231,17 +231,13 @@ func (r *ckptRun) every() int {
 }
 
 // laneCountFor returns the RNG lane count of an engine run under opts:
-// 0 for the sequential single-stream path, mc.DefaultLanes for the
-// lane-split parallel runtime, and the split's total for a lane-range
-// run (the mc-level method string additionally pins the subrange).
+// the split's total for a lane-range run (the mc-level method string
+// additionally pins the subrange), mc.DefaultLanes otherwise.
 func laneCountFor(opts Options) int {
 	if opts.LaneRange != nil {
 		return opts.LaneRange.Total
 	}
-	if opts.Workers > 0 {
-		return mc.DefaultLanes
-	}
-	return 0
+	return mc.DefaultLanes
 }
 
 // save persists one snapshot, stamping the fingerprint, and publishes

@@ -167,15 +167,12 @@ type Options struct {
 	Xi float64
 	// Seed seeds the deterministic RNG of randomized engines.
 	Seed int64
-	// Workers > 0 runs the randomized engines on the lane-split parallel
-	// sampling runtime: the sample stream derived from Seed is split
-	// into mc.DefaultLanes fixed RNG lanes scheduled on up to Workers
-	// goroutines. The estimate is a function of (Seed, lane count) only
-	// — any Workers >= 1 yields the identical, bit-reproducible result —
-	// but it differs from the Workers == 0 sequential stream, so the
-	// lane count is part of the checkpoint fingerprint and a snapshot
-	// never silently resumes across the two modes. Workers == 0
-	// (default) keeps the legacy sequential single-stream path.
+	// Workers only schedules: the randomized engines split the sample
+	// stream derived from Seed into mc.DefaultLanes fixed RNG lanes and
+	// drive them on up to Workers goroutines (0 and 1: one goroutine,
+	// the caller's). The estimate is a function of (Seed, lane count)
+	// only, so every Workers value yields the identical,
+	// bit-reproducible result, and a snapshot resumes under any of them.
 	Workers int
 	// Eval selects how the sampling engines evaluate the query per
 	// sampled world: EvalAuto (default; compile to internal/vm bytecode
@@ -212,8 +209,7 @@ type Options struct {
 	// LaneRange, when non-nil, restricts the run to the lane subrange
 	// [Lo,Hi) of a Total-lane split — the unit of work a cluster
 	// coordinator assigns to one replica. Quotas and RNG streams are
-	// derived over all Total lanes exactly as a single-node Workers>0 run
-	// would, so the per-lane aggregates (Result.LaneRange) merge to the
+	// derived over all Total lanes exactly as a single-node run would, so the per-lane aggregates (Result.LaneRange) merge to the
 	// bit-identical whole. Only the monte-carlo-direct engine, selected
 	// explicitly, supports it.
 	LaneRange *mc.Range

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"qrel/internal/checkpoint"
 	"qrel/internal/logic"
 	"qrel/internal/mc"
 	"qrel/internal/unreliable"
@@ -132,10 +134,10 @@ func checkRow(t *testing.T, key string, got, want goldenRow) {
 	}
 }
 
-// goldenStreams pins every engine on both instances under the two
-// sample streams a request can name: the Workers: 0 sequential stream
-// and the DefaultLanes lane split (any Workers ≥ 1). Each row must
-// hold for both eval modes and, for the lane split, both worker counts.
+// goldenStreams pins every engine on both instances on the one sample
+// stream a request can name, the DefaultLanes lane split. Each row must
+// hold for both eval modes and every worker count: Workers only
+// schedules the lanes.
 // The lineage-karpluby* rows were re-pinned once, on purpose, when the
 // Karp–Luby sample size moved from Lemma 5.11's worst case to the
 // coverage-bound planner (karpluby.Planner); the monte-carlo* rows, with
@@ -143,25 +145,15 @@ func checkRow(t *testing.T, key string, got, want goldenRow) {
 // frames, once when the world draw moved from one Float64 per atom per
 // sample to the bit-sliced block draw (mc.WorldStream).
 var goldenStreams = map[string]goldenRow{
-	"monte-carlo/bool/seq":              {0x3fedccf9d7885b7d, 1843, 0x3fd3333333333333},
 	"monte-carlo/bool/lanes":            {0x3fec6961bdf96cdb, 1843, 0x3fd3333333333333},
-	"monte-carlo/free/seq":              {0x3fe195742eebb504, 73467, 0x3fd3333333333333},
 	"monte-carlo/free/lanes":            {0x3fe20a03be0ee82e, 73467, 0x3fd3333333333333},
-	"monte-carlo-direct/bool/seq":       {0x3fee6c64e6c64e6c, 2050, 0x3f9eb851eb851eb8},
 	"monte-carlo-direct/bool/lanes":     {0x3fee6067e6067e60, 2050, 0x3f9eb851eb851eb8},
-	"monte-carlo-direct/free/seq":       {0x3fe24b6d24b6d23b, 2050, 0x3f9eb851eb851eb8},
 	"monte-carlo-direct/free/lanes":     {0x3fe1fe2b1fe2b200, 2050, 0x3f9eb851eb851eb8},
-	"monte-carlo-rare/bool/seq":         {0x3fee664a70cbe43e, 2029, 0x3f9eb851eb851eb8},
 	"monte-carlo-rare/bool/lanes":       {0x3fee5234fddae7e7, 2029, 0x3f9eb851eb851eb8},
-	"monte-carlo-rare/free/seq":         {0x3fe21b3cc5bf224a, 1626, 0x3f9eb851eb851eb8},
 	"monte-carlo-rare/free/lanes":       {0x3fe2034e67e95414, 1626, 0x3f9eb851eb851eb8},
-	"lineage-karpluby/bool/seq":         {0x3fedf5f5f5f5f5f6, 782, 0x3fc999999999999a},
 	"lineage-karpluby/bool/lanes":       {0x3fee969696969697, 782, 0x3fc999999999999a},
-	"lineage-karpluby/free/seq":         {0x3fe2110f4986cdf6, 14021, 0x3fc999999999999a},
 	"lineage-karpluby/free/lanes":       {0x3fe1f03b2ec67366, 14021, 0x3fc999999999999a},
-	"lineage-karpluby-thm53/bool/seq":   {0x3fee9b683501ce9b, 1275, 0x3fc999999999999a},
 	"lineage-karpluby-thm53/bool/lanes": {0x3fed29f6c3905d2a, 1275, 0x3fc999999999999a},
-	"lineage-karpluby-thm53/free/seq":   {0x3fe226ace47bad96, 20610, 0x3fc999999999999a},
 	"lineage-karpluby-thm53/free/lanes": {0x3fe1eb461e420540, 20610, 0x3fc999999999999a},
 }
 
@@ -169,27 +161,22 @@ func TestGoldenStreams(t *testing.T) {
 	for engine, e := range goldenEngines {
 		for inst := range goldenInstances {
 			db, f := goldenInstance(t, inst)
-			for _, stream := range []struct {
-				name    string
-				workers []int
-			}{{"seq", []int{0}}, {"lanes", []int{1, 3}}} {
-				key := engine + "/" + goldenInstances[inst].name + "/" + stream.name
-				printed := false
-				for _, w := range stream.workers {
-					for _, eval := range []string{EvalCompiled, EvalInterpreted} {
-						res, err := e.run(bg, db, f, goldenOptions(engine, w, eval))
-						if err != nil {
-							t.Fatalf("%s workers=%d eval=%s: %v", key, w, eval, err)
-						}
-						if res.Degraded {
-							t.Fatalf("%s workers=%d eval=%s: unexpectedly degraded", key, w, eval)
-						}
-						if *goldenPrint && printed {
-							continue
-						}
-						printed = true
-						checkRow(t, key, rowOf(res), goldenStreams[key])
+			key := engine + "/" + goldenInstances[inst].name + "/lanes"
+			printed := false
+			for _, w := range []int{0, 1, 2, 3} {
+				for _, eval := range []string{EvalCompiled, EvalInterpreted} {
+					res, err := e.run(bg, db, f, goldenOptions(engine, w, eval))
+					if err != nil {
+						t.Fatalf("%s workers=%d eval=%s: %v", key, w, eval, err)
 					}
+					if res.Degraded {
+						t.Fatalf("%s workers=%d eval=%s: unexpectedly degraded", key, w, eval)
+					}
+					if *goldenPrint && printed {
+						continue
+					}
+					printed = true
+					checkRow(t, key, rowOf(res), goldenStreams[key])
 				}
 			}
 		}
@@ -243,21 +230,17 @@ func TestGoldenLaneRanges(t *testing.T) {
 	}
 }
 
-// goldenPartial pins the anytime readings: a MaxSamples cut, and a
-// cancellation fired from the checkpoint hook at a fixed sample count
-// (Workers 0 and 1 only — they poll the context at deterministic
-// sample counts).
+// goldenPartial pins the anytime readings on the lane split: a
+// MaxSamples cut under Workers 0 and 2, and a cancellation fired from
+// the checkpoint hook at a fixed sample count under Workers 0 and 1 —
+// the one-goroutine schedules, which poll the context at deterministic
+// sample counts.
 var goldenPartial = map[string]goldenRow{
-	"budget/monte-carlo-direct/bool/workers=0": {0x3fee5ab277f44c12, 700, 0x3faa481c62c3bf1a},
-	"budget/monte-carlo-direct/bool/workers=2": {0x3feecfb9c8695362, 700, 0x3faa481c62c3bf1a},
-	"budget/monte-carlo-direct/free/workers=0": {0x3fe2878edf545ba8, 700, 0x3faa481c62c3bf1a},
-	"budget/monte-carlo-direct/free/workers=2": {0x3fe258bf258bf258, 700, 0x3faa481c62c3bf1a},
-	"budget/monte-carlo/bool/workers=0":        {0x3fedce434a9b1018, 700, 0x3fdf256d4323450f},
-	"budget/monte-carlo/bool/workers=2":        {0x3fee0cad97a64731, 700, 0x3fdf256d4323450f},
-	"budget/monte-carlo/free/workers=0":        {0x3fe40873ba6eda22, 700, 0x3fe0f9c6919818e9},
-	"budget/monte-carlo/free/workers=2":        {0x3fe4707a3ad6e0a2, 700, 0x3fe0f9c6919818e9},
-	"cancel/monte-carlo-direct/free/workers=0": {0x3fe2a5ed097b4257, 576, 0x3facf90b8a3ac075},
-	"cancel/monte-carlo-direct/free/workers=1": {0x3fe282d282d282d4, 514, 0x3faeaba4dde671f0},
+	"budget/monte-carlo-direct/bool/lanes": {0x3feecfb9c8695362, 700, 0x3faa481c62c3bf1a},
+	"budget/monte-carlo-direct/free/lanes": {0x3fe258bf258bf258, 700, 0x3faa481c62c3bf1a},
+	"budget/monte-carlo/bool/lanes":        {0x3fee0cad97a64731, 700, 0x3fdf256d4323450f},
+	"budget/monte-carlo/free/lanes":        {0x3fe4707a3ad6e0a2, 700, 0x3fe0f9c6919818e9},
+	"cancel/monte-carlo-direct/free/lanes": {0x3fe282d282d282d4, 514, 0x3faeaba4dde671f0},
 }
 
 func TestGoldenPartial(t *testing.T) {
@@ -275,7 +258,7 @@ func TestGoldenPartial(t *testing.T) {
 					if !res.Degraded {
 						t.Fatalf("%s: budget cut not degraded", engine)
 					}
-					key := fmt.Sprintf("budget/%s/%s/workers=%d", engine, goldenInstances[inst].name, w)
+					key := fmt.Sprintf("budget/%s/%s/lanes", engine, goldenInstances[inst].name)
 					if eval == EvalCompiled || !*goldenPrint {
 						checkRow(t, key, rowOf(res), goldenPartial[key])
 					}
@@ -301,9 +284,8 @@ func TestGoldenPartial(t *testing.T) {
 			if !res.Degraded {
 				t.Fatal("cancelled run not degraded")
 			}
-			key := fmt.Sprintf("cancel/monte-carlo-direct/free/workers=%d", w)
 			if eval == EvalCompiled || !*goldenPrint {
-				checkRow(t, key, rowOf(res), goldenPartial[key])
+				checkRow(t, "cancel/monte-carlo-direct/free/lanes", rowOf(res), goldenPartial["cancel/monte-carlo-direct/free/lanes"])
 			}
 		}
 	}
@@ -314,11 +296,7 @@ func TestGoldenPartial(t *testing.T) {
 // snapshot it leaves resumes to the pinned uninterrupted estimate.
 func TestGoldenKarpLubyCancelResumes(t *testing.T) {
 	db, f := goldenInstance(t, 1)
-	for _, w := range []int{0, 1} {
-		stream := "seq"
-		if w > 0 {
-			stream = "lanes"
-		}
+	for _, w := range []int{0, 1, 2} {
 		for _, eval := range []string{EvalCompiled, EvalInterpreted} {
 			ctx, cancel := context.WithCancel(bg)
 			var last []byte
@@ -346,7 +324,7 @@ func TestGoldenKarpLubyCancelResumes(t *testing.T) {
 			if *goldenPrint {
 				continue
 			}
-			key := "lineage-karpluby/free/" + stream
+			key := "lineage-karpluby/free/lanes"
 			if got := rowOf(res); got != goldenStreams[key] {
 				t.Errorf("%s workers=%d eval=%s: resumed %v, pinned %v", key, w, eval, got, goldenStreams[key])
 			}
@@ -367,12 +345,9 @@ var goldenFrames = []struct {
 	every        int
 	want         string
 }{
-	{"golden_direct_seq.frame", "monte-carlo-direct", 0, nil, 256, "monte-carlo-direct/free/seq"},
 	{"golden_direct_lanes.frame", "monte-carlo-direct", 2, nil, 256, "monte-carlo-direct/free/lanes"},
 	{"golden_direct_range.frame", "monte-carlo-direct", 2, &mc.Range{Lo: 3, Hi: 8, Total: 8}, 256, "free/3-8/8"},
-	{"golden_padded_seq.frame", "monte-carlo", 0, nil, 2000, "monte-carlo/free/seq"},
 	{"golden_padded_lanes.frame", "monte-carlo", 2, nil, 2000, "monte-carlo/free/lanes"},
-	{"golden_kl_seq.frame", "lineage-karpluby", 0, nil, 1, "lineage-karpluby/free/seq"},
 	{"golden_kl_lanes.frame", "lineage-karpluby", 2, nil, 1, "lineage-karpluby/free/lanes"},
 }
 
@@ -407,53 +382,51 @@ func TestGoldenFramesResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eval := range []string{EvalCompiled, EvalInterpreted} {
-			o := base
-			o.Eval = eval
-			o.Checkpoint = &CheckpointConfig{ResumeFrame: frame}
-			res, err := run(bg, db, f, o)
-			if err != nil {
-				t.Fatalf("%s eval=%s: %v", g.file, eval, err)
-			}
-			if !res.Resumed {
-				t.Fatalf("%s: frame not resumed", g.file)
-			}
-			if *goldenPrint {
-				continue
-			}
-			if g.lanes != nil {
-				if d := mc.RangeDigest(res.LaneRange.Lanes); d != goldenRanges[g.want] {
-					t.Errorf("%s eval=%s: resumed digest %s, pinned %s", g.file, eval, d, goldenRanges[g.want])
+		for _, w := range []int{0, g.workers} {
+			for _, eval := range []string{EvalCompiled, EvalInterpreted} {
+				o := base
+				o.Workers, o.Eval = w, eval
+				o.Checkpoint = &CheckpointConfig{ResumeFrame: frame}
+				res, err := run(bg, db, f, o)
+				if err != nil {
+					t.Fatalf("%s workers=%d eval=%s: %v", g.file, w, eval, err)
 				}
-			} else if got := rowOf(res); got != goldenStreams[g.want] {
-				t.Errorf("%s eval=%s: resumed %v, pinned %v", g.file, eval, got, goldenStreams[g.want])
+				if !res.Resumed {
+					t.Fatalf("%s: frame not resumed", g.file)
+				}
+				if *goldenPrint {
+					continue
+				}
+				if g.lanes != nil {
+					if d := mc.RangeDigest(res.LaneRange.Lanes); d != goldenRanges[g.want] {
+						t.Errorf("%s workers=%d eval=%s: resumed digest %s, pinned %s", g.file, w, eval, d, goldenRanges[g.want])
+					}
+				} else if got := rowOf(res); got != goldenStreams[g.want] {
+					t.Errorf("%s workers=%d eval=%s: resumed %v, pinned %v", g.file, w, eval, got, goldenStreams[g.want])
+				}
 			}
 		}
 	}
 }
 
-// TestGoldenFramesRefuseOtherPlanner: the golden_kl frames written
-// while Karp–Luby ran Lemma 5.11's worst-case t carry no planner tag.
-// Resuming one would splice tuples sized under two rules, so the engine
+// TestGoldenFramesRefuseOtherPlanner: the golden_kl frame written
+// while Karp–Luby ran Lemma 5.11's worst-case t carries no planner tag.
+// Resuming it would splice tuples sized under two rules, so the engine
 // refuses it, and so does admission (ValidateResumeFrame).
 func TestGoldenFramesRefuseOtherPlanner(t *testing.T) {
 	db, f := goldenInstance(t, 1)
-	for _, g := range []struct {
-		file    string
-		workers int
-	}{{"golden_kl_seq_worstcase.frame", 0}, {"golden_kl_lanes_worstcase.frame", 2}} {
-		frame, err := os.ReadFile(filepath.Join("testdata", g.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := goldenOptions("lineage-karpluby", g.workers, EvalCompiled)
-		if err := ValidateResumeFrame(frame, "lineage-karpluby", f, o); !errors.Is(err, ErrCheckpointMismatch) {
-			t.Errorf("%s: admission returned %v, want ErrCheckpointMismatch", g.file, err)
-		}
-		o.Checkpoint = &CheckpointConfig{ResumeFrame: frame}
-		if _, err := LineageKL(bg, db, f, o, false); !errors.Is(err, ErrCheckpointMismatch) {
-			t.Errorf("%s: resume returned %v, want ErrCheckpointMismatch", g.file, err)
-		}
+	const file = "golden_kl_lanes_worstcase.frame"
+	frame, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := goldenOptions("lineage-karpluby", 2, EvalCompiled)
+	if err := ValidateResumeFrame(frame, "lineage-karpluby", f, o); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Errorf("%s: admission returned %v, want ErrCheckpointMismatch", file, err)
+	}
+	o.Checkpoint = &CheckpointConfig{ResumeFrame: frame}
+	if _, err := LineageKL(bg, db, f, o, false); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Errorf("%s: resume returned %v, want ErrCheckpointMismatch", file, err)
 	}
 }
 
@@ -463,7 +436,10 @@ func TestGoldenFramesRefuseOtherPlanner(t *testing.T) {
 // refuse them, and so does admission (ValidateResumeFrame).
 func TestGoldenFramesRefuseOtherStream(t *testing.T) {
 	db, f := goldenInstance(t, 1)
-	for _, g := range goldenFrames[:5] {
+	for _, g := range goldenFrames {
+		if !strings.HasPrefix(g.engine, "monte-carlo") {
+			continue
+		}
 		file := strings.TrimSuffix(g.file, ".frame") + "_scalar.frame"
 		frame, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
@@ -477,6 +453,86 @@ func TestGoldenFramesRefuseOtherStream(t *testing.T) {
 		o.Checkpoint = &CheckpointConfig{ResumeFrame: frame}
 		if _, err := goldenEngines[g.engine].run(bg, db, f, o); !errors.Is(err, ErrCheckpointMismatch) {
 			t.Errorf("%s: resume returned %v, want ErrCheckpointMismatch", file, err)
+		}
+	}
+}
+
+// TestGoldenFramesRefuseSequentialStream: the *_seq frames were written
+// by the retired Workers: 0 sequential stream, whose fingerprint says
+// lanes 0. Every run now draws from a lane split, so under any worker
+// count the engines refuse them, and so does admission.
+func TestGoldenFramesRefuseSequentialStream(t *testing.T) {
+	db, f := goldenInstance(t, 1)
+	for _, g := range []struct{ file, engine string }{
+		{"golden_direct_seq.frame", "monte-carlo-direct"},
+		{"golden_padded_seq.frame", "monte-carlo"},
+		{"golden_kl_seq.frame", "lineage-karpluby"},
+	} {
+		frame, err := os.ReadFile(filepath.Join("testdata", g.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{0, 2} {
+			o := goldenOptions(g.engine, w, EvalCompiled)
+			if err := ValidateResumeFrame(frame, Engine(g.engine), f, o); !errors.Is(err, ErrCheckpointMismatch) {
+				t.Errorf("%s workers=%d: admission returned %v, want ErrCheckpointMismatch", g.file, w, err)
+			}
+			o.Checkpoint = &CheckpointConfig{ResumeFrame: frame}
+			if _, err := goldenEngines[g.engine].run(bg, db, f, o); !errors.Is(err, ErrCheckpointMismatch) {
+				t.Errorf("%s workers=%d: resume returned %v, want ErrCheckpointMismatch", g.file, w, err)
+			}
+		}
+	}
+}
+
+// TestOneLaneRangeFrameResumes: a width-1 lane range writes the lane
+// schema like any other run — LaneCount 1, one lane state — and a
+// frame taken mid-run resumes, under any worker count, to the digest
+// of the uninterrupted range.
+func TestOneLaneRangeFrameResumes(t *testing.T) {
+	db, f := goldenInstance(t, 1)
+	r := mc.Range{Lo: 3, Hi: 4, Total: 8}
+	o := goldenOptions("monte-carlo-direct", 0, EvalCompiled)
+	o.LaneRange = &r
+	full, err := MonteCarloDirect(bg, db, f, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	cut := o
+	cut.Checkpoint = &CheckpointConfig{Every: 64, Publish: func(_ int, frame []byte) {
+		frames = append(frames, append([]byte(nil), frame...))
+	}}
+	if _, err := MonteCarloDirect(bg, db, f, cut); err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) < 3 {
+		t.Fatalf("only %d frames published", len(frames))
+	}
+	for _, frame := range frames {
+		payload, err := checkpoint.DecodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st engineState
+		if err := json.Unmarshal(payload, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Loop == nil || st.Loop.LaneCount != 1 || len(st.Loop.Lanes) != 1 {
+			t.Fatalf("one-lane range frame %s: want LaneCount 1 and one lane state", payload)
+		}
+	}
+	want := mc.RangeDigest(full.LaneRange.Lanes)
+	for _, w := range []int{0, 1, 2} {
+		resumed := o
+		resumed.Workers = w
+		resumed.Checkpoint = &CheckpointConfig{ResumeFrame: frames[1]}
+		res, err := MonteCarloDirect(bg, db, f, resumed)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if got := mc.RangeDigest(res.LaneRange.Lanes); !res.Resumed || got != want {
+			t.Errorf("workers=%d: resumed=%v digest %s, uninterrupted %s", w, res.Resumed, got, want)
 		}
 	}
 }

@@ -62,14 +62,11 @@ func MonteCarloDirect(ctx context.Context, db *unreliable.DB, f logic.Formula, o
 	if err != nil {
 		return Result{}, err
 	}
+	// Lane-range mode executes only the assigned subrange of the
+	// Total-lane split and returns the raw per-lane aggregates for the
+	// coordinator to merge.
 	stream := s.stream(opts.Seed)
-	if opts.LaneRange != nil {
-		// Lane-range mode: execute only the assigned subrange of the
-		// Total-lane split — lane-split even at the sequential default
-		// Workers 0 — and return the raw per-lane aggregates for the
-		// coordinator to merge.
-		stream = mc.Stream{Seed: opts.Seed, Range: opts.LaneRange, Workers: max(opts.Workers, 1)}
-	}
+	stream.Range = opts.LaneRange
 	stream.Ckpt = s.run.loopCkpt(s.resume)
 	est, aggs, err := mc.EstimateMean(ctx, kernel, opts.Eps, opts.Delta, opts.Budget.MaxSamples, stream)
 	if err != nil {

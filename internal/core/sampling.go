@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"qrel/internal/checkpoint"
 	"qrel/internal/faultinject"
 	"qrel/internal/logic"
 	"qrel/internal/mc"
@@ -19,7 +18,6 @@ type sampling struct {
 	engine string
 	opts   Options
 	class  logic.Class
-	src    *mc.Source // the Workers: 0 stream
 	run    *ckptRun
 	resume *engineState
 }
@@ -40,7 +38,7 @@ func startSampling(ctx context.Context, site, engine string, f logic.Formula, op
 	if err != nil {
 		return ctx, nil, err
 	}
-	return ctx, &sampling{engine: engine, opts: opts, class: logic.Classify(f), src: mc.NewSource(opts.Seed), run: run, resume: resume}, nil
+	return ctx, &sampling{engine: engine, opts: opts, class: logic.Classify(f), run: run, resume: resume}, nil
 }
 
 // polyTime admits the polynomial-time evaluable queries, those
@@ -75,13 +73,10 @@ func (s *sampling) result(est mc.Estimate, h float64, k int, plan evalPlan) Resu
 	}
 }
 
-// stream names the draws of one estimator run: the lane split of seed
-// when Workers > 0, else the continuation of the sequential source.
+// stream names the draws of one estimator run: the lane split of seed,
+// scheduled on Workers goroutines.
 func (s *sampling) stream(seed int64) mc.Stream {
-	if s.opts.Workers > 0 {
-		return mc.Stream{Seed: seed, Workers: s.opts.Workers}
-	}
-	return mc.Stream{Src: s.src}
+	return mc.Stream{Seed: seed, Workers: s.opts.Workers}
 }
 
 // tupleCount returns n^k, the number of answer tuples of a k-ary query.
@@ -109,13 +104,13 @@ type tupleCall struct {
 
 // perTuple is Corollary 5.5's reduction, the one tuple loop of the
 // per-tuple engines: ν(ψ(ā)) is estimated for each of the n^k answer
-// tuples at (ε/n^k, δ/n^k) — tuple idx drawing from the sequential
-// stream or from the lanes of mc.TupleSeed(Seed, idx) — and
-// H(ā) = Pr[ψ(ā)^B ≠ ψ(ā)^A] summed, so Pr[|R − estimate| > ε] < δ.
+// tuples at (ε/n^k, δ/n^k) — tuple idx drawing from the lanes of
+// mc.TupleSeed(Seed, idx) — and H(ā) = Pr[ψ(ā)^B ≠ ψ(ā)^A] summed, so
+// Pr[|R − estimate| > ε] < δ.
 //
 // One function, save, writes a snapshot: Tuple counts the tuples already
-// in HFloat and RNG is the stream from before the first tuple not in it,
-// so a resumed run replays what an uninterrupted one draws. It runs
+// in HFloat, and each tuple re-derives its lanes, so a resumed run
+// replays what an uninterrupted one draws. It runs
 // every CheckpointConfig.Every samples, at completion, and at the start
 // of the tuple a run was stopped in.
 //
@@ -130,33 +125,18 @@ func (s *sampling) perTuple(ctx context.Context, db *unreliable.DB, f logic.Form
 	k := len(vars)
 	normF := tupleCount(db.A.N, k)
 	epsT, deltaT := opts.Eps/normF, opts.Delta/normF
-	parallel := opts.Workers > 0
-	// The lane split has no sequential stream to record — each tuple
-	// re-derives its lanes — so its snapshots carry the zero state.
-	streamState := func() mc.RNGState {
-		if parallel {
-			return mc.RNGState{}
-		}
-		return s.src.State()
-	}
 	var h, epsSum float64
 	samples, done := 0, 0 // done: the tuples whose H(ā) is in h
 	if st := s.resume; st != nil {
-		if !parallel {
-			if err := s.src.SetState(st.RNG); err != nil {
-				return Result{}, fmt.Errorf("%w: %v", checkpoint.ErrCorruptCheckpoint, err)
-			}
-		}
 		done, h, epsSum, samples = st.Tuple, st.HFloat, st.EpsSum, st.Samples
 	}
-	at := streamState() // the stream before tuple done
 	lastSaved := samples
 	save := func() error {
 		if s.run == nil {
 			return nil
 		}
 		lastSaved = samples
-		return s.run.save(engineState{Tuple: done, HFloat: h, EpsSum: epsSum, Samples: samples, RNG: at})
+		return s.run.save(engineState{Tuple: done, HFloat: h, EpsSum: epsSum, Samples: samples})
 	}
 	midpoint := func() {
 		h += 0.5
@@ -241,7 +221,7 @@ func (s *sampling) perTuple(ctx context.Context, db *unreliable.DB, f logic.Form
 		if stopped {
 			return true
 		}
-		done, at = idx+1, streamState()
+		done = idx + 1
 		if s.run != nil && samples-lastSaved >= s.run.every() {
 			loopErr = save()
 		}

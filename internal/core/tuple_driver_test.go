@@ -17,8 +17,8 @@ import (
 
 // The per-tuple engines' snapshot contract, pinned frame by frame: a
 // snapshot is written at a tuple boundary, its Tuple field counts the
-// tuples already in HFloat, and its RNG state is the one from before
-// the first tuple not yet in it.
+// tuples already in HFloat, and its RNG state is the zero state: each
+// tuple re-derives its lanes from mc.TupleSeed.
 
 // tupleEngines are the Corollary 5.5 engines, with the periodic
 // snapshot interval their save traces are taken at: about one frame
@@ -52,59 +52,35 @@ func frameTrace(t *testing.T, ctx context.Context, engine string, inst int, o Op
 }
 
 // goldenTraces pins the frames the per-tuple engines publish on the
-// golden instances, under the sequential stream (seq: Workers 0) and
-// the lane split (lanes: Workers 2; Workers 1 for "mid", whose lanes
-// must poll the context at deterministic points): an uninterrupted run
+// golden instances on the lane split, each under Workers 0 and 2
+// (Workers 0 and 1 for "mid", whose lanes must poll the context at
+// deterministic points): an uninterrupted run
 // (every), a Budget.MaxSamples cut at half the uninterrupted run's
 // samples (budget), a cancellation from the hook on the first frame
 // (between: seen at the next tuple boundary) and one on the context's
 // poll halfway through the uninterrupted run's polls (mid: inside a
 // tuple's sampling).
 var goldenTraces = map[string]string{
-	"monte-carlo/bool/every/seq":                "1843:d798186f3e43f1f7",
-	"monte-carlo/bool/budget/seq":               "0:0701d170be786a7b",
-	"monte-carlo/bool/between/seq":              "1843:d798186f3e43f1f7",
-	"monte-carlo/bool/mid/seq":                  "0:0701d170be786a7b",
 	"monte-carlo/bool/every/lanes":              "1843:0441cd59358a6822",
 	"monte-carlo/bool/budget/lanes":             "0:597a05107944a036",
 	"monte-carlo/bool/between/lanes":            "1843:0441cd59358a6822",
 	"monte-carlo/bool/mid/lanes":                "0:597a05107944a036",
-	"monte-carlo/free/every/seq":                "24489:c1970801604f0f18 48978:407e3d607fec2c28 73467:cd10326da2f03a58",
-	"monte-carlo/free/budget/seq":               "24489:c1970801604f0f18 24489:c1970801604f0f18",
-	"monte-carlo/free/between/seq":              "24489:c1970801604f0f18 24489:c1970801604f0f18",
-	"monte-carlo/free/mid/seq":                  "24489:c1970801604f0f18 24489:c1970801604f0f18",
 	"monte-carlo/free/every/lanes":              "24489:2669e5a333957f27 48978:e4865d12169e5a93 73467:c22e16bc6125e098",
 	"monte-carlo/free/budget/lanes":             "24489:2669e5a333957f27 24489:2669e5a333957f27",
 	"monte-carlo/free/between/lanes":            "24489:2669e5a333957f27 24489:2669e5a333957f27",
 	"monte-carlo/free/mid/lanes":                "24489:2669e5a333957f27 24489:2669e5a333957f27",
-	"lineage-karpluby/bool/every/seq":           "782:3259c11753959bf9",
-	"lineage-karpluby/bool/budget/seq":          "0:99312deced4d64ed",
-	"lineage-karpluby/bool/between/seq":         "782:3259c11753959bf9",
-	"lineage-karpluby/bool/mid/seq":             "0:99312deced4d64ed",
 	"lineage-karpluby/bool/every/lanes":         "782:31657f20a302c627",
 	"lineage-karpluby/bool/budget/lanes":        "0:0b45b35981ce5e6d",
 	"lineage-karpluby/bool/between/lanes":       "782:31657f20a302c627",
 	"lineage-karpluby/bool/mid/lanes":           "0:0b45b35981ce5e6d",
-	"lineage-karpluby/free/every/seq":           "5729:6642927aef1db792 9875:63723fe3350a49d5 14021:e34a941b4c627ec7",
-	"lineage-karpluby/free/budget/seq":          "5729:6642927aef1db792 5729:6642927aef1db792",
-	"lineage-karpluby/free/between/seq":         "5729:6642927aef1db792",
-	"lineage-karpluby/free/mid/seq":             "5729:6642927aef1db792 5729:6642927aef1db792",
 	"lineage-karpluby/free/every/lanes":         "5729:e77a3c83c26764e5 9875:0f8a7b3b2c62b21e 14021:1ac2e7f8164b2e24",
 	"lineage-karpluby/free/budget/lanes":        "5729:e77a3c83c26764e5 5729:e77a3c83c26764e5",
 	"lineage-karpluby/free/between/lanes":       "5729:e77a3c83c26764e5",
 	"lineage-karpluby/free/mid/lanes":           "5729:e77a3c83c26764e5 5729:e77a3c83c26764e5",
-	"lineage-karpluby-thm53/bool/every/seq":     "1275:5d210e3889380ce3",
-	"lineage-karpluby-thm53/bool/budget/seq":    "0:0dec90090bef5a97",
-	"lineage-karpluby-thm53/bool/between/seq":   "1275:5d210e3889380ce3",
-	"lineage-karpluby-thm53/bool/mid/seq":       "0:0dec90090bef5a97",
 	"lineage-karpluby-thm53/bool/every/lanes":   "1275:1ad5cc451991ecab",
 	"lineage-karpluby-thm53/bool/budget/lanes":  "0:68ff06b037ee7464",
 	"lineage-karpluby-thm53/bool/between/lanes": "1275:1ad5cc451991ecab",
 	"lineage-karpluby-thm53/bool/mid/lanes":     "0:68ff06b037ee7464",
-	"lineage-karpluby-thm53/free/every/seq":     "11489:7ea71a476e9ab73b 15635:fe3d2415635fd044 20610:fabd44af8e11ba94",
-	"lineage-karpluby-thm53/free/budget/seq":    "0:72d47f5bb312e184",
-	"lineage-karpluby-thm53/free/between/seq":   "11489:7ea71a476e9ab73b",
-	"lineage-karpluby-thm53/free/mid/seq":       "0:72d47f5bb312e184",
 	"lineage-karpluby-thm53/free/every/lanes":   "11489:41f198f2542c30b0 15635:6885a5f71495ed04 20610:0d8396732e9db871",
 	"lineage-karpluby-thm53/free/budget/lanes":  "0:44c8344c5003b31f",
 	"lineage-karpluby-thm53/free/between/lanes": "11489:41f198f2542c30b0",
@@ -114,19 +90,18 @@ var goldenTraces = map[string]string{
 func TestGoldenSaveTraces(t *testing.T) {
 	for _, e := range tupleEngines {
 		for inst := range goldenInstances {
-			for _, stream := range []string{"seq", "lanes"} {
+			for _, workers := range []int{0, 2} {
 				key := func(c string) string {
-					return e.name + "/" + goldenInstances[inst].name + "/" + c + "/" + stream
+					return e.name + "/" + goldenInstances[inst].name + "/" + c + "/lanes"
 				}
 				check := func(c, got string) {
 					t.Helper()
 					if *goldenPrint {
 						t.Logf("GOLDEN %q: %q,", key(c), got)
 					} else if want := goldenTraces[key(c)]; got != want {
-						t.Errorf("%s: trace\n  %s\npinned\n  %s", key(c), got, want)
+						t.Errorf("%s workers=%d: trace\n  %s\npinned\n  %s", key(c), workers, got, want)
 					}
 				}
-				workers := map[string]int{"seq": 0, "lanes": 2}[stream]
 				o := goldenOptions(e.name, workers, EvalCompiled)
 				db, f := goldenInstance(t, inst)
 				full, err := goldenEngines[e.name].run(bg, db, f, o)
@@ -143,9 +118,7 @@ func TestGoldenSaveTraces(t *testing.T) {
 				check("between", frameTrace(t, ctx, e.name, inst, o, e.every, cancel))
 				cancel()
 
-				if stream == "lanes" {
-					o.Workers = 1
-				}
+				o.Workers = min(workers, 1)
 				polls := &pollCountingCtx{Context: bg}
 				frameTrace(t, polls, e.name, inst, o, e.every, nil)
 				mid := &cancelAfterCtx{Context: bg, left: int(polls.polls.Load() / 2)}

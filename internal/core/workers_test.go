@@ -11,13 +11,14 @@ import (
 	"testing"
 
 	"qrel/internal/logic"
+	"qrel/internal/mc"
 	"qrel/internal/unreliable"
 	"qrel/internal/workload"
 )
 
 // TestWorkersDeterministicAcrossCounts pins the engine-level lane
-// contract: with Workers > 0 the result is a function of the seed and
-// the fixed lane count only, so every worker count produces the
+// contract: the result is a function of the seed and the fixed lane
+// count only, so every worker count, 0 included, produces the
 // byte-identical Result fields.
 func TestWorkersDeterministicAcrossCounts(t *testing.T) {
 	d := randUDB(rand.New(rand.NewSource(51)), 3, 6)
@@ -35,7 +36,7 @@ func TestWorkersDeterministicAcrossCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s workers=1: %v", name, err)
 		}
-		for _, w := range []int{2, 7} {
+		for _, w := range []int{0, 2, 7} {
 			opts := base
 			opts.Workers = w
 			got, err := run(opts)
@@ -87,43 +88,54 @@ func TestWorkersParallelResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkersLaneFingerprintMismatch requires a snapshot taken on the
-// sequential stream to be rejected by a lane-split run and vice versa:
-// the estimate depends on the lane count, so silently resuming across
-// it would change the answer.
+// TestWorkersLaneFingerprintMismatch: the worker count is outside the
+// fingerprint — a snapshot taken under Workers 0 resumes under Workers
+// 4 and the reverse, each to the uninterrupted estimate — while the
+// lane count is in it: a snapshot of a 4-lane split is rejected by an
+// mc.DefaultLanes run, since resuming across lane counts would change
+// the answer.
 func TestWorkersLaneFingerprintMismatch(t *testing.T) {
 	d := randUDB(rand.New(rand.NewSource(53)), 3, 6)
 	f := logic.MustParse("E(x,y) & S(x)", nil)
 	base := Options{Eps: 0.05, Delta: 0.05, Seed: 33}
+	full, err := MonteCarloDirect(bg, d, f, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, w := range [][2]int{{0, 4}, {4, 0}} {
+		dir := t.TempDir()
+		cut := base
+		cut.Workers = w[0]
+		cut.Budget = Budget{MaxSamples: 600}
+		cut.Checkpoint = &CheckpointConfig{Store: openStore(t, dir, nil), Every: 64}
+		if _, err := MonteCarloDirect(bg, d, f, cut); err != nil {
+			t.Fatal(err)
+		}
+		resumed := base
+		resumed.Workers = w[1]
+		resumed.Checkpoint = &CheckpointConfig{Store: openStore(t, dir, nil), Resume: true}
+		res, err := MonteCarloDirect(bg, d, f, resumed)
+		if err != nil {
+			t.Fatalf("workers %d snapshot into workers %d run: %v", w[0], w[1], err)
+		}
+		if !res.Resumed || res.RFloat != full.RFloat || res.Samples != full.Samples {
+			t.Fatalf("workers %d snapshot into workers %d run: resumed=%v R=%v samples=%d, uninterrupted R=%v samples=%d",
+				w[0], w[1], res.Resumed, res.RFloat, res.Samples, full.RFloat, full.Samples)
+		}
+	}
 
 	dir := t.TempDir()
-	seq := base
-	seq.Budget = Budget{MaxSamples: 200}
-	seq.Checkpoint = &CheckpointConfig{Store: openStore(t, dir, nil), Every: 64}
-	if _, err := MonteCarloDirect(bg, d, f, seq); err != nil {
+	four := base
+	four.LaneRange = &mc.Range{Lo: 0, Hi: 4, Total: 4}
+	four.Checkpoint = &CheckpointConfig{Store: openStore(t, dir, nil), Every: 64}
+	if _, err := MonteCarloDirect(bg, d, f, four); err != nil {
 		t.Fatal(err)
 	}
-
-	par := base
-	par.Workers = 4
-	par.Checkpoint = &CheckpointConfig{Store: openStore(t, dir, nil), Resume: true}
-	if _, err := MonteCarloDirect(bg, d, f, par); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("sequential snapshot into parallel run: err = %v, want ErrCheckpointMismatch", err)
-	}
-
-	// And the reverse: parallel snapshot into a sequential run.
-	dir2 := t.TempDir()
-	par2 := base
-	par2.Workers = 4
-	par2.Budget = Budget{MaxSamples: 600}
-	par2.Checkpoint = &CheckpointConfig{Store: openStore(t, dir2, nil), Every: 64}
-	if _, err := MonteCarloDirect(bg, d, f, par2); err != nil {
-		t.Fatal(err)
-	}
-	seq2 := base
-	seq2.Checkpoint = &CheckpointConfig{Store: openStore(t, dir2, nil), Resume: true}
-	if _, err := MonteCarloDirect(bg, d, f, seq2); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("parallel snapshot into sequential run: err = %v, want ErrCheckpointMismatch", err)
+	eight := base
+	eight.Checkpoint = &CheckpointConfig{Store: openStore(t, dir, nil), Resume: true}
+	if _, err := MonteCarloDirect(bg, d, f, eight); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("4-lane snapshot into a %d-lane run: err = %v, want ErrCheckpointMismatch", mc.DefaultLanes, err)
 	}
 }
 

@@ -27,11 +27,11 @@ func TestCountDNFCompiledBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		d := randDNF(rng, 3+rng.Intn(10), 1+rng.Intn(6), 3)
-		want, err := CountDNF(bg, d, 0.3, 0.2, CountScalar, seq(99))
+		want, err := CountDNF(bg, d, 0.3, 0.2, CountScalar, seeded(99))
 		if err != nil {
 			t.Fatalf("interpreted: %v", err)
 		}
-		got, err := CountDNF(bg, d, 0.3, 0.2, CountBatched, seq(99))
+		got, err := CountDNF(bg, d, 0.3, 0.2, CountBatched, seeded(99))
 		if err != nil {
 			t.Fatalf("compiled: %v", err)
 		}
@@ -86,7 +86,7 @@ func TestCountDNFCompiledResumesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	d := randDNF(rng, 10, 5, 3)
 	var saves []mc.LoopState
-	want, err := CountDNF(bg, d, 0.3, 0.2, CountScalar, mc.Stream{Src: mc.NewSource(7), Ckpt: &mc.Ckpt{Every: 53, Save: func(st mc.LoopState) error {
+	want, err := CountDNF(bg, d, 0.3, 0.2, CountScalar, mc.Stream{Seed: 7, Ckpt: &mc.Ckpt{Every: 53, Save: func(st mc.LoopState) error {
 		saves = append(saves, st)
 		return nil
 	}}})
@@ -97,7 +97,7 @@ func TestCountDNFCompiledResumesInterpreted(t *testing.T) {
 		t.Fatalf("want several periodic snapshots, got %d", len(saves))
 	}
 	mid := saves[1]
-	got, err := CountDNF(bg, d, 0.3, 0.2, CountBatched, mc.Stream{Src: mc.NewSource(7), Ckpt: &mc.Ckpt{Resume: &mid}})
+	got, err := CountDNF(bg, d, 0.3, 0.2, CountBatched, mc.Stream{Seed: 7, Ckpt: &mc.Ckpt{Resume: &mid}})
 	if err != nil {
 		t.Fatalf("compiled resume: %v", err)
 	}
@@ -105,14 +105,14 @@ func TestCountDNFCompiledResumesInterpreted(t *testing.T) {
 		t.Fatalf("compiled resume of interpreted snapshot: %v/%d != %v/%d", got.Estimate, got.Hits, want.Estimate, want.Hits)
 	}
 	var compSaves []mc.LoopState
-	if _, err := CountDNF(bg, d, 0.3, 0.2, CountBatched, mc.Stream{Src: mc.NewSource(7), Ckpt: &mc.Ckpt{Every: 53, Save: func(st mc.LoopState) error {
+	if _, err := CountDNF(bg, d, 0.3, 0.2, CountBatched, mc.Stream{Seed: 7, Ckpt: &mc.Ckpt{Every: 53, Save: func(st mc.LoopState) error {
 		compSaves = append(compSaves, st)
 		return nil
 	}}}); err != nil {
 		t.Fatalf("compiled full run: %v", err)
 	}
 	mid2 := compSaves[1]
-	got2, err := CountDNF(bg, d, 0.3, 0.2, CountScalar, mc.Stream{Src: mc.NewSource(7), Ckpt: &mc.Ckpt{Resume: &mid2}})
+	got2, err := CountDNF(bg, d, 0.3, 0.2, CountScalar, mc.Stream{Seed: 7, Ckpt: &mc.Ckpt{Resume: &mid2}})
 	if err != nil {
 		t.Fatalf("interpreted resume: %v", err)
 	}
@@ -126,11 +126,11 @@ func TestProbDNFCompiledBitIdentical(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		d := randDNF(rng, 3+rng.Intn(10), 1+rng.Intn(6), 3)
 		p := randProbs(rng, d.NumVars)
-		want, err := ProbDNF(bg, d, p, 0.3, 0.2, ProbScalar, seq(42))
+		want, err := ProbDNF(bg, d, p, 0.3, 0.2, ProbScalar, seeded(42))
 		if err != nil {
 			t.Fatalf("interpreted: %v", err)
 		}
-		got, err := ProbDNF(bg, d, p, 0.3, 0.2, ProbBatched, seq(42))
+		got, err := ProbDNF(bg, d, p, 0.3, 0.2, ProbBatched, seeded(42))
 		if err != nil {
 			t.Fatalf("compiled: %v", err)
 		}
@@ -167,11 +167,11 @@ func TestCountDNFBatchedWideTotals(t *testing.T) {
 	// A term with a single literal over 70 variables has 2^69
 	// satisfying assignments — BitLen 70, past the uint64 fast path.
 	d := prop.DNF{NumVars: 70, Terms: []prop.Term{{prop.Lit{Var: 0}}, {prop.Lit{Var: 1, Neg: true}, prop.Lit{Var: 2}}}}
-	want, err := CountDNF(bg, d, 0.3, 0.2, CountScalar, seq(1))
+	want, err := CountDNF(bg, d, 0.3, 0.2, CountScalar, seeded(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CountDNF(bg, d, 0.3, 0.2, CountBatched, seq(1))
+	got, err := CountDNF(bg, d, 0.3, 0.2, CountBatched, seeded(1))
 	if err != nil {
 		t.Fatalf("batched kernel on a wide total: %v", err)
 	}

@@ -11,8 +11,7 @@ import (
 // Golden #DNF streams, recorded at commit a543416 (see
 // internal/core/golden_stream_test.go for why literals): CountDNF on a
 // DNF whose term-weight total fits the 63-bit batched pick and on one
-// whose total does not, under the sequential stream and the lane
-// split, with both kernels.
+// whose total does not, with both kernels, under every worker count.
 var goldenDNFs = map[string]prop.DNF{
 	"small": {NumVars: 12, Terms: []prop.Term{
 		{prop.Pos(0), prop.Negd(3)},
@@ -39,20 +38,15 @@ type goldenCount struct {
 // 5.11's worst case to the coverage-bound planner (Planner): t fell from
 // 691 and 346 to 216 and 154, the draw order is unchanged.
 var goldenCounts = map[string]goldenCount{
-	"small/seq":   {"96448/27", 216, 137},
 	"small/lanes": {"33088/9", 216, 141},
-	"wide/seq":    {"8485502273906393743360/11", 154, 115},
 	"wide/lanes":  {"811656739243220271104/1", 154, 121},
 }
 
 // goldenCountDNF runs CountDNF at the pinned accuracy and seed on the
-// sequential stream (workers 0) or the lane split.
+// lane split, scheduled on workers goroutines.
 func goldenCountDNF(d prop.DNF, compiled bool, workers int) (CountResult, error) {
 	const eps, delta, seed = 0.3, 0.2, 1998
 	s := mc.Stream{Seed: seed, Workers: workers}
-	if workers == 0 {
-		s = mc.Stream{Src: mc.NewSource(seed)}
-	}
 	k := CountKernel(CountScalar)
 	if compiled {
 		k = CountBatched
@@ -63,10 +57,7 @@ func goldenCountDNF(d prop.DNF, compiled bool, workers int) (CountResult, error)
 func TestGoldenCountDNF(t *testing.T) {
 	for name, d := range goldenDNFs {
 		for _, w := range []int{0, 1, 3} {
-			key := name + "/seq"
-			if w > 0 {
-				key = name + "/lanes"
-			}
+			key := name + "/lanes"
 			for _, compiled := range []bool{true, false} {
 				res, err := goldenCountDNF(d, compiled, w)
 				if err != nil {

@@ -13,8 +13,8 @@ import (
 
 var bg = context.Background()
 
-// seq is a sequential stream over a fresh source.
-func seq(seed int64) mc.Stream { return mc.Stream{Src: mc.NewSource(seed)} }
+// seeded is the lane split of seed on the calling goroutine.
+func seeded(seed int64) mc.Stream { return mc.Stream{Seed: seed} }
 
 func randDNF(rng *rand.Rand, numVars, numTerms, width int) prop.DNF {
 	d := prop.DNF{NumVars: numVars}
@@ -103,7 +103,6 @@ func TestRandBigBelow(t *testing.T) {
 
 func TestCountDNFAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	s := seq(2)
 	const eps, delta = 0.1, 0.02
 	failures := 0
 	const instances = 30
@@ -114,7 +113,9 @@ func TestCountDNFAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := CountDNF(bg, d, eps, delta, CountBatched, s)
+		// Each instance draws its own seed: the failure bound below
+		// assumes independent trials.
+		got, err := CountDNF(bg, d, eps, delta, CountBatched, seeded(2000+int64(iter)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestCountDNFAccuracy(t *testing.T) {
 }
 
 func TestCountDNFEdgeCases(t *testing.T) {
-	s := seq(3)
+	s := seeded(3)
 	// Empty DNF: count 0.
 	res, err := CountDNF(bg, prop.DNF{NumVars: 5}, 0.1, 0.1, CountScalar, s)
 	if err != nil || res.Estimate.Sign() != 0 {
@@ -162,7 +163,6 @@ func TestCountDNFEdgeCases(t *testing.T) {
 
 func TestProbDNFAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	s := seq(4)
 	const eps, delta = 0.1, 0.02
 	failures := 0
 	const instances = 30
@@ -177,7 +177,7 @@ func TestProbDNFAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ProbDNF(bg, d, p, eps, delta, ProbBatched, s)
+		got, err := ProbDNF(bg, d, p, eps, delta, ProbBatched, seeded(4000+int64(iter)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestProbDNFAccuracy(t *testing.T) {
 
 func TestProbDNFValidation(t *testing.T) {
 	d := prop.MustDNF(2, prop.Term{prop.Pos(0)})
-	if _, err := ProbDNF(bg, d, prop.ProbAssignment{big.NewRat(1, 2)}, 0.1, 0.1, ProbScalar, seq(1)); err == nil {
+	if _, err := ProbDNF(bg, d, prop.ProbAssignment{big.NewRat(1, 2)}, 0.1, 0.1, ProbScalar, seeded(1)); err == nil {
 		t.Error("short probability assignment accepted")
 	}
 }
@@ -234,7 +234,7 @@ func TestCountDNFPlanSavesWhenCoverageHigh(t *testing.T) {
 	for _, n := range []int{planned.Samples, worst} {
 		pl := planned
 		pl.Samples = n
-		res, err := pl.Run(bg, seq(8))
+		res, err := pl.Run(bg, seeded(8))
 		if err != nil {
 			t.Fatal(err)
 		}

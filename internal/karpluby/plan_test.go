@@ -188,9 +188,9 @@ func TestPlannedRunsMissAtMostDelta(t *testing.T) {
 			for s := int64(0); s < seeds; s++ {
 				var res CountResult
 				if weighted {
-					res, err = ProbDNF(bg, d, q, eps, delta, ProbBatched, seq(s))
+					res, err = ProbDNF(bg, d, q, eps, delta, ProbBatched, seeded(s))
 				} else {
-					res, err = CountDNF(bg, d, eps, delta, CountBatched, seq(s))
+					res, err = CountDNF(bg, d, eps, delta, CountBatched, seeded(s))
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -129,7 +129,6 @@ func TestReducePolynomialBlowup(t *testing.T) {
 
 func TestProbViaReductionAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	s := seq(6)
 	const eps, delta = 0.15, 0.05
 	failures, instances := 0, 20
 	for iter := 0; iter < instances; iter++ {
@@ -143,7 +142,7 @@ func TestProbViaReductionAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ProbViaReduction(bg, d, p, eps, delta, CountBatched, s)
+		got, err := ProbViaReduction(bg, d, p, eps, delta, CountBatched, seeded(6000+int64(iter)))
 		if err != nil {
 			t.Fatal(err)
 		}

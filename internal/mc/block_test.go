@@ -44,7 +44,7 @@ func TestBlockDrawFrequencies(t *testing.T) {
 	p[len(mus)], p[len(mus)+1] = xi, xi
 
 	law := newWorlds(d, false)
-	src := NewSource(5)
+	src := newSource(5)
 	cols := make([]uint64, len(mus))
 	const blocks = 2000
 	n := len(p)
@@ -94,7 +94,7 @@ func TestBlockDrawFrequencies(t *testing.T) {
 // lane.
 func TestBlockDrawShortBlock(t *testing.T) {
 	d := spreadDB(big.NewRat(1, 2), big.NewRat(1, 100), big.NewRat(2, 3))
-	src := NewSource(9)
+	src := newSource(9)
 	cols := make([]uint64, 3)
 	for m := 1; m < blockSize; m++ {
 		for _, rare := range []bool{false, true} {
@@ -168,7 +168,7 @@ func TestBlockDrawWordsPerSample(t *testing.T) {
 		want int // words over the 200 blocks, pinned
 	}{{false, 94223}, {true, 94088}} {
 		law := newWorlds(d, c.rare)
-		src := NewSource(1998)
+		src := newSource(1998)
 		cols := make([]uint64, 64)
 		words := 0
 		const blocks = 200
@@ -223,11 +223,7 @@ func TestEstimatorCoverage(t *testing.T) {
 	} {
 		misses := 0
 		for r := 0; r < runs; r++ {
-			s := Stream{Seed: int64(r), Workers: 1}
-			if r%2 == 1 {
-				s = Stream{Src: NewSource(int64(r))}
-			}
-			est, err := c.run(c.eps, s)
+			est, err := c.run(c.eps, Stream{Seed: int64(r)})
 			if err != nil {
 				t.Fatal(err)
 			}

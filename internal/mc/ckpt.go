@@ -11,36 +11,34 @@ package mc
 // unchanged.
 
 // LoopState is the serializable state of one estimator loop at a
-// sample boundary. Single-lane (sequential) runs write the legacy
-// fields only; lane-split parallel runs additionally set LaneCount and
-// Lanes (the versioned multi-lane schema), with the legacy fields
-// carrying the cross-lane totals.
+// sample boundary: LaneCount and Lanes hold every lane of the run (or
+// of its lane range), and the scalar fields carry the cross-lane
+// totals.
 type LoopState struct {
 	// Method names the estimator that produced the state ("hoeffding",
 	// "padded", "rare-event", "karp-luby"); restoring into a different
 	// estimator is rejected.
 	Method string `json:"method"`
-	// Drawn is the number of samples already drawn (total across lanes).
+	// Drawn is the number of samples already drawn (total across lanes,
+	// a lane's End where it has one; so are Hits and Sum).
 	Drawn int `json:"drawn"`
 	// Hits is the success count of counting estimators (total across
 	// lanes).
 	Hits int `json:"hits,omitempty"`
 	// Sum is the running sum of mean estimators (total across lanes).
 	Sum float64 `json:"sum,omitempty"`
-	// RNG is the PRNG state immediately after sample Drawn (lane 0's
-	// state in a multi-lane snapshot; Lanes is authoritative there).
+	// RNG is lane 0's PRNG state; Lanes is authoritative.
 	RNG RNGState `json:"rng"`
-	// LaneCount > 0 marks a multi-lane snapshot with one entry per lane
-	// in Lanes. A snapshot resumes only into a run with the identical
-	// lane count — the estimate is a function of it. Zero (legacy
-	// single-lane snapshots) resumes only into sequential runs.
+	// LaneCount is the number of entries in Lanes. A snapshot resumes
+	// only into a run with the identical lane count — the estimate is a
+	// function of it. Zero, the schema of the retired sequential stream,
+	// resumes no run.
 	LaneCount int `json:"lane_count,omitempty"`
-	// Lanes holds the per-lane states of a multi-lane snapshot, in lane
-	// index order.
+	// Lanes holds the per-lane states, in lane index order.
 	Lanes []LaneState `json:"lanes,omitempty"`
 }
 
-// LaneState is the serializable state of one lane at a sample boundary.
+// LaneState is the serializable state of one lane at a block boundary.
 type LaneState struct {
 	// Drawn is the number of samples this lane has drawn.
 	Drawn int `json:"drawn"`
@@ -49,6 +47,27 @@ type LaneState struct {
 	Sum  float64 `json:"sum,omitempty"`
 	// RNG is the lane's PRNG state immediately after its sample Drawn.
 	RNG RNGState `json:"rng"`
+	// End is set once the lane has drawn a quota that ends in a short
+	// block. A short block's draw depends on its length, so the fields
+	// above stay at the last block boundary, where a run with a larger
+	// quota (the same job resumed without its sample budget) goes on;
+	// a run with the same quota restores End and draws nothing more.
+	End *LaneEnd `json:"end,omitempty"`
+}
+
+// LaneEnd is a lane's progress and aggregates at the end of its quota.
+type LaneEnd struct {
+	Drawn int     `json:"drawn"`
+	Hits  int     `json:"hits,omitempty"`
+	Sum   float64 `json:"sum,omitempty"`
+}
+
+// reached is what the lane state stands for: its End, if it has one.
+func (l LaneState) reached() LaneEnd {
+	if l.End != nil {
+		return *l.End
+	}
+	return LaneEnd{Drawn: l.Drawn, Hits: l.Hits, Sum: l.Sum}
 }
 
 // Ckpt wires periodic checkpointing into a sampling loop. The loop
@@ -61,9 +80,10 @@ type LaneState struct {
 type Ckpt struct {
 	// Every is the number of run samples between periodic snapshots
 	// (<= 0 disables them; boundary saves still fire). A lane checks
-	// every Every/lanes of its samples, rounded up to whole blocks, and
-	// a check commits once the checks since the last commit stand for
-	// Every samples, so a crash loses O(Every + workers × that interval)
+	// every Every/lanes of its samples, rounded up to whole blocks — a
+	// lane whose quota is shorter, once on drawing it — and a check
+	// commits once the checks since the last commit stand for Every
+	// samples, so a crash loses O(Every + workers × that interval)
 	// samples.
 	Every int
 	// Save persists one snapshot; an error aborts the estimator.

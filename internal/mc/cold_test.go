@@ -12,7 +12,7 @@ import (
 )
 
 // TestColdDatabaseEntryPoints runs every estimator and kernel that
-// takes a database — on lanes, a lane range, a sequential source — on
+// takes a database — on lanes and on a lane range — on
 // a database nobody has read before, with four workers, and requires
 // the answer of the same call on a warmed copy. A database builds its uncertain-atom
 // lists on first read; when that first read is four lanes setting up
@@ -31,7 +31,6 @@ func TestColdDatabaseEntryPoints(t *testing.T) {
 	const seed, eps, delta = 7, 0.1, 0.1
 	lanes := mc.Stream{Seed: seed, Workers: 4}
 	rng := mc.Stream{Seed: seed, Range: &mc.Range{Lo: 1, Hi: 6, Total: mc.DefaultLanes}, Workers: 4}
-	seq := func() mc.Stream { return mc.Stream{Src: mc.NewSource(seed)} }
 	mean := func(k mc.MeanStat, s mc.Stream) (any, error) {
 		est, aggs, err := mc.EstimateMean(ctx, k, eps, delta, 0, s)
 		return []any{est, aggs}, err
@@ -44,7 +43,6 @@ func TestColdDatabaseEntryPoints(t *testing.T) {
 		"mean/compiled/lanes":    func(db *unreliable.DB) (any, error) { return mean(cm.Kernel(db), lanes) },
 		"mean/interpreted/range": func(db *unreliable.DB) (any, error) { return mean(mc.MeanKernel(db, stat), rng) },
 		"mean/compiled/range":    func(db *unreliable.DB) (any, error) { return mean(cm.Kernel(db), rng) },
-		"mean/compiled/seq":      func(db *unreliable.DB) (any, error) { return mean(cm.Kernel(db), seq()) },
 		"rare/interpreted/lanes": func(db *unreliable.DB) (any, error) {
 			return mc.EstimateMeanRare(ctx, db, mc.MeanKernel(db, stat), eps, delta, 0, lanes)
 		},
@@ -53,7 +51,6 @@ func TestColdDatabaseEntryPoints(t *testing.T) {
 		},
 		"padded/interpreted/lanes": func(db *unreliable.DB) (any, error) { return padded(mc.PaddedPred(db, pred), lanes) },
 		"padded/compiled/lanes":    func(db *unreliable.DB) (any, error) { return padded(mc.PaddedProgram(db, prog), lanes) },
-		"padded/compiled/seq":      func(db *unreliable.DB) (any, error) { return padded(mc.PaddedProgram(db, prog), seq()) },
 	}
 	for name, call := range calls {
 		want, err := call(warm)

@@ -78,7 +78,7 @@ func TestCompiledPaddedBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: final snapshots differ:\n%+v\n%+v", w, intSaves[len(intSaves)-1], compSaves[len(compSaves)-1])
 		}
 		if w == 1 && !reflect.DeepEqual(intSaves, compSaves) {
-			t.Fatalf("sequential snapshot streams differ:\n%+v\n%+v", intSaves, compSaves)
+			t.Fatalf("one-goroutine snapshot streams differ:\n%+v\n%+v", intSaves, compSaves)
 		}
 	}
 }
@@ -126,7 +126,7 @@ func TestCompiledMeanBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: final snapshots differ", w)
 		}
 		if w == 1 && !reflect.DeepEqual(intSaves, compSaves) {
-			t.Fatalf("sequential snapshot streams differ")
+			t.Fatalf("one-goroutine snapshot streams differ")
 		}
 	}
 }
@@ -156,7 +156,7 @@ func TestCompiledMeanRangeBitIdentical(t *testing.T) {
 
 // TestCompiledResumesInterpretedCheckpoint proves snapshot
 // interchange across eval modes: a snapshot written mid-run by the
-// interpreted sequential estimator resumes under the compiled one
+// interpreted estimator resumes under the compiled one
 // (and vice versa) with the final estimate byte-identical to an
 // uninterrupted run.
 func TestCompiledResumesInterpretedCheckpoint(t *testing.T) {
@@ -164,7 +164,7 @@ func TestCompiledResumesInterpretedCheckpoint(t *testing.T) {
 	stat, cm := meanFixture(t, db, "exists y . E(0,y) & S(y)")
 	ctx := context.Background()
 	var saves []mc.LoopState
-	want, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.05, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: collectCkpt(37, &saves)})
+	want, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.05, 0.1, 0, mc.Stream{Seed: 1998, Ckpt: collectCkpt(37, &saves)})
 	if err != nil {
 		t.Fatalf("interpreted full run: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestCompiledResumesInterpretedCheckpoint(t *testing.T) {
 		t.Fatalf("want several periodic snapshots, got %d", len(saves))
 	}
 	mid := saves[1]
-	got, _, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.05, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: &mc.Ckpt{Resume: &mid}})
+	got, _, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.05, 0.1, 0, mc.Stream{Seed: 1998, Ckpt: &mc.Ckpt{Resume: &mid}})
 	if err != nil {
 		t.Fatalf("compiled resume: %v", err)
 	}
@@ -181,11 +181,11 @@ func TestCompiledResumesInterpretedCheckpoint(t *testing.T) {
 	}
 	// And the reverse direction: compiled writes, interpreted resumes.
 	var compSaves []mc.LoopState
-	if _, _, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.05, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: collectCkpt(37, &compSaves)}); err != nil {
+	if _, _, err := mc.EstimateMean(ctx, cm.Kernel(db), 0.05, 0.1, 0, mc.Stream{Seed: 1998, Ckpt: collectCkpt(37, &compSaves)}); err != nil {
 		t.Fatalf("compiled full run: %v", err)
 	}
 	mid2 := compSaves[1]
-	got2, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.05, 0.1, 0, mc.Stream{Src: mc.NewSource(1998), Ckpt: &mc.Ckpt{Resume: &mid2}})
+	got2, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), 0.05, 0.1, 0, mc.Stream{Seed: 1998, Ckpt: &mc.Ckpt{Resume: &mid2}})
 	if err != nil {
 		t.Fatalf("interpreted resume: %v", err)
 	}
@@ -194,24 +194,24 @@ func TestCompiledResumesInterpretedCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCompiledSequentialMatchesInterpreted covers the padded kernels on
-// a caller-owned sequential source.
+// TestCompiledSequentialMatchesInterpreted covers the padded kernels
+// with every lane on the calling goroutine (Workers 0).
 func TestCompiledSequentialMatchesInterpreted(t *testing.T) {
 	db := compiledTestDB(t, 23)
 	q := mustParse(t, db, "forall x . S(x) -> exists y . E(x,y)")
 	prog := mustCompile(t, db, q)
 	pred := func(b *rel.Structure) (bool, error) { return logic.EvalSentence(b, q) }
 	ctx := context.Background()
-	want, err := mc.EstimateNuPadded(ctx, mc.PaddedPred(db, pred), 0, 0.25, 0.1, 0, mc.Stream{Src: mc.NewSource(77)})
+	want, err := mc.EstimateNuPadded(ctx, mc.PaddedPred(db, pred), 0, 0.25, 0.1, 0, mc.Stream{Seed: 77})
 	if err != nil {
 		t.Fatalf("interpreted: %v", err)
 	}
-	got, err := mc.EstimateNuPadded(ctx, mc.PaddedProgram(db, prog), 0, 0.25, 0.1, 0, mc.Stream{Src: mc.NewSource(77)})
+	got, err := mc.EstimateNuPadded(ctx, mc.PaddedProgram(db, prog), 0, 0.25, 0.1, 0, mc.Stream{Seed: 77})
 	if err != nil {
 		t.Fatalf("compiled: %v", err)
 	}
 	if got != want {
-		t.Fatalf("sequential compiled %+v != interpreted %+v", got, want)
+		t.Fatalf("one-goroutine compiled %+v != interpreted %+v", got, want)
 	}
 }
 
@@ -247,13 +247,13 @@ func hostileMu(rng *rand.Rand) *big.Rat {
 // interpreted one must give the byte-identical estimate — and, for the
 // mean, the identical lane aggregates — for the mean, padded and
 // rare-event estimators, under a random sample budget (so short last
-// blocks) on the sequential stream or the lane split.
+// blocks), with the lanes on one goroutine or on two.
 func FuzzBlockDraw(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(6), uint8(0), uint16(700), false)
 	f.Add(int64(2), uint8(4), uint8(12), uint8(1), uint16(65), true)
 	f.Add(int64(3), uint8(2), uint8(1), uint8(2), uint16(1), true)
 	f.Add(int64(4), uint8(3), uint8(9), uint8(3), uint16(1999), false)
-	f.Fuzz(func(t *testing.T, seed int64, n, u, query uint8, budget uint16, lanes bool) {
+	f.Fuzz(func(t *testing.T, seed int64, n, u, query uint8, budget uint16, parallel bool) {
 		rng := rand.New(rand.NewSource(seed))
 		db := workload.RandomUDB(rng, 2+int(n%3), int(u%16))
 		for _, a := range db.UncertainAtoms() {
@@ -267,10 +267,10 @@ func FuzzBlockDraw(f *testing.F) {
 		prog := mustCompile(t, db, q)
 		pred := func(b *rel.Structure) (bool, error) { return logic.EvalSentence(b, q) }
 		stream := func() mc.Stream {
-			if lanes {
+			if parallel {
 				return mc.Stream{Seed: seed, Workers: 2}
 			}
-			return mc.Stream{Src: mc.NewSource(seed)}
+			return mc.Stream{Seed: seed}
 		}
 		ctx := context.Background()
 		maxSamples := 1 + int(budget)%2000

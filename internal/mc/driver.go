@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -53,6 +52,9 @@ type Lane struct {
 	Drawn int
 	Hits  int
 	Sum   float64
+	// at is what a snapshot records of the lane: its state at its last
+	// block boundary, with End once it has drawn its quota.
+	at LaneState
 }
 
 // Kernel is an estimator's per-lane sampling step. The driver calls it
@@ -73,58 +75,46 @@ type Kernel func(ln *Lane) (step func(m int) error)
 // Stream says which draws a run owns, and how they are scheduled and
 // checkpointed.
 type Stream struct {
-	// Src, when non-nil, makes the run one sequential lane continuing
-	// the caller's source: the stream is left where the run stopped,
-	// so consecutive runs (the per-tuple engines) consume one stream.
-	// Its snapshots use the single-lane schema (LaneCount 0). Seed,
-	// Range and Workers are ignored.
-	Src *Source
-	// Seed names the lane split otherwise: DefaultLanes lanes, lane i
-	// at the seed's base state advanced by i LongJumps.
+	// Seed names the lane split: DefaultLanes lanes, lane i at the
+	// seed's base state advanced by i LongJumps.
 	Seed int64
 	// Range, when non-nil, restricts the run to the lanes [Lo,Hi) of a
 	// Range.Total-lane split of Seed. Quotas are assigned over the full
 	// split first, so a lane's stream and quota never depend on which
 	// node runs it, and snapshots are scoped to the range (RangeMethod).
 	Range *Range
-	// Workers caps the goroutines driving the lanes (≤ 0: GOMAXPROCS;
-	// always clamped to the lane count). It never affects the estimate.
+	// Workers caps the goroutines driving the lanes (≤ 1: the calling
+	// goroutine; always clamped to the lane count). It never affects the
+	// estimate.
 	Workers int
 	// Ckpt wires periodic snapshots and resume into the run.
 	Ckpt *Ckpt
 }
 
-// lanes builds the run's lanes with their quotas of total assigned,
-// the worker count, and the method string scoped to the lane range.
-func (s Stream) lanes(method string, total int) ([]*Lane, int, string, error) {
-	if s.Src != nil {
-		return []*Lane{{Src: s.Src, Rng: rand.New(s.Src), Quota: total}}, 1, method, nil
-	}
+// lanes builds the run's lanes with their quotas of total assigned and
+// the method string scoped to the lane range.
+func (s Stream) lanes(method string, total int) ([]*Lane, string, error) {
 	r := Range{Lo: 0, Hi: DefaultLanes, Total: DefaultLanes}
 	if s.Range != nil {
 		r = *s.Range
 		if err := r.Validate(); err != nil {
-			return nil, 0, "", err
+			return nil, "", err
 		}
 	}
 	all := splitLanes(s.Seed, r.Total)
 	assignQuotas(all, total)
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return all[r.Lo:r.Hi], workers, RangeMethod(method, r), nil
+	return all[r.Lo:r.Hi], RangeMethod(method, r), nil
 }
 
 // splitLanes derives n non-overlapping lanes from one seed: lane i
 // starts at the seed's base state advanced by i LongJumps (2^192
 // draws apart).
 func splitLanes(seed int64, n int) []*Lane {
-	base := NewSource(seed)
+	base := newSource(seed)
 	lanes := make([]*Lane, n)
 	for i := 0; i < n; i++ {
 		src := &Source{s: base.s}
-		lanes[i] = &Lane{Idx: i, Src: src, Rng: rand.New(src)}
+		lanes[i] = &Lane{Idx: i, Src: src, Rng: rand.New(src), at: LaneState{RNG: src.State()}}
 		base.LongJump()
 	}
 	return lanes
@@ -169,10 +159,13 @@ func TupleSeed(seed int64, idx int) int64 {
 // lane's samples (only a lane's last block may be short), the context
 // is polled before each, and snapshots hold lanes at block boundaries
 // only — the per-lane cadence is rounded up to whole blocks, and a
-// short last block is left out — so a block-drawing kernel's stream
-// does not depend on where a run was cut, resumed or checkpointed.
+// short last block is recorded beside the boundary as the lane's End —
+// so a block-drawing kernel's stream does not depend on where a run was
+// cut, resumed or checkpointed. A lane whose quota is drawn before its
+// first periodic check checks once on drawing it, so a run whose lanes
+// each hold less than the per-lane interval still commits.
 func Run(ctx context.Context, method string, total int, anytime bool, s Stream, k Kernel) ([]*Lane, error) {
-	lanes, workers, method, err := s.lanes(method, total)
+	lanes, method, err := s.lanes(method, total)
 	if err != nil {
 		return nil, err
 	}
@@ -180,10 +173,11 @@ func Run(ctx context.Context, method string, total int, anytime bool, s Stream, 
 		return nil, err
 	}
 	lc := newLaneCkpt(method, lanes, s.Ckpt)
-	err = runLanes(ctx, lanes, workers, func(ctx context.Context, ln *Lane) error {
+	err = runLanes(ctx, lanes, s.Workers, func(ctx context.Context, ln *Lane) error {
 		step := k(ln)
-		lastCheck := ln.Drawn
-		at := laneState(ln) // the lane at its last block boundary
+		start := ln.Drawn
+		lastCheck := start
+		at := ln.at
 		for ln.Drawn < ln.Quota {
 			if err := ctx.Err(); err != nil {
 				if anytime {
@@ -206,10 +200,13 @@ func Run(ctx context.Context, method string, total int, anytime bool, s Stream, 
 				at = laneState(ln)
 			}
 		}
-		// A short last block is left out of the snapshot: its draw depends
-		// on its length, so a run with a larger quota — the same job
-		// resumed without its sample budget — redraws it in full.
-		return lc.publish(ln.Idx, at, false)
+		done := ln.Drawn == ln.Quota
+		if done && ln.Drawn > at.Drawn {
+			at.End = &LaneEnd{Drawn: ln.Drawn, Hits: ln.Hits, Sum: ln.Sum}
+		}
+		// A lane that drew its quota without a periodic check checks once
+		// on drawing it.
+		return lc.publish(ln.Idx, at, lc.every > 0 && done && lastCheck == start && ln.Drawn > start)
 	})
 	if err != nil {
 		return nil, err
@@ -289,9 +286,7 @@ func runLanes(ctx context.Context, lanes []*Lane, workers int, fn func(ctx conte
 // a persisted snapshot assembles the last published state of every
 // lane. Lanes are independent streams, so the assembled states need
 // not be from the same instant — any combination of per-lane
-// boundaries is a valid resume point. With a single lane the snapshot
-// is written in the legacy (PR 3) single-lane format, so sequential
-// runs stay byte-compatible with existing stores.
+// boundaries is a valid resume point.
 type laneCkpt struct {
 	ck     *Ckpt
 	method string
@@ -331,17 +326,18 @@ func newLaneCkpt(method string, lanes []*Lane, ck *Ckpt) *laneCkpt {
 	}
 	lc.lanes = make([]LaneState, len(lanes))
 	for i, ln := range lanes {
-		lc.lanes[i] = laneState(ln)
+		lc.lanes[i] = ln.at
 		lc.savedDrawn += ln.Drawn
 	}
 	return lc
 }
 
 // publish records lane idx's state st at a block boundary. With check
-// set it counts one periodic check, which stands for every samples of
-// the run, and persists the assembled multi-lane snapshot once the
-// checks since the last commit stand for Ckpt.Every samples (skipped
-// when nothing was drawn since the last persisted one). A run then
+// set it counts one check — periodic, or a lane's only one on drawing
+// its quota — which stands for every samples of the run, and persists
+// the assembled multi-lane snapshot once the checks since the last
+// commit stand for Ckpt.Every samples (skipped when nothing was drawn
+// since the last persisted one). A run then
 // commits once per Every of its samples, and how often is a function
 // of the quotas, the lane count and Every, never of the scheduling.
 func (lc *laneCkpt) publish(idx int, st LaneState, check bool) error {
@@ -363,8 +359,7 @@ func (lc *laneCkpt) publish(idx int, st LaneState, check bool) error {
 
 // finalSave persists the boundary snapshot after the lanes joined:
 // after a cancellation it is the state a restart resumes from; after
-// completion it makes a re-run a replay of at most each lane's short
-// last block.
+// completion it makes a re-run an instant replay.
 func (lc *laneCkpt) finalSave() error {
 	if lc.inert {
 		return nil
@@ -377,18 +372,17 @@ func (lc *laneCkpt) finalSave() error {
 func (lc *laneCkpt) saveLocked() error {
 	st := LoopState{Method: lc.method}
 	for _, l := range lc.lanes {
-		st.Drawn += l.Drawn
-		st.Hits += l.Hits
-		st.Sum += l.Sum
+		r := l.reached()
+		st.Drawn += r.Drawn
+		st.Hits += r.Hits
+		st.Sum += r.Sum
 	}
 	if st.Drawn == lc.savedDrawn {
 		return nil
 	}
 	st.RNG = lc.lanes[0].RNG
-	if len(lc.lanes) > 1 {
-		st.LaneCount = len(lc.lanes)
-		st.Lanes = append([]LaneState(nil), lc.lanes...)
-	}
+	st.LaneCount = len(lc.lanes)
+	st.Lanes = append([]LaneState(nil), lc.lanes...)
 	lc.savedDrawn = st.Drawn
 	return lc.ck.Save(st)
 }
@@ -396,18 +390,21 @@ func (lc *laneCkpt) saveLocked() error {
 // ErrResumeMismatch reports a snapshot that cannot resume the run at
 // hand: wrong estimator method (including a different lane range or
 // world stream), a lane-count mismatch, an implausible state — among
-// them a lane stopped inside a block —, or an undecodable RNG state. It separates "this snapshot belongs to a different
-// computation" from disk corruption — a caller holding a shipped
+// them a lane stopped inside a block —, or an undecodable RNG state.
+// It separates "this snapshot belongs to a different computation" from
+// disk corruption — a caller holding a shipped
 // snapshot falls back to a clean restart on it rather than failing.
 var ErrResumeMismatch = errors.New("mc: snapshot does not match this run")
 
-// restoreLanes applies ck.Resume (if any) to the lanes: a multi-lane
-// (v2) snapshot restores per-lane counters and RNG states; a legacy
-// single-lane snapshot restores only into a single-lane run. Lane
-// count mismatches are rejected — the estimate is a function of the
-// lane count, so resuming across counts would silently change it. A
-// lane must stand at a block boundary: a block's draw depends on the
-// whole block, so a lane stopped inside one has no continuation. Every
+// restoreLanes applies ck.Resume (if any) to the lanes: per-lane
+// counters and RNG states. Lane count mismatches are rejected — the
+// estimate is a function of the lane count, so resuming across counts
+// would silently change it — and so is a snapshot without lane states
+// (LaneCount 0), which no run writes. A lane must stand at a block
+// boundary: a block's draw depends on the whole block, so a lane
+// stopped inside one has no continuation. Its End, less than a block
+// past the boundary, is restored when it ends this run's quota of the
+// lane; a run with another quota goes on from the boundary. Every
 // rejection wraps ErrResumeMismatch.
 func restoreLanes(method string, lanes []*Lane, ck *Ckpt) error {
 	if ck == nil || ck.Resume == nil {
@@ -417,28 +414,32 @@ func restoreLanes(method string, lanes []*Lane, ck *Ckpt) error {
 	if st.Method != method {
 		return fmt.Errorf("%w: snapshot was taken by estimator %q, cannot resume %q", ErrResumeMismatch, st.Method, method)
 	}
-	states := st.Lanes
-	if st.LaneCount == 0 {
-		if len(lanes) != 1 {
-			return fmt.Errorf("%w: single-lane snapshot cannot resume a %d-lane run", ErrResumeMismatch, len(lanes))
-		}
-		states = []LaneState{{Drawn: st.Drawn, Hits: st.Hits, Sum: st.Sum, RNG: st.RNG}}
-	} else if st.LaneCount != len(lanes) || len(st.Lanes) != st.LaneCount {
+	if st.LaneCount != len(lanes) || len(st.Lanes) != st.LaneCount {
 		return fmt.Errorf("%w: snapshot has %d lanes (%d lane states), cannot resume a %d-lane run",
 			ErrResumeMismatch, st.LaneCount, len(st.Lanes), len(lanes))
 	}
 	for i, ln := range lanes {
-		ls := states[i]
+		ls := st.Lanes[i]
 		if ls.Drawn < 0 || ls.Hits < 0 || ls.Hits > ls.Drawn {
 			return fmt.Errorf("%w: implausible snapshot state for lane %d: drawn=%d hits=%d", ErrResumeMismatch, i, ls.Drawn, ls.Hits)
 		}
 		if ls.Drawn%blockSize != 0 {
 			return fmt.Errorf("%w: lane %d stopped at sample %d, inside a %d-sample block", ErrResumeMismatch, i, ls.Drawn, blockSize)
 		}
+		if e := ls.End; e != nil && (e.Drawn <= ls.Drawn || e.Drawn-ls.Drawn >= blockSize || e.Hits < ls.Hits || e.Hits > e.Drawn) {
+			return fmt.Errorf("%w: lane %d ends at drawn=%d hits=%d, not within the block after drawn=%d hits=%d",
+				ErrResumeMismatch, i, e.Drawn, e.Hits, ls.Drawn, ls.Hits)
+		}
 		if err := ln.Src.SetState(ls.RNG); err != nil {
 			return fmt.Errorf("%w: lane %d: %v", ErrResumeMismatch, i, err)
 		}
 		ln.Drawn, ln.Hits, ln.Sum = ls.Drawn, ls.Hits, ls.Sum
+		ln.at = ls
+		if e := ls.End; e != nil && e.Drawn == ln.Quota {
+			ln.Drawn, ln.Hits, ln.Sum = e.Drawn, e.Hits, e.Sum
+		} else {
+			ln.at.End = nil
+		}
 	}
 	return nil
 }

@@ -14,10 +14,10 @@ import (
 // the sources must agree at every boundary too.
 func TestHotRNGMatchesRand(t *testing.T) {
 	for _, seed := range []int64{0, 1, -7, 1998, 1 << 40} {
-		a := NewSource(seed)
-		b := NewSource(seed)
+		a := newSource(seed)
+		b := newSource(seed)
 		ref := rand.New(b)
-		mix := rand.New(NewSource(seed ^ 0x5eed))
+		mix := rand.New(newSource(seed ^ 0x5eed))
 		for i := 0; i < 20000; i++ {
 			d := a.Hot()
 			switch mix.Intn(3) {

@@ -199,19 +199,98 @@ func TestLaneKillResume(t *testing.T) {
 	}
 }
 
-// TestRestoreLanesRejectsMismatch covers the snapshot/run lane-count
-// compatibility rules: a single-lane snapshot cannot seed a multi-lane
-// run, and lane counts must match exactly.
-func TestRestoreLanesRejectsMismatch(t *testing.T) {
-	single := &LoopState{Method: "hoeffding", Drawn: 64, Sum: 5, RNG: NewSource(1).State()}
-	lanes := splitLanes(1, DefaultLanes)
-	if err := restoreLanes("hoeffding", lanes, &Ckpt{Resume: single}); err == nil {
-		t.Error("single-lane snapshot restored into multi-lane run")
+// TestShortLanesCheckpoint: a run whose lanes hold less than a block
+// each (300 samples on 8 lanes) still commits about once per Every
+// samples — each lane checks on drawing its quota — and records each
+// short last block as the lane's End. Its final snapshot replays the
+// same run without a draw or a save; every snapshot resumes the run
+// without the budget, from the block boundaries, bit-identically; and
+// an End that is not within the block after its boundary is refused.
+func TestShortLanesCheckpoint(t *testing.T) {
+	d := manyAtomDB()
+	const seed, eps, delta, budget = 7, 0.05, 0.05, 300
+	uninterrupted, err := meanPar(bg, d, statS, eps, delta, 0, seed, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []LoopState
+	capped, err := meanPar(bg, d, statS, eps, delta, budget, seed, 2, &Ckpt{Every: 100, Save: func(st LoopState) error {
+		snaps = append(snaps, st)
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) < 3 {
+		t.Fatalf("a %d-sample run with Every 100 committed %d snapshots, want at least 3", budget, len(snaps))
+	}
+	final := snaps[len(snaps)-1]
+	if final.Drawn != budget {
+		t.Fatalf("final snapshot holds %d samples, want %d", final.Drawn, budget)
+	}
+	for i, l := range final.Lanes {
+		if l.Drawn != 0 || l.End == nil {
+			t.Fatalf("lane %d: boundary %d, End %v; want boundary 0 and an End", i, l.Drawn, l.End)
+		}
 	}
 
-	multi := &LoopState{Method: "hoeffding", LaneCount: 4, RNG: NewSource(1).State()}
+	var evals atomic.Int64
+	counting := func(b *rel.Structure) (float64, error) {
+		evals.Add(1)
+		return statS(b)
+	}
+	saves := 0
+	replay, err := meanPar(bg, d, counting, eps, delta, budget, seed, 3, &Ckpt{Every: 100, Resume: &final, Save: func(LoopState) error {
+		saves++
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay != capped || evals.Load() != 0 || saves != 0 {
+		t.Fatalf("replay: %+v after %d samples and %d saves, want %+v after none", replay, evals.Load(), saves, capped)
+	}
+
+	for i := range snaps {
+		resumed, err := meanPar(bg, d, statS, eps, delta, 0, seed, 1+i%3, &Ckpt{Resume: &snaps[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed != uninterrupted {
+			t.Errorf("snapshot %d resumed without the budget: %+v, uninterrupted %+v", i, resumed, uninterrupted)
+		}
+	}
+
+	lanes, method, err := Stream{Seed: seed}.lanes(MeanMethod, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, end := range []LaneEnd{{Drawn: 0}, {Drawn: blockSize}, {Drawn: 10, Hits: 11}} {
+		bad := final
+		bad.Lanes = append([]LaneState(nil), final.Lanes...)
+		bad.Lanes[2].End = &end
+		if err := restoreLanes(method, lanes, &Ckpt{Resume: &bad}); !errors.Is(err, ErrResumeMismatch) {
+			t.Errorf("End %+v after boundary 0: %v, want ErrResumeMismatch", end, err)
+		}
+	}
+}
+
+// TestRestoreLanesRejectsMismatch covers the snapshot/run lane-count
+// compatibility rules: a snapshot without lane states (LaneCount 0, the
+// retired sequential schema) resumes no run, not even a one-lane one,
+// and lane counts must match exactly.
+func TestRestoreLanesRejectsMismatch(t *testing.T) {
+	single := &LoopState{Method: "hoeffding", Drawn: 64, Sum: 5, RNG: newSource(1).State()}
+	lanes := splitLanes(1, DefaultLanes)
+	for _, run := range [][]*Lane{lanes, splitLanes(1, 1)} {
+		if err := restoreLanes("hoeffding", run, &Ckpt{Resume: single}); !errors.Is(err, ErrResumeMismatch) {
+			t.Errorf("LaneCount-0 snapshot into a %d-lane run: %v, want ErrResumeMismatch", len(run), err)
+		}
+	}
+
+	multi := &LoopState{Method: "hoeffding", LaneCount: 4, RNG: newSource(1).State()}
 	for i := 0; i < 4; i++ {
-		multi.Lanes = append(multi.Lanes, LaneState{RNG: NewSource(int64(i + 1)).State()})
+		multi.Lanes = append(multi.Lanes, LaneState{RNG: newSource(int64(i + 1)).State()})
 	}
 	if err := restoreLanes("hoeffding", lanes, &Ckpt{Resume: multi}); err == nil {
 		t.Errorf("%d-lane snapshot restored into %d-lane run", 4, DefaultLanes)
@@ -356,7 +435,18 @@ func scalarTrace(idx, start, quota []int, every int, saving bool, cancelLane, ca
 		if stopped && !anytime {
 			return tr, true // the error path persists nothing more
 		}
-		published[i] = drawn - drawn%blockSize // a short last block is not published
+		if drawn < quota[i] {
+			published[i] = drawn - drawn%blockSize // cut inside a block: its boundary
+			continue
+		}
+		// A lane that drew its quota publishes it, short last block and
+		// all, and checks if it drew it without a periodic check.
+		published[i] = drawn
+		if perLane > 0 && drawn > start[i] && lastCheck == start[i] {
+			if checks++; checks%per == 0 {
+				save()
+			}
+		}
 	}
 	save()
 	return tr, stopped
@@ -390,16 +480,16 @@ func TestDriverMatchesScalarLoop(t *testing.T) {
 		saving := rng.Intn(4) > 0
 		anytime := rng.Intn(2) == 0
 		seed := rng.Int63()
-		// The stream: a caller's sequential source, or a random subrange
-		// of a random lane split.
-		newStream := func() Stream { return Stream{Src: NewSource(seed)} }
+		// The stream: the DefaultLanes split, or a random subrange of a
+		// random lane split.
+		newStream := func() Stream { return Stream{Seed: seed} }
 		if rng.Intn(4) > 0 {
 			r := Range{Total: 1 + rng.Intn(6)}
 			r.Lo = rng.Intn(r.Total)
 			r.Hi = r.Lo + 1 + rng.Intn(r.Total-r.Lo)
 			newStream = func() Stream { return Stream{Seed: seed, Range: &r} }
 		}
-		probe, _, method, err := newStream().lanes("count", total)
+		probe, method, err := newStream().lanes("count", total)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +497,7 @@ func TestDriverMatchesScalarLoop(t *testing.T) {
 		idx, start, quota := make([]int, n), make([]int, n), make([]int, n)
 		var resume *LoopState
 		if rng.Intn(2) == 0 {
-			resume = &LoopState{Method: method, RNG: probe[0].Src.State()}
+			resume = &LoopState{Method: method, LaneCount: n, RNG: probe[0].Src.State()}
 		}
 		for i, ln := range probe {
 			idx[i], quota[i] = ln.Idx, ln.Quota
@@ -419,11 +509,6 @@ func TestDriverMatchesScalarLoop(t *testing.T) {
 				resume.Sum += float64(start[i])
 				resume.Lanes = append(resume.Lanes, LaneState{Drawn: start[i], Hits: start[i], Sum: float64(start[i]), RNG: ln.Src.State()})
 			}
-		}
-		if resume != nil && n > 1 {
-			resume.LaneCount = n
-		} else if resume != nil {
-			resume.Lanes = nil
 		}
 		cancelLane, cancelAt := -1, 0
 		if i := rng.Intn(n); rng.Intn(2) == 0 && start[i] < quota[i] {
@@ -530,10 +615,7 @@ func TestDriverMatchesScalarLoop(t *testing.T) {
 					}
 				}
 				for i, bs := range batches {
-					d := last.Drawn
-					if last.LaneCount > 0 {
-						d = last.Lanes[i].Drawn
-					}
+					d := last.Lanes[i].Drawn
 					for _, m := range bs {
 						if d%blockSize != 0 || m != min(blockSize, quota[i]-d) {
 							t.Fatalf("%s: resumed lane %d batch of %d at Drawn=%d is not a block", label, idx[i], m, d)
@@ -545,7 +627,7 @@ func TestDriverMatchesScalarLoop(t *testing.T) {
 		}
 		// A lane stopped inside a block has no continuation: refused.
 		if i := rng.Intn(n); quota[i] >= 1 {
-			bad := &LoopState{Method: method, RNG: probe[0].Src.State()}
+			bad := &LoopState{Method: method, LaneCount: n, RNG: probe[0].Src.State()}
 			states := make([]LaneState, n)
 			for j, ln := range probe {
 				states[j] = LaneState{RNG: ln.Src.State()}
@@ -553,10 +635,7 @@ func TestDriverMatchesScalarLoop(t *testing.T) {
 			for states[i].Drawn = 1 + rng.Intn(quota[i]); states[i].Drawn%blockSize == 0; {
 				states[i].Drawn = 1 + rng.Intn(quota[i])
 			}
-			if n > 1 {
-				bad.LaneCount, bad.Lanes = n, states
-			}
-			bad.Drawn = states[i].Drawn
+			bad.Lanes, bad.Drawn = states, states[i].Drawn
 			s := newStream()
 			s.Ckpt = &Ckpt{Resume: bad}
 			_, err := Run(bg, "count", total, anytime, s, func(ln *Lane) func(int) error {
@@ -571,34 +650,32 @@ func TestDriverMatchesScalarLoop(t *testing.T) {
 
 // commitForm is the closed form of a run's commits: lanes of the given
 // quotas check every p samples (Every/lanes rounded up to whole
-// blocks), at p, 2p, … below their quota, and every per-th check of the
-// run commits, per = ⌈Every/p⌉. The final boundary save commits too
-// when it finds a lane past the last periodic commit. ok is false when
-// that depends on whether a lane publishes its last block before or
-// after the run's last check.
+// blocks), at p, 2p, … below their quota — a lane with none of those,
+// once on drawing its quota — and every per-th check of the run
+// commits, per = ⌈Every/p⌉. The final boundary save commits too when a
+// lane published after the last periodic commit: always when the run's
+// last check did not commit, and always after a periodic check, which
+// its lane draws past. ok is false when that depends on whether the
+// run's last check is a periodic one or a short lane's.
 func commitForm(quota []int, every int) (periodic, commits, p int, ok bool) {
 	p = (max(1, every/len(quota)) + blockSize - 1) / blockSize * blockSize
 	per := (every + p - 1) / p
-	checks, checkers, adders, checkersAdding := 0, 0, 0, 0
+	checks, checkers, enders := 0, 0, 0
 	for _, q := range quota {
-		c := max(0, q-1) / p
-		adds := q-c*p >= blockSize // a whole block follows the lane's last check
-		checks += c
-		if adds {
-			adders++
-		}
-		if c > 0 {
+		switch c := max(0, q-1) / p; {
+		case c > 0:
+			checks += c
 			checkers++
-			if adds {
-				checkersAdding++
-			}
+		case q > 0:
+			checks++
+			enders++
 		}
 	}
 	periodic = checks / per
 	switch {
-	case checks%per != 0, checks == 0 && adders > 0, checkers > 0 && checkersAdding == checkers:
+	case checks%per != 0, enders == 0 && checkers > 0:
 		return periodic, periodic + 1, p, true
-	case adders == 0:
+	case checkers == 0:
 		return periodic, periodic, p, true
 	}
 	return periodic, 0, p, false
@@ -609,8 +686,9 @@ func commitForm(quota []int, every int) (periodic, commits, p int, ok bool) {
 // Save calls is the same under 1, 2 and 8 workers and equals
 // commitForm, and consecutive periodic commits stand at least Every
 // samples of check progress apart — a lane at Drawn d has made
-// min(⌊d/p⌋, its checks) checks. The sampling-mix shape (73 778
-// samples, Every 2^14, 8 lanes) commits exactly 5.
+// min(⌊d/p⌋, its periodic checks) checks, or its one check on drawing a
+// quota q ≤ p. The sampling-mix shape (73 778 samples, Every 2^14, 8
+// lanes) commits exactly 5.
 func TestCheckpointCadence(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	for _, c := range []struct {
@@ -626,8 +704,9 @@ func TestCheckpointCadence(t *testing.T) {
 		{total: 3000, every: 100, r: Range{0, 3, 3}},
 		{total: 12345, every: 1 << 20, r: Range{0, 8, 8}},
 		{total: 30, every: 10, r: Range{0, 8, 8}},
+		{total: 300, every: 100, r: Range{0, 8, 8}, want: 4}, // lanes of 37 or 38: one check each
 	} {
-		probe, _, _, err := Stream{Seed: 1, Range: &c.r}.lanes("count", c.total)
+		probe, _, err := Stream{Seed: 1, Range: &c.r}.lanes("count", c.total)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -643,13 +722,15 @@ func TestCheckpointCadence(t *testing.T) {
 			t.Fatalf("%+v: closed form gives %d commits, want %d", c, want, c.want)
 		}
 		checkProgress := func(st LoopState) int {
-			lanes := st.Lanes
-			if st.LaneCount == 0 {
-				lanes = []LaneState{{Drawn: st.Drawn}}
-			}
 			n := 0
-			for i, l := range lanes {
-				n += min(l.Drawn/p, max(0, quota[i]-1)/p)
+			for i, l := range st.Lanes {
+				d, c := l.reached().Drawn, max(0, quota[i]-1)/p
+				switch {
+				case c > 0:
+					n += min(d/p, c)
+				case d == quota[i] && d > 0:
+					n++
+				}
 			}
 			return n * p
 		}

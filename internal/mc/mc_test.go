@@ -27,26 +27,26 @@ func oneAtomDB() *unreliable.DB {
 
 func predS0(b *rel.Structure) (bool, error) { return b.Holds("S", rel.Tuple{0}), nil }
 
-// The interpreted estimators continuing a caller's sequential source;
-// nuSeq is the mean of a predicate's indicator, i.e. plain Monte Carlo
-// for nu(psi) = Pr[B ⊨ psi].
-func meanSeq(ctx context.Context, d *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, src *Source) (Estimate, error) {
-	est, _, err := EstimateMean(ctx, MeanKernel(d, f), eps, delta, maxSamples, Stream{Src: src})
+// The interpreted estimators on the lane split of seed; nuRun is the
+// mean of a predicate's indicator, i.e. plain Monte Carlo for
+// nu(psi) = Pr[B ⊨ psi].
+func meanRun(ctx context.Context, d *unreliable.DB, f func(*rel.Structure) (float64, error), eps, delta float64, maxSamples int, seed int64) (Estimate, error) {
+	est, _, err := EstimateMean(ctx, MeanKernel(d, f), eps, delta, maxSamples, Stream{Seed: seed})
 	return est, err
 }
 
-func nuSeq(ctx context.Context, d *unreliable.DB, pred func(*rel.Structure) (bool, error), eps, delta float64, maxSamples int, src *Source) (Estimate, error) {
-	return meanSeq(ctx, d, func(b *rel.Structure) (float64, error) {
+func nuRun(ctx context.Context, d *unreliable.DB, pred func(*rel.Structure) (bool, error), eps, delta float64, maxSamples int, seed int64) (Estimate, error) {
+	return meanRun(ctx, d, func(b *rel.Structure) (float64, error) {
 		v, err := pred(b)
 		if err != nil || !v {
 			return 0, err
 		}
 		return 1, nil
-	}, eps, delta, maxSamples, src)
+	}, eps, delta, maxSamples, seed)
 }
 
-func paddedSeq(ctx context.Context, d *unreliable.DB, pred func(*rel.Structure) (bool, error), xi, eps, delta float64, maxSamples int, src *Source) (Estimate, error) {
-	return EstimateNuPadded(ctx, PaddedPred(d, pred), xi, eps, delta, maxSamples, Stream{Src: src})
+func paddedRun(ctx context.Context, d *unreliable.DB, pred func(*rel.Structure) (bool, error), xi, eps, delta float64, maxSamples int, seed int64) (Estimate, error) {
+	return EstimateNuPadded(ctx, PaddedPred(d, pred), xi, eps, delta, maxSamples, Stream{Seed: seed})
 }
 
 func TestHoeffdingSampleSize(t *testing.T) {
@@ -86,8 +86,8 @@ func TestPaperSampleSize(t *testing.T) {
 
 func TestEstimateNuConverges(t *testing.T) {
 	d := oneAtomDB()
-	rng := NewSource(1)
-	est, err := nuSeq(bg, d, predS0, 0.02, 0.01, 0, rng)
+	const seed = 1
+	est, err := nuRun(bg, d, predS0, 0.02, 0.01, 0, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +104,8 @@ func TestEstimateNuConverges(t *testing.T) {
 
 func TestEstimateNuPaddedConverges(t *testing.T) {
 	d := oneAtomDB()
-	rng := NewSource(2)
-	est, err := paddedSeq(bg, d, predS0, 0.25, 0.05, 0.02, 0, rng)
+	const seed = 2
+	est, err := paddedRun(bg, d, predS0, 0.25, 0.05, 0.02, 0, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestEstimateNuPaddedConverges(t *testing.T) {
 		t.Errorf("padded estimate %v, want 0.75 ± 0.05", est.Value)
 	}
 	// Default xi kicks in on 0.
-	est2, err := paddedSeq(bg, d, predS0, 0, 0.05, 0.02, 0, rng)
+	est2, err := paddedRun(bg, d, predS0, 0, 0.05, 0.02, 0, seed+100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +124,8 @@ func TestEstimateNuPaddedConverges(t *testing.T) {
 
 func TestEstimateNuPaddedStructuralMatches(t *testing.T) {
 	d := oneAtomDB()
-	rng := NewSource(3)
-	est, err := EstimateNuPaddedStructural(bg, d, predS0, 0.25, 0.05, 0.02, 0, Stream{Src: rng})
+	const seed = 3
+	est, err := EstimateNuPaddedStructural(bg, d, predS0, 0.25, 0.05, 0.02, 0, Stream{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,17 +140,17 @@ func TestEstimateExtremeProbabilities(t *testing.T) {
 	s := rel.MustStructure(2, voc)
 	s.MustAdd("S", 0)
 	d := unreliable.New(s) // no uncertainty at all
-	rng := NewSource(4)
-	est, err := paddedSeq(bg, d, predS0, 0.25, 0.05, 0.02, 0, rng)
+	const seed = 4
+	est, err := paddedRun(bg, d, predS0, 0.25, 0.05, 0.02, 0, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(est.Value-1) > 0.05 {
 		t.Errorf("certain-true estimate %v", est.Value)
 	}
-	est, err = paddedSeq(bg, d, func(b *rel.Structure) (bool, error) {
+	est, err = paddedRun(bg, d, func(b *rel.Structure) (bool, error) {
 		return b.Holds("S", rel.Tuple{1}), nil
-	}, 0.25, 0.05, 0.02, 0, rng)
+	}, 0.25, 0.05, 0.02, 0, seed+100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func TestEstimateExtremeProbabilities(t *testing.T) {
 
 func TestEstimateAnytimePartial(t *testing.T) {
 	d := oneAtomDB()
-	rng := NewSource(6)
+	const seed = 6
 	// eps=0.01 needs ~18k Hoeffding samples; a 200-sample budget forces a
 	// partial result with an honestly widened interval.
-	est, err := nuSeq(bg, d, predS0, 0.01, 0.05, 200, rng)
+	est, err := nuRun(bg, d, predS0, 0.01, 0.05, 200, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,24 +188,24 @@ func TestEstimateCanceledBeforeFirstSample(t *testing.T) {
 	d := oneAtomDB()
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
-	rng := NewSource(7)
-	if _, err := nuSeq(ctx, d, predS0, 0.1, 0.1, 0, rng); !errors.Is(err, ErrNoSamples) {
+	const seed = 7
+	if _, err := nuRun(ctx, d, predS0, 0.1, 0.1, 0, seed); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("EstimateNu error %v, want ErrNoSamples", err)
 	}
-	if _, err := paddedSeq(ctx, d, predS0, 0.25, 0.1, 0.1, 0, rng); !errors.Is(err, ErrNoSamples) {
+	if _, err := paddedRun(ctx, d, predS0, 0.25, 0.1, 0.1, 0, seed); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("EstimateNuPadded error %v, want ErrNoSamples", err)
 	}
 }
 
 func TestEstimateMeanValidation(t *testing.T) {
 	d := oneAtomDB()
-	rng := NewSource(5)
-	if _, err := meanSeq(bg, d, func(*rel.Structure) (float64, error) { return 2, nil }, 0.1, 0.1, 0, rng); err == nil {
+	const seed = 5
+	if _, err := meanRun(bg, d, func(*rel.Structure) (float64, error) { return 2, nil }, 0.1, 0.1, 0, seed); err == nil {
 		t.Error("out-of-range sample value accepted")
 	}
-	if _, err := meanSeq(bg, d, func(*rel.Structure) (float64, error) {
+	if _, err := meanRun(bg, d, func(*rel.Structure) (float64, error) {
 		return 0, errTest
-	}, 0.1, 0.1, 0, rng); err == nil {
+	}, 0.1, 0.1, 0, seed); err == nil {
 		t.Error("predicate error swallowed")
 	}
 }

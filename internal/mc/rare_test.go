@@ -116,7 +116,7 @@ func TestConditionalSamplerDistribution(t *testing.T) {
 
 	const blocks = 4000
 	counts := make([]int, 1<<u)
-	src := NewSource(1)
+	src := newSource(1)
 	cols := make([]uint64, u)
 	for b := 0; b < blocks; b++ {
 		law.block(src, cols, blockSize, 0, nil)
@@ -144,7 +144,7 @@ func TestEstimateMeanRareMatchesExact(t *testing.T) {
 	d := rareDB()
 	// Exact E[flippedFrac] = (1/100 + 1/50 + 1/200)/3 by linearity.
 	exact := (1.0/100 + 1.0/50 + 1.0/200) / 3
-	est, err := EstimateMeanRare(bg, d, MeanKernel(d, flippedFrac), 0.001, 0.02, 0, Stream{Src: NewSource(2)})
+	est, err := EstimateMeanRare(bg, d, MeanKernel(d, flippedFrac), 0.001, 0.02, 0, Stream{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestEstimateMeanRareEdgeCases(t *testing.T) {
 	voc := rel.MustVocabulary(rel.RelSym{Name: "S", Arity: 1})
 	s := rel.MustStructure(2, voc)
 	d := unreliable.New(s)
-	est, err := EstimateMeanRare(bg, d, MeanKernel(d, func(*rel.Structure) (float64, error) { return 0, nil }), 0.01, 0.05, 0, Stream{Src: NewSource(1)})
+	est, err := EstimateMeanRare(bg, d, MeanKernel(d, func(*rel.Structure) (float64, error) { return 0, nil }), 0.01, 0.05, 0, Stream{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestEstimateMeanRareEdgeCases(t *testing.T) {
 	// mu = 1 atom: falls back to the plain estimator (Z = 1).
 	d2 := rareDB()
 	d2.MustSetError(rel.GroundAtom{Rel: "S", Args: rel.Tuple{0}}, big.NewRat(1, 1))
-	est2, err := EstimateMeanRare(bg, d2, MeanKernel(d2, flippedFrac), 0.05, 0.05, 0, Stream{Src: NewSource(3)})
+	est2, err := EstimateMeanRare(bg, d2, MeanKernel(d2, flippedFrac), 0.05, 0.05, 0, Stream{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestEstimateMeanRareEdgeCases(t *testing.T) {
 		t.Errorf("method %q, want plain fallback", est2.Method)
 	}
 	// Parameter validation.
-	if _, err := EstimateMeanRare(bg, rareDB(), MeanKernel(rareDB(), flippedFrac), 0, 0.5, 0, Stream{Src: NewSource(1)}); err == nil {
+	if _, err := EstimateMeanRare(bg, rareDB(), MeanKernel(rareDB(), flippedFrac), 0, 0.5, 0, Stream{Seed: 1}); err == nil {
 		t.Error("bad eps accepted")
 	}
 }

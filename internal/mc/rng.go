@@ -31,8 +31,8 @@ type Source struct {
 	s [4]uint64
 }
 
-// NewSource returns a Source deterministically seeded from seed.
-func NewSource(seed int64) *Source {
+// newSource returns a Source deterministically seeded from seed.
+func newSource(seed int64) *Source {
 	s := &Source{}
 	s.Seed(seed)
 	return s
@@ -40,7 +40,7 @@ func NewSource(seed int64) *Source {
 
 // NewRand returns a *rand.Rand over a fresh Source, for callers that
 // want math/rand's methods over the serializable stream.
-func NewRand(seed int64) *rand.Rand { return rand.New(NewSource(seed)) }
+func NewRand(seed int64) *rand.Rand { return rand.New(newSource(seed)) }
 
 // Seed resets the source to the deterministic state derived from seed
 // by four rounds of splitmix64 (which cannot produce the forbidden

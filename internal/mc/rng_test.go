@@ -6,15 +6,15 @@ import (
 )
 
 func TestSourceDeterministic(t *testing.T) {
-	a, b := NewSource(42), NewSource(42)
+	a, b := newSource(42), newSource(42)
 	for i := 0; i < 1000; i++ {
 		if av, bv := a.Uint64(), b.Uint64(); av != bv {
 			t.Fatalf("same-seed sources diverge at draw %d: %d vs %d", i, av, bv)
 		}
 	}
-	c := NewSource(43)
+	c := newSource(43)
 	same := 0
-	a = NewSource(42)
+	a = newSource(42)
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() == c.Uint64() {
 			same++
@@ -26,14 +26,14 @@ func TestSourceDeterministic(t *testing.T) {
 }
 
 func TestSourceStateRoundTrip(t *testing.T) {
-	a := NewSource(7)
+	a := newSource(7)
 	for i := 0; i < 123; i++ {
 		a.Uint64()
 	}
 	st := a.State()
 
 	// Continue the original; replay a restored copy: streams must match.
-	b := NewSource(0)
+	b := newSource(0)
 	if err := b.SetState(st); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSourceStateRoundTrip(t *testing.T) {
 }
 
 func TestRNGStateJSONRoundTrip(t *testing.T) {
-	a := NewSource(99)
+	a := newSource(99)
 	a.Uint64()
 	st := a.State()
 	raw, err := json.Marshal(st)
@@ -69,7 +69,7 @@ func TestSetStateRejectsZero(t *testing.T) {
 }
 
 func TestInt63NonNegative(t *testing.T) {
-	s := NewSource(3)
+	s := newSource(3)
 	for i := 0; i < 10000; i++ {
 		if v := s.Int63(); v < 0 {
 			t.Fatalf("Int63 returned negative %d", v)
@@ -91,7 +91,7 @@ func TestNewRandUsableByRand(t *testing.T) {
 
 func TestJumpDeterministicAndDisjoint(t *testing.T) {
 	// Jump is a deterministic function of the state.
-	a, b := NewSource(11), NewSource(11)
+	a, b := newSource(11), newSource(11)
 	a.Jump()
 	b.Jump()
 	for i := 0; i < 100; i++ {
@@ -100,7 +100,7 @@ func TestJumpDeterministicAndDisjoint(t *testing.T) {
 		}
 	}
 	// A jumped stream does not collide with the base stream's prefix.
-	base, jumped := NewSource(11), NewSource(11)
+	base, jumped := newSource(11), newSource(11)
 	jumped.Jump()
 	seen := map[uint64]bool{}
 	for i := 0; i < 1000; i++ {
@@ -118,7 +118,7 @@ func TestJumpDeterministicAndDisjoint(t *testing.T) {
 }
 
 func TestLongJumpDiffersFromJump(t *testing.T) {
-	j, lj := NewSource(5), NewSource(5)
+	j, lj := newSource(5), newSource(5)
 	j.Jump()
 	lj.LongJump()
 	diff := false
@@ -132,7 +132,7 @@ func TestLongJumpDiffersFromJump(t *testing.T) {
 		t.Fatal("Jump and LongJump landed on the same stream")
 	}
 	// LongJump preserves determinism too.
-	a, b := NewSource(5), NewSource(5)
+	a, b := newSource(5), newSource(5)
 	a.LongJump()
 	b.LongJump()
 	if a.Uint64() != b.Uint64() {

@@ -43,12 +43,12 @@ type Request struct {
 	Delta float64 `json:"delta,omitempty"`
 	// Seed seeds the deterministic RNG of randomized engines.
 	Seed int64 `json:"seed,omitempty"`
-	// Workers > 0 runs randomized engines on the lane-split parallel
-	// sampling runtime with up to this many goroutines. The estimate is
-	// bit-identical for any Workers >= 1 (lanes, not workers, determine
-	// it), so callers can vary it freely between runs of the same job.
-	// Clamped to the server's own pool width so one job cannot
-	// oversubscribe the process.
+	// Workers only schedules the fixed mc.DefaultLanes split of a
+	// randomized engine's samples: up to this many goroutines drive the
+	// lanes, 0 and 1 meaning one. The estimate is bit-identical for any
+	// Workers (lanes, not workers, determine it), so callers can vary it
+	// freely between runs of the same job. Clamped to the server's own
+	// pool width so one job cannot oversubscribe the process.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS is the wall-clock budget in milliseconds. Zero uses the
 	// server default; values above the server maximum are clamped. The

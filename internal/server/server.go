@@ -490,12 +490,6 @@ func (s *Server) buildTask(req *Request) (*task, int, string, error) {
 			return nil, http.StatusBadRequest, KindBadRequest, err
 		}
 		laneRange = &rng
-		// A lane-range run is always lane-split; give it at least one
-		// worker even when the caller left workers at the sequential
-		// default.
-		if workers < 1 {
-			workers = 1
-		}
 	}
 	if len(req.Resume) > 0 && laneRange == nil {
 		return nil, http.StatusBadRequest, KindBadRequest, fmt.Errorf("\"resume\" requires \"lanes\"")
