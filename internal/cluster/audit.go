@@ -89,11 +89,7 @@ func verifyAttestation(res *server.Response) (string, bool) {
 // same ranges — reproducibility extends to the audit schedule itself.
 func auditSeed(req server.Request) int64 {
 	h := fnv.New64a()
-	if req.IdempotencyKey != "" {
-		h.Write([]byte(req.IdempotencyKey))
-	} else {
-		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%d", req.DB, req.DBText, req.Query, req.Seed)
-	}
+	h.Write(identity(req))
 	return int64(h.Sum64())
 }
 
@@ -235,7 +231,7 @@ func (c *Coordinator) appendHealth(trail []server.ClusterStep, url string, apply
 func (c *Coordinator) auditExec(ctx context.Context, req server.Request, rg mc.Range, exclude ...string) (*server.Response, *replica, []server.ClusterStep) {
 	sub := req
 	sub.Engine = string(core.EngineMCDirect)
-	sub.Lanes = &server.LaneRange{Lo: rg.Lo, Hi: rg.Hi, Total: rg.Total}
+	sub.Lanes = &rg
 	sub.IdempotencyKey = ""
 	sub.Resume = nil
 	var trail []server.ClusterStep

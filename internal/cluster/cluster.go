@@ -562,7 +562,7 @@ func (c *Coordinator) merge(req server.Request, ranges []mc.Range, subs []*serve
 func (c *Coordinator) runRange(ctx context.Context, req server.Request, rg mc.Range, startIdx int, ship *shipTracker) (*server.Response, string, []server.ClusterStep, error) {
 	sub := req
 	sub.Engine = string(core.EngineMCDirect)
-	sub.Lanes = &server.LaneRange{Lo: rg.Lo, Hi: rg.Hi, Total: rg.Total}
+	sub.Lanes = &rg
 	if c.cfg.UseJobs && req.IdempotencyKey != "" {
 		sub.IdempotencyKey = subKey(req.IdempotencyKey, rg)
 	} else {
@@ -971,12 +971,18 @@ func (c *Coordinator) proxy(ctx context.Context, req server.Request) (*server.Re
 // replica while it is live.
 func (c *Coordinator) hashIndex(req server.Request) int {
 	h := fnv.New32a()
-	if req.IdempotencyKey != "" {
-		h.Write([]byte(req.IdempotencyKey))
-	} else {
-		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%d", req.DB, req.DBText, req.Query, req.Seed)
-	}
+	h.Write(identity(req))
 	return int(h.Sum32() % uint32(len(c.replicas)))
+}
+
+// identity is the byte string that names a request's computation for
+// routing and audit selection: its idempotency key when it has one,
+// otherwise its database, query and seed.
+func identity(req server.Request) []byte {
+	if req.IdempotencyKey != "" {
+		return []byte(req.IdempotencyKey)
+	}
+	return fmt.Appendf(nil, "%s\x00%s\x00%s\x00%d", req.DB, req.DBText, req.Query, req.Seed)
 }
 
 // ReplicaStatz is one replica's row in the coordinator's /statz.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qrel/internal/checkpoint"
+	"qrel/internal/core"
 	"qrel/internal/mc"
 )
 
@@ -29,9 +30,9 @@ func FuzzCheckShipped(f *testing.F) {
 	f.Add(badCRC, int64(42), 4, 8, 8)
 
 	f.Fuzz(func(t *testing.T, frame []byte, seed int64, lo, hi, total int) {
-		seq, err := checkShipped(frame, seed, mc.Range{Lo: lo, Hi: hi, Total: total})
+		seq, err := core.CheckRangeFrame(frame, seed, mc.Range{Lo: lo, Hi: hi, Total: total})
 		if err == nil && seq < 0 {
-			t.Fatalf("checkShipped accepted a frame with negative sequence %d", seq)
+			t.Fatalf("CheckRangeFrame accepted a frame with negative sequence %d", seq)
 		}
 	})
 }

@@ -66,23 +66,24 @@ func waitShipped(t *testing.T, c *Coordinator, n int64) {
 	}
 }
 
-// validFrame builds a shipped frame that passes checkShipped for
-// (seed, rg).
+// validFrame builds a shipped frame that passes core.CheckRangeFrame
+// for (seed, rg).
 func validFrame(seed int64, rg mc.Range, samples int) []byte {
 	n := rg.Hi - rg.Lo
-	st := shippedSnapshot{
-		Engine:  string(core.EngineMCDirect),
-		Seed:    seed,
-		Lanes:   rg.Total,
-		Samples: samples,
-		Loop: &mc.LoopState{
-			Method:    mc.RangeMethod(mc.MeanMethod, rg),
-			Drawn:     samples,
-			LaneCount: n,
-			Lanes:     make([]mc.LaneState, n),
-		},
-	}
-	payload, err := json.Marshal(st)
+	return snapshotFrame(seed, rg.Total, samples, &mc.LoopState{
+		Method:    mc.RangeMethod(mc.MeanMethod, rg),
+		Drawn:     samples,
+		LaneCount: n,
+		Lanes:     make([]mc.LaneState, n),
+	})
+}
+
+// snapshotFrame frames a monte-carlo-direct snapshot payload with the
+// fields the coordinator checks, as a replica would ship it.
+func snapshotFrame(seed int64, lanes, samples int, loop *mc.LoopState) []byte {
+	payload, err := json.Marshal(map[string]any{
+		"engine": string(core.EngineMCDirect), "seed": seed, "lanes": lanes, "samples": samples, "loop": loop,
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -98,21 +99,14 @@ func TestCheckShipped(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	rg := mc.Range{Lo: 4, Hi: 8, Total: 8}
 	good := validFrame(42, rg, 1000)
-	if seq, err := checkShipped(good, 42, rg); err != nil || seq != 1000 {
-		t.Fatalf("checkShipped(valid) = (%d, %v), want (1000, nil)", seq, err)
+	if seq, err := core.CheckRangeFrame(good, 42, rg); err != nil || seq != 1000 {
+		t.Fatalf("CheckRangeFrame(valid) = (%d, %v), want (1000, nil)", seq, err)
 	}
 	one := mc.Range{Lo: 0, Hi: 1, Total: 8}
-	if seq, err := checkShipped(validFrame(42, one, 7), 42, one); err != nil || seq != 7 {
-		t.Fatalf("checkShipped(one-lane range) = (%d, %v), want (7, nil)", seq, err)
+	if seq, err := core.CheckRangeFrame(validFrame(42, one, 7), 42, one); err != nil || seq != 7 {
+		t.Fatalf("CheckRangeFrame(one-lane range) = (%d, %v), want (7, nil)", seq, err)
 	}
-	legacy := func() []byte {
-		st := shippedSnapshot{
-			Engine: string(core.EngineMCDirect), Seed: 42, Lanes: 8, Samples: 7,
-			Loop: &mc.LoopState{Method: mc.RangeMethod(mc.MeanMethod, one), Drawn: 7},
-		}
-		payload, _ := json.Marshal(st)
-		return checkpoint.EncodeFrame(payload)
-	}()
+	legacy := snapshotFrame(42, 8, 7, &mc.LoopState{Method: mc.RangeMethod(mc.MeanMethod, one), Drawn: 7})
 
 	badCRC := append([]byte(nil), good...)
 	badCRC[len(badCRC)/2] ^= 0xff
@@ -141,8 +135,8 @@ func TestCheckShipped(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if seq, err := checkShipped(tc.frame, tc.seed, tc.rg); err == nil {
-				t.Errorf("checkShipped accepted a %s frame (seq %d)", tc.name, seq)
+			if seq, err := core.CheckRangeFrame(tc.frame, tc.seed, tc.rg); err == nil {
+				t.Errorf("CheckRangeFrame accepted a %s frame (seq %d)", tc.name, seq)
 			}
 		})
 	}
@@ -156,7 +150,7 @@ func TestMergeRefusesOtherWorldStream(t *testing.T) {
 	ranges := []mc.Range{{Lo: 0, Hi: 4, Total: mc.DefaultLanes}, {Lo: 4, Hi: 8, Total: mc.DefaultLanes}}
 	subs := make([]*server.Response, len(ranges))
 	for i, rg := range ranges {
-		subs[i] = &server.Response{LaneRange: &server.LaneRangeReport{Lo: rg.Lo, Hi: rg.Hi, Total: rg.Total, Method: mc.MeanMethod}}
+		subs[i] = &server.Response{LaneRange: &core.LaneRangeResult{Range: rg, Method: mc.MeanMethod}}
 	}
 	subs[1].LaneRange.Method = "hoeffding"
 	_, err := (&Coordinator{}).merge(mcReq(), ranges, subs, nil, time.Now())

@@ -11,14 +11,14 @@ package cluster
 // final estimate stays bit-identical to an uninterrupted run.
 //
 // A shipped frame crosses a process boundary, so the coordinator never
-// trusts it: checkShipped re-validates the CRC frame and holds the
+// trusts it: core.CheckRangeFrame — core owns the snapshot payload, so
+// it alone decodes one — re-validates the CRC frame and holds the
 // snapshot to the lane range it is about to resume. A frame that fails
 // validation is dropped (counted, never fatal) and the range restarts
 // clean — a corrupt checkpoint can cost work, never correctness.
 
 import (
 	"encoding/json"
-	"fmt"
 	"sync"
 
 	"qrel/internal/checkpoint"
@@ -26,60 +26,6 @@ import (
 	"qrel/internal/faultinject"
 	"qrel/internal/mc"
 )
-
-// shippedSnapshot mirrors the fields of the engine snapshot payload
-// (internal/core's engineState JSON) that the coordinator can verify
-// without re-parsing the query. The full fingerprint — query text,
-// accuracy — is re-checked by the replica that resumes the frame; the
-// coordinator's job is to reject frames that are corrupt or belong to
-// a different range before wasting a round-trip on them.
-type shippedSnapshot struct {
-	Engine  string        `json:"engine"`
-	Seed    int64         `json:"seed"`
-	Lanes   int           `json:"lanes"`
-	Samples int           `json:"samples"`
-	Loop    *mc.LoopState `json:"loop"`
-}
-
-// checkShipped validates one shipped checkpoint frame against the lane
-// range it is supposed to resume and returns the snapshot's sample
-// count (the shipping sequence number). It must return an error —
-// never panic — on arbitrary input; FuzzCheckShipped enforces that.
-func checkShipped(frame []byte, seed int64, rg mc.Range) (int, error) {
-	payload, err := checkpoint.DecodeFrame(frame)
-	if err != nil {
-		return 0, err
-	}
-	var st shippedSnapshot
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return 0, fmt.Errorf("cluster: undecodable shipped snapshot: %w", err)
-	}
-	if st.Engine != string(core.EngineMCDirect) {
-		return 0, fmt.Errorf("cluster: shipped snapshot is for engine %q, want %q", st.Engine, core.EngineMCDirect)
-	}
-	if st.Seed != seed {
-		return 0, fmt.Errorf("cluster: shipped snapshot is for seed %d, this run uses %d", st.Seed, seed)
-	}
-	if st.Lanes != rg.Total {
-		return 0, fmt.Errorf("cluster: shipped snapshot splits %d lanes, this run splits %d", st.Lanes, rg.Total)
-	}
-	if st.Loop == nil {
-		return 0, fmt.Errorf("cluster: shipped snapshot carries no estimator loop state")
-	}
-	if want := mc.RangeMethod(mc.MeanMethod, rg); st.Loop.Method != want {
-		return 0, fmt.Errorf("cluster: shipped snapshot is from estimator %q, range %s needs %q", st.Loop.Method, rg, want)
-	}
-	if n := rg.Hi - rg.Lo; st.Loop.LaneCount != n {
-		return 0, fmt.Errorf("cluster: shipped snapshot holds %d lane states, range %s needs %d", st.Loop.LaneCount, rg, n)
-	}
-	if len(st.Loop.Lanes) != st.Loop.LaneCount {
-		return 0, fmt.Errorf("cluster: shipped snapshot declares %d lanes but carries %d states", st.Loop.LaneCount, len(st.Loop.Lanes))
-	}
-	if st.Samples < 0 || st.Loop.Drawn != st.Samples {
-		return 0, fmt.Errorf("cluster: shipped snapshot sample counts disagree (%d vs loop %d)", st.Samples, st.Loop.Drawn)
-	}
-	return st.Samples, nil
-}
 
 // shipTracker accumulates the freshest validated checkpoint frame for
 // one lane range across every replica that runs it. All methods are
@@ -112,7 +58,7 @@ func (t *shipTracker) accept(frame []byte, from string) {
 	if err := faultinject.Hit(faultinject.SiteClusterCkptShip); err != nil {
 		frame = tamperFrame(frame)
 	}
-	seq, err := checkShipped(frame, t.seed, t.rg)
+	seq, err := core.CheckRangeFrame(frame, t.seed, t.rg)
 	if err != nil {
 		t.c.nCkptRejected.Add(1)
 		return
@@ -159,7 +105,7 @@ func (t *shipTracker) preload(frame []byte, from string) {
 	if t == nil || len(frame) == 0 {
 		return
 	}
-	seq, err := checkShipped(frame, t.seed, t.rg)
+	seq, err := core.CheckRangeFrame(frame, t.seed, t.rg)
 	if err != nil {
 		t.c.nCkptRejected.Add(1)
 		return

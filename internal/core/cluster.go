@@ -1,73 +1,74 @@
 package core
 
-import "qrel/internal/mc"
+import (
+	"encoding/json"
+	"fmt"
 
-// Cluster-facing result plumbing. A coordinator (internal/cluster)
-// splits a monte-carlo-direct estimation into disjoint lane ranges, runs
-// each on a replica via Options.LaneRange, and merges the raw per-lane
-// aggregates back into the single-node estimate. These types carry the
-// two halves of that story through Result: the aggregates themselves
-// (LaneRangeResult, produced by the engine) and the operational trail of
-// where every range ran (ClusterStep, produced by the coordinator).
+	"qrel/internal/checkpoint"
+	"qrel/internal/mc"
+)
 
-// LaneRangeResult is the payload of a lane-range run: the raw per-lane
-// aggregates of the lanes [Range.Lo, Range.Hi), plus everything the
-// merge needs to cross-check consistency across replicas.
+// The records a cluster coordinator (internal/cluster) exchanges with
+// the lane-range runs it fans a monte-carlo-direct estimation out to
+// (Options.LaneRange): the per-lane aggregates a range run returns, and
+// the checkpoint frames it ships. Core owns both; the coordinator's own
+// trail of where each range ran is server.ClusterStep.
+
+// LaneRangeResult is the payload of a lane-range run, and the lane_range
+// object of a qreld response: the raw per-lane aggregates of the lanes
+// [Lo, Hi), plus what the merge cross-checks across replicas.
 type LaneRangeResult struct {
 	// Range is the lane subrange this run executed.
-	Range mc.Range
+	mc.Range
 	// Method names the base estimator ("hoeffding").
-	Method string
+	Method string `json:"method"`
 	// Requested is the full-run sample size implied by (Eps, Delta) —
 	// identical on every replica of the same request.
-	Requested int
+	Requested int `json:"requested"`
 	// NormF is the n^k normalizer of the query on this database; the
 	// merged mean times NormF is HFloat. Identical on every replica.
-	NormF float64
+	NormF float64 `json:"norm_f"`
 	// Lanes holds the raw per-lane aggregates in lane-index order.
-	Lanes []mc.LaneAgg
+	Lanes []mc.LaneAgg `json:"lanes"`
 }
 
-// ClusterStep is one event in a coordinator's fan-out: a lane range
-// dispatched, retried, hedged, or reassigned on a replica. The ordered
-// trail is the cross-replica analogue of FallbackTrail — it tells the
-// operator how the cluster degraded and recovered without changing what
-// it computed.
-type ClusterStep struct {
-	// Replica is the replica the event concerns (its base URL or ID).
-	Replica string
-	// Lo, Hi delimit the lane range involved; [0,0) for whole-job events
-	// such as proxying.
-	Lo, Hi int
-	// Event classifies the step: "assign", "proxy", "retry", "hedge",
-	// "reassign", "breaker-skip", "done", "resume" (the range was
-	// re-planted from a shipped checkpoint), "resume-rejected" (a shipped
-	// checkpoint failed validation and the range restarted clean).
-	//
-	// The integrity layer adds: "attest" (a sub-response's lane-digest
-	// attestation verified, Digest carries it), "attest-fail" (the digest
-	// disagreed with the aggregates and the attempt was discarded),
-	// "quarantine-skip" (a quarantined or probation replica was passed
-	// over during target selection), "audit-ok" (an audit re-execution
-	// byte-matched the original), "audit-mismatch" (it did not; a
-	// tie-break follows), "audit-liar" (the tie-break identified the
-	// replica whose aggregates diverge from the majority), "audit-replant"
-	// (a range won by the liar was re-executed on an honest replica),
-	// "audit-unresolved" (no third replica could tie-break — the fan-out
-	// is refused rather than served unverified), "audit-skipped" (no
-	// eligible auditor, or the audit send itself failed), and the health
-	// transitions "suspect", "quarantine", "probation", "readmit".
-	Event string
-	// Err carries the failure that triggered a retry or reassignment.
-	Err string `json:",omitempty"`
-	// Source and Seq are set on "resume"/"resume-rejected" events: the
-	// replica whose shipped checkpoint was involved and the total sample
-	// count it captured. Audit events reuse Source for the counterparty
-	// replica (the original executor on "audit-ok"/"audit-mismatch", the
-	// tie-breaker on "audit-liar").
-	Source string `json:",omitempty"`
-	Seq    int    `json:",omitempty"`
-	// Digest is the lane-aggregate attestation digest involved in
-	// "attest" and audit events (mc.RangeDigest of the verified frame).
-	Digest string `json:",omitempty"`
+// CheckRangeFrame holds a shipped monte-carlo-direct checkpoint frame
+// to the lane range rg of a run under seed, without the query, and
+// returns its sample count (the shipping sequence number). The run that
+// resumes the frame re-checks the full fingerprint (query, accuracy).
+// Arbitrary input yields an error, never a panic.
+func CheckRangeFrame(frame []byte, seed int64, rg mc.Range) (int, error) {
+	payload, err := checkpoint.DecodeFrame(frame)
+	if err != nil {
+		return 0, err
+	}
+	var st engineState
+	if err := json.Unmarshal(payload, &st); err != nil {
+		return 0, fmt.Errorf("core: undecodable shipped snapshot: %w", err)
+	}
+	if st.Engine != string(EngineMCDirect) {
+		return 0, fmt.Errorf("core: shipped snapshot is for engine %q, want %q", st.Engine, EngineMCDirect)
+	}
+	if st.Seed != seed {
+		return 0, fmt.Errorf("core: shipped snapshot is for seed %d, this run uses %d", st.Seed, seed)
+	}
+	if st.Lanes != rg.Total {
+		return 0, fmt.Errorf("core: shipped snapshot splits %d lanes, this run splits %d", st.Lanes, rg.Total)
+	}
+	if st.Loop == nil {
+		return 0, fmt.Errorf("core: shipped snapshot carries no estimator loop state")
+	}
+	if want := mc.RangeMethod(mc.MeanMethod, rg); st.Loop.Method != want {
+		return 0, fmt.Errorf("core: shipped snapshot is from estimator %q, range %s needs %q", st.Loop.Method, rg, want)
+	}
+	if n := rg.Hi - rg.Lo; st.Loop.LaneCount != n {
+		return 0, fmt.Errorf("core: shipped snapshot holds %d lane states, range %s needs %d", st.Loop.LaneCount, rg, n)
+	}
+	if len(st.Loop.Lanes) != st.Loop.LaneCount {
+		return 0, fmt.Errorf("core: shipped snapshot declares %d lanes but carries %d states", st.Loop.LaneCount, len(st.Loop.Lanes))
+	}
+	if st.Samples < 0 || st.Loop.Drawn != st.Samples {
+		return 0, fmt.Errorf("core: shipped snapshot sample counts disagree (%d vs loop %d)", st.Samples, st.Loop.Drawn)
+	}
+	return st.Samples, nil
 }

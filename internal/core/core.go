@@ -117,11 +117,6 @@ type Result struct {
 	// coordinator merges; HFloat/RFloat are then partial-range values and
 	// not meaningful on their own. Nil for whole-run results.
 	LaneRange *LaneRangeResult
-	// ClusterTrail records, for results assembled by a cluster
-	// coordinator, where each lane range ran and every retry, hedge, and
-	// reassignment along the way — the cross-replica analogue of
-	// FallbackTrail. Empty for single-node results.
-	ClusterTrail []ClusterStep
 	// Budget echoes the resource budget the computation ran under.
 	Budget Budget
 }
@@ -163,8 +158,6 @@ type Options struct {
 	// Eps, Delta are the randomized-guarantee parameters
 	// (default DefaultEps/DefaultDelta).
 	Eps, Delta float64
-	// Xi is the Theorem 5.12 padding parameter (default mc.DefaultXi).
-	Xi float64
 	// Seed seeds the deterministic RNG of randomized engines.
 	Seed int64
 	// Workers only schedules: the randomized engines split the sample
@@ -188,10 +181,6 @@ type Options struct {
 	Eval string
 	// MaxEnumAtoms caps exact world enumeration (default 16).
 	MaxEnumAtoms int
-	// MaxLineageTerms caps the lineage DNF size (default 1<<16).
-	MaxLineageTerms int
-	// MaxBDDNodes caps the exact BDD engine (default 1<<20).
-	MaxBDDNodes int
 	// Budget bounds wall-clock time, samples, BDD nodes and worlds
 	// uniformly across engines; the zero value imposes no extra bounds.
 	Budget Budget
@@ -227,16 +216,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxEnumAtoms == 0 {
 		o.MaxEnumAtoms = 16
-	}
-	if o.MaxLineageTerms == 0 {
-		o.MaxLineageTerms = 1 << 16
-	}
-	if o.MaxBDDNodes == 0 {
-		o.MaxBDDNodes = 1 << 20
-	}
-	// A tighter BDD budget wins over the structural default.
-	if o.Budget.MaxBDDNodes > 0 && o.Budget.MaxBDDNodes < o.MaxBDDNodes {
-		o.MaxBDDNodes = o.Budget.MaxBDDNodes
 	}
 	return o
 }

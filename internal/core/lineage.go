@@ -15,6 +15,21 @@ import (
 	"qrel/internal/unreliable"
 )
 
+// Caps on one tuple's lineage: DNF terms, and BDD nodes unless the
+// budget sets a tighter node cap (bddNodeCap).
+const (
+	maxLineageTerms = 1 << 16
+	maxBDDNodes     = 1 << 20
+)
+
+// bddNodeCap is the lineage BDD node cap of a run under budget b.
+func bddNodeCap(b Budget) int {
+	if b.MaxBDDNodes > 0 {
+		return min(b.MaxBDDNodes, maxBDDNodes)
+	}
+	return maxBDDNodes
+}
+
 // lineageForm returns a formula whose lineage is an existential kDNF:
 // the query itself for existential queries, its NNF negation for
 // universal ones (flipped = true). Conjunctive queries are existential.
@@ -36,7 +51,7 @@ func lineageForm(f logic.Formula) (logic.Formula, bool, error) {
 // step that makes the Theorem 5.4 pipeline practical on databases whose
 // certain part is large. The DNF distribution — the potentially
 // exponential step — polls ctx.
-func tupleLineage(ctx context.Context, db *unreliable.DB, f logic.Formula, env logic.Env, maxTerms int) (prop.DNF, prop.ProbAssignment, error) {
+func tupleLineage(ctx context.Context, db *unreliable.DB, f logic.Formula, env logic.Env) (prop.DNF, prop.ProbAssignment, error) {
 	ix := logic.NewAtomIndex()
 	pf, err := logic.Ground(db.A, f, env, ix)
 	if err != nil {
@@ -52,7 +67,7 @@ func tupleLineage(ctx context.Context, db *unreliable.DB, f logic.Formula, env l
 		}
 	}
 	pf = prop.Fold(pf, fixed)
-	d, err := prop.ToDNFCtx(ctx, pf, ix.Len(), maxTerms)
+	d, err := prop.ToDNFCtx(ctx, pf, ix.Len(), maxLineageTerms)
 	if err != nil {
 		return prop.DNF{}, nil, err
 	}
@@ -65,11 +80,11 @@ func tupleLineage(ctx context.Context, db *unreliable.DB, f logic.Formula, env l
 // budget and ctx, counted once, and complemented when lf stands for
 // the negation of a universal query.
 func lineageProb(ctx context.Context, db *unreliable.DB, lf logic.Formula, flipped bool, env logic.Env, opts Options) (*big.Rat, error) {
-	d, nu, err := tupleLineage(ctx, db, lf, env, opts.MaxLineageTerms)
+	d, nu, err := tupleLineage(ctx, db, lf, env)
 	if err != nil {
 		return nil, err
 	}
-	mgr := bdd.New(d.NumVars, opts.MaxBDDNodes).WithContext(ctx)
+	mgr := bdd.New(d.NumVars, bddNodeCap(opts.Budget)).WithContext(ctx)
 	root, err := mgr.FromDNF(d)
 	if err != nil {
 		return nil, err
@@ -88,9 +103,9 @@ func lineageProb(ctx context.Context, db *unreliable.DB, lf logic.Formula, flipp
 // universal query by compiling each tuple's Theorem 5.4 lineage to a
 // BDD and evaluating nu(psi”) exactly. Exponential in the worst case
 // (the problem is #P-hard, Proposition 3.2) but fast on many practical
-// lineages; bounded by opts.MaxBDDNodes (and opts.Budget.MaxBDDNodes,
-// whichever is smaller). The per-tuple loop, the BDD compilation and
-// the count all poll ctx.
+// lineages; each tuple's diagram is capped at 1<<20 nodes, or at
+// opts.Budget.MaxBDDNodes when that is smaller (bddNodeCap). The
+// per-tuple loop, the BDD compilation and the count all poll ctx.
 func LineageBDD(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (Result, error) {
 	ctx = orBackground(ctx)
 	opts = opts.withDefaults()
@@ -178,7 +193,7 @@ func LineageKL(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opt
 		kernel = karpluby.ProbBatched
 	}
 	return s.perTuple(ctx, db, f, false, eval, func(ctx context.Context, tc tupleCall) (mc.Estimate, error) {
-		d, nu, err := tupleLineage(ctx, db, lf, tc.env, opts.MaxLineageTerms)
+		d, nu, err := tupleLineage(ctx, db, lf, tc.env)
 		if err != nil {
 			return mc.Estimate{}, err
 		}

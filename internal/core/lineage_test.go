@@ -82,7 +82,7 @@ func hubDB(rng *rand.Rand, h int) *unreliable.DB {
 // the reachable size.
 func compileLineage(t *testing.T, db *unreliable.DB, f logic.Formula) (terms, allocated, size int) {
 	t.Helper()
-	d, _, err := tupleLineage(bg, db, f, logic.Env{}, Options{}.withDefaults().MaxLineageTerms)
+	d, _, err := tupleLineage(bg, db, f, logic.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +247,20 @@ func TestLineageBDDCancelsDuringCount(t *testing.T) {
 	}
 }
 
+// TestBDDNodeCap pins the lineage BDD node cap folded from the budget:
+// a budget cap only ever tightens the engine's own 1<<20.
+func TestBDDNodeCap(t *testing.T) {
+	for _, tc := range []struct{ budget, want int }{
+		{0, 1 << 20},
+		{20, 20},
+		{1 << 21, 1 << 20},
+	} {
+		if got := bddNodeCap(Budget{MaxBDDNodes: tc.budget}); got != tc.want {
+			t.Errorf("bddNodeCap(MaxBDDNodes %d) = %d, want %d", tc.budget, got, tc.want)
+		}
+	}
+}
+
 // TestKarpLubyPlanCounts pins the Karp–Luby planner on lineages and
 // DNFs of the experiments: m terms, Lemma 5.11's worst-case t at
 // p = 1/m, and the t planned from the proved coverage bound. Like the
@@ -258,7 +272,7 @@ func TestKarpLubyPlanCounts(t *testing.T) {
 		star = append(star, [2]int{0, leaf}, [2]int{leaf, 0})
 	}
 	lineage := func(db *unreliable.DB) (prop.DNF, prop.ProbAssignment) {
-		d, nu, err := tupleLineage(bg, db, existQuery, logic.Env{}, Options{}.withDefaults().MaxLineageTerms)
+		d, nu, err := tupleLineage(bg, db, existQuery, logic.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func MonteCarlo(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Op
 		} else {
 			kernel = mc.PaddedPred(db, func(b *rel.Structure) (bool, error) { return prep.Holds(b, tc.t) })
 		}
-		return mc.EstimateNuPadded(ctx, kernel, s.opts.Xi, tc.eps, tc.delta, tc.left, tc.stream)
+		return mc.EstimateNuPadded(ctx, kernel, mc.DefaultXi, tc.eps, tc.delta, tc.left, tc.stream)
 	})
 }
 

@@ -46,8 +46,9 @@ type Budget struct {
 	// relative-error estimators (Karp–Luby) fail with ErrBudgetExceeded
 	// so that the dispatcher can degrade to an anytime engine.
 	MaxSamples int
-	// MaxBDDNodes caps the lineage BDD (overrides Options.MaxBDDNodes
-	// when smaller).
+	// MaxBDDNodes caps the nodes of each lineage BDD the lineage-bdd
+	// engine builds; the engine's own cap of 1<<20 applies when it is
+	// unset or larger.
 	MaxBDDNodes int
 	// MaxWorlds caps exact world enumeration at this many possible
 	// worlds (2^u must be ≤ MaxWorlds).
@@ -81,11 +82,11 @@ func (b Budget) String() string {
 // produced the result.
 type FallbackStep struct {
 	// Engine is the name of the engine that failed.
-	Engine string
+	Engine string `json:"engine"`
 	// Err is the failure, rendered (Result must stay comparable-free but
 	// printable; the typed error classification has already routed the
 	// dispatch, so the trail keeps the human-readable cause).
-	Err string
+	Err string `json:"err"`
 }
 
 // String renders the step as "engine: cause".

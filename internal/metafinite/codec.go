@@ -160,9 +160,9 @@ func ParseUDB(r io.Reader) (*UDB, error) {
 	return u, nil
 }
 
-// WriteUDB writes the database in the text format; parsing the output
+// writeUDB writes the database in the text format; parsing the output
 // reconstructs an equivalent database.
-func WriteUDB(w io.Writer, u *UDB) error {
+func writeUDB(w io.Writer, u *UDB) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "universe %d\n", u.Obs.N)
 	names := make([]string, 0, len(u.Obs.Funcs))

@@ -94,7 +94,7 @@ func TestUDBCodecRoundTrip(t *testing.T) {
 			})
 		}
 		var buf bytes.Buffer
-		if err := WriteUDB(&buf, u); err != nil {
+		if err := writeUDB(&buf, u); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ParseUDB(bytes.NewReader(buf.Bytes()))

@@ -38,8 +38,8 @@ type FTable struct {
 	vals    map[uint64]*big.Rat
 }
 
-// NewFTable returns a table of the given arity with default value 0.
-func NewFTable(arity int) *FTable {
+// newFTable returns a table of the given arity with default value 0.
+func newFTable(arity int) *FTable {
 	return &FTable{Arity: arity, Default: new(big.Rat), vals: map[uint64]*big.Rat{}}
 }
 
@@ -89,13 +89,13 @@ func NewFDB(n int, syms ...FuncSym) (*FDB, error) {
 		if _, dup := db.Funcs[s.Name]; dup {
 			return nil, fmt.Errorf("metafinite: duplicate function %q", s.Name)
 		}
-		db.Funcs[s.Name] = NewFTable(s.Arity)
+		db.Funcs[s.Name] = newFTable(s.Arity)
 	}
 	return db, nil
 }
 
-// MustFDB is NewFDB that panics on error.
-func MustFDB(n int, syms ...FuncSym) *FDB {
+// mustFDB is NewFDB that panics on error.
+func mustFDB(n int, syms ...FuncSym) *FDB {
 	db, err := NewFDB(n, syms...)
 	if err != nil {
 		panic(err)

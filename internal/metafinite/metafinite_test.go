@@ -9,7 +9,7 @@ import (
 
 // salaryDB: universe of 3 employees, salary/1 and dept/1 functions.
 func salaryDB() *FDB {
-	db := MustFDB(3, FuncSym{"salary", 1}, FuncSym{"dept", 1})
+	db := mustFDB(3, FuncSym{"salary", 1}, FuncSym{"dept", 1})
 	db.SetF("salary", 100, 0)
 	db.SetF("salary", 200, 1)
 	db.SetF("salary", 300, 2)
@@ -71,7 +71,7 @@ func TestTermErrors(t *testing.T) {
 			t.Errorf("%v: expected error", term)
 		}
 	}
-	empty := MustFDB(0)
+	empty := mustFDB(0)
 	for _, term := range []Term{
 		MinAgg{"x", NumInt(0)}, MaxAgg{"x", NumInt(0)}, AvgAgg{"x", NumInt(0)},
 	} {
@@ -350,7 +350,7 @@ func TestFDBValidation(t *testing.T) {
 	if _, err := NewFDB(3, FuncSym{"f", 9}); err == nil {
 		t.Error("oversized arity accepted")
 	}
-	db := MustFDB(3, FuncSym{"f", 1})
+	db := mustFDB(3, FuncSym{"f", 1})
 	if err := db.SetF("g", 1, 0); err == nil {
 		t.Error("unknown function set")
 	}

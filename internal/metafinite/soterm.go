@@ -85,7 +85,7 @@ func evalSO(db *FDB, env Env, set string, arity int, body Term, init *big.Rat, f
 		return true
 	})
 	scratch := db.Clone()
-	char := NewFTable(arity)
+	char := newFTable(arity)
 	scratch.Funcs[set] = char
 	one := big.NewRat(1, 1)
 	zero := new(big.Rat)

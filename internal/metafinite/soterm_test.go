@@ -8,7 +8,7 @@ import (
 func TestSOSumHand(t *testing.T) {
 	// Universe {0,1}; Σ_S count_x([x ∈ S]) over the 4 subsets:
 	// |∅| + |{0}| + |{1}| + |{0,1}| = 0 + 1 + 1 + 2 = 4.
-	db := MustFDB(2)
+	db := mustFDB(2)
 	body := CountAgg{Var: "x", Body: InSet("S", V("x"))}
 	term := SOSum{Set: "S", Arity: 1, Body: body}
 	got, err := term.Eval(db, Env{})
@@ -32,7 +32,7 @@ func TestSOSumHand(t *testing.T) {
 func TestSOSumCountsSubsetsWeighted(t *testing.T) {
 	// Σ_S Π_x ([x ∈ S]·w + (1−[x ∈ S])) with w = 2 counts each subset
 	// with weight 2^|S|: over n=2 that is (1+2)² = 9 (binomial theorem).
-	db := MustFDB(2)
+	db := mustFDB(2)
 	member := InSet("S", V("x"))
 	weight := Add{
 		L: Mul{L: member, R: NumInt(2)},
@@ -50,13 +50,13 @@ func TestSOSumCountsSubsetsWeighted(t *testing.T) {
 
 func TestSOBudgetAndValidation(t *testing.T) {
 	// 6 elements, arity 2: 36 cells > MaxSOCells.
-	db := MustFDB(6)
+	db := mustFDB(6)
 	term := SOSum{Set: "S", Arity: 2, Body: NumInt(1)}
 	if _, err := term.Eval(db, Env{}); err == nil {
 		t.Error("SO budget not enforced")
 	}
 	// Set variable clashing with a database function.
-	db2 := MustFDB(2, FuncSym{"S", 1})
+	db2 := mustFDB(2, FuncSym{"S", 1})
 	term2 := SOSum{Set: "S", Arity: 1, Body: NumInt(1)}
 	if _, err := term2.Eval(db2, Env{}); err == nil {
 		t.Error("function shadowing accepted")
@@ -88,7 +88,7 @@ func TestSOReliability(t *testing.T) {
 	// second-order aggregate on an unreliable functional database, via
 	// world enumeration. Query: max_S of Σ_x [x∈S]·f(x) — i.e. the sum
 	// of the positive part of f (choose S = {x : f(x) > 0}).
-	db := MustFDB(2, FuncSym{"f", 1})
+	db := mustFDB(2, FuncSym{"f", 1})
 	db.SetF("f", 5, 0)
 	db.SetF("f", -3, 1)
 	u := NewUDB(db)

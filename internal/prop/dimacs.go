@@ -19,8 +19,8 @@ func ParseDNF(r io.Reader) (DNF, error) {
 	return parseDimacs(r, "dnf")
 }
 
-// ParseCNF reads a CNF formula in DIMACS format and returns it as a CNF.
-func ParseCNF(r io.Reader) (CNF, error) {
+// parseCNF reads a CNF formula in DIMACS format and returns it as a CNF.
+func parseCNF(r io.Reader) (CNF, error) {
 	d, err := parseDimacs(r, "cnf")
 	if err != nil {
 		return CNF{}, err
@@ -104,8 +104,8 @@ func parseDimacs(r io.Reader, kind string) (DNF, error) {
 	return d, nil
 }
 
-// WriteDNF writes the formula in DIMACS-style DNF format.
-func WriteDNF(w io.Writer, d DNF) error {
+// writeDNF writes the formula in DIMACS-style DNF format.
+func writeDNF(w io.Writer, d DNF) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "p dnf %d %d\n", d.NumVars, len(d.Terms))
 	for _, t := range d.Terms {

@@ -49,7 +49,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
 		d := randDNF(rng, 2+rng.Intn(10), 1+rng.Intn(10), 4)
 		var buf bytes.Buffer
-		if err := WriteDNF(&buf, d); err != nil {
+		if err := writeDNF(&buf, d); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ParseDNF(&buf)
@@ -74,7 +74,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 
 func TestParseCNF(t *testing.T) {
 	src := "p cnf 2 2\n1 2 0\n-1 0\n"
-	c, err := ParseCNF(strings.NewReader(src))
+	c, err := parseCNF(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,8 @@ func FuzzParseDNF(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteDNF(&buf, d); err != nil {
-			t.Fatalf("WriteDNF failed: %v", err)
+		if err := writeDNF(&buf, d); err != nil {
+			t.Fatalf("writeDNF failed: %v", err)
 		}
 		back, err := ParseDNF(&buf)
 		if err != nil {

@@ -117,9 +117,9 @@ type DNF struct {
 	Terms   []Term
 }
 
-// NewDNF builds a DNF, validating that every literal's variable lies in
+// newDNF builds a DNF, validating that every literal's variable lies in
 // [0, numVars).
-func NewDNF(numVars int, terms ...Term) (DNF, error) {
+func newDNF(numVars int, terms ...Term) (DNF, error) {
 	d := DNF{NumVars: numVars, Terms: terms}
 	for _, t := range terms {
 		for _, l := range t {
@@ -131,9 +131,9 @@ func NewDNF(numVars int, terms ...Term) (DNF, error) {
 	return d, nil
 }
 
-// MustDNF is NewDNF that panics on error.
+// MustDNF is newDNF that panics on error.
 func MustDNF(numVars int, terms ...Term) DNF {
-	d, err := NewDNF(numVars, terms...)
+	d, err := newDNF(numVars, terms...)
 	if err != nil {
 		panic(err)
 	}

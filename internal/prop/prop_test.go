@@ -84,7 +84,7 @@ func TestDNFEvalAndString(t *testing.T) {
 	if (Term{}).String() != "true" {
 		t.Error("empty term should render true")
 	}
-	if _, err := NewDNF(1, Term{Pos(3)}); err == nil {
+	if _, err := newDNF(1, Term{Pos(3)}); err == nil {
 		t.Error("out-of-range literal accepted")
 	}
 	if d.Width() != 2 {

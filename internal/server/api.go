@@ -69,7 +69,7 @@ type Request struct {
 	// engine "monte-carlo-direct". The response carries the raw per-lane
 	// aggregates (Response.LaneRange) instead of a meaningful whole-run
 	// estimate.
-	Lanes *LaneRange `json:"lanes,omitempty"`
+	Lanes *mc.Range `json:"lanes,omitempty"`
 	// Resume is a shipped checkpoint frame (checkpoint.EncodeFrame over
 	// the engine snapshot payload; base64 on the wire) to continue from
 	// instead of starting at sample zero — how a coordinator re-plants a
@@ -79,20 +79,6 @@ type Request struct {
 	// Lanes. On POST /v1/jobs the field is ignored when the idempotency
 	// key names an existing job (the job's own store is fresher).
 	Resume []byte `json:"resume,omitempty"`
-}
-
-// LaneRange is the wire form of mc.Range: the lane subrange [Lo,Hi) of
-// a Total-lane split.
-type LaneRange struct {
-	Lo    int `json:"lo"`
-	Hi    int `json:"hi"`
-	Total int `json:"total"`
-}
-
-// TrailStep mirrors core.FallbackStep on the wire.
-type TrailStep struct {
-	Engine string `json:"engine"`
-	Err    string `json:"err"`
 }
 
 // Response is the JSON body of a successful reliability computation.
@@ -125,7 +111,7 @@ type Response struct {
 	// FallbackTrail lists the dispatch rungs that were tried and
 	// abandoned (or skipped by an open circuit breaker) before Engine
 	// produced this result.
-	FallbackTrail []TrailStep `json:"fallback_trail,omitempty"`
+	FallbackTrail []core.FallbackStep `json:"fallback_trail,omitempty"`
 	// Seed echoes the PRNG seed the computation ran under; rerunning with
 	// it (same query, database, accuracy) reproduces the estimate
 	// bit-for-bit.
@@ -136,7 +122,7 @@ type Response struct {
 	// LaneRange carries the raw per-lane aggregates of a lane-range
 	// sub-request (Request.Lanes); R and H are then partial-range values
 	// and only the coordinator's merge is meaningful.
-	LaneRange *LaneRangeReport `json:"lane_range,omitempty"`
+	LaneRange *core.LaneRangeResult `json:"lane_range,omitempty"`
 	// LaneDigest is the replica's attestation over LaneRange.Lanes
 	// (mc.RangeDigest): the coordinator recomputes the digest over the
 	// aggregates it received and refuses the sub-response on mismatch,
@@ -161,24 +147,28 @@ type Response struct {
 	ElapsedMS int64 `json:"elapsed_ms"`
 }
 
-// LaneRangeReport mirrors core.LaneRangeResult on the wire.
-type LaneRangeReport struct {
-	Lo        int          `json:"lo"`
-	Hi        int          `json:"hi"`
-	Total     int          `json:"total"`
-	Method    string       `json:"method"`
-	Requested int          `json:"requested"`
-	NormF     float64      `json:"norm_f"`
-	Lanes     []mc.LaneAgg `json:"lanes"`
-}
-
-// ClusterStep mirrors core.ClusterStep on the wire.
+// ClusterStep is one event in a cluster coordinator's fan-out or proxy.
+// The ordered trail is the cross-replica analogue of FallbackTrail: it
+// tells the operator how the cluster degraded and recovered without
+// changing what it computed.
 type ClusterStep struct {
+	// Replica is the replica the event concerns (its base URL).
 	Replica string `json:"replica"`
-	Lo      int    `json:"lo,omitempty"`
-	Hi      int    `json:"hi,omitempty"`
-	Event   string `json:"event"`
-	Err     string `json:"err,omitempty"`
+	// Lo, Hi delimit the lane range involved; [0,0) for whole-request
+	// events such as proxying.
+	Lo int `json:"lo,omitempty"`
+	Hi int `json:"hi,omitempty"`
+	// Event classifies the step. Dispatch: "assign", "proxy", "retry",
+	// "hedge", "reassign", "breaker-skip", "quarantine-skip", "done".
+	// Shipping: "resume" (the range was re-planted from a shipped
+	// checkpoint), "resume-rejected" (the replica refused it and the
+	// range restarted clean). Integrity: "attest", "attest-fail",
+	// "audit-ok", "audit-mismatch", "audit-liar", "audit-replant",
+	// "audit-unresolved", "audit-skipped", and the health transitions
+	// "suspect", "quarantine", "probation", "readmit".
+	Event string `json:"event"`
+	// Err carries the failure that triggered a retry or reassignment.
+	Err string `json:"err,omitempty"`
 	// Source and Seq carry the provenance of "resume" and
 	// "resume-rejected" events: the replica whose shipped checkpoint was
 	// re-planted (or rejected) and its sample-count sequence. Audit
@@ -247,19 +237,21 @@ func statusFor(err error) (int, string) {
 // toResponse renders a core.Result on the wire.
 func toResponse(res core.Result, elapsedMS int64) *Response {
 	out := &Response{
-		R:         res.RFloat,
-		H:         res.HFloat,
-		Engine:    res.Engine,
-		Guarantee: res.Guarantee.String(),
-		Eps:       res.Eps,
-		Delta:     res.Delta,
-		Samples:   res.Samples,
-		Class:     res.Class.String(),
-		EvalMode:  res.EvalMode,
-		Degraded:  res.Degraded,
-		Seed:      res.Seed,
-		Resumed:   res.Resumed,
-		ElapsedMS: elapsedMS,
+		R:             res.RFloat,
+		H:             res.HFloat,
+		Engine:        res.Engine,
+		Guarantee:     res.Guarantee.String(),
+		Eps:           res.Eps,
+		Delta:         res.Delta,
+		Samples:       res.Samples,
+		Class:         res.Class.String(),
+		EvalMode:      res.EvalMode,
+		Degraded:      res.Degraded,
+		Seed:          res.Seed,
+		Resumed:       res.Resumed,
+		FallbackTrail: res.FallbackTrail,
+		LaneRange:     res.LaneRange,
+		ElapsedMS:     elapsedMS,
 	}
 	if res.R != nil {
 		out.RExact = res.R.RatString()
@@ -267,21 +259,10 @@ func toResponse(res core.Result, elapsedMS int64) *Response {
 	if res.H != nil {
 		out.HExact = res.H.RatString()
 	}
-	for _, s := range res.FallbackTrail {
-		out.FallbackTrail = append(out.FallbackTrail, TrailStep{Engine: s.Engine, Err: s.Err})
-	}
 	if lr := res.LaneRange; lr != nil {
-		out.LaneRange = &LaneRangeReport{
-			Lo: lr.Range.Lo, Hi: lr.Range.Hi, Total: lr.Range.Total,
-			Method: lr.Method, Requested: lr.Requested, NormF: lr.NormF,
-			Lanes: lr.Lanes,
-		}
 		// Attest the aggregates as rendered: anything that perturbs them
 		// between here and the coordinator's merge breaks the digest.
 		out.LaneDigest = mc.RangeDigest(lr.Lanes)
-	}
-	for _, s := range res.ClusterTrail {
-		out.ClusterTrail = append(out.ClusterTrail, ClusterStep{Replica: s.Replica, Lo: s.Lo, Hi: s.Hi, Event: s.Event, Err: s.Err, Source: s.Source, Seq: s.Seq, Digest: s.Digest})
 	}
 	return out
 }
