@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"qrel"
 	"qrel/internal/cliutil"
@@ -36,7 +37,7 @@ func main() {
 		dbPath    = flag.String("db", "", "path to the unreliable database (qrel text format); '-' for stdin")
 		storePath = flag.String("store", "", "path to a paged store file (mkdb -store); alternative to -db")
 		query     = flag.String("query", "", "query in qrel syntax, e.g. 'exists x y . E(x,y) & S(x)'")
-		engine    = flag.String("engine", "auto", "engine: auto|qfree|world-enum|lineage-bdd|lineage-kl|lineage-kl-thm53|monte-carlo|monte-carlo-direct")
+		engine    = flag.String("engine", "auto", engineUsage())
 		eps       = flag.Float64("eps", 0.05, "accuracy parameter of randomized engines")
 		delta     = flag.Float64("delta", 0.05, "confidence parameter of randomized engines")
 		seed      = flag.Int64("seed", 1, "random seed for randomized engines")
@@ -64,6 +65,16 @@ func main() {
 		// scripts can branch on the failure mode.
 		os.Exit(cliutil.ExitCode(err))
 	}
+}
+
+// engineUsage is the -engine help: auto and every engine qrel.Engines
+// names.
+func engineUsage() string {
+	names := []string{string(qrel.EngineAuto)}
+	for _, e := range qrel.Engines() {
+		names = append(names, string(e))
+	}
+	return "engine: " + strings.Join(names, "|")
 }
 
 // ckptFlags carries the checkpoint/resume command-line options.

@@ -104,6 +104,31 @@ func TestRunPerTupleAndAbsolute(t *testing.T) {
 	}
 }
 
+// TestEngineFlagNamesEveryEngine checks that -engine accepts every
+// engine qrel.Engines names and that its help lists each one.
+func TestEngineFlagNamesEveryEngine(t *testing.T) {
+	db := writeDB(t)
+	help := strings.Split(strings.TrimPrefix(engineUsage(), "engine: "), "|")
+	listed := map[string]bool{}
+	for _, name := range help {
+		listed[name] = true
+	}
+	if !listed[string(qrel.EngineAuto)] {
+		t.Errorf("help %q omits %q", engineUsage(), qrel.EngineAuto)
+	}
+	for _, e := range qrel.Engines() {
+		if !listed[string(e)] {
+			t.Errorf("help %q omits %q", engineUsage(), e)
+		}
+		_, err := captureStdout(t, func() error {
+			return run(db, "", "exists x . S(x)", string(e), "auto", 0.2, 0.2, 1, 0, 16, qrel.Budget{}, ckptFlags{}, false, false, false)
+		})
+		if err != nil && cliutil.ExitCode(err) == cliutil.ExitUsage {
+			t.Errorf("-engine %s refused as a usage error: %v", e, err)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	db := writeDB(t)
 	cases := []struct {

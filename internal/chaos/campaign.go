@@ -36,18 +36,9 @@ import (
 var errInjected = errors.New("chaos: injected fault")
 
 // campaignEngines is the differential-oracle panel: every selectable
-// engine, all computing (or approximating) the same reliability.
-var campaignEngines = []core.Engine{
-	core.EngineQFree,
-	core.EngineSafePlan,
-	core.EngineWorldEnum,
-	core.EngineLineageBDD,
-	core.EngineLineageKL,
-	core.EngineLineageKL53,
-	core.EngineMonteCarlo,
-	core.EngineMCDirect,
-	core.EngineMCRare,
-}
+// engine, all computing (or approximating) the same reliability, in the
+// engine table's order, which seeded campaigns replay.
+var campaignEngines = core.Engines()
 
 // Oracle accuracy for core-phase runs. Delta is tiny so that "every
 // randomized estimate within eps" is a deterministic verdict in

@@ -99,7 +99,7 @@ func compiledWorlds(db *unreliable.DB, plan evalPlan) func(ctx context.Context, 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := faultinject.Hit(faultinject.SiteWorldWorker); err != nil {
+			if err := faultinject.HitContext(ctx, faultinject.SiteWorldWorker); err != nil {
 				return err
 			}
 			if err := faultinject.Hit(faultinject.SiteAnswerSet); err != nil {
@@ -133,7 +133,7 @@ func interpretedWorlds(db *unreliable.DB, p *logic.Prepared, observed []bool) fu
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := faultinject.Hit(faultinject.SiteWorldWorker); err != nil {
+			if err := faultinject.HitContext(ctx, faultinject.SiteWorldWorker); err != nil {
 				return err
 			}
 			for i := range cols {

@@ -33,7 +33,7 @@ func TestParseAndPrint(t *testing.T) {
 		t.Fatalf("parsed %d rules", len(p.Rules))
 	}
 	printed := p.String()
-	p2, err := Parse(printed)
+	p2, err := parse(printed)
 	if err != nil {
 		t.Fatalf("reparse %q: %v", printed, err)
 	}
@@ -59,8 +59,8 @@ func TestParseErrors(t *testing.T) {
 		"R(x) : E(x,x).",
 	}
 	for _, src := range bad {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("Parse(%q): expected error", src)
+		if _, err := parse(src); err == nil {
+			t.Errorf("parse(%q): expected error", src)
 		}
 	}
 }

@@ -17,12 +17,12 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		p, err := Parse(src)
+		p, err := parse(src)
 		if err != nil {
 			return
 		}
 		printed := p.String()
-		p2, err := Parse(printed)
+		p2, err := parse(printed)
 		if err != nil {
 			t.Fatalf("printed form does not reparse: %v\n%s", err, printed)
 		}

@@ -7,7 +7,7 @@ import (
 	"unicode"
 )
 
-// Parse parses a Datalog program:
+// parse parses a Datalog program:
 //
 //	% reachability over uncertain edges
 //	Reach(x,y) :- E(x,y).
@@ -18,7 +18,7 @@ import (
 // universe elements; identifiers are variables inside rules (predicates
 // are the names applied to argument lists). Facts (empty bodies) are
 // allowed but must be ground.
-func Parse(src string) (*Program, error) {
+func parse(src string) (*Program, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -41,9 +41,9 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse is Parse that panics on error.
+// MustParse is parse that panics on error.
 func MustParse(src string) *Program {
-	p, err := Parse(src)
+	p, err := parse(src)
 	if err != nil {
 		panic(err)
 	}

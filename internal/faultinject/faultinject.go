@@ -2,8 +2,8 @@
 // for the reliability engines. Production code calls Hit at well-known
 // sites (engine entry points and the shared query-evaluation path);
 // with no faults armed and counting off, Hit is two atomic loads and
-// returns nil. Tests arm faults — evaluation failures, delays, forced
-// panics, and seeded probabilistic variants of each — to prove that
+// returns nil. Tests arm faults — evaluation failures, delays, holds,
+// forced panics, and seeded probabilistic variants of each — to prove that
 // every rung of the dispatcher's degradation ladder actually fires and
 // that the engine boundary converts panics into the typed error
 // taxonomy. The chaos campaign (internal/chaos) additionally turns on
@@ -15,6 +15,7 @@
 package faultinject
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -183,13 +184,21 @@ func KnownSite(site string) bool {
 }
 
 // Fault describes one armed fault. The zero value is a no-op; set at
-// least one of Err, Delay, or Panic.
+// least one of Err, Delay, Hold, or Panic.
 type Fault struct {
 	// Err is returned by Hit as an injected evaluation failure.
 	Err error
 	// Delay is slept before Hit returns (combinable with Err/Panic), for
 	// deadline and cancellation tests.
 	Delay time.Duration
+	// Hold, when non-nil, parks a HitContext caller after the delay
+	// until its context ends, and HitContext then returns the context's
+	// error: the work is provably in flight when a deadline passes, at
+	// any engine speed. On parking the caller sends on Hold without
+	// blocking, so a test that gives the channel a buffer learns the
+	// work is parked without sleeping. Hit, which has no context to wait
+	// on, ignores the hold.
+	Hold chan<- struct{}
 	// Panic, when non-empty, makes Hit panic with this message after the
 	// delay — exercising the engine-boundary recovery.
 	Panic string
@@ -313,6 +322,20 @@ func Hit(site string) error {
 	if armed.Load() == 0 && !counting.Load() {
 		return nil
 	}
+	return hit(nil, site)
+}
+
+// HitContext is Hit at a site whose caller has a context: an armed
+// Hold parks it until ctx ends.
+func HitContext(ctx context.Context, site string) error {
+	if armed.Load() == 0 && !counting.Load() {
+		return nil
+	}
+	return hit(ctx, site)
+}
+
+// hit is Hit past the disarmed fast path; a nil ctx ignores holds.
+func hit(ctx context.Context, site string) error {
 	mu.Lock()
 	if counting.Load() {
 		hits[site]++
@@ -345,6 +368,14 @@ func Hit(site string) error {
 	}
 	if fire.Delay > 0 {
 		time.Sleep(fire.Delay)
+	}
+	if fire.Hold != nil && ctx != nil {
+		select {
+		case fire.Hold <- struct{}{}:
+		default:
+		}
+		<-ctx.Done()
+		return ctx.Err()
 	}
 	if fire.Panic != "" {
 		panic(fmt.Sprintf("faultinject: %s: %s", site, fire.Panic))

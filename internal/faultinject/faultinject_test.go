@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -69,6 +70,31 @@ func TestDelayInjection(t *testing.T) {
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
 		t.Fatalf("delay not applied: %v", d)
+	}
+}
+
+func TestHoldParksUntilContextEnds(t *testing.T) {
+	Reset()
+	defer Reset()
+	held := make(chan struct{}, 1)
+	Enable(SiteWorldWorker, Fault{Hold: held, Times: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- HitContext(ctx, SiteWorldWorker) }()
+	<-held
+	select {
+	case err := <-done:
+		t.Fatalf("held HitContext returned %v before its context ended", err)
+	default:
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("released HitContext = %v, want context.Canceled", err)
+	}
+	// Hit has no context to wait on: a hold there is a no-op.
+	Enable(SiteWorldWorker, Fault{Hold: held})
+	if err := Hit(SiteWorldWorker); err != nil {
+		t.Fatalf("Hit at a held site = %v, want nil", err)
 	}
 }
 

@@ -43,7 +43,7 @@ func TestParseUDBBasic(t *testing.T) {
 		t.Error("uncertain site count wrong")
 	}
 	// Reliability end to end from the parsed database.
-	term := MustParse("sum_x(salary(x))")
+	term := mustParse("sum_x(salary(x))")
 	res, err := WorldEnum(u, term, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestUDBCodecRoundTrip(t *testing.T) {
 		}
 		// Same observed values and distributions ⇒ same reliability of a
 		// canonical query.
-		term := MustParse("sum_x(salary(x)) + max_x(salary(x))")
+		term := mustParse("sum_x(salary(x)) + max_x(salary(x))")
 		r1, err := WorldEnum(u, term, 0)
 		if err != nil {
 			t.Fatal(err)

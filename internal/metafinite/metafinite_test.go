@@ -30,7 +30,7 @@ func TestTermEvaluation(t *testing.T) {
 		want *big.Rat
 	}{
 		{NumInt(7), big.NewRat(7, 1)},
-		{FApp{Fn: "salary", Args: []FOTerm{E(1)}}, big.NewRat(200, 1)},
+		{FApp{Fn: "salary", Args: []FOTerm{elem(1)}}, big.NewRat(200, 1)},
 		{Add{NumInt(1), NumInt(2)}, big.NewRat(3, 1)},
 		{Sub{NumInt(1), NumInt(2)}, big.NewRat(-1, 1)},
 		{Mul{NumInt(3), NumInt(4)}, big.NewRat(12, 1)},
@@ -61,10 +61,10 @@ func TestTermEvaluation(t *testing.T) {
 func TestTermErrors(t *testing.T) {
 	db := salaryDB()
 	bad := []Term{
-		FApp{Fn: "nope", Args: []FOTerm{E(0)}},
-		FApp{Fn: "salary", Args: []FOTerm{E(0), E(1)}},
+		FApp{Fn: "nope", Args: []FOTerm{elem(0)}},
+		FApp{Fn: "salary", Args: []FOTerm{elem(0), elem(1)}},
 		FApp{Fn: "salary", Args: []FOTerm{V("unbound")}},
-		FApp{Fn: "salary", Args: []FOTerm{E(9)}},
+		FApp{Fn: "salary", Args: []FOTerm{elem(9)}},
 	}
 	for _, term := range bad {
 		if _, err := term.Eval(db, Env{}); err == nil {
@@ -102,10 +102,10 @@ func TestFreeVarsAndClassification(t *testing.T) {
 func TestSites(t *testing.T) {
 	db := salaryDB()
 	tm := Add{
-		FApp{Fn: "salary", Args: []FOTerm{E(0)}},
-		FApp{Fn: "salary", Args: []FOTerm{E(0)}}, // duplicate site
+		FApp{Fn: "salary", Args: []FOTerm{elem(0)}},
+		FApp{Fn: "salary", Args: []FOTerm{elem(0)}}, // duplicate site
 	}
-	sites, err := Sites(tm, db, Env{})
+	sites, err := sitesOf(tm, db, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSites(t *testing.T) {
 		t.Errorf("Sites = %v, want 1 distinct site", sites)
 	}
 	agg := SumAgg{"x", FApp{Fn: "salary", Args: []FOTerm{V("x")}}}
-	sites, err = Sites(agg, db, Env{})
+	sites, err = sitesOf(agg, db, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +195,9 @@ func TestQuantifierFreeMatchesWorldEnum(t *testing.T) {
 		}
 		terms := []Term{
 			FApp{Fn: "salary", Args: []FOTerm{V("x")}},
-			Add{FApp{Fn: "salary", Args: []FOTerm{V("x")}}, FApp{Fn: "salary", Args: []FOTerm{E(0)}}},
+			Add{FApp{Fn: "salary", Args: []FOTerm{V("x")}}, FApp{Fn: "salary", Args: []FOTerm{elem(0)}}},
 			CharLess{FApp{Fn: "salary", Args: []FOTerm{V("x")}}, NumInt(250)},
-			Max2{FApp{Fn: "salary", Args: []FOTerm{E(0)}}, FApp{Fn: "salary", Args: []FOTerm{E(1)}}},
+			Max2{FApp{Fn: "salary", Args: []FOTerm{elem(0)}}, FApp{Fn: "salary", Args: []FOTerm{elem(1)}}},
 		}
 		for _, tm := range terms {
 			qf, err := QuantifierFree(u, tm, 0)
@@ -363,7 +363,7 @@ func TestFDBValidation(t *testing.T) {
 }
 
 func TestTermStrings(t *testing.T) {
-	tm := SumAgg{"x", Add{FApp{Fn: "f", Args: []FOTerm{V("x"), E(2)}}, NumInt(1)}}
+	tm := SumAgg{"x", Add{FApp{Fn: "f", Args: []FOTerm{V("x"), elem(2)}}, NumInt(1)}}
 	want := "sum_x((f(x,#2) + 1))"
 	if got := tm.String(); got != want {
 		t.Errorf("String = %q, want %q", got, want)

@@ -39,15 +39,6 @@ func Parse(src string) (Term, error) {
 	return t, nil
 }
 
-// MustParse is Parse that panics on error.
-func MustParse(src string) Term {
-	t, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 type mtok struct {
 	kind string // ident number ( ) [ ] , + - * / = < #
 	text string
@@ -321,7 +312,7 @@ func (p *termParser) parseFOTerm() (FOTerm, error) {
 		if err != nil {
 			return FOTerm{}, fmt.Errorf("metafinite: bad element %q", n.text)
 		}
-		return E(e), nil
+		return elem(e), nil
 	}
 	if t, ok := p.peek(); ok && t.kind == "number" {
 		p.pos++
@@ -329,7 +320,7 @@ func (p *termParser) parseFOTerm() (FOTerm, error) {
 		if err != nil {
 			return FOTerm{}, fmt.Errorf("metafinite: bad element %q", t.text)
 		}
-		return E(e), nil
+		return elem(e), nil
 	}
 	t, err := p.expect("ident")
 	if err != nil {

@@ -76,7 +76,7 @@ func randTerm(rng *rand.Rand, depth int, scope []string) Term {
 			return Num{V: big.NewRat(int64(1+rng.Intn(9)), int64(1+rng.Intn(9)))}
 		default:
 			if len(scope) == 0 {
-				return FApp{Fn: "salary", Args: []FOTerm{E(rng.Intn(3))}}
+				return FApp{Fn: "salary", Args: []FOTerm{elem(rng.Intn(3))}}
 			}
 			return FApp{Fn: "salary", Args: []FOTerm{V(scope[rng.Intn(len(scope))])}}
 		}
@@ -141,7 +141,7 @@ func TestParsedAggregateReliability(t *testing.T) {
 	// End to end: parse an aggregate query and compute its reliability.
 	u := NewUDB(salaryDB())
 	u.MustSetDist(Site{Fn: "salary", Args: []int{0}}, []Weighted{w(100, 1, 2), w(150, 1, 2)})
-	term := MustParse("sum_x(salary(x))")
+	term := mustParse("sum_x(salary(x))")
 	res, err := WorldEnum(u, term, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -149,4 +149,13 @@ func TestParsedAggregateReliability(t *testing.T) {
 	if res.H.Cmp(big.NewRat(1, 2)) != 0 {
 		t.Errorf("H = %v, want 1/2", res.H)
 	}
+}
+
+// mustParse is Parse that panics on error.
+func mustParse(src string) Term {
+	t, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return t
 }

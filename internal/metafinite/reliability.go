@@ -76,7 +76,7 @@ func QuantifierFree(u *UDB, t Term, budget int) (Result, error) {
 	base := u.baseWorld()
 	h := new(big.Rat)
 	k, err := forEachTuple(u.Obs, t, func(env Env) error {
-		sites, err := Sites(t, u.Obs, env)
+		sites, err := sitesOf(t, u.Obs, env)
 		if err != nil {
 			return err
 		}

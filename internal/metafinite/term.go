@@ -57,8 +57,8 @@ type FOTerm struct {
 // V makes a variable FOTerm.
 func V(name string) FOTerm { return FOTerm{Var: name} }
 
-// E makes an element FOTerm.
-func E(e int) FOTerm { return FOTerm{Elem: e} }
+// elem makes an element FOTerm.
+func elem(e int) FOTerm { return FOTerm{Elem: e} }
 
 // String renders the first-order term.
 func (t FOTerm) String() string {
@@ -413,11 +413,11 @@ func IsQuantifierFree(t Term) bool {
 	}
 }
 
-// Sites collects the ground function applications the term touches when
+// sitesOf collects the ground function applications the term touches when
 // evaluated under env — for a quantifier-free term, a constant number
 // independent of the database size (the analogue of the atom set in
 // Proposition 3.1).
-func Sites(t Term, db *FDB, env Env) ([]Site, error) {
+func sitesOf(t Term, db *FDB, env Env) ([]Site, error) {
 	seen := map[rel.AtomKey]struct{}{}
 	var out []Site
 	var walk func(Term, Env) error

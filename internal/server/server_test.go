@@ -347,21 +347,30 @@ func TestDrainFinishesInFlight(t *testing.T) {
 // contract: when the deadline passes, in-flight computations are
 // canceled (answered with 408) rather than stranded, and Drain returns.
 func TestDrainDeadlineCancelsInFlight(t *testing.T) {
+	defer faultinject.Reset()
 	s, ts := newTestServer(t, Config{Workers: 1, DefaultTimeout: 30 * time.Second})
-	// A genuinely slow computation that polls its context: second-order
-	// evaluation over 2^16 worlds (many seconds if allowed to finish).
+	// Second-order evaluation over 2^16 worlds, held inside the world
+	// enumeration until its context ends: the request is in flight when
+	// the drain deadline passes, however fast the engine is, and it
+	// unwinds through the engine's own cancellation path.
 	slow := Request{
 		DB:    "slow",
 		Query: "existsrel C/1 . (exists x . C(x)) & (forall x y . C(x) & E(x,y) -> C(y))",
 	}
 	s.Register("slow", testDB(t, 5, 16))
+	held := make(chan struct{}, 1)
+	faultinject.Enable(faultinject.SiteWorldWorker, faultinject.Fault{Hold: held, Times: 1})
 
 	result := make(chan int, 1)
 	go func() {
 		status, _, _, _ := post(t, ts.URL, slow)
 		result <- status
 	}()
-	time.Sleep(50 * time.Millisecond) // let it reach the worker
+	select {
+	case <-held:
+	case status := <-result:
+		t.Fatalf("request finished with %d before reaching the held enumeration", status)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()

@@ -223,6 +223,9 @@ func Classify(q Query) Class { return logic.Classify(q) }
 // and the empty string included).
 func KnownEngine(e Engine) bool { return core.KnownEngine(e) }
 
+// Engines returns every selectable engine name (EngineAuto excluded).
+func Engines() []Engine { return core.Engines() }
+
 // Reliability computes the reliability of q on db with the dispatcher
 // described in the package documentation. The computation honors ctx
 // and opts.Budget: cancellation and budget exhaustion surface as

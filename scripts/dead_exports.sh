@@ -18,8 +18,7 @@ for dir in $(printf '%s\n' "${sources[@]}" | grep '^internal/' | xargs -n1 dirna
   for fn in $(sed -n 's/^func \([A-Z][A-Za-z0-9_]*\)[[(].*/\1/p' "${own[@]}" | sort -u); do
     if ! grep -qE "\b$pkg\.$fn\b" "${others[@]}"; then
       case $dir in
-        internal/cliutil | internal/datalog | internal/metafinite | \
-          internal/prop | internal/testutil)
+        internal/cliutil | internal/prop | internal/testutil)
           echo "     $dir: $fn"
           ;;
         *)
