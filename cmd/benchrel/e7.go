@@ -50,7 +50,7 @@ func runE7(cfg config, out *report) error {
 		var res core.AbsoluteResult
 		dt, err := out.timed(fmt.Sprintf("fourcol/G%d", i), func() (int, error) {
 			var err error
-			res, err = core.AbsoluteReliability(inst.DB, inst.Query, core.Options{MaxEnumAtoms: 12})
+			res, err = core.AbsoluteReliability(cfg.ctx, inst.DB, inst.Query, core.Options{MaxEnumAtoms: 12})
 			return 0, err
 		})
 		if err != nil {
@@ -82,7 +82,7 @@ func runE7(cfg config, out *report) error {
 		rngN := rand.New(rand.NewSource(cfg.seed + int64(n)))
 		db := workload.AddUncertainty(rngN, workload.RandomStructure(rngN, n, 0.2, 0.5), n, 10)
 		dt, err := out.timed(fmt.Sprintf("qfree/n=%d", n), func() (int, error) {
-			_, err := core.AbsoluteReliability(db, qf, core.Options{})
+			_, err := core.AbsoluteReliability(cfg.ctx, db, qf, core.Options{})
 			return 0, err
 		})
 		if err != nil {

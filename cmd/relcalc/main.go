@@ -148,8 +148,10 @@ func run(dbPath, storePath, query, engine, eval string, eps, delta float64, seed
 		db.A.N, db.A.FactCount(), db.NumUncertain())
 	fmt.Printf("query:    %s  [%v]\n", q, qrel.Classify(q))
 
+	ctx := context.Background()
+
 	if absolute {
-		res, err := qrel.AbsoluteReliability(db, q, opts)
+		res, err := qrel.AbsoluteReliability(ctx, db, q, opts)
 		if err != nil {
 			return err
 		}
@@ -160,7 +162,7 @@ func run(dbPath, storePath, query, engine, eval string, eps, delta float64, seed
 		return nil
 	}
 
-	res, err := qrel.ReliabilityWith(context.Background(), qrel.Engine(engine), db, q, opts)
+	res, err := qrel.ReliabilityWith(ctx, qrel.Engine(engine), db, q, opts)
 	if err != nil {
 		return err
 	}
@@ -189,7 +191,7 @@ func run(dbPath, storePath, query, engine, eval string, eps, delta float64, seed
 	}
 
 	if sensitivity {
-		ranked, err := qrel.RankSensitivities(db, q, opts)
+		ranked, err := qrel.RankSensitivities(ctx, db, q, opts)
 		if err != nil {
 			return err
 		}
@@ -201,7 +203,7 @@ func run(dbPath, storePath, query, engine, eval string, eps, delta float64, seed
 	}
 
 	if perTuple {
-		per, err := qrel.ExpectedErrorPerTuple(db, q, opts)
+		per, err := qrel.ExpectedErrorPerTuple(ctx, db, q, opts)
 		if err != nil {
 			return err
 		}

@@ -44,7 +44,7 @@ func ExampleAbsoluteReliability() {
 	db.MustSetError(qrel.GroundAtom{Rel: "S", Args: qrel.Tuple{1}}, big.NewRat(1, 2))
 
 	// The query only depends on S(0), which is certain.
-	res, err := qrel.AbsoluteReliability(db, qrel.MustParseQuery("S(#0)", voc), qrel.Options{})
+	res, err := qrel.AbsoluteReliability(context.Background(), db, qrel.MustParseQuery("S(#0)", voc), qrel.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -62,7 +62,7 @@ func ExampleExpectedErrorPerTuple() {
 	db := qrel.NewDB(s)
 	db.MustSetError(qrel.GroundAtom{Rel: "S", Args: qrel.Tuple{1}}, big.NewRat(1, 4))
 
-	per, err := qrel.ExpectedErrorPerTuple(db, qrel.MustParseQuery("S(x)", voc), qrel.Options{})
+	per, err := qrel.ExpectedErrorPerTuple(context.Background(), db, qrel.MustParseQuery("S(x)", voc), qrel.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -57,7 +57,7 @@ func main() {
 	// Risk report: which persons' "employed spouse" answer is least
 	// reliable?
 	q := qrel.MustParseQuery(workload.CensusQueries["spouse-employed"], db.A.Voc)
-	per, err := qrel.ExpectedErrorPerTuple(db, q, qrel.Options{})
+	per, err := qrel.ExpectedErrorPerTuple(context.Background(), db, q, qrel.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -33,7 +34,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.AbsoluteReliability(inst.DB, inst.Query, core.Options{MaxEnumAtoms: 12})
+		res, err := core.AbsoluteReliability(context.Background(), inst.DB, inst.Query, core.Options{MaxEnumAtoms: 12})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func main() {
 
 	// Which answer tuples of a unary query are shaky?
 	q := qrel.MustParseQuery("exists y . Follows(x,y)", voc)
-	per, err := qrel.ExpectedErrorPerTuple(db, q, qrel.Options{})
+	per, err := qrel.ExpectedErrorPerTuple(context.Background(), db, q, qrel.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,8 +25,8 @@ type AbsoluteResult struct {
 // absoluteQF decides the absolute reliability of a quantifier-free
 // query in polynomial time (Lemma 5.7): it computes H exactly with the
 // Proposition 3.1 engine and tests H = 0.
-func absoluteQF(db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResult, error) {
-	res, err := QuantifierFree(context.Background(), db, f, opts)
+func absoluteQF(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResult, error) {
+	res, err := QuantifierFree(ctx, db, f, opts)
 	if err != nil {
 		return AbsoluteResult{}, err
 	}
@@ -39,8 +39,7 @@ func absoluteQF(db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResul
 // of Lemma 5.8 ("guess a database B and check whether the truth values
 // differ"). Exponential in the number of uncertain atoms, bounded by
 // opts.MaxEnumAtoms.
-func absoluteWitness(db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResult, error) {
-	opts = opts.withDefaults()
+func absoluteWitness(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResult, error) {
 	prep := logic.Prepare(f)
 	observed, err := truths(db.A, prep)
 	if err != nil {
@@ -48,7 +47,7 @@ func absoluteWitness(db *unreliable.DB, f logic.Formula, opts Options) (Absolute
 	}
 	var witness *rel.Structure
 	var evalErr error
-	err = db.ForEachWorld(opts.MaxEnumAtoms, func(b *rel.Structure, _ *big.Rat) bool {
+	err = db.ForEachWorldCtx(ctx, opts.MaxEnumAtoms, func(b *rel.Structure, _ *big.Rat) bool {
 		diff, err := mismatches(b, prep, observed)
 		if err != nil {
 			evalErr = err
@@ -71,10 +70,13 @@ func absoluteWitness(db *unreliable.DB, f logic.Formula, opts Options) (Absolute
 
 // AbsoluteReliability dispatches the absolute reliability decision:
 // Lemma 5.7's polynomial algorithm for quantifier-free queries,
-// otherwise the Lemma 5.8 witness search.
-func AbsoluteReliability(db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResult, error) {
-	if logic.IsQuantifierFree(f) {
-		return absoluteQF(db, f, opts)
-	}
-	return absoluteWitness(db, f, opts)
+// otherwise the Lemma 5.8 witness search. Both poll ctx and stop at
+// opts.Budget.Timeout; errors follow ReliabilityWith's taxonomy.
+func AbsoluteReliability(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (AbsoluteResult, error) {
+	return bounded(ctx, "absolute", opts, func(ctx context.Context, opts Options) (AbsoluteResult, error) {
+		if logic.IsQuantifierFree(f) {
+			return absoluteQF(ctx, db, f, opts)
+		}
+		return absoluteWitness(ctx, db, f, opts)
+	})
 }

@@ -255,7 +255,7 @@ func TestExpectedErrorPerTupleSumsToH(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	d := randUDB(rng, 3, 4)
 	f := logic.MustParse("exists y . E(x,y) & S(y)", nil)
-	per, err := ExpectedErrorPerTuple(d, f, Options{})
+	per, err := ExpectedErrorPerTuple(bg, d, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestAbsoluteReliability(t *testing.T) {
 	d := unreliable.New(s)
 	// No uncertainty: absolutely reliable.
 	for _, src := range []string{"S(x)", "exists x . S(x)"} {
-		res, err := AbsoluteReliability(d, logic.MustParse(src, nil), Options{})
+		res, err := AbsoluteReliability(bg, d, logic.MustParse(src, nil), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestAbsoluteReliability(t *testing.T) {
 	}
 	// Uncertainty on an atom the query depends on.
 	d.MustSetError(rel.GroundAtom{Rel: "S", Args: rel.Tuple{0}}, big.NewRat(1, 2))
-	resQF, err := AbsoluteReliability(d, logic.MustParse("S(x)", nil), Options{})
+	resQF, err := AbsoluteReliability(bg, d, logic.MustParse("S(x)", nil), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestAbsoluteReliability(t *testing.T) {
 	if resQF.Engine != "qfree-exact" {
 		t.Errorf("engine %q for quantifier-free", resQF.Engine)
 	}
-	resEx, err := AbsoluteReliability(d, logic.MustParse("exists x . S(x)", nil), Options{})
+	resEx, err := AbsoluteReliability(bg, d, logic.MustParse("exists x . S(x)", nil), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestAbsoluteReliability(t *testing.T) {
 	// every world because S(0) is certain here.
 	d2 := unreliable.New(s.Clone())
 	d2.MustSetError(rel.GroundAtom{Rel: "S", Args: rel.Tuple{1}}, big.NewRat(1, 2))
-	resIg, err := AbsoluteReliability(d2, logic.MustParse("exists x . S(x)", nil), Options{})
+	resIg, err := AbsoluteReliability(bg, d2, logic.MustParse("exists x . S(x)", nil), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,8 +185,15 @@ func mismatches(s *rel.Structure, p *logic.Prepared, observed []bool) (int, erro
 // expected error H_psi(ā)(D) = Pr[psi(ā)^B ≠ psi(ā)^A] by world
 // enumeration. The sum of the returned values is H_psi(D); the
 // per-tuple values tell the user which answer tuples are unreliable.
-func ExpectedErrorPerTuple(db *unreliable.DB, f logic.Formula, opts Options) ([]TupleError, error) {
-	opts = opts.withDefaults()
+// The enumeration polls ctx between worlds and stops at
+// opts.Budget.Timeout; errors follow ReliabilityWith's taxonomy.
+func ExpectedErrorPerTuple(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) ([]TupleError, error) {
+	return bounded(ctx, "per-tuple", opts, func(ctx context.Context, opts Options) ([]TupleError, error) {
+		return expectedErrorPerTuple(ctx, db, f, opts)
+	})
+}
+
+func expectedErrorPerTuple(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) ([]TupleError, error) {
 	prep := logic.Prepare(f)
 	observed, err := truths(db.A, prep)
 	if err != nil {
@@ -198,7 +205,7 @@ func ExpectedErrorPerTuple(db *unreliable.DB, f logic.Formula, opts Options) ([]
 		return true
 	})
 	var evalErr error
-	err = db.ForEachWorld(opts.MaxEnumAtoms, func(b *rel.Structure, nu *big.Rat) bool {
+	err = db.ForEachWorldCtx(ctx, opts.MaxEnumAtoms, func(b *rel.Structure, nu *big.Rat) bool {
 		if evalErr = faultinject.Hit(faultinject.SiteAnswerSet); evalErr != nil {
 			return false
 		}

@@ -44,7 +44,7 @@ func QuantifierFree(ctx context.Context, db *unreliable.DB, f logic.Formula, opt
 	var m *matrix
 	if opts.Eval != EvalInterpreted {
 		var err error
-		if m, err = compileMatrix(db.A, f); err != nil {
+		if m, err = compileMatrix(db, f); err != nil {
 			res.FallbackTrail = []FallbackStep{{Engine: "vm", Err: err.Error()}}
 		}
 	}
@@ -66,7 +66,8 @@ func QuantifierFree(ctx context.Context, db *unreliable.DB, f logic.Formula, opt
 // evaluation: a vm program over slots, one per distinct relational or
 // equality atom of the formula. Unlike a grounded program it does not
 // depend on the tuple; a tuple only decides which ground atom each slot
-// denotes. A matrix carries per-tuple scratch and serves one goroutine.
+// denotes. A matrix reads the flip indexes of one database snapshot,
+// carries per-tuple scratch and serves one goroutine.
 type matrix struct {
 	prog     *vm.Program
 	slots    []matrixSlot
@@ -78,9 +79,13 @@ type matrix struct {
 // between args[0] and args[1].
 type matrixSlot struct {
 	rel  *rel.Relation
-	name string
 	args []matrixTerm
 	tup  rel.Tuple // the slot's ground arguments under the current tuple
+	// flips is the relation's flip index, resolved once per request;
+	// byRank is set when both it and the observed relation are dense,
+	// so one rank addresses both.
+	flips  *unreliable.Flips
+	byRank bool
 }
 
 // matrixTerm is a component of the free-variable tuple (pos >= 0) or a
@@ -94,13 +99,14 @@ func (t matrixTerm) value(tuple rel.Tuple) int {
 	return t.elem
 }
 
-// compileMatrix lowers f over the vocabulary and constants of s. It
-// mirrors logic.Ground's treatment of the connectives, with a slot
-// where Ground would resolve an atom.
-func compileMatrix(s *rel.Structure, f logic.Formula) (*matrix, error) {
+// compileMatrix lowers f over the vocabulary and constants of db's
+// observed structure. It mirrors logic.Ground's treatment of the
+// connectives, with a slot where Ground would resolve an atom.
+func compileMatrix(db *unreliable.DB, f logic.Formula) (*matrix, error) {
 	if err := faultinject.Hit(faultinject.SiteVMCompile); err != nil {
 		return nil, err
 	}
+	s := db.A
 	vars := logic.FreeVars(f)
 	m := &matrix{arity: len(vars)}
 	slotOf := map[string]int{}
@@ -132,7 +138,7 @@ func compileMatrix(s *rel.Structure, f logic.Formula) (*matrix, error) {
 		if id, ok := slotOf[key]; ok {
 			return prop.FVar(id), nil
 		}
-		sl := matrixSlot{rel: r, name: name, tup: make(rel.Tuple, len(ts))}
+		sl := matrixSlot{rel: r, tup: make(rel.Tuple, len(ts))}
 		for _, t := range ts {
 			mt, err := term(t)
 			if err != nil {
@@ -141,6 +147,8 @@ func compileMatrix(s *rel.Structure, f logic.Formula) (*matrix, error) {
 			sl.args = append(sl.args, mt)
 		}
 		if r != nil {
+			sl.flips = db.RelFlips(name)
+			sl.byRank = r.Universe() == s.N && sl.flips.Dense()
 			m.relSlots++
 		}
 		slotOf[key] = len(m.slots)
@@ -222,7 +230,8 @@ func (m *matrix) expectedError(ctx context.Context, db *unreliable.DB) (*big.Rat
 		e       = newFlipEnum(1)
 		loopErr error
 	)
-	rel.ForEachTuple(db.A.N, m.arity, func(t rel.Tuple) bool {
+	n := db.A.N
+	rel.ForEachTuple(n, m.arity, func(t rel.Tuple) bool {
 		if loopErr = ctx.Err(); loopErr != nil {
 			return false
 		}
@@ -238,8 +247,19 @@ func (m *matrix) expectedError(ctx context.Context, db *unreliable.DB) (*big.Rat
 				for i, a := range s.args {
 					s.tup[i] = a.value(t)
 				}
-				observed = s.rel.Contains(s.tup)
-				i, sure := db.FlipIndex(rel.GroundAtom{Rel: s.name, Args: s.tup})
+				var i int
+				var sure bool
+				if s.byRank {
+					r := 0
+					for _, e := range s.tup {
+						r = rel.FoldRank(r, n, e)
+					}
+					observed = s.rel.ContainsRank(r)
+					i, sure = s.flips.IndexRank(r)
+				} else {
+					observed = s.rel.Contains(s.tup)
+					i, sure = s.flips.Index(s.tup)
+				}
 				actual = observed != sure
 				if i >= 0 {
 					// Slots that ground to one atom share its flip column.
@@ -311,10 +331,14 @@ func localIndex(atoms *[]int, i int) int {
 // distinctAtoms counts the distinct ground atoms the relational slots
 // denote under the current tuple.
 func (m *matrix) distinctAtoms() int {
-	seen := make(map[rel.AtomKey]struct{}, m.relSlots)
+	type atom struct {
+		r   *rel.Relation
+		key uint64
+	}
+	seen := make(map[atom]struct{}, m.relSlots)
 	for si := range m.slots {
 		if s := &m.slots[si]; s.rel != nil {
-			seen[rel.GroundAtom{Rel: s.name, Args: s.tup}.Key()] = struct{}{}
+			seen[atom{s.rel, s.tup.Key()}] = struct{}{}
 		}
 	}
 	return len(seen)

@@ -119,17 +119,30 @@ func classifyErr(err error) error {
 // runEngine invokes one engine behind the fault barrier: panics are
 // recovered into ErrEngineFailed and errors are folded into the typed
 // taxonomy. This is the only place engine code runs when entered through
-// Reliability/ReliabilityWith.
-func runEngine(name string, fn func() (Result, error)) (res Result, err error) {
+// Reliability/ReliabilityWith or one of the exact helpers (bounded).
+func runEngine[T any](name string, fn func() (T, error)) (res T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = Result{}
+			var zero T
+			res = zero
 			err = fmt.Errorf("%w: engine %s panicked: %v", ErrEngineFailed, name, r)
 		}
 	}()
 	res, err = fn()
 	err = classifyErr(err)
 	return res, err
+}
+
+// bounded runs an exact helper outside the engine table
+// (ExpectedErrorPerTuple, AtomSensitivity, RankSensitivities,
+// AbsoluteReliability) as ReliabilityWith runs an engine: under
+// opts.Budget.Timeout, behind the fault barrier, with the same error
+// taxonomy.
+func bounded[T any](ctx context.Context, name string, opts Options, fn func(context.Context, Options) (T, error)) (T, error) {
+	opts = opts.withDefaults()
+	ctx, cancel := withBudgetContext(orBackground(ctx), opts.Budget)
+	defer cancel()
+	return runEngine(name, func() (T, error) { return fn(ctx, opts) })
 }
 
 // orBackground lets exported engines tolerate a nil context from direct

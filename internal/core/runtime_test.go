@@ -392,3 +392,61 @@ func TestAnytimeDegradedStillBrackets(t *testing.T) {
 		}
 	}
 }
+
+// TestExactHelpersHonorCanceledContext: the exact helpers outside the
+// engine table run under the caller's context with ReliabilityWith's
+// taxonomy. An already-canceled context ends each with ErrCanceled
+// before a single world is visited (at most the observed answer is
+// evaluated), and an enumeration past MaxEnumAtoms is ErrBudgetExceeded.
+func TestExactHelpersHonorCanceledContext(t *testing.T) {
+	defer faultinject.SetCounting(false)
+	d := randUDB(rand.New(rand.NewSource(45)), 4, 12)
+	fo := logic.MustParse("exists y . E(x,y) & S(y)", nil)
+	qf := logic.MustParse("E(x,y) & !S(x)", nil)
+	atom := d.UncertainAtoms()[0]
+	helpers := map[string]func(context.Context, Options) error{
+		"ExpectedErrorPerTuple": func(ctx context.Context, o Options) error {
+			_, err := ExpectedErrorPerTuple(ctx, d, fo, o)
+			return err
+		},
+		"AtomSensitivity": func(ctx context.Context, o Options) error {
+			_, err := AtomSensitivity(ctx, d, fo, atom, o)
+			return err
+		},
+		"RankSensitivities": func(ctx context.Context, o Options) error {
+			_, err := RankSensitivities(ctx, d, fo, o)
+			return err
+		},
+		"AbsoluteReliability/witness": func(ctx context.Context, o Options) error {
+			_, err := AbsoluteReliability(ctx, d, fo, o)
+			return err
+		},
+		"AbsoluteReliability/qfree": func(ctx context.Context, o Options) error {
+			_, err := AbsoluteReliability(ctx, d, qf, o)
+			return err
+		},
+	}
+	canceled, cancel := context.WithCancel(bg)
+	cancel()
+	for name, run := range helpers {
+		t.Run(name, func(t *testing.T) {
+			faultinject.SetCounting(true)
+			faultinject.ResetCounters()
+			err := run(canceled, Options{})
+			counts := faultinject.Counters()
+			faultinject.SetCounting(false)
+			if !errors.Is(err, ErrCanceled) {
+				t.Errorf("canceled context: %v, want ErrCanceled", err)
+			}
+			if a, w := counts[faultinject.SiteAnswerSet].Hits, counts[faultinject.SiteWorldWorker].Hits; a > 1 || w > 0 {
+				t.Errorf("canceled context: %d answer sets and %d world blocks evaluated, want at most the observed answer", a, w)
+			}
+			if name == "AbsoluteReliability/qfree" {
+				return // Proposition 3.1 enumerates no worlds
+			}
+			if err := run(bg, Options{MaxEnumAtoms: 4}); !errors.Is(err, ErrBudgetExceeded) {
+				t.Errorf("12 atoms over an enumeration budget of 4: %v, want ErrBudgetExceeded", err)
+			}
+		})
+	}
+}

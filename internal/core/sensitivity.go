@@ -33,8 +33,15 @@ type Sensitivity struct {
 
 // AtomSensitivity computes the Sensitivity of one uncertain atom for a
 // query, using exact world enumeration on the conditioned databases.
-func AtomSensitivity(db *unreliable.DB, f logic.Formula, atom rel.GroundAtom, opts Options) (Sensitivity, error) {
-	opts = opts.withDefaults()
+// The enumerations poll ctx and stop at opts.Budget.Timeout; errors
+// follow ReliabilityWith's taxonomy.
+func AtomSensitivity(ctx context.Context, db *unreliable.DB, f logic.Formula, atom rel.GroundAtom, opts Options) (Sensitivity, error) {
+	return bounded(ctx, "sensitivity", opts, func(ctx context.Context, opts Options) (Sensitivity, error) {
+		return atomSensitivity(ctx, db, f, atom, opts)
+	})
+}
+
+func atomSensitivity(ctx context.Context, db *unreliable.DB, f logic.Formula, atom rel.GroundAtom, opts Options) (Sensitivity, error) {
 	nu := db.NuAtom(atom)
 	one := big.NewRat(1, 1)
 	if nu.Sign() == 0 || nu.Cmp(one) == 0 {
@@ -52,11 +59,11 @@ func AtomSensitivity(db *unreliable.DB, f logic.Formula, atom rel.GroundAtom, op
 	// answer (the user still holds psi^A), so evaluate with WorldEnum on
 	// databases whose observed structure is unchanged: Condition keeps A
 	// and only reshapes mu, which is exactly what we need.
-	resT, err := WorldEnum(context.Background(), condT, f, opts)
+	resT, err := WorldEnum(ctx, condT, f, opts)
 	if err != nil {
 		return Sensitivity{}, err
 	}
-	resF, err := WorldEnum(context.Background(), condF, f, opts)
+	resF, err := WorldEnum(ctx, condF, f, opts)
 	if err != nil {
 		return Sensitivity{}, err
 	}
@@ -80,17 +87,19 @@ func AtomSensitivity(db *unreliable.DB, f logic.Formula, atom rel.GroundAtom, op
 // returns them sorted by decreasing spread — the triage list: verify
 // the top atoms first to pin down the query's risk. Exponential in the
 // number of uncertain atoms (two world enumerations per atom); bounded
-// by opts.MaxEnumAtoms.
-func RankSensitivities(db *unreliable.DB, f logic.Formula, opts Options) ([]Sensitivity, error) {
-	atoms := db.UncertainAtoms()
-	out := make([]Sensitivity, 0, len(atoms))
-	for _, atom := range atoms {
-		s, err := AtomSensitivity(db, f, atom, opts)
-		if err != nil {
-			return nil, err
+// by opts.MaxEnumAtoms, and as a whole by ctx and opts.Budget.Timeout.
+func RankSensitivities(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) ([]Sensitivity, error) {
+	return bounded(ctx, "sensitivity", opts, func(ctx context.Context, opts Options) ([]Sensitivity, error) {
+		atoms := db.UncertainAtoms()
+		out := make([]Sensitivity, 0, len(atoms))
+		for _, atom := range atoms {
+			s, err := atomSensitivity(ctx, db, f, atom, opts)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, s)
 		}
-		out = append(out, s)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Spread.Cmp(out[j].Spread) > 0 })
-	return out, nil
+		sort.SliceStable(out, func(i, j int) bool { return out[i].Spread.Cmp(out[j].Spread) > 0 })
+		return out, nil
+	})
 }

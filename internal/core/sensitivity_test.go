@@ -25,7 +25,7 @@ func TestAtomSensitivityHand(t *testing.T) {
 
 	// Conditioned on S(0)=true the query is certainly true: H = 0.
 	// Conditioned on S(0)=false: query true iff S(1), so H = 1/2.
-	sens, err := AtomSensitivity(db, f, a0, Options{})
+	sens, err := AtomSensitivity(bg, db, f, a0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestAtomSensitivityCertainAtom(t *testing.T) {
 	db := unreliable.New(s)
 	f := logic.MustParse("exists x . S(x)", nil)
 	a := rel.GroundAtom{Rel: "S", Args: rel.Tuple{0}}
-	if _, err := AtomSensitivity(db, f, a, Options{}); err == nil {
+	if _, err := AtomSensitivity(bg, db, f, a, Options{}); err == nil {
 		t.Error("sensitivity of a certain atom accepted")
 	}
 }
@@ -64,7 +64,7 @@ func TestRankSensitivities(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	db := randUDB(rng, 3, 5)
 	f := logic.MustParse("exists x y . E(x,y) & S(x)", nil)
-	ranked, err := RankSensitivities(db, f, Options{})
+	ranked, err := RankSensitivities(bg, db, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -302,7 +302,7 @@ func TestLemma59Reduction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.AbsoluteReliability(inst.DB, inst.Query, core.Options{MaxEnumAtoms: 12})
+		res, err := core.AbsoluteReliability(context.Background(), inst.DB, inst.Query, core.Options{MaxEnumAtoms: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func TestLemma59NonColorable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.AbsoluteReliability(inst.DB, inst.Query, core.Options{MaxEnumAtoms: 12})
+	res, err := core.AbsoluteReliability(context.Background(), inst.DB, inst.Query, core.Options{MaxEnumAtoms: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,10 @@ type DB struct {
 
 // atomLists is the snapshot of a DB's non-certain atoms. The lists are
 // complete when it is published; the tables the exact engines and the
-// compiler read are derived from them on first use, so a builder that
-// alternates SetError with reads pays only for the lists.
+// compiler read — the per-relation flip indexes FlipIndex and RelFlips
+// answer from, and the integer weights — are derived from them on first
+// use, so a builder that alternates SetError with reads pays only for
+// the lists.
 type atomLists struct {
 	uncertain []entry // atoms with 0 < mu < 1, in canonical order
 	sure      []entry // atoms with mu = 1 (deterministic flips)
@@ -64,11 +66,15 @@ type atomLists struct {
 	flipOnce, condOnce sync.Once
 	flip, cond         []uint64
 
+	// n is the universe size the flip indexes are laid out over.
+	n int
+
 	tablesOnce sync.Once
-	// flipIndex maps an uncertain atom to its position in uncertain
-	// and a sure flip to -1; certain atoms are absent.
-	flipIndex map[rel.AtomKey]int
-	weights   Weights
+	// flips is each relation's flip index (see Flips), the position of
+	// an uncertain atom in uncertain addressed by its tuple's rank; a
+	// relation without uncertain or mu = 1 atoms is absent.
+	flips   map[string]*Flips
+	weights Weights
 
 	// The weights over their least common denominator: only the
 	// quantifier-free engine asks, and on a database with many coprime
@@ -78,16 +84,10 @@ type atomLists struct {
 	lcm     *big.Int
 }
 
-// tables returns l with flipIndex and weights built.
+// tables returns l with the flip index and weights built.
 func (l *atomLists) tables() *atomLists {
 	l.tablesOnce.Do(func() {
-		l.flipIndex = make(map[rel.AtomKey]int, len(l.uncertain)+len(l.sure))
-		for i, e := range l.uncertain {
-			l.flipIndex[e.atom.Key()] = i
-		}
-		for _, e := range l.sure {
-			l.flipIndex[e.atom.Key()] = -1
-		}
+		l.flips = buildFlips(l.n, l.uncertain, l.sure)
 		l.weights = newWeights(l.uncertain)
 	})
 	return l
@@ -188,7 +188,7 @@ func (d *DB) atoms() *atomLists {
 		}
 		return keys[i].Tup < keys[j].Tup
 	})
-	l := new(atomLists)
+	l := &atomLists{n: d.A.N}
 	for _, k := range keys {
 		p := d.mu[k]
 		e := entry{atom: k.Atom(), mu: p}
@@ -231,13 +231,21 @@ func (d *DB) NumUncertain() int { return d.numUncertain }
 // FlipIndex classifies a ground atom by how it varies across the
 // possible worlds: (i, false) for the i-th uncertain atom in canonical
 // order, (-1, true) for a mu = 1 atom that flips in every world, and
-// (-1, false) for a certain atom.
+// (-1, false) for a certain atom — or for anything that is not an atom
+// of the vocabulary over the universe. It reads the relation's Flips.
 func (d *DB) FlipIndex(a rel.GroundAtom) (i int, sure bool) {
-	i, ok := d.atoms().tables().flipIndex[a.Key()]
-	if !ok {
-		return -1, false
+	return d.RelFlips(a.Rel).Index(a.Args)
+}
+
+// RelFlips returns the named relation's flip index in the current
+// snapshot. A caller that classifies many tuples of one relation
+// resolves it once; it is invalidated, like every snapshot, by
+// SetError.
+func (d *DB) RelFlips(name string) *Flips {
+	if x := d.atoms().tables().flips[name]; x != nil {
+		return x
 	}
-	return i, i < 0
+	return noFlips
 }
 
 // WorldCount returns |{B : nu(B) > 0}| = 2^u.

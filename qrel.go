@@ -243,14 +243,15 @@ func ReliabilityWith(ctx context.Context, engine Engine, db *DB, q Query, opts O
 }
 
 // ExpectedErrorPerTuple computes the exact expected error of every
-// answer tuple by world enumeration.
-func ExpectedErrorPerTuple(db *DB, q Query, opts Options) ([]TupleError, error) {
-	return core.ExpectedErrorPerTuple(db, q, opts)
+// answer tuple by world enumeration, under ctx and opts.Budget.
+func ExpectedErrorPerTuple(ctx context.Context, db *DB, q Query, opts Options) ([]TupleError, error) {
+	return core.ExpectedErrorPerTuple(ctx, db, q, opts)
 }
 
-// AbsoluteReliability decides whether R_q(db) = 1 (Definition 5.6).
-func AbsoluteReliability(db *DB, q Query, opts Options) (AbsoluteResult, error) {
-	return core.AbsoluteReliability(db, q, opts)
+// AbsoluteReliability decides whether R_q(db) = 1 (Definition 5.6),
+// under ctx and opts.Budget.
+func AbsoluteReliability(ctx context.Context, db *DB, q Query, opts Options) (AbsoluteResult, error) {
+	return core.AbsoluteReliability(ctx, db, q, opts)
 }
 
 // Answer evaluates q on a concrete database, returning the satisfying
@@ -264,15 +265,17 @@ type (
 )
 
 // AtomSensitivity computes the conditional expected errors of a query
-// given each truth value of one uncertain atom.
-func AtomSensitivity(db *DB, q Query, atom GroundAtom, opts Options) (Sensitivity, error) {
-	return core.AtomSensitivity(db, q, atom, opts)
+// given each truth value of one uncertain atom, under ctx and
+// opts.Budget.
+func AtomSensitivity(ctx context.Context, db *DB, q Query, atom GroundAtom, opts Options) (Sensitivity, error) {
+	return core.AtomSensitivity(ctx, db, q, atom, opts)
 }
 
 // RankSensitivities ranks all uncertain atoms by how strongly they
-// drive the query's expected error (decreasing spread).
-func RankSensitivities(db *DB, q Query, opts Options) ([]Sensitivity, error) {
-	return core.RankSensitivities(db, q, opts)
+// drive the query's expected error (decreasing spread), under ctx and
+// opts.Budget.
+func RankSensitivities(ctx context.Context, db *DB, q Query, opts Options) ([]Sensitivity, error) {
+	return core.RankSensitivities(ctx, db, q, opts)
 }
 
 // AnswerModality holds the certain and possible answers of a query.

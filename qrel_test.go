@@ -69,14 +69,14 @@ func TestFacadeEngineSelection(t *testing.T) {
 func TestFacadePerTupleAndAbsolute(t *testing.T) {
 	db := exampleDB(t)
 	q := qrel.MustParseQuery("exists y . E(x,y)", nil)
-	per, err := qrel.ExpectedErrorPerTuple(db, q, qrel.Options{})
+	per, err := qrel.ExpectedErrorPerTuple(context.Background(), db, q, qrel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(per) != 4 {
 		t.Fatalf("%d tuples", len(per))
 	}
-	abs, err := qrel.AbsoluteReliability(db, q, qrel.Options{})
+	abs, err := qrel.AbsoluteReliability(context.Background(), db, q, qrel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +115,14 @@ func TestFacadeAnswer(t *testing.T) {
 func TestFacadeSensitivityAndModality(t *testing.T) {
 	db := exampleDB(t)
 	q := qrel.MustParseQuery("exists x y . E(x,y) & S(x)", nil)
-	ranked, err := qrel.RankSensitivities(db, q, qrel.Options{})
+	ranked, err := qrel.RankSensitivities(context.Background(), db, q, qrel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ranked) != 2 {
 		t.Fatalf("ranked %d atoms", len(ranked))
 	}
-	one, err := qrel.AtomSensitivity(db, q, ranked[0].Atom, qrel.Options{})
+	one, err := qrel.AtomSensitivity(context.Background(), db, q, ranked[0].Atom, qrel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
