@@ -12,13 +12,15 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"qrel/internal/cliutil"
 	"qrel/internal/metafinite"
+	"qrel/internal/unreliable"
 )
 
 func main() {
@@ -77,18 +79,19 @@ func run(dbPath, query, engine string, eps, delta float64, seed int64) (err erro
 	}
 
 	var res metafinite.Result
+	ctx := context.Background()
 	switch engine {
 	case "qfree":
-		res, err = metafinite.QuantifierFree(u, term, 0)
+		res, err = metafinite.QuantifierFree(ctx, u, term, 0)
 	case "enum":
-		res, err = metafinite.WorldEnum(u, term, 0)
+		res, err = metafinite.WorldEnum(ctx, u, term, 0)
 	case "mc":
-		res, err = metafinite.MonteCarlo(u, term, eps, delta, rand.New(rand.NewSource(seed)))
+		res, err = metafinite.MonteCarlo(ctx, u, term, eps, delta, seed)
 	case "auto", "":
 		if metafinite.IsQuantifierFree(term) {
-			res, err = metafinite.QuantifierFree(u, term, 0)
-		} else if res, err = metafinite.WorldEnum(u, term, 0); err != nil {
-			res, err = metafinite.MonteCarlo(u, term, eps, delta, rand.New(rand.NewSource(seed)))
+			res, err = metafinite.QuantifierFree(ctx, u, term, 0)
+		} else if res, err = metafinite.WorldEnum(ctx, u, term, 0); errors.Is(err, unreliable.ErrEnumBudget) {
+			res, err = metafinite.MonteCarlo(ctx, u, term, eps, delta, seed)
 		}
 	default:
 		return fmt.Errorf("unknown engine %q", engine)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,9 +99,26 @@ func TestAggrelErrors(t *testing.T) {
 	}
 }
 
+// wideMFDB writes a database of 23 binary salary sites: 2^23 worlds,
+// twice MaxEnumWorlds.
+func wideMFDB(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("universe 23\nfunc salary/1\n")
+	for i := 0; i < 23; i++ {
+		fmt.Fprintf(&b, "salary %d ~ 100:1/2 200:1/2\n", i)
+	}
+	path := filepath.Join(t.TempDir(), "wide.mfdb")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestAggrelExitCodes pins aggrel to the shared exit-code contract.
 func TestAggrelExitCodes(t *testing.T) {
 	db := writeMFDB(t)
+	wide := wideMFDB(t)
 	cases := []struct {
 		name string
 		code int
@@ -110,6 +128,7 @@ func TestAggrelExitCodes(t *testing.T) {
 		{"unknown engine", cliutil.ExitUsage, func() error { return run(db, "1", "bogus", 0.1, 0.1, 1) }},
 		{"missing file", cliutil.ExitFailure, func() error { return run("/nonexistent", "1", "auto", 0.1, 0.1, 1) }},
 		{"bad query", cliutil.ExitFailure, func() error { return run(db, "sum_(x)", "auto", 0.1, 0.1, 1) }},
+		{"worlds over budget", cliutil.ExitBudget, func() error { return run(wide, "sum_x(salary(x))", "enum", 0.1, 0.1, 1) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -41,7 +41,7 @@ Reach(x,z) :- Reach(x,y), Link(y,z).
 		var res datalog.Result
 		dt, err := out.timed(fmt.Sprintf("exact/series-%d", k), func() (int, error) {
 			var err error
-			res, err = datalog.Reliability(db, prog, q, 16)
+			res, err = datalog.Reliability(cfg.ctx, db, prog, q, 16)
 			return 0, err
 		})
 		if err != nil {
@@ -60,7 +60,7 @@ Reach(x,z) :- Reach(x,y), Link(y,z).
 	// 1 − (1 − (1-f)²)².
 	db := linksDB(4, [][2]int{{0, 1}, {1, 3}, {0, 2}, {2, 3}}, f)
 	q := datalog.Atom{Pred: "Reach", Args: []datalog.Term{datalog.E(0), datalog.E(3)}}
-	res, err := datalog.Reliability(db, prog, q, 16)
+	res, err := datalog.Reliability(cfg.ctx, db, prog, q, 16)
 	if err != nil {
 		return err
 	}
@@ -78,11 +78,11 @@ Reach(x,z) :- Reach(x,y), Link(y,z).
 	rng := rand.New(rand.NewSource(cfg.seed))
 	mesh := meshDB(rng, 6, 7, f)
 	qMesh := datalog.Atom{Pred: "Reach", Args: []datalog.Term{datalog.V("x"), datalog.E(0)}}
-	exact, err := datalog.Reliability(mesh, prog, qMesh, 16)
+	exact, err := datalog.Reliability(cfg.ctx, mesh, prog, qMesh, 16)
 	if err != nil {
 		return err
 	}
-	est, err := datalog.ReliabilityMC(mesh, prog, qMesh, 0.02, 0.02, rng)
+	est, err := datalog.ReliabilityMC(cfg.ctx, mesh, prog, qMesh, 0.02, 0.02, cfg.seed)
 	if err != nil {
 		return err
 	}

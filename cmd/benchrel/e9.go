@@ -39,7 +39,7 @@ func runE9(cfg config, out *report) error {
 		var res metafinite.Result
 		dt, err := out.timed(fmt.Sprintf("qfree/n=%d", n), func() (int, error) {
 			var err error
-			res, err = metafinite.QuantifierFree(u, qfTerm, 0)
+			res, err = metafinite.QuantifierFree(cfg.ctx, u, qfTerm, 0)
 			return 0, err
 		})
 		if err != nil {
@@ -48,7 +48,7 @@ func runE9(cfg config, out *report) error {
 		times = append(times, dt)
 		out.row("salary+100", n, len(u.UncertainSites()), res.HFloat, res.RFloat, res.Engine, dt)
 		if len(u.UncertainSites()) <= 16 {
-			enum, err := metafinite.WorldEnum(u, qfTerm, 0)
+			enum, err := metafinite.WorldEnum(cfg.ctx, u, qfTerm, 0)
 			if err != nil {
 				return err
 			}
@@ -77,11 +77,11 @@ func runE9(cfg config, out *report) error {
 	}
 	mcOK := true
 	for _, a := range aggs {
-		exact, err := metafinite.WorldEnum(u, a.term, 0)
+		exact, err := metafinite.WorldEnum(cfg.ctx, u, a.term, 0)
 		if err != nil {
 			return err
 		}
-		est, err := metafinite.MonteCarlo(u, a.term, 0.05, 0.05, rand.New(rand.NewSource(cfg.seed+7)))
+		est, err := metafinite.MonteCarlo(cfg.ctx, u, a.term, 0.05, 0.05, cfg.seed+7)
 		if err != nil {
 			return err
 		}
@@ -105,13 +105,13 @@ func runE9(cfg config, out *report) error {
 	if err != nil {
 		return err
 	}
-	soExact, err := metafinite.WorldEnum(small, soTerm, 0)
+	soExact, err := metafinite.WorldEnum(cfg.ctx, small, soTerm, 0)
 	if err != nil {
 		return err
 	}
 	// Cross-check: with all salaries positive, the SO max equals the
 	// plain SUM, so their reliabilities coincide.
-	sumRes, err := metafinite.WorldEnum(small, metafinite.SumAgg{Var: "x", Body: salary("x")}, 0)
+	sumRes, err := metafinite.WorldEnum(cfg.ctx, small, metafinite.SumAgg{Var: "x", Body: salary("x")}, 0)
 	if err != nil {
 		return err
 	}

@@ -7,12 +7,15 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 
 	"qrel/internal/metafinite"
+	"qrel/internal/unreliable"
 	"qrel/internal/workload"
 )
 
@@ -21,8 +24,8 @@ func main() {
 	seed := flag.Int64("seed", 5, "generator seed")
 	flag.Parse()
 
-	rng := rand.New(rand.NewSource(*seed))
-	u, err := workload.SalaryUDB(rng, *employees, 0.3)
+	ctx := context.Background()
+	u, err := workload.SalaryUDB(rand.New(rand.NewSource(*seed)), *employees, 0.3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,16 +52,16 @@ func main() {
 		}
 		var res metafinite.Result
 		if metafinite.IsQuantifierFree(q.term) {
-			res, err = metafinite.QuantifierFree(u, q.term, 0)
+			res, err = metafinite.QuantifierFree(ctx, u, q.term, 0)
 		} else {
-			res, err = metafinite.WorldEnum(u, q.term, 0)
+			res, err = metafinite.WorldEnum(ctx, u, q.term, 0)
+		}
+		if errors.Is(err, unreliable.ErrEnumBudget) {
+			// Too many worlds for exact: fall back to Monte Carlo.
+			res, err = metafinite.MonteCarlo(ctx, u, q.term, 0.02, 0.02, *seed)
 		}
 		if err != nil {
-			// Too many worlds for exact: fall back to Monte Carlo.
-			res, err = metafinite.MonteCarlo(u, q.term, 0.02, 0.02, rng)
-			if err != nil {
-				log.Fatal(err)
-			}
+			log.Fatal(err)
 		}
 		fmt.Printf("%-22s observed %-8s R = %.4f  (H = %.4f, engine %s)\n",
 			q.name, obsStr, res.RFloat, res.HFloat, res.Engine)

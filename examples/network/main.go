@@ -10,10 +10,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/big"
-	"math/rand"
 
 	"qrel/internal/datalog"
 	"qrel/internal/rel"
@@ -43,6 +43,7 @@ func main() {
 		db.MustSetError(rel.GroundAtom{Rel: "Link", Args: rel.Tuple{l[1], l[0]}}, failure)
 	}
 	prog := datalog.MustParse(program)
+	ctx := context.Background()
 
 	fmt.Printf("network: 6 nodes, %d undirected links, each direction failing with prob %s\n",
 		len(links), failure.RatString())
@@ -52,7 +53,7 @@ func main() {
 	fmt.Println("two-terminal reliability (exact, world enumeration over 2^16 worlds):")
 	for _, pair := range [][2]int{{0, 3}, {1, 5}, {2, 4}} {
 		q := datalog.Atom{Pred: "Reach", Args: []datalog.Term{datalog.E(pair[0]), datalog.E(pair[1])}}
-		res, err := datalog.Reliability(db, prog, q, 16)
+		res, err := datalog.Reliability(ctx, db, prog, q, 16)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func main() {
 
 	// All-targets reliability from node 0 (unary pattern).
 	q := datalog.Atom{Pred: "Reach", Args: []datalog.Term{datalog.E(0), datalog.V("x")}}
-	res, err := datalog.Reliability(db, prog, q, 16)
+	res, err := datalog.Reliability(ctx, db, prog, q, 16)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func main() {
 		res.H.RatString(), res.RFloat)
 
 	// Monte Carlo at scale: crank the failure probability and compare.
-	est, err := datalog.ReliabilityMC(db, prog, q, 0.01, 0.01, rand.New(rand.NewSource(1)))
+	est, err := datalog.ReliabilityMC(ctx, db, prog, q, 0.01, 0.01, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

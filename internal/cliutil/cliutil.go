@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"qrel/internal/core"
+	"qrel/internal/unreliable"
 )
 
 // Exit codes. Scripts rely on these being stable.
@@ -27,7 +28,8 @@ const (
 	// ExitCanceled: the computation was canceled or timed out
 	// (core.ErrCanceled, context cancellation/deadline).
 	ExitCanceled = 3
-	// ExitBudget: a resource budget was exhausted (core.ErrBudgetExceeded).
+	// ExitBudget: a resource budget was exhausted (core.ErrBudgetExceeded,
+	// or an enumeration refused outside core: unreliable.ErrEnumBudget).
 	ExitBudget = 4
 	// ExitInfeasible: no feasible engine covers the query
 	// (core.ErrInfeasible).
@@ -60,7 +62,8 @@ func ExitCode(err error) int {
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
 		return ExitCanceled
-	case errors.Is(err, core.ErrBudgetExceeded):
+	case errors.Is(err, core.ErrBudgetExceeded),
+		errors.Is(err, unreliable.ErrEnumBudget):
 		return ExitBudget
 	case errors.Is(err, core.ErrInfeasible):
 		return ExitInfeasible

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qrel/internal/core"
+	"qrel/internal/unreliable"
 )
 
 func TestExitCodes(t *testing.T) {
@@ -23,6 +24,7 @@ func TestExitCodes(t *testing.T) {
 		{context.Canceled, ExitCanceled},
 		{core.ErrBudgetExceeded, ExitBudget},
 		{fmt.Errorf("x: %w", core.ErrBudgetExceeded), ExitBudget},
+		{fmt.Errorf("x: %w", unreliable.ErrEnumBudget), ExitBudget},
 		{core.ErrInfeasible, ExitInfeasible},
 		{core.ErrEngineFailed, ExitEngine},
 	}

@@ -53,6 +53,17 @@ func shipFleet(t *testing.T, n int, mutate func(*Config)) (*fleet, *Coordinator)
 	return f, c
 }
 
+// slowSaves makes every checkpoint save of the fleet's durable jobs
+// take d, through the SiteCkptRename fault: the frame a lane publishes
+// just before saving stays the freshest for at least d, and a run
+// cannot finish before its saves have, so a run that waitShipped
+// watches ships its frames before it ends, at any sampler speed.
+func slowSaves(t *testing.T, d time.Duration) {
+	t.Helper()
+	faultinject.Enable(faultinject.SiteCkptRename, faultinject.Fault{Delay: d})
+	t.Cleanup(faultinject.Reset)
+}
+
 // waitShipped polls until the coordinator has accepted n shipped
 // frames.
 func waitShipped(t *testing.T, c *Coordinator, n int64) {
@@ -218,6 +229,7 @@ func TestClusterShipResume(t *testing.T) {
 	req := slowReq()
 	want := singleNodeRef(t, req)
 	f, c := shipFleet(t, 2, nil)
+	slowSaves(t, 2*time.Millisecond)
 
 	req.IdempotencyKey = "ship-resume-1"
 	type out struct {
@@ -268,6 +280,7 @@ func TestClusterResumeRejectedCleanRestart(t *testing.T) {
 	want := singleNodeRef(t, req)
 	f, c := shipFleet(t, 2, nil)
 
+	slowSaves(t, 2*time.Millisecond)
 	faultinject.Enable(faultinject.SiteClusterCkptShip, faultinject.Fault{Err: fmt.Errorf("injected frame corruption")})
 	req.IdempotencyKey = "ship-reject-1"
 	type out struct {

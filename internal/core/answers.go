@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/big"
 
 	"qrel/internal/logic"
@@ -22,14 +23,20 @@ type AnswerModality struct {
 }
 
 // PossibleCertainAnswers computes the certain and possible answers by
-// world enumeration (2^u worlds, bounded by opts.MaxEnumAtoms). The
+// world enumeration (2^u worlds, bounded by opts.MaxEnumAtoms), under
+// ctx and opts.Budget with ReliabilityWith's error taxonomy. The
 // observed answer always lies between the two:
 // Certain ⊆ psi^A ∩ ... — not in general! psi^A need not contain the
 // certain answers when the observed database itself has positive
 // probability of being wrong on relevant atoms; the inclusion
 // Certain ⊆ Possible is the only guaranteed one (verified in tests).
-func PossibleCertainAnswers(db *unreliable.DB, f logic.Formula, opts Options) (AnswerModality, error) {
-	opts = opts.withDefaults()
+func PossibleCertainAnswers(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (AnswerModality, error) {
+	return bounded(ctx, "possible-certain", opts, func(ctx context.Context, opts Options) (AnswerModality, error) {
+		return possibleCertainAnswers(ctx, db, f, opts)
+	})
+}
+
+func possibleCertainAnswers(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (AnswerModality, error) {
 	prep := logic.Prepare(f)
 	// certain and possible are indexed like rel.ForEachTuple walks A^k;
 	// seen reports whether a world has set them yet.
@@ -38,7 +45,7 @@ func PossibleCertainAnswers(db *unreliable.DB, f logic.Formula, opts Options) (A
 		seen              bool
 		evalErr           error
 	)
-	err := db.ForEachWorld(opts.MaxEnumAtoms, func(b *rel.Structure, nu *big.Rat) bool {
+	err := db.ForEachWorldCtx(ctx, opts.MaxEnumAtoms, func(b *rel.Structure, nu *big.Rat) bool {
 		if nu.Sign() == 0 {
 			return true
 		}

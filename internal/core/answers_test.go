@@ -20,7 +20,7 @@ func TestPossibleCertainAnswersHand(t *testing.T) {
 	db.MustSetError(rel.GroundAtom{Rel: "S", Args: rel.Tuple{1}}, big.NewRat(1, 4))
 	db.MustSetError(rel.GroundAtom{Rel: "S", Args: rel.Tuple{2}}, big.NewRat(1, 4))
 	f := logic.MustParse("S(x)", nil)
-	am, err := PossibleCertainAnswers(db, f, Options{})
+	am, err := PossibleCertainAnswers(bg, db, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestPossibleCertainInclusion(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
 		db := randUDB(rng, 3, 4)
 		f := logic.MustParse("exists y . E(x,y) & S(y)", nil)
-		am, err := PossibleCertainAnswers(db, f, Options{})
+		am, err := PossibleCertainAnswers(bg, db, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestPossibleCertainBooleanQuery(t *testing.T) {
 	s.MustAdd("S", 0)
 	db := unreliable.New(s)
 	f := logic.MustParse("exists x . S(x)", nil)
-	am, err := PossibleCertainAnswers(db, f, Options{})
+	am, err := PossibleCertainAnswers(bg, db, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

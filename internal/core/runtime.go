@@ -135,7 +135,7 @@ func runEngine[T any](name string, fn func() (T, error)) (res T, err error) {
 
 // bounded runs an exact helper outside the engine table
 // (ExpectedErrorPerTuple, AtomSensitivity, RankSensitivities,
-// AbsoluteReliability) as ReliabilityWith runs an engine: under
+// AbsoluteReliability, PossibleCertainAnswers) as ReliabilityWith runs an engine: under
 // opts.Budget.Timeout, behind the fault barrier, with the same error
 // taxonomy.
 func bounded[T any](ctx context.Context, name string, opts Options, fn func(context.Context, Options) (T, error)) (T, error) {

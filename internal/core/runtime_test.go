@@ -425,6 +425,10 @@ func TestExactHelpersHonorCanceledContext(t *testing.T) {
 			_, err := AbsoluteReliability(ctx, d, qf, o)
 			return err
 		},
+		"PossibleCertainAnswers": func(ctx context.Context, o Options) error {
+			_, err := PossibleCertainAnswers(ctx, d, fo, o)
+			return err
+		},
 	}
 	canceled, cancel := context.WithCancel(bg)
 	cancel()

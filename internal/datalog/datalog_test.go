@@ -1,6 +1,9 @@
 package datalog
 
 import (
+	"context"
+	"errors"
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -8,6 +11,8 @@ import (
 	"qrel/internal/rel"
 	"qrel/internal/unreliable"
 )
+
+var bg = context.Background()
 
 const reachProgram = `
 % transitive closure
@@ -319,7 +324,7 @@ func TestDatalogReliabilityNetworkHand(t *testing.T) {
 	db.MustSetError(rel.GroundAtom{Rel: "E", Args: rel.Tuple{0, 2}}, half)
 	db.MustSetError(rel.GroundAtom{Rel: "E", Args: rel.Tuple{2, 1}}, half)
 	q := Atom{Pred: "Reach", Args: []Term{E(0), E(1)}}
-	res, err := Reliability(db, p, q, 10)
+	res, err := Reliability(bg, db, p, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +349,7 @@ func TestDatalogReliabilityPattern(t *testing.T) {
 	db := unreliable.New(edb)
 	db.MustSetError(rel.GroundAtom{Rel: "E", Args: rel.Tuple{1, 2}}, big.NewRat(1, 4))
 	q := Atom{Pred: "Reach", Args: []Term{E(0), V("x")}}
-	res, err := Reliability(db, p, q, 10)
+	res, err := Reliability(bg, db, p, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,26 +368,84 @@ func TestDatalogReliabilityPattern(t *testing.T) {
 
 func TestDatalogReliabilityMC(t *testing.T) {
 	p := MustParse(reachProgram)
-	rng := rand.New(rand.NewSource(99))
 	edb := graphEDB(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 2}})
 	db := unreliable.New(edb)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 2}} {
 		db.MustSetError(rel.GroundAtom{Rel: "E", Args: rel.Tuple{e[0], e[1]}}, big.NewRat(1, 3))
 	}
 	q := Atom{Pred: "Reach", Args: []Term{E(0), E(3)}}
-	exact, err := Reliability(db, p, q, 10)
+	exact, err := Reliability(bg, db, p, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := ReliabilityMC(db, p, q, 0.03, 0.02, rng)
+	est, err := ReliabilityMC(bg, db, p, q, 0.03, 0.02, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff := est.RFloat - exact.RFloat; diff > 0.03 || diff < -0.03 {
 		t.Errorf("MC R %v, exact %v", est.RFloat, exact.RFloat)
 	}
-	if _, err := ReliabilityMC(db, p, q, 0, 0.5, rng); err == nil {
+	// The estimate is a function of the seed.
+	again, err := ReliabilityMC(bg, db, p, q, 0.03, 0.02, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(again.RFloat) != math.Float64bits(est.RFloat) || again.Samples != est.Samples {
+		t.Errorf("same seed: R %v (%d samples), then %v (%d samples)", est.RFloat, est.Samples, again.RFloat, again.Samples)
+	}
+	if _, err := ReliabilityMC(bg, db, p, q, 0, 0.5, 1); err == nil {
 		t.Error("bad eps accepted")
+	}
+}
+
+// TestReliabilityMCCoverage is an empirical (ε, δ) check of
+// ReliabilityMC, like mc's TestEstimatorCoverage: each of 2 000 seeded
+// runs misses the exact reliability by more than ε with probability
+// below δ, so the misses must stay within δ·runs. ε is wide because
+// every sample is a full fix-point evaluation.
+func TestReliabilityMCCoverage(t *testing.T) {
+	const runs, eps, delta = 2000, 0.2, 0.1
+	p := MustParse(reachProgram)
+	db := unreliable.New(graphEDB(3, [][2]int{{0, 1}, {1, 2}}))
+	for _, e := range [][2]int{{0, 1}, {1, 2}} {
+		db.MustSetError(rel.GroundAtom{Rel: "E", Args: rel.Tuple{e[0], e[1]}}, big.NewRat(1, 3))
+	}
+	q := Atom{Pred: "Reach", Args: []Term{E(0), E(2)}}
+	exact, err := Reliability(bg, db, p, q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := 0
+	for r := 0; r < runs; r++ {
+		est, err := ReliabilityMC(bg, db, p, q, eps, delta, int64(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(est.RFloat-exact.RFloat) > eps {
+			misses++
+		}
+	}
+	if misses > int(delta*runs) {
+		t.Errorf("%d of %d runs missed R = %v by more than ε = %v, budget %d", misses, runs, exact.RFloat, eps, int(delta*runs))
+	}
+	t.Logf("%d of %d runs outside ε of R = %v", misses, runs, exact.RFloat)
+}
+
+// TestEnginesHonorCanceledContext: an already-canceled context ends
+// both engines with the context's error — the exact engine before its
+// first world, the estimator before its first sample.
+func TestEnginesHonorCanceledContext(t *testing.T) {
+	p := MustParse(reachProgram)
+	db := unreliable.New(graphEDB(3, [][2]int{{0, 1}, {1, 2}}))
+	db.MustSetError(rel.GroundAtom{Rel: "E", Args: rel.Tuple{0, 1}}, big.NewRat(1, 3))
+	q := Atom{Pred: "Reach", Args: []Term{E(0), V("x")}}
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	if _, err := Reliability(ctx, db, p, q, 10); !errors.Is(err, context.Canceled) {
+		t.Errorf("Reliability under a canceled context: %v, want context.Canceled", err)
+	}
+	if _, err := ReliabilityMC(ctx, db, p, q, 0.05, 0.05, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("ReliabilityMC under a canceled context: %v, want context.Canceled", err)
 	}
 }
 
@@ -396,7 +459,7 @@ func TestReliabilityBudget(t *testing.T) {
 		}
 	}
 	q := Atom{Pred: "Reach", Args: []Term{E(0), E(1)}}
-	if _, err := Reliability(db, p, q, 4); err == nil {
+	if _, err := Reliability(bg, db, p, q, 4); err == nil {
 		t.Error("budget not enforced")
 	}
 }

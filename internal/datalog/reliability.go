@@ -1,9 +1,9 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 	"math/big"
-	"math/rand"
 
 	"qrel/internal/mc"
 	"qrel/internal/rel"
@@ -71,8 +71,8 @@ func symDiff(a, b map[uint64]struct{}) int {
 // Datalog query on the unreliable EDB by world enumeration — Datalog
 // queries are polynomial-time evaluable, so this instantiates Theorem
 // 4.2 exactly as de Rougemont's result promised. budget caps the number
-// of uncertain atoms.
-func Reliability(db *unreliable.DB, prog *Program, q Atom, budget int) (Result, error) {
+// of uncertain atoms; ctx is polled between worlds.
+func Reliability(ctx context.Context, db *unreliable.DB, prog *Program, q Atom, budget int) (Result, error) {
 	observed, err := answerSet(prog, db.A, q)
 	if err != nil {
 		return Result{}, err
@@ -80,7 +80,7 @@ func Reliability(db *unreliable.DB, prog *Program, q Atom, budget int) (Result, 
 	k := len(q.Vars())
 	h := new(big.Rat)
 	var evalErr error
-	err = db.ForEachWorld(budget, func(b *rel.Structure, nu *big.Rat) bool {
+	err = db.ForEachWorldCtx(ctx, budget, func(b *rel.Structure, nu *big.Rat) bool {
 		actual, err := answerSet(prog, b, q)
 		if err != nil {
 			evalErr = err
@@ -111,36 +111,40 @@ func Reliability(db *unreliable.DB, prog *Program, q Atom, budget int) (Result, 
 // ReliabilityMC estimates the reliability with absolute error eps and
 // confidence 1−delta by direct Hamming-distance sampling over worlds
 // (the Theorem 5.12 regime: Datalog evaluation is polynomial, exact
-// computation is #P-hard already for one conjunctive rule).
-func ReliabilityMC(db *unreliable.DB, prog *Program, q Atom, eps, delta float64, rng *rand.Rand) (Result, error) {
+// computation is #P-hard already for one conjunctive rule). The
+// statistic is the symmetric difference of the answer sets over n^k,
+// averaged by mc.EstimateMean on the seed's lane split, so the estimate
+// is a function of (db, prog, q, eps, delta, seed). A run that ctx cuts
+// short is an error: Result has no field for a widened ε.
+func ReliabilityMC(ctx context.Context, db *unreliable.DB, prog *Program, q Atom, eps, delta float64, seed int64) (Result, error) {
 	observed, err := answerSet(prog, db.A, q)
 	if err != nil {
 		return Result{}, err
 	}
 	k := len(q.Vars())
-	samples, err := mc.HoeffdingSampleSize(eps, delta)
-	if err != nil {
-		return Result{}, err
-	}
 	norm := 1.0
 	for i := 0; i < k; i++ {
 		norm *= float64(db.A.N)
 	}
-	sum := 0.0
-	for i := 0; i < samples; i++ {
-		b := db.SampleWorld(rng)
+	stat := func(b *rel.Structure) (float64, error) {
 		actual, err := answerSet(prog, b, q)
 		if err != nil {
-			return Result{}, fmt.Errorf("datalog: evaluating sample %d: %w", i, err)
+			return 0, err
 		}
-		sum += float64(symDiff(observed, actual)) / norm
+		return float64(symDiff(observed, actual)) / norm, nil
 	}
-	hNorm := sum / float64(samples)
+	est, _, err := mc.EstimateMean(ctx, mc.MeanKernel(db, stat), eps, delta, 0, mc.Stream{Seed: seed})
+	if cerr := ctx.Err(); cerr != nil {
+		return Result{}, fmt.Errorf("datalog: estimate cut short: %w", cerr)
+	}
+	if err != nil {
+		return Result{}, err
+	}
 	return Result{
-		HFloat:  hNorm * norm,
-		RFloat:  1 - hNorm,
+		HFloat:  est.Value * norm,
+		RFloat:  1 - est.Value,
 		Arity:   k,
 		Engine:  "datalog-monte-carlo",
-		Samples: samples,
+		Samples: est.Samples,
 	}, nil
 }

@@ -79,7 +79,7 @@ func clampSamples(t, maxSamples int) int {
 
 // widenedHoeffdingEps returns the absolute error achievable by a
 // t-sample mean of [0,1] variables at confidence 1 − delta:
-// ε(t) = sqrt(ln(2/δ) / 2t) — the inverse of HoeffdingSampleSize,
+// ε(t) = sqrt(ln(2/δ) / 2t) — the inverse of hoeffdingSampleSize,
 // capped at 1 (an absolute error of 1 on a [0,1] quantity is vacuous
 // but honest).
 func widenedHoeffdingEps(delta float64, t int) float64 {
@@ -99,11 +99,11 @@ func widenedPaddedEps(xi, delta float64, t int) float64 {
 	return math.Min(1, 2*math.Sqrt(9*math.Log(1/delta)/(2*xi*float64(t))))
 }
 
-// HoeffdingSampleSize returns the number of samples of a [0,1]-valued
+// hoeffdingSampleSize returns the number of samples of a [0,1]-valued
 // variable needed so that the sample mean deviates from the expectation
 // by more than eps with probability below delta:
 // t = ⌈ln(2/δ) / (2ε²)⌉.
-func HoeffdingSampleSize(eps, delta float64) (int, error) {
+func hoeffdingSampleSize(eps, delta float64) (int, error) {
 	if eps <= 0 || delta <= 0 || delta >= 1 {
 		return 0, fmt.Errorf("mc: need eps > 0 and 0 < delta < 1, got eps=%v delta=%v", eps, delta)
 	}
@@ -136,7 +136,7 @@ func PaperSampleSize(xi, eps, delta float64) (int, error) {
 // sample budget; with one the run is an anytime pass whose every
 // realized count reads as partial.
 func hoeffdingPlan(eps, delta float64, maxSamples int) (requested, t int, err error) {
-	requested, err = HoeffdingSampleSize(eps, delta)
+	requested, err = hoeffdingSampleSize(eps, delta)
 	if err != nil {
 		if maxSamples <= 0 {
 			return 0, 0, err

@@ -50,20 +50,20 @@ func paddedRun(ctx context.Context, d *unreliable.DB, pred func(*rel.Structure) 
 }
 
 func TestHoeffdingSampleSize(t *testing.T) {
-	n, err := HoeffdingSampleSize(0.05, 0.05)
+	n, err := hoeffdingSampleSize(0.05, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := int(math.Ceil(math.Log(2/0.05) / (2 * 0.05 * 0.05)))
 	if n != want {
-		t.Errorf("HoeffdingSampleSize = %d, want %d", n, want)
+		t.Errorf("hoeffdingSampleSize = %d, want %d", n, want)
 	}
 	for _, bad := range [][2]float64{{0, 0.1}, {0.1, 0}, {0.1, 1}} {
-		if _, err := HoeffdingSampleSize(bad[0], bad[1]); err == nil {
+		if _, err := hoeffdingSampleSize(bad[0], bad[1]); err == nil {
 			t.Errorf("accepted %v", bad)
 		}
 	}
-	if _, err := HoeffdingSampleSize(1e-9, 0.5); err == nil {
+	if _, err := hoeffdingSampleSize(1e-9, 0.5); err == nil {
 		t.Error("absurd sample size accepted")
 	}
 }

@@ -294,7 +294,7 @@ func TestSplitRangesProperty(t *testing.T) {
 		// Quota conservation: the per-range quotas of a Hoeffding run sum
 		// to exactly the single-node sample size.
 		eps := 0.02 + 0.08*rng.Float64()
-		full, err := HoeffdingSampleSize(eps, 0.1)
+		full, err := hoeffdingSampleSize(eps, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func TestRangeResumeWorkerMatrix(t *testing.T) {
 // parameters.
 func quotaOf(t *testing.T, r Range, eps, delta float64) int {
 	t.Helper()
-	total, err := HoeffdingSampleSize(eps, delta)
+	total, err := hoeffdingSampleSize(eps, delta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func TestEstimateMeanRareMatchesExact(t *testing.T) {
 	}
 	// The saving: unconditional Hoeffding at eps = 0.001 needs ~2.3M
 	// samples; the conditional estimator needs Z² of that (Z ≈ 0.035).
-	plain, err := HoeffdingSampleSize(0.001, 0.02)
+	plain, err := hoeffdingSampleSize(0.001, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}

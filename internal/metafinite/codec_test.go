@@ -44,7 +44,7 @@ func TestParseUDBBasic(t *testing.T) {
 	}
 	// Reliability end to end from the parsed database.
 	term := mustParse("sum_x(salary(x))")
-	res, err := WorldEnum(u, term, 0)
+	res, err := WorldEnum(bg, u, term, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestUDBCodecRoundTrip(t *testing.T) {
 		// Same observed values and distributions ⇒ same reliability of a
 		// canonical query.
 		term := mustParse("sum_x(salary(x)) + max_x(salary(x))")
-		r1, err := WorldEnum(u, term, 0)
+		r1, err := WorldEnum(bg, u, term, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := WorldEnum(back, term, 0)
+		r2, err := WorldEnum(bg, back, term, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,18 @@
 package metafinite
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"qrel/internal/mc"
+	"qrel/internal/unreliable"
 )
+
+var bg = context.Background()
 
 // salaryDB: universe of 3 employees, salary/1 and dept/1 functions.
 func salaryDB() *FDB {
@@ -171,7 +178,7 @@ func TestWorldEnumeration(t *testing.T) {
 		t.Error("uncertain site count wrong")
 	}
 	// Budget enforcement.
-	if err := u.ForEachWorld(3, func(*FDB, *big.Rat) bool { return true }); err == nil {
+	if err := u.ForEachWorld(bg, 3, func(*FDB, *big.Rat) bool { return true }); err == nil {
 		t.Error("budget not enforced")
 	}
 }
@@ -200,11 +207,11 @@ func TestQuantifierFreeMatchesWorldEnum(t *testing.T) {
 			Max2{FApp{Fn: "salary", Args: []FOTerm{elem(0)}}, FApp{Fn: "salary", Args: []FOTerm{elem(1)}}},
 		}
 		for _, tm := range terms {
-			qf, err := QuantifierFree(u, tm, 0)
+			qf, err := QuantifierFree(bg, u, tm, 0)
 			if err != nil {
 				t.Fatalf("iter %d %v: %v", iter, tm, err)
 			}
-			we, err := WorldEnum(u, tm, 0)
+			we, err := WorldEnum(bg, u, tm, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +227,7 @@ func TestQuantifierFreeMatchesWorldEnum(t *testing.T) {
 
 func TestQuantifierFreeRejectsAggregates(t *testing.T) {
 	u := NewUDB(salaryDB())
-	if _, err := QuantifierFree(u, SumAgg{"x", NumInt(1)}, 0); err == nil {
+	if _, err := QuantifierFree(bg, u, SumAgg{"x", NumInt(1)}, 0); err == nil {
 		t.Error("aggregate accepted by quantifier-free engine")
 	}
 }
@@ -232,7 +239,7 @@ func TestAggregateReliabilityExact(t *testing.T) {
 	u := NewUDB(salaryDB())
 	u.MustSetDist(Site{Fn: "salary", Args: []int{0}}, []Weighted{w(100, 1, 2), w(150, 1, 2)})
 	sum := SumAgg{"x", FApp{Fn: "salary", Args: []FOTerm{V("x")}}}
-	res, err := WorldEnum(u, sum, 0)
+	res, err := WorldEnum(bg, u, sum, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +251,7 @@ func TestAggregateReliabilityExact(t *testing.T) {
 	}
 	// MAX is insensitive to this change (300 stays maximal): H = 0.
 	max := MaxAgg{"x", FApp{Fn: "salary", Args: []FOTerm{V("x")}}}
-	res, err = WorldEnum(u, max, 0)
+	res, err = WorldEnum(bg, u, max, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,14 +266,14 @@ func TestDeterministicOverride(t *testing.T) {
 	u := NewUDB(salaryDB())
 	u.MustSetDist(Site{Fn: "salary", Args: []int{0}}, []Weighted{w(999, 1, 1)})
 	tm := FApp{Fn: "salary", Args: []FOTerm{V("x")}}
-	res, err := QuantifierFree(u, tm, 0)
+	res, err := QuantifierFree(bg, u, tm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.H.Cmp(big.NewRat(1, 1)) != 0 {
 		t.Errorf("H = %v, want 1 (one certainly-wrong tuple)", res.H)
 	}
-	we, err := WorldEnum(u, tm, 0)
+	we, err := WorldEnum(bg, u, tm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +287,11 @@ func TestMetafiniteMonteCarlo(t *testing.T) {
 	u.MustSetDist(Site{Fn: "salary", Args: []int{0}}, []Weighted{w(100, 1, 2), w(150, 1, 2)})
 	u.MustSetDist(Site{Fn: "salary", Args: []int{2}}, []Weighted{w(300, 3, 4), w(400, 1, 4)})
 	avg := AvgAgg{"x", FApp{Fn: "salary", Args: []FOTerm{V("x")}}}
-	exact, err := WorldEnum(u, avg, 0)
+	exact, err := WorldEnum(bg, u, avg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := MonteCarlo(u, avg, 0.03, 0.01, rand.New(rand.NewSource(60)))
+	est, err := MonteCarlo(bg, u, avg, 0.03, 0.01, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,9 +301,87 @@ func TestMetafiniteMonteCarlo(t *testing.T) {
 	if est.Samples == 0 || est.Engine != "mf-monte-carlo" {
 		t.Errorf("result metadata wrong: %+v", est)
 	}
+	// The estimate is a function of the seed.
+	again, err := MonteCarlo(bg, u, avg, 0.03, 0.01, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(again.RFloat) != math.Float64bits(est.RFloat) || again.Samples != est.Samples {
+		t.Errorf("same seed: R %v (%d samples), then %v (%d samples)", est.RFloat, est.Samples, again.RFloat, again.Samples)
+	}
 	// Parameter validation propagates.
-	if _, err := MonteCarlo(u, avg, 0, 0.5, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := MonteCarlo(bg, u, avg, 0, 0.5, 1); err == nil {
 		t.Error("bad eps accepted")
+	}
+}
+
+// TestMonteCarloCoverage is an empirical (ε, δ) check of MonteCarlo,
+// like mc's TestEstimatorCoverage: each of 2 000 seeded runs misses the
+// exact reliability by more than ε with probability below δ, so the
+// misses must stay within δ·runs.
+func TestMonteCarloCoverage(t *testing.T) {
+	const runs, eps, delta = 2000, 0.1, 0.1
+	u := NewUDB(salaryDB())
+	u.MustSetDist(Site{Fn: "salary", Args: []int{0}}, []Weighted{w(100, 1, 2), w(150, 1, 2)})
+	u.MustSetDist(Site{Fn: "salary", Args: []int{1}}, []Weighted{w(200, 2, 3), w(250, 1, 3)})
+	tm := CharLess{NumInt(650), SumAgg{"x", FApp{Fn: "salary", Args: []FOTerm{V("x")}}}}
+	exact, err := WorldEnum(bg, u, tm, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := 0
+	for r := 0; r < runs; r++ {
+		est, err := MonteCarlo(bg, u, tm, eps, delta, int64(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(est.RFloat-exact.RFloat) > eps {
+			misses++
+		}
+	}
+	if misses > int(delta*runs) {
+		t.Errorf("%d of %d runs missed R = %v by more than ε = %v, budget %d", misses, runs, exact.RFloat, eps, int(delta*runs))
+	}
+	t.Logf("%d of %d runs outside ε of R = %v", misses, runs, exact.RFloat)
+}
+
+// TestEnginesHonorCanceledContext: an already-canceled context ends
+// every engine with the context's error — the exact engines before
+// their first world or site combination, the estimator before its first
+// sample.
+func TestEnginesHonorCanceledContext(t *testing.T) {
+	u := NewUDB(salaryDB())
+	u.MustSetDist(Site{Fn: "salary", Args: []int{0}}, []Weighted{w(100, 1, 2), w(150, 1, 2)})
+	qf := FApp{Fn: "salary", Args: []FOTerm{V("x")}}
+	sum := SumAgg{"x", qf}
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	engines := map[string]func() (Result, error){
+		"QuantifierFree": func() (Result, error) { return QuantifierFree(ctx, u, qf, 0) },
+		"WorldEnum":      func() (Result, error) { return WorldEnum(ctx, u, sum, 0) },
+		"MonteCarlo":     func() (Result, error) { return MonteCarlo(ctx, u, sum, 0.05, 0.05, 1) },
+	}
+	for name, run := range engines {
+		if _, err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a canceled context: %v, want context.Canceled", name, err)
+		}
+	}
+}
+
+// TestBudgetRefusalsAreEnumBudget: both budget refusals — too many
+// worlds, too many site combinations for one tuple — wrap
+// unreliable.ErrEnumBudget, the sentinel callers fall back on.
+func TestBudgetRefusalsAreEnumBudget(t *testing.T) {
+	u := NewUDB(salaryDB())
+	for i := 0; i < 3; i++ {
+		u.MustSetDist(Site{Fn: "salary", Args: []int{i}}, []Weighted{w(1, 1, 2), w(2, 1, 2)})
+	}
+	all := Add{Add{FApp{Fn: "salary", Args: []FOTerm{elem(0)}}, FApp{Fn: "salary", Args: []FOTerm{elem(1)}}}, FApp{Fn: "salary", Args: []FOTerm{elem(2)}}}
+	if _, err := WorldEnum(bg, u, all, 4); !errors.Is(err, unreliable.ErrEnumBudget) {
+		t.Errorf("8 worlds over a budget of 4: %v, want ErrEnumBudget", err)
+	}
+	if _, err := QuantifierFree(bg, u, all, 4); !errors.Is(err, unreliable.ErrEnumBudget) {
+		t.Errorf("8 site combinations over a budget of 4: %v, want ErrEnumBudget", err)
 	}
 }
 
@@ -306,7 +391,7 @@ func TestKAryMetafiniteReliability(t *testing.T) {
 	u := NewUDB(salaryDB())
 	u.MustSetDist(Site{Fn: "salary", Args: []int{1}}, []Weighted{w(200, 3, 4), w(250, 1, 4)})
 	tm := FApp{Fn: "salary", Args: []FOTerm{V("x")}}
-	res, err := QuantifierFree(u, tm, 0)
+	res, err := QuantifierFree(bg, u, tm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,21 +407,46 @@ func TestKAryMetafiniteReliability(t *testing.T) {
 	}
 }
 
+// TestSampleWorldDistribution checks siteKernel's draw: each outcome of
+// a three-point distribution is drawn at its probability.
 func TestSampleWorldDistribution(t *testing.T) {
 	u := NewUDB(salaryDB())
-	u.MustSetDist(Site{Fn: "salary", Args: []int{0}}, []Weighted{w(100, 1, 4), w(150, 3, 4)})
-	rng := rand.New(rand.NewSource(70))
-	count := 0
+	u.MustSetDist(Site{Fn: "salary", Args: []int{0}}, []Weighted{w(100, 1, 4), w(150, 1, 2), w(175, 1, 4)})
+	want := map[int64]float64{100: 0.25, 150: 0.5, 175: 0.25}
 	const trials = 20000
-	for i := 0; i < trials; i++ {
-		b := u.SampleWorld(rng)
-		if b.Funcs["salary"].Get([]int{0}).Cmp(big.NewRat(150, 1)) == 0 {
-			count++
+	counts := map[int64]int{}
+	step := u.siteKernel(func(b *FDB) (float64, error) {
+		v := b.Funcs["salary"].Get([]int{0})
+		counts[v.Num().Int64()]++
+		return 0, nil
+	})(&mc.Lane{Rng: mc.NewRand(70)})
+	for drawn := 0; drawn < trials; drawn += 64 {
+		if err := step(min(64, trials-drawn)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	freq := float64(count) / trials
-	if freq < 0.72 || freq > 0.78 {
-		t.Errorf("sample frequency %.4f, want ≈ 0.75", freq)
+	for v, p := range want {
+		if freq := float64(counts[v]) / trials; math.Abs(freq-p) > 0.03 {
+			t.Errorf("salary(0) = %d drawn with frequency %.4f, want ≈ %v", v, freq, p)
+		}
+	}
+	if len(counts) != len(want) {
+		t.Errorf("drawn values %v, want the support %v", counts, want)
+	}
+}
+
+// TestSiteKernelDrawAllocFree: once a lane's world holds every site,
+// drawing a block of worlds allocates nothing.
+func TestSiteKernelDrawAllocFree(t *testing.T) {
+	u := NewUDB(salaryDB())
+	u.MustSetDist(Site{Fn: "salary", Args: []int{0}}, []Weighted{w(100, 1, 4), w(150, 1, 2), w(175, 1, 4)})
+	u.MustSetDist(Site{Fn: "dept", Args: []int{2}}, []Weighted{w(2, 1, 2), w(3, 1, 2)})
+	step := u.siteKernel(func(*FDB) (float64, error) { return 0, nil })(&mc.Lane{Rng: mc.NewRand(1)})
+	if err := step(64); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = step(64) }); allocs > 0 {
+		t.Errorf("a block of 64 draws allocates %v objects, want 0", allocs)
 	}
 }
 

@@ -142,7 +142,7 @@ func TestParsedAggregateReliability(t *testing.T) {
 	u := NewUDB(salaryDB())
 	u.MustSetDist(Site{Fn: "salary", Args: []int{0}}, []Weighted{w(100, 1, 2), w(150, 1, 2)})
 	term := mustParse("sum_x(salary(x))")
-	res, err := WorldEnum(u, term, 0)
+	res, err := WorldEnum(bg, u, term, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

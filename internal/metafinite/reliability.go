@@ -1,12 +1,13 @@
 package metafinite
 
 import (
+	"context"
 	"fmt"
 	"math/big"
-	"math/rand"
 
 	"qrel/internal/mc"
 	"qrel/internal/rel"
+	"qrel/internal/unreliable"
 )
 
 // Result is the outcome of a metafinite reliability computation: the
@@ -64,8 +65,10 @@ const MaxSiteCombos = 1 << 20
 // (aggregate-free) term in polynomial time — Theorem 6.2 (i). For each
 // tuple ā, the term touches a constant number of sites f(b̄); the engine
 // enumerates the joint support of the uncertain ones, weights each
-// combination, and compares the value against the observed value.
-func QuantifierFree(u *UDB, t Term, budget int) (Result, error) {
+// combination, and compares the value against the observed value. The
+// work per tuple is constant: every tuple rewrites its sites in one
+// scratch world, which the walk restores.
+func QuantifierFree(ctx context.Context, u *UDB, t Term, budget int) (Result, error) {
 	if !IsQuantifierFree(t) {
 		return Result{}, fmt.Errorf("metafinite: QuantifierFree engine requires an aggregate-free term")
 	}
@@ -73,7 +76,7 @@ func QuantifierFree(u *UDB, t Term, budget int) (Result, error) {
 		budget = MaxSiteCombos
 	}
 	u.refresh()
-	base := u.baseWorld()
+	scratch := u.baseWorld()
 	h := new(big.Rat)
 	k, err := forEachTuple(u.Obs, t, func(env Env) error {
 		sites, err := sitesOf(t, u.Obs, env)
@@ -81,16 +84,15 @@ func QuantifierFree(u *UDB, t Term, budget int) (Result, error) {
 			return err
 		}
 		// Keep only uncertain sites; deterministic overrides are already
-		// in base.
+		// in the scratch world.
 		var unc []Site
 		combos := 1
 		for _, s := range sites {
-			d := u.dist[s.Key()]
-			if len(d) >= 2 {
+			if d := u.dist[s.Key()]; len(d) >= 2 {
 				unc = append(unc, s)
 				combos *= len(d)
 				if combos > budget {
-					return fmt.Errorf("metafinite: %d site combinations exceed budget %d", combos, budget)
+					return fmt.Errorf("%w: metafinite: %d site combinations exceed budget %d", unreliable.ErrEnumBudget, combos, budget)
 				}
 			}
 		}
@@ -101,44 +103,17 @@ func QuantifierFree(u *UDB, t Term, budget int) (Result, error) {
 		if err != nil {
 			return err
 		}
-		// Enumerate the joint support with a mixed-radix counter.
-		scratch := base.Clone()
-		digits := make([]int, len(unc))
-		for {
-			p := big.NewRat(1, 1)
-			for i, s := range unc {
-				c := u.dist[s.Key()][digits[i]]
-				scratch.Funcs[s.Fn].Set(s.Args, c.Value)
-				p.Mul(p, c.P)
-			}
-			v, err := t.Eval(scratch, env)
-			if err != nil {
-				return err
-			}
-			if v.Cmp(observed) != 0 {
+		var evalErr error
+		if err := u.walkSupports(ctx, unc, scratch, func(p *big.Rat) bool {
+			var v *big.Rat
+			if v, evalErr = t.Eval(scratch, env); evalErr == nil && v.Cmp(observed) != 0 {
 				h.Add(h, p)
 			}
-			i := 0
-			for i < len(digits) {
-				digits[i]++
-				if digits[i] < len(u.dist[unc[i].Key()]) {
-					break
-				}
-				digits[i] = 0
-				i++
-			}
-			if i == len(digits) {
-				break
-			}
-			if len(digits) == 0 {
-				break
-			}
+			return evalErr == nil
+		}); err != nil {
+			return err
 		}
-		// Restore scratch for the next tuple.
-		for _, s := range unc {
-			scratch.Funcs[s.Fn].Set(s.Args, base.Funcs[s.Fn].Get(s.Args))
-		}
-		return nil
+		return evalErr
 	})
 	if err != nil {
 		return Result{}, err
@@ -146,48 +121,60 @@ func QuantifierFree(u *UDB, t Term, budget int) (Result, error) {
 	return exactResult(h, u.Obs.N, k, "mf-qfree-exact"), nil
 }
 
+// hamming holds a term's observed value on every tuple of A^k, in
+// rel.ForEachTuple order, and counts the tuples on which a world's value
+// differs: the statistic WorldEnum sums exactly and MonteCarlo samples.
+type hamming struct {
+	t        Term
+	k        int
+	observed []*big.Rat
+}
+
+func newHamming(obs *FDB, t Term) (*hamming, error) {
+	h := &hamming{t: t}
+	k, err := forEachTuple(obs, t, func(env Env) error {
+		v, err := t.Eval(obs, env)
+		h.observed = append(h.observed, v)
+		return err
+	})
+	h.k = k
+	return h, err
+}
+
+// diff counts the tuples whose value on b differs from the observed one.
+func (h *hamming) diff(b *FDB) (int, error) {
+	d, i := 0, 0
+	_, err := forEachTuple(b, h.t, func(env Env) error {
+		v, err := h.t.Eval(b, env)
+		if err != nil {
+			return err
+		}
+		if v.Cmp(h.observed[i]) != 0 {
+			d++
+		}
+		i++
+		return nil
+	})
+	return d, err
+}
+
 // WorldEnum computes the exact reliability of an arbitrary term —
 // aggregates included — by enumerating the possible worlds (Theorem
 // 6.2 (ii): first-order metafinite reliability is in FP^#P; this is the
 // deterministic simulation of the oracle).
-func WorldEnum(u *UDB, t Term, budget int) (Result, error) {
-	vars := FreeVars(t)
-	k := len(vars)
-	// Observed values per tuple (on the observed database).
-	observed := map[uint64]*big.Rat{}
-	_, err := forEachTuple(u.Obs, t, func(env Env) error {
-		v, err := t.Eval(u.Obs, env)
-		if err != nil {
-			return err
-		}
-		observed[envKey(env, vars)] = v
-		return nil
-	})
+func WorldEnum(ctx context.Context, u *UDB, t Term, budget int) (Result, error) {
+	ham, err := newHamming(u.Obs, t)
 	if err != nil {
 		return Result{}, err
 	}
 	h := new(big.Rat)
 	var evalErr error
-	err = u.ForEachWorld(budget, func(b *FDB, p *big.Rat) bool {
-		diff := 0
-		_, err := forEachTuple(b, t, func(env Env) error {
-			v, err := t.Eval(b, env)
-			if err != nil {
-				return err
-			}
-			if v.Cmp(observed[envKey(env, vars)]) != 0 {
-				diff++
-			}
-			return nil
-		})
-		if err != nil {
-			evalErr = err
-			return false
+	err = u.ForEachWorld(ctx, budget, func(b *FDB, p *big.Rat) bool {
+		var d int
+		if d, evalErr = ham.diff(b); d > 0 {
+			h.Add(h, new(big.Rat).Mul(p, big.NewRat(int64(d), 1)))
 		}
-		if diff > 0 {
-			h.Add(h, new(big.Rat).Mul(p, big.NewRat(int64(diff), 1)))
-		}
-		return true
+		return evalErr == nil
 	})
 	if err != nil {
 		return Result{}, err
@@ -195,70 +182,42 @@ func WorldEnum(u *UDB, t Term, budget int) (Result, error) {
 	if evalErr != nil {
 		return Result{}, evalErr
 	}
-	return exactResult(h, u.Obs.N, k, "mf-world-enum"), nil
-}
-
-func envKey(env Env, vars []string) uint64 {
-	t := make(rel.Tuple, len(vars))
-	for i, v := range vars {
-		t[i] = env[v]
-	}
-	return t.Key()
+	return exactResult(h, u.Obs.N, ham.k, "mf-world-enum"), nil
 }
 
 // MonteCarlo estimates the reliability of an arbitrary term with
 // absolute error eps and confidence 1−delta by sampling worlds and
 // averaging the normalized Hamming distance — the metafinite analogue
 // of Theorem 5.12 (the queries are polynomial-time evaluable because
-// the interpreted operations are).
-func MonteCarlo(u *UDB, t Term, eps, delta float64, rng *rand.Rand) (Result, error) {
-	vars := FreeVars(t)
-	k := len(vars)
-	observed := map[uint64]*big.Rat{}
-	_, err := forEachTuple(u.Obs, t, func(env Env) error {
-		v, err := t.Eval(u.Obs, env)
-		if err != nil {
-			return err
-		}
-		observed[envKey(env, vars)] = v
-		return nil
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	samples, err := mc.HoeffdingSampleSize(eps, delta)
+// the interpreted operations are). The worlds are drawn by siteKernel
+// and averaged by mc.EstimateMean on the seed's lane split, so the
+// estimate is a function of (u, t, eps, delta, seed). A run that ctx
+// cuts short is an error: Result has no field for a widened ε.
+func MonteCarlo(ctx context.Context, u *UDB, t Term, eps, delta float64, seed int64) (Result, error) {
+	ham, err := newHamming(u.Obs, t)
 	if err != nil {
 		return Result{}, err
 	}
 	norm := 1.0
-	for i := 0; i < k; i++ {
+	for i := 0; i < ham.k; i++ {
 		norm *= float64(u.Obs.N)
 	}
-	sum := 0.0
-	for i := 0; i < samples; i++ {
-		b := u.SampleWorld(rng)
-		diff := 0
-		_, err := forEachTuple(b, t, func(env Env) error {
-			v, err := t.Eval(b, env)
-			if err != nil {
-				return err
-			}
-			if v.Cmp(observed[envKey(env, vars)]) != 0 {
-				diff++
-			}
-			return nil
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		sum += float64(diff) / norm
+	k := u.siteKernel(func(b *FDB) (float64, error) {
+		d, err := ham.diff(b)
+		return float64(d) / norm, err
+	})
+	est, _, err := mc.EstimateMean(ctx, func(bool) mc.Kernel { return k }, eps, delta, 0, mc.Stream{Seed: seed})
+	if cerr := ctx.Err(); cerr != nil {
+		return Result{}, fmt.Errorf("metafinite: estimate cut short: %w", cerr)
 	}
-	hNorm := sum / float64(samples)
+	if err != nil {
+		return Result{}, err
+	}
 	return Result{
-		HFloat:  hNorm * norm,
-		RFloat:  1 - hNorm,
-		Arity:   k,
+		HFloat:  est.Value * norm,
+		RFloat:  1 - est.Value,
+		Arity:   ham.k,
 		Engine:  "mf-monte-carlo",
-		Samples: samples,
+		Samples: est.Samples,
 	}, nil
 }

@@ -106,7 +106,7 @@ func TestSOReliability(t *testing.T) {
 	if obs.Cmp(big.NewRat(5, 1)) != 0 {
 		t.Fatalf("observed = %v, want 5", obs)
 	}
-	res, err := WorldEnum(u, term, 0)
+	res, err := WorldEnum(bg, u, term, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package metafinite
 
 import (
+	"context"
 	"fmt"
 	"math/big"
-	"math/rand"
 	"sort"
 
+	"qrel/internal/mc"
 	"qrel/internal/rel"
+	"qrel/internal/unreliable"
 )
 
 // Weighted is one outcome of an uncertain function value: the value r
@@ -162,81 +164,121 @@ func (u *UDB) baseWorld() *FDB {
 // MaxEnumWorlds caps exact world enumeration.
 const MaxEnumWorlds = 1 << 22
 
-// ForEachWorld enumerates the possible worlds with their probabilities.
-// The database passed to fn is freshly cloned per world. budget caps
-// the number of worlds; fn returning false stops early.
-func (u *UDB) ForEachWorld(budget int, fn func(b *FDB, p *big.Rat) bool) error {
+// ForEachWorld enumerates the possible worlds with their probabilities,
+// polling ctx before each. The database passed to fn is one scratch
+// world rewritten in place between calls: fn must neither retain nor
+// mutate it. budget caps the number of worlds; fn returning false stops
+// early.
+func (u *UDB) ForEachWorld(ctx context.Context, budget int, fn func(b *FDB, p *big.Rat) bool) error {
 	u.refresh()
-	count := u.WorldCount()
 	if budget > MaxEnumWorlds || budget <= 0 {
 		budget = MaxEnumWorlds
 	}
-	if count.Cmp(big.NewInt(int64(budget))) > 0 {
-		return fmt.Errorf("metafinite: %v worlds exceed enumeration budget %d", count, budget)
+	if count := u.WorldCount(); count.Cmp(big.NewInt(int64(budget))) > 0 {
+		return fmt.Errorf("%w: metafinite: %v worlds exceed enumeration budget %d", unreliable.ErrEnumBudget, count, budget)
 	}
-	// Mixed-radix counter over the uncertain sites.
-	radix := make([]int, len(u.uncertain))
-	for i, s := range u.uncertain {
-		radix[i] = len(u.dist[s.Key()])
+	b := u.baseWorld()
+	return u.walkSupports(ctx, u.uncertain, b, func(p *big.Rat) bool { return fn(b, p) })
+}
+
+// walkSupports enumerates the joint support of sites — a mixed-radix
+// counter over their distributions, the first site's digit running
+// fastest — writing each combination's values into b and calling fn
+// with the combination's probability until fn returns false. ctx is
+// polled before each combination, and the sites' values in b are
+// restored on return.
+func (u *UDB) walkSupports(ctx context.Context, sites []Site, b *FDB, fn func(p *big.Rat) bool) error {
+	dists := make([][]Weighted, len(sites))
+	saved := make([]*big.Rat, len(sites))
+	for i, s := range sites {
+		dists[i] = u.dist[s.Key()]
+		saved[i] = b.Funcs[s.Fn].Get(s.Args)
 	}
-	digits := make([]int, len(radix))
+	defer func() {
+		for i, s := range sites {
+			b.Funcs[s.Fn].Set(s.Args, saved[i])
+		}
+	}()
+	digits := make([]int, len(sites))
 	for {
-		b := u.baseWorld()
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		p := big.NewRat(1, 1)
-		for i, s := range u.uncertain {
-			c := u.dist[s.Key()][digits[i]]
+		for i, s := range sites {
+			c := dists[i][digits[i]]
 			b.Funcs[s.Fn].Set(s.Args, c.Value)
 			p.Mul(p, c.P)
 		}
-		if !fn(b, p) {
+		if !fn(p) {
 			return nil
 		}
-		// Increment.
 		i := 0
-		for i < len(digits) {
-			digits[i]++
-			if digits[i] < radix[i] {
+		for ; i < len(digits); i++ {
+			if digits[i]++; digits[i] < len(dists[i]) {
 				break
 			}
 			digits[i] = 0
-			i++
 		}
 		if i == len(digits) {
-			return nil
-		}
-		if len(digits) == 0 {
 			return nil
 		}
 	}
 }
 
-// SampleWorld draws a random world using float64 approximations of the
-// outcome probabilities.
-func (u *UDB) SampleWorld(rng *rand.Rand) *FDB {
+// siteKernel is the Monte Carlo kernel over u's worlds. Each lane
+// clones the base world once; each sample draws every uncertain site,
+// in canonical order, with one Float64 of the lane's stream against the
+// site's cumulative float64 thresholds (the first outcome whose
+// threshold exceeds the draw, else the last), writes the drawn value in
+// place, and adds f of the world to the lane's sum.
+func (u *UDB) siteKernel(f func(*FDB) (float64, error)) mc.Kernel {
 	u.refresh()
-	b := u.baseWorld()
-	for _, s := range u.uncertain {
-		d := u.dist[s.Key()]
-		r := rng.Float64()
+	type site struct {
+		fn  string
+		key uint64
+		d   []Weighted
+		cum []float64
+	}
+	sites := make([]site, len(u.uncertain))
+	for i, s := range u.uncertain {
+		st := site{fn: s.Fn, key: s.Args.Key(), d: u.dist[s.Key()]}
 		acc := 0.0
-		chosen := d[len(d)-1]
-		for _, c := range d {
+		for _, c := range st.d {
 			pf, _ := c.P.Float64()
 			acc += pf
-			if r < acc {
-				chosen = c
-				break
-			}
+			st.cum = append(st.cum, acc)
 		}
-		b.Funcs[s.Fn].Set(s.Args, chosen.Value)
+		sites[i] = st
 	}
-	return b
+	return func(ln *mc.Lane) func(m int) error {
+		b := u.baseWorld()
+		return func(m int) error {
+			for s := 0; s < m; s++ {
+				for _, st := range sites {
+					r, j := ln.Rng.Float64(), 0
+					for j < len(st.cum)-1 && r >= st.cum[j] {
+						j++
+					}
+					// FTable never mutates a stored value in place, so
+					// the world may share the distribution's.
+					b.Funcs[st.fn].vals[st.key] = st.d[j].Value
+				}
+				v, err := f(b)
+				if err != nil {
+					return fmt.Errorf("metafinite: evaluating sample %d: %w", ln.Drawn+s, err)
+				}
+				ln.Sum += v
+			}
+			return nil
+		}
+	}
 }
 
 // ValidateWorldProbabilities checks Σ_B nu(B) = 1 by enumeration.
 func (u *UDB) ValidateWorldProbabilities(budget int) error {
 	total := new(big.Rat)
-	err := u.ForEachWorld(budget, func(_ *FDB, p *big.Rat) bool {
+	err := u.ForEachWorld(context.Background(), budget, func(_ *FDB, p *big.Rat) bool {
 		total.Add(total, p)
 		return true
 	})

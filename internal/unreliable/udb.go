@@ -399,19 +399,6 @@ func (d *DB) NuWorld(b *rel.Structure) (*big.Rat, error) {
 	return p, nil
 }
 
-// SampleWorld draws a random world from Omega(D) using float64
-// approximations of the flip probabilities.
-func (d *DB) SampleWorld(rng *rand.Rand) *rel.Structure {
-	l := d.atoms()
-	b := l.sureWorld(d.A)
-	for _, e := range l.uncertain {
-		if rng.Float64() < e.muF {
-			b.Rel(e.atom.Rel).Toggle(e.atom.Args)
-		}
-	}
-	return b
-}
-
 // WorldBuf is a reusable scratch world for allocation-free sampling:
 // one structure is cloned when the buffer is created and every
 // subsequent draw only undoes the previous draw's flips and applies the
@@ -488,12 +475,10 @@ func (w *WorldBuf) Load(cols []uint64, s uint) *rel.Structure {
 	return w.b
 }
 
-// SampleWorldInto is SampleWorld without the per-draw clone: it draws a
-// random world from Omega(D) into buf and returns the buffered
-// structure. The RNG consumption is identical to SampleWorld (one
-// Float64 per uncertain atom, in canonical order), so the two samplers
-// produce the same worlds from the same stream. The returned structure
-// is only valid until the next draw into buf.
+// SampleWorldInto draws a random world from Omega(D) into buf, using
+// float64 approximations of the flip probabilities — one Float64 per
+// uncertain atom, in canonical order — and returns the buffered
+// structure. It is valid until the next draw into buf.
 func (d *DB) SampleWorldInto(rng *rand.Rand, buf *WorldBuf) *rel.Structure {
 	uncertain := d.atoms().uncertain
 	buf.reset()

@@ -336,6 +336,20 @@ func TestFromProbabilitiesMarginals(t *testing.T) {
 	}
 }
 
+// SampleWorld is the cloning reference sampler: it draws a random world
+// from Omega(D) into a fresh structure, one Float64 per uncertain atom
+// in canonical order.
+func (d *DB) SampleWorld(rng *rand.Rand) *rel.Structure {
+	l := d.atoms()
+	b := l.sureWorld(d.A)
+	for _, e := range l.uncertain {
+		if rng.Float64() < e.muF {
+			b.Rel(e.atom.Rel).Toggle(e.atom.Args)
+		}
+	}
+	return b
+}
+
 // TestSampleWorldIntoMatchesSampleWorld pins the zero-allocation
 // sampler to the allocating one: identical RNG consumption, identical
 // worlds, draw after draw.

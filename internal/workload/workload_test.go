@@ -146,7 +146,7 @@ func TestSalaryUDB(t *testing.T) {
 	// The SUM query is answerable exactly when few sites are uncertain.
 	if len(u.UncertainSites()) <= 12 {
 		sum := metafinite.SumAgg{Var: "x", Body: metafinite.FApp{Fn: "salary", Args: []metafinite.FOTerm{metafinite.V("x")}}}
-		if _, err := metafinite.WorldEnum(u, sum, 0); err != nil {
+		if _, err := metafinite.WorldEnum(context.Background(), u, sum, 0); err != nil {
 			t.Error(err)
 		}
 	}

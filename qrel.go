@@ -282,9 +282,10 @@ func RankSensitivities(ctx context.Context, db *DB, q Query, opts Options) ([]Se
 type AnswerModality = core.AnswerModality
 
 // PossibleCertainAnswers computes the certain answers (in every world)
-// and possible answers (in some world) of q on db by world enumeration.
-func PossibleCertainAnswers(db *DB, q Query, opts Options) (AnswerModality, error) {
-	return core.PossibleCertainAnswers(db, q, opts)
+// and possible answers (in some world) of q on db by world enumeration,
+// under ctx and opts.Budget.
+func PossibleCertainAnswers(ctx context.Context, db *DB, q Query, opts Options) (AnswerModality, error) {
+	return core.PossibleCertainAnswers(ctx, db, q, opts)
 }
 
 // Paged storage engine: crash-safe heap files with checksummed pages,

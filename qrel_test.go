@@ -129,7 +129,7 @@ func TestFacadeSensitivityAndModality(t *testing.T) {
 	if one.Spread.Cmp(ranked[0].Spread) != 0 {
 		t.Error("single-atom sensitivity differs from ranking")
 	}
-	am, err := qrel.PossibleCertainAnswers(db, q, qrel.Options{})
+	am, err := qrel.PossibleCertainAnswers(context.Background(), db, q, qrel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
