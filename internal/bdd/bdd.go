@@ -10,7 +10,9 @@ package bdd
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 	"sort"
 
 	"qrel/internal/prop"
@@ -22,9 +24,11 @@ const (
 	True  = 1
 )
 
+// node is one diagram node: the level of its variable (numVars for the
+// terminals) and its two children. Node ids are int32: the node budget
+// is capped at math.MaxInt32 (see New).
 type node struct {
-	v      int // level of the node's variable; numVars for terminals
-	lo, hi int
+	v, lo, hi int32
 }
 
 // BDD is a multi-rooted reduced ordered BDD over a fixed number of
@@ -34,13 +38,27 @@ type node struct {
 // any other way keeps the indexing order 0 < 1 < ... < numVars-1.
 // Callers pass and read their own variable indices either way; levels
 // never leave the package. The zero value is not usable; construct
-// with New.
+// with New. A manager is not safe for concurrent use.
+//
+// The manager holds no Go map. Nodes are (level, lo, hi) triples in one
+// slice; the unique table is an open-addressed slice of node ids probed
+// against that slice, and the apply cache an exact open-addressed table
+// from applyKey to a node id. Both tables are powers of two and double
+// at load ½, and the first FromDNF sizes them from the DNF's literal
+// count rather than from the node budget, so a small lineage pays for a
+// small manager. Reset empties a manager for the next diagram and keeps
+// its tables.
 type BDD struct {
 	numVars int
 	nodes   []node
-	unique  map[node]int
-	cache   map[uint64]int // packed (op, a, b) -> node, see applyKey
-	maxNode int
+	unique  []int32 // node ids by hashNode; 0 (False, never interned) marks a free slot
+	// The apply cache: cacheKeys[i] packs (op, x, y), cacheVals[i] its
+	// result; key 0 — And(False, False), answered before any lookup —
+	// marks a free slot.
+	cacheKeys []uint64
+	cacheVals []int32
+	cacheLen  int
+	maxNode   int
 
 	// level[v] is the level of variable v and varAt its inverse; both
 	// nil stand for the identity.
@@ -51,6 +69,11 @@ type BDD struct {
 	// runaway work stops soon after cancellation.
 	ctx      context.Context
 	ctxCount int
+
+	// pos is Prob's scratch, kept across calls: per node, 0 when not
+	// reached from the root, -1 when reached, then one past the offset
+	// of its numerator's slot.
+	pos []int32
 }
 
 // ctxCheckEvery is the stride between context polls: frequent enough
@@ -67,23 +90,28 @@ const (
 
 // applyKey packs an apply-cache entry (op, x, y) into one uint64: the
 // op in the top two bits, the operands in 31 bits each. Node ids are
-// bounded by the node budget, which the int32-sized cache has always
-// capped below 2^31, so the packing is collision-free — and a uint64
-// map key hashes without the memory loads of an array key.
-func applyKey(op, x, y int) uint64 {
+// int32 and non-negative, so the packing is collision-free.
+func applyKey(op int, x, y int32) uint64 {
 	return uint64(op)<<62 | uint64(uint32(x))<<31 | uint64(uint32(y))
 }
 
-// tableSizeHint pre-sizes the unique and apply tables from the node
-// budget, clamped so a huge budget does not preallocate a huge empty
-// map.
-func tableSizeHint(maxNodes int) int {
-	const clamp = 4096
-	if maxNodes > clamp {
-		return clamp
-	}
-	return maxNodes
+// hashMul is the 64-bit golden-ratio multiplier of Fibonacci hashing:
+// the table index is the top bits of the product.
+const hashMul = 0x9E3779B97F4A7C15
+
+// slot returns the table index of hash h in a table of 2^bits entries,
+// mask = 2^bits - 1.
+func slot(h uint64, mask int) int {
+	return int((h * hashMul) >> (64 - bits.Len(uint(mask))))
 }
+
+// hashNode mixes a node's triple into one word for the unique table.
+func hashNode(v, lo, hi int32) uint64 {
+	return (uint64(uint32(lo))<<32 | uint64(uint32(hi))) ^ uint64(uint32(v))*0xBF58476D1CE4E5B9
+}
+
+// minTable is the smallest table either open-addressed table takes.
+const minTable = 16
 
 // DefaultMaxNodes caps BDD growth; compilation fails with ErrTooLarge
 // beyond it.
@@ -94,24 +122,120 @@ const DefaultMaxNodes = 1 << 22
 var ErrTooLarge = fmt.Errorf("bdd: node budget exceeded")
 
 // New creates an empty BDD manager over numVars variables with the
-// given node budget (0 means DefaultMaxNodes).
+// given node budget (0 means DefaultMaxNodes; a budget beyond
+// math.MaxInt32 is capped there). It allocates only the terminals: the
+// tables grow with the diagram.
 func New(numVars, maxNodes int) *BDD {
 	if maxNodes <= 0 {
 		maxNodes = DefaultMaxNodes
 	}
-	hint := tableSizeHint(maxNodes)
 	b := &BDD{
 		numVars: numVars,
-		unique:  make(map[node]int, hint),
-		cache:   make(map[uint64]int, hint),
-		maxNode: maxNodes,
-		nodes:   make([]node, 0, hint),
+		maxNode: min(maxNodes, math.MaxInt32),
+		nodes:   make([]node, 2, minTable),
 	}
-	b.nodes = append(b.nodes,
-		node{v: numVars, lo: False, hi: False}, // False terminal
-		node{v: numVars, lo: True, hi: True},   // True terminal
-	)
+	b.nodes[False] = node{v: int32(numVars), lo: False, hi: False}
+	b.nodes[True] = node{v: int32(numVars), lo: True, hi: True}
 	return b
+}
+
+// Reset empties the manager for an unrelated diagram over numVars
+// variables: the internal nodes, the unique table, the apply cache and
+// the variable order go, so the next FromDNF chooses its own order and
+// every node id, count and budget check is what New(numVars, budget)
+// would give. The tables keep their capacity, the budget and context
+// stay, and the context's poll stride restarts.
+func (b *BDD) Reset(numVars int) {
+	b.numVars = numVars
+	b.nodes = b.nodes[:2]
+	b.nodes[False].v, b.nodes[True].v = int32(numVars), int32(numVars)
+	clear(b.unique)
+	clear(b.cacheKeys)
+	b.cacheLen = 0
+	b.level, b.varAt = nil, nil
+	b.ctxCount = 0
+}
+
+// reserve grows the tables, if needed, to hold n more nodes and n more
+// cache entries at load ½.
+func (b *BDD) reserve(n int) {
+	if want := tableSize(len(b.nodes) + n); want > len(b.unique) {
+		b.rehashUnique(want)
+	}
+	if want := tableSize(b.cacheLen + n); want > len(b.cacheKeys) {
+		b.rehashCache(want)
+	}
+}
+
+// tableSize is the power-of-two table that holds n entries at load ½.
+func tableSize(n int) int {
+	return max(minTable, 1<<bits.Len(uint(2*n-1)))
+}
+
+// rehashUnique rebuilds the unique table at size entries, and gives
+// the node slice room for the size/2 nodes, terminals included, that it
+// then holds.
+func (b *BDD) rehashUnique(size int) {
+	if cap(b.nodes) < size/2 {
+		b.nodes = append(make([]node, 0, size/2), b.nodes...)
+	}
+	b.unique = make([]int32, size)
+	mask := size - 1
+	for id := int32(2); id < int32(len(b.nodes)); id++ {
+		n := b.nodes[id]
+		i := slot(hashNode(n.v, n.lo, n.hi), mask)
+		for b.unique[i] != 0 {
+			i = (i + 1) & mask
+		}
+		b.unique[i] = id
+	}
+}
+
+// rehashCache rebuilds the apply cache at size entries.
+func (b *BDD) rehashCache(size int) {
+	keys, vals := b.cacheKeys, b.cacheVals
+	b.cacheKeys, b.cacheVals = make([]uint64, size), make([]int32, size)
+	mask := size - 1
+	for j, k := range keys {
+		if k == 0 {
+			continue
+		}
+		i := slot(k, mask)
+		for b.cacheKeys[i] != 0 {
+			i = (i + 1) & mask
+		}
+		b.cacheKeys[i], b.cacheVals[i] = k, vals[j]
+	}
+}
+
+// cached looks key up in the apply cache.
+func (b *BDD) cached(key uint64) (int32, bool) {
+	if len(b.cacheKeys) == 0 {
+		return 0, false
+	}
+	mask := len(b.cacheKeys) - 1
+	for i := slot(key, mask); ; i = (i + 1) & mask {
+		switch b.cacheKeys[i] {
+		case key:
+			return b.cacheVals[i], true
+		case 0:
+			return 0, false
+		}
+	}
+}
+
+// remember records key -> r in the apply cache; key is not in it.
+func (b *BDD) remember(key uint64, r int32) {
+	if 2*(b.cacheLen+1) > len(b.cacheKeys) {
+		b.rehashCache(tableSize(b.cacheLen + 1))
+	}
+	mask := len(b.cacheKeys) - 1
+	i := slot(key, mask)
+	for b.cacheKeys[i] != 0 {
+		i = (i + 1) & mask
+	}
+	b.cacheKeys[i], b.cacheVals[i] = key, r
+	b.cacheLen++
 }
 
 // WithContext attaches a cancellation context to the manager: node
@@ -131,13 +255,19 @@ func (b *BDD) NumNodes() int { return len(b.nodes) }
 
 // mk returns the canonical node (v, lo, hi), applying the reduction
 // rules.
-func (b *BDD) mk(v, lo, hi int) (int, error) {
+func (b *BDD) mk(v, lo, hi int32) (int32, error) {
 	if lo == hi {
 		return lo, nil
 	}
-	n := node{v: v, lo: lo, hi: hi}
-	if id, ok := b.unique[n]; ok {
-		return id, nil
+	if 2*(len(b.nodes)+1) > len(b.unique) {
+		b.rehashUnique(tableSize(len(b.nodes) + 1))
+	}
+	mask := len(b.unique) - 1
+	i := slot(hashNode(v, lo, hi), mask)
+	for ; b.unique[i] != 0; i = (i + 1) & mask {
+		if n := b.nodes[b.unique[i]]; n.v == v && n.lo == lo && n.hi == hi {
+			return b.unique[i], nil
+		}
 	}
 	if len(b.nodes) >= b.maxNode {
 		return 0, fmt.Errorf("%w: %d nodes", ErrTooLarge, b.maxNode)
@@ -145,9 +275,9 @@ func (b *BDD) mk(v, lo, hi int) (int, error) {
 	if err := b.poll(); err != nil {
 		return 0, fmt.Errorf("bdd: compilation canceled: %w", err)
 	}
-	id := len(b.nodes)
-	b.nodes = append(b.nodes, n)
-	b.unique[n] = id
+	id := int32(len(b.nodes))
+	b.nodes = append(b.nodes, node{v: v, lo: lo, hi: hi})
+	b.unique[i] = id
 	return id, nil
 }
 
@@ -166,20 +296,20 @@ func (b *BDD) poll() error {
 
 // levelOf returns the level of l's variable, or an error if l names no
 // variable of the manager.
-func (b *BDD) levelOf(l prop.Lit) (int, error) {
+func (b *BDD) levelOf(l prop.Lit) (int32, error) {
 	if l.Var < 0 || l.Var >= b.numVars {
 		return 0, fmt.Errorf("bdd: literal %v outside variable range [0,%d)", l, b.numVars)
 	}
 	if b.level == nil {
-		return l.Var, nil
+		return int32(l.Var), nil
 	}
-	return b.level[l.Var], nil
+	return int32(b.level[l.Var]), nil
 }
 
 // varOf returns the variable at a level.
-func (b *BDD) varOf(level int) int {
+func (b *BDD) varOf(level int32) int {
 	if b.varAt == nil {
-		return level
+		return int(level)
 	}
 	return b.varAt[level]
 }
@@ -190,14 +320,22 @@ func (b *BDD) Lit(l prop.Lit) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	var r int32
 	if l.Neg {
-		return b.mk(lv, True, False)
+		r, err = b.mk(lv, True, False)
+	} else {
+		r, err = b.mk(lv, False, True)
 	}
-	return b.mk(lv, False, True)
+	return int(r), err
 }
 
 // Not returns the negation of the function rooted at a.
 func (b *BDD) Not(a int) (int, error) {
+	r, err := b.not(int32(a))
+	return int(r), err
+}
+
+func (b *BDD) not(a int32) (int32, error) {
 	switch a {
 	case False:
 		return True, nil
@@ -205,15 +343,15 @@ func (b *BDD) Not(a int) (int, error) {
 		return False, nil
 	}
 	key := applyKey(opNot, a, 0)
-	if r, ok := b.cache[key]; ok {
+	if r, ok := b.cached(key); ok {
 		return r, nil
 	}
 	n := b.nodes[a]
-	lo, err := b.Not(n.lo)
+	lo, err := b.not(n.lo)
 	if err != nil {
 		return 0, err
 	}
-	hi, err := b.Not(n.hi)
+	hi, err := b.not(n.hi)
 	if err != nil {
 		return 0, err
 	}
@@ -221,17 +359,23 @@ func (b *BDD) Not(a int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	b.cache[key] = r
+	b.remember(key, r)
 	return r, nil
 }
 
 // And returns the conjunction of the functions rooted at x and y.
-func (b *BDD) And(x, y int) (int, error) { return b.apply(opAnd, x, y) }
+func (b *BDD) And(x, y int) (int, error) {
+	r, err := b.apply(opAnd, int32(x), int32(y))
+	return int(r), err
+}
 
 // Or returns the disjunction of the functions rooted at x and y.
-func (b *BDD) Or(x, y int) (int, error) { return b.apply(opOr, x, y) }
+func (b *BDD) Or(x, y int) (int, error) {
+	r, err := b.apply(opOr, int32(x), int32(y))
+	return int(r), err
+}
 
-func (b *BDD) apply(op, x, y int) (int, error) {
+func (b *BDD) apply(op int, x, y int32) (int32, error) {
 	switch op {
 	case opAnd:
 		if x == False || y == False {
@@ -264,14 +408,11 @@ func (b *BDD) apply(op, x, y int) (int, error) {
 		x, y = y, x // both ops are commutative
 	}
 	key := applyKey(op, x, y)
-	if r, ok := b.cache[key]; ok {
+	if r, ok := b.cached(key); ok {
 		return r, nil
 	}
 	nx, ny := b.nodes[x], b.nodes[y]
-	v := nx.v
-	if ny.v < v {
-		v = ny.v
-	}
+	v := min(nx.v, ny.v)
 	xl, xh := x, x
 	if nx.v == v {
 		xl, xh = nx.lo, nx.hi
@@ -292,12 +433,17 @@ func (b *BDD) apply(op, x, y int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	b.cache[key] = r
+	b.remember(key, r)
 	return r, nil
 }
 
 // FromTerm compiles a conjunctive term into a BDD chain.
 func (b *BDD) FromTerm(t prop.Term) (int, error) {
+	r, err := b.fromTerm(t)
+	return int(r), err
+}
+
+func (b *BDD) fromTerm(t prop.Term) (int32, error) {
 	nt, sat := t.Normalize()
 	if !sat {
 		return False, nil
@@ -310,16 +456,16 @@ func (b *BDD) FromTerm(t prop.Term) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		nt[i].Var = lv
+		nt[i].Var = int(lv)
 	}
 	sort.Slice(nt, func(i, j int) bool { return nt[i].Var < nt[j].Var })
-	root := True
+	root := int32(True)
 	for i := len(nt) - 1; i >= 0; i-- {
 		var err error
-		if nt[i].Neg {
-			root, err = b.mk(nt[i].Var, root, False)
+		if lv := int32(nt[i].Var); nt[i].Neg {
+			root, err = b.mk(lv, root, False)
 		} else {
-			root, err = b.mk(nt[i].Var, False, root)
+			root, err = b.mk(lv, False, root)
 		}
 		if err != nil {
 			return 0, err
@@ -334,7 +480,7 @@ func (b *BDD) FromTerm(t prop.Term) (int, error) {
 // accumulated diagram at the levels the chain itself mentions, where
 // left-to-right accumulation re-traverses the diagram from the root for
 // every term. On a manager without internal nodes it first chooses the
-// variable order from d.
+// variable order from d and sizes the tables for d's literals.
 func (b *BDD) FromDNF(d prop.DNF) (int, error) {
 	if d.NumVars > b.numVars {
 		return 0, fmt.Errorf("bdd: DNF has %d variables, manager %d", d.NumVars, b.numVars)
@@ -343,24 +489,29 @@ func (b *BDD) FromDNF(d prop.DNF) (int, error) {
 		if err := b.chooseOrder(d); err != nil {
 			return 0, err
 		}
+		lits := 0
+		for _, t := range d.Terms {
+			lits += len(t)
+		}
+		b.reserve(lits)
 	}
-	chains := make([]int, len(d.Terms))
+	chains := make([]int32, len(d.Terms))
 	for i, t := range d.Terms {
-		tn, err := b.FromTerm(t)
+		tn, err := b.fromTerm(t)
 		if err != nil {
 			return 0, err
 		}
 		chains[i] = tn
 	}
 	sort.SliceStable(chains, func(i, j int) bool { return b.nodes[chains[i]].v < b.nodes[chains[j]].v })
-	root := False
+	root := int32(False)
 	for i := len(chains) - 1; i >= 0; i-- {
 		var err error
-		if root, err = b.Or(root, chains[i]); err != nil {
+		if root, err = b.apply(opOr, root, chains[i]); err != nil {
 			return 0, err
 		}
 	}
-	return root, nil
+	return int(root), nil
 }
 
 // chooseOrder fixes the variable order from the term–variable incidence
@@ -526,15 +677,16 @@ func (b *BDD) FromFormula(f prop.Formula) (int, error) {
 
 // Eval evaluates the function rooted at n under the assignment.
 func (b *BDD) Eval(n int, a []bool) bool {
-	for n > True {
-		nd := b.nodes[n]
+	m := int32(n)
+	for m > True {
+		nd := b.nodes[m]
 		if a[b.varOf(nd.v)] {
-			n = nd.hi
+			m = nd.hi
 		} else {
-			n = nd.lo
+			m = nd.lo
 		}
 	}
-	return n == True
+	return m == True
 }
 
 // Size returns the number of nodes reachable from n (including
@@ -544,8 +696,8 @@ func (b *BDD) Size(n int) int {
 	// replaces the set: one allocation, O(1) membership.
 	seen := make([]bool, len(b.nodes))
 	count := 0
-	var visit func(int)
-	visit = func(m int) {
+	var visit func(int32)
+	visit = func(m int32) {
 		if seen[m] {
 			return
 		}
@@ -556,16 +708,40 @@ func (b *BDD) Size(n int) int {
 			visit(b.nodes[m].hi)
 		}
 	}
-	visit(n)
+	visit(int32(n))
 	return count
+}
+
+// reach marks b.pos[m] = -1 for the internal node m and every internal
+// node below it that is not marked yet, polling the context once per
+// node, and returns one past the deepest level it marked.
+func (b *BDD) reach(m int32) (int32, error) {
+	if err := b.poll(); err != nil {
+		return 0, fmt.Errorf("bdd: count canceled: %w", err)
+	}
+	b.pos[m] = -1
+	nd := b.nodes[m]
+	bottom := nd.v + 1
+	for _, c := range [2]int32{nd.lo, nd.hi} {
+		if c > True && b.pos[c] == 0 {
+			cb, err := b.reach(c)
+			if err != nil {
+				return 0, err
+			}
+			bottom = max(bottom, cb)
+		}
+	}
+	return bottom, nil
 }
 
 // Prob computes the exact probability that the function rooted at n is
 // true when variable v is independently true with probability p[v].
-// One bottom-up pass, linear in the BDD size, in integers: with
+// One bottom-up pass over the nodes reachable from n, in integers: with
 // p = num/den per level, a node at level l carries the numerator of its
 // probability over the product of the denominators of the levels from l
-// down, and only the root's fraction is reduced.
+// down, and only the root's fraction is reduced. A numerator is at most
+// that product, so every node's words fit a slot of a size known before
+// the pass, and all of them share one arena.
 func (b *BDD) Prob(n int, p prop.ProbAssignment) (*big.Rat, error) {
 	if err := p.Validate(b.numVars); err != nil {
 		return nil, err
@@ -573,75 +749,82 @@ func (b *BDD) Prob(n int, p prop.ProbAssignment) (*big.Rat, error) {
 	if n <= True {
 		return big.NewRat(int64(n), 1), nil
 	}
-	at := func(l int) *big.Rat { return p[b.varOf(l)] }
-	// Levels from bottom down hold no node, so they sum out to 1 and
-	// their denominators never enter.
-	top, bottom := b.nodes[n].v, 0
-	for _, nd := range b.nodes[2:] {
-		if nd.v >= bottom {
-			bottom = nd.v + 1
-		}
+	root := int32(n)
+	if cap(b.pos) < len(b.nodes) {
+		b.pos = make([]int32, len(b.nodes))
+	} else {
+		b.pos = b.pos[:len(b.nodes)]
+		clear(b.pos)
 	}
-	// below[l] is the product of the denominators of levels l..bottom-1,
-	// which is True's numerator seen from level l. Levels with
-	// denominator 1 share the entry below them.
-	below := make([]*big.Int, bottom+1)
-	below[bottom] = big.NewInt(1)
+	// Levels from bottom down hold no reachable node, so they sum out to
+	// 1 and their denominators never enter.
+	bottom, err := b.reach(root)
+	if err != nil {
+		return nil, err
+	}
+	at := func(l int32) *big.Rat { return p[b.varOf(l)] }
+	top := b.nodes[root].v
+	// below[l-top] is the product of the denominators of levels
+	// l..bottom-1, which is True's numerator seen from level l. Levels
+	// with denominator 1 share the entry below them.
+	below := make([]*big.Int, bottom-top+1)
+	below[bottom-top] = big.NewInt(1)
 	for l := bottom - 1; l >= top; l-- {
-		below[l] = below[l+1]
+		below[l-top] = below[l-top+1]
 		if !at(l).IsInt() {
-			below[l] = new(big.Int).Mul(below[l+1], at(l).Denom())
+			below[l-top] = new(big.Int).Mul(below[l-top+1], at(l).Denom())
 		}
 	}
-	// Dense node ids make slices the natural memo.
-	val := make([]big.Int, len(b.nodes))
-	done := make([]bool, len(b.nodes))
+	// mk numbers a node after its children, so ascending ids visit the
+	// reached nodes bottom-up. A reached node's slot in the arena is its
+	// word count, then room for the words of below at its level; pos[m]
+	// becomes the slot's offset plus one once m's numerator is in it.
+	words := 0
+	for m := int32(2); m <= root; m++ {
+		if b.pos[m] != 0 {
+			words += 1 + len(below[b.nodes[m].v-top].Bits())
+		}
+	}
+	arena := make([]big.Word, 0, words)
+	var view big.Int
 	// lift sets dst to m's numerator over the denominators from level l
 	// down: the edge into m skips the levels between l and m's own.
-	lift := func(dst *big.Int, m, l int) *big.Int {
+	lift := func(dst *big.Int, m, l int32) *big.Int {
 		switch m {
 		case False:
 			return dst.SetInt64(0)
 		case True:
-			return dst.Set(below[l])
+			return dst.Set(below[l-top])
 		}
-		dst.Set(&val[m])
+		s := b.pos[m] - 1
+		dst.Set(view.SetBits(arena[s+1 : s+1+int32(arena[s])]))
 		for ; l < b.nodes[m].v; l++ {
-			if below[l] != below[l+1] {
+			if below[l-top] != below[l-top+1] {
 				dst.Mul(dst, at(l).Denom())
 			}
 		}
 		return dst
 	}
 	var lo, hi, notNum big.Int
-	var visit func(int) error
-	visit = func(m int) error {
-		if m <= True || done[m] {
-			return nil
-		}
-		if err := b.poll(); err != nil {
-			return fmt.Errorf("bdd: count canceled: %w", err)
-		}
-		nd := b.nodes[m]
-		if err := visit(nd.lo); err != nil {
-			return err
-		}
-		if err := visit(nd.hi); err != nil {
-			return err
+	for m := int32(2); m <= root; m++ {
+		if b.pos[m] == 0 {
+			continue
 		}
 		// P = (1 - p)·lo + p·hi over den·below[level+1].
+		nd := b.nodes[m]
 		pv := at(nd.v)
 		notNum.Sub(pv.Denom(), pv.Num())
 		lift(&lo, nd.lo, nd.v+1).Mul(&lo, &notNum)
 		lift(&hi, nd.hi, nd.v+1).Mul(&hi, pv.Num())
-		val[m].Add(&lo, &hi)
-		done[m] = true
-		return nil
+		w, room := lo.Add(&lo, &hi).Bits(), len(below[nd.v-top].Bits())
+		if len(w) > room {
+			panic("bdd: a numerator outgrew its denominators")
+		}
+		b.pos[m] = int32(len(arena)) + 1
+		arena = append(append(arena, big.Word(len(w))), w...)
+		arena = arena[:len(arena)+room-len(w)]
 	}
-	if err := visit(n); err != nil {
-		return nil, err
-	}
-	return new(big.Rat).SetFrac(lift(new(big.Int), n, top), below[top]), nil
+	return new(big.Rat).SetFrac(lift(new(big.Int), root, top), below[0]), nil
 }
 
 // Count returns the number of satisfying assignments of the function
@@ -653,8 +836,8 @@ func (b *BDD) Count(n int) *big.Int {
 	memo := make([]*big.Int, len(b.nodes))
 	memo[False] = new(big.Int)
 	memo[True] = big.NewInt(1) // the empty assignment
-	var visit func(int) *big.Int
-	visit = func(m int) *big.Int {
+	var visit func(int32) *big.Int
+	visit = func(m int32) *big.Int {
 		if r := memo[m]; r != nil {
 			return r
 		}
@@ -674,7 +857,7 @@ func (b *BDD) Count(n int) *big.Int {
 		memo[m] = r
 		return r
 	}
-	root := visit(n)
+	root := visit(int32(n))
 	if root == nil {
 		return nil
 	}

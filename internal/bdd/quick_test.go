@@ -3,6 +3,7 @@ package bdd
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -78,8 +79,8 @@ func refProb(b *BDD, n int, p prop.ProbAssignment) *big.Rat {
 		}
 		nd := b.nodes[m]
 		pv := p[b.varOf(nd.v)]
-		r := new(big.Rat).Mul(new(big.Rat).Sub(one, pv), visit(nd.lo))
-		r.Add(r, new(big.Rat).Mul(pv, visit(nd.hi)))
+		r := new(big.Rat).Mul(new(big.Rat).Sub(one, pv), visit(int(nd.lo)))
+		r.Add(r, new(big.Rat).Mul(pv, visit(int(nd.hi))))
 		memo[m] = r
 		return r
 	}
@@ -125,6 +126,41 @@ func checkFromDNF(t testing.TB, d prop.DNF, p prop.ProbAssignment) {
 	}
 	if want := refProb(mgr, root, p); got.String() != want.String() {
 		t.Fatalf("Prob(%v, %v) = %v, per-node big.Rat recursion %v", d, p, got, want)
+	}
+	checkReset(t, d, p)
+}
+
+// checkReset compiles d on a manager that first compiled an unrelated,
+// larger DNF and was then Reset: every node, the order, the root, the
+// node count, the size and Prob must be a fresh manager's.
+func checkReset(t testing.TB, d prop.DNF, p prop.ProbAssignment) {
+	t.Helper()
+	fresh := New(d.NumVars, 0)
+	root, err := fresh.FromDNF(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := fresh.Prob(root, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := hubLineage(4)
+	reused := New(other.NumVars, 0)
+	if _, err := reused.FromDNF(other); err != nil {
+		t.Fatal(err)
+	}
+	reused.Reset(d.NumVars)
+	got, err := reused.FromDNF(d)
+	if err != nil {
+		t.Fatalf("FromDNF(%v) after Reset: %v", d, err)
+	}
+	if got != root || reused.NumNodes() != fresh.NumNodes() || reused.Size(got) != fresh.Size(root) ||
+		!slices.Equal(reused.nodes, fresh.nodes) || !slices.Equal(reused.varAt, fresh.varAt) {
+		t.Fatalf("FromDNF(%v) after Reset: root %d of %d nodes, size %d, order %v; fresh manager: root %d of %d, size %d, order %v",
+			d, got, reused.NumNodes(), reused.Size(got), reused.varAt, root, fresh.NumNodes(), fresh.Size(root), fresh.varAt)
+	}
+	if pr, err := reused.Prob(got, p); err != nil || pr.Cmp(prob) != 0 {
+		t.Fatalf("Prob(%v) after Reset = %v, %v; fresh manager %v", d, pr, err, prob)
 	}
 }
 

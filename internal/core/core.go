@@ -246,11 +246,12 @@ func forEachFreeTuple(ctx context.Context, s *rel.Structure, f logic.Formula, fn
 }
 
 // nuAssignment builds the probability assignment for the atoms of an
-// index: p[i] = nu(atom_i).
+// index: p[i] = nu(atom_i), the snapshot's shared read-only values
+// (unreliable.DB.Nu).
 func nuAssignment(db *unreliable.DB, ix *logic.AtomIndex) []*big.Rat {
 	p := make([]*big.Rat, ix.Len())
 	for i, atom := range ix.Atoms() {
-		p[i] = db.NuAtom(atom)
+		p[i] = db.Nu(atom)
 	}
 	return p
 }

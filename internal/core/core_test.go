@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"qrel/internal/bdd"
 	"qrel/internal/logic"
 	"qrel/internal/rel"
 	"qrel/internal/unreliable"
@@ -417,7 +418,7 @@ func TestBooleanQueryReliabilityIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nu, err := lineageProb(bg, d, lf, flipped, logic.Env{}, Options{}.withDefaults())
+		nu, err := lineageProb(bg, bdd.New(0, 0), d, lf, flipped, logic.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -364,3 +364,14 @@ func TestQuantifierFreeAtomGuard(t *testing.T) {
 		t.Errorf("24 distinct atoms refused: %v", err)
 	}
 }
+
+// TestWorldEnumRefusalStatesBudgetOnce: the refusal wraps
+// unreliable.ErrEnumBudget and names the atom count and the budget once.
+func TestWorldEnumRefusalStatesBudgetOnce(t *testing.T) {
+	d := servedQFreeDB(rand.New(rand.NewSource(45)), 4)
+	_, err := WorldEnum(bg, d, existQuery, Options{MaxEnumAtoms: 3})
+	want := fmt.Sprintf("%v: %d uncertain atoms, budget 3", unreliable.ErrEnumBudget, d.NumUncertain())
+	if err == nil || err.Error() != want {
+		t.Errorf("refusal %v, want %q", err, want)
+	}
+}

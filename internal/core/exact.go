@@ -43,7 +43,7 @@ func WorldEnum(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Opt
 	}
 	u := db.NumUncertain()
 	if u > opts.MaxEnumAtoms || u > unreliable.MaxEnumAtoms {
-		return Result{}, fmt.Errorf("%w: %d uncertain atoms exceed enumeration budget %d",
+		return Result{}, fmt.Errorf("%w: %d uncertain atoms, budget %d",
 			unreliable.ErrEnumBudget, u, opts.MaxEnumAtoms)
 	}
 	if !opts.Budget.allowsWorlds(db) {

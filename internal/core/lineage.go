@@ -60,10 +60,8 @@ func tupleLineage(ctx context.Context, db *unreliable.DB, f logic.Formula, env l
 	nu := prop.ProbAssignment(nuAssignment(db, ix))
 	fixed := map[int]bool{}
 	for i, p := range nu {
-		if p.Sign() == 0 {
-			fixed[i] = false
-		} else if p.Cmp(big.NewRat(1, 1)) == 0 {
-			fixed[i] = true
+		if p.IsInt() { // nu ∈ {0, 1}
+			fixed[i] = p.Sign() > 0
 		}
 	}
 	pf = prop.Fold(pf, fixed)
@@ -75,16 +73,16 @@ func tupleLineage(ctx context.Context, db *unreliable.DB, f logic.Formula, env l
 }
 
 // lineageProb returns Pr[B ⊨ psi(ā)] exactly for a formula prepared by
-// lineageForm: the tuple's lineage kDNF is compiled to an OBDD — the
-// manager picks its variable order from the DNF — under the node
-// budget and ctx, counted once, and complemented when lf stands for
-// the negation of a universal query.
-func lineageProb(ctx context.Context, db *unreliable.DB, lf logic.Formula, flipped bool, env logic.Env, opts Options) (*big.Rat, error) {
+// lineageForm: the tuple's lineage kDNF is compiled to an OBDD on mgr,
+// reset for it, so the manager picks its variable order from the DNF
+// and its node budget holds per tuple; the diagram is counted once and
+// complemented when lf stands for the negation of a universal query.
+func lineageProb(ctx context.Context, mgr *bdd.BDD, db *unreliable.DB, lf logic.Formula, flipped bool, env logic.Env) (*big.Rat, error) {
 	d, nu, err := tupleLineage(ctx, db, lf, env)
 	if err != nil {
 		return nil, err
 	}
-	mgr := bdd.New(d.NumVars, bddNodeCap(opts.Budget)).WithContext(ctx)
+	mgr.Reset(d.NumVars)
 	root, err := mgr.FromDNF(d)
 	if err != nil {
 		return nil, err
@@ -103,7 +101,8 @@ func lineageProb(ctx context.Context, db *unreliable.DB, lf logic.Formula, flipp
 // universal query by compiling each tuple's Theorem 5.4 lineage to a
 // BDD and evaluating nu(psi”) exactly. Exponential in the worst case
 // (the problem is #P-hard, Proposition 3.2) but fast on many practical
-// lineages; each tuple's diagram is capped at 1<<20 nodes, or at
+// lineages. One manager serves the request, reset between tuples, and
+// each tuple's diagram is capped at 1<<20 nodes, or at
 // opts.Budget.MaxBDDNodes when that is smaller (bddNodeCap). The
 // per-tuple loop, the BDD compilation and the count all poll ctx.
 func LineageBDD(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Options) (Result, error) {
@@ -119,8 +118,9 @@ func LineageBDD(ctx context.Context, db *unreliable.DB, f logic.Formula, opts Op
 	one := big.NewRat(1, 1)
 	h := new(big.Rat)
 	prep := logic.Prepare(f)
+	mgr := bdd.New(0, bddNodeCap(opts.Budget)).WithContext(ctx)
 	k, err := forEachFreeTuple(ctx, db.A, f, func(env logic.Env, t rel.Tuple) error {
-		p, err := lineageProb(ctx, db, lf, flipped, env, opts)
+		p, err := lineageProb(ctx, mgr, db, lf, flipped, env)
 		if err != nil {
 			return err
 		}

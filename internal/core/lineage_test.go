@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"qrel/internal/bdd"
@@ -320,5 +322,153 @@ func TestKarpLubyPlanCounts(t *testing.T) {
 			t.Errorf("%s: %d terms, worst-case t %d, planned t %d; want %d, %d, %d",
 				c.name, len(c.d.Terms), worst, pl.Samples, c.m, c.worst, c.planned)
 		}
+	}
+}
+
+// unaryExistQuery has one free variable: one lineage, and one diagram,
+// per element of the universe.
+var unaryExistQuery = logic.MustParse("exists y . E(x,y) & S(y)", nil)
+
+// unarySelfJoinQuery is a k = 1 query outside the safe fragment (a
+// self-join on S), so auto tries lineage-bdd before any estimator.
+var unarySelfJoinQuery = logic.MustParse("exists y . E(x,y) & S(x) & S(y)", nil)
+
+// tupleNodes compiles every answer tuple's lineage of the unary query f
+// on a manager of its own and returns the nodes each allocated.
+func tupleNodes(t *testing.T, db *unreliable.DB, f logic.Formula) []int {
+	t.Helper()
+	lf, _, err := lineageForm(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]int, db.A.N)
+	for x := range nodes {
+		d, _, err := tupleLineage(bg, db, lf, logic.Env{"x": x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr := bdd.New(d.NumVars, 0)
+		if _, err := mgr.FromDNF(d); err != nil {
+			t.Fatal(err)
+		}
+		nodes[x] = mgr.NumNodes()
+	}
+	return nodes
+}
+
+// TestLineageBDDNodeCapIsPerTuple: the request's one manager is reset
+// between answer tuples, so MaxBDDNodes caps each tuple's diagram, not
+// their sum. A cap every tuple fits answers exactly although the sum
+// exceeds it; one node less stops the largest tuple with
+// bdd.ErrTooLarge, and auto falls back past lineage-bdd.
+func TestLineageBDDNodeCapIsPerTuple(t *testing.T) {
+	db := servedQFreeDB(rand.New(rand.NewSource(47)), 8)
+	q := unarySelfJoinQuery
+	nodes := tupleNodes(t, db, q)
+	largest, sum := 0, 0
+	for _, n := range nodes {
+		largest, sum = max(largest, n), sum+n
+	}
+	if sum <= largest+1 {
+		t.Fatalf("tuple node counts %v: the instance does not tell a per-tuple cap from a per-request one", nodes)
+	}
+	want, err := LineageBDD(bg, db, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := LineageBDD(bg, db, q, Options{Budget: Budget{MaxBDDNodes: largest}})
+	if err != nil {
+		t.Fatalf("MaxBDDNodes %d, the largest tuple's %v: %v", largest, nodes, err)
+	}
+	if got.H.Cmp(want.H) != 0 || got.Guarantee != Exact {
+		t.Errorf("capped at %d: H = %v (%v), uncapped %v", largest, got.H, got.Guarantee, want.H)
+	}
+	we, err := WorldEnum(bg, db, q, Options{MaxEnumAtoms: db.NumUncertain()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if we.H.Cmp(want.H) != 0 {
+		t.Errorf("lineage-bdd H = %v, world enumeration %v", want.H, we.H)
+	}
+
+	tight := Options{Budget: Budget{MaxBDDNodes: largest - 1}}
+	if _, err := LineageBDD(bg, db, q, tight); !errors.Is(err, bdd.ErrTooLarge) {
+		t.Errorf("MaxBDDNodes %d: %v, want bdd.ErrTooLarge", largest-1, err)
+	}
+	tight.MaxEnumAtoms = 1 // no world-enum rung
+	tight.Eps = 0.2
+	res, err := Reliability(bg, db, q, tight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := false
+	for _, step := range res.FallbackTrail {
+		stopped = stopped || step.Engine == string(EngineLineageBDD) && strings.Contains(step.Err, bdd.ErrTooLarge.Error())
+	}
+	if !stopped || res.Engine == "lineage-bdd" {
+		t.Errorf("auto under MaxBDDNodes %d: engine %s, trail %+v; want a fallback past lineage-bdd's ErrTooLarge",
+			largest-1, res.Engine, res.FallbackTrail)
+	}
+}
+
+// TestLineageEnginesLeaveNuUnchanged: the lineage engines read the
+// snapshot's shared nu values (unreliable.DB.Nu) and its shared 0 and
+// 1; none of LineageBDD, LineageKL and the Theorem 5.3 route may write
+// to them. They run at once, as a server's workers would, so -race sees
+// a write to a shared value as a race.
+func TestLineageEnginesLeaveNuUnchanged(t *testing.T) {
+	db := servedQFreeDB(rand.New(rand.NewSource(53)), 5)
+	opts := Options{Eps: 0.3, Delta: 0.3}
+	runs := []func() (Result, error){
+		func() (Result, error) { return LineageBDD(bg, db, unaryExistQuery, opts) },
+		func() (Result, error) { return LineageKL(bg, db, unaryExistQuery, opts, false) },
+		func() (Result, error) { return LineageKL(bg, db, unaryExistQuery, opts, true) },
+	}
+	var wg sync.WaitGroup
+	for i, run := range runs {
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := run(); err != nil {
+					t.Errorf("run %d: %v", i, err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	for _, r := range db.A.Voc.Rels {
+		rel.ForEachTuple(db.A.N, r.Arity, func(tup rel.Tuple) bool {
+			a := rel.GroundAtom{Rel: r.Name, Args: tup.Clone()}
+			if got, want := db.Nu(a), db.NuAtom(a); got.Cmp(want) != 0 {
+				t.Errorf("Nu(%v) = %v, want %v", a, got, want)
+			}
+			return true
+		})
+	}
+}
+
+// TestLineageBDDBytesPerCall is the allocation ceiling of the exact
+// lineage engine on a k = 1 query at n = 16: one manager for the
+// request, sized from the lineage, and nu read from the snapshot. With
+// a manager per tuple sized from the node budget a call took ≈ 9.56 MB.
+func TestLineageBDDBytesPerCall(t *testing.T) {
+	const calls, ceiling = 5, 1 << 20
+	db := servedQFreeDB(rand.New(rand.NewSource(45)), 16)
+	if _, err := LineageBDD(bg, db, unaryExistQuery, Options{}); err != nil { // builds the snapshot's tables
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := LineageBDD(bg, db, unaryExistQuery, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > ceiling {
+		t.Errorf("LineageBDD allocated %d bytes per call, ceiling %d", perCall, ceiling)
+	} else {
+		t.Logf("%d bytes per call", perCall)
 	}
 }

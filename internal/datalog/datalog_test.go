@@ -398,6 +398,33 @@ func TestDatalogReliabilityMC(t *testing.T) {
 	}
 }
 
+// lineInstance is reachability from 0 to 2 over the path 0 → 1 → 2,
+// both edges wrong with probability 1/3.
+func lineInstance() (*Program, *unreliable.DB, Atom) {
+	db := unreliable.New(graphEDB(3, [][2]int{{0, 1}, {1, 2}}))
+	for _, e := range [][2]int{{0, 1}, {1, 2}} {
+		db.MustSetError(rel.GroundAtom{Rel: "E", Args: rel.Tuple{e[0], e[1]}}, big.NewRat(1, 3))
+	}
+	return MustParse(reachProgram), db, Atom{Pred: "Reach", Args: []Term{E(0), E(2)}}
+}
+
+// BenchmarkReliabilityMCSample reports what one Monte Carlo sample of
+// ReliabilityMC costs on lineInstance: a world drawn and the program
+// evaluated on it.
+func BenchmarkReliabilityMCSample(b *testing.B) {
+	p, db, q := lineInstance()
+	samples := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		est, err := ReliabilityMC(bg, db, p, q, 0.1, 0.1, int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples += est.Samples
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(samples), "ns/sample")
+}
+
 // TestReliabilityMCCoverage is an empirical (ε, δ) check of
 // ReliabilityMC, like mc's TestEstimatorCoverage: each of 2 000 seeded
 // runs misses the exact reliability by more than ε with probability
@@ -405,12 +432,7 @@ func TestDatalogReliabilityMC(t *testing.T) {
 // every sample is a full fix-point evaluation.
 func TestReliabilityMCCoverage(t *testing.T) {
 	const runs, eps, delta = 2000, 0.2, 0.1
-	p := MustParse(reachProgram)
-	db := unreliable.New(graphEDB(3, [][2]int{{0, 1}, {1, 2}}))
-	for _, e := range [][2]int{{0, 1}, {1, 2}} {
-		db.MustSetError(rel.GroundAtom{Rel: "E", Args: rel.Tuple{e[0], e[1]}}, big.NewRat(1, 3))
-	}
-	q := Atom{Pred: "Reach", Args: []Term{E(0), E(2)}}
+	p, db, q := lineInstance()
 	exact, err := Reliability(bg, db, p, q, 10)
 	if err != nil {
 		t.Fatal(err)

@@ -16,6 +16,33 @@ const MaxIterations = 1 << 20
 // non-head predicate must exist in the EDB with matching arity; IDB
 // predicates may not shadow EDB relations.
 func (p *Program) Eval(edb *rel.Structure) (map[string]*rel.Relation, error) {
+	a, err := p.analyse(edb.Voc)
+	if err != nil {
+		return nil, err
+	}
+	return a.eval(edb)
+}
+
+// analysis is a program checked against a vocabulary and cut into
+// strata: everything evaluation needs that no tuple of the EDB changes.
+// An estimator analyses once and evaluates every sampled world, which
+// shares the observed database's vocabulary.
+type analysis struct {
+	heads  map[string]int // IDB predicate -> arity
+	strata []stratum
+}
+
+// stratum is one layer of the stratification: its predicates and the
+// rules that derive them.
+type stratum struct {
+	in    map[string]bool
+	rules []Rule
+}
+
+// analyse validates the program, checks its EDB predicates against voc
+// (present, with the arity the program uses, not shadowed by an IDB
+// predicate) and stratifies it.
+func (p *Program) analyse(voc *rel.Vocabulary) (*analysis, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -26,45 +53,53 @@ func (p *Program) Eval(edb *rel.Structure) (map[string]*rel.Relation, error) {
 			arity[l.Atom.Pred] = len(l.Atom.Args)
 		}
 	}
+	a := &analysis{heads: map[string]int{}}
 	// Check EDB predicates and IDB shadowing.
 	for pred, k := range arity {
+		r, inEDB := voc.Rel(pred)
 		if p.isIDB(pred) {
-			if edb.Rel(pred) != nil {
+			if inEDB {
 				return nil, fmt.Errorf("datalog: IDB predicate %s shadows an EDB relation", pred)
 			}
+			a.heads[pred] = k
 			continue
 		}
-		r := edb.Rel(pred)
-		if r == nil {
+		if !inEDB {
 			return nil, fmt.Errorf("datalog: EDB relation %q not in database", pred)
 		}
 		if r.Arity != k {
 			return nil, fmt.Errorf("datalog: EDB relation %s has arity %d, program uses %d", pred, r.Arity, k)
 		}
 	}
-	strata, err := p.Stratify()
+	layers, err := p.Stratify()
 	if err != nil {
 		return nil, err
 	}
-	idb := map[string]*rel.Relation{}
-	for _, r := range p.Rules {
-		if idb[r.Head.Pred] == nil {
-			idb[r.Head.Pred] = rel.NewRelation(len(r.Head.Args))
-		}
-	}
-	ev := &evaluator{edb: edb, idb: idb}
-	for _, layer := range strata {
-		inStratum := map[string]bool{}
+	for _, layer := range layers {
+		s := stratum{in: map[string]bool{}}
 		for _, pred := range layer {
-			inStratum[pred] = true
+			s.in[pred] = true
 		}
-		var rules []Rule
 		for _, r := range p.Rules {
-			if inStratum[r.Head.Pred] {
-				rules = append(rules, r)
+			if s.in[r.Head.Pred] {
+				s.rules = append(s.rules, r)
 			}
 		}
-		if err := ev.fixpoint(rules, inStratum); err != nil {
+		a.strata = append(a.strata, s)
+	}
+	return a, nil
+}
+
+// eval computes the IDB relations on edb, whose vocabulary is the one
+// the program was analysed against.
+func (a *analysis) eval(edb *rel.Structure) (map[string]*rel.Relation, error) {
+	idb := make(map[string]*rel.Relation, len(a.heads))
+	for pred, k := range a.heads {
+		idb[pred] = rel.NewRelation(k)
+	}
+	ev := &evaluator{edb: edb, idb: idb}
+	for _, s := range a.strata {
+		if err := ev.fixpoint(s.rules, s.in); err != nil {
 			return nil, err
 		}
 	}
@@ -225,7 +260,16 @@ func (ev *evaluator) applyRule(r Rule, deltaPos int, deltaRel *rel.Relation, emi
 // atom's predicate matching its pattern (variables are wildcards that
 // must agree on repetition; elements must match exactly).
 func (p *Program) Query(edb *rel.Structure, q Atom) ([]rel.Tuple, error) {
-	idb, err := p.Eval(edb)
+	a, err := p.analyse(edb.Voc)
+	if err != nil {
+		return nil, err
+	}
+	return a.query(edb, q)
+}
+
+// query is Query on an analysed program.
+func (a *analysis) query(edb *rel.Structure, q Atom) ([]rel.Tuple, error) {
+	idb, err := a.eval(edb)
 	if err != nil {
 		return nil, err
 	}

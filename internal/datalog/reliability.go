@@ -27,11 +27,11 @@ type Result struct {
 	Samples int
 }
 
-// answerSet evaluates the query pattern and returns the set of variable
-// assignments (as tuple keys over the distinct pattern variables, in
-// first-occurrence order).
-func answerSet(prog *Program, edb *rel.Structure, q Atom) (map[uint64]struct{}, error) {
-	matches, err := prog.Query(edb, q)
+// answerSet evaluates the query pattern on an analysed program and
+// returns the set of variable assignments (as tuple keys over the
+// distinct pattern variables, in first-occurrence order).
+func answerSet(a *analysis, edb *rel.Structure, q Atom) (map[uint64]struct{}, error) {
+	matches, err := a.query(edb, q)
 	if err != nil {
 		return nil, err
 	}
@@ -71,9 +71,14 @@ func symDiff(a, b map[uint64]struct{}) int {
 // Datalog query on the unreliable EDB by world enumeration — Datalog
 // queries are polynomial-time evaluable, so this instantiates Theorem
 // 4.2 exactly as de Rougemont's result promised. budget caps the number
-// of uncertain atoms; ctx is polled between worlds.
+// of uncertain atoms; ctx is polled between worlds. The program is
+// analysed once; each world is only evaluated.
 func Reliability(ctx context.Context, db *unreliable.DB, prog *Program, q Atom, budget int) (Result, error) {
-	observed, err := answerSet(prog, db.A, q)
+	a, err := prog.analyse(db.A.Voc)
+	if err != nil {
+		return Result{}, err
+	}
+	observed, err := answerSet(a, db.A, q)
 	if err != nil {
 		return Result{}, err
 	}
@@ -81,7 +86,7 @@ func Reliability(ctx context.Context, db *unreliable.DB, prog *Program, q Atom, 
 	h := new(big.Rat)
 	var evalErr error
 	err = db.ForEachWorldCtx(ctx, budget, func(b *rel.Structure, nu *big.Rat) bool {
-		actual, err := answerSet(prog, b, q)
+		actual, err := answerSet(a, b, q)
 		if err != nil {
 			evalErr = err
 			return false
@@ -114,10 +119,16 @@ func Reliability(ctx context.Context, db *unreliable.DB, prog *Program, q Atom, 
 // computation is #P-hard already for one conjunctive rule). The
 // statistic is the symmetric difference of the answer sets over n^k,
 // averaged by mc.EstimateMean on the seed's lane split, so the estimate
-// is a function of (db, prog, q, eps, delta, seed). A run that ctx cuts
-// short is an error: Result has no field for a widened ε.
+// is a function of (db, prog, q, eps, delta, seed). The program is
+// analysed once per call; a sample only evaluates it on its world. A
+// run that ctx cuts short is an error: Result has no field for a
+// widened ε.
 func ReliabilityMC(ctx context.Context, db *unreliable.DB, prog *Program, q Atom, eps, delta float64, seed int64) (Result, error) {
-	observed, err := answerSet(prog, db.A, q)
+	a, err := prog.analyse(db.A.Voc)
+	if err != nil {
+		return Result{}, err
+	}
+	observed, err := answerSet(a, db.A, q)
 	if err != nil {
 		return Result{}, err
 	}
@@ -127,7 +138,7 @@ func ReliabilityMC(ctx context.Context, db *unreliable.DB, prog *Program, q Atom
 		norm *= float64(db.A.N)
 	}
 	stat := func(b *rel.Structure) (float64, error) {
-		actual, err := answerSet(prog, b, q)
+		actual, err := answerSet(a, b, q)
 		if err != nil {
 			return 0, err
 		}

@@ -370,18 +370,25 @@ func TestEnginesHonorCanceledContext(t *testing.T) {
 
 // TestBudgetRefusalsAreEnumBudget: both budget refusals — too many
 // worlds, too many site combinations for one tuple — wrap
-// unreliable.ErrEnumBudget, the sentinel callers fall back on.
+// unreliable.ErrEnumBudget, the sentinel callers fall back on, and say
+// the word "budget" once.
 func TestBudgetRefusalsAreEnumBudget(t *testing.T) {
 	u := NewUDB(salaryDB())
 	for i := 0; i < 3; i++ {
 		u.MustSetDist(Site{Fn: "salary", Args: []int{i}}, []Weighted{w(1, 1, 2), w(2, 1, 2)})
 	}
 	all := Add{Add{FApp{Fn: "salary", Args: []FOTerm{elem(0)}}, FApp{Fn: "salary", Args: []FOTerm{elem(1)}}}, FApp{Fn: "salary", Args: []FOTerm{elem(2)}}}
-	if _, err := WorldEnum(bg, u, all, 4); !errors.Is(err, unreliable.ErrEnumBudget) {
+	_, err := WorldEnum(bg, u, all, 4)
+	if !errors.Is(err, unreliable.ErrEnumBudget) {
 		t.Errorf("8 worlds over a budget of 4: %v, want ErrEnumBudget", err)
+	} else if want := unreliable.ErrEnumBudget.Error() + ": metafinite: 8 worlds, budget 4"; err.Error() != want {
+		t.Errorf("8 worlds over a budget of 4: %q, want %q", err, want)
 	}
-	if _, err := QuantifierFree(bg, u, all, 4); !errors.Is(err, unreliable.ErrEnumBudget) {
+	_, err = QuantifierFree(bg, u, all, 4)
+	if !errors.Is(err, unreliable.ErrEnumBudget) {
 		t.Errorf("8 site combinations over a budget of 4: %v, want ErrEnumBudget", err)
+	} else if want := unreliable.ErrEnumBudget.Error() + ": metafinite: 8 site combinations, budget 4"; err.Error() != want {
+		t.Errorf("8 site combinations over a budget of 4: %q, want %q", err, want)
 	}
 }
 

@@ -92,7 +92,7 @@ func QuantifierFree(ctx context.Context, u *UDB, t Term, budget int) (Result, er
 				unc = append(unc, s)
 				combos *= len(d)
 				if combos > budget {
-					return fmt.Errorf("%w: metafinite: %d site combinations exceed budget %d", unreliable.ErrEnumBudget, combos, budget)
+					return fmt.Errorf("%w: metafinite: %d site combinations, budget %d", unreliable.ErrEnumBudget, combos, budget)
 				}
 			}
 		}

@@ -175,7 +175,7 @@ func (u *UDB) ForEachWorld(ctx context.Context, budget int, fn func(b *FDB, p *b
 		budget = MaxEnumWorlds
 	}
 	if count := u.WorldCount(); count.Cmp(big.NewInt(int64(budget))) > 0 {
-		return fmt.Errorf("%w: metafinite: %v worlds exceed enumeration budget %d", unreliable.ErrEnumBudget, count, budget)
+		return fmt.Errorf("%w: metafinite: %v worlds, budget %d", unreliable.ErrEnumBudget, count, budget)
 	}
 	b := u.baseWorld()
 	return u.walkSupports(ctx, u.uncertain, b, func(p *big.Rat) bool { return fn(b, p) })

@@ -99,12 +99,13 @@ func (p ProbAssignment) Validate(numVars int) error {
 	if len(p) < numVars {
 		return fmt.Errorf("prop: probability assignment covers %d of %d variables", len(p), numVars)
 	}
-	zero, one := new(big.Rat), big.NewRat(1, 1)
 	for v, pr := range p {
 		if pr == nil {
 			return fmt.Errorf("prop: variable %d has nil probability", v)
 		}
-		if pr.Cmp(zero) < 0 || pr.Cmp(one) > 0 {
+		// Num and Denom are normalised and Denom > 0, so this is
+		// 0 ≤ pr ≤ 1 without Rat.Cmp's cross products.
+		if pr.Sign() < 0 || (pr.IsInt() && pr.Num().BitLen() > 1) || (!pr.IsInt() && pr.Num().Cmp(pr.Denom()) > 0) {
 			return fmt.Errorf("prop: variable %d has probability %v outside [0,1]", v, pr)
 		}
 	}

@@ -76,6 +76,11 @@ type atomLists struct {
 	flips   map[string]*Flips
 	weights Weights
 
+	// nu[i] is nu of the i-th uncertain atom: only the lineage and
+	// quantifier-free engines ask (see Nu).
+	nuOnce sync.Once
+	nu     []*big.Rat
+
 	// The weights over their least common denominator: only the
 	// quantifier-free engine asks, and on a database with many coprime
 	// denominators they are large.
@@ -166,6 +171,34 @@ func (d *DB) NuAtom(atom rel.GroundAtom) *big.Rat {
 	return mu
 }
 
+// Nu returns nu(atom) as NuAtom does, as a value of the current
+// snapshot that is shared with every other caller and must not be
+// modified: an uncertain atom's nu is built once per snapshot, in the
+// flip index's order, and every certain or mu = 1 atom gets one of two
+// shared constants 0 and 1. Engines that read nu for many atoms of many
+// tuples call it instead of NuAtom, which allocates.
+func (d *DB) Nu(atom rel.GroundAtom) *big.Rat {
+	l := d.atoms()
+	i, sure := l.relFlips(atom.Rel).Index(atom.Args)
+	if i < 0 {
+		if d.A.Holds(atom.Rel, atom.Args) != sure {
+			return ratOne
+		}
+		return ratZero
+	}
+	l.nuOnce.Do(func() {
+		l.nu = make([]*big.Rat, len(l.uncertain))
+		for j, e := range l.uncertain {
+			if d.A.Holds(e.atom.Rel, e.atom.Args) {
+				l.nu[j] = new(big.Rat).Sub(ratOne, e.mu)
+			} else {
+				l.nu[j] = new(big.Rat).Set(e.mu)
+			}
+		}
+	})
+	return l.nu[i]
+}
+
 // atoms returns the snapshot of the uncertain and sure atoms in
 // canonical order (relation name, then tuple key), building it if a
 // mutation invalidated the last one.
@@ -241,8 +274,11 @@ func (d *DB) FlipIndex(a rel.GroundAtom) (i int, sure bool) {
 // snapshot. A caller that classifies many tuples of one relation
 // resolves it once; it is invalidated, like every snapshot, by
 // SetError.
-func (d *DB) RelFlips(name string) *Flips {
-	if x := d.atoms().tables().flips[name]; x != nil {
+func (d *DB) RelFlips(name string) *Flips { return d.atoms().relFlips(name) }
+
+// relFlips is RelFlips in the snapshot l.
+func (l *atomLists) relFlips(name string) *Flips {
+	if x := l.tables().flips[name]; x != nil {
 		return x
 	}
 	return noFlips
@@ -320,10 +356,12 @@ func (d *DB) WorldProb(mask uint64) *big.Rat {
 // enumeration (2^u worlds).
 const MaxEnumAtoms = 30
 
-// ErrEnumBudget is wrapped in errors returned when the uncertain-atom
-// count exceeds an enumeration budget; callers use it to distinguish
-// "instance too large for this engine" from evaluation failures.
-var ErrEnumBudget = fmt.Errorf("unreliable: uncertain atoms exceed enumeration budget")
+// ErrEnumBudget is wrapped in errors returned when an enumeration —
+// of worlds, uncertain atoms or site combinations — would exceed its
+// budget; callers use it to distinguish "instance too large for this
+// engine" from evaluation failures. A wrapper names what it counted and
+// the budget once: "<ErrEnumBudget>: 20 uncertain atoms, budget 16".
+var ErrEnumBudget = fmt.Errorf("unreliable: enumeration budget exceeded")
 
 // ForEachWorld enumerates the possible worlds B ∈ Omega(D) with their
 // probabilities nu(B), calling fn for each; fn returning false stops the

@@ -1,6 +1,8 @@
 package unreliable
 
 import (
+	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"sync"
@@ -168,8 +170,12 @@ func TestSureFlips(t *testing.T) {
 func TestEnumerationBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := testDB(rng, 4, 8)
-	if err := d.ForEachWorld(4, func(*rel.Structure, *big.Rat) bool { return true }); err == nil {
-		t.Error("budget not enforced")
+	err := d.ForEachWorld(4, func(*rel.Structure, *big.Rat) bool { return true })
+	if !errors.Is(err, ErrEnumBudget) {
+		t.Fatalf("budget not enforced: %v", err)
+	}
+	if want := fmt.Sprintf("%v: %d uncertain atoms, budget 4", ErrEnumBudget, d.NumUncertain()); err.Error() != want {
+		t.Errorf("refusal %q, want %q", err, want)
 	}
 }
 
@@ -471,12 +477,44 @@ func TestColdConcurrentReads(t *testing.T) {
 				if _, sure := d.FlipIndex(atomS(0)); sure {
 					t.Errorf("round %d: S(0) reported as a sure flip", round)
 				}
+				for x := 0; x < 4; x++ {
+					for _, a := range []rel.GroundAtom{atomS(x), atomE(x, g%4)} {
+						if got, want := d.Nu(a), d.NuAtom(a); got.Cmp(want) != 0 {
+							t.Errorf("round %d: Nu(%v) = %v, want %v", round, a, got, want)
+						}
+					}
+				}
 			}(g)
 		}
 		wg.Wait()
 		// Re-setting an uncertain atom keeps u at 9 and invalidates the snapshot.
 		d.MustSetError(d.UncertainAtoms()[0], big.NewRat(1, 3))
 	}
+}
+
+// TestNuMatchesNuAtom: the snapshot's shared nu equals NuAtom for
+// uncertain, certain and mu = 1 atoms, observed or not, and a mutation
+// is seen by the next read.
+func TestNuMatchesNuAtom(t *testing.T) {
+	d := testDB(rand.New(rand.NewSource(45)), 3, 5)
+	d.MustSetError(atomS(0), big.NewRat(1, 1))
+	d.MustSetError(atomE(2, 2), big.NewRat(1, 1))
+	check := func(when string) {
+		for x := 0; x < 3; x++ {
+			atoms := []rel.GroundAtom{atomS(x)}
+			for y := 0; y < 3; y++ {
+				atoms = append(atoms, atomE(x, y))
+			}
+			for _, a := range atoms {
+				if got, want := d.Nu(a), d.NuAtom(a); got.Cmp(want) != 0 {
+					t.Errorf("%s: Nu(%v) = %v, NuAtom %v", when, a, got, want)
+				}
+			}
+		}
+	}
+	check("first snapshot")
+	d.MustSetError(d.UncertainAtoms()[0], big.NewRat(2, 7))
+	check("after SetError")
 }
 
 // TestNumUncertainTracksSetError: the count SetError maintains equals

@@ -8,18 +8,28 @@
 # (scripts/signtest; each metric's direction is read from
 # BENCHMARK.json).
 #
-#   scripts/ab.sh <git-ref> [workload] [pairs]
+#   scripts/ab.sh <git-ref> [workload] [pairs] [n]
 #
-# workload defaults to all five, pairs to 10. Each run uses the bench's
-# defaults (seed 1998, 20 s per measured phase, untraced). Everything is
-# written under a fresh directory in ${TMPDIR:-/tmp}; the result files
-# and run logs stay there and are named at the end.
+# workload defaults to all five (pass "" to name pairs or n), pairs to
+# 10. Given n, the sign tests are also recorded in BENCH_<n>.json at
+# the repository root (`signtest -record`): commits, Go version,
+# GOMAXPROCS, nproc, CPU model, and per (workload, metric) both
+# medians, both IQRs, pairs won of pairs decided and the verdict. Each
+# run uses the bench's defaults (seed 1998, 20 s per measured phase,
+# untraced). Everything else is written under a fresh directory in
+# ${TMPDIR:-/tmp}; the result files and run logs stay there and are
+# named at the end.
 set -euo pipefail
 
-ref=${1:?usage: scripts/ab.sh <git-ref> [workload] [pairs]}
+usage="usage: scripts/ab.sh <git-ref> [workload] [pairs] [n]"
+ref=${1:?$usage}
 workload=${2:-}
 pairs=${3:-10}
 root=$(cd "$(dirname "$0")/.." && pwd)
+record=()
+if [ -n "${4:-}" ]; then
+  record=(-record "$root/BENCH_$4.json")
+fi
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/qrel-ab.XXXXXX")
 
 mkdir -p "$tmp/base" "$tmp/cand"
@@ -57,6 +67,6 @@ status=0
 "$tmp/cand/bench.bin" -compare "$tmp/base.json" "$tmp/cand.json" || status=$?
 echo
 echo "sign test, pairs won by the work tree / pairs not tied:"
-(cd "$root" && go run ./scripts/signtest BENCHMARK.json "$tmp/base.json" "$tmp/cand.json")
+(cd "$root" && go run ./scripts/signtest "${record[@]}" BENCHMARK.json "$tmp/base.json" "$tmp/cand.json")
 echo "result files: $tmp/base.json (baseline $ref) $tmp/cand.json (work tree); logs beside them" >&2
 exit "$status"

@@ -2,13 +2,19 @@
 // the benchmark: for every (metric, workload), how many of the run
 // pairs the candidate won, out of the pairs whose values differ.
 //
-//	go run ./scripts/signtest BENCHMARK.json base.json cand.json
+//	go run ./scripts/signtest [-record BENCH_<n>.json] BENCHMARK.json base.json cand.json
 //
 // base.json and cand.json are result files written by `bench -out`
 // (scripts/ab.sh writes one per side); the i-th untraced run of a
 // workload in one file is paired with the i-th in the other. Which
 // direction wins is each metric's "better" in BENCHMARK.json; a metric
 // it does not list is skipped. Ties are excluded from the count.
+//
+// With -record, the run is also written as a BENCH file (see record):
+// where it ran, and per (workload, metric) both medians, both IQRs, the
+// pairs won of the pairs decided and the verdict of the sign-test rule
+// a claimed gain must meet, so that the claim can be re-checked later
+// from the file alone.
 package main
 
 import (
@@ -16,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"text/tabwriter"
 )
 
@@ -30,6 +37,13 @@ type benchSpec struct {
 }
 
 type resultFile struct {
+	Env struct {
+		Commit     string `json:"commit"`
+		GoVersion  string `json:"go_version"`
+		GOMAXPROCS int    `json:"gomaxprocs"`
+		NProc      int    `json:"nproc"`
+		CPUModel   string `json:"cpu_model"`
+	} `json:"env"`
 	Runs []struct {
 		Workload string `json:"workload"`
 		Traced   bool   `json:"traced"`
@@ -41,16 +55,54 @@ type resultFile struct {
 
 // row is the sign test of one metric on one workload.
 type row struct {
-	metric, workload string
-	won, decided     int // pairs the candidate won; pairs not tied
-	pairs            int
+	metric, workload, better string
+	won, decided             int // pairs the candidate won; pairs not tied
+	pairs                    int
+	base, cand               []float64 // the paired values, in run order
+}
+
+// record is a BENCH_<n>.json file: one A/B run, where it ran, and one
+// row per (workload, metric).
+type record struct {
+	Base       string      `json:"base"`      // the baseline's commit
+	Candidate  string      `json:"candidate"` // the candidate's commit
+	GoVersion  string      `json:"go_version"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
+	NProc      int         `json:"nproc"`
+	CPUModel   string      `json:"cpu_model"`
+	Pairs      int         `json:"pairs"` // the most pairs any row has
+	Rows       []recordRow `json:"rows"`
+}
+
+// recordRow is one (workload, metric) of a record. The IQRs are Q3 − Q1
+// by bench/compare.go's quartile method, in the metric's unit.
+type recordRow struct {
+	Workload   string  `json:"workload"`
+	Metric     string  `json:"metric"`
+	Better     string  `json:"better"`
+	BaseMedian float64 `json:"base_median"`
+	BaseIQR    float64 `json:"base_iqr"`
+	CandMedian float64 `json:"cand_median"`
+	CandIQR    float64 `json:"cand_iqr"`
+	Pairs      int     `json:"pairs"`
+	Won        int     `json:"won"`
+	Decided    int     `json:"decided"`
+	Verdict    string  `json:"verdict"` // see verdict
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
+	out := ""
+	if len(args) > 0 && args[0] == "-record" {
+		if len(args) < 2 {
+			args = nil // usage
+		} else {
+			out, args = args[1], args[2:]
+		}
+	}
 	if len(args) != 3 {
-		fmt.Fprintln(stderr, "usage: signtest BENCHMARK.json base.json cand.json")
+		fmt.Fprintln(stderr, "usage: signtest [-record BENCH_<n>.json] BENCHMARK.json base.json cand.json")
 		return 2
 	}
 	var spec benchSpec
@@ -65,13 +117,94 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
+	rows := signTests(spec, &base, &cand)
 	tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "metric\tworkload\twon/run\tties")
-	for _, r := range signTests(spec, &base, &cand) {
+	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%s\t%d/%d\t%d\n", r.metric, r.workload, r.won, r.decided, r.pairs-r.decided)
 	}
 	tw.Flush()
+	if out == "" {
+		return 0
+	}
+	data, err := json.MarshalIndent(newRecord(&base, &cand, rows), "", " ")
+	if err == nil {
+		err = os.WriteFile(out, append(data, '\n'), 0o666)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "signtest: %v\n", err)
+		return 1
+	}
 	return 0
+}
+
+// newRecord is the record of the sign tests rows of base against cand.
+func newRecord(base, cand *resultFile, rows []row) record {
+	rec := record{
+		Base:       base.Env.Commit,
+		Candidate:  cand.Env.Commit,
+		GoVersion:  cand.Env.GoVersion,
+		GOMAXPROCS: cand.Env.GOMAXPROCS,
+		NProc:      cand.Env.NProc,
+		CPUModel:   cand.Env.CPUModel,
+		Rows:       []recordRow{},
+	}
+	for _, r := range rows {
+		rec.Pairs = max(rec.Pairs, r.pairs)
+		b1, b2, b3 := quartiles(r.base)
+		c1, c2, c3 := quartiles(r.cand)
+		rec.Rows = append(rec.Rows, recordRow{
+			Workload: r.workload, Metric: r.metric, Better: r.better,
+			BaseMedian: b2, BaseIQR: b3 - b1, CandMedian: c2, CandIQR: c3 - c1,
+			Pairs: r.pairs, Won: r.won, Decided: r.decided,
+			Verdict: verdict(r, b2, b3-b1, c2),
+		})
+	}
+	return rec
+}
+
+// neededWins is the sign test's bar for n pairs: nine tenths, rounded up.
+func neededWins(n int) int { return (9*n + 9) / 10 }
+
+// verdict is "improved" when the candidate won at least nine tenths of
+// the pairs run (ties count for neither side) and its median is better
+// than the baseline's by more than the baseline's IQR, "worse" when the
+// same holds the other way round, and "neither" otherwise.
+func verdict(r row, baseMedian, baseIQR, candMedian float64) string {
+	gain := candMedian - baseMedian
+	if r.better != "higher" {
+		gain = -gain
+	}
+	switch {
+	case r.pairs > 0 && r.won >= neededWins(r.pairs) && gain > baseIQR:
+		return "improved"
+	case r.pairs > 0 && r.decided-r.won >= neededWins(r.pairs) && -gain > baseIQR:
+		return "worse"
+	default:
+		return "neither"
+	}
+}
+
+// quartiles returns Q1, Q2, Q3 as bench/compare.go does: Python's
+// statistics.quantiles(v, n=4), the exclusive method. One value is its
+// own three quartiles; none gives zeros.
+func quartiles(v []float64) (q1, q2, q3 float64) {
+	s := slices.Clone(v)
+	slices.Sort(s)
+	n := len(s)
+	switch n {
+	case 0:
+		return 0, 0, 0
+	case 1:
+		return s[0], s[0], s[0]
+	}
+	cut := func(i int) float64 {
+		m := n + 1
+		j := min(max(i*m/4, 1), n-1)
+		delta := float64(i*m - j*4)
+		return (s[j-1]*(4-delta) + s[j]*delta) / 4
+	}
+	return cut(1), cut(2), cut(3)
 }
 
 // signTests pairs the untraced runs of the two files per workload, in
@@ -90,10 +223,11 @@ func signTests(spec benchSpec, base, cand *resultFile) []row {
 	for _, def := range append(append([]metricDef(nil), spec.EndToEnd...), spec.PerLayer...) {
 		for _, w := range workloads {
 			a, b := series(base, w, def.Name), series(cand, w, def.Name)
-			r := row{metric: def.Name, workload: w, pairs: min(len(a), len(b))}
+			r := row{metric: def.Name, workload: w, better: def.Better, pairs: min(len(a), len(b))}
 			if r.pairs == 0 {
 				continue
 			}
+			r.base, r.cand = a[:r.pairs], b[:r.pairs]
 			for i := 0; i < r.pairs; i++ {
 				if a[i] == b[i] {
 					continue
