@@ -176,12 +176,13 @@ func (t Tuple) Key() uint64 {
 // KeyToTuple unpacks a key produced by Tuple.Key back into a tuple of the
 // given arity.
 func KeyToTuple(k uint64, arity int) Tuple {
-	return unpackKey(k, make(Tuple, arity))
+	return UnpackKey(k, make(Tuple, arity))
 }
 
-// unpackKey fills t with the components of key k, the last component
-// from the low 16 bits.
-func unpackKey(k uint64, t Tuple) Tuple {
+// UnpackKey fills t with the components of key k, the last component
+// from the low 16 bits, and returns it: KeyToTuple into the caller's
+// buffer.
+func UnpackKey(k uint64, t Tuple) Tuple {
 	for i := len(t) - 1; i >= 0; i-- {
 		t[i] = int(k & 0xffff)
 		k >>= 16
@@ -528,7 +529,7 @@ func (c *Cursor) Next() (Tuple, bool) {
 		}
 		k := c.keys[0]
 		c.keys = c.keys[1:]
-		return unpackKey(k, c.t), true
+		return UnpackKey(k, c.t), true
 	}
 	for c.word == 0 {
 		if c.w+1 >= len(c.r.words) {

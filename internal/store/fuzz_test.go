@@ -36,7 +36,7 @@ func FuzzPage(f *testing.F) {
 					_ = decodeTuple(rec, elems)
 				}
 			case pageTypeMu:
-				_, _, _, _ = decodeMu(rec)
+				_, _, _, _ = decodeMu(rec, nil)
 			}
 		}
 	})

@@ -196,9 +196,10 @@ func encodeMu(dst []byte, relIdx int, elems []int, rat string) []byte {
 	return append(dst, rat...)
 }
 
-// decodeMu splits a mu record; the probability string is validated by
-// the caller against big.Rat.
-func decodeMu(rec []byte) (relIdx int, elems []int, rat string, err error) {
+// decodeMu splits a mu record, decoding its elements into buf when it
+// has room; the probability string is validated by the caller against
+// big.Rat.
+func decodeMu(rec []byte, buf []int) (relIdx int, elems []int, rat string, err error) {
 	if len(rec) < 4 {
 		return 0, nil, "", fmt.Errorf("mu record is %d bytes, need at least 4", len(rec))
 	}
@@ -207,7 +208,10 @@ func decodeMu(rec []byte) (relIdx int, elems []int, rat string, err error) {
 	if arity > 16 || len(rec) < 4+2*arity {
 		return 0, nil, "", fmt.Errorf("mu record arity %d does not fit %d bytes", arity, len(rec))
 	}
-	elems = make([]int, arity)
+	if cap(buf) < arity {
+		buf = make([]int, arity)
+	}
+	elems = buf[:arity]
 	if err := decodeTuple(rec[4:4+2*arity], elems); err != nil {
 		return 0, nil, "", err
 	}

@@ -845,8 +845,15 @@ func (sc *scan) Close() error {
 	return nil
 }
 
-// forEachMu streams the mu chain, decoding each record.
+// forEachMu streams the mu chain, decoding each record. The tuple and
+// the probability fn receives are scratch values, overwritten by the
+// next record: unreliable.DB.SetError keeps only the tuple's key and
+// its own copy of the probability.
 func (s *Store) forEachMu(fn func(relIdx int, t rel.Tuple, p *big.Rat) error) error {
+	var (
+		elems []int
+		p     big.Rat
+	)
 	s.mu.Lock()
 	sc := &scan{s: s, relIdx: -1, next: s.cat.MuHead}
 	nRels := len(s.cat.Rels)
@@ -878,18 +885,20 @@ func (s *Store) forEachMu(fn func(relIdx int, t rel.Tuple, p *big.Rat) error) er
 		}
 		rec := pageRecord(sc.fr.buf, sc.slot)
 		sc.slot++
-		relIdx, elems, ratStr, err := decodeMu(rec)
+		relIdx, t, ratStr, err := decodeMu(rec, elems)
 		if err != nil {
 			return fmt.Errorf("%w: page %d: %v", ErrCorruptPage, sc.fr.id, err)
 		}
 		if relIdx >= nRels {
 			return fmt.Errorf("%w: page %d: mu record names relation %d of %d", ErrCorruptPage, sc.fr.id, relIdx, nRels)
 		}
-		p, ok := new(big.Rat).SetString(ratStr)
-		if !ok || p.Sign() <= 0 || p.Cmp(big.NewRat(1, 1)) > 0 {
+		elems = t
+		// 0 < p ≤ 1 for a reduced p: a positive numerator no larger than
+		// the denominator (Rat.Cmp would allocate).
+		if !unreliable.ParseProb(&p, ratStr) || p.Sign() <= 0 || p.Num().CmpAbs(p.Denom()) > 0 {
 			return fmt.Errorf("%w: page %d: mu record probability %q outside (0,1]", ErrCorruptPage, sc.fr.id, ratStr)
 		}
-		if err := fn(relIdx, rel.Tuple(elems), p); err != nil {
+		if err := fn(relIdx, rel.Tuple(t), &p); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/big"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -113,5 +114,42 @@ func BenchmarkStoreStream(b *testing.B) {
 				drain(b, s)
 			}
 		})
+	}
+}
+
+// BenchmarkStoreLoadDB measures LoadDB, the cold snapshot a server
+// builds when a store changes: a 1 024-element graph of 40 000 edge
+// draws and 16 labels with 2 000 uncertain edges, read through the
+// default pool.
+func BenchmarkStoreLoadDB(b *testing.B) {
+	const n = 1024
+	voc := rel.MustVocabulary(rel.RelSym{Name: "E", Arity: 2}, rel.RelSym{Name: "S", Arity: 1})
+	a := rel.MustStructure(n, voc)
+	rng := rand.New(rand.NewSource(1998))
+	for i := 0; i < 40000; i++ {
+		a.MustAdd("E", rng.Intn(n), rng.Intn(n))
+	}
+	for i := 0; i < 16; i++ {
+		a.MustAdd("S", i)
+	}
+	db := unreliable.New(a)
+	for db.NumUncertain() < 2000 {
+		db.MustSetError(rel.GroundAtom{Rel: "E", Args: rel.Tuple{rng.Intn(n), rng.Intn(n)}}, big.NewRat(int64(1+rng.Intn(9)), 10))
+	}
+	path := filepath.Join(b.TempDir(), "load.qstore")
+	if err := BuildFromDB(path, db, Options{PageSize: 4096}, 0, nil); err != nil {
+		b.Fatal(err)
+	}
+	s, err := Open(path, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.LoadDB(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"qrel/internal/rel"
 )
@@ -27,16 +28,28 @@ import (
 // Lines are independent; "universe" must precede relations' facts and
 // "rel" declarations must precede their use. Probabilities are exact
 // rationals "p/q" or decimal strings accepted by big.Rat.SetString.
+//
+// A database parsed from text costs about what its text does: a fact
+// line allocates its line string and, when it carries an error
+// probability, the DB's own copy of it. The parser splits each line
+// into one reused token slice, decodes a fact's elements into one
+// reused tuple (the structure and μ keep only its rank or key), and
+// reads a "p/q" of small decimal parts into one reused rational; any
+// other probability takes big.Rat.SetString's general parse.
 
 // ParseDB reads an unreliable database in the text format.
 func ParseDB(r io.Reader) (*DB, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024)
 	voc := &rel.Vocabulary{}
 	var (
 		db   *DB
 		n    = -1
 		line int
+		// Reused across lines; see the header comment.
+		fields []string
+		tup    rel.Tuple
+		prob   big.Rat
 	)
 	type constDecl struct {
 		name string
@@ -68,7 +81,7 @@ func ParseDB(r io.Reader) (*DB, error) {
 		if i := strings.IndexByte(text, '#'); i >= 0 {
 			text = text[:i]
 		}
-		fields := strings.Fields(text)
+		fields = appendFields(fields[:0], text)
 		if len(fields) == 0 {
 			continue
 		}
@@ -130,7 +143,10 @@ func ParseDB(r io.Reader) (*DB, error) {
 			if len(rest) < sym.Arity {
 				return nil, fmt.Errorf("unreliable: line %d: %s needs %d elements", line, sym, sym.Arity)
 			}
-			tup := make(rel.Tuple, sym.Arity)
+			if cap(tup) < sym.Arity {
+				tup = make(rel.Tuple, sym.Arity)
+			}
+			tup = tup[:sym.Arity]
 			for i := 0; i < sym.Arity; i++ {
 				e, err := strconv.Atoi(rest[i])
 				if err != nil {
@@ -144,25 +160,25 @@ func ParseDB(r io.Reader) (*DB, error) {
 				present = false
 				rest = rest[1:]
 			}
-			var errProb *big.Rat
-			if len(rest) >= 2 && rest[0] == "err" {
-				p, ok := new(big.Rat).SetString(rest[1])
-				if !ok {
+			hasErr := len(rest) >= 2 && rest[0] == "err"
+			if hasErr {
+				if !ParseProb(&prob, rest[1]) {
 					return nil, fmt.Errorf("unreliable: line %d: bad probability %q", line, rest[1])
 				}
-				errProb = p
 				rest = rest[2:]
 			}
 			if len(rest) != 0 {
 				return nil, fmt.Errorf("unreliable: line %d: trailing tokens %v", line, rest)
 			}
+			// The symbol's own name, so that μ's keys do not hold on to
+			// the line.
 			if present {
-				if err := db.A.Add(fields[0], tup); err != nil {
+				if err := db.A.Add(sym.Name, tup); err != nil {
 					return nil, fmt.Errorf("unreliable: line %d: %w", line, err)
 				}
 			}
-			if errProb != nil {
-				if err := db.SetError(rel.GroundAtom{Rel: fields[0], Args: tup}, errProb); err != nil {
+			if hasErr {
+				if err := db.SetError(rel.GroundAtom{Rel: sym.Name, Args: tup}, &prob); err != nil {
 					return nil, fmt.Errorf("unreliable: line %d: %w", line, err)
 				}
 			}
@@ -175,6 +191,95 @@ func ParseDB(r io.Reader) (*DB, error) {
 		return nil, err
 	}
 	return db, nil
+}
+
+// appendFields appends the fields of s to dst as strings.Fields splits
+// them. Space, tab, CR and LF are split on here; a line holding \v, \f
+// or a non-ASCII byte, which strings.Fields may also count as space,
+// is left to strings.Fields.
+func appendFields(dst []string, s string) []string {
+	start := -1
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case ' ', '\t', '\r', '\n':
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		case '\v', '\f':
+			return strings.Fields(s)
+		default:
+			if c >= utf8.RuneSelf {
+				return strings.Fields(s)
+			}
+			if start < 0 {
+				start = i
+			}
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
+// ParseProb sets z to the probability text s as z.SetString(s) would
+// and reports whether s parses; ParseDB and the store's μ records read
+// through it. A "p/q" or "p" of plain decimal parts of at most 18
+// digits — what WriteDB and the store write — is reduced in int64s and
+// stored in z's own words, so a z reused across calls allocates
+// nothing. Anything else, from decimals and exponents to base
+// prefixes, long numbers and q = 0, goes through SetString.
+func ParseProb(z *big.Rat, s string) bool {
+	numText, denText, isFrac := strings.Cut(s, "/")
+	num, ok := smallDecimal(numText, true)
+	den := int64(1)
+	if ok && isFrac {
+		den, ok = smallDecimal(denText, false)
+		ok = ok && den != 0
+	}
+	if !ok {
+		_, ok = z.SetString(s)
+		return ok
+	}
+	a, b := num, den // gcd(|num|, den)
+	if a < 0 {
+		a = -a
+	}
+	for b != 0 {
+		a, b = b, a%b
+	}
+	// SetInt64 gives z a denominator of 1, so Denom is z's own.
+	z.SetInt64(num / a)
+	z.Denom().SetInt64(den / a)
+	return true
+}
+
+// smallDecimal parses s as a decimal integer of at most 18 digits, so
+// that it fits an int64, with an optional sign when signed. It refuses
+// a leading zero before another digit, and so every string that
+// SetString's base-0 parse reads other than in plain decimal ("010" is
+// octal there).
+func smallDecimal(s string, signed bool) (int64, bool) {
+	neg := false
+	if signed && s != "" && (s[0] == '+' || s[0] == '-') {
+		neg, s = s[0] == '-', s[1:]
+	}
+	if s == "" || len(s) > 18 || (s[0] == '0' && len(s) > 1) {
+		return 0, false
+	}
+	var v int64
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
 }
 
 // WriteDB writes the database in the text format; parsing the output

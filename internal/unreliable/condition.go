@@ -23,16 +23,13 @@ func (d *DB) Condition(atom rel.GroundAtom, value bool) (*DB, error) {
 	if value && nu.Sign() == 0 {
 		return nil, fmt.Errorf("unreliable: conditioning on %v = true, which has probability 0", atom)
 	}
-	if !value && nu.Cmp(ratOne) == 0 {
+	if !value && isOne(nu) {
 		return nil, fmt.Errorf("unreliable: conditioning on %v = false, which has probability 0", atom)
 	}
 	c := d.Clone()
-	observed := d.A.Holds(atom.Rel, atom.Args)
-	var mu *big.Rat
-	if observed == value {
-		mu = new(big.Rat) // certainly right
-	} else {
-		mu = new(big.Rat).Set(ratOne) // certainly wrong
+	mu := ratOne // certainly wrong
+	if d.A.Holds(atom.Rel, atom.Args) == value {
+		mu = ratZero // certainly right
 	}
 	if err := c.SetError(atom, mu); err != nil {
 		return nil, err
@@ -50,7 +47,9 @@ func (d *DB) MostLikelyWorld() (*rel.Structure, *big.Rat) {
 	p := new(big.Rat).Set(ratOne)
 	for _, e := range l.uncertain {
 		keep := new(big.Rat).Sub(ratOne, e.mu)
-		if e.mu.Cmp(ratHalf) > 0 {
+		// mu and 1 − mu share their reduced denominator, so mu > 1/2
+		// exactly when its numerator exceeds keep's.
+		if e.mu.Num().Cmp(keep.Num()) > 0 {
 			b.Rel(e.atom.Rel).Toggle(e.atom.Args)
 			p.Mul(p, e.mu)
 		} else {

@@ -23,18 +23,19 @@ func fromProbabilities(n int, voc *rel.Vocabulary, nu map[rel.AtomKey]*big.Rat) 
 	}
 	d := New(a)
 	for k, p := range nu {
-		if p == nil || p.Cmp(ratZero) < 0 || p.Cmp(ratOne) > 0 {
+		if p == nil || !inUnit(p) {
 			return nil, fmt.Errorf("unreliable: nu(%v) = %v outside [0,1]", k.Atom(), p)
 		}
 		atom := k.Atom()
-		var mu *big.Rat
-		if p.Cmp(ratHalf) >= 0 {
+		// p and 1 − p share their reduced denominator, so p ≥ 1/2
+		// exactly when its numerator is at least 1 − p's.
+		mu := new(big.Rat).Sub(ratOne, p)
+		if p.Num().Cmp(mu.Num()) >= 0 {
 			if err := a.Add(atom.Rel, atom.Args); err != nil {
 				return nil, err
 			}
-			mu = new(big.Rat).Sub(ratOne, p)
 		} else {
-			mu = new(big.Rat).Set(p)
+			mu = p
 		}
 		if err := d.SetError(atom, mu); err != nil {
 			return nil, err

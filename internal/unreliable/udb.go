@@ -11,9 +11,11 @@ package unreliable
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/big"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -23,8 +25,17 @@ import (
 var (
 	ratZero = new(big.Rat)
 	ratOne  = big.NewRat(1, 1)
-	ratHalf = big.NewRat(1, 2)
+	intOne  = big.NewInt(1)
 )
+
+// inUnit and isOne compare a probability with 0 and 1 without
+// big.Rat.Cmp, which allocates as it scales both sides to a common
+// denominator: a big.Rat is kept reduced over a positive denominator,
+// so p ≤ 1 exactly when its numerator is at most its denominator, and
+// p = 1 exactly when it is the integer 1.
+func inUnit(p *big.Rat) bool { return p.Sign() >= 0 && p.Num().CmpAbs(p.Denom()) <= 0 }
+
+func isOne(p *big.Rat) bool { return p.IsInt() && p.Num().Cmp(intOne) == 0 }
 
 // DB is an unreliable database (A, mu). Atoms without an explicit error
 // probability are certain (mu = 0). Atoms with mu = 1 are certainly
@@ -37,6 +48,9 @@ type DB struct {
 	// A is the observed database.
 	A *rel.Structure
 
+	// mu holds the database's own copy of every nonzero error
+	// probability. A value in mu is never mutated — SetError replaces
+	// it — so snapshots and clones share the values.
 	mu map[rel.AtomKey]*big.Rat
 	// numUncertain counts the entries of mu below 1, kept by SetError so
 	// that a builder looping "until NumUncertain reaches u" does not
@@ -113,7 +127,8 @@ func New(a *rel.Structure) *DB {
 
 // SetError sets mu(atom) = p. It validates that the atom is well formed
 // over A's vocabulary and universe and that p ∈ [0, 1]. Setting 0
-// removes the atom from the uncertain set.
+// removes the atom from the uncertain set. The database keeps its own
+// copy of p, so the caller may reuse p.
 func (d *DB) SetError(atom rel.GroundAtom, p *big.Rat) error {
 	r := d.A.Rel(atom.Rel)
 	if r == nil {
@@ -127,18 +142,18 @@ func (d *DB) SetError(atom rel.GroundAtom, p *big.Rat) error {
 			return fmt.Errorf("unreliable: atom %v mentions element outside universe [0,%d)", atom, d.A.N)
 		}
 	}
-	if p == nil || p.Cmp(ratZero) < 0 || p.Cmp(ratOne) > 0 {
+	if p == nil || !inUnit(p) {
 		return fmt.Errorf("unreliable: error probability %v outside [0,1]", p)
 	}
 	k := atom.Key()
-	if old, ok := d.mu[k]; ok && old.Cmp(ratOne) < 0 {
+	if old, ok := d.mu[k]; ok && !isOne(old) {
 		d.numUncertain--
 	}
 	if p.Sign() == 0 {
 		delete(d.mu, k)
 	} else {
 		d.mu[k] = new(big.Rat).Set(p)
-		if p.Cmp(ratOne) < 0 {
+		if !isOne(p) {
 			d.numUncertain++
 		}
 	}
@@ -187,13 +202,32 @@ func (d *DB) Nu(atom rel.GroundAtom) *big.Rat {
 		return ratZero
 	}
 	l.nuOnce.Do(func() {
+		// nu_j is mu_j when the atom is absent, and Keep_j/Den_j, reduced,
+		// when it holds: those rationals come from one slab and share the
+		// weights' read-only words. A Rat's denominator is its own to set
+		// only once the Rat holds a value, so each starts as a shallow
+		// copy of 1 and then takes the weights' words for both parts,
+		// keeping nothing of the copy.
+		w := l.weights
+		holds := 0
+		for _, e := range l.uncertain {
+			if d.A.Holds(e.atom.Rel, e.atom.Args) {
+				holds++
+			}
+		}
+		rats := make([]big.Rat, holds)
 		l.nu = make([]*big.Rat, len(l.uncertain))
 		for j, e := range l.uncertain {
-			if d.A.Holds(e.atom.Rel, e.atom.Args) {
-				l.nu[j] = new(big.Rat).Sub(ratOne, e.mu)
-			} else {
-				l.nu[j] = new(big.Rat).Set(e.mu)
+			if !d.A.Holds(e.atom.Rel, e.atom.Args) {
+				l.nu[j] = e.mu
+				continue
 			}
+			r := &rats[0]
+			rats = rats[1:]
+			*r = *ratOne
+			r.Num().SetBits(w.Keep[j].Bits())
+			r.Denom().SetBits(w.Den[j].Bits())
+			l.nu[j] = r
 		}
 	})
 	return l.nu[i]
@@ -211,29 +245,52 @@ func (d *DB) atoms() *atomLists {
 	if l := d.derived.Load(); l != nil {
 		return l
 	}
-	keys := make([]rel.AtomKey, 0, len(d.mu))
+	width := 0 // the atoms' elements, all told
 	for k := range d.mu {
-		keys = append(keys, k)
+		width += k.Arity
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Rel != keys[j].Rel {
-			return keys[i].Rel < keys[j].Rel
-		}
-		return keys[i].Tup < keys[j].Tup
-	})
-	l := &atomLists{n: d.A.N}
-	for _, k := range keys {
-		p := d.mu[k]
-		e := entry{atom: k.Atom(), mu: p}
-		e.muF, _ = p.Float64()
-		if p.Cmp(ratOne) == 0 {
+	l := &atomLists{
+		n:         d.A.N,
+		uncertain: make([]entry, 0, d.numUncertain),
+		sure:      make([]entry, 0, len(d.mu)-d.numUncertain),
+	}
+	// Every atom's tuple is decoded into one slab, each capped at its
+	// own arity.
+	args := make(rel.Tuple, width)
+	for k, p := range d.mu {
+		t := rel.UnpackKey(k.Tup, args[:k.Arity:k.Arity])
+		args = args[k.Arity:]
+		e := entry{atom: rel.GroundAtom{Rel: k.Rel, Args: t}, mu: p, muF: muFloat(p)}
+		if isOne(p) {
 			l.sure = append(l.sure, e)
 		} else {
 			l.uncertain = append(l.uncertain, e)
 		}
 	}
+	// Within a relation, tuple order is Tuple.Key order.
+	canonical := func(a, b entry) int {
+		if c := strings.Compare(a.atom.Rel, b.atom.Rel); c != 0 {
+			return c
+		}
+		return slices.Compare(a.atom.Args, b.atom.Args)
+	}
+	slices.SortFunc(l.uncertain, canonical)
+	slices.SortFunc(l.sure, canonical)
 	d.derived.Store(l)
 	return l
+}
+
+// muFloat is p.Float64() without its big-integer division: when both
+// parts of p are below 2^53 they are exact float64s, and IEEE division
+// rounds their quotient correctly, as Float64 does.
+func muFloat(p *big.Rat) float64 {
+	const exact = 1 << 53
+	num, den := p.Num(), p.Denom()
+	if num.IsUint64() && den.IsUint64() && num.Uint64() < exact && den.Uint64() < exact {
+		return float64(num.Uint64()) / float64(den.Uint64())
+	}
+	f, _ := p.Float64()
+	return f
 }
 
 // UncertainAtoms returns the atoms with 0 < mu < 1 in canonical order.
@@ -304,14 +361,11 @@ func (d *DB) IsPositiveOnly() bool {
 	return true
 }
 
-// Clone returns a deep copy of the unreliable database.
+// Clone returns a copy of the unreliable database: the observed
+// structure is deep-copied, and the error probabilities are shared,
+// which is safe because no value in mu is ever mutated.
 func (d *DB) Clone() *DB {
-	c := New(d.A.Clone())
-	for k, p := range d.mu {
-		c.mu[k] = new(big.Rat).Set(p)
-	}
-	c.numUncertain = d.numUncertain
-	return c
+	return &DB{A: d.A.Clone(), mu: maps.Clone(d.mu), numUncertain: d.numUncertain}
 }
 
 // World materializes the possible world identified by mask: bit i of

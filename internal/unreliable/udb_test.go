@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -286,16 +287,44 @@ func TestIsPositiveOnly(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence: a clone shares the original's μ values, which
+// nothing mutates, so SetError on either side leaves the other's
+// ErrorProb, Nu, Weights and WeightsOverLCM as they were.
 func TestCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	d := testDB(rng, 3, 2)
-	c := d.Clone()
-	if c.NumUncertain() != d.NumUncertain() {
-		t.Fatal("clone lost uncertain atoms")
+	d := testDB(rng, 3, 4)
+	view := func(x *DB) string {
+		var b strings.Builder
+		x.A.ForEachGroundAtom(func(a rel.GroundAtom) bool {
+			fmt.Fprintf(&b, "%v: mu %s nu %s\n", a, x.ErrorProb(a).RatString(), x.Nu(a).RatString())
+			return true
+		})
+		w := x.Weights()
+		over, lcm := x.WeightsOverLCM()
+		fmt.Fprintf(&b, "weights %v %v %v\nover %v: %v %v %v\n", w.Keep, w.Flip, w.Den, lcm, over.Keep, over.Flip, over.Den)
+		return b.String()
 	}
-	c.MustSetError(atomS(0), big.NewRat(1, 3))
-	if d.ErrorProb(atomS(0)).Cmp(c.ErrorProb(atomS(0))) == 0 {
-		t.Error("clone shares mu storage")
+	before := view(d)
+	c := d.Clone()
+	if c.NumUncertain() != d.NumUncertain() || view(c) != before {
+		t.Fatal("the clone differs from the original")
+	}
+	uncertain := d.UncertainAtoms()
+	for _, a := range uncertain[1:] {
+		c.MustSetError(a, big.NewRat(1, 3))
+	}
+	c.MustSetError(uncertain[0], new(big.Rat))
+	c.MustSetError(atomS(0), big.NewRat(1, 1))
+	if got := view(d); got != before {
+		t.Errorf("SetError on the clone changed the original:\n%s\nwas\n%s", got, before)
+	}
+	cloned := view(c)
+	if cloned == before {
+		t.Fatal("SetError did not change the clone")
+	}
+	d.MustSetError(uncertain[1], big.NewRat(2, 7))
+	if got := view(c); got != cloned {
+		t.Errorf("SetError on the original changed the clone:\n%s\nwas\n%s", got, cloned)
 	}
 }
 

@@ -20,18 +20,54 @@ type Weights struct {
 	Keep, Flip, Den []*big.Int
 }
 
+// newWeightTable returns weights for n atoms whose entries are still
+// to be set, the three columns cut from one slice.
+func newWeightTable(n int) Weights {
+	col := make([]*big.Int, 3*n)
+	return Weights{Keep: col[:n:n], Flip: col[n : 2*n : 2*n], Den: col[2*n:]}
+}
+
+// newWeights builds the weights of the uncertain atoms. Flip and Den are
+// mu's own numerator and denominator, which nothing mutates; Keep comes
+// from one slab.
 func newWeights(uncertain []entry) Weights {
-	w := Weights{
-		Keep: make([]*big.Int, len(uncertain)),
-		Flip: make([]*big.Int, len(uncertain)),
-		Den:  make([]*big.Int, len(uncertain)),
+	w := newWeightTable(len(uncertain))
+	words := 0 // Keep_i ≤ Den_i
+	for _, e := range uncertain {
+		words += len(e.mu.Denom().Bits())
 	}
+	s := newIntSlab(len(uncertain), words)
+	var keep big.Int
 	for i, e := range uncertain {
-		w.Flip[i] = new(big.Int).Set(e.mu.Num())
-		w.Den[i] = new(big.Int).Set(e.mu.Denom())
-		w.Keep[i] = new(big.Int).Sub(w.Den[i], w.Flip[i])
+		w.Flip[i], w.Den[i] = e.mu.Num(), e.mu.Denom()
+		w.Keep[i] = s.take(keep.Sub(w.Den[i], w.Flip[i]))
 	}
 	return w
+}
+
+// intSlab hands out read-only copies of non-negative big.Ints: their
+// structs come from one slice and their words from one arena, so a
+// snapshot's tables cost two allocations however many atoms they
+// cover. Each copy's words are capped at their length, so that a
+// mistaken write reallocates instead of running into a neighbour's.
+type intSlab struct {
+	ints  []big.Int
+	words []big.Word
+}
+
+// newIntSlab returns a slab for n Ints of words words in all; more
+// words than that still work, from a second arena.
+func newIntSlab(n, words int) *intSlab {
+	return &intSlab{ints: make([]big.Int, n), words: make([]big.Word, 0, words)}
+}
+
+// take returns the slab's next Int, set to x.
+func (s *intSlab) take(x *big.Int) *big.Int {
+	z := &s.ints[0]
+	s.ints = s.ints[1:]
+	lo := len(s.words)
+	s.words = append(s.words, x.Bits()...)
+	return z.SetBits(s.words[lo:len(s.words):len(s.words)])
 }
 
 // Weights returns the integer form of nu over the uncertain atoms.
@@ -47,19 +83,23 @@ func (d *DB) WeightsOverLCM() (Weights, *big.Int) {
 	l := d.atoms().tables()
 	l.lcmOnce.Do(func() {
 		lcm := big.NewInt(1)
-		var t big.Int
+		var q, t big.Int
 		for _, den := range l.weights.Den {
-			if t.Rem(lcm, den).Sign() != 0 {
+			// QuoRem, unlike Rem, reuses its quotient's words.
+			if q.QuoRem(lcm, den, &t); t.Sign() != 0 {
 				lcm.Mul(lcm, t.Quo(den, t.GCD(nil, nil, lcm, den)))
 			}
 		}
 		n := l.weights.Len()
 		l.lcm = lcm
-		l.overLCM = Weights{Keep: make([]*big.Int, n), Flip: make([]*big.Int, n), Den: make([]*big.Int, n)}
+		l.overLCM = newWeightTable(n)
+		// Keep_i and Flip_i over L are at most L.
+		s := newIntSlab(2*n, 2*n*len(lcm.Bits()))
+		var x big.Int
 		for i, den := range l.weights.Den {
 			t.Quo(lcm, den)
-			l.overLCM.Keep[i] = new(big.Int).Mul(l.weights.Keep[i], &t)
-			l.overLCM.Flip[i] = new(big.Int).Mul(l.weights.Flip[i], &t)
+			l.overLCM.Keep[i] = s.take(x.Mul(l.weights.Keep[i], &t))
+			l.overLCM.Flip[i] = s.take(x.Mul(l.weights.Flip[i], &t))
 			l.overLCM.Den[i] = lcm
 		}
 	})

@@ -1,6 +1,7 @@
 package unreliable
 
 import (
+	"math/big"
 	"math/rand"
 	"sync"
 	"testing"
@@ -111,7 +112,7 @@ func TestWorldBufMatchesWorldOnSparse(t *testing.T) {
 		{Rel: "Q", Args: rel.Tuple{1, 2, 3, 4}}, {Rel: "Q", Args: rel.Tuple{49, 0, 0, 49}},
 		{Rel: "S", Args: rel.Tuple{7}}, {Rel: "S", Args: rel.Tuple{49}},
 	} {
-		d.MustSetError(atom, ratHalf)
+		d.MustSetError(atom, big.NewRat(1, 2))
 	}
 	buf := d.NewWorldBuf()
 	for mask := uint64(0); mask < 16; mask++ {

@@ -3,6 +3,7 @@
 // pairs the candidate won, out of the pairs whose values differ.
 //
 //	go run ./scripts/signtest [-record BENCH_<n>.json] BENCHMARK.json base.json cand.json
+//	go run ./scripts/signtest -series <workload>/<metric> BENCH_*.json
 //
 // base.json and cand.json are result files written by `bench -out`
 // (scripts/ab.sh writes one per side); the i-th untraced run of a
@@ -15,14 +16,23 @@
 // pairs won of the pairs decided and the verdict of the sign-test rule
 // a claimed gain must meet, so that the claim can be re-checked later
 // from the file alone.
+//
+// With -series, signtest reads BENCH files instead and prints one
+// metric's trajectory: one line per file, in the order of the number in
+// its name, with both commits, both medians and IQRs, the pairs won of
+// the pairs decided and the verdict.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"text/tabwriter"
 )
 
@@ -92,7 +102,13 @@ type recordRow struct {
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+const usage = `usage: signtest [-record BENCH_<n>.json] BENCHMARK.json base.json cand.json
+       signtest -series <workload>/<metric> BENCH_*.json`
+
 func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && args[0] == "-series" {
+		return printSeries(args[1:], stdout, stderr)
+	}
 	out := ""
 	if len(args) > 0 && args[0] == "-record" {
 		if len(args) < 2 {
@@ -102,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if len(args) != 3 {
-		fmt.Fprintln(stderr, "usage: signtest [-record BENCH_<n>.json] BENCHMARK.json base.json cand.json")
+		fmt.Fprintln(stderr, usage)
 		return 2
 	}
 	var spec benchSpec
@@ -256,4 +272,77 @@ func series(f *resultFile, workload, metric string) []float64 {
 		}
 	}
 	return out
+}
+
+// printSeries prints the row of one (workload, metric) from each BENCH
+// file named, ordered by the number in the file's name: the
+// trajectory of that metric across the measured changes.
+func printSeries(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 2 {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	workload, metric, ok := strings.Cut(args[0], "/")
+	if !ok || workload == "" || metric == "" {
+		fmt.Fprintf(stderr, "signtest: -series wants <workload>/<metric>, not %q\n", args[0])
+		return 2
+	}
+	paths := slices.Clone(args[1:])
+	slices.SortStableFunc(paths, func(a, b string) int { return recordNumber(a) - recordNumber(b) })
+	tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "record\tbase\tcandidate\tbase median (IQR)\tcand median (IQR)\twon/decided\tverdict")
+	for _, p := range paths {
+		rec, err := loadRecord(p)
+		if err != nil {
+			fmt.Fprintf(stderr, "signtest: %v\n", err)
+			return 2
+		}
+		name := filepath.Base(p)
+		i := slices.IndexFunc(rec.Rows, func(r recordRow) bool { return r.Workload == workload && r.Metric == metric })
+		if i < 0 {
+			fmt.Fprintf(tw, "%s\t%s\t%s\t-\t-\t-\tno row\n", name, shortCommit(rec.Base), shortCommit(rec.Candidate))
+			continue
+		}
+		r := rec.Rows[i]
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%.4g (%.2g)\t%.4g (%.2g)\t%d/%d\t%s\n", name, shortCommit(rec.Base), shortCommit(rec.Candidate),
+			r.BaseMedian, r.BaseIQR, r.CandMedian, r.CandIQR, r.Won, r.Decided, r.Verdict)
+	}
+	tw.Flush()
+	return 0
+}
+
+// recordNumber is n of a file named BENCH_<n>.json, or 0.
+func recordNumber(path string) int {
+	s := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json")
+	n, _ := strconv.Atoi(s)
+	return n
+}
+
+// shortCommit abbreviates a commit hash to 7 digits, keeping a suffix
+// such as "+worktree".
+func shortCommit(c string) string {
+	hash, suffix, _ := strings.Cut(c, "+")
+	if len(hash) > 7 {
+		hash = hash[:7]
+	}
+	if suffix != "" {
+		return hash + "+" + suffix
+	}
+	return hash
+}
+
+// loadRecord decodes a BENCH file, refusing fields a record does not
+// have.
+func loadRecord(path string) (record, error) {
+	var rec record
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return rec, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rec); err != nil {
+		return rec, fmt.Errorf("%s: %v", path, err)
+	}
+	return rec, nil
 }

@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -113,19 +111,12 @@ func TestCheckRecordRefusesWeakClaim(t *testing.T) {
 	}
 }
 
-// readRecord decodes a BENCH file, refusing fields a record does not
-// have.
+// readRecord is loadRecord that fails the test on an error.
 func readRecord(t *testing.T, path string) record {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	rec, err := loadRecord(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var rec record
-	if err := dec.Decode(&rec); err != nil {
-		t.Fatalf("%s: %v", path, err)
 	}
 	return rec
 }
@@ -153,4 +144,34 @@ func checkRecord(rec record) error {
 		}
 	}
 	return nil
+}
+
+// TestSeriesFixture prints one (workload, metric) across three records:
+// ordered by the number in the file name, not the order given, commits
+// shortened, and a record without the row says so.
+func TestSeriesFixture(t *testing.T) {
+	dir := filepath.Join("testdata", "series")
+	args := []string{"-series", "serve-open/alloc_kb_per_req",
+		filepath.Join(dir, "BENCH_10.json"), filepath.Join(dir, "BENCH_2.json"), filepath.Join(dir, "BENCH_9.json")}
+	var out, errOut bytes.Buffer
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	want := `record         base     candidate         base median (IQR)  cand median (IQR)  won/decided  verdict
+BENCH_2.json   3333333  4444444           -                  -                  -            no row
+BENCH_9.json   1111111  1111111+worktree  273.9 (0.19)       234.3 (0.18)       10/10        improved
+BENCH_10.json  2222222  2222222+worktree  234.5 (0.21)       160.3 (0.3)        10/10        improved
+`
+	if out.String() != want {
+		t.Errorf("got\n%s\nwant\n%s", out.String(), want)
+	}
+	for _, bad := range [][]string{
+		{"-series", "serve-open/alloc_kb_per_req"},
+		{"-series", "alloc_kb_per_req", filepath.Join(dir, "BENCH_9.json")},
+		{"-series", "serve-open/alloc_kb_per_req", filepath.Join(dir, "missing.json")},
+	} {
+		if code := run(bad, &out, &errOut); code != 2 {
+			t.Errorf("%q: exit %d, want 2", bad, code)
+		}
+	}
 }
